@@ -5,18 +5,35 @@ exact.  The schemoid algebra of a verified quasi-schemoid is the span of
 the block sums s_sigma inside the category algebra, with multiplication
 governed by the structure constants.
 
+The structure constants are stored once as sparse rows: rows[(sigma, tau)]
+maps mu to c^mu_{sigma tau} for the nonzero constants only, and a pair
+with no nonzero constant has no row.  Multiplication, the associativity
+check and the unit solve all walk these rows, so their cost follows the
+number of nonzero constants, not the cube of the dimension.
+
 Unitality of the schemoid algebra is decided in the subalgebra sense: the
 algebra is unital exactly when the unit of the ambient category algebra,
 the sum of all identities, lies in the block-sum span.  An abstract unit
 of the structure-constant tensor alone can exist over Q even for a
 non-unital schemoid (a single-block group already shows this), so tensor
 unit existence and subalgebra unitality are reported separately.
+
+Generated subalgebras (the Terwilliger algebra) are closed semi-naively.
+A fully reduced echelon basis grows one residue at a time: each generator
+and each product is reduced against the basis, and a nonzero residue is
+added and waits.  A waiting residue is multiplied, on both sides, with
+itself and with every residue taken before it.  When none is waiting,
+every product of two inserted residues has been reduced into the span; the
+residues span it, so by bilinearity the span is closed under
+multiplication.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import is_prime, solve_multiplicative
 from .schemoid import QuasiSchemoid, is_unital
@@ -40,17 +57,11 @@ class HomCheckFailed(AlgebraError):
 
 class Rationals:
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def inv(self, a):
         return 1 / a
@@ -66,6 +77,9 @@ class Rationals:
 
 
 class PrimeField:
+    zero = 0
+    one = 1
+
     def __init__(self, p: int):
         if not is_prime(p):
             raise AlgebraError(f"{p} is not prime")
@@ -74,14 +88,6 @@ class PrimeField:
 
     def from_int(self, n):
         return n % self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def inv(self, a):
         return pow(a % self.p, -1, self.p)
@@ -108,6 +114,26 @@ def _normalize(ring, x):
     return x % ring.p if isinstance(ring, PrimeField) else x
 
 
+def _sparse_rows(tensor, ring) -> dict:
+    """(sigma, tau) -> {mu: c^mu_{sigma tau}}, nonzero constants only."""
+    rows: dict[tuple, dict] = {}
+    for (sigma, tau, mu), c in tensor.items():
+        c = _normalize(ring, c)
+        if c:
+            rows.setdefault((sigma, tau), {})[mu] = c
+    return rows
+
+
+def _combination(terms, ring) -> dict:
+    """Sum of a * row over the (a, row) terms, as a sparse vector; rows may be None."""
+    acc: dict = {}
+    for a, row in terms:
+        if row:
+            for k, x in row.items():
+                acc[k] = acc.get(k, 0) + a * x
+    return {k: y for k, x in acc.items() if (y := _normalize(ring, x))}
+
+
 @dataclass(frozen=True, eq=False)
 class SchemoidAlgebra:
     basis: tuple[str, ...]
@@ -121,23 +147,18 @@ class SchemoidAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def rows(self) -> dict:
+        return _sparse_rows(self.tensor, self.ring)
+
     def c(self, sigma, tau, mu):
         return self.tensor.get((sigma, tau, mu), self.ring.zero)
 
     def multiply(self, u: dict, v: dict) -> dict:
-        out: dict[str, object] = {}
-        for sigma, a in u.items():
-            if a == self.ring.zero:
-                continue
-            for tau, b in v.items():
-                if b == self.ring.zero:
-                    continue
-                ab = _normalize(self.ring, a * b)
-                for mu in self.basis:
-                    coeff = self.tensor.get((sigma, tau, mu))
-                    if coeff:
-                        out[mu] = _normalize(self.ring, out.get(mu, self.ring.zero) + ab * coeff)
-        return {k: v for k, v in out.items() if v != self.ring.zero}
+        rows = self.rows
+        return _combination(((a * b, rows.get((sigma, tau)))
+                             for sigma, a in u.items() if a
+                             for tau, b in v.items() if b), self.ring)
 
 
 def category_algebra_dim(cat) -> int:
@@ -152,29 +173,44 @@ def schemoid_algebra(qs: QuasiSchemoid, ring) -> SchemoidAlgebra:
         coeff = ring.from_int(p)
         if coeff != ring.zero:
             tensor[(sigma, tau, mu)] = coeff
-    _assert_associative(basis, tensor, ring)
-    unital_flag, unit, tensor_unit = _unit_analysis(qs, basis, tensor, ring)
+    rows = _sparse_rows(tensor, ring)
+    _assert_associative(basis, rows, ring)
+    unital_flag, unit, tensor_unit = _unit_analysis(qs, basis, rows, ring)
     return SchemoidAlgebra(basis, tensor, ring, unital_flag, unit, tensor_unit)
 
 
-def _assert_associative(basis, tensor, ring):
-    get = lambda s, t, m: tensor.get((s, t, m), ring.zero)
+def _assert_associative(basis, rows, ring):
+    """sum_mu c^mu_{sigma tau} c^nu_{mu rho} = sum_mu c^mu_{tau rho} c^nu_{sigma mu}
+    for every sigma, tau, rho, nu in the basis.
+
+    Both sides are compared as sparse vectors in nu.  A rho is skipped only
+    when no row on either side can reach it, so both sides are zero there;
+    the first failure reported is the one a dense scan in basis order meets.
+    """
+    index = {b: i for i, b in enumerate(basis)}
+    after: dict[str, set] = {}      # sigma -> the tau with a row (sigma, tau)
+    for sigma, tau in rows:
+        after.setdefault(sigma, set()).add(tau)
     for sigma in basis:
         for tau in basis:
-            for rho in basis:
-                for nu in basis:
-                    lhs = sum((get(sigma, tau, mu) * get(mu, rho, nu) for mu in basis),
-                              ring.zero)
-                    rhs = sum((get(tau, rho, mu) * get(sigma, mu, nu) for mu in basis),
-                              ring.zero)
-                    if _normalize(ring, lhs - rhs) != ring.zero:
-                        raise AlgebraError(
-                            f"tensor not associative at ({sigma}, {tau}, {rho}, {nu})")
+            st = rows.get((sigma, tau), {})
+            reach = set(after.get(tau, ()))
+            for mu in st:
+                reach.update(after.get(mu, ()))
+            for rho in sorted(reach, key=index.__getitem__):
+                lhs = _combination(((c, rows.get((mu, rho))) for mu, c in st.items()), ring)
+                rhs = _combination(((c, rows.get((sigma, mu)))
+                                    for mu, c in rows.get((tau, rho), {}).items()), ring)
+                if lhs != rhs:
+                    nu = min((n for n in lhs.keys() | rhs.keys() if lhs.get(n) != rhs.get(n)),
+                             key=index.__getitem__)
+                    raise AlgebraError(
+                        f"tensor not associative at ({sigma}, {tau}, {rho}, {nu})")
 
 
-def _unit_analysis(qs, basis, tensor, ring):
+def _unit_analysis(qs, basis, rows, ring):
     """Two-sided tensor units, and whether the sum of identities is the unit."""
-    tensor_unit = _solve_tensor_unit(basis, tensor, ring)
+    tensor_unit = _solve_tensor_unit(basis, rows, ring)
     unit = _identity_sum_coords(qs, basis, ring)
     if unit is not None:
         # the ambient unit acts as a unit on the span, so it must be THE
@@ -206,60 +242,35 @@ def _identity_sum_coords(qs, basis, ring):
     return coords
 
 
-def _solve_tensor_unit(basis, tensor, ring):
-    """Intersect the left-unit and right-unit linear systems."""
-    n = len(basis)
-    index = {b: i for i, b in enumerate(basis)}
-    rows = []
-    rhs = []
-    # left unit: sum_sigma c^mu_{sigma tau} u_sigma = delta_{mu tau}
-    for tau in basis:
-        for mu in basis:
-            row = [ring.zero] * n
-            for sigma in basis:
-                row[index[sigma]] = tensor.get((sigma, tau, mu), ring.zero)
-            rows.append(row)
-            rhs.append(ring.one if mu == tau else ring.zero)
-    # right unit: sum_tau c^mu_{sigma tau} u_tau = delta_{mu sigma}
-    for sigma in basis:
-        for mu in basis:
-            row = [ring.zero] * n
-            for tau in basis:
-                row[index[tau]] = tensor.get((sigma, tau, mu), ring.zero)
-            rows.append(row)
-            rhs.append(ring.one if mu == sigma else ring.zero)
-    sol = _solve_field(rows, rhs, ring)
-    if sol is None:
-        return None
-    return {b: sol[index[b]] for b in basis if sol[index[b]] != ring.zero}
+def _solve_tensor_unit(basis, rows, ring):
+    """Intersect the left-unit and right-unit linear systems.
 
-
-def _solve_field(rows, rhs, ring):
-    """Gaussian elimination over the ring (field); one solution or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    cols = len(rows[0]) if rows else 0
-    rank = 0
-    pivots = []
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(aug)) if aug[r][col] != ring.zero), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = ring.inv(aug[rank][col])
-        aug[rank] = [_normalize(ring, x * inv) for x in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != ring.zero:
-                f = aug[r][col]
-                aug[r] = [_normalize(ring, x - f * y) for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][cols] != ring.zero:
-            return None
-    x = [ring.zero] * cols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][cols]
-    return x
+    Left unit: sum_sigma c^mu_{sigma tau} u_sigma = delta_{mu tau}; right
+    unit: sum_tau c^mu_{sigma tau} u_tau = delta_{mu sigma}.  Equations are
+    sparse rows over the unknowns plus the right-hand side, keyed by None
+    and ordered last, so a pivot on None means the system is inconsistent.
+    With free unknowns set to 0, the solution is read off the reduced rows.
+    """
+    left: dict[tuple, dict] = {}
+    right: dict[tuple, dict] = {}
+    for (sigma, tau), row in rows.items():
+        for mu, c in row.items():
+            left.setdefault((tau, mu), {})[sigma] = c
+            right.setdefault((sigma, mu), {})[tau] = c
+    for x in basis:
+        for system in (left, right):
+            if (x, x) not in system:
+                return None     # the equation reads 0 = 1
+            system[(x, x)][None] = ring.one
+    pos = {b: i for i, b in enumerate(basis)}
+    pos[None] = len(basis)
+    pivots: dict = {}
+    for system in (left, right):
+        for eq in system.values():
+            _insert(pivots, eq, pos, ring)
+            if None in pivots:
+                return None
+    return {b: pivots[b][None] for b in basis if b in pivots and pivots[b].get(None)}
 
 
 def algebra_is_unital(alg: SchemoidAlgebra, qs: QuasiSchemoid) -> bool:
@@ -268,6 +279,54 @@ def algebra_is_unital(alg: SchemoidAlgebra, qs: QuasiSchemoid) -> bool:
     if alg.unital != combinatorial:
         raise AlgebraError("unitality cross-check failed")
     return alg.unital
+
+
+# ---------------------------------------------------------------------------
+# Reduced echelon form over a field
+# ---------------------------------------------------------------------------
+
+def _reduce(pivots: dict, vec: dict, ring) -> dict:
+    """Residue of vec modulo the span of a fully reduced echelon basis.
+
+    pivots maps each pivot key to its row: the pivot coefficient is 1 and
+    the pivot column is zero in every other row.  Subtracting one row thus
+    never changes the coefficient of another pivot, so one pass over the
+    pivots that vec holds reduces it.  The residue is {} when vec lies in
+    the span.
+    """
+    out = {k: y for k, x in vec.items() if (y := _normalize(ring, x))}
+    for k in [k for k in out if k in pivots]:
+        _subtract(out, out[k], pivots[k], ring)
+    return out
+
+
+def _subtract(target: dict, f, row: dict, ring) -> None:
+    """target -= f * row in place, dropping the entries that become zero."""
+    for m, y in row.items():
+        z = _normalize(ring, target.get(m, 0) - f * y)
+        if z:
+            target[m] = z
+        else:
+            del target[m]
+
+
+def _insert(pivots: dict, vec: dict, pos: dict, ring) -> dict | None:
+    """Add vec to the span, keeping the basis fully reduced.
+
+    Returns the residue of vec, or None when vec already lies in the span.
+    The new row's pivot is its first key in the order given by pos.
+    """
+    residue = _reduce(pivots, vec, ring)
+    if not residue:
+        return None
+    pivot = min(residue, key=pos.__getitem__)
+    inv = ring.inv(residue[pivot])
+    row = {k: _normalize(ring, x * inv) for k, x in residue.items()}
+    for other in pivots.values():
+        if pivot in other:
+            _subtract(other, other[pivot], row, ring)
+    pivots[pivot] = row
+    return residue
 
 
 # ---------------------------------------------------------------------------
@@ -280,83 +339,59 @@ class CategoryAlgebraClosure:
     category: object
     ring: object
     order: tuple[str, ...]                   # morphism coordinate order
-    basis: list[dict[str, object]]           # reduced vectors, sparse by morphism
+    basis: list[dict[str, object]]           # fully reduced rows, sorted by pivot
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def multiply(self, u: dict, v: dict) -> dict:
+        """u * v, pairing each f in u only with the g in v that end where f starts."""
+        cat = self.category
+        ending_at: dict[str, list] = {}
+        for g, b in v.items():
+            if b:
+                ending_at.setdefault(cat.tgt(g), []).append((g, b))
+        comp = cat.compose
         out: dict[str, object] = {}
-        comp = self.category.compose
         for f, a in u.items():
-            if a == self.ring.zero:
-                continue
-            for g, b in v.items():
-                h = comp.get((f, g))
-                if h is None or b == self.ring.zero:
-                    continue
-                out[h] = _normalize(self.ring, out.get(h, self.ring.zero) + a * b)
-        return {k: x for k, x in out.items() if x != self.ring.zero}
+            if a:
+                for g, b in ending_at.get(cat.src(f), ()):
+                    h = comp.get((f, g))
+                    if h is not None:
+                        out[h] = out.get(h, 0) + a * b
+        return {k: y for k, x in out.items() if (y := _normalize(self.ring, x))}
 
     def contains(self, vec: dict) -> bool:
-        return _reduce_against(self.basis, dict(vec), self.order, self.ring) is None
-
-
-def _reduce_against(basis, vec, order, ring):
-    """Reduce vec against echelon basis; None if it reduces to zero."""
-    pos = {m: i for i, m in enumerate(order)}
-    for b in basis:
-        lead = min(b, key=lambda m: pos[m])
-        coeff = vec.get(lead)
-        if coeff is None or coeff == ring.zero:
-            continue
-        factor = _normalize(ring, coeff * ring.inv(b[lead]))
-        for m, x in b.items():
-            new = _normalize(ring, vec.get(m, ring.zero) - factor * x)
-            if new == ring.zero:
-                vec.pop(m, None)
-            else:
-                vec[m] = new
-    vec = {k: v for k, v in vec.items() if v != ring.zero}
-    return vec or None
-
-
-def _echelon_insert(basis, vec, order, ring):
-    residue = _reduce_against(basis, dict(vec), order, ring)
-    if residue is None:
-        return False
-    basis.append(residue)
-    pos = {m: i for i, m in enumerate(order)}
-    basis.sort(key=lambda b: pos[min(b, key=lambda m: pos[m])])
-    # re-echelonize fully for stable reductions
-    cleaned: list[dict] = []
-    for b in basis:
-        r = _reduce_against(cleaned, dict(b), order, ring)
-        if r is not None:
-            cleaned.append(r)
-            cleaned.sort(key=lambda bb: pos[min(bb, key=lambda m: pos[m])])
-    basis[:] = cleaned
-    return True
+        pos = {m: i for i, m in enumerate(self.order)}
+        pivots = {min(b, key=pos.__getitem__): b for b in self.basis}
+        return not _reduce(pivots, vec, self.ring)
 
 
 def span_closure(cat, ring, generators: list[dict]) -> CategoryAlgebraClosure:
     """Close the span of generators under category-algebra multiplication."""
     order = tuple(cat.morphism_ids)
+    pos = {m: i for i, m in enumerate(order)}
     closure = CategoryAlgebraClosure(cat, ring, order, [])
+    pivots: dict[str, dict] = {}
+    waiting: deque[dict] = deque()      # inserted residues not yet multiplied
+    done: list[dict] = []               # residues multiplied with each other
+
+    def add(vec):
+        residue = _insert(pivots, vec, pos, ring)
+        if residue:
+            waiting.append(residue)
+
     for g in generators:
-        _echelon_insert(closure.basis, g, order, ring)
-    cap = len(order) + 1
-    for _ in range(cap):
-        grew = False
-        snapshot = [dict(b) for b in closure.basis]
-        for u in snapshot:
-            for v in snapshot:
-                prod = closure.multiply(u, v)
-                if prod and _echelon_insert(closure.basis, prod, order, ring):
-                    grew = True
-        if not grew:
-            break
+        add(g)
+    while waiting:
+        new = waiting.popleft()
+        done.append(new)
+        for old in done:
+            add(closure.multiply(new, old))
+            if old is not new:
+                add(closure.multiply(old, new))
+    closure.basis = [pivots[k] for k in sorted(pivots, key=pos.__getitem__)]
     return closure
 
 
@@ -574,12 +609,14 @@ def _solve_scalars_prime(a, constraints, targets, index):
 
 
 def _verify_scaled_iso(a, b, bij, lam):
+    """lam_s lam_t row_A(s, t) equals row_B(bij s, bij t) pulled back along
+    bij and scaled by lam, for every pair (s, t) with a row on either side."""
     ring = a.ring
-    for s in a.basis:
-        for t in a.basis:
-            for m in a.basis:
-                lhs = _normalize(ring, lam[s] * lam[t] * a.c(s, t, m))
-                rhs = _normalize(ring, lam[m] * b.c(bij[s], bij[t], bij[m]))
-                if lhs != rhs:
-                    return False
+    back = {y: x for x, y in bij.items()}
+    for s, t in set(a.rows) | {(back[s], back[t]) for s, t in b.rows}:
+        pulled = {back[m]: c for m, c in b.rows.get((bij[s], bij[t]), {}).items()}
+        lhs = _combination([(lam[s] * lam[t], a.rows.get((s, t)))], ring)
+        rhs = _combination([(lam[m], {m: c}) for m, c in pulled.items()], ring)
+        if lhs != rhs:
+            return False
     return True

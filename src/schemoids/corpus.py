@@ -8,6 +8,7 @@ handles (`schemoids examples <name>`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .algebra import Rationals, schemoid_algebra
@@ -404,6 +405,7 @@ def verify_entry(entry: CorpusEntry) -> list[str]:
         return problems
 
     qs = obj
+    algebra = cache(lambda: schemoid_algebra(qs, Rationals()))   # shared by two checks
     checks = {
         "objects": lambda: len(qs.category.objects),
         "morphisms": lambda: len(qs.category.morphisms),
@@ -411,8 +413,8 @@ def verify_entry(entry: CorpusEntry) -> list[str]:
         "unital": lambda: is_unital(qs.category, qs.partition)[0],
         "basic": lambda: is_basic(qs),
         "association": lambda: qs.involution is not None,
-        "algebra_dim": lambda: schemoid_algebra(qs, Rationals()).dimension,
-        "algebra_unital": lambda: schemoid_algebra(qs, Rationals()).unital,
+        "algebra_dim": lambda: algebra().dimension,
+        "algebra_unital": lambda: algebra().unital,
     }
     report = None
     if "semi_thin" in expected or "thin" in expected:

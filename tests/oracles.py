@@ -169,3 +169,29 @@ def matrix_algebra_closure_dim(generators):
                 if add(mat_mul_int(a, b)):
                     changed = True
     return len(basis_rows)
+
+
+def assert_associative_dense(basis, tensor, ring):
+    """Dense associativity check of a structure-constant tensor, one
+    (sigma, tau, rho, nu) at a time in basis order:
+
+        sum_mu c^mu_{sigma tau} c^nu_{mu rho} = sum_mu c^mu_{tau rho} c^nu_{sigma mu}.
+
+    tensor maps (sigma, tau, mu) to c^mu_{sigma tau}, a missing key being
+    zero; ring is Q or F_p (ring.p).  Raises AlgebraError naming the first
+    failing quadruple.
+    """
+    from schemoids.algebra import AlgebraError
+
+    p = getattr(ring, "p", None)
+    get = lambda s, t, m: tensor.get((s, t, m), 0)
+    for sigma in basis:
+        for tau in basis:
+            for rho in basis:
+                for nu in basis:
+                    lhs = sum(get(sigma, tau, mu) * get(mu, rho, nu) for mu in basis)
+                    rhs = sum(get(tau, rho, mu) * get(sigma, mu, nu) for mu in basis)
+                    diff = lhs - rhs
+                    if (diff % p if p else diff) != 0:
+                        raise AlgebraError(
+                            f"tensor not associative at ({sigma}, {tau}, {rho}, {nu})")

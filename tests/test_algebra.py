@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from schemoids.algebra import (
     AlgebraError,
@@ -17,13 +19,15 @@ from schemoids.algebra import (
     scaled_basis_iso,
     schemoid_algebra,
     terwilliger,
+    _assert_associative,
+    _sparse_rows,
 )
 from schemoids.fincat import cyclic_group_table, terminal_category
 from schemoids.schemes import group_scheme, hamming, j_embed, validate_scheme
 from schemoids.schemoid import discrete_partition, verify_quasi_schemoid
 
 from test_schemoid import ex2_8, group_bullet
-from oracles import matrix_algebra_closure_dim, mat_mul_int
+from oracles import assert_associative_dense, matrix_algebra_closure_dim, mat_mul_int
 
 
 Q = Rationals()
@@ -186,10 +190,157 @@ def test_scaled_basis_iso_detects_scaling():
     from schemoids.algebra import SchemoidAlgebra
     from schemoids.algebra import _solve_tensor_unit
     b = SchemoidAlgebra(alg.basis, tensor2, Q, False, None,
-                        _solve_tensor_unit(alg.basis, tensor2, Q))
+                        _solve_tensor_unit(alg.basis, _sparse_rows(tensor2, Q), Q))
     got = scaled_basis_iso(alg, b)
     assert got is not None
     bij, lam = got
     assert lam["R0"] == 2  # a^2 = 2a on the diagonal-class triple
     for (s, t, m), v in alg.tensor.items():
         assert lam[s] * lam[t] * v == lam[m] * tensor2[(bij[s], bij[t], bij[m])]
+
+
+# ---------------------------------------------------------------------------
+# Sparse associativity check against the dense oracle
+# ---------------------------------------------------------------------------
+
+RINGS = (Q, PrimeField(2), PrimeField(3))
+
+
+def _poly_tensor(coeffs):
+    """Constants of K[x]/(f) in the basis 1, x, ..., x^(k-1), f monic of
+    degree k with lower coefficients coeffs: commutative and associative."""
+    k = len(coeffs)
+    power = [0] * (k - 1) + [1]             # x^(k-1)
+    powers = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(k - 1):                  # x^k .. x^(2k-2)
+        top = power[-1]
+        power = [0] + power[:-1]
+        power = [a - top * c for a, c in zip(power, coeffs)]
+        powers.append(power)
+    return {(f"x{i}", f"x{j}", f"x{m}"): c
+            for i in range(k) for j in range(k)
+            for m, c in enumerate(powers[i + j]) if c}
+
+
+def _incidence_tensor(relation, lam, ring):
+    """Incidence algebra of a preorder, E_ab E_bc = E_ac, with E_ab scaled by
+    lam[(a, b)]: associative and, with two related points, non-commutative."""
+    name = lambda a, b: f"e{a}{b}"
+    tensor = {}
+    for a, b in relation:
+        for b2, c in relation:
+            if b == b2:
+                tensor[(name(a, b), name(b, c), name(a, c))] = (
+                    lam[(a, b)] * lam[(b, c)] * ring.inv(lam[(a, c)]))
+    return [name(a, b) for a, b in relation], tensor
+
+
+@st.composite
+def small_tensors(draw):
+    """(basis, tensor, ring) with k <= 5: an associative family, or random
+    constants, and then possibly one constant perturbed.  Over F_p the
+    constants are drawn unreduced, so both checks must reduce them."""
+    ring = draw(st.sampled_from(RINGS))
+    kind = draw(st.sampled_from(["poly", "incidence", "random"]))
+    if kind == "poly":
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=5))
+        basis, tensor = [f"x{i}" for i in range(len(coeffs))], _poly_tensor(coeffs)
+    elif kind == "incidence":
+        n = draw(st.integers(1, 3))
+        rel = {(a, a) for a in range(n)}
+        rel |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                 max_size=2)))
+        while more := {(a, c) for a, b in rel for b2, c in rel if b == b2} - rel:
+            rel |= more                     # transitive closure
+        assume(len(rel) <= 5)
+        units = [Fraction(1), Fraction(2), Fraction(-1, 3)] if ring == Q else range(1, ring.p)
+        lam = {pair: draw(st.sampled_from(units)) for pair in sorted(rel)}
+        basis, tensor = _incidence_tensor(sorted(rel), lam, ring)
+    else:
+        basis = [f"b{i}" for i in range(draw(st.integers(1, 4)))]
+        keys = [(s, t, m) for s in basis for t in basis for m in basis]
+        tensor = {key: draw(st.integers(-2, 3))
+                  for key in draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))}
+    if draw(st.booleans()):
+        key = tuple(draw(st.sampled_from(basis)) for _ in range(3))
+        tensor[key] = tensor.get(key, 0) + draw(st.sampled_from([1, 2, -1]))
+    if ring == Q:
+        tensor = {key: Fraction(v) for key, v in tensor.items()}
+    return basis, tensor, ring
+
+
+def _associativity_verdict(check, basis, tensor, ring):
+    try:
+        check(basis, tensor, ring)
+    except AlgebraError as err:
+        return str(err)
+    return None
+
+
+def _sparse_check(basis, tensor, ring):
+    _assert_associative(basis, _sparse_rows(tensor, ring), ring)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tensors())
+def test_sparse_associativity_matches_dense_oracle(case):
+    """Same accept/reject verdict, and the same first failing quadruple."""
+    basis, tensor, ring = case
+    assert (_associativity_verdict(_sparse_check, basis, tensor, ring)
+            == _associativity_verdict(assert_associative_dense, basis, tensor, ring))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_associativity_check_rejects_perturbed_tensor(ring):
+    """A valid tensor is accepted and one bumped constant is refused by both."""
+    alg = schemoid_algebra(j_embed(hamming(2, 2)), ring)
+    assert _associativity_verdict(_sparse_check, alg.basis, alg.tensor, ring) is None
+    assert _associativity_verdict(assert_associative_dense, alg.basis, alg.tensor, ring) is None
+    bumped = dict(alg.tensor)
+    bumped[("R0", "R1", "R1")] += ring.one     # R0 stops acting as the unit on R1
+    got = _associativity_verdict(_sparse_check, alg.basis, bumped, ring)
+    assert got is not None
+    assert got == _associativity_verdict(assert_associative_dense, alg.basis, bumped, ring)
+
+
+# ---------------------------------------------------------------------------
+# Terwilliger closure against the matrix oracle and the Hamming closed forms
+# ---------------------------------------------------------------------------
+
+def _terwilliger_matrices(s, base):
+    """Adjacency matrices and the dual idempotents at point index base."""
+    n = s.size
+    gens = [s.adjacency(c) for c in s.classes]
+    for ci in range(len(s.classes)):
+        gens.append([[int(x == y and s.relation_of[base][x] == ci) for y in range(n)]
+                     for x in range(n)])
+    return gens
+
+
+def _reduced(x, ring):
+    return x % ring.p if isinstance(ring, PrimeField) else x
+
+
+@pytest.mark.parametrize("n, q, closed_form", [(2, 2, comb(5, 3)), (3, 2, comb(6, 3)),
+                                               (2, 3, comb(6, 4))])
+def test_terwilliger_hamming_matches_oracles(n, q, closed_form):
+    """dim T(H(n,2)) = C(n+3,3) and dim T(H(n,3)) = C(n+4,4) over Q, F2, F3;
+    the basis is fully reduced and closed under products.  The matrix oracle
+    takes seconds on H(2,3), so it checks the q = 2 cases only."""
+    s = hamming(n, q)
+    qs = j_embed(s)
+    if q == 2:
+        assert matrix_algebra_closure_dim(_terwilliger_matrices(s, 0)) == closed_form
+    for ring in RINGS:
+        clo = terwilliger(qs, s.points[0], ring)
+        assert clo.dimension == closed_form
+        pos = {m: i for i, m in enumerate(clo.order)}
+        pivots = [min(b, key=pos.__getitem__) for b in clo.basis]
+        assert pivots == sorted(set(pivots), key=pos.__getitem__)
+        for b, piv in zip(clo.basis, pivots):
+            assert b[piv] == ring.one
+            assert all(x == _reduced(x, ring) and x for x in b.values())
+            assert not any(piv in other for other in clo.basis if other is not b)
+        assert all(clo.contains(clo.multiply(u, v)) for u in clo.basis for v in clo.basis)
+        assert not all(clo.contains({m: ring.one}) for m in clo.order)
+
