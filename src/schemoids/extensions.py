@@ -2,9 +2,10 @@
 linear extensions of quasi-schemoids.
 
 A natural system assigns to every morphism f a finite free module
-D_f = (Z/m)^r (or Q^r) together with pushforward maps a_* : D_f -> D_{af}
-and pullback maps b^* : D_f -> D_{fb}, functorially.  Cochains live on
-composable tuples; the differentials follow the alternating-sum pattern
+D_f = (Z/m)^r with m >= 2 (or Q^r) together with pushforward maps
+a_* : D_f -> D_{af} and pullback maps b^* : D_f -> D_{fb}, functorially.
+Cochains live on composable tuples; the differentials follow the
+alternating-sum pattern
 
     (d F)(f, g)    = f_* F(g) - F(fg) + g^* F(f)
     (d D)(f, g, h) = f_* D(g, h) - D(fg, h) + D(f, gh) - h^* D(f, g)
@@ -17,6 +18,7 @@ normalized 2-cocycle: (g, b)∘(f, a) = (g∘f, -D(g, f) + g_* a + f^* b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 
 from . import linalg
@@ -33,6 +35,10 @@ from .schemoid import (
 
 
 class ExtensionError(Exception):
+    pass
+
+
+class InvalidModulus(ExtensionError):
     pass
 
 
@@ -105,6 +111,11 @@ class NaturalSystem:
     push: dict[tuple[str, str], Matrix]      # (a, f) with src a = tgt f: D_f -> D_{af}
     pull: dict[tuple[str, str], Matrix]      # (f, b) with tgt b = src f: D_f -> D_{fb}
 
+    def __post_init__(self):
+        m = self.modulus
+        if m is not None and (type(m) is not int or m < 2):
+            raise InvalidModulus(f"modulus must be an integer >= 2 or None (rational), got {m!r}")
+
     def fiber_size(self, f: str) -> int:
         if self.modulus is None:
             raise ExtensionError("rational fibers are infinite")
@@ -159,6 +170,7 @@ def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> Natu
         if (f, g) not in pull:
             raise FunctorialityViolated(f"pull map for ({f!r}, {g!r}) missing")
     _check_shapes(cat, rank, push, pull)
+    system = NaturalSystem(cat, modulus, rank, push, pull)
     m = modulus
     eq = lambda a, b: linalg.mat_eq_mod([list(r) for r in a], [list(r) for r in b], m)
     mul = lambda a, b: linalg.mat_mul([list(r) for r in a], [list(r) for r in b])
@@ -194,7 +206,7 @@ def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> Natu
                           mul(pull[(af, b)], push[(a, f)])):
                     raise FunctorialityViolated(
                         f"push/pull do not commute at ({a!r}, {f!r}, {b!r})")
-    return NaturalSystem(cat, modulus, rank, push, pull)
+    return system
 
 
 def trivial_system(cat: FinCategory, modulus: int | None, rank: int = 1) -> NaturalSystem:
@@ -211,6 +223,10 @@ def induced_system(cat: FinCategory, modulus: int | None, object_rank: dict,
     pullbacks are identities."""
     object_rank = {str(k): int(v) for k, v in object_rank.items()}
     maps = {str(k): tuple(tuple(int(x) for x in row) for row in v) for k, v in maps.items()}
+    rank = {f: object_rank[cat.tgt(f)] for f in cat.morphism_ids}
+    push = {(a, f): maps[a] for (a, f) in cat.compose}
+    pull = {(f, b): _identity_matrix(rank[f]) for (f, b) in cat.compose}
+    system = NaturalSystem(cat, modulus, rank, push, pull)
     eq = lambda a, b: linalg.mat_eq_mod([list(r) for r in a], [list(r) for r in b], modulus)
     mul = lambda a, b: linalg.mat_mul([list(r) for r in a], [list(r) for r in b])
     for x in cat.objects:
@@ -219,10 +235,7 @@ def induced_system(cat: FinCategory, modulus: int | None, object_rank: dict,
     for (f, g), fg in cat.compose.items():
         if not eq(maps[fg], mul(maps[f], maps[g])):
             raise FunctorialityViolated(f"module maps not functorial at ({f!r}, {g!r})")
-    rank = {f: object_rank[cat.tgt(f)] for f in cat.morphism_ids}
-    push = {(a, f): maps[a] for (a, f) in cat.compose}
-    pull = {(f, b): _identity_matrix(rank[f]) for (f, b) in cat.compose}
-    return NaturalSystem(cat, modulus, rank, push, pull)
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +354,15 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 
 # ---------------------------------------------------------------------------
 # The cochain complex in degrees 0..3
+#
+# Each differential is kept as sparse rows {column: coefficient}, one row per
+# coordinate of its target: a row of d2 has at most four blocks, one of d1
+# three and one of d0 two.  Coefficients are plain integers; reduction mod m
+# happens in the elimination (linalg.homology, linalg.solve), which splits m
+# by the Chinese remainder theorem and works over each Z/p^k.  Cohomology
+# comes back as invariant factors d_1 | d_2 | ... over Z/m and as a free
+# rank over Q.  The dense d0, d1, d2 are built only when read; nothing in
+# the package reads them.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -355,9 +377,21 @@ class BWComplex:
     offset2: dict
     offset3: dict
     dim: tuple[int, int, int, int]
-    d0: list[list[int]]
-    d1: list[list[int]]
-    d2: list[list[int]]
+    d0_rows: list[dict[int, int]]
+    d1_rows: list[dict[int, int]]
+    d2_rows: list[dict[int, int]]
+
+    @cached_property
+    def d0(self) -> list[list[int]]:
+        return _dense(self.d0_rows, self.dim[0])
+
+    @cached_property
+    def d1(self) -> list[list[int]]:
+        return _dense(self.d1_rows, self.dim[1])
+
+    @cached_property
+    def d2(self) -> list[list[int]]:
+        return _dense(self.d2_rows, self.dim[2])
 
     def cochain2_vector(self, delta: Cochain2) -> list[int]:
         vec = [0] * self.dim[2]
@@ -378,9 +412,19 @@ class BWComplex:
         return out
 
 
+def _dense(rows, cols: int) -> list[list[int]]:
+    out = []
+    for row in rows:
+        full = [0] * cols
+        for j, x in row.items():
+            full[j] = x
+        out.append(full)
+    return out
+
+
 def bw_differentials(cat: FinCategory, system: NaturalSystem) -> BWComplex:
-    """Assemble the degree 0..2 differentials as integer matrices and assert
-    that consecutive ones compose to zero."""
+    """Assemble the degree 0..2 differentials as sparse integer rows and
+    assert that consecutive ones compose to zero."""
     rank = system.rank
     basis0 = list(cat.objects)
     basis1 = list(cat.morphism_ids)
@@ -404,30 +448,30 @@ def bw_differentials(cat: FinCategory, system: NaturalSystem) -> BWComplex:
     offset2, dim2 = offsets(basis2, lambda fg: rank[cat.comp(*fg)])
     offset3, dim3 = offsets(basis3, lambda t: rank[cat.comp(cat.comp(t[0], t[1]), t[2])])
 
-    d0 = [[0] * dim0 for _ in range(dim1)]
+    d0 = [{} for _ in range(dim1)]
     for f in basis1:
         rof = offset1[f]
         sx, tx = cat.src(f), cat.tgt(f)
         _add_block(d0, rof, offset0[sx], system.push[(f, cat.identity[sx])], 1)
         _add_block(d0, rof, offset0[tx], system.pull[(cat.identity[tx], f)], -1)
 
-    d1 = [[0] * dim1 for _ in range(dim2)]
+    d1 = [{} for _ in range(dim2)]
     for (f, g) in basis2:
         rof = offset2[(f, g)]
         fg = cat.comp(f, g)
         _add_block(d1, rof, offset1[g], system.push[(f, g)], 1)
-        _add_block(d1, rof, offset1[fg], _identity_matrix(rank[fg]), -1)
+        _add_identity(d1, rof, offset1[fg], rank[fg], -1)
         _add_block(d1, rof, offset1[f], system.pull[(f, g)], 1)
 
-    d2 = [[0] * dim2 for _ in range(dim3)]
+    d2 = [{} for _ in range(dim3)]
     for (f, g, h) in basis3:
         rof = offset3[(f, g, h)]
         fg = cat.comp(f, g)
         gh = cat.comp(g, h)
-        fgh = cat.comp(fg, h)
+        r = rank[cat.comp(fg, h)]
         _add_block(d2, rof, offset2[(g, h)], system.push[(f, gh)], 1)
-        _add_block(d2, rof, offset2[(fg, h)], _identity_matrix(rank[fgh]), -1)
-        _add_block(d2, rof, offset2[(f, gh)], _identity_matrix(rank[fgh]), 1)
+        _add_identity(d2, rof, offset2[(fg, h)], r, -1)
+        _add_identity(d2, rof, offset2[(f, gh)], r, 1)
         _add_block(d2, rof, offset2[(f, g)], system.pull[(fg, h)], -1)
 
     cx = BWComplex(system, basis0, basis1, basis2, basis3,
@@ -438,19 +482,35 @@ def bw_differentials(cat: FinCategory, system: NaturalSystem) -> BWComplex:
     return cx
 
 
-def _add_block(mat, row_off, col_off, block, sign):
-    for i, row in enumerate(block):
-        target = mat[row_off + i]
-        for j, x in enumerate(row):
+def _add_entry(row, col, x):
+    x += row.get(col, 0)
+    if x:
+        row[col] = x
+    else:
+        row.pop(col, None)
+
+
+def _add_block(rows, row_off, col_off, block, sign):
+    for i, brow in enumerate(block):
+        target = rows[row_off + i]
+        for j, x in enumerate(brow):
             if x:
-                target[col_off + j] += sign * x
+                _add_entry(target, col_off + j, sign * x)
+
+
+def _add_identity(rows, row_off, col_off, r, sign):
+    for i in range(r):
+        _add_entry(rows[row_off + i], col_off + i, sign)
 
 
 def _assert_zero_composite(second, first, modulus, label):
-    prod = linalg.mat_mul(second, first)
-    for row in prod:
-        for x in row:
-            if (x % modulus if modulus else x) != 0:
+    for row in second:
+        acc: dict[int, int] = {}
+        for c, x in row.items():
+            for j, y in first[c].items():
+                acc[j] = acc.get(j, 0) + x * y
+        for v in acc.values():
+            if (v % modulus if modulus else v) != 0:
                 raise ExtensionError(f"{label} is not zero; differential assembly is wrong")
 
 
@@ -485,21 +545,10 @@ def bw_cohomology(cat: FinCategory, system: NaturalSystem, degree: int,
     if degree not in (1, 2):
         raise ExtensionError("only degrees 1 and 2 are supported")
     cx = complex_ if complex_ is not None else bw_differentials(cat, system)
-    d_n = cx.d2 if degree == 2 else cx.d1
-    d_prev = cx.d1 if degree == 2 else cx.d0
-    dim_n = cx.dim[degree]
-    m = system.modulus
-    if m is None:
-        k = dim_n - linalg.rank_rational(d_n) - linalg.rank_rational(d_prev)
-        return CohomologyGroup((), k)
-    if linalg.is_prime(m):
-        k = dim_n - linalg.rank_mod_p(d_n, m) - linalg.rank_mod_p(d_prev, m)
-        return CohomologyGroup((m,) * k, 0)
-    kernel = linalg.kernel_lattice_mod(d_n, m)
-    cols_prev = len(d_prev[0]) if d_prev else 0
-    gens = [[d_prev[i][j] for j in range(cols_prev)]
-            + [m if i == j else 0 for j in range(dim_n)] for i in range(dim_n)]
-    return CohomologyGroup(tuple(linalg.quotient_invariants(kernel, gens)), 0)
+    d_n = cx.d2_rows if degree == 2 else cx.d1_rows
+    d_prev = cx.d1_rows if degree == 2 else cx.d0_rows
+    invariants, free_rank = linalg.homology(d_prev, d_n, system.modulus)
+    return CohomologyGroup(invariants, free_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -774,11 +823,7 @@ def is_split(ext: ExtensionCategory, complex_: BWComplex | None = None):
     system = ext.system
     m = system.modulus
     cx = complex_ if complex_ is not None else bw_differentials(ext.base, system)
-    target = cx.cochain2_vector(ext.cocycle)
-    if linalg.is_prime(m):
-        sol = linalg.solve_mod_p(cx.d1, target, m)
-    else:
-        sol = linalg.solve_mod(cx.d1, target, m)
+    sol = linalg.solve(cx.d1_rows, cx.cochain2_vector(ext.cocycle), cx.dim[1], m)
     if sol is None:
         return None
     fvals = cx.vector_to_1cochain(sol)
@@ -805,11 +850,7 @@ def extensions_equivalent(e1: ExtensionCategory, e2: ExtensionCategory) -> bool:
     diff = cochain2_sub(system, e1.cocycle, e2.cocycle)
     cx = bw_differentials(e1.base, system)
     target = cx.cochain2_vector(diff)
-    if linalg.is_prime(system.modulus):
-        sol = linalg.solve_mod_p(cx.d1, target, system.modulus)
-    else:
-        sol = linalg.solve_mod(cx.d1, target, system.modulus)
-    return sol is not None
+    return linalg.solve(cx.d1_rows, target, cx.dim[1], system.modulus) is not None
 
 
 def brute_force_sections(ext: ExtensionCategory, cap: int = 1 << 16):

@@ -7,6 +7,7 @@ paths it is meant to check.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 
 def intersection_numbers_bruteforce(rel):
@@ -78,8 +79,6 @@ def bar_complex_group_cohomology(elements, table, modulus, degree, rank=1):
     differential is the standard alternating sum.  Returns the invariant
     factors (list of ints > 1) of the cohomology group.
     """
-    from schemoids import linalg
-
     els = list(elements)
     mul = lambda a, b: table[(a, b)]
 
@@ -106,12 +105,82 @@ def bar_complex_group_cohomology(elements, table, modulus, degree, rank=1):
 
     d_n = delta_matrix(degree)
     d_prev = delta_matrix(degree - 1)
-    ker = linalg.kernel_lattice_mod(d_n, modulus)
+    ker = kernel_lattice_mod(d_n, modulus)
     n_cols = len(d_prev)
     gens = [[d_prev[i][j] for j in range(len(d_prev[0]))] for i in range(n_cols)]
     mI = [[modulus if i == j else 0 for j in range(n_cols)] for i in range(n_cols)]
     stacked = [gens[i] + mI[i] for i in range(n_cols)]
-    return linalg.quotient_invariants(ker, stacked)
+    return quotient_invariants(ker, stacked)
+
+
+# Dense Smith-form lattice route for ker / im over Z/m, kept as the reference
+# for the sparse local elimination in schemoids.linalg.
+
+def kernel_lattice_mod(a, m):
+    """Basis (as columns) of the lattice {x in Z^n : a @ x = 0 mod m}.
+
+    Always full rank n since it contains m Z^n.
+    """
+    from schemoids.linalg import smith_normal_form
+
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    d, _, v = smith_normal_form(a)
+    scale = []
+    for j in range(cols):
+        dj = d[j][j] if j < rows else 0
+        scale.append(m // gcd(dj, m))
+    return [[v[i][j] * scale[j] for j in range(cols)] for i in range(cols)]
+
+
+def quotient_invariants(k, gens):
+    """Invariant factors (>1) of lattice(k) / lattice(gens), gens ⊆ k.
+
+    k is a full-rank n x n column basis; gens an n x s column span lying
+    inside it and of finite index (our callers include m*I among gens).
+    """
+    from schemoids.linalg import smith_normal_form
+
+    coeff = _solve_fraction_matrix(k, gens)
+    d, _, _ = smith_normal_form([[int(x) for x in row] for row in coeff])
+    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    return [x for x in diag if x not in (0, 1)]
+
+
+def _solve_fraction_matrix(k, rhs):
+    """Solve k @ x = rhs exactly; every entry of x must come out integral."""
+    n = len(k)
+    s = len(rhs[0]) if rhs else 0
+    aug = [[Fraction(k[i][j]) for j in range(n)] + [Fraction(rhs[i][j]) for j in range(s)]
+           for i in range(n)]
+    # Gauss-Jordan with exact pivots
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("kernel basis is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    sol = [[aug[i][n + j] for j in range(s)] for i in range(n)]
+    for row in sol:
+        for x in row:
+            if x.denominator != 1:
+                raise ValueError("generators do not lie in the lattice")
+    return sol
+
+
+def dense_cohomology_invariants(d_prev, d_n, dim_n, modulus):
+    """Invariant factors (>1) of ker d_n / im d_prev over Z/m, d_prev and d_n
+    dense integer matrices: the Smith-form lattice route."""
+    ker = kernel_lattice_mod(d_n, modulus)
+    cols = len(d_prev[0]) if d_prev else 0
+    gens = [[d_prev[i][j] for j in range(cols)] + [modulus if i == j else 0 for j in range(dim_n)]
+            for i in range(dim_n)]
+    return quotient_invariants(ker, gens)
 
 
 def span_dimension_fractions(vectors):
@@ -138,37 +207,43 @@ def matrix_algebra_closure_dim(generators):
     """Dimension over Q of the algebra of n x n matrices generated by the inputs.
 
     Independent Terwilliger oracle: works directly with matrix products.
+    The flattened basis matrices are kept in reduced echelon form over
+    Fraction (pivot 1, zero in every other pivot column), so a candidate
+    costs one reduction.  Each basis matrix is multiplied on both sides with
+    itself and every earlier one, once, which covers every product of two
+    basis matrices.
     """
-    n = len(generators[0])
-    flat = lambda m: [m[i][j] for i in range(n) for j in range(n)]
-
-    basis_matrices = []
-    basis_rows = []
-
-    def in_span(vec):
-        return span_dimension_fractions(basis_rows + [vec]) == len(basis_rows)
+    echelon = {}          # pivot column -> reduced flattened row
+    basis = []
 
     def add(mat):
-        v = flat(mat)
-        if basis_rows and in_span(v):
-            return False
-        if not basis_rows and all(x == 0 for x in v):
-            return False
-        basis_matrices.append(mat)
-        basis_rows.append(v)
-        return True
+        v = [Fraction(x) for row in mat for x in row]
+        for piv, row in echelon.items():
+            c = v[piv]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            return
+        inv = 1 / v[lead]
+        v = [x * inv for x in v]
+        for piv, row in echelon.items():
+            c = row[lead]
+            if c:
+                echelon[piv] = [a - c * b for a, b in zip(row, v)]
+        echelon[lead] = v
+        basis.append(mat)
 
     for g in generators:
         add(g)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(basis_matrices)
-        for a in snapshot:
-            for b in snapshot:
-                if add(mat_mul_int(a, b)):
-                    changed = True
-    return len(basis_rows)
+    i = 0
+    while i < len(basis):
+        a = basis[i]
+        for b in basis[:i + 1]:
+            add(mat_mul_int(a, b))
+            add(mat_mul_int(b, a))
+        i += 1
+    return len(basis)
 
 
 def assert_associative_dense(basis, tensor, ring):

@@ -110,6 +110,16 @@ def test_cohomology_and_extension_flow(capsys, tmp_path):
     assert code == 0 and eq["equivalent"] is False
 
 
+@pytest.mark.parametrize("modulus", [0, 1, -4, True, 2.5, "4"])
+def test_cohomology_rejects_invalid_modulus(capsys, tmp_path, modulus):
+    gpd = one_object_group(*cyclic_group_table(2))
+    from schemoids.fincat import serialize
+    cf = write(tmp_path, "z2cat.json", serialize(gpd.base))
+    sf = write(tmp_path, "sys.json", {"kind": "trivial", "modulus": modulus, "rank": 1})
+    code, out = run_json(capsys, "cohomology", cf, sf)
+    assert code == 1 and out["error"] == "InvalidModulus"
+
+
 def test_admissible_cli(capsys, tmp_path):
     code, e1 = run_json(capsys, "examples", "e1_schemoid")
     src = write(tmp_path, "src.json", e1)
@@ -119,7 +129,8 @@ def test_admissible_cli(capsys, tmp_path):
     from schemoids.corpus import product_base_schemoid
     tgt = write(tmp_path, "tgt.json", {"schema": "x", **bundle_to_json(product_base_schemoid())})
     fun = {"objects": {}, "morphisms": {}}
-    src_bundle = json.loads(open(src).read())
+    with open(src, encoding="utf-8") as fh:
+        src_bundle = json.load(fh)
     for m in src_bundle["category"]["morphisms"]:
         fun["morphisms"][m["id"]] = m["id"].rsplit("|", 1)[0]
     for o in src_bundle["category"]["objects"]:

@@ -3,6 +3,7 @@ import pytest
 from schemoids.extensions import (
     BaseMismatch,
     Cochain2,
+    InvalidModulus,
     NotACocycle,
     NotNormalized,
     brute_force_sections,
@@ -31,7 +32,7 @@ from schemoids.schemes import hamming, j_embed, validate_scheme
 from schemoids.schemoid import analyze_thinness, check_concatenation, discrete_partition, is_unital, verify_quasi_schemoid
 
 from test_schemoid import group_bullet
-from oracles import bar_complex_group_cohomology
+from oracles import bar_complex_group_cohomology, dense_cohomology_invariants
 
 
 def zcat(n):
@@ -140,7 +141,7 @@ def test_cocycle_normalization():
     diff = cochain2_sub(sys_, raw, fixed)
     cx = bw_differentials(cat, sys_)
     from schemoids import linalg
-    assert linalg.solve_mod_p(cx.d1, cx.cochain2_vector(diff), 2) is not None
+    assert linalg.solve(cx.d1_rows, cx.cochain2_vector(diff), cx.dim[1], 2) is not None
 
 
 def test_build_extension_zero_cocycle_z2():
@@ -326,8 +327,39 @@ def test_cocycle_json_roundtrip():
     assert cocycle_from_json(sys_, cocycle_to_json(delta)).entries == delta.entries
 
 
+@pytest.mark.parametrize("modulus", [0, 1, -4, True, False, 2.0, "4"])
+def test_invalid_modulus_rejected(modulus):
+    """Every way of making a system checks the modulus: None or an int >= 2."""
+    cat = zcat(2)
+    with pytest.raises(InvalidModulus):
+        trivial_system(cat, modulus)
+    with pytest.raises(InvalidModulus):
+        induced_system(cat, modulus, {"*": 1}, {"0": [[1]], "1": [[1]]})
+    ident = [[1]]
+    with pytest.raises(InvalidModulus):
+        validate_natural_system(cat, modulus, {"0": 1, "1": 1},
+                                {key: ident for key in cat.compose},
+                                {key: ident for key in cat.compose})
+
+
+@pytest.mark.parametrize("n, m, want", [(4, 8, (2, 4)), (6, 12, (2, 6)), (4, None, ())])
+def test_mixed_invariant_factors(n, m, want):
+    """Z/n acting on Z^2 by diag(1, -1): H^1 and H^2 have invariant factors
+    of different orders; over Z/12 the 2- and 3-parts recombine into
+    d_1 | d_2.  Frozen from the dense Smith lattice route."""
+    cat = zcat(n)
+    maps = {str(i): [[1, 0], [0, (-1) ** i]] for i in range(n)}
+    system = induced_system(cat, m, {"*": 2}, maps)
+    cx = bw_differentials(cat, system)
+    for degree, d_prev, d_n in ((1, cx.d0, cx.d1), (2, cx.d1, cx.d2)):
+        h = bw_cohomology(cat, system, degree, cx)
+        assert h.invariants == want and h.free_rank == 0
+        if m is not None:
+            assert tuple(dense_cohomology_invariants(d_prev, d_n, cx.dim[degree], m)) == want
+
+
 def test_composite_modulus_extension():
-    """Z/4 coefficients on Z/2: H^2 = Z/2, exercised through the SNF path."""
+    """Z/4 coefficients on Z/2: H^2 = Z/2, through the elimination over Z/2^2."""
     cat = zcat(2)
     sys_ = trivial_system(cat, 4)
     h2 = bw_cohomology(cat, sys_, 2)

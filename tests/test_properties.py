@@ -1,9 +1,9 @@
 """Randomized structural properties over generated small instances."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from schemoids.bridges import s_tilde, s_tilde_on_functor
-from schemoids.extensions import bw_differentials, trivial_system
+from schemoids.extensions import bw_cohomology, bw_differentials, induced_system, trivial_system
 from schemoids.fincat import (
     build_category,
     cyclic_group_table,
@@ -27,6 +27,8 @@ from schemoids.schemoid import (
 )
 from schemoids.admissible import compose_schemoid_morphisms, from_bridge_data, is_admissible
 from schemoids.fincat import Functor
+
+from oracles import dense_cohomology_invariants, span_dimension_fractions
 
 
 def poset_category(n, edges):
@@ -137,6 +139,73 @@ def test_differentials_compose_to_zero(cat, modulus, rank):
     # assembly itself asserts d∘d = 0 both in degrees (0,1) and (1,2)
     cx = bw_differentials(cat, trivial_system(cat, modulus, rank))
     assert cx.dim[2] >= 0
+
+
+MODULI = [None, 2, 3, 4, 6, 8, 9, 12]
+
+
+def _dense_reference(cx, degree, modulus):
+    """(invariants, free rank) of H^degree from the dense differentials:
+    ranks of Fraction matrices over Q, the Smith lattice route over Z/m."""
+    d_prev, d_n = (cx.d0, cx.d1) if degree == 1 else (cx.d1, cx.d2)
+    dim_n = cx.dim[degree]
+    if modulus is None:
+        return (), dim_n - span_dimension_fractions(d_n) - span_dimension_fractions(d_prev)
+    return tuple(dense_cohomology_invariants(d_prev, d_n, dim_n, modulus)), 0
+
+
+def _assert_matches_dense(cat, system):
+    cx = bw_differentials(cat, system)
+    for degree in (1, 2):
+        h = bw_cohomology(cat, system, degree, cx)
+        assert (h.invariants, h.free_rank) == _dense_reference(cx, degree, system.modulus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories(), st.sampled_from(MODULI), st.integers(1, 2))
+def test_cohomology_matches_dense_reference(cat, modulus, rank):
+    """The sparse local elimination against the dense Smith-form route, on
+    trivial systems; complexes with more than 400 triples are skipped to
+    keep the dense route fast."""
+    triples = sum(1 for (f, g) in cat.compose for h in cat.morphism_ids if (g, h) in cat.compose)
+    assume(triples * rank <= 400)
+    _assert_matches_dense(cat, trivial_system(cat, modulus, rank))
+
+
+def _power(a, e):
+    out = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    for _ in range(e):
+        out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in out]
+    return out
+
+
+# generators A with A^n = 1 for the Z/n-modules Z^r: the sign, the swap,
+# diag(1, -1), and rotations of order 3, 4 and 6
+ACTIONS = {
+    "sign": (2, [[-1]]),
+    "diag": (2, [[1, 0], [0, -1]]),
+    "swap": (2, [[0, 1], [1, 0]]),
+    "rot3": (3, [[0, -1], [1, -1]]),
+    "rot4": (4, [[0, -1], [1, 0]]),
+    "rot6": (6, [[1, -1], [1, 0]]),
+}
+
+
+TWISTS = [(n, action) for n in range(1, 7) for action in sorted(ACTIONS)
+          if n % ACTIONS[action][0] == 0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(TWISTS), st.sampled_from(MODULI))
+def test_twisted_cohomology_matches_dense_reference(twist, modulus):
+    """Induced systems of Z/n, n <= 6, acting on Z^r through a generator of
+    order dividing n, against the dense route."""
+    n, action = twist
+    gen = ACTIONS[action][1]
+    cat = one_object_group(*cyclic_group_table(n)).base
+    maps = {str(i): _power(gen, i) for i in range(n)}
+    system = induced_system(cat, modulus, {cat.objects[0]: len(gen)}, maps)
+    _assert_matches_dense(cat, system)
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,7 +10,7 @@ from schemoids.admissible import (
 )
 from schemoids.algebra import Rationals, schemoid_algebra
 from schemoids.fincat import cyclic_group_table, validate_category, serialize
-from schemoids.linalg import rank_rational
+from schemoids.linalg import rank, sparse_rows
 from schemoids.schemes import group_scheme, hamming, j_embed, validate_scheme
 from schemoids.schemoid import analyze_thinness, is_unital, schemoid_isomorphic
 from schemoids.thicken import (
@@ -153,7 +153,7 @@ def test_projection_admissible_sc1():
     mat = [[0] * len(cols) for _ in rows]
     for (t, sview), v in amap.matrix.items():
         mat[rows[t]][cols[sview]] = v
-    assert rank_rational(mat) == 3
+    assert rank(sparse_rows(mat)) == 3
     assert amap.source.dimension == 4
 
 
