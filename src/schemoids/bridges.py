@@ -18,6 +18,7 @@ from .fincat import (
     Groupoid,
     NotAFunctor,
     build_category,
+    pair_name,
     validate_functor,
 )
 from .schemoid import (
@@ -56,10 +57,6 @@ class NotBasedMorphism(NotAFunctor):
     """Base points not preserved; the recovery formula would not apply."""
 
 
-def pair_name(h: str, g: str) -> str:
-    return f"({h},{g})"
-
-
 def s_tilde(h: Groupoid) -> QuasiSchemoid:
     """Based association schemoid of a groupoid.
 
@@ -76,27 +73,24 @@ def s_tilde(h: Groupoid) -> QuasiSchemoid:
     by_target: dict[str, list[str]] = {}
     for m in mors:
         by_target.setdefault(cat_h.tgt(m), []).append(m)
+    name = {(k, l): pair_name(k, l) for group in by_target.values() for k in group for l in group}
     for group in by_target.values():
         for k in group:
             for l in group:
-                morphisms.append((pair_name(k, l), l, k))
+                morphisms.append((name[(k, l)], l, k))
         for k in group:
             for m in group:
                 for l in group:
-                    compose[(pair_name(k, m), pair_name(m, l))] = pair_name(k, l)
-    identity = {m: pair_name(m, m) for m in mors}
+                    compose[(name[(k, m)], name[(m, l)])] = name[(k, l)]
+    identity = {m: name[(m, m)] for m in mors}
     cat = build_category(objects, morphisms, identity, compose)
 
     blocks: dict[str, list[str]] = {}
-    for group in by_target.values():
-        for k in group:
-            for l in group:
-                f = cat_h.comp(h.inverse[k], l)
-                blocks.setdefault(f"G[{f}]", []).append(pair_name(k, l))
+    for (k, l), kl in name.items():
+        f = cat_h.comp(h.inverse[k], l)
+        blocks.setdefault(f"G[{f}]", []).append(kl)
     partition = make_partition(cat, blocks)
-    t = Functor({m: m for m in mors},
-                {pair_name(k, l): pair_name(l, k)
-                 for group in by_target.values() for k in group for l in group},
+    t = Functor({m: m for m in mors}, {kl: name[(l, k)] for (k, l), kl in name.items()},
                 contravariant=True)
     involution = check_association(cat, partition, t)
     base_points = tuple(cat_h.identity[x] for x in cat_h.objects)
@@ -139,10 +133,6 @@ def s_tilde_on_functor(f: Functor, k: Groupoid, h: Groupoid) -> SchemoidMorphism
 def k_discrete(cat: FinCategory) -> QuasiSchemoid:
     """Quasi-schemoid with the singleton partition; U(K(C)) = C."""
     return verify_quasi_schemoid(cat, discrete_partition(cat))
-
-
-def forget(qs: QuasiSchemoid) -> FinCategory:
-    return qs.category
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +210,6 @@ def r_tilde(qs: QuasiSchemoid) -> Groupoid:
                 or cat.comp(star, sigma) != identity[analysis.source_block[sigma]]):
             raise UniquenessViolation(f"block involution fails to invert {sigma!r}")
     return Groupoid(cat, inverse)
-
-
-def r_tilde_on_functor(f: SchemoidMorphismData, source_g: Groupoid, target_g: Groupoid) -> Functor:
-    """Induced groupoid functor on the reconstructions: block -> image block."""
-    omap = {alpha: f.block_image[alpha] for alpha in source_g.base.objects}
-    mmap = {sigma: f.block_image[sigma] for sigma in source_g.base.morphism_ids}
-    fun = Functor(omap, mmap)
-    validate_functor(fun, source_g.base, target_g.base)
-    return fun
 
 
 def canonical_groupoid_witness(g: Groupoid) -> Functor:

@@ -207,7 +207,6 @@ def analysis_report(qs) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="schemoids",
                                      description="exact computations with partitioned finite categories")
-    parser.add_argument("--json", action="store_true", help="force JSON output (the default)")
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
     parser.add_argument("--seed", type=int, default=0,
                         help="recorded in reports; all searches are deterministic")

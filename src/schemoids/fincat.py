@@ -9,6 +9,7 @@ convention; every operation builds fresh structures.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -21,7 +22,11 @@ class MissingIdentity(CategoryError):
 
 
 class NonAssociative(CategoryError):
-    pass
+    """(e∘f)∘g differs from e∘(f∘g); carries a witness (e, f, g, lhs, rhs)."""
+
+    def __init__(self, e, f, g, lhs, rhs):
+        self.witness = (e, f, g, lhs, rhs)
+        super().__init__(f"({e!r}∘{f!r})∘{g!r} = {lhs!r} but {e!r}∘({f!r}∘{g!r}) = {rhs!r}")
 
 
 class UndefinedComposite(CategoryError):
@@ -46,20 +51,17 @@ class FinCategory:
     morphisms: tuple[tuple[str, str, str], ...]  # (id, src, tgt)
     identity: dict[str, str]                     # object -> identity morphism
     compose: dict[tuple[str, str], str]          # (f, g) -> f∘g with src(f) = tgt(g)
-    _src: dict[str, str] = field(repr=False, default_factory=dict)
-    _tgt: dict[str, str] = field(repr=False, default_factory=dict)
-    _hom: dict[tuple[str, str], tuple[str, ...]] = field(repr=False, default_factory=dict)
+    _src: dict[str, str] | None = field(repr=False, default=None)
+    _tgt: dict[str, str] | None = field(repr=False, default=None)
+    _hom: dict[tuple[str, str], tuple[str, ...]] | None = field(repr=False, default=None)
+    _ids: tuple[str, ...] | None = field(repr=False, default=None)
 
     def __post_init__(self):
-        if not self._src:
-            src = {m: s for m, s, _ in self.morphisms}
-            tgt = {m: t for m, _, t in self.morphisms}
-            hom: dict[tuple[str, str], list[str]] = {}
-            for m, s, t in self.morphisms:
-                hom.setdefault((s, t), []).append(m)
-            object.__setattr__(self, "_src", src)
-            object.__setattr__(self, "_tgt", tgt)
-            object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
+        if self._src is None:
+            object.__setattr__(self, "_src", {m: s for m, s, _ in self.morphisms})
+            object.__setattr__(self, "_tgt", {m: t for m, _, t in self.morphisms})
+            object.__setattr__(self, "_hom", _hom_sets(self.morphisms))
+            object.__setattr__(self, "_ids", tuple(m for m, _, _ in self.morphisms))
 
     def src(self, f: str) -> str:
         return self._src[f]
@@ -78,7 +80,7 @@ class FinCategory:
 
     @property
     def morphism_ids(self) -> tuple[str, ...]:
-        return tuple(m for m, _, _ in self.morphisms)
+        return self._ids
 
     def composable_pairs(self):
         """All (f, g) with f∘g defined, g first."""
@@ -153,6 +155,41 @@ class Functor:
         return self.object_map[x]
 
 
+def pair_name(a: str, b: str) -> str:
+    """Name "(a,b)" of a pair of labels, distinct for distinct pairs.
+
+    A label stays as it is when it has no backslash, its parentheses
+    balance and each of its commas sits inside parentheses, so a pair of
+    such labels is one again and nested pairs read "((x,y),z)".  In any
+    other label every backslash, comma and parenthesis gets a backslash in
+    front.  The separator is then the first unescaped comma outside all
+    unescaped parentheses, and a part holds a backslash exactly when it was
+    escaped.
+    """
+    return f"({_label(a)},{_label(b)})"
+
+
+_SPECIAL = re.compile(r"[\\,()]")
+_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
+
+
+def _label(s: str) -> str:
+    depth = 0
+    for match in _SPECIAL.finditer(s):
+        ch = match.group()
+        depth += (ch == "(") - (ch == ")")
+        if ch == "\\" or depth < 0 or (ch == "," and depth == 0):
+            return s.translate(_ESCAPES)
+    return s if depth == 0 else s.translate(_ESCAPES)
+
+
+def _hom_sets(morphisms) -> dict[tuple[str, str], tuple[str, ...]]:
+    hom: dict[tuple[str, str], list[str]] = {}
+    for m, s, t in morphisms:
+        hom.setdefault((s, t), []).append(m)
+    return {k: tuple(v) for k, v in hom.items()}
+
+
 def validate_category(raw: dict) -> FinCategory:
     """Validate a raw description and return a FinCategory.
 
@@ -160,21 +197,38 @@ def validate_category(raw: dict) -> FinCategory:
     "identities": {obj: mor}, "compose": [[f, g, fg], ...]}.  Composition
     entries implied by the unit laws may be omitted.
     """
-    objects = tuple(str(x) for x in raw["objects"])
+    return _validate(raw["objects"], ((m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]),
+                     raw["identities"], raw["compose"])
+
+
+def _validate(objects, morphisms, identities, entries) -> FinCategory:
+    """The category laws by exhaustive check on an integer index.
+
+    Morphisms are numbered 0..M-1 in input order.  Totality: the entries
+    with first factor f must be exactly the pairs (f, g) with src(f) =
+    tgt(g), each composite running from src(g) to tgt(f).  Associativity:
+    by Light's test, the morphisms a with (x∘a)∘y = x∘(a∘y) for all
+    composable x, y are closed under composition, and the identities are
+    among them; so the test runs only on a generating set, picked greedily
+    in morphism order.  The first error raised is of the class a scan of all
+    pairs and triples would raise first.
+    """
+    objects = tuple(str(x) for x in objects)
     if len(set(objects)) != len(objects):
         raise CategoryError("duplicate object ids")
-    morphisms = tuple((str(m["id"]), str(m["src"]), str(m["tgt"])) for m in raw["morphisms"])
-    mor_ids = [m for m, _, _ in morphisms]
-    if len(set(mor_ids)) != len(mor_ids):
+    morphisms = tuple((str(m), str(s), str(t)) for m, s, t in morphisms)
+    ids = tuple(m for m, _, _ in morphisms)
+    pos = {m: i for i, m in enumerate(ids)}
+    if len(pos) != len(ids):
         raise CategoryError("duplicate morphism ids")
-    obj_set = set(objects)
+    opos = {x: i for i, x in enumerate(objects)}
     for m, s, t in morphisms:
-        if s not in obj_set or t not in obj_set:
+        if s not in opos or t not in opos:
             raise EndpointMismatch(f"morphism {m!r} has unknown endpoint")
     src = {m: s for m, s, _ in morphisms}
     tgt = {m: t for m, _, t in morphisms}
 
-    identity = {str(k): str(v) for k, v in raw["identities"].items()}
+    identity = {str(k): str(v) for k, v in identities.items()}
     for x in objects:
         e = identity.get(x)
         if e is None or e not in src:
@@ -182,49 +236,118 @@ def validate_category(raw: dict) -> FinCategory:
         if src[e] != x or tgt[e] != x:
             raise MissingIdentity(f"identity of {x!r} must be an endomorphism of {x!r}")
 
+    # rows[i][j] = k: morphism k is the entry for (i, j), composable or not
+    rows: list[dict[int, int]] = [{} for _ in ids]
     compose: dict[tuple[str, str], str] = {}
-    for f, g, fg in raw["compose"]:
+    for f, g, fg in entries:
         f, g, fg = str(f), str(g), str(fg)
-        if f not in src or g not in src or fg not in src:
-            raise UndefinedComposite(f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms")
-        if (f, g) in compose and compose[(f, g)] != fg:
+        try:
+            i, j, k = pos[f], pos[g], pos[fg]
+        except KeyError:
+            raise UndefinedComposite(
+                f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms") from None
+        if compose.setdefault((f, g), fg) != fg:
             raise UndefinedComposite(f"conflicting entries for ({f!r}, {g!r})")
-        compose[(f, g)] = fg
+        rows[i][j] = k
     # fill unit-law entries
-    for m in src:
-        compose.setdefault((m, identity[src[m]]), m)
-        compose.setdefault((identity[tgt[m]], m), m)
+    ident = [pos[identity[x]] for x in objects]
+    s_of = [opos[s] for _, s, _ in morphisms]
+    t_of = [opos[t] for _, _, t in morphisms]
+    for i, m in enumerate(ids):
+        e, e2 = ident[s_of[i]], ident[t_of[i]]
+        compose.setdefault((m, ids[e]), m)
+        rows[i].setdefault(e, i)
+        compose.setdefault((ids[e2], m), m)
+        rows[e2].setdefault(i, i)
 
-    # totality and endpoints
-    for f in src:
-        for g in src:
-            if src[f] != tgt[g]:
-                if (f, g) in compose:
-                    raise EndpointMismatch(f"({f!r}, {g!r}) composed but src({f!r}) != tgt({g!r})")
-                continue
-            fg = compose.get((f, g))
-            if fg is None:
-                raise UndefinedComposite(f"no composite for ({f!r}, {g!r})")
-            if src[fg] != src[g] or tgt[fg] != tgt[f]:
-                raise EndpointMismatch(f"composite {fg!r} of ({f!r}, {g!r}) has wrong endpoints")
+    out_of: list[list[int]] = [[] for _ in objects]
+    in_to: list[list[int]] = [[] for _ in objects]
+    for i in range(len(ids)):
+        out_of[s_of[i]].append(i)
+        in_to[t_of[i]].append(i)
+
+    # totality and endpoints: row i holds exactly the j composable with i,
+    # and each composite runs from src(j) to tgt(i)
+    in_sets = [set(a) for a in in_to]
+    s_at, t_at = s_of.__getitem__, t_of.__getitem__
+    total = all(row.keys() == in_sets[s_of[i]]
+                and list(map(s_at, row.values())) == list(map(s_at, row))
+                and set(map(t_at, row.values())) <= {t_of[i]}
+                for i, row in enumerate(rows))
+    if not total:
+        _raise_first_gap(ids, s_of, t_of, in_to, rows)
     # unit laws
-    for m in src:
-        if compose[(m, identity[src[m]])] != m or compose[(identity[tgt[m]], m)] != m:
+    for i, m in enumerate(ids):
+        if rows[i][ident[s_of[i]]] != i or rows[ident[t_of[i]]][i] != i:
             raise MissingIdentity(f"unit law fails at {m!r}")
-    # associativity
-    for g in src:
-        for f in src:
-            if src[f] != tgt[g]:
-                continue
-            fg = compose[(f, g)]
-            for e in src:
-                if src[e] != tgt[f]:
-                    continue
-                lhs = compose[(compose[(e, f)], g)]
-                rhs = compose[(e, fg)]
-                if lhs != rhs:
-                    raise NonAssociative(f"({e!r}∘{f!r})∘{g!r} = {lhs!r} but {e!r}∘({f!r}∘{g!r}) = {rhs!r}")
-    return FinCategory(objects, morphisms, identity, compose)
+    _light_test(ids, s_of, t_of, out_of, in_to, rows, ident)
+    return FinCategory(objects, morphisms, identity, compose, src, tgt, _hom_sets(morphisms), ids)
+
+
+def _raise_first_gap(ids, s_of, t_of, in_to, rows):
+    """Raise the totality or endpoint error of the first bad (f, g), in
+    morphism order, that a scan of all M² pairs would meet."""
+    for i, row in enumerate(rows):
+        f = ids[i]
+        for j in sorted(set(row).union(in_to[s_of[i]])):
+            g = ids[j]
+            if t_of[j] != s_of[i]:
+                raise EndpointMismatch(f"({f!r}, {g!r}) composed but src({f!r}) != tgt({g!r})")
+            k = row.get(j)
+            if k is None:
+                raise UndefinedComposite(f"no composite for ({f!r}, {g!r})")
+            if s_of[k] != s_of[j] or t_of[k] != t_of[i]:
+                raise EndpointMismatch(f"composite {ids[k]!r} of ({f!r}, {g!r}) has wrong endpoints")
+    raise AssertionError("totality check failed without a bad pair")
+
+
+def _light_test(ids, s_of, t_of, out_of, in_to, rows, ident):
+    """Associativity on a total table that satisfies the unit laws.
+
+    A morphism joins the generators only if the composition closure of the
+    identities and the generators before it misses it; the closure grows
+    semi-naively, each new member composed once with every member before it.
+    """
+    n_obj = len(out_of)
+    member = bytearray(len(ids))
+    closure_out: list[list[int]] = [[] for _ in range(n_obj)]
+    closure_in: list[list[int]] = [[] for _ in range(n_obj)]
+
+    def close(start):
+        for u in start:
+            member[u] = 1
+        stack = list(start)
+        while stack:
+            u = stack.pop()
+            s, t = s_of[u], t_of[u]
+            closure_out[s].append(u)
+            closure_in[t].append(u)
+            row = rows[u]
+            new = [w for w in map(row.__getitem__, closure_in[s]) if not member[w]]
+            new += [w for w in (rows[v][u] for v in closure_out[t]) if not member[w]]
+            for w in new:
+                if not member[w]:
+                    member[w] = 1
+                    stack.append(w)
+
+    close(ident)
+    generators = []
+    for a in range(len(ids)):
+        if not member[a]:
+            generators.append(a)
+            close([a])
+
+    for a in generators:
+        row_a = rows[a]
+        ys = in_to[s_of[a]]
+        a_ys = list(map(row_a.__getitem__, ys))
+        for x in out_of[t_of[a]]:
+            row_x = rows[x]
+            lhs = list(map(rows[row_x[a]].__getitem__, ys))    # (x∘a)∘y
+            rhs = list(map(row_x.__getitem__, a_ys))            # x∘(a∘y)
+            if lhs != rhs:
+                n = next(n for n, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
+                raise NonAssociative(ids[x], ids[a], ids[ys[n]], ids[lhs[n]], ids[rhs[n]])
 
 
 def serialize(cat: FinCategory) -> dict:
@@ -239,12 +362,8 @@ def serialize(cat: FinCategory) -> dict:
 
 def build_category(objects, morphisms, identity, compose) -> FinCategory:
     """Validate parts assembled in code (same checks as validate_category)."""
-    return validate_category({
-        "objects": list(objects),
-        "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in morphisms],
-        "identities": dict(identity),
-        "compose": [[f, g, fg] for (f, g), fg in compose.items()],
-    })
+    return _validate(objects, morphisms, identity,
+                     ((f, g, fg) for (f, g), fg in compose.items()))
 
 
 def terminal_category(obj: str = "*") -> FinCategory:
@@ -280,27 +399,26 @@ def product(c: FinCategory, d: FinCategory) -> FinCategory:
 
 def product_with_projections(c: FinCategory, d: FinCategory):
     """Product category plus the two projections (used by schemoid products)."""
-    pobj = lambda a, b: f"({a},{b})"
-    pmor = lambda f, g: f"({f},{g})"
-    objects = [pobj(a, b) for a in c.objects for b in d.objects]
+    pobj = {(a, b): pair_name(a, b) for a in c.objects for b in d.objects}
+    pmor = {(f, g): pair_name(f, g) for f in c.morphism_ids for g in d.morphism_ids}
+    objects = list(pobj.values())
     morphisms = []
     proj1: dict[str, str] = {}
     proj2: dict[str, str] = {}
     for f, fs, ft in c.morphisms:
         for g, gs, gt in d.morphisms:
-            m = pmor(f, g)
-            morphisms.append((m, pobj(fs, gs), pobj(ft, gt)))
+            m = pmor[(f, g)]
+            morphisms.append((m, pobj[(fs, gs)], pobj[(ft, gt)]))
             proj1[m] = f
             proj2[m] = g
-    identity = {pobj(a, b): pmor(c.identity[a], d.identity[b])
-                for a in c.objects for b in d.objects}
+    identity = {x: pmor[(c.identity[a], d.identity[b])] for (a, b), x in pobj.items()}
     compose = {}
     for (f1, g1), h1 in c.compose.items():
         for (f2, g2), h2 in d.compose.items():
-            compose[(pmor(f1, f2), pmor(g1, g2))] = pmor(h1, h2)
+            compose[(pmor[(f1, f2)], pmor[(g1, g2)])] = pmor[(h1, h2)]
     cat = build_category(objects, morphisms, identity, compose)
-    obj1 = {pobj(a, b): a for a in c.objects for b in d.objects}
-    obj2 = {pobj(a, b): b for a in c.objects for b in d.objects}
+    obj1 = {x: a for (a, b), x in pobj.items()}
+    obj2 = {x: b for (a, b), x in pobj.items()}
     return cat, Functor(obj1, proj1), Functor(obj2, proj2)
 
 
@@ -435,28 +553,31 @@ def serialize_groupoid(g: Groupoid) -> dict:
 
 def validate_functor(fun: Functor, c: FinCategory, d: FinCategory) -> Functor:
     """Check functor laws of fun: C -> D (contravariant if flagged)."""
+    omap, mmap = fun.object_map, fun.morphism_map
+    d_objects, d_morphisms = set(d.objects), set(d.morphism_ids)
     for x in c.objects:
-        if fun.object_map.get(x) not in set(d.objects):
+        if omap.get(x) not in d_objects:
             raise NotAFunctor(f"object {x!r} unmapped or mapped outside the target")
-        if fun.morphism_map.get(c.identity[x]) != d.identity[fun.object_map[x]]:
+        if mmap.get(c.identity[x]) != d.identity[omap[x]]:
             raise NotAFunctor(f"identity of {x!r} not preserved")
     for m in c.morphism_ids:
-        img = fun.morphism_map.get(m)
-        if img is None or img not in set(d.morphism_ids):
+        img = mmap.get(m)
+        if img is None or img not in d_morphisms:
             raise NotAFunctor(f"morphism {m!r} unmapped or mapped outside the target")
         s, t = c.src(m), c.tgt(m)
         if fun.contravariant:
-            if d.src(img) != fun.object_map[t] or d.tgt(img) != fun.object_map[s]:
+            if d.src(img) != omap[t] or d.tgt(img) != omap[s]:
                 raise NotAFunctor(f"endpoints of {m!r} not reversed correctly")
         else:
-            if d.src(img) != fun.object_map[s] or d.tgt(img) != fun.object_map[t]:
+            if d.src(img) != omap[s] or d.tgt(img) != omap[t]:
                 raise NotAFunctor(f"endpoints of {m!r} not preserved")
+    d_compose = d.compose
     for (f, g), fg in c.compose.items():
         if fun.contravariant:
-            expected = d.comp(fun.morphism_map[g], fun.morphism_map[f])
+            expected = d_compose[(mmap[g], mmap[f])]
         else:
-            expected = d.comp(fun.morphism_map[f], fun.morphism_map[g])
-        if fun.morphism_map[fg] != expected:
+            expected = d_compose[(mmap[f], mmap[g])]
+        if mmap[fg] != expected:
             raise NotAFunctor(f"composition not preserved at ({f!r}, {g!r})")
     return fun
 

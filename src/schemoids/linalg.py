@@ -68,10 +68,6 @@ def mat_eq_mod(a, b, m: int | None) -> bool:
     return True
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------

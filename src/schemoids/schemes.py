@@ -8,10 +8,11 @@ p^g_{ef} = #{y : (x,y) in e, (y,z) in f} for any (x,z) in g.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .fincat import Functor, build_category
+from .fincat import Functor, build_category, pair_name
 from .schemoid import Involution, QuasiSchemoid, check_association, make_partition, verify_quasi_schemoid
 
 DESK_SCALE_LIMIT = 64
@@ -26,7 +27,13 @@ class NotTransposeClosed(SchemeError):
 
 
 class NonConstantIntersection(SchemeError):
-    pass
+    """p^g_{ef} differs between two pairs of class g; carries a witness
+    (e, f, g, pair1, count1, pair2, count2)."""
+
+    def __init__(self, e, f, g, pair1, count1, pair2, count2):
+        self.witness = (e, f, g, pair1, count1, pair2, count2)
+        super().__init__(f"p^{g}_{{{e},{f}}} differs between pairs of class {g!r}: "
+                         f"{count1} at {pair1} but {count2} at {pair2}")
 
 
 class DiagonalNotUnion(SchemeError):
@@ -112,6 +119,8 @@ def validate_scheme(size: int, relations, points=None, classes=None):
         points = tuple(str(i) for i in range(size))
     else:
         points = tuple(str(p) for p in points)
+    if len(points) != size:
+        raise SchemeError("point name count mismatch")
     if classes is None:
         classes = tuple(f"R{i}" for i in indices)
     else:
@@ -121,44 +130,55 @@ def validate_scheme(size: int, relations, points=None, classes=None):
 
     # diagonal must be a union of classes
     diag = {rel[x][x] for x in range(size)}
-    for k in diag:
-        for x in range(size):
-            for y in range(size):
-                if rel[x][y] == k and x != y:
-                    raise DiagonalNotUnion(
-                        f"class {classes[k]!r} meets the diagonal and an off-diagonal pair")
+    mixed = diag.intersection(k for x, row in enumerate(rel) for y, k in enumerate(row) if x != y)
+    if mixed:
+        raise DiagonalNotUnion(
+            f"class {classes[min(mixed)]!r} meets the diagonal and an off-diagonal pair")
 
     # transpose closure
+    images: dict[int, set[int]] = {k: set() for k in indices}
+    for x, row in enumerate(rel):
+        for y, k in enumerate(row):
+            images[k].add(rel[y][x])
     transpose: dict[str, str] = {}
     for k in indices:
-        images = {rel[y][x] for x in range(size) for y in range(size) if rel[x][y] == k}
-        if len(images) != 1:
+        if len(images[k]) != 1:
             raise NotTransposeClosed(classes[k])
-        transpose[classes[k]] = classes[images.pop()]
+        transpose[classes[k]] = classes[images[k].pop()]
 
-    # intersection numbers, verified constant over each class
-    per_class_pairs: dict[int, list[tuple[int, int]]] = {k: [] for k in indices}
-    for x in range(size):
-        for y in range(size):
-            per_class_pairs[rel[x][y]].append((x, y))
-    intersection: dict[tuple[str, str, str], int] = {}
-    for e in indices:
-        for f in indices:
-            for g in indices:
-                value = None
-                for (x, z) in per_class_pairs[g]:
-                    count = sum(1 for y in range(size) if rel[x][y] == e and rel[y][z] == f)
-                    if value is None:
-                        value = count
-                    elif count != value:
-                        raise NonConstantIntersection(
-                            f"p^{classes[g]}_{{{classes[e]},{classes[f]}}} differs between pairs "
-                            f"of class {classes[g]!r}")
-                if value:
-                    intersection[(classes[e], classes[f], classes[g])] = value
-
+    intersection = _intersection_numbers(rel, points, classes)
     cls = AssociationScheme if len(diag) == 1 else CoherentConfiguration
     return cls(points, classes, rel, intersection, transpose)
+
+
+def _intersection_numbers(rel, points, classes) -> dict[tuple[str, str, str], int]:
+    """The nonzero p^g_{ef}, verified constant over each class g.
+
+    One pass over (x, y, z) tallies (class(x, y), class(y, z)) for every
+    pair (x, z); each tally must equal the tally of the first pair of its
+    class (row-major order).  On failure, NonConstantIntersection names the
+    lexicographically first (e, f, g) that is not constant.
+    """
+    size = len(rel)
+    cols = [tuple(row[z] for row in rel) for z in range(size)]
+    first: dict[int, tuple[tuple[int, int], Counter]] = {}
+    worst = None      # (e, f, g), first pair, its count, differing pair, its count
+    for x, row in enumerate(rel):
+        for z, g in enumerate(row):
+            tally = Counter(zip(row, cols[z]))
+            (x1, z1), ref = first.setdefault(g, ((x, z), tally))
+            if dict.__eq__(ref, tally):   # both hold positive counts only
+                continue
+            e, f = min(key for key in ref.keys() | tally.keys() if ref[key] != tally[key])
+            if worst is None or (e, f, g) < worst[0]:
+                worst = ((e, f, g), (x1, z1), ref[e, f], (x, z), tally[e, f])
+    if worst is not None:
+        (e, f, g), (x1, z1), c1, (x2, z2), c2 = worst
+        raise NonConstantIntersection(
+            classes[e], classes[f], classes[g],
+            (points[x1], points[z1]), c1, (points[x2], points[z2]), c2)
+    return {(classes[e], classes[f], classes[g]): first[g][1][e, f]
+            for e, f, g in sorted((e, f, g) for g, (_, tally) in first.items() for e, f in tally)}
 
 
 def serialize_scheme(s: CoherentConfiguration) -> dict:
@@ -270,7 +290,7 @@ def is_transitive(perms: list[list[int]], size: int) -> bool:
 
 def pair_morphism(x: str, y: str) -> str:
     """Name of the complete-graph morphism y -> x attached to the pair (x, y)."""
-    return f"({x},{y})"
+    return pair_name(x, y)
 
 
 def j_embed(scheme: CoherentConfiguration) -> QuasiSchemoid:
@@ -281,22 +301,24 @@ def j_embed(scheme: CoherentConfiguration) -> QuasiSchemoid:
     coincide with the intersection numbers.
     """
     pts = scheme.points
-    objects = list(pts)
-    morphisms = [(pair_morphism(x, y), y, x) for x in pts for y in pts]
-    identity = {x: pair_morphism(x, x) for x in pts}
+    n = len(pts)
+    name = [[pair_morphism(x, y) for y in pts] for x in pts]   # name[x][y] = (x, y)
+    morphisms = [(name[x][y], pts[y], pts[x]) for x in range(n) for y in range(n)]
+    identity = {pts[x]: name[x][x] for x in range(n)}
     compose = {}
-    for z in pts:
-        for x in pts:
-            for y in pts:
-                compose[(pair_morphism(z, x), pair_morphism(x, y))] = pair_morphism(z, y)
-    cat = build_category(objects, morphisms, identity, compose)
+    for row_z in name:
+        for x in range(n):
+            zx, row_x = row_z[x], name[x]
+            for y in range(n):
+                compose[(zx, row_x[y])] = row_z[y]
+    cat = build_category(pts, morphisms, identity, compose)
     blocks: dict[str, list[str]] = {c: [] for c in scheme.classes}
-    for x in pts:
-        for y in pts:
-            blocks[scheme.class_of_pair(x, y)].append(pair_morphism(x, y))
+    for x in range(n):
+        for y, k in enumerate(scheme.relation_of[x]):
+            blocks[scheme.classes[k]].append(name[x][y])
     partition = make_partition(cat, {c: ms for c, ms in blocks.items() if ms})
     t = Functor({x: x for x in pts},
-                {pair_morphism(x, y): pair_morphism(y, x) for x in pts for y in pts},
+                {name[x][y]: name[y][x] for x in range(n) for y in range(n)},
                 contravariant=True)
     involution = check_association(cat, partition, t)
     return verify_quasi_schemoid(cat, partition, involution)

@@ -17,6 +17,7 @@ from .fincat import (
     as_groupoid,
     is_groupoid,
     join,
+    pair_name,
     product_with_projections,
     validate_functor,
 )
@@ -143,7 +144,11 @@ class QuasiSchemoid:
 
 
 def check_concatenation(cat: FinCategory, partition: MorphismPartition) -> StructureConstantTable:
-    """Count factorizations per block triple; AxiomViolation on non-constancy."""
+    """Count factorizations per block triple; AxiomViolation on non-constancy.
+
+    A pair (σ, τ) with no factorization, or a block μ that none lands in,
+    has the constant 0 and is skipped.
+    """
     bo = partition.block_of
     counts: dict[tuple[str, str], dict[str, int]] = {}
     for (f, g), h in cat.compose.items():
@@ -152,19 +157,23 @@ def check_concatenation(cat: FinCategory, partition: MorphismPartition) -> Struc
         tally[h] = tally.get(h, 0) + 1
     entries: dict[tuple[str, str, str], int] = {}
     names = partition.names()
+    members = {mu: sorted(ms) for mu, ms in partition.blocks.items()}
     for sigma in names:
         for tau in names:
-            tally = counts.get((sigma, tau), {})
-            for mu, members in partition.blocks.items():
-                it = iter(sorted(members))
-                h1 = next(it)
+            tally = counts.get((sigma, tau))
+            if tally is None:
+                continue
+            hit = {bo[h] for h in tally}
+            for mu in names:
+                if mu not in hit:
+                    continue
+                h1, *rest = members[mu]
                 c1 = tally.get(h1, 0)
-                for h in it:
+                for h in rest:
                     c = tally.get(h, 0)
                     if c != c1:
                         raise AxiomViolation(sigma, tau, mu, h1, c1, h, c)
-                if c1:
-                    entries[(sigma, tau, mu)] = c1
+                entries[(sigma, tau, mu)] = c1
     return StructureConstantTable(entries)
 
 
@@ -343,7 +352,7 @@ def schemoid_product(a: QuasiSchemoid, b: QuasiSchemoid) -> QuasiSchemoid:
     for m in cat.morphism_ids:
         sa = a.partition.block_of[p1.morphism_map[m]]
         sb = b.partition.block_of[p2.morphism_map[m]]
-        blocks.setdefault(f"({sa},{sb})", []).append(m)
+        blocks.setdefault(pair_name(sa, sb), []).append(m)
     partition = make_partition(cat, blocks)
     involution = None
     if a.involution is not None and b.involution is not None:
@@ -351,8 +360,8 @@ def schemoid_product(a: QuasiSchemoid, b: QuasiSchemoid) -> QuasiSchemoid:
         omap = {}
         for x in a.category.objects:
             for y in b.category.objects:
-                omap[f"({x},{y})"] = f"({ta.object_map[x]},{tb.object_map[y]})"
-        mmap = {m: f"({ta.morphism_map[p1.morphism_map[m]]},{tb.morphism_map[p2.morphism_map[m]]})"
+                omap[pair_name(x, y)] = pair_name(ta.object_map[x], tb.object_map[y])
+        mmap = {m: pair_name(ta.morphism_map[p1.morphism_map[m]], tb.morphism_map[p2.morphism_map[m]])
                 for m in cat.morphism_ids}
         involution = check_association(cat, partition, Functor(omap, mmap, contravariant=True))
     return verify_quasi_schemoid(cat, partition, involution)

@@ -270,3 +270,75 @@ def assert_associative_dense(basis, tensor, ring):
                     if (diff % p if p else diff) != 0:
                         raise AlgebraError(
                             f"tensor not associative at ({sigma}, {tau}, {rho}, {nu})")
+
+
+def validate_category_dense(raw):
+    """Category laws by the full scan: totality over all M² pairs of
+    morphisms, associativity over every composable triple (g, f, e) in
+    morphism order.  The reference for Light's test in
+    schemoids.fincat.validate_category; same raw format, same error classes,
+    returns the completed composition table."""
+    from schemoids.fincat import (CategoryError, EndpointMismatch, MissingIdentity,
+                                  NonAssociative, UndefinedComposite)
+
+    objects = tuple(str(x) for x in raw["objects"])
+    if len(set(objects)) != len(objects):
+        raise CategoryError("duplicate object ids")
+    morphisms = tuple((str(m["id"]), str(m["src"]), str(m["tgt"])) for m in raw["morphisms"])
+    mor_ids = [m for m, _, _ in morphisms]
+    if len(set(mor_ids)) != len(mor_ids):
+        raise CategoryError("duplicate morphism ids")
+    obj_set = set(objects)
+    for m, s, t in morphisms:
+        if s not in obj_set or t not in obj_set:
+            raise EndpointMismatch(f"morphism {m!r} has unknown endpoint")
+    src = {m: s for m, s, _ in morphisms}
+    tgt = {m: t for m, _, t in morphisms}
+
+    identity = {str(k): str(v) for k, v in raw["identities"].items()}
+    for x in objects:
+        e = identity.get(x)
+        if e is None or e not in src:
+            raise MissingIdentity(f"object {x!r} has no identity morphism")
+        if src[e] != x or tgt[e] != x:
+            raise MissingIdentity(f"identity of {x!r} must be an endomorphism of {x!r}")
+
+    compose = {}
+    for f, g, fg in raw["compose"]:
+        f, g, fg = str(f), str(g), str(fg)
+        if f not in src or g not in src or fg not in src:
+            raise UndefinedComposite(f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms")
+        if (f, g) in compose and compose[(f, g)] != fg:
+            raise UndefinedComposite(f"conflicting entries for ({f!r}, {g!r})")
+        compose[(f, g)] = fg
+    for m in src:
+        compose.setdefault((m, identity[src[m]]), m)
+        compose.setdefault((identity[tgt[m]], m), m)
+
+    for f in src:
+        for g in src:
+            if src[f] != tgt[g]:
+                if (f, g) in compose:
+                    raise EndpointMismatch(f"({f!r}, {g!r}) composed but src({f!r}) != tgt({g!r})")
+                continue
+            fg = compose.get((f, g))
+            if fg is None:
+                raise UndefinedComposite(f"no composite for ({f!r}, {g!r})")
+            if src[fg] != src[g] or tgt[fg] != tgt[f]:
+                raise EndpointMismatch(f"composite {fg!r} of ({f!r}, {g!r}) has wrong endpoints")
+    for m in src:
+        if compose[(m, identity[src[m]])] != m or compose[(identity[tgt[m]], m)] != m:
+            raise MissingIdentity(f"unit law fails at {m!r}")
+    for g in src:
+        for f in src:
+            if src[f] != tgt[g]:
+                continue
+            fg = compose[(f, g)]
+            for e in src:
+                if src[e] != tgt[f]:
+                    continue
+                lhs = compose[(compose[(e, f)], g)]
+                rhs = compose[(e, fg)]
+                if lhs != rhs:
+                    raise NonAssociative(e, f, g, lhs, rhs)
+    return compose

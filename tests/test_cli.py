@@ -174,3 +174,9 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         cli.run(["no-such-command"])
     assert err.value.code == 2
+
+
+def test_json_flag_removed():
+    with pytest.raises(SystemExit) as err:
+        cli.run(["--json", "examples", "--list"])
+    assert err.value.code == 2

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schemoids import fincat
 from schemoids.fincat import (
@@ -14,6 +15,7 @@ from schemoids.fincat import (
     join,
     one_object_group,
     opposite,
+    pair_name,
     product,
     serialize,
     terminal_category,
@@ -68,8 +70,9 @@ def test_nonassociative_detected():
     bad = dict(good)
     bad[("hg", "f")] = "hgf2"
     raw["compose"] = [[f, g, fg] for (f, g), fg in bad.items()]
-    with pytest.raises(NonAssociative):
+    with pytest.raises(NonAssociative) as err:
         validate_category(raw)
+    assert err.value.witness == ("h", "g", "f", "hgf2", "hgf")
 
 
 def test_missing_composite_detected():
@@ -179,3 +182,31 @@ def test_product_and_join_pass_validation_again():
     g = one_object_group(*cyclic_group_table(2)).base
     for built in (product(c, g), join(c, g), disjoint_union(c, g)):
         assert validate_category(serialize(built)) == built
+
+
+LABELS = st.text(alphabet="a,()\\", max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(LABELS, LABELS), st.tuples(LABELS, LABELS), st.booleans())
+def test_pair_name_injective(p, q, nest):
+    """Distinct pairs of labels get distinct names, also one level nested."""
+    name = (lambda a, b: pair_name(pair_name(a, b), a)) if nest else pair_name
+    assert (name(*p) == name(*q)) == (p == q)
+
+
+def test_pair_name_keeps_plain_and_nested_names():
+    assert pair_name("00", "01") == "(00,01)"
+    assert pair_name(pair_name("00", "01"), "1") == "((00,01),1)"
+    assert pair_name("a,b", "c") == "(a\\,b,c)" != pair_name("a", "b,c")
+
+
+def test_product_with_comma_labels():
+    """Objects "a,b", "a" times "c", "b,c" used to give "(a,b,c)" twice."""
+    c = build_category(["a,b", "a"], [("1", "a,b", "a,b"), ("1,", "a", "a")],
+                       {"a,b": "1", "a": "1,"}, {})
+    d = build_category(["c", "b,c"], [(",1", "c", "c"), ("1", "b,c", "b,c")],
+                       {"c": ",1", "b,c": "1"}, {})
+    p = product(c, d)
+    assert len(set(p.objects)) == 4 and len(set(p.morphism_ids)) == 4
+    assert validate_category(serialize(p)) == p

@@ -1,10 +1,12 @@
 """Randomized structural properties over generated small instances."""
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from schemoids.bridges import s_tilde, s_tilde_on_functor
 from schemoids.extensions import bw_cohomology, bw_differentials, induced_system, trivial_system
 from schemoids.fincat import (
+    CategoryError,
+    NonAssociative,
     build_category,
     cyclic_group_table,
     join,
@@ -28,7 +30,7 @@ from schemoids.schemoid import (
 from schemoids.admissible import compose_schemoid_morphisms, from_bridge_data, is_admissible
 from schemoids.fincat import Functor
 
-from oracles import dense_cohomology_invariants, span_dimension_fractions
+from oracles import dense_cohomology_invariants, span_dimension_fractions, validate_category_dense
 
 
 def poset_category(n, edges):
@@ -227,3 +229,79 @@ def test_partition_serialization_roundtrip(cat):
 def test_scheme_serialization_roundtrip(n, q):
     s = hamming(n, q)
     assert scheme_from_json(serialize_scheme(s)) == s
+
+
+@st.composite
+def composition_tables(draw):
+    """Raw category JSON on 1-3 objects and at most 8 morphisms, in a drawn
+    order.  The unit laws hold by construction; every other composite is
+    drawn from the hom-set it has to land in (and left out when that set is
+    empty), so most tables are not associative."""
+    objects = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    identity = {x: f"1_{x}" for x in objects}
+    morphisms = [(e, x, x) for x, e in identity.items()]
+    morphisms += [(f"m{i}", draw(st.sampled_from(objects)), draw(st.sampled_from(objects)))
+                  for i in range(draw(st.integers(0, 8 - len(objects))))]
+    morphisms = draw(st.permutations(morphisms))
+    hom = {}
+    for m, s, t in morphisms:
+        hom.setdefault((s, t), []).append(m)
+    compose = []
+    for f, fs, ft in morphisms:
+        for g, gs, gt in morphisms:
+            if fs == gt and f[0] == g[0] == "m" and hom.get((gs, ft)):
+                compose.append([f, g, draw(st.sampled_from(hom[(gs, ft)]))])
+    return {"objects": objects, "identities": identity, "compose": compose,
+            "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in morphisms]}
+
+
+@st.composite
+def tampered_tables(draw):
+    """A drawn table or a serialized small category, left alone or with one
+    entry dropped, redirected to any morphism, or added for any pair."""
+    raw = draw(st.one_of(composition_tables(), composition_tables(),
+                         small_categories().map(serialize)))
+    compose = [list(entry) for entry in raw["compose"]]
+    ids = [m["id"] for m in raw["morphisms"]]
+    kind = draw(st.sampled_from(["none", "none", "drop", "redirect", "add"]))
+    if kind == "drop" and compose:
+        del compose[draw(st.integers(0, len(compose) - 1))]
+    elif kind == "redirect" and compose:
+        compose[draw(st.integers(0, len(compose) - 1))][2] = draw(st.sampled_from(ids))
+    elif kind == "add":
+        compose.append([draw(st.sampled_from(ids)) for _ in range(3)])
+    return {**raw, "compose": compose}
+
+
+def _completed_table(raw):
+    src = {m["id"]: m["src"] for m in raw["morphisms"]}
+    tgt = {m["id"]: m["tgt"] for m in raw["morphisms"]}
+    table = {(f, g): fg for f, g, fg in raw["compose"]}
+    for m in src:
+        table.setdefault((m, raw["identities"][src[m]]), m)
+        table.setdefault((raw["identities"][tgt[m]], m), m)
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(tampered_tables())
+def test_light_test_matches_dense_oracle(raw):
+    """Light's test on a greedy generating set gives the verdict and the error
+    class of the full triple scan, and its witness is a failing triple."""
+    try:
+        want = validate_category_dense(raw)
+    except CategoryError as err:
+        want = err
+    try:
+        got = validate_category(raw).compose
+    except CategoryError as err:
+        got = err
+    event(type(want).__name__ if isinstance(want, CategoryError) else "accepted")
+    if not isinstance(want, CategoryError):
+        assert got == want
+        return
+    assert type(got) is type(want)
+    if isinstance(got, NonAssociative):
+        e, f, g, lhs, rhs = got.witness
+        table = _completed_table(raw)
+        assert table[(table[(e, f)], g)] == lhs != rhs == table[(e, table[(f, g)])]

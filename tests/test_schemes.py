@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from schemoids.fincat import as_groupoid, cyclic_group_table
@@ -8,6 +10,7 @@ from schemoids.schemes import (
     InvalidGroupTable,
     NonConstantIntersection,
     NotAGroup,
+    SchemeError,
     SizeLimit,
     group_scheme,
     hamming,
@@ -171,3 +174,52 @@ def test_hamming_class_size_identity():
     for n, q in ((1, 2), (2, 2), (1, 3)):
         s = hamming(n, q)
         assert sum(s.pair_count(c) for c in s.classes) == q ** (2 * n)
+
+
+def _h32_tampers():
+    """H(3,2) with one pair {x, y} moved to each other off-diagonal class:
+    still symmetric with the diagonal intact."""
+    rel = hamming_distance_matrix(3, 2)
+    for x in range(8):
+        for y in range(x + 1, 8):
+            for cls in range(1, 4):
+                if cls != rel[x][y]:
+                    bad = [list(row) for row in rel]
+                    bad[x][y] = bad[y][x] = cls
+                    yield bad
+
+
+def test_nonconstant_intersection_names_oracle_triple():
+    """Each of the 56 single-pair tampers is refused naming the
+    lexicographically first non-constant (e, f, g) of the brute-force
+    oracle, and the two counts in the witness are real counts."""
+    tampers = list(_h32_tampers())
+    assert len(tampers) == 56
+    for rel in tampers:
+        with pytest.raises(AssertionError) as oracle:
+            intersection_numbers_bruteforce(rel)
+        want = tuple(f"R{i}" for i in re.search(r"p\^(\d+)_\{(\d+),(\d+)\}",
+                                                str(oracle.value)).group(2, 3, 1))
+        with pytest.raises(NonConstantIntersection) as err:
+            validate_scheme(8, rel, classes=[f"R{i}" for i in range(4)])
+        e, f, g, pair1, c1, pair2, c2 = err.value.witness
+        assert (e, f, g) == want
+        for (x, z), c in ((pair1, c1), (pair2, c2)):
+            x, z = int(x), int(z)
+            assert rel[x][z] == int(g[1:])
+            assert c == sum(1 for y in range(8) if rel[x][y] == int(e[1:]) and rel[y][z] == int(f[1:]))
+        assert c1 != c2
+
+
+def test_point_name_count_checked():
+    with pytest.raises(SchemeError):
+        validate_scheme(2, [[0, 1], [1, 0]], points=["a"])
+
+
+def test_j_embed_labels_with_commas():
+    """Points whose pair names used to collide ("(a,b,c)" twice)."""
+    rel = [[0 if x == y else 1 for y in range(4)] for x in range(4)]
+    s = validate_scheme(4, rel, points=["a,b", "c", "a", "b,c"])
+    qs = j_embed(s)
+    assert len(set(qs.category.morphism_ids)) == 16
+    assert {k: v for k, v in qs.constants.entries.items() if v} == s.intersection

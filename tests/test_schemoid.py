@@ -78,6 +78,44 @@ def test_axiom_violation_witness():
     assert {h1, h2} <= {"1_x", "f", "1_y"} and c1 != c2
 
 
+def _first_violation(cat, partition):
+    """Brute force: the first (sigma, tau, mu) in block order whose count of
+    factorizations is not constant over mu, with the first member of mu in
+    sorted order and the first member whose count differs from it."""
+    bo = partition.block_of
+    names = partition.names()
+    for sigma in names:
+        for tau in names:
+            for mu in names:
+                members = sorted(partition.blocks[mu])
+                count = {h: sum(1 for (f, g), fg in cat.compose.items()
+                                if fg == h and bo[f] == sigma and bo[g] == tau) for h in members}
+                h1 = members[0]
+                for h in members[1:]:
+                    if count[h] != count[h1]:
+                        return sigma, tau, mu, h1, count[h1], h, count[h]
+    return None
+
+
+def test_moved_morphism_witness_matches_bruteforce():
+    """Every move of one morphism between two off-diagonal blocks of
+    j(H(3,2)) is refused with the first non-constant block triple, and its
+    counts are the real numbers of factorizations."""
+    qs = j_embed(hamming(3, 2))
+    cat = qs.category
+    blocks = {b: sorted(ms) for b, ms in qs.partition.blocks.items()}
+    off = [b for b in blocks if not set(blocks[b]) <= cat.identities()]
+    moves = [(m, b, t) for b in off for m in blocks[b] for t in off if t != b]
+    assert len(moves) == 112
+    for m, b, t in moves:
+        moved = {k: [x for x in v if x != m] for k, v in blocks.items()}
+        moved[t].append(m)
+        partition = make_partition(cat, moved)
+        with pytest.raises(AxiomViolation) as err:
+            check_concatenation(cat, partition)
+        assert err.value.witness == _first_violation(cat, partition)
+
+
 def test_unitality():
     qs = ex2_8()
     assert is_unital(qs.category, qs.partition) == (True, None)
