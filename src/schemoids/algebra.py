@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import is_prime, solve_multiplicative
+from .linalg import is_prime, solve_multiplicative, solve_multiplicative_mod
 from .schemoid import QuasiSchemoid, is_unital
 
 
@@ -499,7 +499,8 @@ def scaled_basis_iso(a: SchemoidAlgebra, b: SchemoidAlgebra):
 
     Returns (bijection, scalars) or None after exhausting all bijections.
     Over Q the scalar system is solved through the Smith normal form of its
-    exponent matrix; over a prime field scalars are found by backtracking.
+    exponent matrix; over a prime field through discrete logarithms, as a
+    linear system over Z/(p-1).
     """
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"{a.dimension} != {b.dimension}")
@@ -570,42 +571,9 @@ def _solve_scalars(a, b, bij):
         if sol is None or any(x == 0 for x in sol):
             return None
         return {x: sol[index[x]] for x in a.basis}
-    return _solve_scalars_prime(a, constraints, targets, index)
-
-
-def _solve_scalars_prime(a, constraints, targets, index):
-    p = a.ring.p
-    names = list(a.basis)
-    units = list(range(1, p))
-
-    def check_partial(assign):
-        for row, (ca, cb) in zip(constraints, targets):
-            prod = 1
-            ok = True
-            for x, e in zip(names, row):
-                if not e:
-                    continue
-                if x not in assign:
-                    ok = False
-                    break
-                prod = prod * pow(assign[x], e, p) % p
-            if ok and prod * ca % p != cb % p:
-                return False
-        return True
-
-    def extend(i, assign):
-        if i == len(names):
-            return dict(assign)
-        for u in units:
-            assign[names[i]] = u
-            if check_partial(assign):
-                got = extend(i + 1, assign)
-                if got is not None:
-                    return got
-            del assign[names[i]]
-        return None
-
-    return extend(0, {})
+    ratio = [cb * a.ring.inv(ca) for ca, cb in targets]
+    sol = solve_multiplicative_mod(constraints, ratio, len(a.basis), a.ring.p)
+    return None if sol is None else {x: sol[index[x]] for x in a.basis}
 
 
 def _verify_scaled_iso(a, b, bij, lam):

@@ -16,8 +16,9 @@ import json
 import sys
 
 from . import corpus
-from .algebra import ring_from_name, scaled_basis_iso, schemoid_algebra, terwilliger
+from .algebra import AlgebraError, ring_from_name, schemoid_algebra, terwilliger
 from .admissible import (
+    AdmissibilityError,
     condition_P,
     gate_report,
     induced_algebra_map,
@@ -208,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="schemoids",
                                      description="exact computations with partitioned finite categories")
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="recorded in reports; all searches are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a category or bundle JSON")
@@ -385,7 +384,7 @@ def _dispatch(args, pretty) -> int:
                 ring = ring_from_name(args.ring)
                 amap = induced_algebra_map(phi, ring)
                 out["algebra_map"] = {f"{t}<-{s}": str(v) for (t, s), v in sorted(amap.matrix.items())}
-            except Exception as err:
+            except (AdmissibilityError, AlgebraError) as err:
                 out["multiplicities_error"] = str(err)
         emit(out, pretty)
         return 0 if report.admissible else 1

@@ -28,6 +28,7 @@ from .fincat import (
     cyclic_group_table,
     join,
     one_object_group,
+    product_with_projections,
     terminal_category,
 )
 from .schemes import group_scheme, hamming, j_embed, orbit_configuration, validate_scheme
@@ -107,9 +108,9 @@ def _paired_join_z2() -> QuasiSchemoid:
     g = one_object_group(*cyclic_group_table(2)).base
     from .fincat import opposite
     cat = join(g, opposite(g))
-    w = next(m for m in cat.morphism_ids if m.startswith("w["))
-    partition = make_partition(cat, {"Se": ["L.0", "R.0"], "Sg": ["L.1", "R.1"], "Sf": [w]})
     lx, ry = cat.objects
+    (w,) = cat.hom(lx, ry)
+    partition = make_partition(cat, {"Se": ["L.0", "R.0"], "Sg": ["L.1", "R.1"], "Sf": [w]})
     t = Functor({lx: ry, ry: lx},
                 {"L.0": "R.0", "R.0": "L.0", "L.1": "R.1", "R.1": "L.1", w: w},
                 contravariant=True)
@@ -236,17 +237,26 @@ def _klein_fusion() -> QuasiSchemoid:
                                  check_association(gpd.base, partition, t))
 
 
+def _product_base_factors() -> tuple[QuasiSchemoid, QuasiSchemoid]:
+    return j_embed(hamming(2, 2)), _group_bullet(2)
+
+
 def product_base_schemoid() -> QuasiSchemoid:
-    return schemoid_product(j_embed(hamming(2, 2)), _group_bullet(2))
+    return schemoid_product(*_product_base_factors())
 
 
 def group_cocycle_pullback(cat):
-    """Value a*b on the group components of a product-with-one-object-group pair."""
-    def part(m):
-        return int(m[:-1].rsplit(",", 1)[1])
+    """Value a*b on the Z/2 components a, b of a composable pair of the
+    product base category, read through the product's second projection."""
+    left, right = _product_base_factors()
+    product, _, to_group = product_with_projections(left.category, right.category)
+    if product != cat:
+        raise ValueError("group_cocycle_pullback needs the product base category")
+    # a*b in Z/2 is 1 exactly when neither factor is the identity
+    part = {m: int(not right.category.is_identity(g)) for m, g in to_group.morphism_map.items()}
 
     def fn(f, g):
-        return (part(f) * part(g) % 2,)
+        return (part[f] * part[g],)
 
     return fn
 

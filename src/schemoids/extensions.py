@@ -22,7 +22,14 @@ from functools import cached_property
 from itertools import product as iproduct
 
 from . import linalg
-from .fincat import FinCategory, Functor, Groupoid, build_category, validate_functor
+from .fincat import (
+    FinCategory,
+    Functor,
+    NotInvertible,
+    as_groupoid,
+    build_category,
+    validate_functor,
+)
 from .schemoid import (
     AxiomViolation,
     Involution,
@@ -132,12 +139,10 @@ class NaturalSystem:
             return False
         m = self.modulus
         for key in self.push:
-            if not linalg.mat_eq_mod([list(r) for r in self.push[key]],
-                                     [list(r) for r in other.push[key]], m):
+            if not linalg.mat_eq_mod(self.push[key], other.push[key], m):
                 return False
         for key in self.pull:
-            if not linalg.mat_eq_mod([list(r) for r in self.pull[key]],
-                                     [list(r) for r in other.pull[key]], m):
+            if not linalg.mat_eq_mod(self.pull[key], other.pull[key], m):
                 return False
         return True
 
@@ -171,27 +176,28 @@ def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> Natu
             raise FunctorialityViolated(f"pull map for ({f!r}, {g!r}) missing")
     _check_shapes(cat, rank, push, pull)
     system = NaturalSystem(cat, modulus, rank, push, pull)
-    m = modulus
-    eq = lambda a, b: linalg.mat_eq_mod([list(r) for r in a], [list(r) for r in b], m)
-    mul = lambda a, b: linalg.mat_mul([list(r) for r in a], [list(r) for r in b])
     for f in cat.morphism_ids:
-        if not eq(push[(cat.identity[cat.tgt(f)], f)], _identity_matrix(rank[f])):
+        if not linalg.mat_eq_mod(push[(cat.identity[cat.tgt(f)], f)],
+                                 _identity_matrix(rank[f]), modulus):
             raise FunctorialityViolated(f"identity pushforward at {f!r} is not the identity")
-        if not eq(pull[(f, cat.identity[cat.src(f)])], _identity_matrix(rank[f])):
+        if not linalg.mat_eq_mod(pull[(f, cat.identity[cat.src(f)])],
+                                 _identity_matrix(rank[f]), modulus):
             raise FunctorialityViolated(f"identity pullback at {f!r} is not the identity")
     for (a2, a1), a21 in cat.compose.items():
         for f in cat.morphism_ids:
             if (a1, f) not in cat.compose:
                 continue
             a1f = cat.comp(a1, f)
-            if not eq(push[(a21, f)], mul(push[(a2, a1f)], push[(a1, f)])):
+            if not linalg.mat_eq_mod(push[(a21, f)],
+                                     linalg.mat_mul(push[(a2, a1f)], push[(a1, f)]), modulus):
                 raise FunctorialityViolated(f"pushforwards not functorial at ({a2!r}, {a1!r}, {f!r})")
     for (b1, b2), b12 in cat.compose.items():
         for f in cat.morphism_ids:
             if (f, b1) not in cat.compose:
                 continue
             fb1 = cat.comp(f, b1)
-            if not eq(pull[(f, b12)], mul(pull[(fb1, b2)], pull[(f, b1)])):
+            if not linalg.mat_eq_mod(pull[(f, b12)],
+                                     linalg.mat_mul(pull[(fb1, b2)], pull[(f, b1)]), modulus):
                 raise FunctorialityViolated(f"pullbacks not functorial at ({f!r}, {b1!r}, {b2!r})")
     for f in cat.morphism_ids:
         for a in cat.morphism_ids:
@@ -202,8 +208,8 @@ def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> Natu
                     continue
                 fb = cat.comp(f, b)
                 af = cat.comp(a, f)
-                if not eq(mul(push[(a, fb)], pull[(f, b)]),
-                          mul(pull[(af, b)], push[(a, f)])):
+                if not linalg.mat_eq_mod(linalg.mat_mul(push[(a, fb)], pull[(f, b)]),
+                                         linalg.mat_mul(pull[(af, b)], push[(a, f)]), modulus):
                     raise FunctorialityViolated(
                         f"push/pull do not commute at ({a!r}, {f!r}, {b!r})")
     return system
@@ -227,13 +233,11 @@ def induced_system(cat: FinCategory, modulus: int | None, object_rank: dict,
     push = {(a, f): maps[a] for (a, f) in cat.compose}
     pull = {(f, b): _identity_matrix(rank[f]) for (f, b) in cat.compose}
     system = NaturalSystem(cat, modulus, rank, push, pull)
-    eq = lambda a, b: linalg.mat_eq_mod([list(r) for r in a], [list(r) for r in b], modulus)
-    mul = lambda a, b: linalg.mat_mul([list(r) for r in a], [list(r) for r in b])
     for x in cat.objects:
-        if not eq(maps[cat.identity[x]], _identity_matrix(object_rank[x])):
+        if not linalg.mat_eq_mod(maps[cat.identity[x]], _identity_matrix(object_rank[x]), modulus):
             raise FunctorialityViolated(f"module map at identity of {x!r} is not the identity")
     for (f, g), fg in cat.compose.items():
-        if not eq(maps[fg], mul(maps[f], maps[g])):
+        if not linalg.mat_eq_mod(maps[fg], linalg.mat_mul(maps[f], maps[g]), modulus):
             raise FunctorialityViolated(f"module maps not functorial at ({f!r}, {g!r})")
     return system
 
@@ -663,49 +667,16 @@ def _verify_distributivity(ext: ExtensionCategory):
 # Lifting schemoid structure
 # ---------------------------------------------------------------------------
 
-def _invertible_mod(mat: Matrix, m: int | None) -> bool:
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        return False
-    det = _det([list(r) for r in mat])
-    if m is None:
-        return det != 0
-    return linalg.gcd(det, m) == 1
-
-
-def _det(a):
-    n = len(a)
-    if n == 0:
-        return 1
-    from fractions import Fraction
-    rows = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    assert det.denominator == 1
-    return int(det)
-
-
 def lift_schemoid(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSchemoid:
     """Preimage partition on the total category, re-verified, with the
     fiber-size scaling of the structure constants asserted."""
     system = ext.system
     if base_qs.category != ext.base:
         raise BaseMismatch("schemoid lives over a different category")
-    for key, mat in list(system.push.items()) + list(system.pull.items()):
-        if not _invertible_mod(mat, system.modulus):
-            raise HypothesisFailed(f"transport matrix at {key} is not invertible")
+    transports = list(system.push.items()) + list(system.pull.items())
+    bad = linalg.first_singular([mat for _, mat in transports], system.modulus)
+    if bad is not None:
+        raise HypothesisFailed(f"transport matrix at {transports[bad][0]} is not invertible")
     for name, members in base_qs.partition.blocks.items():
         ranks = {system.rank[ext.base.identity[ext.base.src(f)]] for f in members}
         if len(ranks) != 1:
@@ -736,6 +707,14 @@ def lift_schemoid(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSchemo
     return QuasiSchemoid(ext.total, partition, constants)
 
 
+def _inverse_mod(mat: Matrix, m: int) -> Matrix:
+    """The inverse of a matrix invertible mod m, one column per solve."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    r = len(mat)
+    columns = [linalg.solve(rows, [int(i == j) for i in range(r)], r, m) for j in range(r)]
+    return tuple(zip(*columns))
+
+
 def lift_involution(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSchemoid:
     """Groupoid structure and involution on a lifted schemoid.
 
@@ -745,15 +724,13 @@ def lift_involution(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSche
     once the normalized-cocycle identity f_* delta(f^-1, f) = delta(f, f^-1)
     holds, which is checked for every morphism first.
     """
-    from .fincat import as_groupoid
-
     system = ext.system
     cat = ext.base
     if base_qs.involution is None:
         raise BaseNotConnectedGroupoid("base schemoid carries no involution")
     try:
         gpd = as_groupoid(cat)
-    except Exception as err:
+    except NotInvertible as err:
         raise BaseNotConnectedGroupoid("base is not a groupoid") from err
     if len(cat.components()) != 1:
         raise BaseNotConnectedGroupoid("base is not connected")
@@ -761,9 +738,7 @@ def lift_involution(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSche
            for f in cat.morphism_ids):
         raise BaseNotConnectedGroupoid("base involution is not the inverse map")
     for key, mat in system.pull.items():
-        if not linalg.mat_eq_mod([list(r) for r in mat],
-                                 [list(r) for r in _identity_matrix(len(mat))],
-                                 system.modulus):
+        if not linalg.mat_eq_mod(mat, _identity_matrix(len(mat)), system.modulus):
             raise SystemNotInduced(f"pullback at {key} is not the identity")
     # the inverse formula mixes D_f with D_{1_tgt(f)}; they must agree in rank
     for f in cat.morphism_ids:
@@ -781,17 +756,16 @@ def lift_involution(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSche
             raise ExtensionError(f"inverse identity fails at {f!r}")
 
     lifted = lift_schemoid(base_qs, ext)
+    # lift_schemoid has checked that every f_* is invertible mod m
+    push_inverse = {f: _inverse_mod(system.push[(f, gpd.inverse[f])], m)
+                    for f in cat.morphism_ids}
     total = ext.total
     inverse = {}
     for e in total.morphism_ids:
         f, a = ext.decomposition[e]
         finv = gpd.inverse[f]
         rhs_vec = _vec_add(_vec_neg(a, m), delta.value(system, f, finv), m)
-        push_mat = [list(r) for r in system.push[(f, finv)]]
-        sol = linalg.solve_mod(push_mat, list(rhs_vec), m)
-        if sol is None:
-            raise HypothesisFailed(f"pushforward at ({f!r}, {finv!r}) not invertible mod {m}")
-        inverse[e] = fiber_morphism_name(finv, tuple(x % m for x in sol))
+        inverse[e] = fiber_morphism_name(finv, _apply(push_inverse[f], rhs_vec, m))
     for e, einv in inverse.items():
         if (total.comp(e, einv) != total.identity[total.tgt(e)]
                 or total.comp(einv, e) != total.identity[total.src(e)]):

@@ -169,6 +169,12 @@ def pair_name(a: str, b: str) -> str:
     return f"({_label(a)},{_label(b)})"
 
 
+def connector_name(a: str, b: str) -> str:
+    """Name "w[a,b]" of the morphism a -> b that a join adds, with the labels
+    escaped as in `pair_name`, so distinct pairs get distinct names."""
+    return f"w[{_label(a)},{_label(b)}]"
+
+
 _SPECIAL = re.compile(r"[\\,()]")
 _ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
 
@@ -432,12 +438,8 @@ def join(c: FinCategory, d: FinCategory) -> FinCategory:
     objects = [lo(x) for x in c.objects] + [ro(x) for x in d.objects]
     morphisms = ([(lo(m), lo(s), lo(t)) for m, s, t in c.morphisms]
                  + [(ro(m), ro(s), ro(t)) for m, s, t in d.morphisms])
-    w = {}
-    for a in c.objects:
-        for b in d.objects:
-            m = f"w[{a},{b}]"
-            w[(a, b)] = m
-            morphisms.append((m, lo(a), ro(b)))
+    w = {(a, b): connector_name(a, b) for a in c.objects for b in d.objects}
+    morphisms += [(m, lo(a), ro(b)) for (a, b), m in w.items()]
     identity = {lo(x): lo(c.identity[x]) for x in c.objects}
     identity.update({ro(x): ro(d.identity[x]) for x in d.objects})
     compose = {(lo(f), lo(g)): lo(fg) for (f, g), fg in c.compose.items()}

@@ -3,17 +3,19 @@ the rings Z/m.
 
 No floating point is ever involved.  Two families live here:
 
-- Dense integer matrices (lists of lists): the Smith normal form with its
-  unimodular transforms, and the small solvers built on it (`solve_integer`,
-  `solve_mod`, `solve_multiplicative`).
 - Sparse rows {column: coefficient} and one exact elimination for them,
   with pivots keyed by column.  Over Q the rows stay integral (divided by
   their content); over Z/m the ring is split as m = prod p^k by the Chinese
   remainder theorem, and over each local ring Z/p^k pivots are taken by
   increasing valuation, so a pivot divides its whole row and column and no
   remainder loop is needed (Howell 1986; Storjohann 2000).  `rank` works
-  over Q and F_p, `solve` over Z/m, and `homology` returns ker / im as
-  invariant factors d_1 | d_2 | ... (over Z/m) or a free rank (over Q).
+  over Q and F_p, `first_singular` decides invertibility over Q and Z/m,
+  `solve` works over Z/m, and `homology` returns ker / im as invariant
+  factors d_1 | d_2 | ... (over Z/m) or a free rank (over Q).
+- Multiplicative systems prod_j x_j^e_tj = r_t: over Q* through the Smith
+  normal form of the exponent matrix (`solve_multiplicative`), over F_p*
+  through discrete logarithms and `solve` over Z/(p-1)
+  (`solve_multiplicative_mod`).
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ def mat_mul(a, b):
                 for j in range(cols):
                     oi[j] += aik * bk[j]
     return out
-
-
-def mat_vec(a, v):
-    return [sum(aij * vj for aij, vj in zip(row, v)) for row in a]
 
 
 def mat_eq_mod(a, b, m: int | None) -> bool:
@@ -162,50 +160,6 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             negate_row(t)
         t += 1
     return d, u, v
-
-
-def solve_integer(a: Matrix, b: list[int]) -> list[int] | None:
-    """One integer solution x of a @ x = b, or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d, u, v = smith_normal_form(a)
-    c = mat_vec(u, b)
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < cols else 0
-        if di:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    return mat_vec(v, y)
-
-
-def solve_mod(a: Matrix, b: list[int], m: int) -> list[int] | None:
-    """One solution x of a @ x = b (mod m), or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d, u, v = smith_normal_form(a)
-    c = mat_vec(u, b)
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < cols else 0
-        ci = c[i] % m
-        g = gcd(di, m)
-        if ci % g:
-            return None
-        if i < cols and g != m:
-            mg = m // g
-            y[i] = (ci // g) * pow((di // g) % mg, -1, mg) % mg
-    return [x % m for x in mat_vec(v, y)]
-
-
-def gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def is_prime(n: int) -> bool:
@@ -384,6 +338,25 @@ def rank(rows, modulus: int | None = None) -> int:
     return len(_eliminate(_rows_over(rows, modulus), modulus, 1).rows)
 
 
+def first_singular(matrices, modulus: int | None = None) -> int | None:
+    """Index of the first dense matrix that is not invertible over Q
+    (modulus None) or over Z/m, or None when every one is.
+
+    A square matrix is invertible over Z/m exactly when it is invertible
+    over F_p for every prime p dividing m, and over Q when it has full rank.
+    """
+    fields = [p for p, _ in _local_rings(modulus)]
+    for index, mat in enumerate(matrices):
+        n = len(mat)
+        if any(len(row) != n for row in mat):
+            return index
+        rows = [dict(enumerate(row)) for row in mat]
+        for p in fields:
+            if len(_eliminate(_rows_over(rows, p), p, 1).rows) < n:
+                return index
+    return None
+
+
 def solve(rows, rhs: list[int], ncols: int, modulus: int) -> list[int] | None:
     """One x in (Z/m)^ncols with rows @ x = rhs (mod m), or None.
 
@@ -481,7 +454,7 @@ def _local_homology(d_prev, d_n, p: int | None, k: int) -> tuple[list[int], int]
 
 
 # ---------------------------------------------------------------------------
-# Multiplicative systems over Q*
+# Multiplicative systems over Q* and F_p*
 # ---------------------------------------------------------------------------
 
 def _factor(n: int) -> dict[int, int]:
@@ -552,3 +525,33 @@ def solve_multiplicative(exponents: Matrix, targets: list[Fraction]) -> list[Fra
             if e:
                 x[j] *= y[i] ** e
     return x
+
+
+def solve_multiplicative_mod(exponents: Matrix, targets: list[int], ncols: int,
+                             p: int) -> list[int] | None:
+    """Solve prod_j x_j**e_tj = r_t over the unit group F_p* (p prime, every
+    r_t a unit mod p), for ncols unknowns; None when there is no solution.
+
+    F_p* is cyclic: writing x_j = g^y_j for a generator g turns the system
+    into E y = log_g r over Z/(p-1), which goes to `solve`.  The logarithms
+    are found by baby-step giant-step, about sqrt(p) steps each.  Over F_2
+    every unit is 1.
+    """
+    if p == 2:
+        return [1] * ncols
+    order = p - 1
+    g = next(g for g in range(2, p) if all(pow(g, order // q, p) != 1 for q in _factor(order)))
+    n = math.isqrt(order) + 1
+    baby = {pow(g, j, p): j for j in range(n)}
+    giant = pow(g, -n, p)
+
+    def log(r):
+        i = 0
+        while r not in baby:            # ends within n steps: g generates F_p*
+            r = r * giant % p
+            i += 1
+        return i * n + baby[r]
+
+    rows = [{j: e for j, e in enumerate(row) if e} for row in exponents]
+    y = solve(rows, [log(r % p) for r in targets], ncols, order)
+    return None if y is None else [pow(g, e, p) for e in y]

@@ -14,7 +14,9 @@ from .fincat import (
     FinCategory,
     Functor,
     Groupoid,
+    NotInvertible,
     as_groupoid,
+    connector_name,
     is_groupoid,
     join,
     pair_name,
@@ -276,7 +278,7 @@ def analyze_thinness(qs: QuasiSchemoid, base_points=None) -> ThinnessReport:
                               for f in cat.morphism_ids)
             if not groupoid_ok:
                 witness = witness or "T is not the inverse map"
-        except Exception:
+        except NotInvertible:
             witness = witness or "underlying category is not a groupoid"
 
     semi_thin = unital and per_source and groupoid_ok
@@ -377,7 +379,8 @@ def schemoid_join(a: QuasiSchemoid, b: QuasiSchemoid) -> QuasiSchemoid:
         blocks[f"R.{name}"] = [f"R.{m}" for m in members]
     for x in a.category.objects:
         for y in b.category.objects:
-            blocks[f"w[{x},{y}]"] = [f"w[{x},{y}]"]
+            w = connector_name(x, y)
+            blocks[w] = [w]
     partition = make_partition(cat, blocks)
     return verify_quasi_schemoid(cat, partition)
 

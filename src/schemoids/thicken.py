@@ -10,7 +10,10 @@ quasi-schemoid; with equal thickness it carries an involution pairing
 phi_ij^lambda with phi_ji^lambda.
 
 Morphism ids follow the pattern 'phi_i_j_lambda' with lambda = 0 on the
-frame, so projections and induced maps stay auditable in reports.
+frame, and 'id_i' for identities, so projections and induced maps stay
+auditable in reports.  `_cell_name` builds every id; a label that holds '_'
+or a backslash has each of them escaped with a backslash, so distinct
+cells never share an id.
 """
 
 from __future__ import annotations
@@ -64,6 +67,30 @@ class FramedCategory:
     extras: dict[tuple[str, str], tuple[str, ...]]
 
 
+def _cell_name(i: str, j: str, lam: int | None) -> str:
+    """Id of the morphism phi_i_j_lam, or of the identity id_i when lam is
+    None (then j == i)."""
+    if lam is None:
+        return f"id_{_escape(i)}"
+    return f"phi_{_escape(i)}_{_escape(j)}_{lam}"
+
+
+def _escape(label: str) -> str:
+    return label.replace("\\", "\\\\").replace("_", "\\_")
+
+
+def _cells(cat: FinCategory):
+    """(i, j, lam) for every morphism of a category from category_from_matrix:
+    lam None for the identity of i, 0 on the frame, then the extra copies;
+    in the order category_from_matrix lists them."""
+    for i in cat.objects:
+        yield i, i, None
+    for i in cat.objects:
+        for j in cat.objects:
+            for lam in range(len(cat.hom(i, j)) - (i == j)):
+                yield i, j, lam
+
+
 def check_transitive(z) -> tuple[tuple[int, ...], ...]:
     z = tuple(tuple(int(x) for x in row) for row in z)
     m = len(z)
@@ -94,31 +121,21 @@ def category_from_matrix(z, labels=None) -> FramedCategory:
     else:
         labels = tuple(str(x) for x in labels)
 
-    name = lambda i, j, lam: f"phi_{labels[i]}_{labels[j]}_{lam}"
-    ident = lambda i: f"id_{labels[i]}"
-    objects = list(labels)
-    morphisms = []
+    identity = {x: _cell_name(x, x, None) for x in labels}
+    morphisms = [(e, x, x) for x, e in identity.items()]
     frame = {}
     extras: dict[tuple[str, str], list[str]] = {}
-    for i in range(m):
-        morphisms.append((ident(i), labels[i], labels[i]))
-    for i in range(m):
-        for j in range(m):
+    by_endpoints: dict[tuple[str, str], list[str]] = {}   # the phi morphisms
+    for i, x in enumerate(labels):
+        for j, y in enumerate(labels):
             if not z[i][j]:
                 continue
-            frame[(labels[i], labels[j])] = name(i, j, 0)
-            morphisms.append((name(i, j, 0), labels[i], labels[j]))
-            top = z[i][j] - 1 if i != j else z[i][i] - 2
-            lams = []
-            for lam in range(1, top + 1):
-                morphisms.append((name(i, j, lam), labels[i], labels[j]))
-                lams.append(name(i, j, lam))
-            extras[(labels[i], labels[j])] = lams
+            phis = [_cell_name(x, y, lam) for lam in range(z[i][j] - (i == j))]
+            morphisms.extend((mor, x, y) for mor in phis)
+            frame[(x, y)] = phis[0]
+            extras[(x, y)] = phis[1:]
+            by_endpoints[(x, y)] = phis
     compose = {}
-    by_endpoints: dict[tuple[str, str], list[str]] = {}
-    for mor, s, t in morphisms:
-        if mor.startswith("phi_"):
-            by_endpoints.setdefault((s, t), []).append(mor)
     for (i, j), first_batch in by_endpoints.items():
         for (j2, k), second_batch in by_endpoints.items():
             if j2 != j:
@@ -127,7 +144,7 @@ def category_from_matrix(z, labels=None) -> FramedCategory:
             for g in first_batch:
                 for f in second_batch:
                     compose[(f, g)] = target
-    cat = build_category(objects, morphisms, {labels[i]: ident(i) for i in range(m)}, compose)
+    cat = build_category(list(labels), morphisms, identity, compose)
     return FramedCategory(cat, labels, z, frame,
                           {k: tuple(v) for k, v in extras.items()})
 
@@ -247,14 +264,7 @@ def thicken_involution(sc: QuasiSchemoid, scheme: CoherentConfiguration, thickne
         raise UnequalThickness("involution needs all class thicknesses equal")
     cat = sc.category
     omap = {x: x for x in cat.objects}
-    mmap = {}
-    for m in cat.morphism_ids:
-        if m.startswith("id_"):
-            mmap[m] = m
-        else:
-            i, j = cat.src(m), cat.tgt(m)
-            lam = m.rsplit("_", 1)[1]
-            mmap[m] = f"phi_{j}_{i}_{lam}"
+    mmap = {_cell_name(i, j, lam): _cell_name(j, i, lam) for i, j, lam in _cells(cat)}
     t = Functor(omap, mmap, contravariant=True)
     involution = check_association(cat, sc.partition, t)
     return QuasiSchemoid(cat, sc.partition, sc.constants, involution)
@@ -266,14 +276,8 @@ def projection_phi(sc: QuasiSchemoid, scheme: CoherentConfiguration,
     identifying phi_ii with the identity."""
     cat = sc.category
     omap = {x: x for x in cat.objects}
-    mmap = {}
-    for m in cat.morphism_ids:
-        if m.startswith("id_"):
-            i = cat.src(m)
-            mmap[m] = pair_morphism(i, i)
-        else:
-            i, j = cat.src(m), cat.tgt(m)
-            mmap[m] = pair_morphism(j, i)   # the morphism i -> j in the complete graph
+    # phi_i_j_lam and id_i go to the morphism i -> j (i -> i) of the complete graph
+    mmap = {_cell_name(i, j, lam): pair_morphism(j, i) for i, j, lam in _cells(cat)}
     fun = Functor(omap, mmap)
     return schemoid_morphism(sc, j_image, fun)
 
@@ -300,13 +304,7 @@ def sc_functor(f_points: dict, source, target, z: int):
             raise NotSchemeMorphism(f"class {cls!r} maps into {len(images)} classes")
     cat = src_sc.category
     omap = {x: f_points[x] for x in cat.objects}
-    mmap = {}
-    for m in cat.morphism_ids:
-        if m.startswith("id_"):
-            mmap[m] = f"id_{f_points[cat.src(m)]}"
-        else:
-            i, j = cat.src(m), cat.tgt(m)
-            lam = m.rsplit("_", 1)[1]
-            mmap[m] = f"phi_{f_points[i]}_{f_points[j]}_{lam}"
+    mmap = {_cell_name(i, j, lam): _cell_name(f_points[i], f_points[j], lam)
+            for i, j, lam in _cells(cat)}
     fun = Functor(omap, mmap)
     return schemoid_morphism(src_sc, tgt_sc, fun)

@@ -183,6 +183,66 @@ def dense_cohomology_invariants(d_prev, d_n, dim_n, modulus):
     return quotient_invariants(ker, gens)
 
 
+def solve_mod(a, b, m):
+    """One solution x of a @ x = b (mod m), or None: the dense Smith-form
+    route, kept as the reference for the sparse schemoids.linalg.solve."""
+    from schemoids.linalg import smith_normal_form
+
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    d, u, v = smith_normal_form(a)
+    c = [sum(uij * bj for uij, bj in zip(row, b)) for row in u]
+    y = [0] * cols
+    for i in range(rows):
+        di = d[i][i] if i < cols else 0
+        ci = c[i] % m
+        g = gcd(di, m)
+        if ci % g:
+            return None
+        if i < cols and g != m:
+            mg = m // g
+            y[i] = (ci // g) * pow((di // g) % mg, -1, mg) % mg
+    return [sum(vij * yj for vij, yj in zip(row, y)) % m for row in v]
+
+
+def solve_scalars_backtracking(names, constraints, targets, p):
+    """Units lam (name -> 1..p-1) with prod_x lam_x^e_x * c_A = c_B mod p
+    for every constraint row e and target pair (c_A, c_B), by trying every
+    unit for each name in turn and pruning on fully assigned rows; None
+    when there are none.  The reference for the discrete-logarithm route
+    of schemoids.linalg.solve_multiplicative_mod."""
+    units = list(range(1, p))
+
+    def check_partial(assign):
+        for row, (ca, cb) in zip(constraints, targets):
+            prod = 1
+            ok = True
+            for x, e in zip(names, row):
+                if not e:
+                    continue
+                if x not in assign:
+                    ok = False
+                    break
+                prod = prod * pow(assign[x], e, p) % p
+            if ok and prod * ca % p != cb % p:
+                return False
+        return True
+
+    def extend(i, assign):
+        if i == len(names):
+            return dict(assign)
+        for u in units:
+            assign[names[i]] = u
+            if check_partial(assign):
+                got = extend(i + 1, assign)
+                if got is not None:
+                    return got
+            del assign[names[i]]
+        return None
+
+    return extend(0, {})
+
+
 def span_dimension_fractions(vectors):
     """Rank of a list of integer/Fraction vectors, exact elimination."""
     rows = [[Fraction(x) for x in v] for v in vectors]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from schemoids.algebra import (
     NotTerminal,
     PrimeField,
     Rationals,
+    SchemoidAlgebra,
     algebra_is_unital,
     category_algebra_dim,
     check_algebra_hom,
@@ -20,14 +22,22 @@ from schemoids.algebra import (
     schemoid_algebra,
     terwilliger,
     _assert_associative,
+    _solve_scalars,
     _sparse_rows,
+    _verify_scaled_iso,
 )
+from schemoids import corpus
 from schemoids.fincat import cyclic_group_table, terminal_category
 from schemoids.schemes import group_scheme, hamming, j_embed, validate_scheme
 from schemoids.schemoid import discrete_partition, verify_quasi_schemoid
 
 from test_schemoid import ex2_8, group_bullet
-from oracles import assert_associative_dense, matrix_algebra_closure_dim, mat_mul_int
+from oracles import (
+    assert_associative_dense,
+    mat_mul_int,
+    matrix_algebra_closure_dim,
+    solve_scalars_backtracking,
+)
 
 
 Q = Rationals()
@@ -197,6 +207,47 @@ def test_scaled_basis_iso_detects_scaling():
     assert lam["R0"] == 2  # a^2 = 2a on the diagonal-class triple
     for (s, t, m), v in alg.tensor.items():
         assert lam[s] * lam[t] * v == lam[m] * tensor2[(bij[s], bij[t], bij[m])]
+
+
+@cache
+def _small_corpus_schemoids():
+    built = [corpus.build(name) for name, entry in corpus.ENTRIES.items()
+             if entry.kind == "schemoid"]
+    return [qs for qs in built if len(qs.partition) <= 5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prime_scalar_solve_matches_backtracking(data):
+    """Over F2, F3, F5, F7 the scalars of scaled_basis_iso (discrete
+    logarithms, a linear solve over Z/(p-1)) against the backtracking
+    oracle: the same verdict, and every solution either returns passes
+    _verify_scaled_iso.  B is the block-sum algebra A of a corpus schemoid
+    with at most 5 blocks, rescaled by random units, so scalars exist; half
+    the time one constant is then multiplied by a further unit, so they may
+    not."""
+    qs = data.draw(st.sampled_from(_small_corpus_schemoids()))
+    ring = data.draw(st.sampled_from([PrimeField(p) for p in (2, 3, 5, 7)]))
+    p = ring.p
+    a = schemoid_algebra(qs, ring)
+    lam = {x: data.draw(st.integers(1, p - 1)) for x in a.basis}
+    tensor = {(s, t, m): c * lam[s] * lam[t] * ring.inv(lam[m]) % p
+              for (s, t, m), c in a.tensor.items()}
+    if tensor and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(tensor)))
+        tensor[key] = tensor[key] * data.draw(st.integers(2, p - 1) if p > 2 else st.just(1)) % p
+    b = SchemoidAlgebra(a.basis, tensor, ring, False, None, None)
+    bij = {x: x for x in a.basis}
+
+    names = list(a.basis)
+    constraints = [[(x == s) + (x == t) - (x == m) for x in names] for (s, t, m) in a.tensor]
+    targets = [(a.tensor[key], tensor[key]) for key in a.tensor]
+    want = solve_scalars_backtracking(names, constraints, targets, p)
+    got = _solve_scalars(a, b, bij)
+    assert (got is None) == (want is None)
+    for sol in (got, want):
+        if sol is not None:
+            assert _verify_scaled_iso(a, b, bij, sol)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,9 @@ def test_cohomology_rejects_invalid_modulus(capsys, tmp_path, modulus):
     assert code == 1 and out["error"] == "InvalidModulus"
 
 
-def test_admissible_cli(capsys, tmp_path):
+def admissible_inputs(capsys, tmp_path):
+    """Files for `admissible`: the e1 extension schemoid, the product base it
+    lies over, and the projection between them."""
     code, e1 = run_json(capsys, "examples", "e1_schemoid")
     src = write(tmp_path, "src.json", e1)
     code, base = run_json(capsys, "examples", "ex5_10_e1")
@@ -136,10 +138,34 @@ def test_admissible_cli(capsys, tmp_path):
     for o in src_bundle["category"]["objects"]:
         fun["objects"][o] = o
     ff = write(tmp_path, "fun.json", fun)
-    code, rep = run_json(capsys, "admissible", src, tgt, ff)
+    return src, tgt, ff
+
+
+def test_admissible_cli(capsys, tmp_path):
+    code, rep = run_json(capsys, "admissible", *admissible_inputs(capsys, tmp_path))
     assert code == 0
     assert rep["admissible"] and set(rep["multiplicities"].values()) == {2}
     assert rep["sum_identity"] is True
+
+
+def test_admissible_cli_reports_only_domain_errors(capsys, tmp_path, monkeypatch):
+    """A domain error in the multiplicity step is reported beside the
+    verdict; an internal error is not dressed up as one."""
+    from schemoids.admissible import NonConstantFiber
+
+    files = admissible_inputs(capsys, tmp_path)
+
+    def fails_with(err):
+        def multiplicities(phi):
+            raise err
+        return multiplicities
+
+    monkeypatch.setattr(cli, "multiplicities", fails_with(NonConstantFiber("uneven")))
+    code, rep = run_json(capsys, "admissible", *files)
+    assert code == 0 and rep["multiplicities_error"] == "uneven"
+    monkeypatch.setattr(cli, "multiplicities", fails_with(RuntimeError("internal")))
+    code, rep = run_json(capsys, "admissible", *files)
+    assert code == 1 and rep["error"] == "RuntimeError" and "admissible" not in rep
 
 
 def test_thicken_cli(capsys, tmp_path):
@@ -179,4 +205,10 @@ def test_usage_error_exit_2():
 def test_json_flag_removed():
     with pytest.raises(SystemExit) as err:
         cli.run(["--json", "examples", "--list"])
+    assert err.value.code == 2
+
+
+def test_seed_flag_removed():
+    with pytest.raises(SystemExit) as err:
+        cli.run(["--seed", "3", "examples", "--list"])
     assert err.value.code == 2

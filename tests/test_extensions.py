@@ -1,8 +1,11 @@
 import pytest
 
+from schemoids import corpus, extensions
 from schemoids.extensions import (
     BaseMismatch,
+    BaseNotConnectedGroupoid,
     Cochain2,
+    HypothesisFailed,
     InvalidModulus,
     NotACocycle,
     NotNormalized,
@@ -56,6 +59,18 @@ def z2_cocycle_on_product(base_cat):
         return (group_part(f) * group_part(g) % 2,)
 
     return fn
+
+
+def test_group_cocycle_pullback_reads_the_projection():
+    """The corpus cocycle, read through the second projection, equals the
+    value a.b read off the product morphism names."""
+    cat = product_base().category
+    fn = corpus.group_cocycle_pullback(cat)
+    by_name = z2_cocycle_on_product(cat)
+    assert all(fn(f, g) == by_name(f, g) for f, g in cat.compose)
+    assert {fn(f, g) for f, g in cat.compose} == {(0,), (1,)}
+    with pytest.raises(ValueError):
+        corpus.group_cocycle_pullback(zcat(2))
 
 
 def test_trivial_system_validates():
@@ -266,6 +281,55 @@ def test_lift_involution_nontrivial_cocycle():
         for t in base.block_names():
             for m in base.block_names():
                 assert schemoid.p(s, t, m) == 2 * base.p(s, t, m)
+
+
+@pytest.mark.parametrize("m, a, invertible", [(4, 2, False), (6, 3, False),
+                                               (4, 3, True), (6, 5, True)])
+def test_lift_refuses_non_invertible_transport(m, a, invertible):
+    """Over the arrow category x -f-> y, f_* = (a) on (Z/m)^1 is invertible
+    exactly when gcd(a, m) = 1; otherwise the lift is refused."""
+    base = corpus.build("ex2_8")
+    system = induced_system(base.category, m, {"x": 1, "y": 1},
+                            {"1_x": [[1]], "1_y": [[1]], "f": [[a]]})
+    ext = build_extension(base.category, system, zero_cochain2())
+    if invertible:
+        lifted = lift_schemoid(base, ext)
+        assert len(lifted.category.morphisms) == 3 * m
+    else:
+        with pytest.raises(HypothesisFailed, match="not invertible"):
+            lift_schemoid(base, ext)
+
+
+def test_lift_involution_rank_two_shear():
+    """Z/3 acting on (Z/3)^2 by a shear, whose inverse is not its transpose:
+    every lifted morphism gets its true inverse."""
+    base = group_bullet(3)
+    shear = {"0": [[1, 0], [0, 1]], "1": [[1, 1], [0, 1]], "2": [[1, 2], [0, 1]]}
+    system = induced_system(base.category, 3, {"*": 2}, shear)
+    lifted = lift_involution(base, build_extension(base.category, system, zero_cochain2()))
+    total, inverse = lifted.category, lifted.involution.functor.morphism_map
+    assert len(total.morphisms) == 27
+    for e in total.morphism_ids:
+        assert total.comp(e, inverse[e]) == total.identity[total.tgt(e)]
+
+
+def test_lift_involution_does_not_relabel_internal_errors(monkeypatch):
+    """Only NotInvertible reads as "base is not a groupoid"; any other error
+    propagates."""
+    def extension(qs):
+        return build_extension(qs.category, trivial_system(qs.category, 2), zero_cochain2())
+
+    arrow = corpus.build("ex2_8")
+    with pytest.raises(BaseNotConnectedGroupoid, match="not a groupoid"):
+        lift_involution(arrow, extension(arrow))
+
+    def broken(cat):
+        raise RuntimeError("internal")
+
+    monkeypatch.setattr(extensions, "as_groupoid", broken)
+    base = group_bullet(2)
+    with pytest.raises(RuntimeError, match="internal"):
+        lift_involution(base, extension(base))
 
 
 def test_every_extension_of_j_h22_splits():

@@ -9,6 +9,7 @@ from schemoids.fincat import (
     UndefinedComposite,
     as_groupoid,
     build_category,
+    connector_name,
     cyclic_group_table,
     disjoint_union,
     factorization_category,
@@ -113,6 +114,23 @@ def test_join_counts():
     g = one_object_group(*cyclic_group_table(2)).base
     jj = join(c, g)
     assert len(jj.morphisms) == len(c.morphisms) + len(g.morphisms) + len(c.objects) * len(g.objects)
+
+
+def test_join_with_comma_labels():
+    """Objects "x,y", "x" joined with "z", "y,z" used to name two connecting
+    morphisms "w[x,y,z]"; plain labels keep the "w[a,b]" ids."""
+    c = build_category(["x,y", "x"], [("1", "x,y", "x,y"), ("2", "x", "x")],
+                       {"x,y": "1", "x": "2"}, {})
+    d = build_category(["z", "y,z"], [("1", "z", "z"), ("2", "y,z", "y,z")],
+                       {"z": "1", "y,z": "2"}, {})
+    j = join(c, d)
+    assert len(set(j.morphism_ids)) == len(j.morphisms) == 8
+    assert j.hom("L.x,y", "R.z") == (connector_name("x,y", "z"),) == ("w[x\\,y,z]",)
+    assert j.hom("L.x", "R.y,z") == ("w[x,y\\,z]",)
+    assert validate_category(serialize(j)) == j
+    assert connector_name("a", "b") == "w[a,b]"
+    t = terminal_category()
+    assert join(t, t).hom("L.*", "R.*") == ("w[*,*]",)
 
 
 def test_join_g_gop():

@@ -1,12 +1,14 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from schemoids import linalg
 
-from oracles import dense_cohomology_invariants, kernel_lattice_mod, quotient_invariants
+from oracles import dense_cohomology_invariants, kernel_lattice_mod, quotient_invariants, solve_mod
 
 
 def check_snf(a):
@@ -37,19 +39,13 @@ def test_snf_random(a):
     check_snf(a)
 
 
-def test_solve_integer():
-    a = [[2, 0], [0, 3]]
-    assert linalg.solve_integer(a, [4, 9]) == [2, 3]
-    assert linalg.solve_integer(a, [1, 0]) is None
-
-
 def test_solve_mod():
     a = [[2]]
-    assert linalg.solve_mod(a, [1], 4) is None
-    x = linalg.solve_mod(a, [2], 4)
+    assert solve_mod(a, [1], 4) is None
+    x = solve_mod(a, [2], 4)
     assert x is not None and (2 * x[0] - 2) % 4 == 0
     a = [[1, 1], [0, 2]]
-    x = linalg.solve_mod(a, [3, 2], 6)
+    x = solve_mod(a, [3, 2], 6)
     assert x is not None
     assert (x[0] + x[1] - 3) % 6 == 0 and (2 * x[1] - 2) % 6 == 0
 
@@ -60,12 +56,12 @@ def test_solve_mod_p_matches_general():
     rows = linalg.sparse_rows(a)
     for p in (2, 3, 5):
         xp = linalg.solve(rows, b, 3, p)
-        assert xp is not None and linalg.solve_mod(a, b, p) is not None
+        assert xp is not None and solve_mod(a, b, p) is not None
         for row, bi in zip(a, b):
             assert (sum(r * x for r, x in zip(row, xp)) - bi) % p == 0
     # inconsistent over F_p: x0 + x1 = 1 and 2 x0 + 2 x1 = 0 when p != 2
     assert linalg.solve(linalg.sparse_rows([[1, 1], [2, 2]]), [1, 0], 2, 3) is None
-    assert linalg.solve_mod([[1, 1], [2, 2]], [1, 0], 3) is None
+    assert solve_mod([[1, 1], [2, 2]], [1, 0], 3) is None
 
 
 def test_solve_over_composite_moduli():
@@ -88,10 +84,41 @@ def test_solve_over_composite_moduli():
 def test_solve_matches_smith_route(a, b, m):
     b = b[:len(a)]
     x = linalg.solve(linalg.sparse_rows(a), b, 3, m)
-    assert (x is None) == (linalg.solve_mod(a, b, m) is None)
+    assert (x is None) == (solve_mod(a, b, m) is None)
     if x is not None:
         for row, bi in zip(a, b):
             assert (sum(r * xi for r, xi in zip(row, x)) - bi) % m == 0
+
+
+def test_first_singular():
+    assert linalg.first_singular([]) is None
+    assert linalg.first_singular([[[1, 2], [3, 4]]]) is None          # det -2
+    assert linalg.first_singular([[[1, 2], [3, 4]]], 4) == 0
+    assert linalg.first_singular([[[1, 2], [3, 4]]], 9) is None
+    assert linalg.first_singular([[[1]], [[2]], [[3]]], 6) == 1
+    assert linalg.first_singular([[[1, 2], [2, 4]]]) == 0            # rank 1 over Q
+    assert linalg.first_singular([[[1, 0]]]) == 0                    # not square
+    assert linalg.first_singular([[]], 4) is None                    # 0 x 0
+
+
+@st.composite
+def square_matrices(draw):
+    r = draw(st.integers(0, 3))
+    return [draw(st.lists(st.integers(-6, 6), min_size=r, max_size=r)) for _ in range(r)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(square_matrices(), min_size=1, max_size=3),
+       st.sampled_from([None, 2, 3, 4, 6, 8, 9, 12]))
+def test_first_singular_matches_determinant(mats, m):
+    """Invertible over Q exactly when det != 0, over Z/m exactly when
+    gcd(det, m) = 1; the determinant comes from sympy."""
+    def invertible(mat):
+        det = int(sympy.Matrix(len(mat), len(mat), [x for row in mat for x in row]).det())
+        return det != 0 if m is None else gcd(det, m) == 1
+
+    want = next((i for i, mat in enumerate(mats) if not invertible(mat)), None)
+    assert linalg.first_singular(mats, m) == want
 
 
 def test_kernel_and_quotient():
@@ -151,6 +178,19 @@ def test_multiplicative_solver():
     # underdetermined: x0 * x1 = 6 has some solution
     sol = linalg.solve_multiplicative([[1, 1]], [Fraction(6)])
     assert sol is not None and sol[0] * sol[1] == 6
+
+
+def test_multiplicative_solver_mod_p():
+    # x0^2 = 2 mod 7 (2 = 3^2) has a solution; x0^2 = 3 mod 7 has none
+    sol = linalg.solve_multiplicative_mod([[2]], [2], 1, 7)
+    assert sol is not None and sol[0] ** 2 % 7 == 2
+    assert linalg.solve_multiplicative_mod([[2]], [3], 1, 7) is None
+    # x0*x1 = 4, x1/x0 = 1 mod 5 -> x0 = x1 in {2, 3}
+    sol = linalg.solve_multiplicative_mod([[1, 1], [-1, 1]], [4, 1], 2, 5)
+    assert sol is not None and sol[0] == sol[1] and sol[0] * sol[1] % 5 == 4
+    # no equations: every unknown is 1; over F_2 every unit is 1
+    assert linalg.solve_multiplicative_mod([], [], 2, 5) == [1, 1]
+    assert linalg.solve_multiplicative_mod([[1, 1]], [1], 2, 2) == [1, 1]
 
 
 def test_prime_check():

@@ -180,9 +180,37 @@ def test_involution_constant_symmetry():
             assert qs.p(img[tau], img[sigma], img[mu]) == v
 
 
+def test_schemoid_join_with_comma_labels():
+    """One singleton block per connecting morphism, named as join names it;
+    "x,y" -> "z" and "x" -> "y,z" used to share the name "w[x,y,z]"."""
+    def discrete(objects):
+        cat = build_category(objects, [(f"1{x}", x, x) for x in objects],
+                             {x: f"1{x}" for x in objects}, {})
+        return verify_quasi_schemoid(cat, discrete_partition(cat))
+
+    joined = schemoid_join(discrete(["x,y", "x"]), discrete(["z", "y,z"]))
+    assert joined.partition.blocks["w[x\\,y,z]"] == {"w[x\\,y,z]"}
+    assert joined.partition.blocks["w[x,y\\,z]"] == {"w[x,y\\,z]"}
+    assert len(joined.partition) == 8
+
+
 def test_thinness_ex2_8_not_semithin():
     report = analyze_thinness(ex2_8())
     assert report.unital and not report.groupoid_with_t_inverse and not report.semi_thin
+    assert report.witness == "underlying category is not a groupoid"
+
+
+def test_thinness_does_not_relabel_internal_errors(monkeypatch):
+    """Only NotInvertible reads as "not a groupoid"; any other error
+    propagates."""
+    from schemoids import schemoid
+
+    def broken(cat):
+        raise RuntimeError("internal")
+
+    monkeypatch.setattr(schemoid, "as_groupoid", broken)
+    with pytest.raises(RuntimeError, match="internal"):
+        analyze_thinness(group_bullet(2))
 
 
 def test_product_of_schemoids():

@@ -222,3 +222,32 @@ def test_thickened_category_revalidates():
     s = hamming(2, 2)
     sc = thicken_scheme(s, 2)
     assert validate_category(serialize(sc.category)) == sc.category
+
+
+def test_thicken_labels_with_underscores():
+    """Points whose ids used to collide ("phi_a_b_c_0" named two morphisms)."""
+    rel = [[0 if x == y else 1 for y in range(4)] for x in range(4)]
+    points = ["a_b", "c", "a", "b_c"]
+    s = validate_scheme(4, rel, points=points)
+    sc = thicken_scheme(s, 1)
+    cat = sc.category
+    assert len(set(cat.morphism_ids)) == len(cat.morphisms) == 20
+    assert cat.hom("a_b", "c") == ("phi_a\\_b_c_0",) and cat.hom("a", "b_c") == ("phi_a_b\\_c_0",)
+    assert validate_category(serialize(cat)) == cat
+    involution = thicken_involution(sc, s, 1).involution
+    assert involution.functor.morphism_map["phi_a\\_b_c_0"] == "phi_c_a\\_b_0"
+    phi = projection_phi(sc, s, j_embed(s))
+    assert phi.functor.morphism_map["id_a\\_b"] == phi.functor.morphism_map["phi_a\\_b_a\\_b_0"]
+    swap = {"a_b": "b_c", "b_c": "a_b", "a": "c", "c": "a"}
+    image = sc_functor(swap, (s, sc), (s, sc), 1)
+    assert image.functor.morphism_map["phi_a\\_b_c_0"] == "phi_b\\_c_a_0"
+
+
+def test_thicken_ids_of_plain_and_backslash_labels():
+    """Plain labels keep their ids; a backslash is escaped too."""
+    sc = thicken_scheme(hamming(2, 2), 2)
+    assert "id_00" in sc.category.morphism_ids and "phi_00_01_1" in sc.category.morphism_ids
+    framed = category_from_matrix([[2, 1], [0, 2]], labels=["x\\", "x\\_"])
+    assert set(framed.category.morphism_ids) == {
+        "id_x\\\\", "id_x\\\\\\_", "phi_x\\\\_x\\\\_0", "phi_x\\\\\\__x\\\\\\__0",
+        "phi_x\\\\_x\\\\\\__0"}
