@@ -18,14 +18,20 @@ of the structure-constant tensor alone can exist over Q even for a
 non-unital schemoid (a single-block group already shows this), so tensor
 unit existence and subalgebra unitality are reported separately.
 
+Over Q the structure constants are integers, and so are the entries of
+the generators a closure starts from, up to a common denominator.  The
+associativity check, the unit solve and the closure therefore run on
+integers (residues mod p over F_p), through the one exact elimination of
+`linalg`; `Fraction` values appear only in the objects returned.
+
 Generated subalgebras (the Terwilliger algebra) are closed semi-naively.
-A fully reduced echelon basis grows one residue at a time: each generator
-and each product is reduced against the basis, and a nonzero residue is
-added and waits.  A waiting residue is multiplied, on both sides, with
-itself and with every residue taken before it.  When none is waiting,
-every product of two inserted residues has been reduced into the span; the
-residues span it, so by bilinearity the span is closed under
-multiplication.
+The pivot rows of one elimination grow one row at a time: each generator
+and each product is reduced against them, and a nonzero residue becomes a
+pivot row, its pivot its first column in morphism order, and waits.  A
+waiting row is multiplied, on both sides, with itself and with every row
+taken before it.  When none is waiting, every product of two pivot rows has
+been reduced into the span; the rows span it, so by bilinearity the span is
+closed under multiplication.  Back substitution then gives the basis.
 """
 
 from __future__ import annotations
@@ -35,7 +41,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import is_prime, solve_multiplicative, solve_multiplicative_mod
+from .linalg import (
+    _Echelon,
+    _eliminate,
+    _rows_over,
+    is_prime,
+    solve_multiplicative,
+    solve_multiplicative_mod,
+)
 from .schemoid import QuasiSchemoid, is_unital
 
 
@@ -57,6 +70,7 @@ class HomCheckFailed(AlgebraError):
 
 class Rationals:
     characteristic = 0
+    p = None            # eliminations over Q run on integer rows, with no modulus
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -111,7 +125,7 @@ def ring_from_name(name: str):
 
 
 def _normalize(ring, x):
-    return x % ring.p if isinstance(ring, PrimeField) else x
+    return x % ring.p if ring.p else x
 
 
 def _sparse_rows(tensor, ring) -> dict:
@@ -166,16 +180,17 @@ def category_algebra_dim(cat) -> int:
 
 
 def schemoid_algebra(qs: QuasiSchemoid, ring) -> SchemoidAlgebra:
-    """Block-sum subalgebra of the category algebra, with tensor checks."""
+    """Block-sum subalgebra of the category algebra, with tensor checks.
+
+    The checks run on the integer constants, reduced mod p over F_p; they
+    become ring elements only in the stored tensor.
+    """
     basis = tuple(qs.partition.names())
-    tensor = {}
-    for (sigma, tau, mu), p in qs.constants.entries.items():
-        coeff = ring.from_int(p)
-        if coeff != ring.zero:
-            tensor[(sigma, tau, mu)] = coeff
-    rows = _sparse_rows(tensor, ring)
+    rows = _sparse_rows(qs.constants.entries, ring)
     _assert_associative(basis, rows, ring)
     unital_flag, unit, tensor_unit = _unit_analysis(qs, basis, rows, ring)
+    tensor = {key: ring.from_int(c) for key, c in qs.constants.entries.items()
+              if _normalize(ring, c)}
     return SchemoidAlgebra(basis, tensor, ring, unital_flag, unit, tensor_unit)
 
 
@@ -242,37 +257,6 @@ def _identity_sum_coords(qs, basis, ring):
     return coords
 
 
-def _solve_tensor_unit(basis, rows, ring):
-    """Intersect the left-unit and right-unit linear systems.
-
-    Left unit: sum_sigma c^mu_{sigma tau} u_sigma = delta_{mu tau}; right
-    unit: sum_tau c^mu_{sigma tau} u_tau = delta_{mu sigma}.  Equations are
-    sparse rows over the unknowns plus the right-hand side, keyed by None
-    and ordered last, so a pivot on None means the system is inconsistent.
-    With free unknowns set to 0, the solution is read off the reduced rows.
-    """
-    left: dict[tuple, dict] = {}
-    right: dict[tuple, dict] = {}
-    for (sigma, tau), row in rows.items():
-        for mu, c in row.items():
-            left.setdefault((tau, mu), {})[sigma] = c
-            right.setdefault((sigma, mu), {})[tau] = c
-    for x in basis:
-        for system in (left, right):
-            if (x, x) not in system:
-                return None     # the equation reads 0 = 1
-            system[(x, x)][None] = ring.one
-    pos = {b: i for i, b in enumerate(basis)}
-    pos[None] = len(basis)
-    pivots: dict = {}
-    for system in (left, right):
-        for eq in system.values():
-            _insert(pivots, eq, pos, ring)
-            if None in pivots:
-                return None
-    return {b: pivots[b][None] for b in basis if b in pivots and pivots[b].get(None)}
-
-
 def algebra_is_unital(alg: SchemoidAlgebra, qs: QuasiSchemoid) -> bool:
     """Subalgebra unitality, cross-checked against the combinatorial test."""
     combinatorial, _ = is_unital(qs.category, qs.partition)
@@ -284,49 +268,41 @@ def algebra_is_unital(alg: SchemoidAlgebra, qs: QuasiSchemoid) -> bool:
 # ---------------------------------------------------------------------------
 # Reduced echelon form over a field
 # ---------------------------------------------------------------------------
+# Every elimination here is linalg._Echelon with p = ring.p: over Q on
+# integer rows divided by their content, over F_p on residues mod p.  Its
+# back substitution gives the reduced echelon form, which is unique: pivot
+# entry 1 and each pivot column zero in every other row, with Fraction
+# entries over Q.
 
-def _reduce(pivots: dict, vec: dict, ring) -> dict:
-    """Residue of vec modulo the span of a fully reduced echelon basis.
+def _solve_tensor_unit(basis, rows, ring):
+    """Intersect the left-unit and right-unit linear systems.
 
-    pivots maps each pivot key to its row: the pivot coefficient is 1 and
-    the pivot column is zero in every other row.  Subtracting one row thus
-    never changes the coefficient of another pivot, so one pass over the
-    pivots that vec holds reduces it.  The residue is {} when vec lies in
-    the span.
+    Left unit: sum_sigma c^mu_{sigma tau} u_sigma = delta_{mu tau}; right
+    unit: sum_tau c^mu_{sigma tau} u_tau = delta_{mu sigma}.  Equations are
+    sparse rows over the unknowns, numbered in basis order, with the
+    right-hand side as the last column; an equation that comes down to its
+    right-hand side alone makes the system inconsistent.  With free unknowns
+    set to 0, the solution is read off the reduced echelon form.  A
+    two-sided unit is unique, so any solution is the unit.
     """
-    out = {k: y for k, x in vec.items() if (y := _normalize(ring, x))}
-    for k in [k for k in out if k in pivots]:
-        _subtract(out, out[k], pivots[k], ring)
-    return out
-
-
-def _subtract(target: dict, f, row: dict, ring) -> None:
-    """target -= f * row in place, dropping the entries that become zero."""
-    for m, y in row.items():
-        z = _normalize(ring, target.get(m, 0) - f * y)
-        if z:
-            target[m] = z
-        else:
-            del target[m]
-
-
-def _insert(pivots: dict, vec: dict, pos: dict, ring) -> dict | None:
-    """Add vec to the span, keeping the basis fully reduced.
-
-    Returns the residue of vec, or None when vec already lies in the span.
-    The new row's pivot is its first key in the order given by pos.
-    """
-    residue = _reduce(pivots, vec, ring)
-    if not residue:
+    index = {b: i for i, b in enumerate(basis)}
+    rhs = len(basis)
+    left: dict[tuple, dict] = {}
+    right: dict[tuple, dict] = {}
+    for (sigma, tau), row in rows.items():
+        for mu, c in row.items():
+            left.setdefault((tau, mu), {})[index[sigma]] = c
+            right.setdefault((sigma, mu), {})[index[tau]] = c
+    for x in basis:
+        for system in (left, right):
+            if (x, x) not in system:
+                return None     # the equation reads 0 = 1
+            system[(x, x)][rhs] = 1
+    equations = _rows_over([*left.values(), *right.values()], ring.p)
+    ech = _eliminate(equations, ring.p, 1, rhs=rhs)
+    if ech is None:
         return None
-    pivot = min(residue, key=pos.__getitem__)
-    inv = ring.inv(residue[pivot])
-    row = {k: _normalize(ring, x * inv) for k, x in residue.items()}
-    for other in pivots.values():
-        if pivot in other:
-            _subtract(other, other[pivot], row, ring)
-    pivots[pivot] = row
-    return residue
+    return {basis[j]: row[rhs] for j, row in ech.back_substitute().items() if rhs in row}
 
 
 # ---------------------------------------------------------------------------
@@ -360,38 +336,53 @@ class CategoryAlgebraClosure:
                     h = comp.get((f, g))
                     if h is not None:
                         out[h] = out.get(h, 0) + a * b
-        return {k: y for k, x in out.items() if (y := _normalize(self.ring, x))}
+        p = self.ring.p
+        return {k: y for k, x in out.items() if (y := x % p if p else x)}
 
     def contains(self, vec: dict) -> bool:
+        """vec lies in the span.  One pass over the basis reduces it: each
+        row, taken at its pivot, leaves the coefficients at the other pivots
+        as they are, since the basis is fully reduced."""
+        ring = self.ring
         pos = {m: i for i, m in enumerate(self.order)}
-        pivots = {min(b, key=pos.__getitem__): b for b in self.basis}
-        return not _reduce(pivots, vec, self.ring)
+        rest = {k: _normalize(ring, x) for k, x in vec.items()}
+        for row in self.basis:
+            f = rest.get(min(row, key=pos.__getitem__))
+            if f:
+                for m, y in row.items():
+                    rest[m] = _normalize(ring, rest.get(m, 0) - f * y)
+        return not any(rest.values())
 
 
 def span_closure(cat, ring, generators: list[dict]) -> CategoryAlgebraClosure:
     """Close the span of generators under category-algebra multiplication."""
     order = tuple(cat.morphism_ids)
-    pos = {m: i for i, m in enumerate(order)}
+    column = {m: i for i, m in enumerate(order)}
     closure = CategoryAlgebraClosure(cat, ring, order, [])
-    pivots: dict[str, dict] = {}
-    waiting: deque[dict] = deque()      # inserted residues not yet multiplied
-    done: list[dict] = []               # residues multiplied with each other
+    ech = _Echelon(ring.p, 1)
+    waiting: deque[dict] = deque()      # pivot rows not yet multiplied
+    done: list[dict] = []               # pivot rows multiplied with each other
 
-    def add(vec):
-        residue = _insert(pivots, vec, pos, ring)
-        if residue:
-            waiting.append(residue)
+    def add(row):
+        ech.reduce(row)
+        if row:
+            ech.add(row, min(row), 0)
+            waiting.append({order[c]: x for c, x in row.items()})
 
-    for g in generators:
-        add(g)
+    def add_product(u, v):
+        add({column[m]: x for m, x in closure.multiply(u, v).items()})
+
+    for row in _rows_over([{column[m]: x for m, x in g.items()} for g in generators], ring.p):
+        add(row)
     while waiting:
         new = waiting.popleft()
         done.append(new)
         for old in done:
-            add(closure.multiply(new, old))
+            add_product(new, old)
             if old is not new:
-                add(closure.multiply(old, new))
-    closure.basis = [pivots[k] for k in sorted(pivots, key=pos.__getitem__)]
+                add_product(old, new)
+    closure.basis = [{order[c]: x for c, x in row.items()}
+                     for row in ech.back_substitute().values()]
     return closure
 
 
@@ -441,15 +432,17 @@ class AlgebraMap:
     target: SchemoidAlgebra
     matrix: dict[tuple[str, str], object]   # (target basis, source basis) -> coefficient
 
+    @cached_property
+    def columns(self) -> dict:
+        """source basis element -> {target basis element: coefficient}."""
+        cols: dict[str, dict] = {}
+        for (t, s), coeff in self.matrix.items():
+            cols.setdefault(s, {})[t] = coeff
+        return cols
+
     def apply(self, u: dict) -> dict:
-        ring = self.target.ring
-        out: dict[str, object] = {}
-        for s, a in u.items():
-            for t in self.target.basis:
-                coeff = self.matrix.get((t, s))
-                if coeff:
-                    out[t] = _normalize(ring, out.get(t, ring.zero) + a * coeff)
-        return {k: v for k, v in out.items() if v != ring.zero}
+        columns = self.columns
+        return _combination(((a, columns.get(s)) for s, a in u.items()), self.target.ring)
 
     def is_zero(self) -> bool:
         return all(v == self.target.ring.zero for v in self.matrix.values())
@@ -460,12 +453,12 @@ def check_algebra_hom(amap: AlgebraMap, a: SchemoidAlgebra, b: SchemoidAlgebra):
 
     Returns (True, None) or (False, witness pair).
     """
+    one = a.ring.one
+    image = {sigma: amap.apply({sigma: one}) for sigma in a.basis}
     for sigma in a.basis:
         for tau in a.basis:
-            prod = a.multiply({sigma: a.ring.one}, {tau: a.ring.one})
-            lhs = amap.apply(prod)
-            rhs = b.multiply(amap.apply({sigma: a.ring.one}), amap.apply({tau: a.ring.one}))
-            if lhs != rhs:
+            lhs = amap.apply(a.multiply({sigma: one}, {tau: one}))
+            if lhs != b.multiply(image[sigma], image[tau]):
                 return False, (sigma, tau)
     if a.unital and b.unital:
         if amap.apply(a.unit) != b.unit:
@@ -567,7 +560,7 @@ def _solve_scalars(a, b, bij):
         targets.append((ca, cb))
     if isinstance(a.ring, Rationals):
         ratio = [Fraction(cb) / Fraction(ca) for ca, cb in targets]
-        sol = solve_multiplicative(constraints, ratio)
+        sol = solve_multiplicative(constraints, ratio, len(a.basis))
         if sol is None or any(x == 0 for x in sol):
             return None
         return {x: sol[index[x]] for x in a.basis}

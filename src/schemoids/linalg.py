@@ -194,6 +194,9 @@ class _Echelon:
     is divisible by p^u, u being the valuation of the pivot entry.  A row is
     reduced against the pivots of its columns earliest first; subtracting a
     pivot row only brings in columns of later pivots, so the reduction ends.
+
+    Over a field (Q, or k = 1), `back_substitute` turns the pivot rows into
+    the reduced echelon form of their span, which is unique.
     """
 
     def __init__(self, p: int | None, k: int):
@@ -260,6 +263,34 @@ class _Echelon:
         self.valuation[col] = u
         self.power[col] = power
         self.unit_inv[col] = unit_inv
+
+    def back_substitute(self) -> dict[int, dict]:
+        """The reduced echelon form over a field (Q, or F_p with k = 1): pivot
+        column -> row, in increasing column order, each row with pivot entry
+        1 and no entry in any other pivot column.  Entries are Fractions
+        over Q and residues mod p over F_p.
+
+        The rows go, latest pivot first, into a fresh elimination with the
+        same pivots.  The other pivot columns of row j belong to pivots taken
+        after j, whose rows are fully reduced by then; clearing them brings in
+        no pivot column, and none of those rows has an entry in column j,
+        which was a pivot before them.  So every row ends fully reduced.
+        """
+        ech = _Echelon(self.p, 1)
+        for col in reversed(self.rows):
+            row = dict(self.rows[col])
+            ech.reduce(row)
+            ech.add(row, col, 0)
+        out = {}
+        for col in sorted(ech.rows):
+            row = ech.rows[col]
+            if self.q is None:
+                d = row[col]
+                out[col] = {c: Fraction(x, d) for c, x in row.items()}
+            else:
+                inv = ech.unit_inv[col]
+                out[col] = {c: x * inv % self.q for c, x in row.items()}
+        return out
 
     def solution(self, rhs: int) -> dict[int, int] | None:
         """Back substitution, latest pivot first; free unknowns are 0."""
@@ -491,26 +522,27 @@ def _fraction_root(q: Fraction, k: int) -> Fraction | None:
     return root
 
 
-def solve_multiplicative(exponents: Matrix, targets: list[Fraction]) -> list[Fraction] | None:
-    """Solve prod_j x_j**e_tj = r_t over the multiplicative group Q*.
+def solve_multiplicative(exponents: Matrix, targets: list[Fraction],
+                         ncols: int) -> list[Fraction] | None:
+    """Solve prod_j x_j**e_tj = r_t over the multiplicative group Q*, for
+    ncols unknowns; None when there is no solution.
 
     Solvability is decided through the Smith normal form of the exponent
     matrix; roots are extracted by factoring the (small) rationals involved.
     """
     rows = len(exponents)
-    cols = len(exponents[0]) if rows else 0
     if rows == 0:
-        return [Fraction(1)] * cols
+        return [Fraction(1)] * ncols
     d, u, v = smith_normal_form(exponents)
     # transformed targets r'_i = prod_t r_t ** u[i][t]
-    y = [Fraction(1)] * cols
+    y = [Fraction(1)] * ncols
     for i in range(rows):
         ri = Fraction(1)
         for t in range(rows):
             e = u[i][t]
             if e:
                 ri *= targets[t] ** e
-        di = d[i][i] if i < cols else 0
+        di = d[i][i] if i < ncols else 0
         if di:
             root = _fraction_root(ri, di)
             if root is None:
@@ -518,9 +550,9 @@ def solve_multiplicative(exponents: Matrix, targets: list[Fraction]) -> list[Fra
             y[i] = root
         elif ri != 1:
             return None
-    x = [Fraction(1)] * cols
-    for j in range(cols):
-        for i in range(cols):
+    x = [Fraction(1)] * ncols
+    for j in range(ncols):
+        for i in range(ncols):
             e = v[j][i]
             if e:
                 x[j] *= y[i] ** e

@@ -402,3 +402,118 @@ def validate_category_dense(raw):
                 if lhs != rhs:
                     raise NonAssociative(e, f, g, lhs, rhs)
     return compose
+
+
+# Fraction route for the algebras over a field, kept as the reference for the
+# integer elimination of schemoids.algebra (linalg._Echelon and its back
+# substitution).
+
+class ReducedEchelon:
+    """Fully reduced echelon basis over Q (Fraction entries, p None) or F_p,
+    grown one vector at a time.
+
+    pivots maps each pivot key to its row: the pivot coefficient is 1 and
+    the pivot column is zero in every other row, so one pass over the
+    pivots a vector holds reduces it.  A new row's pivot is its first key in
+    the order given by pos.
+    """
+
+    def __init__(self, p, pos):
+        self.p = p
+        self.pos = pos
+        self.pivots = {}
+
+    def _norm(self, x):
+        return x % self.p if self.p else Fraction(x)
+
+    def _subtract(self, target, f, row):
+        for m, y in row.items():
+            z = self._norm(target.get(m, 0) - f * y)
+            if z:
+                target[m] = z
+            else:
+                del target[m]
+
+    def residue(self, vec):
+        out = {k: y for k, x in vec.items() if (y := self._norm(x))}
+        for k in [k for k in out if k in self.pivots]:
+            self._subtract(out, out[k], self.pivots[k])
+        return out
+
+    def insert(self, vec):
+        """Add vec to the span; its residue, or None when it lies in the span."""
+        residue = self.residue(vec)
+        if not residue:
+            return None
+        pivot = min(residue, key=self.pos.__getitem__)
+        inv = pow(residue[pivot], -1, self.p) if self.p else 1 / residue[pivot]
+        row = {k: self._norm(x * inv) for k, x in residue.items()}
+        for other in self.pivots.values():
+            if pivot in other:
+                self._subtract(other, other[pivot], row)
+        self.pivots[pivot] = row
+        return residue
+
+    def basis(self):
+        return [self.pivots[k] for k in sorted(self.pivots, key=self.pos.__getitem__)]
+
+
+def span_closure_fractions(cat, ring, generators):
+    """Reduced echelon basis, sorted by pivot in morphism order, of the
+    subalgebra of the category algebra generated by the given vectors.
+
+    The reference for schemoids.algebra.span_closure: the same semi-naive
+    loop (each inserted residue multiplied on both sides with itself and
+    every earlier residue) on a Fraction echelon, with products taken
+    pair by pair from the composition table.
+    """
+    p = getattr(ring, "p", None)
+    echelon = ReducedEchelon(p, {m: i for i, m in enumerate(cat.morphism_ids)})
+
+    def multiply(u, v):
+        out = {}
+        for f, a in u.items():
+            for g, b in v.items():
+                h = cat.compose.get((f, g))
+                if h is not None:
+                    out[h] = out.get(h, 0) + a * b
+        return out
+
+    residues = [r for g in generators if (r := echelon.insert(g))]
+    i = 0
+    while i < len(residues):
+        new = residues[i]
+        for old in residues[:i + 1]:
+            for prod in (multiply(new, old), multiply(old, new)):
+                if (r := echelon.insert(prod)):
+                    residues.append(r)
+        i += 1
+    return echelon.basis()
+
+
+def solve_tensor_unit_fractions(basis, tensor, ring):
+    """The two-sided unit of a structure-constant tensor, or None.
+
+    tensor maps (sigma, tau, mu) to c^mu_{sigma tau}.  The left-unit and
+    right-unit equations go into one Fraction echelon with the right-hand
+    side, keyed None, ordered last; a pivot on None means no solution, and
+    free unknowns are 0.  The reference for
+    schemoids.algebra._solve_tensor_unit.
+    """
+    p = getattr(ring, "p", None)
+    left, right = {}, {}
+    for (sigma, tau, mu), c in tensor.items():
+        left.setdefault((tau, mu), {})[sigma] = c
+        right.setdefault((sigma, mu), {})[tau] = c
+    pos = {b: i for i, b in enumerate(basis)}
+    pos[None] = len(basis)
+    echelon = ReducedEchelon(p, pos)
+    for x in basis:
+        for system in (left, right):
+            system.setdefault((x, x), {})[None] = 1
+    for system in (left, right):
+        for eq in system.values():
+            echelon.insert(eq)
+            if None in echelon.pivots:
+                return None
+    return {b: row[None] for b, row in echelon.pivots.items() if row.get(None)}

@@ -20,23 +20,30 @@ from schemoids.algebra import (
     ring_from_name,
     scaled_basis_iso,
     schemoid_algebra,
+    span_closure,
     terwilliger,
     _assert_associative,
     _solve_scalars,
+    _solve_tensor_unit,
     _sparse_rows,
     _verify_scaled_iso,
 )
 from schemoids import corpus
-from schemoids.fincat import cyclic_group_table, terminal_category
+from schemoids.admissible import induced_algebra_map
+from schemoids.fincat import cyclic_group_table, one_object_group, terminal_category
 from schemoids.schemes import group_scheme, hamming, j_embed, validate_scheme
 from schemoids.schemoid import discrete_partition, verify_quasi_schemoid
+from schemoids.thicken import projection_phi, thicken_scheme
 
+from test_properties import small_categories
 from test_schemoid import ex2_8, group_bullet
 from oracles import (
     assert_associative_dense,
     mat_mul_int,
     matrix_algebra_closure_dim,
     solve_scalars_backtracking,
+    solve_tensor_unit_fractions,
+    span_closure_fractions,
 )
 
 
@@ -173,6 +180,26 @@ def test_check_algebra_hom_identity_and_zero():
     nonunital = schemoid_algebra(group_bullet(2), Q)
     zero = AlgebraMap(nonunital, nonunital, {})
     assert check_algebra_hom(zero, nonunital, nonunital) == (True, None)
+
+
+def test_check_algebra_hom_first_witness_in_basis_order():
+    """On the group ring of Z/4, 0, 1, 2, 3 -> 0, 1, 2, 1 keeps every square
+    (1 + 1 = 2, 3 + 3 = 2) but not 1 + 2 = 3.  Scanning sigma before tau,
+    the first failing pair is (1, 2); tau before sigma would meet (2, 1)."""
+    g = one_object_group(*cyclic_group_table(4)).base
+    alg = schemoid_algebra(verify_quasi_schemoid(g, discrete_partition(g)), Q)
+    assert alg.basis == ("0", "1", "2", "3")
+    image = {"0": "0", "1": "1", "2": "2", "3": "1"}
+    amap = AlgebraMap(alg, alg, {(image[s], s): Q.one for s in alg.basis})
+    assert check_algebra_hom(amap, alg, alg) == (False, ("1", "2"))
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeField(3)], ids=repr)
+def test_scaled_basis_iso_of_zero_algebra(ring):
+    """The one-dimensional algebra with no nonzero constant: no scalar is
+    constrained, so every unknown is 1."""
+    zero = SchemoidAlgebra(("a",), {}, ring, False, None, None)
+    assert scaled_basis_iso(zero, zero) == ({"a": "a"}, {"a": 1})
 
 
 def test_scaled_basis_iso_self():
@@ -394,3 +421,90 @@ def test_terwilliger_hamming_matches_oracles(n, q, closed_form):
         assert all(clo.contains(clo.multiply(u, v)) for u in clo.basis for v in clo.basis)
         assert not all(clo.contains({m: ring.one}) for m in clo.order)
 
+
+# ---------------------------------------------------------------------------
+# Integer elimination against the Fraction references
+# ---------------------------------------------------------------------------
+
+CLOSURE_RINGS = (Q, PrimeField(2), PrimeField(3), PrimeField(5))
+
+
+@cache
+def _jh22_category():
+    return j_embed(hamming(2, 2)).category
+
+
+def _generator_sets(cat, coefficients):
+    vector = st.dictionaries(st.sampled_from(cat.morphism_ids), coefficients,
+                             min_size=1, max_size=4)
+    return st.lists(vector, min_size=1, max_size=3)
+
+
+def _coefficients(ring):
+    """Over Q, integers and Fractions; over F_p, unreduced integers."""
+    if ring == Q:
+        return st.sampled_from([Fraction(x) for x in (1, -1, 2, 0)] + [Fraction(1, 2), Fraction(-2, 3)])
+    return st.integers(-3, 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_closure_matches_fraction_oracle(data):
+    """The closure basis over Q, F2, F3 and F5 is the reduced echelon basis
+    the Fraction closure builds, entry for entry and in the same order."""
+    ring = data.draw(st.sampled_from(CLOSURE_RINGS))
+    cat = data.draw(st.one_of(small_categories(), st.builds(_jh22_category)))
+    gens = data.draw(_generator_sets(cat, _coefficients(ring)))
+    got = span_closure(cat, ring, gens).basis
+    assert got == span_closure_fractions(cat, ring, gens)
+    if ring == Q:
+        assert all(isinstance(x, Fraction) for row in got for x in row.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_closure_dimension_over_Q_and_a_large_prime(data):
+    """Integer generators span closures of the same dimension over Q and
+    over F_(2^31 - 1)."""
+    cat = data.draw(st.one_of(small_categories(), st.builds(_jh22_category)))
+    gens = data.draw(_generator_sets(cat, st.integers(-2, 2)))
+    assert (span_closure(cat, Q, gens).dimension
+            == span_closure(cat, PrimeField(2 ** 31 - 1), gens).dimension)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tensors())
+def test_tensor_unit_matches_fraction_oracle(case):
+    """The integer unit solve and the Fraction reference find the same
+    two-sided unit, or agree that there is none."""
+    basis, tensor, ring = case
+    assert (_solve_tensor_unit(basis, _sparse_rows(tensor, ring), ring)
+            == solve_tensor_unit_fractions(basis, tensor, ring))
+
+
+def _terminal_objects(cat):
+    return [e for e in cat.objects if all(len(cat.hom(x, e)) == 1 for x in cat.objects)]
+
+
+def test_values_over_Q_are_fractions():
+    """Over Q every coefficient handed out is a Fraction, never an int: the
+    algebra's tensor, unit and tensor unit, Terwilliger bases and the
+    matrices of induced maps.  An int would print, hash and serialize
+    differently."""
+    h22 = hamming(2, 2)
+    thick = [thicken_scheme(h22, z) for z in range(1, 5)]
+    family = ([corpus.build(name) for name, entry in corpus.ENTRIES.items()
+               if entry.kind == "schemoid"]
+              + thick + [j_embed(hamming(n, 2)) for n in range(1, 5)])
+    values = []
+    for qs in family:
+        alg = schemoid_algebra(qs, Q)
+        values += alg.tensor.values()
+        values += (alg.unit or {}).values()
+        values += (alg.tensor_unit or {}).values()
+        for e in _terminal_objects(qs.category)[:1]:
+            values += [x for row in terwilliger(qs, e, Q).basis for x in row.values()]
+    j22 = j_embed(h22)
+    for sc in thick:
+        values += induced_algebra_map(projection_phi(sc, h22, j22), Q).matrix.values()
+    assert values and all(isinstance(x, Fraction) for x in values)

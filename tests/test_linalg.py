@@ -171,12 +171,12 @@ def test_rank():
 def test_multiplicative_solver():
     # x0*x1 = 4, x1/x0 = 1 -> x0 = x1 = 2
     exps = [[1, 1], [-1, 1]]
-    sol = linalg.solve_multiplicative(exps, [Fraction(4), Fraction(1)])
+    sol = linalg.solve_multiplicative(exps, [Fraction(4), Fraction(1)], 2)
     assert sol == [Fraction(2), Fraction(2)]
     # x0^2 = 2 has no rational solution
-    assert linalg.solve_multiplicative([[2]], [Fraction(2)]) is None
+    assert linalg.solve_multiplicative([[2]], [Fraction(2)], 1) is None
     # underdetermined: x0 * x1 = 6 has some solution
-    sol = linalg.solve_multiplicative([[1, 1]], [Fraction(6)])
+    sol = linalg.solve_multiplicative([[1, 1]], [Fraction(6)], 2)
     assert sol is not None and sol[0] * sol[1] == 6
 
 
