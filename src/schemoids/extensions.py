@@ -10,16 +10,18 @@ alternating-sum pattern
     (d F)(f, g)    = f_* F(g) - F(fg) + g^* F(f)
     (d D)(f, g, h) = f_* D(g, h) - D(fg, h) + D(f, gh) - h^* D(f, g)
 
-whose degree-2 instance at (f, f^-1, f) pins the sign convention; d∘d = 0
-is asserted on every built complex.  Extensions twist composition by a
-normalized 2-cocycle: (g, b)∘(f, a) = (g∘f, -D(g, f) + g_* a + f^* b).
+whose degree-2 instance at (f, f^-1, f) pins the sign convention; d1∘d0 = 0
+and d2∘d1 = 0 are checked when those differentials are first assembled.
+Cohomology and the coboundary tests run on a skeleton of the base.
+Extensions twist composition by a normalized 2-cocycle:
+(g, b)∘(f, a) = (g∘f, -D(g, f) + g_* a + f^* b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 from . import linalg
 from .fincat import (
@@ -28,6 +30,7 @@ from .fincat import (
     NotInvertible,
     as_groupoid,
     build_category,
+    full_subcategory,
     validate_functor,
 )
 from .schemoid import (
@@ -365,25 +368,90 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 # happens in the elimination (linalg.homology, linalg.solve), which splits m
 # by the Chinese remainder theorem and works over each Z/p^k.  Cohomology
 # comes back as invariant factors d_1 | d_2 | ... over Z/m and as a free
-# rank over Q.  The dense d0, d1, d2 are built only when read; nothing in
-# the package reads them.
+# rank over Q.
+#
+# bw_differentials lists only the bases and offsets of degrees 0..2 and the
+# four dimensions: dim C^3 = sum over pairs (f, g) of W(f∘g), where W(u) is
+# the sum over h into src u of rank(u∘h), so no triple is listed.  The
+# triples and the rows of d0, d1, d2 are built when first read, and d1∘d0 = 0
+# and d2∘d1 = 0 are checked as d1 and d2 are built.  The dense d0, d1, d2
+# are built only when read; nothing in the package reads them.
+#
+# H^n(C; D) = H^n(S; i*D) for the inclusion i: S -> C of a skeleton
+# (Baues & Wirsching, J. Pure Appl. Algebra 38 (1985), Thm 1.11), so the
+# cohomology and the coboundary tests run on BWComplex.skeleton, the complex
+# of the full subcategory on one object per isomorphism class.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class BWComplex:
+    category: FinCategory
     system: NaturalSystem
     basis0: list                 # objects
     basis1: list                 # morphisms
     basis2: list                 # composable pairs (f, g)
-    basis3: list                 # composable triples (f, g, h)
     offset0: dict
     offset1: dict
     offset2: dict
-    offset3: dict
     dim: tuple[int, int, int, int]
-    d0_rows: list[dict[int, int]]
-    d1_rows: list[dict[int, int]]
-    d2_rows: list[dict[int, int]]
+
+    @cached_property
+    def basis3(self) -> list:
+        """Composable triples (f, g, h)."""
+        into: dict[str, list[str]] = {x: [] for x in self.category.objects}
+        for h, _, t in self.category.morphisms:
+            into[t].append(h)
+        src = self.category.src
+        return [(f, g, h) for (f, g) in self.basis2 for h in into[src(g)]]
+
+    @cached_property
+    def offset3(self) -> dict:
+        rank, compose = self.system.rank, self.category.compose
+        offset3, dim3 = _offsets(self.basis3, [rank[compose[(compose[(f, g)], h)]]
+                                               for f, g, h in self.basis3])
+        if dim3 != self.dim[3]:
+            raise ExtensionError(f"the triples span {dim3} coordinates, not dim C^3 = {self.dim[3]}")
+        return offset3
+
+    @cached_property
+    def d0_rows(self) -> list[dict[int, int]]:
+        cat, system = self.category, self.system
+        d0 = [{} for _ in range(self.dim[1])]
+        for f in self.basis1:
+            rof = self.offset1[f]
+            sx, tx = cat.src(f), cat.tgt(f)
+            _add_block(d0, rof, self.offset0[sx], system.push[(f, cat.identity[sx])], 1)
+            _add_block(d0, rof, self.offset0[tx], system.pull[(cat.identity[tx], f)], -1)
+        return d0
+
+    @cached_property
+    def d1_rows(self) -> list[dict[int, int]]:
+        cat, system, offset1 = self.category, self.system, self.offset1
+        d1 = [{} for _ in range(self.dim[2])]
+        for (f, g) in self.basis2:
+            rof = self.offset2[(f, g)]
+            fg = cat.comp(f, g)
+            _add_block(d1, rof, offset1[g], system.push[(f, g)], 1)
+            _add_identity(d1, rof, offset1[fg], system.rank[fg], -1)
+            _add_block(d1, rof, offset1[f], system.pull[(f, g)], 1)
+        _check_zero_composite(d1, self.d0_rows, system.modulus, "d1∘d0")
+        return d1
+
+    @cached_property
+    def d2_rows(self) -> list[dict[int, int]]:
+        cat, system, offset2, offset3 = self.category, self.system, self.offset2, self.offset3
+        d2 = [{} for _ in range(self.dim[3])]
+        for (f, g, h) in self.basis3:
+            rof = offset3[(f, g, h)]
+            fg = cat.comp(f, g)
+            gh = cat.comp(g, h)
+            r = system.rank[cat.comp(fg, h)]
+            _add_block(d2, rof, offset2[(g, h)], system.push[(f, gh)], 1)
+            _add_identity(d2, rof, offset2[(fg, h)], r, -1)
+            _add_identity(d2, rof, offset2[(f, gh)], r, 1)
+            _add_block(d2, rof, offset2[(f, g)], system.pull[(fg, h)], -1)
+        _check_zero_composite(d2, self.d1_rows, system.modulus, "d2∘d1")
+        return d2
 
     @cached_property
     def d0(self) -> list[list[int]]:
@@ -397,12 +465,30 @@ class BWComplex:
     def d2(self) -> list[list[int]]:
         return _dense(self.d2_rows, self.dim[2])
 
+    @cached_property
+    def skeleton(self) -> BWComplex:
+        """The complex of (S, i*D), S the full subcategory on one object per
+        isomorphism class; self when the category is already skeletal."""
+        cat, system = self.category, self.system
+        objects = _skeleton_objects(cat)
+        if len(objects) == len(cat.objects):
+            return self
+        sub = full_subcategory(cat, objects)
+        restricted = NaturalSystem(sub, system.modulus,
+                                   {f: system.rank[f] for f in sub.morphism_ids},
+                                   {key: system.push[key] for key in sub.compose},
+                                   {key: system.pull[key] for key in sub.compose})
+        return bw_differentials(sub, restricted)
+
     def cochain2_vector(self, delta: Cochain2) -> list[int]:
+        """Coordinates of delta on the pairs of this complex; on a skeleton
+        that is the restriction i* delta."""
         vec = [0] * self.dim[2]
-        for (f, g), v in delta.entries.items():
-            off = self.offset2[(f, g)]
-            for i, x in enumerate(v):
-                vec[off + i] = x
+        for key, v in delta.entries.items():
+            off = self.offset2.get(key)
+            if off is not None:
+                for i, x in enumerate(v):
+                    vec[off + i] = x
         return vec
 
     def vector_to_1cochain(self, vec) -> dict:
@@ -426,64 +512,57 @@ def _dense(rows, cols: int) -> list[list[int]]:
     return out
 
 
+def _offsets(basis, ranks) -> tuple[dict, int]:
+    """Offset of each basis element, given the ranks in basis order, and the
+    total rank."""
+    starts = list(accumulate(ranks, initial=0))
+    return dict(zip(basis, starts)), starts[-1]
+
+
+def _skeleton_objects(cat: FinCategory) -> list[str]:
+    """One object per isomorphism class, the first of each in object order.
+
+    One pass over the morphisms: an f: x -> y joins the classes of x and y
+    when some g: y -> x has g∘f = 1_x and f∘g = 1_y.  Every isomorphic pair
+    has such an f, so the classes are exactly the isomorphism classes.
+    """
+    parent = {x: x for x in cat.objects}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    order = {x: i for i, x in enumerate(cat.objects)}
+    for f, x, y in cat.morphisms:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        ex, ey = cat.identity[x], cat.identity[y]
+        if any(cat.comp(g, f) == ex and cat.comp(f, g) == ey for g in cat.hom(y, x)):
+            if order[ry] < order[rx]:
+                rx, ry = ry, rx
+            parent[ry] = rx
+    return [x for x in cat.objects if parent[x] == x]
+
+
 def bw_differentials(cat: FinCategory, system: NaturalSystem) -> BWComplex:
-    """Assemble the degree 0..2 differentials as sparse integer rows and
-    assert that consecutive ones compose to zero."""
+    """The complex of (cat, system): bases and offsets in degrees 0..2 and
+    the dimensions in degrees 0..3.  The triples and the differentials are
+    assembled on first read."""
     rank = system.rank
     basis0 = list(cat.objects)
     basis1 = list(cat.morphism_ids)
-    basis2 = [key for key in cat.compose]
-    basis3 = []
-    for (f, g) in basis2:
-        for h in basis1:
-            if (g, h) in cat.compose:
-                basis3.append((f, g, h))
-
-    def offsets(basis, rank_of):
-        off = {}
-        total = 0
-        for b in basis:
-            off[b] = total
-            total += rank_of(b)
-        return off, total
-
-    offset0, dim0 = offsets(basis0, lambda x: rank[cat.identity[x]])
-    offset1, dim1 = offsets(basis1, lambda f: rank[f])
-    offset2, dim2 = offsets(basis2, lambda fg: rank[cat.comp(*fg)])
-    offset3, dim3 = offsets(basis3, lambda t: rank[cat.comp(cat.comp(t[0], t[1]), t[2])])
-
-    d0 = [{} for _ in range(dim1)]
-    for f in basis1:
-        rof = offset1[f]
-        sx, tx = cat.src(f), cat.tgt(f)
-        _add_block(d0, rof, offset0[sx], system.push[(f, cat.identity[sx])], 1)
-        _add_block(d0, rof, offset0[tx], system.pull[(cat.identity[tx], f)], -1)
-
-    d1 = [{} for _ in range(dim2)]
-    for (f, g) in basis2:
-        rof = offset2[(f, g)]
-        fg = cat.comp(f, g)
-        _add_block(d1, rof, offset1[g], system.push[(f, g)], 1)
-        _add_identity(d1, rof, offset1[fg], rank[fg], -1)
-        _add_block(d1, rof, offset1[f], system.pull[(f, g)], 1)
-
-    d2 = [{} for _ in range(dim3)]
-    for (f, g, h) in basis3:
-        rof = offset3[(f, g, h)]
-        fg = cat.comp(f, g)
-        gh = cat.comp(g, h)
-        r = rank[cat.comp(fg, h)]
-        _add_block(d2, rof, offset2[(g, h)], system.push[(f, gh)], 1)
-        _add_identity(d2, rof, offset2[(fg, h)], r, -1)
-        _add_identity(d2, rof, offset2[(f, gh)], r, 1)
-        _add_block(d2, rof, offset2[(f, g)], system.pull[(fg, h)], -1)
-
-    cx = BWComplex(system, basis0, basis1, basis2, basis3,
-                   offset0, offset1, offset2, offset3,
-                   (dim0, dim1, dim2, dim3), d0, d1, d2)
-    _assert_zero_composite(d1, d0, system.modulus, "d1∘d0")
-    _assert_zero_composite(d2, d1, system.modulus, "d2∘d1")
-    return cx
+    basis2 = list(cat.compose)
+    offset0, dim0 = _offsets(basis0, [rank[cat.identity[x]] for x in basis0])
+    offset1, dim1 = _offsets(basis1, map(rank.__getitem__, basis1))
+    offset2, dim2 = _offsets(basis2, map(rank.__getitem__, cat.compose.values()))
+    width = dict.fromkeys(basis1, 0)       # W(u) = sum over h into src u of rank(u∘h)
+    for (u, _), uh in cat.compose.items():
+        width[u] += rank[uh]
+    dim3 = sum(width[fg] for fg in cat.compose.values())
+    return BWComplex(cat, system, basis0, basis1, basis2, offset0, offset1, offset2,
+                     (dim0, dim1, dim2, dim3))
 
 
 def _add_entry(row, col, x):
@@ -507,7 +586,7 @@ def _add_identity(rows, row_off, col_off, r, sign):
         _add_entry(rows[row_off + i], col_off + i, sign)
 
 
-def _assert_zero_composite(second, first, modulus, label):
+def _check_zero_composite(second, first, modulus, label):
     for row in second:
         acc: dict[int, int] = {}
         for c, x in row.items():
@@ -545,10 +624,17 @@ class CohomologyGroup:
 
 def bw_cohomology(cat: FinCategory, system: NaturalSystem, degree: int,
                   complex_: BWComplex | None = None) -> CohomologyGroup:
-    """Cohomology of the natural-system complex in degree 1 or 2."""
+    """Cohomology of the natural-system complex in degree 1 or 2.
+
+    Computed on the skeleton of the complex (`BWComplex.skeleton`): the
+    inclusion i: S -> C of a full subcategory that meets every isomorphism
+    class is an equivalence, so H^n(C; D) = H^n(S; i*D) (Baues & Wirsching,
+    J. Pure Appl. Algebra 38 (1985), Thm 1.11).  H^1 and H^2 read from one
+    complex share its skeleton.
+    """
     if degree not in (1, 2):
         raise ExtensionError("only degrees 1 and 2 are supported")
-    cx = complex_ if complex_ is not None else bw_differentials(cat, system)
+    cx = (complex_ if complex_ is not None else bw_differentials(cat, system)).skeleton
     d_n = cx.d2_rows if degree == 2 else cx.d1_rows
     d_prev = cx.d1_rows if degree == 2 else cx.d0_rows
     invariants, free_rank = linalg.homology(d_prev, d_n, system.modulus)
@@ -788,24 +874,36 @@ def lift_involution(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSche
 # Splitting and equivalence
 # ---------------------------------------------------------------------------
 
+def _coboundary_solution(cx: BWComplex, delta: Cochain2):
+    """A vector F with d F = delta on the pairs of cx, or None."""
+    return linalg.solve(cx.d1_rows, cx.cochain2_vector(delta), cx.dim[1], cx.system.modulus)
+
+
 def is_split(ext: ExtensionCategory, complex_: BWComplex | None = None):
     """A verified section s with q∘s = id, or None.
 
     Splits exactly when the cocycle is a coboundary: solve d F = delta and
-    set s(f) = (f, -F(f)).
+    set s(f) = (f, F(f)), for then (g, F(g))∘(f, F(f)) = (g∘f, F(g∘f)).
+
+    The answer None is decided on the skeleton: i* is injective on H^2
+    (Baues & Wirsching, Thm 1.11), so a cocycle whose restriction is no
+    coboundary there is none on the whole base.  A section, though, is a
+    functor on the whole base, and until a formula transports F from the
+    skeleton back to it, the split answer solves d F = delta with the full
+    d1 (which lists no triples).
     """
     system = ext.system
-    m = system.modulus
     cx = complex_ if complex_ is not None else bw_differentials(ext.base, system)
-    sol = linalg.solve(cx.d1_rows, cx.cochain2_vector(ext.cocycle), cx.dim[1], m)
+    if cx.skeleton is not cx and _coboundary_solution(cx.skeleton, ext.cocycle) is None:
+        return None
+    sol = _coboundary_solution(cx, ext.cocycle)
     if sol is None:
         return None
     fvals = cx.vector_to_1cochain(sol)
     cat = ext.base
     smap = {}
     for f in cat.morphism_ids:
-        v = _vec_neg(fvals.get(f, _vec_zero(system.rank[f])), m)
-        smap[f] = fiber_morphism_name(f, v)
+        smap[f] = fiber_morphism_name(f, fvals.get(f, _vec_zero(system.rank[f])))
     section = Functor({x: x for x in cat.objects}, smap)
     validate_functor(section, cat, ext.total)
     for f in cat.morphism_ids:
@@ -815,37 +913,13 @@ def is_split(ext: ExtensionCategory, complex_: BWComplex | None = None):
 
 
 def extensions_equivalent(e1: ExtensionCategory, e2: ExtensionCategory) -> bool:
-    """Equivalence over the same base and system: difference class vanishes."""
+    """Equivalence over the same base and system: the difference class
+    vanishes.  Decided on the skeleton, where the difference cocycle is
+    restricted: i* is injective on H^2 (Baues & Wirsching, Thm 1.11)."""
     if e1.base != e2.base:
         raise BaseMismatch("different base categories")
     if e1.system != e2.system:
         raise BaseMismatch("different natural systems")
     system = e1.system
     diff = cochain2_sub(system, e1.cocycle, e2.cocycle)
-    cx = bw_differentials(e1.base, system)
-    target = cx.cochain2_vector(diff)
-    return linalg.solve(cx.d1_rows, target, cx.dim[1], system.modulus) is not None
-
-
-def brute_force_sections(ext: ExtensionCategory, cap: int = 1 << 16):
-    """All sections by exhaustive enumeration; independent of the linear path."""
-    system = ext.system
-    cat = ext.base
-    mors = list(cat.morphism_ids)
-    space = 1
-    for f in mors:
-        space *= system.fiber_size(f)
-        if space > cap:
-            raise ExtensionError("search space exceeds the cap")
-    found = []
-    for combo in iproduct(*[ext.fiber[f] for f in mors]):
-        smap = dict(zip(mors, combo))
-        ok = all(smap[cat.identity[x]] == ext.total.identity[x] for x in cat.objects)
-        if ok:
-            for (f, g), fg in cat.compose.items():
-                if ext.total.comp(smap[f], smap[g]) != smap[fg]:
-                    ok = False
-                    break
-        if ok:
-            found.append(smap)
-    return found
+    return _coboundary_solution(bw_differentials(e1.base, system).skeleton, diff) is not None

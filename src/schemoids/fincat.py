@@ -82,10 +82,6 @@ class FinCategory:
     def morphism_ids(self) -> tuple[str, ...]:
         return self._ids
 
-    def composable_pairs(self):
-        """All (f, g) with f∘g defined, g first."""
-        return self.compose.keys()
-
     def endomorphisms(self) -> tuple[str, ...]:
         return tuple(m for m, s, t in self.morphisms if s == t)
 
@@ -150,9 +146,6 @@ class Functor:
 
     def __call__(self, f: str) -> str:
         return self.morphism_map[f]
-
-    def on_object(self, x: str) -> str:
-        return self.object_map[x]
 
 
 def pair_name(a: str, b: str) -> str:
@@ -370,6 +363,20 @@ def build_category(objects, morphisms, identity, compose) -> FinCategory:
     """Validate parts assembled in code (same checks as validate_category)."""
     return _validate(objects, morphisms, identity,
                      ((f, g, fg) for (f, g), fg in compose.items()))
+
+
+def full_subcategory(c: FinCategory, objects) -> FinCategory:
+    """The full subcategory on some objects of c, in the order of c.
+
+    It keeps every morphism between those objects and their composites, so
+    the category laws hold because they hold in c; nothing is re-checked.
+    """
+    keep = set(objects)
+    objs = tuple(x for x in c.objects if x in keep)
+    morphisms = tuple(m for m in c.morphisms if m[1] in keep and m[2] in keep)
+    compose = {(f, g): c.compose[(f, g)]
+               for f, s, _ in morphisms for y in objs for g in c.hom(y, s)}
+    return FinCategory(objs, morphisms, {x: c.identity[x] for x in objs}, compose)
 
 
 def terminal_category(obj: str = "*") -> FinCategory:

@@ -64,9 +64,6 @@ class CoherentConfiguration:
     def size(self) -> int:
         return len(self.points)
 
-    def point_index(self, x: str) -> int:
-        return self.points.index(x)
-
     def class_of_pair(self, x: str, y: str) -> str:
         return self.classes[self.relation_of[self.points.index(x)][self.points.index(y)]]
 
@@ -96,9 +93,7 @@ class CoherentConfiguration:
 
 @dataclass(frozen=True, eq=False)
 class AssociationScheme(CoherentConfiguration):
-    @property
-    def diagonal_class(self) -> str:
-        return self.diagonal_classes[0]
+    """A coherent configuration whose diagonal is a single class."""
 
 
 def validate_scheme(size: int, relations, points=None, classes=None):

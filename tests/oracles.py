@@ -517,3 +517,52 @@ def solve_tensor_unit_fractions(basis, tensor, ring):
             if None in echelon.pivots:
                 return None
     return {b: row[None] for b, row in echelon.pivots.items() if row.get(None)}
+
+
+# ---------------------------------------------------------------------------
+# Baues–Wirsching cohomology on the whole category, the reference for
+# schemoids.extensions, which restricts to a skeleton (one object per
+# isomorphism class) before it eliminates.
+# ---------------------------------------------------------------------------
+
+def full_complex_cohomology(cat, system, degree):
+    """(invariants, free rank) of H^degree from the differentials of the
+    whole category, with no skeleton taken."""
+    from schemoids.extensions import bw_differentials
+    from schemoids.linalg import homology
+    cx = bw_differentials(cat, system)
+    d_prev, d_n = (cx.d0_rows, cx.d1_rows) if degree == 1 else (cx.d1_rows, cx.d2_rows)
+    return homology(d_prev, d_n, system.modulus)
+
+
+def full_complex_is_coboundary(cat, system, delta):
+    """Whether d F = delta has a solution F on the whole category."""
+    from schemoids.extensions import bw_differentials
+    from schemoids.linalg import solve
+    cx = bw_differentials(cat, system)
+    return solve(cx.d1_rows, cx.cochain2_vector(delta), cx.dim[1], system.modulus) is not None
+
+
+def brute_force_sections(ext, cap=1 << 16):
+    """All sections of an extension's projection by exhaustive enumeration
+    of one fiber element per base morphism; independent of the linear path."""
+    system = ext.system
+    cat = ext.base
+    mors = list(cat.morphism_ids)
+    space = 1
+    for f in mors:
+        space *= system.fiber_size(f)
+        if space > cap:
+            raise ValueError("search space exceeds the cap")
+    found = []
+    for combo in product(*[ext.fiber[f] for f in mors]):
+        smap = dict(zip(mors, combo))
+        ok = all(smap[cat.identity[x]] == ext.total.identity[x] for x in cat.objects)
+        if ok:
+            for (f, g), fg in cat.compose.items():
+                if ext.total.comp(smap[f], smap[g]) != smap[fg]:
+                    ok = False
+                    break
+        if ok:
+            found.append(smap)
+    return found

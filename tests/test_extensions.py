@@ -9,7 +9,6 @@ from schemoids.extensions import (
     InvalidModulus,
     NotACocycle,
     NotNormalized,
-    brute_force_sections,
     build_extension,
     bw_cohomology,
     bw_differentials,
@@ -35,7 +34,7 @@ from schemoids.schemes import hamming, j_embed, validate_scheme
 from schemoids.schemoid import analyze_thinness, check_concatenation, discrete_partition, is_unital, verify_quasi_schemoid
 
 from test_schemoid import group_bullet
-from oracles import bar_complex_group_cohomology, dense_cohomology_invariants
+from oracles import bar_complex_group_cohomology, brute_force_sections, dense_cohomology_invariants
 
 
 def zcat(n):
@@ -435,3 +434,55 @@ def test_composite_modulus_extension():
     # the class of delta: d F = delta needs F with F(g)+F(g)-F(0)... decided by solver;
     # cross-check against brute force
     assert (got is not None) == bool(brute_force_sections(ext))
+
+
+def test_split_section_over_an_odd_modulus():
+    """s(f) = (f, F(f)) for d F = delta; with s(f) = (f, -F(f)) the section
+    is no functor as soon as 2 F != 0, as over Z/3 here."""
+    cat = zcat(3)
+    sys_ = trivial_system(cat, 3)
+    ext = build_extension(cat, sys_, coboundary_of_1cochain(sys_, {"1": (1,)}))
+    section = is_split(ext)
+    assert section is not None
+    assert section.morphism_map["1"] in ext.fiber["1"]
+    assert len(brute_force_sections(ext)) == 3      # one per 1-cocycle Hom(Z/3, Z/3)
+
+
+def test_cohomology_of_j_h52_on_its_skeleton():
+    """dims (32, 1024, 32768, 1048576); the whole complex took 29 s and 1 GB,
+    the skeleton is the terminal category."""
+    cat = j_embed(hamming(5, 2)).category
+    sys_ = trivial_system(cat, 2)
+    cx = bw_differentials(cat, sys_)
+    assert cx.dim == (32, 1024, 32768, 1048576)
+    assert bw_cohomology(cat, sys_, 1, cx).is_trivial
+    assert bw_cohomology(cat, sys_, 2, cx).is_trivial
+    assert "d2_rows" not in vars(cx) and "basis3" not in vars(cx)
+
+
+def test_skeleton_of_groupoid_bases():
+    """j(H(3,2)) has the terminal category as skeleton, the product base
+    the one-object Z/2."""
+    cat = j_embed(hamming(3, 2)).category
+    sk = bw_differentials(cat, trivial_system(cat, 2)).skeleton.category
+    assert len(sk.objects) == 1 and len(sk.morphisms) == 1
+    cat = product_base().category
+    sk = bw_differentials(cat, trivial_system(cat, 2)).skeleton.category
+    assert len(sk.objects) == 1 and len(sk.morphisms) == 2
+    e = sk.identity[sk.objects[0]]
+    (g,) = [f for f in sk.morphism_ids if f != e]
+    assert sk.comp(g, g) == e                       # the one-object Z/2
+
+
+def test_skeleton_needs_both_composites():
+    """g∘f = 1_a but f∘g is an idempotent e != 1_b: a and b are not
+    isomorphic, so the category is its own skeleton."""
+    from schemoids.fincat import build_category
+    cat = build_category(
+        ["a", "b"],
+        [("1a", "a", "a"), ("1b", "b", "b"), ("f", "a", "b"), ("g", "b", "a"), ("e", "b", "b")],
+        {"a": "1a", "b": "1b"},
+        {("g", "f"): "1a", ("f", "g"): "e", ("e", "f"): "f", ("g", "e"): "g", ("e", "e"): "e"})
+    for modulus in (2, None):
+        cx = bw_differentials(cat, trivial_system(cat, modulus))
+        assert cx.skeleton is cx

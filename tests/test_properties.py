@@ -1,9 +1,22 @@
 """Randomized structural properties over generated small instances."""
 
+from itertools import product as iproduct
+
 from hypothesis import assume, event, given, settings, strategies as st
 
 from schemoids.bridges import s_tilde, s_tilde_on_functor
-from schemoids.extensions import bw_cohomology, bw_differentials, induced_system, trivial_system
+from schemoids.extensions import (
+    Cochain2,
+    build_extension,
+    bw_cohomology,
+    bw_differentials,
+    coboundary_of_1cochain,
+    cochain2_sub,
+    extensions_equivalent,
+    induced_system,
+    is_split,
+    trivial_system,
+)
 from schemoids.fincat import (
     CategoryError,
     NonAssociative,
@@ -12,6 +25,7 @@ from schemoids.fincat import (
     join,
     one_object_group,
     product,
+    product_with_projections,
     serialize,
     terminal_category,
     validate_category,
@@ -30,7 +44,13 @@ from schemoids.schemoid import (
 from schemoids.admissible import compose_schemoid_morphisms, from_bridge_data, is_admissible
 from schemoids.fincat import Functor
 
-from oracles import dense_cohomology_invariants, span_dimension_fractions, validate_category_dense
+from oracles import (
+    dense_cohomology_invariants,
+    full_complex_cohomology,
+    full_complex_is_coboundary,
+    span_dimension_fractions,
+    validate_category_dense,
+)
 
 
 def poset_category(n, edges):
@@ -138,9 +158,20 @@ def test_admissible_composites(a, b, c, data):
 @settings(max_examples=20, deadline=None)
 @given(small_categories(), st.integers(2, 4), st.integers(1, 2))
 def test_differentials_compose_to_zero(cat, modulus, rank):
-    # assembly itself asserts d∘d = 0 both in degrees (0,1) and (1,2)
+    """Reading d1_rows checks d1∘d0 = 0 and reading d2_rows checks d2∘d1 = 0;
+    dim, computed before anything is built, matches what is built."""
     cx = bw_differentials(cat, trivial_system(cat, modulus, rank))
-    assert cx.dim[2] >= 0
+    rows = (cx.d0_rows, cx.d1_rows, cx.d2_rows)
+    triples = [(f, g, h) for (f, g) in cat.compose for h in cat.morphism_ids
+               if (g, h) in cat.compose]
+    assert cx.basis3 == triples
+    bases = (cx.basis0, cx.basis1, cx.basis2, cx.basis3)
+    assert tuple(rank * len(b) for b in bases) == cx.dim
+    assert tuple(len(r) for r in rows) == cx.dim[1:]
+    assert all(0 <= c < cx.dim[n] for n, r in enumerate(rows) for row in r for c in row)
+    offsets = (cx.offset0, cx.offset1, cx.offset2, cx.offset3)
+    for basis, offset in zip(bases, offsets):
+        assert [offset[b] for b in basis] == list(range(0, rank * len(basis), rank))
 
 
 MODULI = [None, 2, 3, 4, 6, 8, 9, 12]
@@ -208,6 +239,103 @@ def test_twisted_cohomology_matches_dense_reference(twist, modulus):
     maps = {str(i): _power(gen, i) for i in range(n)}
     system = induced_system(cat, modulus, {cat.objects[0]: len(gen)}, maps)
     _assert_matches_dense(cat, system)
+
+
+def indiscrete_category(k):
+    """One morphism between any two of k objects: every object isomorphic
+    to every other."""
+    objects = [f"p{i}" for i in range(k)]
+    morphisms = [(f"{a}>{b}", a, b) for a in objects for b in objects]
+    compose = {(f"{b}>{c}", f"{a}>{b}"): f"{a}>{c}"
+               for a in objects for b in objects for c in objects}
+    return build_category(objects, morphisms, {a: f"{a}>{a}" for a in objects}, compose)
+
+
+@st.composite
+def skeleton_cases(draw):
+    """A base B from small_categories(), or Z/n or a poset times Z/n, with
+    phi: B -> Z/n (zero off the group factor); C = B x I_k for the
+    indiscrete I_k, k <= 3, so that C has isomorphic objects; and a trivial
+    or twisted induced system on C pulled back from B, the twist a
+    generator A of order dividing n acting through phi."""
+    kind = draw(st.sampled_from(["small", "group", "group", "product"]))
+    if kind == "small":
+        base, n = draw(small_categories()), 1
+        phi = dict.fromkeys(base.morphism_ids, 0)
+    else:
+        n = draw(st.integers(1, 6))
+        group = one_object_group(*cyclic_group_table(n)).base
+        value = {str(i): i for i in range(n)}
+        if kind == "group":
+            base, proj = group, (lambda f: f)
+        else:
+            base, _, proj = product_with_projections(draw(small_posets()), group)
+        phi = {f: value[proj(f)] for f in base.morphism_ids}
+    twists = [a for a in sorted(ACTIONS) if n % ACTIONS[a][0] == 0]
+    twist = draw(st.sampled_from([None, None] + twists))
+    k = draw(st.sampled_from([1, 2, 2, 3]))
+    modulus = draw(st.sampled_from(MODULI))
+    rank = draw(st.integers(1, 2))
+    return base, phi, n, twist, k, modulus, rank
+
+
+def _pulled_back(base, phi, twist, k, modulus, rank):
+    cat, p, _ = product_with_projections(base, indiscrete_category(k))
+    phi_c = {f: phi[p(f)] for f in cat.morphism_ids}
+    if twist is None:
+        return cat, phi_c, trivial_system(cat, modulus, rank), [[int(i == j) for j in range(rank)]
+                                                                for i in range(rank)]
+    gen = ACTIONS[twist][1]
+    maps = {f: _power(gen, phi_c[f]) for f in cat.morphism_ids}
+    return cat, phi_c, induced_system(cat, modulus, {x: len(gen) for x in cat.objects}, maps), gen
+
+
+def _cocycle(system, phi, n, gen, data):
+    """w * carry(phi f, phi g) minus the coboundary of a random 1-cochain
+    that vanishes on identities, w a multiple of a vector fixed by the
+    generator: a normalized cocycle, nonzero on the multiples of the
+    carry class whenever such a vector exists."""
+    m, cat = system.modulus, system.category
+    fixed = [v for v in iproduct(range(m), repeat=len(gen))
+             if all(sum(a * x for a, x in zip(row, v)) % m == v[i] for i, row in enumerate(gen))]
+    v = data.draw(st.sampled_from([v for v in fixed if any(v)] or fixed))
+    c = data.draw(st.integers(1, m - 1))
+    w = tuple(c * x % m for x in v)
+    carry = {(f, g): w for (f, g) in cat.compose if phi[f] + phi[g] >= n and any(w)}
+    fvals = {f: tuple(data.draw(st.integers(0, m - 1)) for _ in range(system.rank[f]))
+             for f in cat.morphism_ids if not cat.is_identity(f)}
+    return cochain2_sub(system, Cochain2(carry), coboundary_of_1cochain(system, fvals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(skeleton_cases(), st.data())
+def test_skeleton_matches_full_complex(case, data):
+    """H^1, H^2, split and equivalent computed on the skeleton agree with the
+    whole category's complex.  k drops until the whole complex has at most
+    2500 coordinates in degree 3, and extensions are built only while the
+    total category stays small."""
+    base, phi, n, twist, k, modulus, rank = case
+    while True:
+        cat, phi_c, system, gen = _pulled_back(base, phi, twist, k, modulus, rank)
+        cx = bw_differentials(cat, system)
+        if cx.dim[3] <= 2500 or k == 1:
+            break
+        k -= 1
+    assume(cx.dim[3] <= 2500)
+    event(f"skeleton {len(cx.skeleton.category.objects)} of {len(cat.objects)} objects")
+    for degree in (1, 2):
+        h = bw_cohomology(cat, system, degree, cx)
+        assert (h.invariants, h.free_rank) == full_complex_cohomology(cat, system, degree)
+    if modulus is None or len(cat.compose) * modulus ** (2 * len(gen)) > 5000:
+        return
+    d1, d2 = _cocycle(system, phi_c, n, gen, data), _cocycle(system, phi_c, n, gen, data)
+    e1, e2 = build_extension(cat, system, d1), build_extension(cat, system, d2)
+    split = full_complex_is_coboundary(cat, system, d1)
+    event(f"split {split}")
+    assert (is_split(e1, cx) is not None) == split
+    assert (is_split(e1) is not None) == split
+    assert extensions_equivalent(e1, e2) == full_complex_is_coboundary(
+        cat, system, cochain2_sub(system, d1, d2))
 
 
 @settings(max_examples=30, deadline=None)
