@@ -28,16 +28,20 @@ from .schemoid import (
     Involution,
     MorphismPartition,
     QuasiSchemoid,
+    SchemoidMorphism,
     StructureConstantTable,
     analyze_thinness,
     check_association,
     check_concatenation,
+    compose_schemoid_morphisms,
     discrete_partition,
+    identity_morphism,
     is_basic,
     is_unital,
     make_partition,
     schemoid_isomorphic,
     schemoid_join,
+    schemoid_morphism,
     schemoid_product,
     verify_quasi_schemoid,
 )
@@ -75,12 +79,10 @@ from .algebra import (
 )
 from .admissible import (
     AdmissibilityReport,
-    SchemoidMorphism,
     condition_P,
     induced_algebra_map,
     is_admissible,
     multiplicities,
-    schemoid_morphism,
     verify_sum_identity,
 )
 from .extensions import (

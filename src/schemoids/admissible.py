@@ -10,17 +10,17 @@ than assumed.
 Gates for the multiplicities: the target must be basic, and the source
 must either be a groupoid underneath or satisfy the unique-solution
 condition: within fixed blocks, f∘g = h has at most one solution once two
-of f, g, h are chosen.
+of f, g, h are chosen.  The gates are reported (`gate_report`) and never
+enforced: `multiplicities` checks constancy itself on every input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .algebra import AlgebraMap, HomCheckFailed, SchemoidAlgebra, check_algebra_hom, schemoid_algebra
-from .bridges import SchemoidMorphismData, blockwise_functor
-from .fincat import Functor, compose_functors, is_groupoid
-from .schemoid import QuasiSchemoid, is_basic
+from .algebra import AlgebraMap, HomCheckFailed, check_algebra_hom, schemoid_algebra
+from .fincat import is_groupoid
+from .schemoid import QuasiSchemoid, SchemoidMorphism, is_basic
 
 
 class AdmissibilityError(Exception):
@@ -35,49 +35,11 @@ class HypothesisNotMet(AdmissibilityError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class SchemoidMorphism:
-    source: QuasiSchemoid
-    target: QuasiSchemoid
-    functor: Functor
-    block_image: dict[str, str]
-
-    def __call__(self, m: str) -> str:
-        return self.functor.morphism_map[m]
-
-
-def schemoid_morphism(source: QuasiSchemoid, target: QuasiSchemoid,
-                      functor: Functor) -> SchemoidMorphism:
-    data = blockwise_functor(source, target, functor)
-    return SchemoidMorphism(source, target, data.functor, data.block_image)
-
-
-def identity_morphism(qs: QuasiSchemoid) -> SchemoidMorphism:
-    from .fincat import identity_functor
-    return schemoid_morphism(qs, qs, identity_functor(qs.category))
-
-
-def compose_schemoid_morphisms(second: SchemoidMorphism, first: SchemoidMorphism) -> SchemoidMorphism:
-    if first.target is not second.source and first.target.category != second.source.category:
-        raise AdmissibilityError("morphisms do not compose")
-    return schemoid_morphism(first.source, second.target,
-                             compose_functors(second.functor, first.functor))
-
-
-def from_bridge_data(source: QuasiSchemoid, target: QuasiSchemoid,
-                     data: SchemoidMorphismData) -> SchemoidMorphism:
-    return SchemoidMorphism(source, target, data.functor, data.block_image)
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     admissible: bool
     failures: tuple            # (x, sigma, g) witnesses
-    multiplicities: dict[str, int] | None
     kernel: tuple[str, ...]    # blocks mapped into identity blocks of the target
-
-    def n(self, sigma: str) -> int:
-        return self.multiplicities[sigma]
 
 
 def is_admissible(phi: SchemoidMorphism) -> AdmissibilityReport:
@@ -98,8 +60,7 @@ def is_admissible(phi: SchemoidMorphism) -> AdmissibilityReport:
                     failures.append((x, sigma, g))
     kernel = tuple(sigma for sigma in phi.source.block_names()
                    if phi.block_image[sigma] in _identity_blocks(tgt))
-    report = AdmissibilityReport(not failures, tuple(failures), None, kernel)
-    return report
+    return AdmissibilityReport(not failures, tuple(failures), kernel)
 
 
 def _identity_blocks(qs: QuasiSchemoid):
@@ -108,10 +69,10 @@ def _identity_blocks(qs: QuasiSchemoid):
 
 
 def gate_report(phi: SchemoidMorphism) -> dict[str, bool]:
-    """Sufficient hypotheses for constant fibers; advisory by default since
-    constancy itself is asserted during the computation (non-basic targets
-    with uniform fibers do occur, extension projections being the prime
-    case)."""
+    """Sufficient hypotheses for constant fibers, reported and never
+    enforced: `multiplicities` asserts constancy itself, and non-basic
+    targets with uniform fibers do occur, extension projections being the
+    prime case."""
     ok_p, _ = condition_P(phi.source)
     return {
         "target_basic": is_basic(phi.target),
@@ -120,19 +81,8 @@ def gate_report(phi: SchemoidMorphism) -> dict[str, bool]:
     }
 
 
-def multiplicities(phi: SchemoidMorphism, enforce_gates: bool = False) -> dict[str, int]:
-    """Fiber counts n_sigma, verified constant over all eligible anchors.
-
-    Constancy is always asserted; with enforce_gates the sufficient
-    hypotheses (basic target, groupoid or uniquely-factoring source) are
-    required up front as well.
-    """
-    if enforce_gates:
-        gates = gate_report(phi)
-        if not gates["target_basic"]:
-            raise HypothesisNotMet("target schemoid is not basic")
-        if not (gates["source_groupoid"] or gates["source_condition_P"]):
-            raise HypothesisNotMet("source is neither a groupoid nor uniquely factoring")
+def multiplicities(phi: SchemoidMorphism) -> dict[str, int]:
+    """Fiber counts n_sigma, verified constant over all eligible anchors."""
     report = is_admissible(phi)
     if not report.admissible:
         raise HypothesisNotMet(f"morphism is not admissible: {report.failures[0]}")
@@ -180,13 +130,11 @@ def verify_sum_identity(phi: SchemoidMorphism, mult: dict[str, int]):
     return ok, table
 
 
-def induced_algebra_map(phi: SchemoidMorphism, ring,
-                        source_algebra: SchemoidAlgebra | None = None,
-                        target_algebra: SchemoidAlgebra | None = None) -> AlgebraMap:
+def induced_algebra_map(phi: SchemoidMorphism, ring) -> AlgebraMap:
     """The map s_pi -> n_pi s_phi(pi), with the hom property certified."""
     mult = multiplicities(phi)
-    a = source_algebra if source_algebra is not None else schemoid_algebra(phi.source, ring)
-    b = target_algebra if target_algebra is not None else schemoid_algebra(phi.target, ring)
+    a = schemoid_algebra(phi.source, ring)
+    b = schemoid_algebra(phi.target, ring)
     matrix = {}
     for pi in a.basis:
         coeff = ring.from_int(mult[pi])

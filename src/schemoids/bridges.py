@@ -17,18 +17,19 @@ from .fincat import (
     Functor,
     Groupoid,
     NotAFunctor,
+    as_groupoid,
     build_category,
     pair_name,
     validate_functor,
 )
 from .schemoid import (
-    Involution,
-    MorphismPartition,
     QuasiSchemoid,
+    SchemoidMorphism,
     analyze_thinness,
     check_association,
     discrete_partition,
     make_partition,
+    schemoid_morphism,
     verify_quasi_schemoid,
 )
 
@@ -46,10 +47,6 @@ class NotThin(BridgeError):
 
 
 class UniquenessViolation(BridgeError):
-    pass
-
-
-class NotBlockwise(BridgeError):
     pass
 
 
@@ -97,27 +94,7 @@ def s_tilde(h: Groupoid) -> QuasiSchemoid:
     return verify_quasi_schemoid(cat, partition, involution, base_points)
 
 
-@dataclass(frozen=True, eq=False)
-class SchemoidMorphismData:
-    """A functor between underlying categories together with its block map."""
-    functor: Functor
-    block_image: dict[str, str]
-
-
-def blockwise_functor(source: QuasiSchemoid, target: QuasiSchemoid,
-                      functor: Functor) -> SchemoidMorphismData:
-    """Validate functor laws and that each block lands inside one block."""
-    validate_functor(functor, source.category, target.category)
-    block_image = {}
-    for name, members in source.partition.blocks.items():
-        images = {target.partition.block_of[functor.morphism_map[m]] for m in members}
-        if len(images) != 1:
-            raise NotBlockwise(f"block {name!r} maps into {len(images)} blocks")
-        block_image[name] = images.pop()
-    return SchemoidMorphismData(functor, block_image)
-
-
-def s_tilde_on_functor(f: Functor, k: Groupoid, h: Groupoid) -> SchemoidMorphismData:
+def s_tilde_on_functor(f: Functor, k: Groupoid, h: Groupoid) -> SchemoidMorphism:
     """Image of a groupoid functor under s_tilde, verified blockwise."""
     validate_functor(f, k.base, h.base)
     sk = s_tilde(k)
@@ -127,7 +104,7 @@ def s_tilde_on_functor(f: Functor, k: Groupoid, h: Groupoid) -> SchemoidMorphism
     for (pair, src, tgt) in sk.category.morphisms:
         mmap[pair] = pair_name(f.morphism_map[tgt], f.morphism_map[src])
     fun = Functor(omap, mmap)
-    return blockwise_functor(sk, sh, fun)
+    return schemoid_morphism(sk, sh, fun)
 
 
 def k_discrete(cat: FinCategory) -> QuasiSchemoid:
@@ -252,9 +229,10 @@ def phi_psi_check(qs: QuasiSchemoid) -> ThinRoundTrip:
     double = s_tilde(gpd)
     cat = qs.category
 
+    component_of = {x: i for i, comp in enumerate(cat.components()) for x in comp}
     base_of = {}
     for x in cat.objects:
-        comp_v = [w for w in v if _same_component(cat, x, w)]
+        comp_v = [w for w in v if component_of[w] == component_of[x]]
         if len(comp_v) != 1:
             raise NotThin(f"object {x!r} sees {len(comp_v)} base points")
         base_of[x] = comp_v[0]
@@ -282,7 +260,7 @@ def phi_psi_check(qs: QuasiSchemoid) -> ThinRoundTrip:
         if len(members) != 1:
             raise NotThin(f"block {sigma!r} has {len(members)} members into its base point")
         f_of[sigma] = members[0]
-    gpd_inv = _category_inverse(cat)
+    gpd_inv = as_groupoid(cat).inverse
     psi_obj = {sigma: cat.src(f_of[sigma]) for sigma in qs.block_names()}
     psi_mor = {}
     for (m, src, tgt) in double.category.morphisms:
@@ -305,31 +283,19 @@ def phi_psi_check(qs: QuasiSchemoid) -> ThinRoundTrip:
         if phi_mor[psi_mor[m]] != m:
             raise BridgeError(f"phi(psi({m!r})) != {m!r}")
 
-    blockwise_functor(qs, double, phi)
-    blockwise_functor(double, qs, psi)
+    schemoid_morphism(qs, double, phi)
+    schemoid_morphism(double, qs, psi)
 
     if sorted(sigma_of[w] for w in v) != sorted(analysis.s0):
         raise BridgeError("phi does not carry base points onto the identity blocks")
     return ThinRoundTrip(double, phi, psi)
 
 
-def _same_component(cat, x, y):
-    for comp in cat.components():
-        if x in comp:
-            return y in comp
-    return False
-
-
-def _category_inverse(cat):
-    from .fincat import as_groupoid
-    return as_groupoid(cat).inverse
-
-
 # ---------------------------------------------------------------------------
 # Faithfulness round trip
 # ---------------------------------------------------------------------------
 
-def faithfulness_roundtrip(g: SchemoidMorphismData, k: Groupoid, h: Groupoid) -> Functor:
+def faithfulness_roundtrip(g: SchemoidMorphism, k: Groupoid, h: Groupoid) -> Functor:
     """Recover the groupoid functor underneath a based morphism of s_tilde images.
 
     The object part of G acts on mor(K); base-point preservation means every

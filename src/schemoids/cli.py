@@ -24,14 +24,12 @@ from .admissible import (
     induced_algebra_map,
     is_admissible,
     multiplicities,
-    schemoid_morphism,
     verify_sum_identity,
 )
 from .bridges import canonical_groupoid_witness, phi_psi_check, r_tilde, s_tilde
 from .extensions import (
     build_extension,
     bw_cohomology,
-    bw_differentials,
     cocycle_from_json,
     cocycle_to_json,
     extensions_equivalent,
@@ -45,7 +43,6 @@ from .fincat import (
     serialize,
     serialize_groupoid,
     validate_category,
-    validate_functor,
     validate_groupoid,
 )
 from .schemes import (
@@ -61,8 +58,8 @@ from .schemoid import (
     check_association,
     is_basic,
     is_unital,
-    make_partition,
     partition_from_json,
+    schemoid_morphism,
     serialize_partition,
     verify_quasi_schemoid,
 )

@@ -23,7 +23,6 @@ from .extensions import (
 )
 from .fincat import (
     Functor,
-    Groupoid,
     build_category,
     cyclic_group_table,
     join,
@@ -31,7 +30,7 @@ from .fincat import (
     product_with_projections,
     terminal_category,
 )
-from .schemes import group_scheme, hamming, j_embed, orbit_configuration, validate_scheme
+from .schemes import group_scheme, hamming, j_embed, orbit_configuration
 from .schemoid import (
     QuasiSchemoid,
     analyze_thinness,

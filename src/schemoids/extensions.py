@@ -35,12 +35,10 @@ from .fincat import (
 )
 from .schemoid import (
     AxiomViolation,
-    Involution,
     QuasiSchemoid,
     check_association,
     check_concatenation,
     make_partition,
-    verify_quasi_schemoid,
 )
 
 
@@ -348,8 +346,12 @@ def cocycle_from_json(system: NaturalSystem, raw: dict) -> Cochain2:
     entries = {}
     for f, g, vec in raw["entries"]:
         vec = tuple(int(x) for x in (vec if isinstance(vec, list) else [vec]))
-        if (str(f), str(g)) not in system.category.compose:
+        fg = system.category.compose.get((str(f), str(g)))
+        if fg is None:
             raise ExtensionError(f"cocycle entry ({f!r}, {g!r}) is not a composable pair")
+        if len(vec) != system.rank[fg]:
+            raise ExtensionError(f"cocycle entry ({f!r}, {g!r}) has {len(vec)} coordinates, "
+                                 f"but D of its composite has rank {system.rank[fg]}")
         if any(vec):
             entries[(str(f), str(g))] = vec
     return Cochain2(entries)
@@ -879,7 +881,7 @@ def _coboundary_solution(cx: BWComplex, delta: Cochain2):
     return linalg.solve(cx.d1_rows, cx.cochain2_vector(delta), cx.dim[1], cx.system.modulus)
 
 
-def is_split(ext: ExtensionCategory, complex_: BWComplex | None = None):
+def is_split(ext: ExtensionCategory):
     """A verified section s with q∘s = id, or None.
 
     Splits exactly when the cocycle is a coboundary: solve d F = delta and
@@ -893,7 +895,7 @@ def is_split(ext: ExtensionCategory, complex_: BWComplex | None = None):
     d1 (which lists no triples).
     """
     system = ext.system
-    cx = complex_ if complex_ is not None else bw_differentials(ext.base, system)
+    cx = bw_differentials(ext.base, system)
     if cx.skeleton is not cx and _coboundary_solution(cx.skeleton, ext.cocycle) is None:
         return None
     sol = _coboundary_solution(cx, ext.cocycle)

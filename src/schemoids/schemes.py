@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .fincat import Functor, build_category, pair_name
-from .schemoid import Involution, QuasiSchemoid, check_association, make_partition, verify_quasi_schemoid
+from .schemoid import QuasiSchemoid, check_association, make_partition, verify_quasi_schemoid
 
 DESK_SCALE_LIMIT = 64
 

@@ -1,9 +1,15 @@
-"""Morphism partitions over finite categories and their verification.
+"""Morphism partitions over finite categories, their verification, and
+the schemoid morphisms between them.
 
 The central check counts, for each block triple (σ, τ, μ), the number of
 factorizations h = f∘g with f in σ, g in τ of every h in μ; the partition
 is admitted exactly when that count is constant along μ (morphisms with
 zero factorizations participate in the constancy requirement).
+
+A schemoid morphism is a functor between the underlying categories that
+sends each block of the source into one block of the target; it is the
+arrow of the categories of schemoids, and `schemoid_morphism` is its one
+validating constructor.
 """
 
 from __future__ import annotations
@@ -13,10 +19,11 @@ from dataclasses import dataclass
 from .fincat import (
     FinCategory,
     Functor,
-    Groupoid,
     NotInvertible,
     as_groupoid,
+    compose_functors,
     connector_name,
+    identity_functor,
     is_groupoid,
     join,
     pair_name,
@@ -50,7 +57,11 @@ class BlockNotPreserved(Exception):
     pass
 
 
-class SizeMismatch(Exception):
+class NotBlockwise(Exception):
+    pass
+
+
+class NotComposable(Exception):
     pass
 
 
@@ -341,6 +352,50 @@ def _search_base_points(comps, ident_block, s0):
 def is_basic(qs: QuasiSchemoid) -> bool:
     """Unital with a groupoid underneath."""
     return is_unital(qs.category, qs.partition)[0] and is_groupoid(qs.category)
+
+
+# ---------------------------------------------------------------------------
+# Schemoid morphisms
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class SchemoidMorphism:
+    source: QuasiSchemoid
+    target: QuasiSchemoid
+    functor: Functor
+    block_image: dict[str, str]       # source block -> the target block it lands in
+
+    def __call__(self, m: str) -> str:
+        return self.functor.morphism_map[m]
+
+
+def schemoid_morphism(source: QuasiSchemoid, target: QuasiSchemoid,
+                      functor: Functor) -> SchemoidMorphism:
+    """Validate the functor laws and that each block lands inside one block."""
+    validate_functor(functor, source.category, target.category)
+    block_of = target.partition.block_of
+    block_image = {}
+    for name, members in source.partition.blocks.items():
+        images = {block_of[functor.morphism_map[m]] for m in members}
+        if len(images) != 1:
+            raise NotBlockwise(f"block {name!r} maps into {len(images)} blocks")
+        block_image[name] = images.pop()
+    return SchemoidMorphism(source, target, functor, block_image)
+
+
+def identity_morphism(qs: QuasiSchemoid) -> SchemoidMorphism:
+    return schemoid_morphism(qs, qs, identity_functor(qs.category))
+
+
+def compose_schemoid_morphisms(second: SchemoidMorphism, first: SchemoidMorphism) -> SchemoidMorphism:
+    """second∘first; the target of first must be the source of second, the
+    same category with the same partition."""
+    middle, start = first.target, second.source
+    if middle is not start and (middle.category != start.category
+                                or middle.partition != start.partition):
+        raise NotComposable("the first morphism's target is not the second's source")
+    return schemoid_morphism(first.source, second.target,
+                             compose_functors(second.functor, first.functor))
 
 
 # ---------------------------------------------------------------------------

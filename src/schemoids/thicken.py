@@ -20,16 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .admissible import SchemoidMorphism, from_bridge_data, schemoid_morphism
-from .bridges import blockwise_functor
 from .fincat import FinCategory, Functor, build_category
 from .schemes import CoherentConfiguration, pair_morphism
 from .schemoid import (
-    Involution,
-    MorphismPartition,
     QuasiSchemoid,
+    SchemoidMorphism,
     check_association,
     make_partition,
+    schemoid_morphism,
     verify_quasi_schemoid,
 )
 

@@ -2,23 +2,24 @@ import pytest
 
 from schemoids.admissible import (
     HypothesisNotMet,
-    compose_schemoid_morphisms,
     condition_P,
-    from_bridge_data,
-    identity_morphism,
     image_block_closure,
     induced_algebra_map,
     is_admissible,
     multiplicities,
-    schemoid_morphism,
     verify_sum_identity,
 )
 from schemoids.algebra import PrimeField, Rationals, identity_algebra_map, schemoid_algebra
-from schemoids.bridges import s_tilde, s_tilde_on_functor
+from schemoids.bridges import s_tilde_on_functor
 from schemoids.extensions import build_extension, trivial_system, zero_cochain2, cochain2_from_function
 from schemoids.fincat import Functor, cyclic_group_table, one_object_group
 from schemoids.schemes import hamming, j_embed
-from schemoids.schemoid import verify_quasi_schemoid
+from schemoids.schemoid import (
+    compose_schemoid_morphisms,
+    identity_morphism,
+    schemoid_morphism,
+    verify_quasi_schemoid,
+)
 
 from test_schemoid import group_bullet
 from test_extensions import product_base, z2_cocycle_on_product
@@ -118,11 +119,8 @@ def test_s_tilde_functors_admissible_and_compose():
     z2 = one_object_group(*cyclic_group_table(2))
     red84 = Functor({"*": "*"}, {str(i): str(i % 4) for i in range(8)})
     red42 = Functor({"*": "*"}, {str(i): str(i % 2) for i in range(4)})
-    f1 = s_tilde_on_functor(red84, z8, z4)
-    f2 = s_tilde_on_functor(red42, z4, z2)
-    s8, s4, s2 = s_tilde(z8), s_tilde(z4), s_tilde(z2)
-    m1 = from_bridge_data(s8, s4, f1)
-    m2 = from_bridge_data(s4, s2, f2)
+    m1 = s_tilde_on_functor(red84, z8, z4)
+    m2 = s_tilde_on_functor(red42, z4, z2)
     assert is_admissible(m1).admissible
     assert is_admissible(m2).admissible
     comp = compose_schemoid_morphisms(m2, m1)
@@ -159,8 +157,8 @@ def test_condition_P_violation_fixture():
 
 
 def test_multiplicities_gate():
-    """Non-admissible inputs are rejected; enforced gates reject non-basic
-    targets even when the defensive path would succeed."""
+    """Non-admissible inputs are rejected; the gates are reported, and a
+    non-basic target with constant fibers still gets its multiplicities."""
     from schemoids.fincat import terminal_category
     from schemoids.schemoid import discrete_partition
     source = verify_quasi_schemoid(terminal_category(), discrete_partition(terminal_category()))
@@ -172,8 +170,7 @@ def test_multiplicities_gate():
     from schemoids.admissible import gate_report
     gates = gate_report(proj)
     assert gates["source_groupoid"] and not gates["target_basic"]
-    with pytest.raises(HypothesisNotMet):
-        multiplicities(proj, enforce_gates=True)
+    assert set(multiplicities(proj).values()) == {2}
 
 
 def test_nonconstant_fiber_detected():
@@ -216,14 +213,10 @@ def test_functoriality_of_induced_maps():
     z2 = one_object_group(*cyclic_group_table(2))
     red84 = Functor({"*": "*"}, {str(i): str(i % 4) for i in range(8)})
     red42 = Functor({"*": "*"}, {str(i): str(i % 2) for i in range(4)})
-    s8, s4, s2 = s_tilde(z8), s_tilde(z4), s_tilde(z2)
-    m1 = from_bridge_data(s8, s4, s_tilde_on_functor(red84, z8, z4))
-    m2 = from_bridge_data(s4, s2, s_tilde_on_functor(red42, z4, z2))
+    m1 = s_tilde_on_functor(red84, z8, z4)
+    m2 = s_tilde_on_functor(red42, z4, z2)
     comp = compose_schemoid_morphisms(m2, m1)
-    a8 = schemoid_algebra(s8, Q)
-    a4 = schemoid_algebra(s4, Q)
-    a2 = schemoid_algebra(s2, Q)
-    k1 = induced_algebra_map(m1, Q, a8, a4)
-    k2 = induced_algebra_map(m2, Q, a4, a2)
-    kc = induced_algebra_map(comp, Q, a8, a2)
+    k1 = induced_algebra_map(m1, Q)
+    k2 = induced_algebra_map(m2, Q)
+    kc = induced_algebra_map(comp, Q)
     assert compose_algebra_maps(k2, k1).matrix == kc.matrix

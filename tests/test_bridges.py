@@ -3,7 +3,6 @@ import pytest
 from schemoids.bridges import (
     NotBasedMorphism,
     NotSemiThin,
-    blockwise_functor,
     canonical_groupoid_witness,
     faithfulness_roundtrip,
     k_discrete,
@@ -22,7 +21,14 @@ from schemoids.fincat import (
     terminal_category,
     validate_functor,
 )
-from schemoids.schemoid import analyze_thinness, check_association, make_partition, schemoid_isomorphic, verify_quasi_schemoid
+from schemoids.schemoid import (
+    analyze_thinness,
+    check_association,
+    make_partition,
+    schemoid_isomorphic,
+    schemoid_morphism,
+    verify_quasi_schemoid,
+)
 from schemoids.algebra import Rationals, schemoid_algebra
 
 from test_schemoid import group_bullet
@@ -228,7 +234,7 @@ def test_faithfulness_rejects_translated():
     for (m, src, tgt) in qs.category.morphisms:
         mmap[m] = f"({shift[tgt]},{shift[src]})"
     fun = Functor(omap, mmap)
-    g = blockwise_functor(qs, qs, fun)
+    g = schemoid_morphism(qs, qs, fun)
     with pytest.raises(NotBasedMorphism):
         faithfulness_roundtrip(g, z4, z4)
 

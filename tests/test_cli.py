@@ -110,6 +110,19 @@ def test_cohomology_and_extension_flow(capsys, tmp_path):
     assert code == 0 and eq["equivalent"] is False
 
 
+def test_split_refuses_cocycle_entry_of_wrong_length(capsys, tmp_path):
+    """Over Z/2 with the trivial rank-1 system, D of 1∘1 has rank 1, so a
+    two-coordinate entry is refused as input before any extension is built."""
+    from schemoids.fincat import serialize
+    cat = serialize(one_object_group(*cyclic_group_table(2)).base)
+    ef = write(tmp_path, "ext.json", {
+        "kind": "extension", "base": cat,
+        "system": {"kind": "trivial", "modulus": 2, "rank": 1},
+        "cocycle": {"entries": [["1", "1", [1, 1]]]}})
+    code, out = run_json(capsys, "split", ef)
+    assert code == 1 and out["error"] == "ExtensionError"
+
+
 @pytest.mark.parametrize("modulus", [0, 1, -4, True, 2.5, "4"])
 def test_cohomology_rejects_invalid_modulus(capsys, tmp_path, modulus):
     gpd = one_object_group(*cyclic_group_table(2))

@@ -6,9 +6,13 @@ from schemoids.schemoid import (
     AxiomViolation,
     BlockNotPreserved,
     LoopConditionViolated,
+    NotBlockwise,
+    NotComposable,
     check_association,
     check_concatenation,
+    compose_schemoid_morphisms,
     discrete_partition,
+    identity_morphism,
     is_basic,
     is_unital,
     make_partition,
@@ -16,6 +20,7 @@ from schemoids.schemoid import (
     analyze_thinness,
     schemoid_isomorphic,
     schemoid_join,
+    schemoid_morphism,
     schemoid_product,
     serialize_partition,
     verify_quasi_schemoid,
@@ -271,3 +276,21 @@ def test_partition_serialization_roundtrip():
     raw = serialize_partition(qs.partition)
     back = partition_from_json(qs.category, raw)
     assert back == qs.partition
+
+
+def test_schemoid_morphisms_compose_only_through_the_same_schemoid():
+    """On Z/2, f: discrete -> one block and g: discrete -> discrete share the
+    category in the middle but not the partition, so g∘f is refused; a
+    rebuilt copy of the middle schemoid still composes."""
+    cat = group_bullet(2).category
+    discrete = verify_quasi_schemoid(cat, discrete_partition(cat))
+    ident = Functor({"*": "*"}, {m: m for m in cat.morphism_ids})
+    f = schemoid_morphism(discrete, group_bullet(2), ident)
+    g = identity_morphism(discrete)
+    assert f.block_image == {"0": "G", "1": "G"}
+    with pytest.raises(NotComposable):
+        compose_schemoid_morphisms(g, f)
+    with pytest.raises(NotBlockwise):
+        schemoid_morphism(group_bullet(2), discrete, ident)
+    copy = verify_quasi_schemoid(cat, discrete_partition(cat))
+    assert compose_schemoid_morphisms(identity_morphism(copy), g).block_image == {"0": "0", "1": "1"}
