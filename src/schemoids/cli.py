@@ -6,13 +6,14 @@ pipe together, e.g.
     schemoids gen hamming 2 2 | schemoids embed-scheme - | schemoids constants -
 
 Exit status: 0 on success, 1 on a domain error (with a machine-readable
-diagnostic on stdout), 2 on usage errors.
+diagnostic on stdout) or a closed stdout, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import corpus
@@ -293,8 +294,9 @@ def run(argv=None) -> int:
     pretty = args.pretty
     try:
         return _dispatch(args, pretty)
-    except (KeyError, OSError, json.JSONDecodeError) as err:
-        emit({"error": type(err).__name__, "message": str(err)}, pretty)
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); devnull takes the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except Exception as err:  # domain errors carry their class name
         emit({"error": type(err).__name__, "message": str(err)}, pretty)

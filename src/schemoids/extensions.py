@@ -293,38 +293,11 @@ def is_normalized(system: NaturalSystem, delta: Cochain2) -> bool:
 
 
 def coboundary_of_1cochain(system: NaturalSystem, fvals: dict) -> Cochain2:
-    """d F as a 2-cochain, for F given per morphism."""
-    cat = system.category
-    m = system.modulus
-
-    def fn(f, g):
-        fg = cat.comp(f, g)
-        val = _apply(system.push[(f, g)], fvals.get(g, _vec_zero(system.rank[g])), m)
-        val = _vec_add(val, _vec_neg(fvals.get(fg, _vec_zero(system.rank[fg])), m), m)
-        val = _vec_add(val, _apply(system.pull[(f, g)], fvals.get(f, _vec_zero(system.rank[f])), m), m)
-        return val
-
-    return cochain2_from_function(system, fn)
-
-
-def cocycle_defect(system: NaturalSystem, delta: Cochain2):
-    """First composable triple where d(delta) is nonzero, or None."""
-    cat = system.category
-    m = system.modulus
-    for (f, g) in cat.compose:
-        fg = cat.comp(f, g)
-        for h in cat.morphism_ids:
-            if (g, h) not in cat.compose:
-                continue
-            gh = cat.comp(g, h)
-            val = _apply(system.push[(f, gh)], delta.value(system, g, h), m)
-            val = _vec_add(val, _vec_neg(delta.value(system, fg, h), m), m)
-            val = _vec_add(val, delta.value(system, f, gh), m)
-            val = _vec_add(val, _vec_neg(
-                _apply(system.pull[(fg, h)], delta.value(system, f, g), m), m), m)
-            if any(val):
-                return (f, g, h, val)
-    return None
+    """d F as a 2-cochain, for F given per morphism, by the rows of d1."""
+    cx = bw_differentials(system.category, system)
+    vec = _place(fvals, cx.offset1, system.rank.__getitem__, cx.dim[1])
+    return cochain2_from_function(
+        system, lambda f, g: _evaluate(cx._d1_at(f, g), vec, system.modulus))
 
 
 def normalize_cocycle(system: NaturalSystem, delta: Cochain2) -> Cochain2:
@@ -346,14 +319,9 @@ def cocycle_from_json(system: NaturalSystem, raw: dict) -> Cochain2:
     entries = {}
     for f, g, vec in raw["entries"]:
         vec = tuple(int(x) for x in (vec if isinstance(vec, list) else [vec]))
-        fg = system.category.compose.get((str(f), str(g)))
-        if fg is None:
+        if (str(f), str(g)) not in system.category.compose:
             raise ExtensionError(f"cocycle entry ({f!r}, {g!r}) is not a composable pair")
-        if len(vec) != system.rank[fg]:
-            raise ExtensionError(f"cocycle entry ({f!r}, {g!r}) has {len(vec)} coordinates, "
-                                 f"but D of its composite has rank {system.rank[fg]}")
-        if any(vec):
-            entries[(str(f), str(g))] = vec
+        entries[(str(f), str(g))] = vec
     return Cochain2(entries)
 
 
@@ -372,12 +340,17 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 # comes back as invariant factors d_1 | d_2 | ... over Z/m and as a free
 # rank over Q.
 #
+# Each d_n is written once, as its rows at one basis element of degree n + 1
+# (BWComplex._d0_at, _d1_at, _d2_at).  d0_rows, d1_rows and d2_rows join them
+# in basis order when first read, checking d1∘d0 = 0 and d2∘d1 = 0;
+# coboundary_of_1cochain applies d1's rows pair by pair, and cocycle_defect,
+# build_extension's cocycle test, applies d2's triple by triple as it streams
+# the triples, so it holds neither them nor d2.
+#
 # bw_differentials lists only the bases and offsets of degrees 0..2 and the
 # four dimensions: dim C^3 = sum over pairs (f, g) of W(f∘g), where W(u) is
-# the sum over h into src u of rank(u∘h), so no triple is listed.  The
-# triples and the rows of d0, d1, d2 are built when first read, and d1∘d0 = 0
-# and d2∘d1 = 0 are checked as d1 and d2 are built.  The dense d0, d1, d2
-# are built only when read; nothing in the package reads them.
+# the sum over h into src u of rank(u∘h), so no triple is listed.  Only
+# tests read the dense d0, d1, d2.
 #
 # H^n(C; D) = H^n(S; i*D) for the inclusion i: S -> C of a skeleton
 # (Baues & Wirsching, J. Pure Appl. Algebra 38 (1985), Thm 1.11), so the
@@ -397,63 +370,76 @@ class BWComplex:
     offset2: dict
     dim: tuple[int, int, int, int]
 
-    @cached_property
-    def basis3(self) -> list:
-        """Composable triples (f, g, h)."""
+    def _triples(self):
+        """Composable triples (f, g, h): pairs in basis2 order, h in morphism order."""
         into: dict[str, list[str]] = {x: [] for x in self.category.objects}
         for h, _, t in self.category.morphisms:
             into[t].append(h)
         src = self.category.src
-        return [(f, g, h) for (f, g) in self.basis2 for h in into[src(g)]]
+        return ((f, g, h) for (f, g) in self.basis2 for h in into[src(g)])
 
     @cached_property
-    def offset3(self) -> dict:
-        rank, compose = self.system.rank, self.category.compose
-        offset3, dim3 = _offsets(self.basis3, [rank[compose[(compose[(f, g)], h)]]
-                                               for f, g, h in self.basis3])
-        if dim3 != self.dim[3]:
-            raise ExtensionError(f"the triples span {dim3} coordinates, not dim C^3 = {self.dim[3]}")
-        return offset3
+    def basis3(self) -> list:
+        return list(self._triples())
+
+    def _d0_at(self, f: str) -> list[dict[int, int]]:
+        """Rows of d0 at f: f_* G(src f) - f^* G(tgt f)."""
+        cat, system = self.category, self.system
+        sx, tx = cat.src(f), cat.tgt(f)
+        rows = [{} for _ in range(system.rank[f])]
+        _add_block(rows, self.offset0[sx], system.push[(f, cat.identity[sx])], 1)
+        _add_block(rows, self.offset0[tx], system.pull[(cat.identity[tx], f)], -1)
+        return rows
+
+    def _d1_at(self, f: str, g: str) -> list[dict[int, int]]:
+        """Rows of d1 at (f, g): f_* F(g) - F(fg) + g^* F(f)."""
+        system, offset1 = self.system, self.offset1
+        fg = self.category.comp(f, g)
+        rows = [{} for _ in range(system.rank[fg])]
+        _add_block(rows, offset1[g], system.push[(f, g)], 1)
+        _add_identity(rows, offset1[fg], -1)
+        _add_block(rows, offset1[f], system.pull[(f, g)], 1)
+        return rows
+
+    def _d2_at(self, f: str, g: str, h: str) -> list[dict[int, int]]:
+        """Rows of d2 at (f, g, h): f_* D(g, h) - D(fg, h) + D(f, gh) - h^* D(f, g)."""
+        cat, system, offset2 = self.category, self.system, self.offset2
+        fg = cat.comp(f, g)
+        gh = cat.comp(g, h)
+        rows = [{} for _ in range(system.rank[cat.comp(fg, h)])]
+        _add_block(rows, offset2[(g, h)], system.push[(f, gh)], 1)
+        _add_identity(rows, offset2[(fg, h)], -1)
+        _add_identity(rows, offset2[(f, gh)], 1)
+        _add_block(rows, offset2[(f, g)], system.pull[(fg, h)], -1)
+        return rows
 
     @cached_property
     def d0_rows(self) -> list[dict[int, int]]:
-        cat, system = self.category, self.system
-        d0 = [{} for _ in range(self.dim[1])]
-        for f in self.basis1:
-            rof = self.offset1[f]
-            sx, tx = cat.src(f), cat.tgt(f)
-            _add_block(d0, rof, self.offset0[sx], system.push[(f, cat.identity[sx])], 1)
-            _add_block(d0, rof, self.offset0[tx], system.pull[(cat.identity[tx], f)], -1)
-        return d0
+        return [row for f in self.basis1 for row in self._d0_at(f)]
 
     @cached_property
     def d1_rows(self) -> list[dict[int, int]]:
-        cat, system, offset1 = self.category, self.system, self.offset1
-        d1 = [{} for _ in range(self.dim[2])]
-        for (f, g) in self.basis2:
-            rof = self.offset2[(f, g)]
-            fg = cat.comp(f, g)
-            _add_block(d1, rof, offset1[g], system.push[(f, g)], 1)
-            _add_identity(d1, rof, offset1[fg], system.rank[fg], -1)
-            _add_block(d1, rof, offset1[f], system.pull[(f, g)], 1)
-        _check_zero_composite(d1, self.d0_rows, system.modulus, "d1∘d0")
+        d1 = [row for f, g in self.basis2 for row in self._d1_at(f, g)]
+        _check_zero_composite(d1, self.d0_rows, self.system.modulus, "d1∘d0")
         return d1
 
     @cached_property
     def d2_rows(self) -> list[dict[int, int]]:
-        cat, system, offset2, offset3 = self.category, self.system, self.offset2, self.offset3
-        d2 = [{} for _ in range(self.dim[3])]
-        for (f, g, h) in self.basis3:
-            rof = offset3[(f, g, h)]
-            fg = cat.comp(f, g)
-            gh = cat.comp(g, h)
-            r = system.rank[cat.comp(fg, h)]
-            _add_block(d2, rof, offset2[(g, h)], system.push[(f, gh)], 1)
-            _add_identity(d2, rof, offset2[(fg, h)], r, -1)
-            _add_identity(d2, rof, offset2[(f, gh)], r, 1)
-            _add_block(d2, rof, offset2[(f, g)], system.pull[(fg, h)], -1)
-        _check_zero_composite(d2, self.d1_rows, system.modulus, "d2∘d1")
+        d2 = [row for f, g, h in self._triples() for row in self._d2_at(f, g, h)]
+        if len(d2) != self.dim[3]:
+            raise ExtensionError(f"the triples span {len(d2)} coordinates, not dim C^3 = {self.dim[3]}")
+        _check_zero_composite(d2, self.d1_rows, self.system.modulus, "d2∘d1")
         return d2
+
+    def cocycle_defect(self, delta: Cochain2):
+        """The first triple (f, g, h), in basis3 order, at which d2 delta is
+        nonzero, or None; neither basis3 nor d2_rows is built."""
+        vec = self.cochain2_vector(delta)
+        m = self.system.modulus
+        for f, g, h in self._triples():
+            if any(_evaluate(self._d2_at(f, g, h), vec, m)):
+                return (f, g, h)
+        return None
 
     @cached_property
     def d0(self) -> list[list[int]]:
@@ -484,24 +470,10 @@ class BWComplex:
 
     def cochain2_vector(self, delta: Cochain2) -> list[int]:
         """Coordinates of delta on the pairs of this complex; on a skeleton
-        that is the restriction i* delta."""
-        vec = [0] * self.dim[2]
-        for key, v in delta.entries.items():
-            off = self.offset2.get(key)
-            if off is not None:
-                for i, x in enumerate(v):
-                    vec[off + i] = x
-        return vec
-
-    def vector_to_1cochain(self, vec) -> dict:
-        out = {}
-        for f in self.basis1:
-            off = self.offset1[f]
-            r = self.system.rank[f]
-            v = tuple(vec[off + i] for i in range(r))
-            if any(v):
-                out[f] = v
-        return out
+        that is the restriction i* delta.  An entry whose length is not the
+        rank of D at f∘g is refused."""
+        rank, compose = self.system.rank, self.category.compose
+        return _place(delta.entries, self.offset2, lambda key: rank[compose[key]], self.dim[2])
 
 
 def _dense(rows, cols: int) -> list[list[int]]:
@@ -519,6 +491,20 @@ def _offsets(basis, ranks) -> tuple[dict, int]:
     total rank."""
     starts = list(accumulate(ranks, initial=0))
     return dict(zip(basis, starts)), starts[-1]
+
+
+def _place(entries: dict, offset: dict, rank, dim: int) -> list[int]:
+    """dim coordinates with each entry at its offset; keys with no offset
+    are skipped, and an entry whose length is not rank(key) is refused."""
+    vec = [0] * dim
+    for key, v in entries.items():
+        off = offset.get(key)
+        if off is not None:
+            if len(v) != rank(key):
+                raise ExtensionError(f"entry {key!r} has {len(v)} coordinates, "
+                                     f"but D there has rank {rank(key)}")
+            vec[off:off + len(v)] = v
+    return vec
 
 
 def _skeleton_objects(cat: FinCategory) -> list[str]:
@@ -575,17 +561,23 @@ def _add_entry(row, col, x):
         row.pop(col, None)
 
 
-def _add_block(rows, row_off, col_off, block, sign):
+def _add_block(rows, col_off, block, sign):
     for i, brow in enumerate(block):
-        target = rows[row_off + i]
+        target = rows[i]
         for j, x in enumerate(brow):
             if x:
                 _add_entry(target, col_off + j, sign * x)
 
 
-def _add_identity(rows, row_off, col_off, r, sign):
-    for i in range(r):
-        _add_entry(rows[row_off + i], col_off + i, sign)
+def _add_identity(rows, col_off, sign):
+    for i, row in enumerate(rows):
+        _add_entry(row, col_off + i, sign)
+
+
+def _evaluate(rows, vec, modulus) -> Vector:
+    """The sparse rows applied to a vector, reduced mod the modulus."""
+    out = (sum(c * vec[j] for j, c in row.items()) for row in rows)
+    return tuple(x % modulus for x in out) if modulus is not None else tuple(out)
 
 
 def _check_zero_composite(second, first, modulus, label):
@@ -669,9 +661,11 @@ class ExtensionCategory:
 def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) -> ExtensionCategory:
     """Total category with composition twisted by a normalized cocycle.
 
-    The fiber over f is D_f acting by translation; fullness, the torsor
-    property and the linear distributivity law are all verified on the
-    result.
+    delta must have d2 delta = 0 for the d2 whose cohomology bw_cohomology
+    computes (`BWComplex.cocycle_defect` on the whole base), or `NotACocycle`
+    names the first failing triple.  The fiber over f is D_f acting by
+    translation; fullness, the torsor property and the linear distributivity
+    law are all verified on the result.
     """
     if system.modulus is None:
         raise ExtensionError("building a finite extension needs a finite modulus")
@@ -679,9 +673,9 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
         raise BaseMismatch("system lives over a different category")
     if not is_normalized(system, delta):
         raise NotNormalized("cocycle must vanish on identity pairs")
-    defect = cocycle_defect(system, delta)
+    defect = bw_differentials(cat, system).cocycle_defect(delta)
     if defect is not None:
-        raise NotACocycle(f"d(delta) != 0 at {defect[:3]}")
+        raise NotACocycle(f"d(delta) != 0 at {defect}")
     m = system.modulus
 
     morphisms = []
@@ -901,11 +895,11 @@ def is_split(ext: ExtensionCategory):
     sol = _coboundary_solution(cx, ext.cocycle)
     if sol is None:
         return None
-    fvals = cx.vector_to_1cochain(sol)
     cat = ext.base
     smap = {}
     for f in cat.morphism_ids:
-        smap[f] = fiber_morphism_name(f, fvals.get(f, _vec_zero(system.rank[f])))
+        off = cx.offset1[f]
+        smap[f] = fiber_morphism_name(f, tuple(sol[off:off + system.rank[f]]))
     section = Functor({x: x for x in cat.objects}, smap)
     validate_functor(section, cat, ext.total)
     for f in cat.morphism_ids:

@@ -379,23 +379,18 @@ def full_subcategory(c: FinCategory, objects) -> FinCategory:
     return FinCategory(objs, morphisms, {x: c.identity[x] for x in objs}, compose)
 
 
-def terminal_category(obj: str = "*") -> FinCategory:
-    e = f"1_{obj}"
-    return build_category([obj], [(e, obj, obj)], {obj: e}, {})
+def terminal_category() -> FinCategory:
+    return build_category(["*"], [("1_*", "*", "*")], {"*": "1_*"}, {})
 
 
-def one_object_group(elements, table, obj: str = "*", prefix: str = "") -> Groupoid:
-    """Group as a one-object groupoid; table maps (a, b) -> a*b ('b first')."""
+def one_object_group(elements, table) -> Groupoid:
+    """Group as a groupoid on the one object "*"; table maps (a, b) -> a*b ('b first')."""
     elements = [str(e) for e in elements]
     unit = next(e for e in elements if all(table[(e, x)] == x and table[(x, e)] == x for x in elements))
-    name = {e: prefix + e for e in elements}
-    morphisms = [(name[e], obj, obj) for e in elements]
-    compose = {(name[a], name[b]): name[table[(a, b)]] for a in elements for b in elements}
-    cat = build_category([obj], morphisms, {obj: name[unit]}, compose)
-    inverse = {}
-    for a in elements:
-        inv = next(b for b in elements if table[(a, b)] == unit)
-        inverse[name[a]] = name[inv]
+    morphisms = [(e, "*", "*") for e in elements]
+    compose = {(a, b): table[(a, b)] for a in elements for b in elements}
+    cat = build_category(["*"], morphisms, {"*": unit}, compose)
+    inverse = {a: next(b for b in elements if table[(a, b)] == unit) for a in elements}
     return Groupoid(cat, inverse)
 
 

@@ -543,6 +543,47 @@ def full_complex_is_coboundary(cat, system, delta):
     return solve(cx.d1_rows, cx.cochain2_vector(delta), cx.dim[1], system.modulus) is not None
 
 
+def coboundary_of_1cochain(system, fvals):
+    """d F as a 2-cochain, for F given per morphism, by vector arithmetic
+    on each pair; the reference for schemoids.extensions.coboundary_of_1cochain,
+    which reads the rows of BWComplex's d1."""
+    from schemoids.extensions import _apply, _vec_add, _vec_neg, _vec_zero, cochain2_from_function
+    cat = system.category
+    m = system.modulus
+
+    def fn(f, g):
+        fg = cat.comp(f, g)
+        val = _apply(system.push[(f, g)], fvals.get(g, _vec_zero(system.rank[g])), m)
+        val = _vec_add(val, _vec_neg(fvals.get(fg, _vec_zero(system.rank[fg])), m), m)
+        val = _vec_add(val, _apply(system.pull[(f, g)], fvals.get(f, _vec_zero(system.rank[f])), m), m)
+        return val
+
+    return cochain2_from_function(system, fn)
+
+
+def cocycle_defect(system, delta):
+    """First composable triple where d(delta) is nonzero, or None, by vector
+    arithmetic on each triple; the reference for BWComplex.cocycle_defect,
+    which reads the rows of its d2."""
+    from schemoids.extensions import _apply, _vec_add, _vec_neg
+    cat = system.category
+    m = system.modulus
+    for (f, g) in cat.compose:
+        fg = cat.comp(f, g)
+        for h in cat.morphism_ids:
+            if (g, h) not in cat.compose:
+                continue
+            gh = cat.comp(g, h)
+            val = _apply(system.push[(f, gh)], delta.value(system, g, h), m)
+            val = _vec_add(val, _vec_neg(delta.value(system, fg, h), m), m)
+            val = _vec_add(val, delta.value(system, f, gh), m)
+            val = _vec_add(val, _vec_neg(
+                _apply(system.pull[(fg, h)], delta.value(system, f, g), m), m), m)
+            if any(val):
+                return (f, g, h, val)
+    return None
+
+
 def brute_force_sections(ext, cap=1 << 16):
     """All sections of an extension's projection by exhaustive enumeration
     of one fiber element per base morphism; independent of the linear path."""

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -121,6 +124,22 @@ def test_split_refuses_cocycle_entry_of_wrong_length(capsys, tmp_path):
         "cocycle": {"entries": [["1", "1", [1, 1]]]}})
     code, out = run_json(capsys, "split", ef)
     assert code == 1 and out["error"] == "ExtensionError"
+
+
+def test_closed_stdout_ends_quietly(capsys, tmp_path):
+    """A reader that stops early, as `| head -c 16` does: the bundle of
+    j(H(4,2)) is about 200 kB, more than a pipe holds, so the CLI is still
+    writing when the pipe closes, and it ends with nothing on stderr."""
+    code, scheme = run_json(capsys, "gen", "hamming", "4", "2")
+    sf = write(tmp_path, "scheme.json", scheme)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    with subprocess.Popen([sys.executable, "-m", "schemoids", "embed-scheme", sf], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(16)) == 16
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("modulus", [0, 1, -4, True, 2.5, "4"])

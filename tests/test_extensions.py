@@ -5,6 +5,7 @@ from schemoids.extensions import (
     BaseMismatch,
     BaseNotConnectedGroupoid,
     Cochain2,
+    ExtensionError,
     HypothesisFailed,
     InvalidModulus,
     NotACocycle,
@@ -15,7 +16,6 @@ from schemoids.extensions import (
     coboundary_of_1cochain,
     cochain2_from_function,
     cochain2_sub,
-    cocycle_defect,
     cocycle_from_json,
     cocycle_to_json,
     extensions_equivalent,
@@ -34,7 +34,12 @@ from schemoids.schemes import hamming, j_embed, validate_scheme
 from schemoids.schemoid import analyze_thinness, check_concatenation, discrete_partition, is_unital, verify_quasi_schemoid
 
 from test_schemoid import group_bullet
-from oracles import bar_complex_group_cohomology, brute_force_sections, dense_cohomology_invariants
+from oracles import (
+    bar_complex_group_cohomology,
+    brute_force_sections,
+    cocycle_defect,
+    dense_cohomology_invariants,
+)
 
 
 def zcat(n):
@@ -361,6 +366,45 @@ def test_two_classes_over_product_base():
     assert is_split(e1) is None
     assert extensions_equivalent(e0, e0)
     assert not extensions_equivalent(e0, e1)
+
+
+def test_not_a_cocycle_names_the_reference_triple():
+    """Flip the e1 cocycle of the product base at each of its 196 pairs
+    without an identity: build_extension refuses each, naming the first
+    triple at which the reference finds d2 nonzero."""
+    cat = product_base().category
+    sys_ = trivial_system(cat, 2)
+    delta1 = cochain2_from_function(sys_, z2_cocycle_on_product(cat))
+    pairs = [(f, g) for (f, g) in cat.compose if not (cat.is_identity(f) or cat.is_identity(g))]
+    assert len(pairs) == 196
+    for f, g in pairs:
+        tampered = cochain2_sub(sys_, delta1, Cochain2({(f, g): (1,)}))
+        want = cocycle_defect(sys_, tampered)
+        assert want is not None
+        with pytest.raises(NotACocycle) as err:
+            build_extension(cat, sys_, tampered)
+        assert str(err.value) == f"d(delta) != 0 at {want[:3]}"
+
+
+def test_cocycle_test_streams_the_triples():
+    """The cocycle test of a build holds neither the triples nor d2."""
+    cat = product_base().category
+    sys_ = trivial_system(cat, 2)
+    cx = bw_differentials(cat, sys_)
+    assert cx.cocycle_defect(cochain2_from_function(sys_, z2_cocycle_on_product(cat))) is None
+    assert "basis3" not in vars(cx) and "d2_rows" not in vars(cx)
+
+
+def test_build_extension_refuses_cocycle_entry_of_wrong_length():
+    """D of 1∘1 has rank 1 over Z/2 with the trivial rank-1 system, so a
+    two-coordinate entry, built in code or read as JSON (zero or not), is
+    refused, not cut to one."""
+    cat = zcat(2)
+    sys_ = trivial_system(cat, 2)
+    for delta in (Cochain2({("1", "1"): (1, 0)}),
+                  cocycle_from_json(sys_, {"entries": [["1", "1", [0, 0]]]})):
+        with pytest.raises(ExtensionError, match=r"\('1', '1'\) has 2 coordinates"):
+            build_extension(cat, sys_, delta)
 
 
 def test_equivalence_coboundary_shift():
