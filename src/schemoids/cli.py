@@ -12,6 +12,7 @@ diagnostic on stdout) or a closed stdout, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -203,7 +204,10 @@ def analysis_report(qs) -> dict:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser; one per process, shared by every caller,
+    so it must not be changed."""
     parser = argparse.ArgumentParser(prog="schemoids",
                                      description="exact computations with partitioned finite categories")
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
@@ -289,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser is built once per process, on the first call; parse_args
+    # keeps no state in it between calls
+    args = build_parser().parse_args(argv)
     pretty = args.pretty
     try:
         return _dispatch(args, pretty)

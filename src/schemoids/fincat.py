@@ -42,7 +42,12 @@ class NotInvertible(CategoryError):
 
 
 class NotAFunctor(CategoryError):
-    pass
+    """A functor law fails; a broken composition law carries a witness
+    (f, g, F(f∘g), expected)."""
+
+    def __init__(self, message, witness=None):
+        self.witness = witness
+        super().__init__(message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +60,7 @@ class FinCategory:
     _tgt: dict[str, str] | None = field(repr=False, default=None)
     _hom: dict[tuple[str, str], tuple[str, ...]] | None = field(repr=False, default=None)
     _ids: tuple[str, ...] | None = field(repr=False, default=None)
+    _generators: tuple[str, ...] | None = field(repr=False, default=None)
 
     def __post_init__(self):
         if self._src is None:
@@ -81,6 +87,23 @@ class FinCategory:
     @property
     def morphism_ids(self) -> tuple[str, ...]:
         return self._ids
+
+    @property
+    def generators(self) -> tuple[str, ...]:
+        """Light's generating set: with the identities it generates every
+        morphism under composition.  `_validate` keeps the set its
+        associativity test used; any other category computes it on first read."""
+        if self._generators is None:
+            pos = {m: i for i, m in enumerate(self._ids)}
+            opos = {x: i for i, x in enumerate(self.objects)}
+            rows: list[dict[int, int]] = [{} for _ in self._ids]
+            for (f, g), fg in self.compose.items():
+                rows[pos[f]][pos[g]] = pos[fg]
+            gens = _light_generators([opos[s] for _, s, _ in self.morphisms],
+                                     [opos[t] for _, _, t in self.morphisms], rows,
+                                     [pos[self.identity[x]] for x in self.objects])
+            object.__setattr__(self, "_generators", tuple(self._ids[a] for a in gens))
+        return self._generators
 
     def endomorphisms(self) -> tuple[str, ...]:
         return tuple(m for m, s, t in self.morphisms if s == t)
@@ -209,8 +232,9 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
     by Light's test, the morphisms a with (x∘a)∘y = x∘(a∘y) for all
     composable x, y are closed under composition, and the identities are
     among them; so the test runs only on a generating set, picked greedily
-    in morphism order.  The first error raised is of the class a scan of all
-    pairs and triples would raise first.
+    in morphism order and kept as the category's `generators`.  The first
+    error raised is of the class a scan of all pairs and triples would
+    raise first.
     """
     objects = tuple(str(x) for x in objects)
     if len(set(objects)) != len(objects):
@@ -279,8 +303,10 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
     for i, m in enumerate(ids):
         if rows[i][ident[s_of[i]]] != i or rows[ident[t_of[i]]][i] != i:
             raise MissingIdentity(f"unit law fails at {m!r}")
-    _light_test(ids, s_of, t_of, out_of, in_to, rows, ident)
-    return FinCategory(objects, morphisms, identity, compose, src, tgt, _hom_sets(morphisms), ids)
+    generators = _light_generators(s_of, t_of, rows, ident)
+    _light_test(ids, s_of, t_of, out_of, in_to, rows, generators)
+    return FinCategory(objects, morphisms, identity, compose, src, tgt, _hom_sets(morphisms), ids,
+                       tuple(ids[a] for a in generators))
 
 
 def _raise_first_gap(ids, s_of, t_of, in_to, rows):
@@ -300,15 +326,13 @@ def _raise_first_gap(ids, s_of, t_of, in_to, rows):
     raise AssertionError("totality check failed without a bad pair")
 
 
-def _light_test(ids, s_of, t_of, out_of, in_to, rows, ident):
-    """Associativity on a total table that satisfies the unit laws.
-
-    A morphism joins the generators only if the composition closure of the
-    identities and the generators before it misses it; the closure grows
-    semi-naively, each new member composed once with every member before it.
-    """
-    n_obj = len(out_of)
-    member = bytearray(len(ids))
+def _light_generators(s_of, t_of, rows, ident) -> list[int]:
+    """Light's generators of a total table: a morphism joins them only if
+    the composition closure of the identities and the generators before it
+    misses it.  The closure grows semi-naively, each new member composed
+    once with every member before it."""
+    n_obj = len(ident)
+    member = bytearray(len(rows))
     closure_out: list[list[int]] = [[] for _ in range(n_obj)]
     closure_in: list[list[int]] = [[] for _ in range(n_obj)]
 
@@ -331,11 +355,16 @@ def _light_test(ids, s_of, t_of, out_of, in_to, rows, ident):
 
     close(ident)
     generators = []
-    for a in range(len(ids)):
+    for a in range(len(rows)):
         if not member[a]:
             generators.append(a)
             close([a])
+    return generators
 
+
+def _light_test(ids, s_of, t_of, out_of, in_to, rows, generators):
+    """Associativity on a total table that satisfies the unit laws, checked
+    at each of Light's generators a: (x∘a)∘y = x∘(a∘y) for all composable x, y."""
     for a in generators:
         row_a = rows[a]
         ys = in_to[s_of[a]]
@@ -556,7 +585,17 @@ def serialize_groupoid(g: Groupoid) -> dict:
 
 
 def validate_functor(fun: Functor, c: FinCategory, d: FinCategory) -> Functor:
-    """Check functor laws of fun: C -> D (contravariant if flagged)."""
+    """Check functor laws of fun: C -> D (contravariant if flagged).
+
+    Objects, identities and endpoints are checked one by one.  The
+    composition law F(f∘g) = F(f)∘F(g), or F(g)∘F(f) if contravariant, is
+    checked only where g is one of C's Light generators (`c.generators`),
+    for every f composable with it.  That suffices when C and D are
+    associative: the g at which the law holds for every f are then closed
+    under composition, the identities are among them once identities and
+    endpoints are preserved, and with the generators they make up all of
+    C.  A broken law raises NotAFunctor with witness (f, g, F(f∘g), expected).
+    """
     omap, mmap = fun.object_map, fun.morphism_map
     d_objects, d_morphisms = set(d.objects), set(d.morphism_ids)
     for x in c.objects:
@@ -564,25 +603,30 @@ def validate_functor(fun: Functor, c: FinCategory, d: FinCategory) -> Functor:
             raise NotAFunctor(f"object {x!r} unmapped or mapped outside the target")
         if mmap.get(c.identity[x]) != d.identity[omap[x]]:
             raise NotAFunctor(f"identity of {x!r} not preserved")
-    for m in c.morphism_ids:
+    out_of: dict[str, list[str]] = {}
+    for m, s, t in c.morphisms:
         img = mmap.get(m)
         if img is None or img not in d_morphisms:
             raise NotAFunctor(f"morphism {m!r} unmapped or mapped outside the target")
-        s, t = c.src(m), c.tgt(m)
         if fun.contravariant:
             if d.src(img) != omap[t] or d.tgt(img) != omap[s]:
                 raise NotAFunctor(f"endpoints of {m!r} not reversed correctly")
         else:
             if d.src(img) != omap[s] or d.tgt(img) != omap[t]:
                 raise NotAFunctor(f"endpoints of {m!r} not preserved")
-    d_compose = d.compose
-    for (f, g), fg in c.compose.items():
-        if fun.contravariant:
-            expected = d_compose[(mmap[g], mmap[f])]
-        else:
-            expected = d_compose[(mmap[f], mmap[g])]
-        if mmap[fg] != expected:
-            raise NotAFunctor(f"composition not preserved at ({f!r}, {g!r})")
+        out_of.setdefault(s, []).append(m)
+    c_compose, d_compose = c.compose, d.compose
+    for g in c.generators:
+        img_g = mmap[g]
+        for f in out_of.get(c.tgt(g), ()):
+            if fun.contravariant:
+                expected = d_compose[(img_g, mmap[f])]
+            else:
+                expected = d_compose[(mmap[f], img_g)]
+            got = mmap[c_compose[(f, g)]]
+            if got != expected:
+                raise NotAFunctor(f"composition not preserved at ({f!r}, {g!r})",
+                                  witness=(f, g, got, expected))
     return fun
 
 

@@ -404,6 +404,41 @@ def validate_category_dense(raw):
     return compose
 
 
+def validate_functor_dense(fun, c, d):
+    """Functor laws by the full scan: the composition law at every
+    composable pair of C.  The reference for the generator check in
+    schemoids.fincat.validate_functor; same error class, no witness."""
+    from schemoids.fincat import NotAFunctor
+
+    omap, mmap = fun.object_map, fun.morphism_map
+    d_objects, d_morphisms = set(d.objects), set(d.morphism_ids)
+    for x in c.objects:
+        if omap.get(x) not in d_objects:
+            raise NotAFunctor(f"object {x!r} unmapped or mapped outside the target")
+        if mmap.get(c.identity[x]) != d.identity[omap[x]]:
+            raise NotAFunctor(f"identity of {x!r} not preserved")
+    for m in c.morphism_ids:
+        img = mmap.get(m)
+        if img is None or img not in d_morphisms:
+            raise NotAFunctor(f"morphism {m!r} unmapped or mapped outside the target")
+        s, t = c.src(m), c.tgt(m)
+        if fun.contravariant:
+            if d.src(img) != omap[t] or d.tgt(img) != omap[s]:
+                raise NotAFunctor(f"endpoints of {m!r} not reversed correctly")
+        else:
+            if d.src(img) != omap[s] or d.tgt(img) != omap[t]:
+                raise NotAFunctor(f"endpoints of {m!r} not preserved")
+    d_compose = d.compose
+    for (f, g), fg in c.compose.items():
+        if fun.contravariant:
+            expected = d_compose[(mmap[g], mmap[f])]
+        else:
+            expected = d_compose[(mmap[f], mmap[g])]
+        if mmap[fg] != expected:
+            raise NotAFunctor(f"composition not preserved at ({f!r}, {g!r})")
+    return fun
+
+
 # Fraction route for the algebras over a field, kept as the reference for the
 # integer elimination of schemoids.algebra (linalg._Echelon and its back
 # substitution).

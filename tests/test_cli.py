@@ -228,6 +228,44 @@ def test_selftest(capsys):
     assert code == 0 and out["failures"] == {}
 
 
+def outputs(capsys, argv):
+    """Exit code, stdout and stderr of one call, usage errors included."""
+    try:
+        code = cli.run(list(argv))
+    except SystemExit as err:
+        code = err.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_reused_parser_keeps_no_state(capsys, tmp_path, monkeypatch):
+    """The parser is built once per process, and a call made after another
+    one gives the output it gives with a parser of its own: options, their
+    defaults and a usage error do not carry over."""
+    assert cli.build_parser() is cli.build_parser()
+    code, scheme = run_json(capsys, "gen", "hamming", "2", "2")
+    code, bundle = run_json(capsys, "embed-scheme", write(tmp_path, "scheme.json", scheme))
+    bf = write(tmp_path, "bundle.json", bundle)
+    from schemoids.fincat import serialize
+    cf = write(tmp_path, "z2cat.json", serialize(one_object_group(*cyclic_group_table(2)).base))
+    sf = write(tmp_path, "sys.json", {"kind": "trivial", "modulus": 2, "rank": 1})
+    pairs = [
+        (["algebra", bf, "--ring", "F2"], ["algebra", bf]),
+        (["cohomology", cf, sf, "--degree", "1"], ["cohomology", cf, sf]),
+        (["--pretty", "examples", "ex2_8"], ["examples", "ex2_8"]),
+        (["examples", "ex2_11", "--window", "2"], ["examples", "ex2_11"]),
+        (["algebra", bf, "--no-such-flag"], ["algebra", bf]),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        alone = {tuple(argv): outputs(capsys, argv) for pair in pairs for argv in pair}
+    assert alone[tuple(pairs[-1][0])][0] == 2
+    for first, second in pairs:
+        assert alone[tuple(first)] != alone[tuple(second)]
+        assert outputs(capsys, first) == alone[tuple(first)]
+        assert outputs(capsys, second) == alone[tuple(second)]
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         cli.run(["no-such-command"])

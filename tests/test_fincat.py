@@ -13,6 +13,7 @@ from schemoids.fincat import (
     cyclic_group_table,
     disjoint_union,
     factorization_category,
+    full_subcategory,
     join,
     one_object_group,
     opposite,
@@ -192,6 +193,28 @@ def test_functor_validation():
     bad = Functor({"x": "x", "y": "x"}, {"1_x": "1_x", "1_y": "1_x", "f": "f"})
     with pytest.raises(fincat.NotAFunctor):
         validate_functor(bad, c, c)
+
+
+def test_broken_composition_law_carries_a_witness():
+    """Sending 1 to 2 in Z/3 keeps the identity and the endpoints, so only
+    the composition law breaks; the witness is a pair (f, g) at which it does."""
+    c = one_object_group(*cyclic_group_table(3)).base
+    bad = Functor({"*": "*"}, {"0": "0", "1": "2", "2": "2"})
+    with pytest.raises(fincat.NotAFunctor, match="composition not preserved") as err:
+        validate_functor(bad, c, c)
+    f, g, got, expected = err.value.witness
+    assert got == bad(c.comp(f, g)) and expected == c.comp(bad(f), bad(g)) and got != expected
+
+
+def test_generators_of_a_full_subcategory_are_those_validation_picks():
+    """full_subcategory skips validation and computes Light's generators on
+    first read, by the same greedy closure as `_validate`."""
+    c = join(chain3_category(), one_object_group(*cyclic_group_table(3)).base)
+    assert c.generators == validate_category(serialize(c)).generators
+    for keep in (["L.x", "L.z"], ["L.y", "R.*"], ["L.x", "L.y", "R.*"]):
+        sub = full_subcategory(c, keep)
+        assert sub._generators is None
+        assert sub.generators == validate_category(serialize(sub)).generators
 
 
 def test_product_and_join_pass_validation_again():

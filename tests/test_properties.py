@@ -20,15 +20,19 @@ from schemoids.extensions import (
 from schemoids.fincat import (
     CategoryError,
     NonAssociative,
+    NotAFunctor,
     build_category,
     cyclic_group_table,
+    identity_functor,
     join,
     one_object_group,
+    opposite,
     product,
     product_with_projections,
     serialize,
     terminal_category,
     validate_category,
+    validate_functor,
 )
 from schemoids.schemes import hamming, j_embed, scheme_from_json, serialize_scheme, validate_scheme
 from schemoids.schemoid import (
@@ -53,6 +57,7 @@ from oracles import (
     full_complex_is_coboundary,
     span_dimension_fractions,
     validate_category_dense,
+    validate_functor_dense,
 )
 
 
@@ -483,3 +488,72 @@ def test_light_test_matches_dense_oracle(raw):
         e, f, g, lhs, rhs = got.witness
         table = _completed_table(raw)
         assert table[(table[(e, f)], g)] == lhs != rhs == table[(e, table[(f, g)])]
+
+
+_SCHEMOIDS = {n: j_embed(hamming(n, 2)) for n in (2, 3)}
+
+
+@st.composite
+def functor_cases(draw):
+    """(F, C, D) for an identity functor, the contravariant identity C ->
+    C^op, the involution T of j(H(n,2)) or a projection of C × Z/k, with C
+    drawn from small_categories(), j(H(2,2)) or j(H(3,2)).  About half the cases
+    redirect the image of one non-identity morphism to another morphism with
+    the same endpoints, so that only the composition law can fail."""
+    n = draw(st.sampled_from([None, 2, 3]))
+    cat = draw(small_categories()) if n is None else _SCHEMOIDS[n].category
+    kind = draw(st.sampled_from(["identity", "opposite", "projection"]
+                                + (["involution"] if n else [])))
+    if kind == "identity":
+        fun, c, d = identity_functor(cat), cat, cat
+    elif kind == "opposite":
+        ident = identity_functor(cat)
+        fun = Functor(ident.object_map, ident.morphism_map, contravariant=True)
+        c, d = cat, opposite(cat)
+    elif kind == "involution":
+        fun, c, d = _SCHEMOIDS[n].involution.functor, cat, cat
+    else:
+        group = one_object_group(*cyclic_group_table(draw(st.integers(1, 3)))).base
+        c, p1, p2 = product_with_projections(cat, group)
+        fun, d = draw(st.sampled_from([(p1, cat), (p2, group)]))
+    event(kind + (" contravariant" if fun.contravariant else ""))
+    omap, mmap = fun.object_map, dict(fun.morphism_map)
+    swaps = []
+    for m, s, t in c.morphisms:
+        if not c.is_identity(m):
+            s, t = (omap[t], omap[s]) if fun.contravariant else (omap[s], omap[t])
+            swaps += [(m, other) for other in d.hom(s, t) if other != mmap[m]]
+    if swaps and draw(st.booleans()):
+        m, other = draw(st.sampled_from(swaps))
+        mmap[m] = other
+        fun = Functor(omap, mmap, fun.contravariant)
+    return fun, c, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(functor_cases())
+def test_functor_check_matches_dense_oracle(case):
+    """The composition law checked at Light's generators gives the verdict
+    and error class of the check at every composable pair, and its witness
+    is a pair at which the law fails."""
+    fun, c, d = case
+    try:
+        want = validate_functor_dense(fun, c, d)
+    except CategoryError as err:
+        want = err
+    try:
+        got = validate_functor(fun, c, d)
+    except CategoryError as err:
+        got = err
+    event(type(want).__name__ if isinstance(want, CategoryError) else "accepted")
+    if not isinstance(want, CategoryError):
+        assert got is fun
+        return
+    assert type(got) is type(want) is NotAFunctor
+    f, g, fg, expected = got.witness
+    mmap = fun.morphism_map
+    assert c.src(f) == c.tgt(g)
+    assert fg == mmap[c.comp(f, g)]
+    assert expected == (d.comp(mmap[g], mmap[f]) if fun.contravariant
+                        else d.comp(mmap[f], mmap[g]))
+    assert fg != expected
