@@ -42,6 +42,7 @@ from .schemoid import (
     schemoid_isomorphic,
     schemoid_join,
     schemoid_morphism,
+    schemoid_morphisms,
     schemoid_product,
     verify_quasi_schemoid,
 )

@@ -459,47 +459,42 @@ def product_with_projections(c: FinCategory, d: FinCategory):
     return cat, Functor(obj1, proj1), Functor(obj2, proj2)
 
 
+def _tagged_sum(c: FinCategory, d: FinCategory):
+    """Objects, morphisms, identities and composition of the coproduct C ⊔ D,
+    with every id of C prefixed 'L.' and every id of D 'R.'."""
+    objects, morphisms, identity, compose = [], [], {}, {}
+    for tag, e in (("L.", c), ("R.", d)):
+        objects += [tag + x for x in e.objects]
+        morphisms += [(tag + m, tag + s, tag + t) for m, s, t in e.morphisms]
+        identity.update({tag + x: tag + e.identity[x] for x in e.objects})
+        compose.update({(tag + f, tag + g): tag + fg for (f, g), fg in e.compose.items()})
+    return objects, morphisms, identity, compose
+
+
 def join(c: FinCategory, d: FinCategory) -> FinCategory:
     """Join C∗D: one extra morphism w[a,b]: a -> b per a in C, b in D.
 
     Ids are renamed with 'L.'/'R.' prefixes so the join is always defined.
     """
-    lo = lambda x: f"L.{x}"
-    ro = lambda x: f"R.{x}"
-    objects = [lo(x) for x in c.objects] + [ro(x) for x in d.objects]
-    morphisms = ([(lo(m), lo(s), lo(t)) for m, s, t in c.morphisms]
-                 + [(ro(m), ro(s), ro(t)) for m, s, t in d.morphisms])
+    objects, morphisms, identity, compose = _tagged_sum(c, d)
     w = {(a, b): connector_name(a, b) for a in c.objects for b in d.objects}
-    morphisms += [(m, lo(a), ro(b)) for (a, b), m in w.items()]
-    identity = {lo(x): lo(c.identity[x]) for x in c.objects}
-    identity.update({ro(x): ro(d.identity[x]) for x in d.objects})
-    compose = {(lo(f), lo(g)): lo(fg) for (f, g), fg in c.compose.items()}
-    compose.update({(ro(f), ro(g)): ro(fg) for (f, g), fg in d.compose.items()})
+    morphisms += [(m, f"L.{a}", f"R.{b}") for (a, b), m in w.items()]
     for a in c.objects:
         for b in d.objects:
             # alpha ∘ w[a,s] = w[a,t] for alpha: s -> t in D
             for m, s, t in d.morphisms:
                 if s == b:
-                    compose[(ro(m), w[(a, b)])] = w[(a, t)]
+                    compose[(f"R.{m}", w[(a, b)])] = w[(a, t)]
             # w[v,b] ∘ beta = w[u,b] for beta: u -> v in C
             for m, s, t in c.morphisms:
                 if t == a:
-                    compose[(w[(a, b)], lo(m))] = w[(s, b)]
+                    compose[(w[(a, b)], f"L.{m}")] = w[(s, b)]
     return build_category(objects, morphisms, identity, compose)
 
 
 def disjoint_union(c: FinCategory, d: FinCategory) -> FinCategory:
     """Coproduct with the same 'L.'/'R.' renaming as join."""
-    lo = lambda x: f"L.{x}"
-    ro = lambda x: f"R.{x}"
-    objects = [lo(x) for x in c.objects] + [ro(x) for x in d.objects]
-    morphisms = ([(lo(m), lo(s), lo(t)) for m, s, t in c.morphisms]
-                 + [(ro(m), ro(s), ro(t)) for m, s, t in d.morphisms])
-    identity = {lo(x): lo(c.identity[x]) for x in c.objects}
-    identity.update({ro(x): ro(d.identity[x]) for x in d.objects})
-    compose = {(lo(f), lo(g)): lo(fg) for (f, g), fg in c.compose.items()}
-    compose.update({(ro(f), ro(g)): ro(fg) for (f, g), fg in d.compose.items()})
-    return build_category(objects, morphisms, identity, compose)
+    return build_category(*_tagged_sum(c, d))
 
 
 def opposite(c: FinCategory) -> FinCategory:

@@ -9,7 +9,9 @@ zero factorizations participate in the constancy requirement).
 A schemoid morphism is a functor between the underlying categories that
 sends each block of the source into one block of the target; it is the
 arrow of the categories of schemoids, and `schemoid_morphism` is its one
-validating constructor.
+validating constructor.  `schemoid_morphisms` enumerates them, choosing
+images only for the source's Light generators; an isomorphism is the first
+of them that is bijective on morphisms and on blocks.
 """
 
 from __future__ import annotations
@@ -269,15 +271,16 @@ def analyze_thinness(qs: QuasiSchemoid, base_points=None) -> ThinnessReport:
     witness = None if unital else f"block {offender!r} mixes identities with other morphisms"
 
     per_source = True
+    order = {m: i for i, m in enumerate(cat.morphism_ids)}
     for name, members in partition.blocks.items():
-        seen: dict[str, str] = {}
-        for m in members:
+        seen: set[str] = set()
+        for m in sorted(members, key=order.__getitem__):
             x = cat.src(m)
             if x in seen:
                 per_source = False
                 witness = witness or f"block {name!r} has two morphisms out of {x!r}"
                 break
-            seen[x] = m
+            seen.add(x)
         if not per_source:
             break
 
@@ -441,118 +444,80 @@ def schemoid_join(a: QuasiSchemoid, b: QuasiSchemoid) -> QuasiSchemoid:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism search
+# Morphism enumeration
 # ---------------------------------------------------------------------------
 
-def schemoid_isomorphic(a: QuasiSchemoid, b: QuasiSchemoid) -> Functor | None:
-    """Functor bijective on objects and morphisms carrying blocks onto blocks.
+def schemoid_morphisms(a: QuasiSchemoid, b: QuasiSchemoid):
+    """Yield every schemoid morphism a -> b, each built by `schemoid_morphism`.
 
-    Backtracking with pruning by size profiles; None means exhaustion.
+    Images are chosen only for a's Light generators (`FinCategory.generators`),
+    which with the identities generate every morphism; a generator with more
+    endpoints already mapped goes first.  An endpoint not yet
+    mapped takes its image from the chosen morphism, and each choice is closed
+    under composition with the images before it; a clash in a composite, an
+    object image or a block image prunes the branch.  Objects that carry only
+    an identity are mapped last.
     """
+    ca, cb = a.category, b.category
+    block_a, block_b = a.partition.block_of, b.partition.block_of
+    into: dict[str, list[str]] = {x: [] for x in ca.objects}
+    out_of: dict[str, list[str]] = {x: [] for x in ca.objects}
+    for m, s, t in ca.morphisms:
+        into[t].append(m)
+        out_of[s].append(m)
+
+    def put(omap, mmap, bmap, f, h):
+        """Map f to h and close under composition; False on a clash."""
+        stack = [(f, h)]
+        while stack:
+            f, h = stack.pop()
+            if f in mmap:
+                if mmap[f] != h:
+                    return False
+                continue
+            if bmap.setdefault(block_a[f], block_b[h]) != block_b[h]:
+                return False
+            mmap[f] = h
+            for x, y in ((ca.src(f), cb.src(h)), (ca.tgt(f), cb.tgt(h))):
+                if omap.setdefault(x, y) != y:
+                    return False
+                stack.append((ca.identity[x], cb.identity[y]))
+            stack += [(ca.comp(f, g), cb.comp(h, mmap[g])) for g in into[ca.src(f)] if g in mmap]
+            stack += [(ca.comp(g, f), cb.comp(mmap[g], h)) for g in out_of[ca.tgt(f)] if g in mmap]
+        return True
+
+    # an identity is pending only when its object is not mapped, which after
+    # the generators leaves the objects that carry only an identity
+    choices = ca.generators + tuple(ca.identity[x] for x in ca.objects)
+
+    def extend(omap, mmap, bmap):
+        pending = [g for g in choices if g not in mmap]
+        f = max(pending, key=lambda g: (ca.src(g) in omap) + (ca.tgt(g) in omap), default=None)
+        if f is None:
+            yield schemoid_morphism(a, b, Functor(omap, mmap))
+            return
+        s, t = ca.src(f), ca.tgt(f)
+        for h, hs, ht in cb.morphisms:
+            if omap.get(s, hs) == hs and omap.get(t, ht) == ht:
+                state = dict(omap), dict(mmap), dict(bmap)
+                if put(*state, f, h):
+                    yield from extend(*state)
+
+    yield from extend({}, {}, {})
+
+
+def schemoid_isomorphic(a: QuasiSchemoid, b: QuasiSchemoid) -> Functor | None:
+    """Functor bijective on objects and morphisms carrying blocks onto blocks:
+    the first morphism of `schemoid_morphisms` that is bijective on morphisms
+    and on block images, or None when there is none."""
     ca, cb = a.category, b.category
     if len(ca.objects) != len(cb.objects) or len(ca.morphisms) != len(cb.morphisms):
         return None
     sizes = lambda qs: sorted(len(m) for m in qs.partition.blocks.values())
     if sizes(a) != sizes(b):
         return None
-
-    def obj_profile(cat, x):
-        outs = sorted(len(cat.hom(x, y)) for y in cat.objects)
-        ins = sorted(len(cat.hom(y, x)) for y in cat.objects)
-        return tuple(outs), tuple(ins)
-
-    prof_a = {x: obj_profile(ca, x) for x in ca.objects}
-    prof_b = {y: obj_profile(cb, y) for y in cb.objects}
-    if sorted(prof_a.values()) != sorted(prof_b.values()):
-        return None
-
-    block_size_a = {n: len(m) for n, m in a.partition.blocks.items()}
-    block_size_b = {n: len(m) for n, m in b.partition.blocks.items()}
-
-    objects = list(ca.objects)
-
-    def assign_objects(i, omap, used):
-        if i == len(objects):
-            yield dict(omap)
-            return
-        x = objects[i]
-        for y in cb.objects:
-            if y in used or prof_a[x] != prof_b[y]:
-                continue
-            ok = all(len(ca.hom(x, z)) == len(cb.hom(y, omap[z]))
-                     and len(ca.hom(z, x)) == len(cb.hom(omap[z], y))
-                     for z in omap)
-            if not ok:
-                continue
-            omap[x] = y
-            yield from assign_objects(i + 1, omap, used | {y})
-            del omap[x]
-
-    mor_a = list(ca.morphism_ids)
-
-    def assign_morphisms(omap):
-        mmap: dict[str, str] = {}
-        used: set[str] = set()
-        bmap: dict[str, str] = {}
-        binv: dict[str, str] = {}
-
-        def extend(i):
-            if i == len(mor_a):
-                # full composition check
-                for (f, g), fg in ca.compose.items():
-                    if cb.comp(mmap[f], mmap[g]) != mmap[fg]:
-                        return None
-                return Functor(dict(omap), dict(mmap))
-            f = mor_a[i]
-            bf = a.partition.block_of[f]
-            cands = cb.hom(omap[ca.src(f)], omap[ca.tgt(f)])
-            for h in cands:
-                if h in used:
-                    continue
-                if ca.is_identity(f) != cb.is_identity(h):
-                    continue
-                bh = b.partition.block_of[h]
-                if block_size_a[bf] != block_size_b[bh]:
-                    continue
-                if bf in bmap:
-                    if bmap[bf] != bh:
-                        continue
-                elif bh in binv:
-                    continue
-                fresh = bf not in bmap
-                if fresh:
-                    bmap[bf] = bh
-                    binv[bh] = bf
-                mmap[f] = h
-                used.add(h)
-                # partial composition consistency
-                consistent = True
-                for g in mmap:
-                    if (f, g) in ca.compose:
-                        fg = ca.comp(f, g)
-                        if fg in mmap and cb.comp(mmap[f], mmap[g]) != mmap[fg]:
-                            consistent = False
-                            break
-                    if (g, f) in ca.compose:
-                        gf = ca.comp(g, f)
-                        if gf in mmap and cb.comp(mmap[g], mmap[f]) != mmap[gf]:
-                            consistent = False
-                            break
-                if consistent:
-                    got = extend(i + 1)
-                    if got is not None:
-                        return got
-                used.discard(h)
-                del mmap[f]
-                if fresh:
-                    del bmap[bf]
-                    del binv[bh]
-            return None
-
-        return extend(0)
-
-    for omap in assign_objects(0, {}, set()):
-        got = assign_morphisms(omap)
-        if got is not None:
-            return got
+    for g in schemoid_morphisms(a, b):
+        if (len(set(g.functor.morphism_map.values())) == len(ca.morphisms)
+                and len(set(g.block_image.values())) == len(g.block_image)):
+            return g.functor
     return None

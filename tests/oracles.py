@@ -7,7 +7,7 @@ paths it is meant to check.
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 
 def intersection_numbers_bruteforce(rel):
@@ -641,4 +641,62 @@ def brute_force_sections(ext, cap=1 << 16):
                     break
         if ok:
             found.append(smap)
+    return found
+
+
+def _functor_candidates(c, d, cap):
+    """Every object map of C into D and, for each, every choice of images
+    in D's hom-sets, an identity going to the identity of its object's
+    image; ValueError when C has more than 4 objects or the choices exceed cap."""
+    if len(c.objects) > 4:
+        raise ValueError("more than 4 objects")
+    maps = [dict(zip(c.objects, images)) for images in product(d.objects, repeat=len(c.objects))]
+    choices = [[(d.identity[omap[s]],) if c.is_identity(f) else d.hom(omap[s], omap[t])
+                for f, s, t in c.morphisms] for omap in maps]
+    space = sum(prod(map(len, hom_choices)) for hom_choices in choices)
+    if space > cap:
+        raise ValueError(f"{space} choices exceed the cap")
+    for omap, hom_choices in zip(maps, choices):
+        for images in product(*hom_choices):
+            yield omap, images
+
+
+def functors_by_search(c, d, cap=1 << 16):
+    """Every functor C -> D by exhaustive search over `_functor_candidates`,
+    each checked by the full scan of validate_functor_dense."""
+    from schemoids.fincat import Functor, NotAFunctor
+
+    found = []
+    for omap, images in _functor_candidates(c, d, cap):
+        fun = Functor(omap, dict(zip(c.morphism_ids, images)))
+        try:
+            validate_functor_dense(fun, c, d)
+        except NotAFunctor:
+            continue
+        found.append(fun)
+    return found
+
+
+def schemoid_morphisms_by_search(a, b, cap=1 << 19):
+    """Every schemoid morphism a -> b as a functor, by exhaustive search over
+    `_functor_candidates`, keeping what schemoids.schemoid.schemoid_morphism
+    accepts.  A choice that sends one block into two is skipped before the
+    call, which would raise NotBlockwise for it.  The reference for
+    schemoid_morphisms."""
+    from schemoids.fincat import Functor, NotAFunctor
+    from schemoids.schemoid import schemoid_morphism
+
+    ca = a.category
+    blocks = [[ca.morphism_ids.index(m) for m in ms] for ms in a.partition.blocks.values()]
+    block_of = b.partition.block_of
+    found = []
+    for omap, images in _functor_candidates(ca, b.category, cap):
+        if any(len({block_of[images[i]] for i in ms}) > 1 for ms in blocks):
+            continue
+        fun = Functor(omap, dict(zip(ca.morphism_ids, images)))
+        try:
+            schemoid_morphism(a, b, fun)
+        except NotAFunctor:
+            continue
+        found.append(fun)
     return found

@@ -142,6 +142,25 @@ def test_closed_stdout_ends_quietly(capsys, tmp_path):
     assert err == b""
 
 
+def test_analyze_output_does_not_depend_on_hash_seed(capsys, tmp_path):
+    """`analyze` of the j(H(2,2)) bundle prints the same bytes under two hash
+    seeds; its thinness witness names the first repeated source in
+    morphism order, not in set order."""
+    code, scheme = run_json(capsys, "gen", "hamming", "2", "2")
+    code, bundle = run_json(capsys, "embed-scheme", write(tmp_path, "scheme.json", scheme))
+    bf = write(tmp_path, "bundle.json", bundle)
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)),
+               "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-m", "schemoids", "analyze", bf], env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert b"two morphisms out of" in outputs[0]
+
+
 @pytest.mark.parametrize("modulus", [0, 1, -4, True, 2.5, "4"])
 def test_cohomology_rejects_invalid_modulus(capsys, tmp_path, modulus):
     gpd = one_object_group(*cyclic_group_table(2))
