@@ -10,7 +10,7 @@ convention; every operation builds fresh structures.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class CategoryError(Exception):
@@ -52,22 +52,16 @@ class NotAFunctor(CategoryError):
 
 @dataclass(frozen=True, eq=False)
 class FinCategory:
+    """Built only by `_validate`, which also fills the index fields."""
     objects: tuple[str, ...]
     morphisms: tuple[tuple[str, str, str], ...]  # (id, src, tgt)
     identity: dict[str, str]                     # object -> identity morphism
     compose: dict[tuple[str, str], str]          # (f, g) -> f∘g with src(f) = tgt(g)
-    _src: dict[str, str] | None = field(repr=False, default=None)
-    _tgt: dict[str, str] | None = field(repr=False, default=None)
-    _hom: dict[tuple[str, str], tuple[str, ...]] | None = field(repr=False, default=None)
-    _ids: tuple[str, ...] | None = field(repr=False, default=None)
-    _generators: tuple[str, ...] | None = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._src is None:
-            object.__setattr__(self, "_src", {m: s for m, s, _ in self.morphisms})
-            object.__setattr__(self, "_tgt", {m: t for m, _, t in self.morphisms})
-            object.__setattr__(self, "_hom", _hom_sets(self.morphisms))
-            object.__setattr__(self, "_ids", tuple(m for m, _, _ in self.morphisms))
+    _src: dict[str, str]
+    _tgt: dict[str, str]
+    _hom: dict[tuple[str, str], tuple[str, ...]]
+    _ids: tuple[str, ...]
+    _generators: tuple[str, ...]
 
     def src(self, f: str) -> str:
         return self._src[f]
@@ -91,18 +85,7 @@ class FinCategory:
     @property
     def generators(self) -> tuple[str, ...]:
         """Light's generating set: with the identities it generates every
-        morphism under composition.  `_validate` keeps the set its
-        associativity test used; any other category computes it on first read."""
-        if self._generators is None:
-            pos = {m: i for i, m in enumerate(self._ids)}
-            opos = {x: i for i, x in enumerate(self.objects)}
-            rows: list[dict[int, int]] = [{} for _ in self._ids]
-            for (f, g), fg in self.compose.items():
-                rows[pos[f]][pos[g]] = pos[fg]
-            gens = _light_generators([opos[s] for _, s, _ in self.morphisms],
-                                     [opos[t] for _, _, t in self.morphisms], rows,
-                                     [pos[self.identity[x]] for x in self.objects])
-            object.__setattr__(self, "_generators", tuple(self._ids[a] for a in gens))
+        morphism under composition; the set `_validate`'s associativity test used."""
         return self._generators
 
     def endomorphisms(self) -> tuple[str, ...]:
@@ -395,17 +378,14 @@ def build_category(objects, morphisms, identity, compose) -> FinCategory:
 
 
 def full_subcategory(c: FinCategory, objects) -> FinCategory:
-    """The full subcategory on some objects of c, in the order of c.
-
-    It keeps every morphism between those objects and their composites, so
-    the category laws hold because they hold in c; nothing is re-checked.
-    """
+    """The full subcategory on some objects of c, in the order of c: every
+    morphism between those objects and their composites."""
     keep = set(objects)
     objs = tuple(x for x in c.objects if x in keep)
     morphisms = tuple(m for m in c.morphisms if m[1] in keep and m[2] in keep)
     compose = {(f, g): c.compose[(f, g)]
                for f, s, _ in morphisms for y in objs for g in c.hom(y, s)}
-    return FinCategory(objs, morphisms, {x: c.identity[x] for x in objs}, compose)
+    return build_category(objs, morphisms, {x: c.identity[x] for x in objs}, compose)
 
 
 def terminal_category() -> FinCategory:
@@ -413,14 +393,19 @@ def terminal_category() -> FinCategory:
 
 
 def one_object_group(elements, table) -> Groupoid:
-    """Group as a groupoid on the one object "*"; table maps (a, b) -> a*b ('b first')."""
+    """Group as a groupoid on the one object "*"; table maps (a, b) -> a*b ('b first').
+
+    MissingIdentity without a two-sided unit; otherwise the table is checked
+    by `build_category` (totality, Light's associativity test) and
+    `as_groupoid` (NotInvertible)."""
     elements = [str(e) for e in elements]
-    unit = next(e for e in elements if all(table[(e, x)] == x and table[(x, e)] == x for x in elements))
+    unit = next((e for e in elements
+                 if all(table.get((e, x)) == x and table.get((x, e)) == x for x in elements)), None)
+    if unit is None:
+        raise MissingIdentity("the group table has no two-sided unit")
     morphisms = [(e, "*", "*") for e in elements]
-    compose = {(a, b): table[(a, b)] for a in elements for b in elements}
-    cat = build_category(["*"], morphisms, {"*": unit}, compose)
-    inverse = {a: next(b for b in elements if table[(a, b)] == unit) for a in elements}
-    return Groupoid(cat, inverse)
+    compose = {(a, b): table[(a, b)] for a in elements for b in elements if (a, b) in table}
+    return as_groupoid(build_category(["*"], morphisms, {"*": unit}, compose))
 
 
 def cyclic_group_table(n: int):

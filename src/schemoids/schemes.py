@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .fincat import Functor, build_category, pair_name
+from .fincat import CategoryError, Functor, build_category, one_object_group, pair_name
 from .schemoid import QuasiSchemoid, check_association, make_partition, verify_quasi_schemoid
 
 DESK_SCALE_LIMIT = 64
@@ -204,33 +204,19 @@ def hamming(n: int, q: int, limit: int = DESK_SCALE_LIMIT) -> AssociationScheme:
 
 
 def group_scheme(elements, table) -> AssociationScheme:
-    """Scheme on a finite group with classes G_f = {(k, l) : k^-1 l = f}."""
-    elements = [str(e) for e in elements]
-    n = len(elements)
+    """Scheme on a finite group with classes G_f = {(k, l) : k^-1 l = f}.
+    The table is checked by `one_object_group`; its CategoryError is
+    re-raised as InvalidGroupTable."""
     tab = {(str(a), str(b)): str(v) for (a, b), v in table.items()}
-    for a in elements:
-        for b in elements:
-            if tab.get((a, b)) not in elements:
-                raise InvalidGroupTable(f"product of {a!r} and {b!r} missing or unknown")
-    unit = [e for e in elements if all(tab[(e, x)] == x and tab[(x, e)] == x for x in elements)]
-    if len(unit) != 1:
-        raise InvalidGroupTable("no two-sided unit")
-    unit = unit[0]
-    inverse = {}
-    for a in elements:
-        invs = [b for b in elements if tab[(a, b)] == unit and tab[(b, a)] == unit]
-        if not invs:
-            raise InvalidGroupTable(f"{a!r} has no inverse")
-        inverse[a] = invs[0]
-    for a in elements:
-        for b in elements:
-            for c in elements:
-                if tab[(tab[(a, b)], c)] != tab[(a, tab[(b, c)])]:
-                    raise InvalidGroupTable("multiplication is not associative")
+    try:
+        group = one_object_group(elements, tab)
+    except CategoryError as err:
+        raise InvalidGroupTable(str(err)) from err
+    elements, inverse = group.base.morphism_ids, group.inverse
     index = {e: i for i, e in enumerate(elements)}
     rel = [[index[tab[(inverse[k], l)]] for l in elements] for k in elements]
     classes = [f"G[{e}]" for e in elements]
-    return validate_scheme(n, rel, points=elements, classes=classes)
+    return validate_scheme(len(elements), rel, points=elements, classes=classes)
 
 
 def orbit_configuration(perms: list[list[int]], size: int):

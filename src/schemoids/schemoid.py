@@ -458,6 +458,12 @@ def schemoid_morphisms(a: QuasiSchemoid, b: QuasiSchemoid):
     object image or a block image prunes the branch.  Objects that carry only
     an identity are mapped last.
     """
+    return _morphisms(a, b, injective=False)
+
+
+def _morphisms(a: QuasiSchemoid, b: QuasiSchemoid, injective: bool):
+    """`schemoid_morphisms`, or with injective=True only the morphisms
+    injective on morphisms: a choice whose image is already taken prunes."""
     ca, cb = a.category, b.category
     block_a, block_b = a.partition.block_of, b.partition.block_of
     into: dict[str, list[str]] = {x: [] for x in ca.objects}
@@ -466,7 +472,7 @@ def schemoid_morphisms(a: QuasiSchemoid, b: QuasiSchemoid):
         into[t].append(m)
         out_of[s].append(m)
 
-    def put(omap, mmap, bmap, f, h):
+    def put(omap, mmap, bmap, hit, f, h):
         """Map f to h and close under composition; False on a clash."""
         stack = [(f, h)]
         while stack:
@@ -475,9 +481,11 @@ def schemoid_morphisms(a: QuasiSchemoid, b: QuasiSchemoid):
                 if mmap[f] != h:
                     return False
                 continue
-            if bmap.setdefault(block_a[f], block_b[h]) != block_b[h]:
+            if h in hit or bmap.setdefault(block_a[f], block_b[h]) != block_b[h]:
                 return False
             mmap[f] = h
+            if injective:
+                hit.add(h)
             for x, y in ((ca.src(f), cb.src(h)), (ca.tgt(f), cb.tgt(h))):
                 if omap.setdefault(x, y) != y:
                     return False
@@ -490,7 +498,7 @@ def schemoid_morphisms(a: QuasiSchemoid, b: QuasiSchemoid):
     # the generators leaves the objects that carry only an identity
     choices = ca.generators + tuple(ca.identity[x] for x in ca.objects)
 
-    def extend(omap, mmap, bmap):
+    def extend(omap, mmap, bmap, hit):
         pending = [g for g in choices if g not in mmap]
         f = max(pending, key=lambda g: (ca.src(g) in omap) + (ca.tgt(g) in omap), default=None)
         if f is None:
@@ -499,25 +507,24 @@ def schemoid_morphisms(a: QuasiSchemoid, b: QuasiSchemoid):
         s, t = ca.src(f), ca.tgt(f)
         for h, hs, ht in cb.morphisms:
             if omap.get(s, hs) == hs and omap.get(t, ht) == ht:
-                state = dict(omap), dict(mmap), dict(bmap)
+                state = dict(omap), dict(mmap), dict(bmap), set(hit)
                 if put(*state, f, h):
                     yield from extend(*state)
 
-    yield from extend({}, {}, {})
+    yield from extend({}, {}, {}, set())
 
 
 def schemoid_isomorphic(a: QuasiSchemoid, b: QuasiSchemoid) -> Functor | None:
     """Functor bijective on objects and morphisms carrying blocks onto blocks:
-    the first morphism of `schemoid_morphisms` that is bijective on morphisms
-    and on block images, or None when there is none."""
+    the first morphism injective on morphisms, so bijective, and bijective on
+    block images, or None when there is none."""
     ca, cb = a.category, b.category
     if len(ca.objects) != len(cb.objects) or len(ca.morphisms) != len(cb.morphisms):
         return None
     sizes = lambda qs: sorted(len(m) for m in qs.partition.blocks.values())
     if sizes(a) != sizes(b):
         return None
-    for g in schemoid_morphisms(a, b):
-        if (len(set(g.functor.morphism_map.values())) == len(ca.morphisms)
-                and len(set(g.block_image.values())) == len(g.block_image)):
+    for g in _morphisms(a, b, injective=True):
+        if len(set(g.block_image.values())) == len(g.block_image):
             return g.functor
     return None

@@ -578,6 +578,50 @@ def full_complex_is_coboundary(cat, system, delta):
     return solve(cx.d1_rows, cx.cochain2_vector(delta), cx.dim[1], system.modulus) is not None
 
 
+def natural_law_failures(cat, modulus, rank, push, pull):
+    """Every broken law of a natural system whose matrices are all present
+    and of the right shape, by the full scan: the unit laws at every f, and
+    the push law, the pull law and push/pull commutation at every composable
+    triple (x, y, z).  Each failure is named as in the witness of
+    schemoid.extensions.FunctorialityViolated."""
+    comp = cat.compose
+
+    def norm(mat):
+        return [[v % modulus if modulus else v for v in row] for row in mat]
+
+    def one(r):
+        return [[int(i == j) for j in range(r)] for i in range(r)]
+
+    failures = []
+    for f, s, t in cat.morphisms:
+        if norm(push[(cat.identity[t], f)]) != one(rank[f]):
+            failures.append(("unit push", cat.identity[t], f, None))
+        if norm(pull[(f, cat.identity[s])]) != one(rank[f]):
+            failures.append(("unit pull", None, f, cat.identity[s]))
+    for (x, y), xy in comp.items():
+        for w in cat.objects:
+            for z in cat.hom(w, cat.src(y)):
+                yz = comp[(y, z)]
+                laws = (("push", push[(xy, z)], mat_mul_int(push[(x, yz)], push[(y, z)])),
+                        ("pull", pull[(x, yz)], mat_mul_int(pull[(xy, z)], pull[(x, y)])),
+                        ("commute", mat_mul_int(push[(x, yz)], pull[(y, z)]),
+                         mat_mul_int(pull[(xy, z)], push[(x, y)])))
+                failures += [(law, x, y, z) for law, lhs, rhs in laws if norm(lhs) != norm(rhs)]
+    return failures
+
+
+def validate_natural_system_dense(cat, modulus, rank, push, pull):
+    """The natural-system laws by the full scan of `natural_law_failures`;
+    the reference for the generator check in
+    schemoids.extensions.validate_natural_system.  Raises
+    FunctorialityViolated with the first failure as witness."""
+    from schemoids.extensions import FunctorialityViolated
+    failures = natural_law_failures(cat, modulus, rank, push, pull)
+    if failures:
+        raise FunctorialityViolated(f"{failures[0][0]} law fails", failures[0])
+    return True
+
+
 def coboundary_of_1cochain(system, fvals):
     """d F as a 2-cochain, for F given per morphism, by vector arithmetic
     on each pair; the reference for schemoids.extensions.coboundary_of_1cochain,

@@ -91,13 +91,16 @@ def test_induced_system_validates():
 
 
 def test_broken_system_detected():
+    """One wrong matrix, 1_* = 0 on D_1; the witness is the push law at
+    (1, 1, 0): (1∘1)_* = 0_* = 1 on D_0, but 1_* 1_* = 0."""
     cat = zcat(2)
     sys_ = trivial_system(cat, 2)
     push = dict(sys_.push)
     push[("1", "1")] = ((0,),)  # not the required composite
     from schemoids.extensions import FunctorialityViolated
-    with pytest.raises(FunctorialityViolated):
+    with pytest.raises(FunctorialityViolated) as err:
         validate_natural_system(cat, 2, sys_.rank, push, sys_.pull)
+    assert err.value.witness == ("push", "1", "1", "0")
 
 
 def test_terminal_cohomology_vanishes():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from schemoids import fincat
 from schemoids.fincat import (
     Functor,
+    MissingIdentity,
     NonAssociative,
     NotInvertible,
     UndefinedComposite,
@@ -207,14 +208,30 @@ def test_broken_composition_law_carries_a_witness():
 
 
 def test_generators_of_a_full_subcategory_are_those_validation_picks():
-    """full_subcategory skips validation and computes Light's generators on
-    first read, by the same greedy closure as `_validate`."""
+    """full_subcategory is validated like any category built in code, so its
+    Light generators are the ones `_validate` picks for its serialized form."""
     c = join(chain3_category(), one_object_group(*cyclic_group_table(3)).base)
     assert c.generators == validate_category(serialize(c)).generators
     for keep in (["L.x", "L.z"], ["L.y", "R.*"], ["L.x", "L.y", "R.*"]):
         sub = full_subcategory(c, keep)
-        assert sub._generators is None
         assert sub.generators == validate_category(serialize(sub)).generators
+
+
+def table(rows):
+    """Multiplication table on one-letter elements: rows[x][i] is x*y for y
+    the i-th key of rows."""
+    return {(x, y): rows[x][i] for x in rows for i, y in enumerate(rows)}
+
+
+def test_one_object_group_refuses_tables_that_are_no_group():
+    """No two-sided unit; a unit e but (a*a)*a = b*a = a while
+    a*(a*a) = a*b = b; a monoid in which a has no inverse."""
+    with pytest.raises(MissingIdentity):
+        one_object_group("ab", table({"a": "aa", "b": "aa"}))
+    with pytest.raises(NonAssociative):
+        one_object_group("eab", table({"e": "eab", "a": "abb", "b": "baa"}))
+    with pytest.raises(NotInvertible):
+        one_object_group("ea", table({"e": "ea", "a": "aa"}))
 
 
 def test_product_and_join_pass_validation_again():

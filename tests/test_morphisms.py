@@ -104,6 +104,15 @@ def test_isomorphic_finds_relabelled_copies():
         assert_finds_relabelled_copy(qs)
 
 
+def test_isomorphic_separates_the_product_base_extensions():
+    """e0 and e1 have the same sizes and structure constants but are not
+    isomorphic.  Only injective choices are searched, so the answer does not
+    wait for the 24576 morphisms e0 -> e0."""
+    e0, e1 = corpus.build("e0_schemoid"), corpus.build("e1_schemoid")
+    assert schemoid_isomorphic(e0, e1) is None
+    assert_finds_relabelled_copy(e0)
+
+
 def partitioned(cat, one_block):
     """The discrete or the one-block quasi-schemoid on cat, None when the
     one block breaks the concatenation axiom."""

@@ -7,6 +7,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 from schemoids.bridges import s_tilde_on_functor
 from schemoids.extensions import (
     Cochain2,
+    FunctorialityViolated,
     build_extension,
     bw_cohomology,
     bw_differentials,
@@ -16,6 +17,7 @@ from schemoids.extensions import (
     induced_system,
     is_split,
     trivial_system,
+    validate_natural_system,
 )
 from schemoids.fincat import (
     CategoryError,
@@ -55,9 +57,11 @@ from oracles import (
     dense_cohomology_invariants,
     full_complex_cohomology,
     full_complex_is_coboundary,
+    natural_law_failures,
     span_dimension_fractions,
     validate_category_dense,
     validate_functor_dense,
+    validate_natural_system_dense,
 )
 
 
@@ -557,3 +561,51 @@ def test_functor_check_matches_dense_oracle(case):
     assert expected == (d.comp(mmap[g], mmap[f]) if fun.contravariant
                         else d.comp(mmap[f], mmap[g]))
     assert fg != expected
+
+
+@st.composite
+def perturbed_systems(draw):
+    """On C from small_categories(), a trivial system of rank 1 or 2; or on
+    C = B x Z/n, B from small_categories(), the system induced by a
+    generator A of order n acting through the projection to Z/n.  Over
+    Z/2, Z/3 or Z/4, with one or two entries of its push or pull matrices
+    then set to a random residue."""
+    cat = draw(small_categories())
+    modulus = draw(st.sampled_from([2, 3, 4]))
+    twist = draw(st.sampled_from([None, None] + sorted(ACTIONS)))
+    if twist is None:
+        system = trivial_system(cat, modulus, draw(st.integers(1, 2)))
+    else:
+        n, gen = ACTIONS[twist]
+        cat, _, proj = product_with_projections(cat, one_object_group(*cyclic_group_table(n)).base)
+        maps = {f: _power(gen, int(proj(f))) for f in cat.morphism_ids}
+        system = induced_system(cat, modulus, {x: len(gen) for x in cat.objects}, maps)
+    tables = {"push": {k: [list(row) for row in v] for k, v in system.push.items()},
+              "pull": {k: [list(row) for row in v] for k, v in system.pull.items()}}
+    for _ in range(draw(st.integers(1, 2))):
+        table = tables[draw(st.sampled_from(sorted(tables)))]
+        mat = table[draw(st.sampled_from(sorted(table)))]
+        row = mat[draw(st.integers(0, len(mat) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.integers(0, modulus - 1))
+    return cat, modulus, system.rank, tables["push"], tables["pull"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_systems())
+def test_natural_system_check_matches_dense_oracle(case):
+    """The push, pull and commutation laws checked at Light's generators
+    accept exactly the systems the scan of every composable triple accepts,
+    and the witness is a law the scan finds broken."""
+    cat, modulus, rank, push, pull = case
+    try:
+        want = validate_natural_system_dense(cat, modulus, rank, push, pull)
+    except FunctorialityViolated:
+        want = False
+    event("accepted" if want else "refused")
+    try:
+        validate_natural_system(cat, modulus, rank, push, pull)
+    except FunctorialityViolated as err:
+        assert not want
+        assert err.witness in natural_law_failures(cat, modulus, rank, push, pull)
+    else:
+        assert want

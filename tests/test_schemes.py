@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from schemoids.fincat import as_groupoid, cyclic_group_table
+from schemoids.fincat import NonAssociative, as_groupoid, cyclic_group_table
 from schemoids.schemes import (
     AssociationScheme,
     CoherentConfiguration,
@@ -22,6 +22,7 @@ from schemoids.schemes import (
     validate_scheme,
 )
 from oracles import intersection_numbers_bruteforce, hamming_distance_matrix, mat_mul_int
+from test_fincat import table
 
 
 def test_hamming_2_2():
@@ -89,6 +90,15 @@ def test_invalid_group_table():
     with pytest.raises(InvalidGroupTable):
         group_scheme(["a", "b"], {("a", "a"): "a", ("a", "b"): "b",
                                   ("b", "a"): "b", ("b", "b"): "b"})
+
+
+def test_group_scheme_refuses_no_unit_and_non_associative_tables():
+    """The tables of test_one_object_group_refuses_tables_that_are_no_group."""
+    with pytest.raises(InvalidGroupTable, match="unit"):
+        group_scheme("ab", table({"a": "aa", "b": "aa"}))
+    with pytest.raises(InvalidGroupTable) as err:
+        group_scheme("eab", table({"e": "eab", "a": "abb", "b": "baa"}))
+    assert isinstance(err.value.__cause__, NonAssociative)
 
 
 def test_orbit_configuration_z4():
