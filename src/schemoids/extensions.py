@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product as iproduct
+from operator import add, mul
 
 from . import linalg
 from .fincat import (
+    CategoryError,
     FinCategory,
     Functor,
     NotInvertible,
@@ -96,15 +98,15 @@ def _identity_matrix(r: int) -> Matrix:
 
 
 def _apply(mat: Matrix, vec: Vector, modulus: int | None) -> Vector:
-    out = tuple(sum(m * v for m, v in zip(row, vec)) for row in mat)
-    if modulus is not None:
-        out = tuple(x % modulus for x in out)
-    return out
+    if modulus is None:
+        return tuple([sum(map(mul, row, vec)) for row in mat])
+    return tuple([sum(map(mul, row, vec)) % modulus for row in mat])
 
 
 def _vec_add(u: Vector, v: Vector, modulus: int | None) -> Vector:
-    out = tuple(a + b for a, b in zip(u, v))
-    return tuple(x % modulus for x in out) if modulus is not None else out
+    if modulus is None:
+        return tuple(map(add, u, v))
+    return tuple([x % modulus for x in map(add, u, v)])
 
 
 def _vec_neg(u: Vector, modulus: int | None) -> Vector:
@@ -212,19 +214,19 @@ def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> Natu
         one = _identity_matrix(rank[f])
         check(push[(cat.identity[t], f)], one, "unit push", cat.identity[t], f, None)
         check(pull[(f, cat.identity[s])], one, "unit pull", None, f, cat.identity[s])
-    comp, mul = cat.compose, linalg.mat_mul
+    comp, mat_mul = cat.compose, linalg.mat_mul
     for g in cat.generators:
         for f in into[cat.src(g)]:
             g_f, gf = push[(g, f)], comp[(g, f)]
             for a in out_of[cat.tgt(g)]:            # push law, a1 = g
-                check(push[(comp[(a, g)], f)], mul(push[(a, gf)], g_f), "push", a, g, f)
+                check(push[(comp[(a, g)], f)], mat_mul(push[(a, gf)], g_f), "push", a, g, f)
             for b in into[cat.src(f)]:              # commutation, a = g
-                check(mul(push[(g, comp[(f, b)])], pull[(f, b)]), mul(pull[(gf, b)], g_f),
+                check(mat_mul(push[(g, comp[(f, b)])], pull[(f, b)]), mat_mul(pull[(gf, b)], g_f),
                       "commute", g, f, b)
         for f in out_of[cat.tgt(g)]:
             f_g, fg = pull[(f, g)], comp[(f, g)]
             for b in into[cat.src(g)]:              # pull law, b1 = g
-                check(pull[(f, comp[(g, b)])], mul(pull[(fg, b)], f_g), "pull", f, g, b)
+                check(pull[(f, comp[(g, b)])], mat_mul(pull[(fg, b)], f_g), "pull", f, g, b)
     return system
 
 
@@ -239,9 +241,16 @@ def trivial_system(cat: FinCategory, modulus: int | None, rank: int = 1) -> Natu
 def induced_system(cat: FinCategory, modulus: int | None, object_rank: dict,
                    maps: dict) -> NaturalSystem:
     """System induced from a functor into modules: D_f = H(tgt f), a_* = H(a),
-    pullbacks are identities; checked by `validate_natural_system`."""
+    pullbacks are identities; checked by `validate_natural_system`.  An
+    object with no rank or a morphism with no map is refused."""
     object_rank = {str(k): int(v) for k, v in object_rank.items()}
     maps = {str(k): v for k, v in maps.items()}
+    for x in cat.objects:
+        if x not in object_rank:
+            raise FunctorialityViolated(f"object rank for {x!r} missing")
+    for a in cat.morphism_ids:
+        if a not in maps:
+            raise FunctorialityViolated(f"module map for {a!r} missing")
     rank = {f: object_rank[cat.tgt(f)] for f in cat.morphism_ids}
     push = {(a, f): maps[a] for (a, f) in cat.compose}
     pull = {(f, b): _identity_matrix(rank[f]) for (f, b) in cat.compose}
@@ -348,9 +357,11 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 # Each d_n is written once, as its rows at one basis element of degree n + 1
 # (BWComplex._d0_at, _d1_at, _d2_at).  d0_rows, d1_rows and d2_rows join them
 # in basis order when first read, checking d1∘d0 = 0 and d2∘d1 = 0;
-# coboundary_of_1cochain applies d1's rows pair by pair, and cocycle_defect,
-# build_extension's cocycle test, applies d2's triple by triple as it streams
-# the triples, so it holds neither them nor d2.
+# coboundary_of_1cochain applies d1's rows pair by pair, and cocycle_defect
+# applies d2's triple by triple as it streams the triples, so it holds
+# neither them nor d2.  build_extension's cocycle test is the associativity
+# check of its total category; it calls cocycle_defect only after that check
+# fails, to name the first failing triple.
 #
 # bw_differentials lists only the bases and offsets of degrees 0..2 and the
 # four dimensions: dim C^3 = sum over pairs (f, g) of W(f∘g), where W(u) is
@@ -666,11 +677,20 @@ class ExtensionCategory:
 def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) -> ExtensionCategory:
     """Total category with composition twisted by a normalized cocycle.
 
-    delta must have d2 delta = 0 for the d2 whose cohomology bw_cohomology
-    computes (`BWComplex.cocycle_defect` on the whole base), or `NotACocycle`
-    names the first failing triple.  The fiber over f is D_f acting by
-    translation; fullness, the torsor property and the linear distributivity
-    law are all verified on the result.
+    The fiber over f is D_f acting by translation, and each total morphism
+    (f, a) is named once, by `fiber_morphism_name`.  The total table is
+    validated by `build_category`, whose associativity test is the cocycle
+    test: at the zero elements,
+    (h,0)∘((g,0)∘(f,0)) - ((h,0)∘(g,0))∘(f,0) lies over hgf with vector
+    h_*δ(g,f) - δ(hg,f) + δ(h,gf) - f^*δ(h,g) = (d2 δ)(h,g,f), so a total
+    that passes forces d2 δ = 0 for the d2 whose cohomology bw_cohomology
+    computes; for a natural system the converse holds too.  When the total
+    fails, `BWComplex.cocycle_defect` names the first failing triple in
+    basis3 order (`NotACocycle`); with no such triple the category error
+    stands.  A push or pull matrix of the wrong shape, possible only in a
+    system built without `validate_natural_system`, is refused before the
+    table is built.  Fullness, the torsor property and the linear
+    distributivity law are verified on the result.
     """
     if system.modulus is None:
         raise ExtensionError("building a finite extension needs a finite modulus")
@@ -678,41 +698,45 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
         raise BaseMismatch("system lives over a different category")
     if not is_normalized(system, delta):
         raise NotNormalized("cocycle must vanish on identity pairs")
-    defect = bw_differentials(cat, system).cocycle_defect(delta)
-    if defect is not None:
-        raise NotACocycle(f"d(delta) != 0 at {defect}")
+    _check_shapes(cat, system.rank, system.push, system.pull)
+    cx = bw_differentials(cat, system)
+    cx.cochain2_vector(delta)               # refuses an entry of the wrong length
     m = system.modulus
 
     morphisms = []
-    fiber: dict[str, list[str]] = {}
+    names: dict[str, dict[Vector, str]] = {}   # base morphism -> vector -> total id
     decomposition: dict[str, tuple[str, Vector]] = {}
-    for f in cat.morphism_ids:
-        for vec in system.fiber_vectors(f):
-            e = fiber_morphism_name(f, vec)
-            morphisms.append((e, cat.src(f), cat.tgt(f)))
-            fiber.setdefault(f, []).append(e)
+    for f, s, t in cat.morphisms:
+        names[f] = {vec: fiber_morphism_name(f, vec) for vec in system.fiber_vectors(f)}
+        for vec, e in names[f].items():
+            morphisms.append((e, s, t))
             decomposition[e] = (f, vec)
-    identity = {x: fiber_morphism_name(cat.identity[x], _vec_zero(system.rank[cat.identity[x]]))
+    identity = {x: names[cat.identity[x]][_vec_zero(system.rank[cat.identity[x]])]
                 for x in cat.objects}
     compose = {}
     for (g, f), gf in cat.compose.items():
-        d_val = delta.value(system, g, f)
-        push_gf = system.push[(g, f)]
-        pull_gf = system.pull[(g, f)]
-        for a in system.fiber_vectors(f):
-            ga = _apply(push_gf, a, m)
-            for b in system.fiber_vectors(g):
-                val = _vec_add(_vec_neg(d_val, m),
-                               _vec_add(ga, _apply(pull_gf, b, m), m), m)
-                compose[(fiber_morphism_name(g, b), fiber_morphism_name(f, a))] = \
-                    fiber_morphism_name(gf, val)
-    total = build_category(cat.objects, morphisms, identity, compose)
+        push_gf, pull_gf = system.push[(g, f)], system.pull[(g, f)]
+        minus_d = _vec_neg(delta.value(system, g, f), m)
+        names_gf = names[gf]
+        pulled = [(gb, _apply(pull_gf, b, m)) for b, gb in names[g].items()]
+        for a, fa in names[f].items():
+            shifted = _vec_add(minus_d, _apply(push_gf, a, m), m)
+            for gb, b_pulled in pulled:
+                compose[(gb, fa)] = names_gf[_vec_add(shifted, b_pulled, m)]
+    try:
+        total = build_category(cat.objects, morphisms, identity, compose)
+    except CategoryError as err:
+        defect = cx.cocycle_defect(delta)
+        if defect is not None:
+            raise NotACocycle(f"d(delta) != 0 at {defect}") from err
+        raise
     projection = Functor({x: x for x in cat.objects},
                          {e: decomposition[e][0] for e in total.morphism_ids})
     validate_functor(projection, total, cat)
 
     ext = ExtensionCategory(cat, system, delta, total, projection,
-                            {f: tuple(v) for f, v in fiber.items()}, decomposition)
+                            {f: tuple(named.values()) for f, named in names.items()},
+                            decomposition)
     _verify_torsor(ext)
     _verify_distributivity(ext)
     return ext
@@ -732,21 +756,19 @@ def _verify_torsor(ext: ExtensionCategory):
 
 
 def _verify_distributivity(ext: ExtensionCategory):
-    # (f0 + a)(g0 + b) = f0 g0 + f_* b + g^* a over every composable base pair
-    cat, system, total = ext.base, ext.system, ext.total
-    m = system.modulus
-    for (f, g), _fg in cat.compose.items():
-        f0 = ext.fiber[f][0]
-        g0 = ext.fiber[g][0]
-        base_comp = total.comp(f0, g0)
-        for a in system.fiber_vectors(f):
-            fa = ext.act(f0, a)
-            for b in system.fiber_vectors(g):
-                gb = ext.act(g0, b)
-                lhs = total.comp(fa, gb)
-                shift = _vec_add(_apply(system.push[(f, g)], b, m),
-                                 _apply(system.pull[(f, g)], a, m), m)
-                if lhs != ext.act(base_comp, shift):
+    # (f, a)∘(g, b) = (fg, c + f_* b + g^* a) over every composable base pair,
+    # where (fg, c) = (f, 0)∘(g, 0); each fiber element is pushed or pulled once
+    cat, system = ext.base, ext.system
+    comp, decomposition, m = ext.total.compose, ext.decomposition, system.modulus
+    for (f, g), fg in cat.compose.items():
+        fiber_f, fiber_g = ext.fiber[f], ext.fiber[g]
+        c = decomposition[comp[(fiber_f[0], fiber_g[0])]][1]
+        push_fg, pull_fg = system.push[(f, g)], system.pull[(f, g)]
+        pushed = [(gb, _apply(push_fg, decomposition[gb][1], m)) for gb in fiber_g]
+        for fa in fiber_f:
+            shifted = _vec_add(c, _apply(pull_fg, decomposition[fa][1], m), m)
+            for gb, b_pushed in pushed:
+                if decomposition[comp[(fa, gb)]] != (fg, _vec_add(shifted, b_pushed, m)):
                     raise ExtensionError(f"distributivity fails over ({f!r}, {g!r})")
 
 

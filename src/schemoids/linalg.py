@@ -375,9 +375,15 @@ def first_singular(matrices, modulus: int | None = None) -> int | None:
 
     A square matrix is invertible over Z/m exactly when it is invertible
     over F_p for every prime p dividing m, and over Q when it has full rank.
+    A matrix equal to one already checked is skipped.
     """
     fields = [p for p, _ in _local_rings(modulus)]
+    seen = set()
     for index, mat in enumerate(matrices):
+        key = tuple(map(tuple, mat))
+        if key in seen:
+            continue
+        seen.add(key)
         n = len(mat)
         if any(len(row) != n for row in mat):
             return index

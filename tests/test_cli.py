@@ -171,6 +171,24 @@ def test_cohomology_rejects_invalid_modulus(capsys, tmp_path, modulus):
     assert code == 1 and out["error"] == "InvalidModulus"
 
 
+@pytest.mark.parametrize("system, missing", [
+    ({"kind": "induced", "modulus": 2, "object_ranks": {"*": 1}, "maps": {"0": [[1]]}},
+     "module map for '1'"),
+    ({"kind": "induced", "modulus": 2, "object_ranks": {}, "maps": {"0": [[1]], "1": [[1]]}},
+     "object rank for '*'"),
+])
+def test_cohomology_refuses_induced_system_with_a_gap(capsys, tmp_path, system, missing):
+    """An induced system with no map for a morphism, or no rank for an
+    object, is refused as a natural-system violation naming what is
+    missing, not reported as an internal KeyError."""
+    gpd = one_object_group(*cyclic_group_table(2))
+    from schemoids.fincat import serialize
+    cf = write(tmp_path, "z2cat.json", serialize(gpd.base))
+    code, out = run_json(capsys, "cohomology", cf, write(tmp_path, "sys.json", system))
+    assert code == 1 and out["error"] == "FunctorialityViolated"
+    assert missing in out["message"]
+
+
 def admissible_inputs(capsys, tmp_path):
     """Files for `admissible`: the e1 extension schemoid, the product base it
     lies over, and the projection between them."""

@@ -6,8 +6,10 @@ from schemoids.extensions import (
     BaseNotConnectedGroupoid,
     Cochain2,
     ExtensionError,
+    FunctorialityViolated,
     HypothesisFailed,
     InvalidModulus,
+    NaturalSystem,
     NotACocycle,
     NotNormalized,
     build_extension,
@@ -29,7 +31,7 @@ from schemoids.extensions import (
     validate_natural_system,
     zero_cochain2,
 )
-from schemoids.fincat import cyclic_group_table, one_object_group, terminal_category
+from schemoids.fincat import NonAssociative, cyclic_group_table, one_object_group, terminal_category
 from schemoids.schemes import hamming, j_embed, validate_scheme
 from schemoids.schemoid import analyze_thinness, check_concatenation, discrete_partition, is_unital, verify_quasi_schemoid
 
@@ -97,7 +99,6 @@ def test_broken_system_detected():
     sys_ = trivial_system(cat, 2)
     push = dict(sys_.push)
     push[("1", "1")] = ((0,),)  # not the required composite
-    from schemoids.extensions import FunctorialityViolated
     with pytest.raises(FunctorialityViolated) as err:
         validate_natural_system(cat, 2, sys_.rank, push, sys_.pull)
     assert err.value.witness == ("push", "1", "1", "0")
@@ -396,6 +397,56 @@ def test_cocycle_test_streams_the_triples():
     cx = bw_differentials(cat, sys_)
     assert cx.cocycle_defect(cochain2_from_function(sys_, z2_cocycle_on_product(cat))) is None
     assert "basis3" not in vars(cx) and "d2_rows" not in vars(cx)
+
+
+def test_build_extension_scans_no_triple_when_the_total_is_associative(monkeypatch):
+    """The total's associativity check is the cocycle test of a build, so
+    an accepted cocycle is never checked triple by triple."""
+    def scan(self, delta):
+        raise AssertionError("cocycle_defect called on an accepted cocycle")
+
+    monkeypatch.setattr(extensions.BWComplex, "cocycle_defect", scan)
+    cat = product_base().category
+    sys_ = trivial_system(cat, 2)
+    ext = build_extension(cat, sys_, cochain2_from_function(sys_, z2_cocycle_on_product(cat)))
+    assert len(ext.total.morphisms) == 64
+
+
+def test_build_extension_on_a_system_that_is_not_natural():
+    """A hand-built system on Z/3 whose push at (1, 1) is zero is not
+    natural.  A cochain that is no cocycle for it is refused with the
+    reference's first triple; the zero cocycle gives a table that is not
+    associative, and that category error stands."""
+    cat = zcat(3)
+    one = ((1,),)
+    push = {key: one for key in cat.compose}
+    push[("1", "1")] = ((0,),)
+    sys_ = NaturalSystem(cat, 3, dict.fromkeys(cat.morphism_ids, 1), push,
+                         {key: one for key in cat.compose})
+    for delta in (Cochain2({("2", "2"): (1,)}), Cochain2({("1", "2"): (1,)})):
+        want = cocycle_defect(sys_, delta)
+        assert want is not None
+        with pytest.raises(NotACocycle) as err:
+            build_extension(cat, sys_, delta)
+        assert str(err.value) == f"d(delta) != 0 at {want[:3]}"
+    assert cocycle_defect(sys_, zero_cochain2()) is None
+    with pytest.raises(NonAssociative) as err:
+        build_extension(cat, sys_, zero_cochain2())
+    assert str(err.value) == ("('1|0'∘'0|1')∘'1|0' = '2|1' but "
+                              "'1|0'∘('0|1'∘'1|0') = '2|0'")
+
+
+def test_build_extension_refuses_matrix_of_wrong_shape():
+    """A hand-built system on Z/2 whose push at (1, 1) has two rows for a
+    rank-1 fiber is refused before any table is built, not cut to one row."""
+    cat = zcat(2)
+    one = ((1,),)
+    push = {key: one for key in cat.compose}
+    push[("1", "1")] = ((1,), (1,))
+    sys_ = NaturalSystem(cat, 2, dict.fromkeys(cat.morphism_ids, 1), push,
+                         {key: one for key in cat.compose})
+    with pytest.raises(FunctorialityViolated, match=r"push matrix for \('1', '1'\) has wrong shape"):
+        build_extension(cat, sys_, zero_cochain2())
 
 
 def test_build_extension_refuses_cocycle_entry_of_wrong_length():

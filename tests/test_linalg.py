@@ -101,6 +101,16 @@ def test_first_singular():
     assert linalg.first_singular([[]], 4) is None                    # 0 x 0
 
 
+def test_first_singular_with_repeated_matrices():
+    """A repeated matrix is checked once; the index is still the first bad one."""
+    unit, two = [[1]], [[2]]
+    assert linalg.first_singular([unit, unit, two, unit, two], 4) == 2
+    assert linalg.first_singular([unit, [[1]], [[3]], two], 6) == 2
+    assert linalg.first_singular([two, unit, two, two], 4) == 0
+    assert linalg.first_singular([unit] * 512, 2) is None
+    assert linalg.first_singular([[[1, 2], [3, 4]], [[1, 2], [3, 4]], [[1, 2], [2, 4]]]) == 2
+
+
 @st.composite
 def square_matrices(draw):
     r = draw(st.integers(0, 3))

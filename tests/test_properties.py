@@ -2,12 +2,15 @@
 
 from itertools import product as iproduct
 
+import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from schemoids.bridges import s_tilde_on_functor
 from schemoids.extensions import (
     Cochain2,
     FunctorialityViolated,
+    NotACocycle,
+    NotNormalized,
     build_extension,
     bw_cohomology,
     bw_differentials,
@@ -15,6 +18,7 @@ from schemoids.extensions import (
     cochain2_sub,
     extensions_equivalent,
     induced_system,
+    is_normalized,
     is_split,
     trivial_system,
     validate_natural_system,
@@ -367,6 +371,25 @@ def cocycle_cases(draw):
     return cat, phi, n, induced_system(cat, modulus, {x: len(gen) for x in cat.objects}, maps)
 
 
+def _case_cochains(case, data):
+    """A random 1-cochain F and three 2-cochains on a cocycle case: the
+    carry w * carry(phi f, phi g) for a random w, the coboundary d F and a
+    random single-entry cochain."""
+    cat, phi, n, system = case
+    m, rank = system.modulus, system.rank
+
+    def vector(r):
+        return tuple(data.draw(st.integers(0, m - 1)) for _ in range(r))
+
+    fvals = {f: vector(rank[f]) for f in cat.morphism_ids}
+    coboundary = coboundary_of_1cochain(system, fvals)
+    w = vector(rank[cat.morphism_ids[0]])
+    carry = Cochain2({(f, g): w for (f, g) in cat.compose if phi[f] + phi[g] >= n and any(w)})
+    pair = data.draw(st.sampled_from(list(cat.compose)))
+    single = Cochain2({pair: vector(rank[cat.compose[pair]])})
+    return fvals, (carry, coboundary, single)
+
+
 @settings(max_examples=60, deadline=None)
 @given(cocycle_cases(), st.data())
 def test_cocycle_test_and_coboundary_match_reference(case, data):
@@ -379,22 +402,41 @@ def test_cocycle_test_and_coboundary_match_reference(case, data):
     cat, phi, n, system = case
     cx = bw_differentials(cat, system)
     assume(cx.dim[3] <= 3000)
-    m, rank = system.modulus, system.rank
-
-    def vector(r):
-        return tuple(data.draw(st.integers(0, m - 1)) for _ in range(r))
-
-    fvals = {f: vector(rank[f]) for f in cat.morphism_ids}
-    coboundary = coboundary_of_1cochain(system, fvals)
-    assert coboundary.entries == reference_coboundary(system, fvals).entries
-    w = vector(rank[cat.morphism_ids[0]])
-    carry = Cochain2({(f, g): w for (f, g) in cat.compose if phi[f] + phi[g] >= n and any(w)})
-    pair = data.draw(st.sampled_from(cx.basis2))
-    single = Cochain2({pair: vector(rank[cat.compose[pair]])})
-    for delta in (carry, coboundary, single):
+    fvals, cochains = _case_cochains(case, data)
+    assert cochains[1].entries == reference_coboundary(system, fvals).entries
+    for delta in cochains:
         want = reference_cocycle_defect(system, delta)
         event("cocycle" if want is None else "not a cocycle")
         assert cx.cocycle_defect(delta) == (want and want[:3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(cocycle_cases(), st.data())
+def test_build_extension_matches_reference_cocycle_test(case, data):
+    """On the same three cochains, build_extension, whose cocycle test is
+    the associativity check of its total category, refuses a cochain that
+    is not normalized (NotNormalized), succeeds exactly when the reference
+    finds no triple with d2 nonzero, and otherwise raises NotACocycle
+    naming the reference's first triple.  Cases whose total has more than
+    20000 composites are skipped."""
+    cat, phi, n, system = case
+    m, rank = system.modulus, system.rank
+    assume(sum(m ** (rank[f] + rank[g]) for f, g in cat.compose) <= 20000)
+    for delta in _case_cochains(case, data)[1]:
+        want = reference_cocycle_defect(system, delta)
+        if not is_normalized(system, delta):
+            event("not normalized")
+            with pytest.raises(NotNormalized):
+                build_extension(cat, system, delta)
+        elif want is None:
+            event("cocycle")
+            ext = build_extension(cat, system, delta)
+            assert len(ext.total.morphisms) == sum(m ** rank[f] for f in cat.morphism_ids)
+        else:
+            event("not a cocycle")
+            with pytest.raises(NotACocycle) as err:
+                build_extension(cat, system, delta)
+            assert str(err.value) == f"d(delta) != 0 at {want[:3]}"
 
 
 @settings(max_examples=30, deadline=None)
