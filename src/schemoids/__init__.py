@@ -12,6 +12,7 @@ from .fincat import (
     FinCategory,
     Functor,
     Groupoid,
+    SchemoidsError,
     as_groupoid,
     build_category,
     factorization_category,

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraMap, HomCheckFailed, check_algebra_hom, schemoid_algebra
-from .fincat import is_groupoid
+from .fincat import SchemoidsError, is_groupoid
 from .schemoid import QuasiSchemoid, SchemoidMorphism, is_basic
 
 
-class AdmissibilityError(Exception):
+class AdmissibilityError(SchemoidsError):
     pass
 
 

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .fincat import SchemoidsError
 from .linalg import (
     _Echelon,
     _eliminate,
@@ -52,7 +53,7 @@ from .linalg import (
 from .schemoid import QuasiSchemoid, is_unital
 
 
-class AlgebraError(Exception):
+class AlgebraError(SchemoidsError):
     pass
 
 

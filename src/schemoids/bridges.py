@@ -17,6 +17,7 @@ from .fincat import (
     Functor,
     Groupoid,
     NotAFunctor,
+    SchemoidsError,
     as_groupoid,
     build_category,
     pair_name,
@@ -34,7 +35,7 @@ from .schemoid import (
 )
 
 
-class BridgeError(Exception):
+class BridgeError(SchemoidsError):
     pass
 
 

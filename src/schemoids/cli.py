@@ -5,8 +5,13 @@ pipe together, e.g.
 
     schemoids gen hamming 2 2 | schemoids embed-scheme - | schemoids constants -
 
-Exit status: 0 on success, 1 on a domain error (with a machine-readable
-diagnostic on stdout) or a closed stdout, 2 on usage errors.
+Exit status: 0 on success; 1 on a refused input or a closed stdout; 2 on a
+usage error; 3 on the program's own error, with its traceback on stderr and
+nothing on stdout.  A refusal prints {"error": class, "message": text} on
+stdout, plus "witness" (JSON lists naming where a law fails) when the error
+carries one.  It is a `SchemoidsError`, or anything raised while `load` reads
+and decodes an input (a missing file, bad JSON, a malformed document), named
+by the class raised: `JSONDecodeError`, `KeyError`, ...
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ import functools
 import json
 import os
 import sys
+import traceback
 
 from . import corpus
-from .algebra import AlgebraError, ring_from_name, schemoid_algebra, terwilliger
+from .algebra import ring_from_name, schemoid_algebra, terwilliger
 from .admissible import (
-    AdmissibilityError,
     condition_P,
     gate_report,
     induced_algebra_map,
@@ -41,7 +46,9 @@ from .extensions import (
     validate_natural_system,
 )
 from .fincat import (
+    FinCategory,
     Functor,
+    SchemoidsError,
     serialize,
     serialize_groupoid,
     validate_category,
@@ -70,19 +77,26 @@ from .thicken import category_from_matrix, sigma_prime, thicken_involution, thic
 SCHEMA = "schemoids/1"
 
 
-def read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+class InputRefused(SchemoidsError):
+    """An input that could not be read or decoded, or an unknown example;
+    reported under the class of the error behind it (its `__cause__`)."""
+
+
+def load(path: str, decode):
+    """decode(the JSON at path, "-" for stdin); anything raised here refuses that input."""
+    try:
+        if path == "-":
+            return decode(json.load(sys.stdin))
+        with open(path, "r", encoding="utf-8") as fh:
+            return decode(json.load(fh))
+    except SchemoidsError:
+        raise
+    except Exception as err:
+        raise InputRefused(str(err)) from err
 
 
 def emit(payload, pretty=False):
-    payload = {"schema": SCHEMA, **payload}
-    if pretty:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    print(json.dumps({"schema": SCHEMA, **payload}, indent=2 if pretty else None, sort_keys=True))
 
 
 def serialize_functor(fun: Functor) -> dict:
@@ -106,6 +120,12 @@ def bundle_to_json(qs) -> dict:
     if qs.base_points is not None:
         out["base_points"] = list(qs.base_points)
     return out
+
+
+def group_scheme_from_json(raw: dict):
+    elements = [str(e) for e in raw["elements"]]
+    return group_scheme(elements, {(a, b): str(raw["table"][i][j])
+                                   for i, a in enumerate(elements) for j, b in enumerate(elements)})
 
 
 def bundle_from_json(raw: dict):
@@ -204,6 +224,10 @@ def analysis_report(qs) -> dict:
     return out
 
 
+def thickness(text: str) -> list[int]:
+    return [int(z) for z in text.split(",")]
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser; one per process, shared by every caller,
@@ -267,9 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second")
 
     p = sub.add_parser("thicken", help="thickened schemoid of a scheme or matrix")
-    p.add_argument("input", nargs="?")
-    p.add_argument("--z", default="1", help="comma-separated per-class thickness")
-    p.add_argument("--matrix", help="hom-count matrix JSON instead of a scheme")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("input", nargs="?")
+    g.add_argument("--matrix", help="hom-count matrix JSON instead of a scheme")
+    p.add_argument("--z", default="1", type=thickness, help="comma-separated per-class thickness")
     p.add_argument("--residual", default="lump", choices=("lump", "singletons"))
 
     p = sub.add_parser("gen", help="generate a scheme")
@@ -284,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("perms")
 
     p = sub.add_parser("examples", help="emit a built-in example")
-    p.add_argument("name", nargs="?")
-    p.add_argument("--list", action="store_true")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("name", nargs="?")
+    g.add_argument("--list", action="store_true")
     p.add_argument("--window", type=int, help="window radius for the zig-zag family")
 
     sub.add_parser("selftest", help="re-verify every built-in example")
@@ -303,66 +329,71 @@ def run(argv=None) -> int:
         # the reader closed stdout (`| head`); devnull takes the last flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except Exception as err:  # domain errors carry their class name
-        emit({"error": type(err).__name__, "message": str(err)}, pretty)
+    except SchemoidsError as err:
+        shown = err.__cause__ if isinstance(err, InputRefused) else err
+        out = {"error": type(shown).__name__, "message": str(err)}
+        if err.witness is not None:
+            out["witness"] = err.witness
+        emit(out, pretty)
         return 1
+    except Exception:   # a bug, not a verdict on the input
+        traceback.print_exc()
+        return 3
 
 
 def _dispatch(args, pretty) -> int:
     cmd = args.command
     if cmd == "validate":
-        raw = read_json(args.input)
-        if "category" in raw:
-            qs = bundle_from_json(raw)
-            emit({"valid": True, "objects": len(qs.category.objects),
-                  "morphisms": len(qs.category.morphisms), "blocks": len(qs.partition)}, pretty)
-        else:
-            cat = validate_category(raw)
-            emit({"valid": True, "objects": len(cat.objects),
-                  "morphisms": len(cat.morphisms)}, pretty)
+        obj = load(args.input, lambda raw: bundle_from_json(raw) if "category" in raw
+                   else validate_category(raw))
+        cat = obj if isinstance(obj, FinCategory) else obj.category
+        out = {"valid": True, "objects": len(cat.objects), "morphisms": len(cat.morphisms)}
+        if cat is not obj:
+            out["blocks"] = len(obj.partition)
+        emit(out, pretty)
         return 0
 
     if cmd == "analyze":
-        qs = bundle_from_json(read_json(args.input))
+        qs = load(args.input, bundle_from_json)
         emit(analysis_report(qs), pretty)
         return 0
 
     if cmd == "constants":
-        qs = bundle_from_json(read_json(args.input))
+        qs = load(args.input, bundle_from_json)
         emit(constants_to_json(qs), pretty)
         return 0
 
     if cmd == "algebra":
-        qs = bundle_from_json(read_json(args.input))
+        qs = load(args.input, bundle_from_json)
         alg = schemoid_algebra(qs, ring_from_name(args.ring))
         emit(algebra_to_json(alg), pretty)
         return 0
 
     if cmd == "terwilliger":
-        qs = bundle_from_json(read_json(args.input))
+        qs = load(args.input, bundle_from_json)
         closure = terwilliger(qs, args.object, ring_from_name(args.ring))
         emit({"object": args.object, "dimension": closure.dimension,
               "ambient_dimension": len(qs.category.morphisms)}, pretty)
         return 0
 
     if cmd == "embed-scheme":
-        scheme = scheme_from_json(read_json(args.input))
+        scheme = load(args.input, scheme_from_json)
         emit(bundle_to_json(j_embed(scheme)), pretty)
         return 0
 
     if cmd == "from-groupoid":
-        gpd = validate_groupoid(read_json(args.input))
+        gpd = load(args.input, validate_groupoid)
         emit(bundle_to_json(s_tilde(gpd)), pretty)
         return 0
 
     if cmd == "to-groupoid":
-        qs = bundle_from_json(read_json(args.input))
+        qs = load(args.input, bundle_from_json)
         gpd = r_tilde(qs)
         emit({"kind": "groupoid", **serialize_groupoid(gpd)}, pretty)
         return 0
 
     if cmd == "roundtrip-check":
-        gpd = validate_groupoid(read_json(args.input))
+        gpd = load(args.input, validate_groupoid)
         witness = canonical_groupoid_witness(gpd)
         qs = s_tilde(gpd)
         phi_psi_check(qs)
@@ -370,9 +401,9 @@ def _dispatch(args, pretty) -> int:
         return 0
 
     if cmd == "admissible":
-        source = bundle_from_json(read_json(args.source))
-        target = bundle_from_json(read_json(args.target))
-        fun = functor_from_json(read_json(args.functor))
+        source = load(args.source, bundle_from_json)
+        target = load(args.target, bundle_from_json)
+        fun = load(args.functor, functor_from_json)
         phi = schemoid_morphism(source, target, fun)
         report = is_admissible(phi)
         out = {"admissible": report.admissible,
@@ -388,29 +419,29 @@ def _dispatch(args, pretty) -> int:
                 ring = ring_from_name(args.ring)
                 amap = induced_algebra_map(phi, ring)
                 out["algebra_map"] = {f"{t}<-{s}": str(v) for (t, s), v in sorted(amap.matrix.items())}
-            except (AdmissibilityError, AlgebraError) as err:
+            except SchemoidsError as err:
                 out["multiplicities_error"] = str(err)
         emit(out, pretty)
         return 0 if report.admissible else 1
 
     if cmd == "cohomology":
-        cat = validate_category(read_json(args.category))
-        system = system_from_json(cat, read_json(args.system))
+        cat = load(args.category, validate_category)
+        system = load(args.system, functools.partial(system_from_json, cat))
         h = bw_cohomology(cat, system, args.degree)
         emit({"degree": args.degree, "invariants": list(h.invariants),
               "free_rank": h.free_rank, "group": h.describe()}, pretty)
         return 0
 
     if cmd == "extend":
-        cat = validate_category(read_json(args.category))
-        system = system_from_json(cat, read_json(args.system))
-        delta = cocycle_from_json(system, read_json(args.cocycle))
+        cat = load(args.category, validate_category)
+        system = load(args.system, functools.partial(system_from_json, cat))
+        delta = load(args.cocycle, functools.partial(cocycle_from_json, system))
         ext = build_extension(cat, system, delta)
         emit(extension_to_json(ext), pretty)
         return 0
 
     if cmd == "split":
-        ext = extension_from_json(read_json(args.input))
+        ext = load(args.input, extension_from_json)
         section = is_split(ext)
         if section is None:
             emit({"split": False, "section": None}, pretty)
@@ -419,25 +450,22 @@ def _dispatch(args, pretty) -> int:
         return 0
 
     if cmd == "equivalent":
-        e1 = extension_from_json(read_json(args.first))
-        e2 = extension_from_json(read_json(args.second))
+        e1 = load(args.first, extension_from_json)
+        e2 = load(args.second, extension_from_json)
         emit({"equivalent": extensions_equivalent(e1, e2)}, pretty)
         return 0
 
     if cmd == "thicken":
-        if args.matrix:
-            framed = category_from_matrix(read_json(args.matrix))
+        if args.matrix is not None:
+            framed = load(args.matrix, category_from_matrix)
             qs = sigma_prime(framed, args.residual)
             emit(bundle_to_json(qs), pretty)
             return 0
-        scheme = scheme_from_json(read_json(args.input))
-        thickness = [int(x) for x in str(args.z).split(",")]
-        if len(thickness) == 1:
-            thickness = thickness[0]
-        qs = thicken_scheme(scheme, thickness)
-        zs = thickness if isinstance(thickness, list) else [thickness] * len(scheme.classes)
-        if len(set(zs)) == 1:
-            qs = thicken_involution(qs, scheme, thickness)
+        scheme = load(args.input, scheme_from_json)
+        z = args.z[0] if len(args.z) == 1 else args.z
+        qs = thicken_scheme(scheme, z)
+        if len(set(args.z)) == 1:
+            qs = thicken_involution(qs, scheme, z)
         emit(bundle_to_json(qs), pretty)
         return 0
 
@@ -445,31 +473,23 @@ def _dispatch(args, pretty) -> int:
         if args.generator == "hamming":
             scheme = hamming(args.n, args.q, limit=args.limit)
         elif args.generator == "group-scheme":
-            raw = read_json(args.table)
-            elements = [str(e) for e in raw["elements"]]
-            table = {}
-            for i, a in enumerate(elements):
-                for j, b in enumerate(elements):
-                    table[(a, b)] = str(raw["table"][i][j])
-            scheme = group_scheme(elements, table)
+            scheme = load(args.table, group_scheme_from_json)
         else:
-            raw = read_json(args.perms)
-            scheme = orbit_configuration(raw["perms"], int(raw["size"]))
+            scheme = load(args.perms, lambda raw: orbit_configuration(raw["perms"], int(raw["size"])))
         emit({"kind": "scheme", **serialize_scheme(scheme)}, pretty)
         return 0
 
     if cmd == "examples":
-        if args.list or not args.name:
+        if args.window is not None and args.name != "ex2_11":
+            build_parser().error("--window applies only to ex2_11")
+        if not args.name:
             emit({"examples": {name: e.description for name, e in sorted(corpus.ENTRIES.items())}},
                  pretty)
             return 0
         entry = corpus.ENTRIES.get(args.name)
         if entry is None:
-            raise KeyError(f"unknown example {args.name!r}")
-        kwargs = {}
-        if args.window is not None:
-            kwargs["window"] = args.window
-        obj = corpus.build(args.name, **kwargs)
+            raise InputRefused(f"unknown example {args.name!r}") from KeyError(args.name)
+        obj = corpus.build(args.name, **({} if args.window is None else {"window": args.window}))
         if entry.kind == "extension":
             out = extension_to_json(obj)
             out["system"] = {"kind": "trivial", "modulus": 2, "rank": 1}

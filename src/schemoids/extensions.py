@@ -30,6 +30,7 @@ from .fincat import (
     FinCategory,
     Functor,
     NotInvertible,
+    SchemoidsError,
     as_groupoid,
     build_category,
     full_subcategory,
@@ -44,7 +45,7 @@ from .schemoid import (
 )
 
 
-class ExtensionError(Exception):
+class ExtensionError(SchemoidsError):
     pass
 
 
@@ -55,10 +56,6 @@ class InvalidModulus(ExtensionError):
 class FunctorialityViolated(ExtensionError):
     """A natural-system law fails.  A broken unit, push, pull or commutation
     law carries a witness (law, a, f, b); see `validate_natural_system`."""
-
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
 
 class NotACocycle(ExtensionError):

@@ -13,7 +13,15 @@ import re
 from dataclasses import dataclass
 
 
-class CategoryError(Exception):
+class SchemoidsError(Exception):
+    """Root of every refusal: a verdict on the input; `witness` names where a law fails."""
+
+    def __init__(self, message="", witness=None):
+        self.witness = witness
+        super().__init__(message)
+
+
+class CategoryError(SchemoidsError):
     """Base for category-law violations."""
 
 
@@ -25,8 +33,8 @@ class NonAssociative(CategoryError):
     """(e∘f)∘g differs from e∘(f∘g); carries a witness (e, f, g, lhs, rhs)."""
 
     def __init__(self, e, f, g, lhs, rhs):
-        self.witness = (e, f, g, lhs, rhs)
-        super().__init__(f"({e!r}∘{f!r})∘{g!r} = {lhs!r} but {e!r}∘({f!r}∘{g!r}) = {rhs!r}")
+        super().__init__(f"({e!r}∘{f!r})∘{g!r} = {lhs!r} but {e!r}∘({f!r}∘{g!r}) = {rhs!r}",
+                         (e, f, g, lhs, rhs))
 
 
 class UndefinedComposite(CategoryError):
@@ -44,10 +52,6 @@ class NotInvertible(CategoryError):
 class NotAFunctor(CategoryError):
     """A functor law fails; a broken composition law carries a witness
     (f, g, F(f∘g), expected)."""
-
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
 
 @dataclass(frozen=True, eq=False)

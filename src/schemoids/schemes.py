@@ -12,13 +12,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .fincat import CategoryError, Functor, build_category, one_object_group, pair_name
+from .fincat import CategoryError, Functor, SchemoidsError, build_category, one_object_group, pair_name
 from .schemoid import QuasiSchemoid, check_association, make_partition, verify_quasi_schemoid
 
 DESK_SCALE_LIMIT = 64
 
 
-class SchemeError(Exception):
+class SchemeError(SchemoidsError):
     pass
 
 
@@ -31,9 +31,9 @@ class NonConstantIntersection(SchemeError):
     (e, f, g, pair1, count1, pair2, count2)."""
 
     def __init__(self, e, f, g, pair1, count1, pair2, count2):
-        self.witness = (e, f, g, pair1, count1, pair2, count2)
         super().__init__(f"p^{g}_{{{e},{f}}} differs between pairs of class {g!r}: "
-                         f"{count1} at {pair1} but {count2} at {pair2}")
+                         f"{count1} at {pair1} but {count2} at {pair2}",
+                         (e, f, g, pair1, count1, pair2, count2))
 
 
 class DiagonalNotUnion(SchemeError):

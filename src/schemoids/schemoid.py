@@ -22,6 +22,7 @@ from .fincat import (
     FinCategory,
     Functor,
     NotInvertible,
+    SchemoidsError,
     as_groupoid,
     compose_functors,
     connector_name,
@@ -34,36 +35,36 @@ from .fincat import (
 )
 
 
-class PartitionError(Exception):
+class PartitionError(SchemoidsError):
     pass
 
 
-class AxiomViolation(Exception):
+class AxiomViolation(SchemoidsError):
     """Concatenation axiom fails; carries a witness (sigma, tau, mu, h1, c1, h2, c2)."""
 
     def __init__(self, sigma, tau, mu, h1, c1, h2, c2):
-        self.witness = (sigma, tau, mu, h1, c1, h2, c2)
         super().__init__(
-            f"blocks ({sigma!r}, {tau!r}) factor {h1!r} in {mu!r} {c1} times but {h2!r} {c2} times")
+            f"blocks ({sigma!r}, {tau!r}) factor {h1!r} in {mu!r} {c1} times but {h2!r} {c2} times",
+            (sigma, tau, mu, h1, c1, h2, c2))
 
 
-class LoopConditionViolated(Exception):
+class LoopConditionViolated(SchemoidsError):
     pass
 
 
-class NotInvolution(Exception):
+class NotInvolution(SchemoidsError):
     pass
 
 
-class BlockNotPreserved(Exception):
+class BlockNotPreserved(SchemoidsError):
     pass
 
 
-class NotBlockwise(Exception):
+class NotBlockwise(SchemoidsError):
     pass
 
 
-class NotComposable(Exception):
+class NotComposable(SchemoidsError):
     pass
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import FinCategory, Functor, build_category
+from .fincat import FinCategory, Functor, SchemoidsError, build_category
 from .schemes import CoherentConfiguration, pair_morphism
 from .schemoid import (
     QuasiSchemoid,
@@ -32,7 +32,7 @@ from .schemoid import (
 )
 
 
-class ThickenError(Exception):
+class ThickenError(SchemoidsError):
     pass
 
 
@@ -191,17 +191,23 @@ def sigma_prime(framed: FramedCategory, residual: str | dict = "lump") -> QuasiS
     return verify_quasi_schemoid(cat, partition)
 
 
+def _class_thickness(scheme: CoherentConfiguration, thickness) -> dict[str, int]:
+    """Class -> thickness, from one int for every class or a list of one per class."""
+    if isinstance(thickness, int):
+        thickness = [thickness] * len(scheme.classes)
+    if len(thickness) != len(scheme.classes):
+        raise ThickenError("one thickness per class required")
+    z = {c: int(t) for c, t in zip(scheme.classes, thickness)}
+    if any(t < 1 for t in z.values()):
+        raise ThickenError("thickness must be at least 1")
+    return z
+
+
 def thicken_scheme(scheme: CoherentConfiguration, thickness) -> QuasiSchemoid:
     """The thickened schemoid of a scheme: frame blocks by class, residual
     copies collected per class as sigma~."""
     classes = list(scheme.classes)
-    if isinstance(thickness, int):
-        thickness = [thickness] * len(classes)
-    z_of_class = {c: int(t) for c, t in zip(classes, thickness)}
-    if len(thickness) != len(classes):
-        raise ThickenError("one thickness per class required")
-    if any(t < 1 for t in z_of_class.values()):
-        raise ThickenError("thickness must be at least 1")
+    z_of_class = _class_thickness(scheme, thickness)
     n = scheme.size
     z = [[0] * n for _ in range(n)]
     for xi in range(n):
@@ -234,14 +240,11 @@ def residual_scaling_laws(sc: QuasiSchemoid, scheme: CoherentConfiguration, thic
 
     over all frame blocks; returns (ok, first bad tuple or None).
     """
-    classes = list(scheme.classes)
-    if isinstance(thickness, int):
-        thickness = [thickness] * len(classes)
-    z = {c: int(t) for c, t in zip(classes, thickness)}
+    z = _class_thickness(scheme, thickness)
     names = set(sc.block_names())
-    for s in classes:
-        for t in classes:
-            for u in classes:
+    for s in scheme.classes:
+        for t in scheme.classes:
+            for u in scheme.classes:
                 base = sc.p(t, u, s)
                 if f"{u}~" in names and sc.p(t, f"{u}~", s) != base * (z[u] - 1):
                     return False, ("right", s, t, u)
@@ -255,10 +258,7 @@ def residual_scaling_laws(sc: QuasiSchemoid, scheme: CoherentConfiguration, thic
 
 def thicken_involution(sc: QuasiSchemoid, scheme: CoherentConfiguration, thickness) -> QuasiSchemoid:
     """Involution phi_ij^lam -> phi_ji^lam; needs equal thickness."""
-    classes = list(scheme.classes)
-    if isinstance(thickness, int):
-        thickness = [thickness] * len(classes)
-    if len(set(int(t) for t in thickness)) != 1:
+    if len(set(_class_thickness(scheme, thickness).values())) != 1:
         raise UnequalThickness("involution needs all class thicknesses equal")
     cat = sc.category
     omap = {x: x for x in cat.objects}

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -233,8 +234,9 @@ def test_admissible_cli_reports_only_domain_errors(capsys, tmp_path, monkeypatch
     code, rep = run_json(capsys, "admissible", *files)
     assert code == 0 and rep["multiplicities_error"] == "uneven"
     monkeypatch.setattr(cli, "multiplicities", fails_with(RuntimeError("internal")))
-    code, rep = run_json(capsys, "admissible", *files)
-    assert code == 1 and rep["error"] == "RuntimeError" and "admissible" not in rep
+    code, out, err = outputs(capsys, ["admissible", *files])
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "RuntimeError: internal" in err
 
 
 def test_thicken_cli(capsys, tmp_path):
@@ -301,6 +303,61 @@ def test_reused_parser_keeps_no_state(capsys, tmp_path, monkeypatch):
         assert alone[tuple(first)] != alone[tuple(second)]
         assert outputs(capsys, first) == alone[tuple(first)]
         assert outputs(capsys, second) == alone[tuple(second)]
+
+
+def test_refusals_print_their_witness(capsys, tmp_path):
+    """A refusal that names where a law fails prints that witness, as JSON
+    lists, beside its class and message: `validate` of a non-associative
+    table, `analyze` of a bundle with one morphism moved to another block."""
+    from schemoids.fincat import NonAssociative, validate_category
+    from schemoids.schemoid import AxiomViolation
+
+    loop = {"objects": ["*"], "morphisms": [{"id": m, "src": "*", "tgt": "*"} for m in "1ab"],
+            "identities": {"*": "1"},
+            "compose": [["1", m, m] for m in "1ab"] + [[m, "1", m] for m in "ab"]
+            + [["a", "a", "b"], ["a", "b", "a"], ["b", "a", "a"], ["b", "b", "a"]]}
+    code, scheme = run_json(capsys, "gen", "hamming", "2", "2")
+    code, bundle = run_json(capsys, "embed-scheme", write(tmp_path, "scheme.json", scheme))
+    blocks = bundle["partition"]["blocks"]
+    blocks["R2"].append(blocks["R1"].pop())
+    del bundle["involution"]
+    for cmd, raw, decode, cls in (("validate", loop, validate_category, NonAssociative),
+                                  ("analyze", bundle, cli.bundle_from_json, AxiomViolation)):
+        with pytest.raises(cls) as err:
+            decode(raw)
+        code, out = run_json(capsys, cmd, write(tmp_path, f"{cmd}.json", raw))
+        assert code == 1 and out["error"] == cls.__name__ and out["message"] == str(err.value)
+        assert out["witness"] == json.loads(json.dumps(err.value.witness))
+
+
+def test_unreadable_inputs_are_refused_by_their_class(capsys, tmp_path):
+    """Whatever `load` raises refuses the input, named by the class raised."""
+    cases = [(["analyze", "-"], "{not json", "JSONDecodeError"),
+             (["analyze", str(tmp_path / "missing.json")], "", "FileNotFoundError"),
+             (["embed-scheme", "-"], "[]", "TypeError"),
+             (["gen", "orbits", "-"], '{"perms": []}', "KeyError"),
+             (["gen", "group-scheme", "-"], '{"elements": 3}', "TypeError"),
+             (["examples", "no_such_example"], "", "KeyError")]
+    for argv, stdin, name in cases:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "stdin", io.StringIO(stdin))
+            code, out = run_json(capsys, *argv)
+        assert code == 1 and out["error"] == name and "witness" not in out, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["thicken"],
+    ["thicken", "@scheme", "--matrix", "@matrix"],
+    ["thicken", "@scheme", "--z", "abc"],
+    ["examples", "ex2_8", "--window", "2"],
+    ["examples", "--window", "2"],
+    ["examples", "ex2_8", "--list"],
+])
+def test_argument_misuse_is_a_usage_error(capsys, tmp_path, argv):
+    files = {"@scheme": write(tmp_path, "scheme.json", {"kind": "scheme", "size": 1}),
+             "@matrix": write(tmp_path, "matrix.json", [[2]])}
+    code, out, err = outputs(capsys, [files.get(a, a) for a in argv])
+    assert code == 2 and out == "" and "usage:" in err
 
 
 def test_usage_error_exit_2():

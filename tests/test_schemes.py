@@ -56,8 +56,10 @@ def test_nonconstant_detected():
     rel = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]  # trivial rank-2 scheme on 3 points
     validate_scheme(3, rel)
     bad = [[0, 1, 1], [1, 0, 2], [1, 2, 0]]  # perturbed: class 2 not transpose-balanced
-    with pytest.raises((NonConstantIntersection, Exception)):
+    with pytest.raises(NonConstantIntersection) as err:
         validate_scheme(3, bad)
+    # p^R0_{R1,R1}: two paths 0 -R1-> z -R1-> 0 but one path from 1 back to 1
+    assert err.value.witness == ("R1", "R1", "R0", ("0", "0"), 2, ("1", "1"), 1)
 
 
 def test_diagonal_split_is_configuration():

@@ -16,6 +16,7 @@ from schemoids.thicken import (
     DiagonalTooSmall,
     NotSchemeMorphism,
     NotTransitive,
+    ThickenError,
     UnequalThickness,
     category_from_matrix,
     frame_irreducibility,
@@ -118,6 +119,21 @@ def test_unequal_thickness():
     assert is_unital(sc.category, sc.partition)[0]
     with pytest.raises(UnequalThickness):
         thicken_involution(sc, s, [1, 2])
+
+
+@pytest.mark.parametrize("thickness, message", [
+    ([2], "one thickness per class"), ([2, 2, 2, 2], "one thickness per class"),
+    ([2, 0, 2], "at least 1"), (0, "at least 1"),
+])
+def test_every_thickness_taker_refuses_a_bad_thickness(thickness, message):
+    """H(2,2) has three classes; a list of another length, or a thickness
+    below 1, is refused the same way wherever a thickness is taken."""
+    s = hamming(2, 2)
+    sc = thicken_scheme(s, 2)
+    for call in (thicken_scheme, lambda s, z: residual_scaling_laws(sc, s, z),
+                 lambda s, z: thicken_involution(sc, s, z)):
+        with pytest.raises(ThickenError, match=message):
+            call(s, thickness)
 
 
 def test_involution_sc1_sc2():
