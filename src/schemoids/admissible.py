@@ -149,22 +149,37 @@ def induced_algebra_map(phi: SchemoidMorphism, ring) -> AlgebraMap:
 
 def condition_P(qs: QuasiSchemoid):
     """At most one in-block solution of f∘g = h for every choice of two of
-    f, g, h.  Returns (True, None) or (False, witness)."""
+    f, g, h.  Returns (True, None) or (False, witness), the witness at the
+    first pair (f, g), in the order the table was given (`entries`), whose
+    solution differs from one seen before it."""
     cat = qs.category
-    block_of = qs.partition.block_of
-    g_solutions: dict[tuple[str, str, str], str] = {}
-    f_solutions: dict[tuple[str, str, str], str] = {}
-    for (f, g), h in cat.compose.items():
-        key_g = (f, h, block_of[g])
-        other = g_solutions.get(key_g)
-        if other is not None and other != g:
-            return False, ("two right factors", f, h, other, g)
-        g_solutions[key_g] = g
-        key_f = (g, h, block_of[f])
-        other = f_solutions.get(key_f)
-        if other is not None and other != f:
-            return False, ("two left factors", g, h, other, f)
-        f_solutions[key_f] = f
+    ids, names, block_of = cat.morphism_ids, qs.partition.names(), qs.partition.block_of
+    number = {name: b for b, name in enumerate(names)}
+    block = [number[block_of[m]] for m in ids]
+    width, n = len(names), len(ids)
+    # the verdict, in any order: within each row the keys (h, block(g)) are
+    # distinct, and over all rows the keys (g, h, block(f))
+    seen_left: set[int] = set()
+    for i, row in enumerate(cat.rows):
+        if len({k * width + block[j] for j, k in row.items()}) < len(row):
+            break
+        block_f = block[i]
+        seen_left.update([(j * n + k) * width + block_f for j, k in row.items()])
+    else:
+        if len(seen_left) == sum(map(len, cat.rows)):
+            return True, None
+    # the witness: the first repeat in the order the table was given; the
+    # solutions seen so far, keyed by position: g by (f, h, block(g)) and f
+    # by (g, h, block(f))
+    g_solutions: dict[int, int] = {}
+    f_solutions: dict[int, int] = {}
+    for i, (j, k) in cat.entries():
+        other = g_solutions.setdefault((i * n + k) * width + block[j], j)
+        if other != j:
+            return False, ("two right factors", ids[i], ids[k], ids[other], ids[j])
+        other = f_solutions.setdefault((j * n + k) * width + block[i], i)
+        if other != i:
+            return False, ("two left factors", ids[j], ids[k], ids[other], ids[i])
     return True, None
 
 

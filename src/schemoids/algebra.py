@@ -325,20 +325,20 @@ class CategoryAlgebraClosure:
     def multiply(self, u: dict, v: dict) -> dict:
         """u * v, pairing each f in u only with the g in v that end where f starts."""
         cat = self.category
+        index, rows = cat.index, cat.rows
         ending_at: dict[str, list] = {}
         for g, b in v.items():
             if b:
-                ending_at.setdefault(cat.tgt(g), []).append((g, b))
-        comp = cat.compose
-        out: dict[str, object] = {}
+                ending_at.setdefault(cat.tgt(g), []).append((index[g], b))
+        out: dict[int, object] = {}
         for f, a in u.items():
             if a:
-                for g, b in ending_at.get(cat.src(f), ()):
-                    h = comp.get((f, g))
-                    if h is not None:
-                        out[h] = out.get(h, 0) + a * b
-        p = self.ring.p
-        return {k: y for k, x in out.items() if (y := x % p if p else x)}
+                row = rows[index[f]]
+                for j, b in ending_at.get(cat.src(f), ()):
+                    h = row[j]
+                    out[h] = out.get(h, 0) + a * b
+        p, ids = self.ring.p, cat.morphism_ids
+        return {ids[k]: y for k, x in out.items() if (y := x % p if p else x)}
 
     def contains(self, vec: dict) -> bool:
         """vec lies in the span.  One pass over the basis reduces it: each

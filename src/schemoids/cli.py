@@ -5,13 +5,16 @@ pipe together, e.g.
 
     schemoids gen hamming 2 2 | schemoids embed-scheme - | schemoids constants -
 
-Exit status: 0 on success; 1 on a refused input or a closed stdout; 2 on a
-usage error; 3 on the program's own error, with its traceback on stderr and
-nothing on stdout.  A refusal prints {"error": class, "message": text} on
-stdout, plus "witness" (JSON lists naming where a law fails) when the error
-carries one.  It is a `SchemoidsError`, or anything raised while `load` reads
-and decodes an input (a missing file, bad JSON, a malformed document), named
-by the class raised: `JSONDecodeError`, `KeyError`, ...
+Exit status: 0 on an answer, a negative one included (`admissible`
+reporting a morphism that is not admissible, `split` finding no section);
+1 on a refused input or a closed stdout; 2 on a usage error; 3 on the
+program's own error, an `AssertionError` from a failed internal certificate
+among them, with its traceback on stderr and nothing on stdout.  A refusal
+prints {"error": class, "message": text} on stdout, plus "witness" (JSON
+lists naming where a law fails) when the error carries one.  It is a
+`SchemoidsError`, or anything but an `AssertionError` raised while `load`
+reads and decodes an input (a missing file, bad JSON, a malformed
+document), named by the class raised: `JSONDecodeError`, `KeyError`, ...
 """
 
 from __future__ import annotations
@@ -82,14 +85,20 @@ class InputRefused(SchemoidsError):
     reported under the class of the error behind it (its `__cause__`)."""
 
 
+class MalformedDocument(SchemoidsError):
+    """A JSON document of the wrong shape; the message names the field."""
+
+
 def load(path: str, decode):
-    """decode(the JSON at path, "-" for stdin); anything raised here refuses that input."""
+    """decode(the JSON at path, "-" for stdin); anything raised here refuses
+    that input, except an `AssertionError`: a failed internal certificate is
+    the program's own error."""
     try:
         if path == "-":
             return decode(json.load(sys.stdin))
         with open(path, "r", encoding="utf-8") as fh:
             return decode(json.load(fh))
-    except SchemoidsError:
+    except (SchemoidsError, AssertionError):
         raise
     except Exception as err:
         raise InputRefused(str(err)) from err
@@ -140,7 +149,11 @@ def bundle_from_json(raw: dict):
 
 
 def system_from_json(cat, raw: dict):
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"system: a JSON object expected, not {type(raw).__name__}")
     kind = raw.get("kind", "explicit")
+    if kind not in ("trivial", "induced", "explicit"):
+        raise MalformedDocument(f"system.kind: {kind!r} is not 'trivial', 'induced' or 'explicit'")
     modulus = raw.get("modulus")
     if kind == "trivial":
         return trivial_system(cat, modulus, int(raw.get("rank", 1)))
@@ -422,7 +435,7 @@ def _dispatch(args, pretty) -> int:
             except SchemoidsError as err:
                 out["multiplicities_error"] = str(err)
         emit(out, pretty)
-        return 0 if report.admissible else 1
+        return 0
 
     if cmd == "cohomology":
         cat = load(args.category, validate_category)

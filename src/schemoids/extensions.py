@@ -70,10 +70,6 @@ class HypothesisFailed(ExtensionError):
     pass
 
 
-class AxiomFailedAfterLift(ExtensionError):
-    """Internal error: the lifted partition must satisfy the axiom."""
-
-
 class BaseNotConnectedGroupoid(ExtensionError):
     pass
 
@@ -154,15 +150,15 @@ class NaturalSystem:
 
 def _check_shapes(cat, rank, push, pull):
     for (a, f), mat in push.items():
-        if (a, f) not in cat.compose:
+        af = cat.compose.get((a, f))
+        if af is None:
             raise FunctorialityViolated(f"push key ({a!r}, {f!r}) is not composable")
-        af = cat.comp(a, f)
         if len(mat) != rank[af] or any(len(row) != rank[f] for row in mat):
             raise FunctorialityViolated(f"push matrix for ({a!r}, {f!r}) has wrong shape")
     for (f, b), mat in pull.items():
-        if (f, b) not in cat.compose:
+        fb = cat.compose.get((f, b))
+        if fb is None:
             raise FunctorialityViolated(f"pull key ({f!r}, {b!r}) is not composable")
-        fb = cat.comp(f, b)
         if len(mat) != rank[fb] or any(len(row) != rank[f] for row in mat):
             raise FunctorialityViolated(f"pull matrix for ({f!r}, {b!r}) has wrong shape")
 
@@ -407,7 +403,7 @@ class BWComplex:
     def _d1_at(self, f: str, g: str) -> list[dict[int, int]]:
         """Rows of d1 at (f, g): f_* F(g) - F(fg) + g^* F(f)."""
         system, offset1 = self.system, self.offset1
-        fg = self.category.comp(f, g)
+        fg = self.category.compose[(f, g)]
         rows = [{} for _ in range(system.rank[fg])]
         _add_block(rows, offset1[g], system.push[(f, g)], 1)
         _add_identity(rows, offset1[fg], -1)
@@ -416,10 +412,10 @@ class BWComplex:
 
     def _d2_at(self, f: str, g: str, h: str) -> list[dict[int, int]]:
         """Rows of d2 at (f, g, h): f_* D(g, h) - D(fg, h) + D(f, gh) - h^* D(f, g)."""
-        cat, system, offset2 = self.category, self.system, self.offset2
-        fg = cat.comp(f, g)
-        gh = cat.comp(g, h)
-        rows = [{} for _ in range(system.rank[cat.comp(fg, h)])]
+        compose, system, offset2 = self.category.compose, self.system, self.offset2
+        fg = compose[(f, g)]
+        gh = compose[(g, h)]
+        rows = [{} for _ in range(system.rank[compose[(fg, h)]])]
         _add_block(rows, offset2[(g, h)], system.push[(f, gh)], 1)
         _add_identity(rows, offset2[(fg, h)], -1)
         _add_identity(rows, offset2[(f, gh)], 1)
@@ -601,7 +597,7 @@ def _check_zero_composite(second, first, modulus, label):
                 acc[j] = acc.get(j, 0) + x * y
         for v in acc.values():
             if (v % modulus if modulus else v) != 0:
-                raise ExtensionError(f"{label} is not zero; differential assembly is wrong")
+                raise AssertionError(f"{label} is not zero; differential assembly is wrong")
 
 
 @dataclass(frozen=True)
@@ -755,17 +751,21 @@ def _verify_torsor(ext: ExtensionCategory):
 def _verify_distributivity(ext: ExtensionCategory):
     # (f, a)∘(g, b) = (fg, c + f_* b + g^* a) over every composable base pair,
     # where (fg, c) = (f, 0)∘(g, 0); each fiber element is pushed or pulled once
-    cat, system = ext.base, ext.system
-    comp, decomposition, m = ext.total.compose, ext.decomposition, system.modulus
+    cat, system, total = ext.base, ext.system, ext.total
+    decomposition, m = ext.decomposition, system.modulus
+    # the total's table by position: rows[i][j] = k, decomposed[k] = (f, vector)
+    rows, index = total.rows, total.index
+    decomposed = [decomposition[e] for e in total.morphism_ids]
     for (f, g), fg in cat.compose.items():
         fiber_f, fiber_g = ext.fiber[f], ext.fiber[g]
-        c = decomposition[comp[(fiber_f[0], fiber_g[0])]][1]
+        c = decomposed[rows[index[fiber_f[0]]][index[fiber_g[0]]]][1]
         push_fg, pull_fg = system.push[(f, g)], system.pull[(f, g)]
-        pushed = [(gb, _apply(push_fg, decomposition[gb][1], m)) for gb in fiber_g]
+        pushed = [(index[gb], _apply(push_fg, decomposition[gb][1], m)) for gb in fiber_g]
         for fa in fiber_f:
             shifted = _vec_add(c, _apply(pull_fg, decomposition[fa][1], m), m)
-            for gb, b_pushed in pushed:
-                if decomposition[comp[(fa, gb)]] != (fg, _vec_add(shifted, b_pushed, m)):
+            row = rows[index[fa]]
+            for j, b_pushed in pushed:
+                if decomposed[row[j]] != (fg, _vec_add(shifted, b_pushed, m)):
                     raise ExtensionError(f"distributivity fails over ({f!r}, {g!r})")
 
 
@@ -793,10 +793,12 @@ def lift_schemoid(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSchemo
         f = ext.decomposition[e][0]
         blocks.setdefault(base_qs.partition.block_of[f], []).append(e)
     partition = make_partition(ext.total, blocks)
+    # the lifted partition satisfies the axiom with the scaled constants;
+    # a violation is this program's fault, not the input's
     try:
         constants = check_concatenation(ext.total, partition)
     except AxiomViolation as err:
-        raise AxiomFailedAfterLift(str(err)) from err
+        raise AssertionError(f"the lifted partition fails the axiom: {err}") from err
 
     # scaling law: lifted p = |D_f| * base p with f in the composite block
     names = base_qs.partition.names()
@@ -808,8 +810,7 @@ def lift_schemoid(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSchemo
                     raise HypothesisFailed(f"fiber sizes differ inside block {mu!r}")
                 scale = scales.pop()
                 if constants.p(sigma, tau, mu) != scale * base_qs.p(sigma, tau, mu):
-                    raise AxiomFailedAfterLift(
-                        f"scaling law fails at ({sigma!r}, {tau!r}, {mu!r})")
+                    raise AssertionError(f"scaling law fails at ({sigma!r}, {tau!r}, {mu!r})")
     return QuasiSchemoid(ext.total, partition, constants)
 
 

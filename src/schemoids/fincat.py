@@ -1,16 +1,25 @@
 """Finite small categories, groupoids and functors.
 
-A category is stored with opaque string ids for objects and morphisms, a
-total composition table over the composable pairs, and the identity
-assignment.  The composition convention is compose(f, g) = f∘g with
-src(f) = tgt(g): g is applied first.  Validated values are immutable by
-convention; every operation builds fresh structures.
+A category has opaque string ids for objects and morphisms and an identity
+assignment.  Its composition table is one list of integer rows: morphisms
+are numbered in input order, and rows[i][j] = k says that morphism k is
+the composite i∘j.  The composition convention is f∘g with src(f) = tgt(g):
+g is applied first.  The table also keeps the order its entries were given
+in, so that it is listed back in that order.  Labels appear only at the
+boundary: `comp` looks up one composite by name, and `compose`, the table
+keyed by label pairs, is a read-only view derived from the rows on first
+read, for the code that works with names.  Validated values are immutable
+by convention; every operation builds fresh structures.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, islice, repeat
+from types import MappingProxyType
 
 
 class SchemoidsError(Exception):
@@ -56,11 +65,20 @@ class NotAFunctor(CategoryError):
 
 @dataclass(frozen=True, eq=False)
 class FinCategory:
-    """Built only by `_validate`, which also fills the index fields."""
+    """Built only by `_validate`, which also fills the index fields.
+
+    The rows are the composition table: rows[i][j] = k means ids[k] =
+    ids[i]∘ids[j], one entry for each composable pair, and `index` maps an
+    id to its position.  The scans over all composable pairs read them;
+    `entries` lists them in the order they were given, and `compose` is a
+    labelled view derived from them.
+    """
     objects: tuple[str, ...]
     morphisms: tuple[tuple[str, str, str], ...]  # (id, src, tgt)
     identity: dict[str, str]                     # object -> identity morphism
-    compose: dict[tuple[str, str], str]          # (f, g) -> f∘g with src(f) = tgt(g)
+    rows: tuple[dict[int, int], ...]             # rows[i][j] = k: ids[k] = ids[i]∘ids[j]
+    index: dict[str, int]                        # id -> position in morphism_ids
+    _runs: list[int]                             # row, count, row, count, ...: the order given
     _src: dict[str, str]
     _tgt: dict[str, str]
     _hom: dict[tuple[str, str], tuple[str, ...]]
@@ -77,7 +95,26 @@ class FinCategory:
         return self._hom.get((x, y), ())
 
     def comp(self, f: str, g: str) -> str:
-        return self.compose[(f, g)]
+        index = self.index
+        return self._ids[self.rows[index[f]][index[g]]]
+
+    def entries(self):
+        """(i, (j, k)) with rows[i][j] = k for every composable pair, in the
+        order the table was given: the first entry given for each pair,
+        then the pairs the unit laws filled in.  Each row keeps its own
+        entries in that order, and `_runs` says how the rows interleave: the
+        next `count` entries of row i, for each (i, count) in turn."""
+        items = [iter(row.items()) for row in self.rows]
+        runs = iter(self._runs)
+        return chain.from_iterable(zip(repeat(i), islice(items[i], count))
+                                   for i, count in zip(runs, runs))
+
+    @cached_property
+    def compose(self) -> Mapping[tuple[str, str], str]:
+        """(f, g) -> f∘g for every composable pair, in `entries` order: a
+        read-only view of the rows, built on first read and kept."""
+        ids = self._ids
+        return MappingProxyType({(ids[i], ids[j]): ids[k] for i, (j, k) in self.entries()})
 
     def is_identity(self, f: str) -> bool:
         return self.identity.get(self._src[f]) == f and self._src[f] == self._tgt[f]
@@ -124,7 +161,7 @@ class FinCategory:
         if not isinstance(other, FinCategory):
             return NotImplemented
         return (self.objects == other.objects and self.morphisms == other.morphisms
-                and self.identity == other.identity and self.compose == other.compose)
+                and self.identity == other.identity and self.rows == other.rows)
 
     def __repr__(self):
         return f"FinCategory({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
@@ -221,7 +258,8 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
     among them; so the test runs only on a generating set, picked greedily
     in morphism order and kept as the category's `generators`.  The first
     error raised is of the class a scan of all pairs and triples would
-    raise first.
+    raise first.  The integer rows checked here are the table the category
+    keeps; no table keyed by labels is built.
     """
     objects = tuple(str(x) for x in objects)
     if len(set(objects)) != len(objects):
@@ -248,27 +286,40 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
 
     # rows[i][j] = k: morphism k is the entry for (i, j), composable or not
     rows: list[dict[int, int]] = [{} for _ in ids]
-    compose: dict[tuple[str, str], str] = {}
+    # the order of the new entries, as runs: row, count, row, count, ...
+    # for a stretch of `count` new entries that all went to one row
+    runs: list[int] = []
+    last, start = -1, 0
     for f, g, fg in entries:
-        f, g, fg = str(f), str(g), str(fg)
         try:
             i, j, k = pos[f], pos[g], pos[fg]
-        except KeyError:
-            raise UndefinedComposite(
-                f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms") from None
-        if compose.setdefault((f, g), fg) != fg:
-            raise UndefinedComposite(f"conflicting entries for ({f!r}, {g!r})")
-        rows[i][j] = k
+        except (KeyError, TypeError):
+            f, g, fg = str(f), str(g), str(fg)
+            try:
+                i, j, k = pos[f], pos[g], pos[fg]
+            except KeyError:
+                raise UndefinedComposite(
+                    f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms") from None
+        if i != last:
+            if last >= 0:
+                runs += (last, len(rows[last]) - start)
+            last, start = i, len(rows[i])
+        if rows[i].setdefault(j, k) != k:
+            raise UndefinedComposite(f"conflicting entries for ({ids[i]!r}, {ids[j]!r})")
+    if last >= 0:
+        runs += (last, len(rows[last]) - start)
     # fill unit-law entries
     ident = [pos[identity[x]] for x in objects]
     s_of = [opos[s] for _, s, _ in morphisms]
     t_of = [opos[t] for _, _, t in morphisms]
-    for i, m in enumerate(ids):
+    for i in range(len(ids)):
         e, e2 = ident[s_of[i]], ident[t_of[i]]
-        compose.setdefault((m, ids[e]), m)
-        rows[i].setdefault(e, i)
-        compose.setdefault((ids[e2], m), m)
-        rows[e2].setdefault(i, i)
+        if e not in rows[i]:
+            rows[i][e] = i
+            runs += (i, 1)
+        if i not in rows[e2]:
+            rows[e2][i] = i
+            runs += (e2, 1)
 
     out_of: list[list[int]] = [[] for _ in objects]
     in_to: list[list[int]] = [[] for _ in objects]
@@ -292,8 +343,8 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
             raise MissingIdentity(f"unit law fails at {m!r}")
     generators = _light_generators(s_of, t_of, rows, ident)
     _light_test(ids, s_of, t_of, out_of, in_to, rows, generators)
-    return FinCategory(objects, morphisms, identity, compose, src, tgt, _hom_sets(morphisms), ids,
-                       tuple(ids[a] for a in generators))
+    return FinCategory(objects, morphisms, identity, tuple(rows), pos, runs, src, tgt,
+                       _hom_sets(morphisms), ids, tuple(ids[a] for a in generators))
 
 
 def _raise_first_gap(ids, s_of, t_of, in_to, rows):
@@ -334,7 +385,7 @@ def _light_generators(s_of, t_of, rows, ident) -> list[int]:
             closure_in[t].append(u)
             row = rows[u]
             new = [w for w in map(row.__getitem__, closure_in[s]) if not member[w]]
-            new += [w for w in (rows[v][u] for v in closure_out[t]) if not member[w]]
+            new += [w for v in closure_out[t] if not member[w := rows[v][u]]]
             for w in new:
                 if not member[w]:
                     member[w] = 1
@@ -366,19 +417,26 @@ def _light_test(ids, s_of, t_of, out_of, in_to, rows, generators):
 
 
 def serialize(cat: FinCategory) -> dict:
-    """JSON-ready description; identity-implied composition entries are kept."""
+    """JSON-ready description; identity-implied composition entries are
+    kept, in `entries` order."""
+    ids = cat.morphism_ids
     return {
         "objects": list(cat.objects),
         "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in cat.morphisms],
         "identities": dict(cat.identity),
-        "compose": [[f, g, fg] for (f, g), fg in cat.compose.items()],
+        "compose": [[ids[i], ids[j], ids[k]] for i, (j, k) in cat.entries()],
     }
 
 
 def build_category(objects, morphisms, identity, compose) -> FinCategory:
-    """Validate parts assembled in code (same checks as validate_category)."""
-    return _validate(objects, morphisms, identity,
-                     ((f, g, fg) for (f, g), fg in compose.items()))
+    """Validate parts assembled in code (same checks as validate_category).
+
+    `compose` holds the ((f, g), f∘g) items in either form `dict` takes, a
+    mapping or an iterable of items, so a large table can be streamed into
+    validation without being built as a dict first.
+    """
+    items = compose.items() if isinstance(compose, Mapping) else compose
+    return _validate(objects, morphisms, identity, ((f, g, fg) for (f, g), fg in items))
 
 
 def full_subcategory(c: FinCategory, objects) -> FinCategory:
@@ -387,7 +445,7 @@ def full_subcategory(c: FinCategory, objects) -> FinCategory:
     keep = set(objects)
     objs = tuple(x for x in c.objects if x in keep)
     morphisms = tuple(m for m in c.morphisms if m[1] in keep and m[2] in keep)
-    compose = {(f, g): c.compose[(f, g)]
+    compose = {(f, g): c.comp(f, g)
                for f, s, _ in morphisms for y in objs for g in c.hom(y, s)}
     return build_category(objs, morphisms, {x: c.identity[x] for x in objs}, compose)
 
@@ -523,18 +581,18 @@ def factorization_category(c: FinCategory) -> FinCategory:
 
 
 def as_groupoid(c: FinCategory) -> Groupoid:
-    """Inverse table if every morphism is invertible, else NotInvertible."""
+    """Inverse table if every morphism is invertible, else NotInvertible;
+    the inverse of f is the first g of Hom(tgt f, src f) with f∘g and g∘f
+    identities."""
+    ids, index, rows = c.morphism_ids, c.index, c.rows
     inverse = {}
-    for f in c.morphism_ids:
-        s, t = c.src(f), c.tgt(f)
-        inv = None
-        for g in c.hom(t, s):
-            if c.comp(f, g) == c.identity[t] and c.comp(g, f) == c.identity[s]:
-                inv = g
-                break
+    for i, (f, s, t) in enumerate(c.morphisms):
+        row_f, e_s, e_t = rows[i], index[c.identity[s]], index[c.identity[t]]
+        inv = next((j for j in map(index.__getitem__, c.hom(t, s))
+                    if row_f[j] == e_t and rows[j][i] == e_s), None)
         if inv is None:
             raise NotInvertible(f"morphism {f!r} has no inverse")
-        inverse[f] = inv
+        inverse[f] = ids[inv]
     return Groupoid(c, inverse)
 
 
@@ -581,36 +639,37 @@ def validate_functor(fun: Functor, c: FinCategory, d: FinCategory) -> Functor:
     C.  A broken law raises NotAFunctor with witness (f, g, F(f∘g), expected).
     """
     omap, mmap = fun.object_map, fun.morphism_map
-    d_objects, d_morphisms = set(d.objects), set(d.morphism_ids)
+    d_objects, d_index = set(d.objects), d.index
     for x in c.objects:
         if omap.get(x) not in d_objects:
             raise NotAFunctor(f"object {x!r} unmapped or mapped outside the target")
         if mmap.get(c.identity[x]) != d.identity[omap[x]]:
             raise NotAFunctor(f"identity of {x!r} not preserved")
-    out_of: dict[str, list[str]] = {}
-    for m, s, t in c.morphisms:
-        img = mmap.get(m)
-        if img is None or img not in d_morphisms:
+    img: list[int] = []                      # img[i]: the position of F(ids[i]) in D
+    out_of: dict[str, list[int]] = {}
+    for i, (m, s, t) in enumerate(c.morphisms):
+        image = mmap.get(m)
+        if image not in d_index:
             raise NotAFunctor(f"morphism {m!r} unmapped or mapped outside the target")
         if fun.contravariant:
-            if d.src(img) != omap[t] or d.tgt(img) != omap[s]:
+            if d.src(image) != omap[t] or d.tgt(image) != omap[s]:
                 raise NotAFunctor(f"endpoints of {m!r} not reversed correctly")
         else:
-            if d.src(img) != omap[s] or d.tgt(img) != omap[t]:
+            if d.src(image) != omap[s] or d.tgt(image) != omap[t]:
                 raise NotAFunctor(f"endpoints of {m!r} not preserved")
-        out_of.setdefault(s, []).append(m)
-    c_compose, d_compose = c.compose, d.compose
+        img.append(d_index[image])
+        out_of.setdefault(s, []).append(i)
+    c_rows, d_rows, c_ids = c.rows, d.rows, c.morphism_ids
     for g in c.generators:
-        img_g = mmap[g]
-        for f in out_of.get(c.tgt(g), ()):
-            if fun.contravariant:
-                expected = d_compose[(img_g, mmap[f])]
-            else:
-                expected = d_compose[(mmap[f], img_g)]
-            got = mmap[c_compose[(f, g)]]
+        a = c.index[g]
+        img_g = img[a]
+        for i in out_of.get(c.tgt(g), ()):
+            expected = d_rows[img_g][img[i]] if fun.contravariant else d_rows[img[i]][img_g]
+            got = img[c_rows[i][a]]
             if got != expected:
-                raise NotAFunctor(f"composition not preserved at ({f!r}, {g!r})",
-                                  witness=(f, g, got, expected))
+                d_ids = d.morphism_ids
+                raise NotAFunctor(f"composition not preserved at ({c_ids[i]!r}, {g!r})",
+                                  witness=(c_ids[i], g, d_ids[got], d_ids[expected]))
     return fun
 
 

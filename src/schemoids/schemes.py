@@ -286,12 +286,9 @@ def j_embed(scheme: CoherentConfiguration) -> QuasiSchemoid:
     name = [[pair_morphism(x, y) for y in pts] for x in pts]   # name[x][y] = (x, y)
     morphisms = [(name[x][y], pts[y], pts[x]) for x in range(n) for y in range(n)]
     identity = {pts[x]: name[x][x] for x in range(n)}
-    compose = {}
-    for row_z in name:
-        for x in range(n):
-            zx, row_x = row_z[x], name[x]
-            for y in range(n):
-                compose[(zx, row_x[y])] = row_z[y]
+    # the n³ composites go to validation as a stream of ((zx, xy), zy) items
+    compose = (((row_z[x], xy), zy) for row_z in name for x in range(n)
+               for xy, zy in zip(name[x], row_z))
     cat = build_category(pts, morphisms, identity, compose)
     blocks: dict[str, list[str]] = {c: [] for c in scheme.classes}
     for x in range(n):

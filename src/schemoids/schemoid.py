@@ -16,7 +16,9 @@ of them that is bijective on morphisms and on blocks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .fincat import (
     FinCategory,
@@ -165,31 +167,32 @@ def check_concatenation(cat: FinCategory, partition: MorphismPartition) -> Struc
     A pair (σ, τ) with no factorization, or a block μ that none lands in,
     has the constant 0 and is skipped.
     """
-    bo = partition.block_of
-    counts: dict[tuple[str, str], dict[str, int]] = {}
-    for (f, g), h in cat.compose.items():
-        key = (bo[f], bo[g])
-        tally = counts.setdefault(key, {})
-        tally[h] = tally.get(h, 0) + 1
-    entries: dict[tuple[str, str, str], int] = {}
     names = partition.names()
-    members = {mu: sorted(ms) for mu, ms in partition.blocks.items()}
-    for sigma in names:
-        for tau in names:
-            tally = counts.get((sigma, tau))
-            if tally is None:
-                continue
-            hit = {bo[h] for h in tally}
-            for mu in names:
-                if mu not in hit:
-                    continue
-                h1, *rest = members[mu]
-                c1 = tally.get(h1, 0)
-                for h in rest:
-                    c = tally.get(h, 0)
-                    if c != c1:
-                        raise AxiomViolation(sigma, tau, mu, h1, c1, h, c)
-                entries[(sigma, tau, mu)] = c1
+    number = {name: b for b, name in enumerate(names)}
+    ids, bo = cat.morphism_ids, partition.block_of
+    block = [number[bo[m]] for m in ids]
+    width, n = len(names), len(ids)
+    # one tally over all composable pairs (f, g) -> h, keyed by the block
+    # triple and h: ((block(f) * width + block(g)) * width + block(h)) * n + h
+    f_part = [b * width * width * n for b in block]
+    g_part = [b * width * n for b in block]
+    h_part = [b * n + h for h, b in enumerate(block)]
+    tally = Counter(chain.from_iterable([f + g_part[j] + h_part[k] for j, k in row.items()]
+                                        for f, row in zip(f_part, cat.rows)))
+    members = [[cat.index[m] for m in sorted(partition.blocks[mu])] for mu in names]
+    get = tally.get
+    entries: dict[tuple[str, str, str], int] = {}
+    for triple in sorted({key // n for key in tally}):
+        pair, mu = divmod(triple, width)
+        sigma, tau = divmod(pair, width)
+        base = triple * n
+        h1, *rest = members[mu]
+        c1 = get(base + h1, 0)
+        for h in rest:
+            c = get(base + h, 0)
+            if c != c1:
+                raise AxiomViolation(names[sigma], names[tau], names[mu], ids[h1], c1, ids[h], c)
+        entries[(names[sigma], names[tau], names[mu])] = c1
     return StructureConstantTable(entries)
 
 

@@ -36,24 +36,69 @@ def intersection_numbers_bruteforce(rel):
     return out
 
 
-def schemoid_constants_bruteforce(cat, block_of):
-    """Structure constants by enumerating every composable pair of morphisms."""
+def schemoid_constants_bruteforce(entries, blocks):
+    """Structure constants by enumerating every composable pair, given as
+    the entries (f, g, f∘g) of a completed table (`completed_entries`).
+
+    `blocks` maps each block name to its members, in the partition's order.
+    Returns the nonzero constants {(σ, τ, μ): p}; when a count is not
+    constant along μ, raises AxiomViolation at the first (σ, τ, μ) in block
+    order, naming the first member of μ by label and the first that differs.
+    """
+    from schemoids.schemoid import AxiomViolation
+
+    block_of = {m: b for b, members in blocks.items() for m in members}
     tallies = {}
-    for (f, g), h in cat.compose.items():
-        tallies.setdefault((block_of[f], block_of[g], h), 0)
-        tallies[(block_of[f], block_of[g], h)] += 1
-    blocks = {}
-    for m, b in block_of.items():
-        blocks.setdefault(b, []).append(m)
+    for f, g, h in entries:
+        key = (block_of[f], block_of[g], h)
+        tallies[key] = tallies.get(key, 0) + 1
     out = {}
-    for (sigma, tau) in {(s, t) for (s, t, _) in tallies}:
-        for mu, members in blocks.items():
-            counts = {tallies.get((sigma, tau, h), 0) for h in members}
-            assert len(counts) == 1, f"oracle: non-constant over {(sigma, tau, mu)}"
-            c = counts.pop()
-            if c:
-                out[(sigma, tau, mu)] = c
+    for sigma in blocks:
+        for tau in blocks:
+            for mu, members in blocks.items():
+                counts = [(h, tallies.get((sigma, tau, h), 0)) for h in sorted(members)]
+                if not any(c for _, c in counts):
+                    continue
+                h1, c1 = counts[0]
+                for h, c in counts[1:]:
+                    if c != c1:
+                        raise AxiomViolation(sigma, tau, mu, h1, c1, h, c)
+                out[(sigma, tau, mu)] = c1
     return out
+
+
+def condition_P_bruteforce(entries, block_of):
+    """Condition P by the string-keyed scan of the entries (f, g, f∘g) of a
+    completed table, in their order: (True, None), or (False, witness) at
+    the first entry whose in-block solution differs from one seen before."""
+    g_solutions, f_solutions = {}, {}
+    for f, g, h in entries:
+        other = g_solutions.setdefault((f, h, block_of[g]), g)
+        if other != g:
+            return False, ("two right factors", f, h, other, g)
+        other = f_solutions.setdefault((g, h, block_of[f]), f)
+        if other != f:
+            return False, ("two left factors", g, h, other, f)
+    return True, None
+
+
+def inverses_bruteforce(raw):
+    """f -> the first g in morphism order with f∘g and g∘f identities, or
+    None when f has none; read from the raw description's entries."""
+    table = validate_category_dense(raw)
+    src = {m["id"]: m["src"] for m in raw["morphisms"]}
+    tgt = {m["id"]: m["tgt"] for m in raw["morphisms"]}
+    identity = raw["identities"]
+    return {f: next((g for g in src if table.get((f, g)) == identity[tgt[f]]
+                     and table.get((g, f)) == identity[src[f]]), None)
+            for f in src}
+
+
+def completed_entries(raw):
+    """The entries (f, g, f∘g) of a raw description in the order given, the
+    first of any repeated pair kept, followed by the unit-law fills: every
+    composable pair once, read from the raw list by `validate_category_dense`."""
+    return [(f, g, fg) for (f, g), fg in validate_category_dense(raw).items()]
 
 
 def mat_mul_int(a, b):
@@ -404,32 +449,46 @@ def validate_category_dense(raw):
     return compose
 
 
-def validate_functor_dense(fun, c, d):
-    """Functor laws by the full scan: the composition law at every
-    composable pair of C.  The reference for the generator check in
+def validate_functor_dense(fun, c_raw, d_raw):
+    """Functor laws by the full scan on raw descriptions: the composition
+    law at every composable pair of C, read from the completed entries.
+    The reference for the generator check in
     schemoids.fincat.validate_functor; same error class, no witness."""
+    return _functor_laws_dense(fun, _described(c_raw), _described(d_raw))
+
+
+def _described(raw):
+    """Objects, identities, sources, targets and the completed composition
+    table of a raw description."""
+    return (raw["objects"], raw["identities"],
+            {m["id"]: m["src"] for m in raw["morphisms"]},
+            {m["id"]: m["tgt"] for m in raw["morphisms"]},
+            validate_category_dense(raw))
+
+
+def _functor_laws_dense(fun, c, d):
     from schemoids.fincat import NotAFunctor
 
     omap, mmap = fun.object_map, fun.morphism_map
-    d_objects, d_morphisms = set(d.objects), set(d.morphism_ids)
-    for x in c.objects:
+    c_objects, c_identity, c_src, c_tgt, c_compose = c
+    d_objects, d_identity, d_src, d_tgt, d_compose = d
+    for x in c_objects:
         if omap.get(x) not in d_objects:
             raise NotAFunctor(f"object {x!r} unmapped or mapped outside the target")
-        if mmap.get(c.identity[x]) != d.identity[omap[x]]:
+        if mmap.get(c_identity[x]) != d_identity[omap[x]]:
             raise NotAFunctor(f"identity of {x!r} not preserved")
-    for m in c.morphism_ids:
+    for m in c_src:
         img = mmap.get(m)
-        if img is None or img not in d_morphisms:
+        if img is None or img not in d_src:
             raise NotAFunctor(f"morphism {m!r} unmapped or mapped outside the target")
-        s, t = c.src(m), c.tgt(m)
+        s, t = c_src[m], c_tgt[m]
         if fun.contravariant:
-            if d.src(img) != omap[t] or d.tgt(img) != omap[s]:
+            if d_src[img] != omap[t] or d_tgt[img] != omap[s]:
                 raise NotAFunctor(f"endpoints of {m!r} not reversed correctly")
         else:
-            if d.src(img) != omap[s] or d.tgt(img) != omap[t]:
+            if d_src[img] != omap[s] or d_tgt[img] != omap[t]:
                 raise NotAFunctor(f"endpoints of {m!r} not preserved")
-    d_compose = d.compose
-    for (f, g), fg in c.compose.items():
+    for (f, g), fg in c_compose.items():
         if fun.contravariant:
             expected = d_compose[(mmap[g], mmap[f])]
         else:
@@ -708,13 +767,14 @@ def _functor_candidates(c, d, cap):
 def functors_by_search(c, d, cap=1 << 16):
     """Every functor C -> D by exhaustive search over `_functor_candidates`,
     each checked by the full scan of validate_functor_dense."""
-    from schemoids.fincat import Functor, NotAFunctor
+    from schemoids.fincat import Functor, NotAFunctor, serialize
 
+    c_desc, d_desc = _described(serialize(c)), _described(serialize(d))
     found = []
     for omap, images in _functor_candidates(c, d, cap):
         fun = Functor(omap, dict(zip(c.morphism_ids, images)))
         try:
-            validate_functor_dense(fun, c, d)
+            _functor_laws_dense(fun, c_desc, d_desc)
         except NotAFunctor:
             continue
         found.append(fun)

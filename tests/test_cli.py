@@ -239,6 +239,78 @@ def test_admissible_cli_reports_only_domain_errors(capsys, tmp_path, monkeypatch
     assert "Traceback" in err and "RuntimeError: internal" in err
 
 
+def test_admissible_cli_answers_not_admissible_with_exit_0(capsys, tmp_path):
+    """A morphism that is not admissible is an answer, not a refusal: the
+    point mapped into Z/2 with one block misses the element 1."""
+    from schemoids.fincat import terminal_category
+    from schemoids.schemoid import discrete_partition, make_partition, verify_quasi_schemoid
+    point = terminal_category()
+    z2 = one_object_group(*cyclic_group_table(2)).base
+    files = (write(tmp_path, "point.json",
+                   cli.bundle_to_json(verify_quasi_schemoid(point, discrete_partition(point)))),
+             write(tmp_path, "z2.json",
+                   cli.bundle_to_json(verify_quasi_schemoid(z2, make_partition(z2, {"G": ["0", "1"]})))),
+             write(tmp_path, "phi.json", {"objects": {"*": "*"}, "morphisms": {"1_*": "0"}}))
+    code, rep = run_json(capsys, "admissible", *files)
+    assert code == 0 and "error" not in rep
+    assert rep["admissible"] is False and rep["failures"] == [["*", "1_*", "1"]]
+    assert "multiplicities" not in rep
+
+
+def test_failed_internal_certificates_exit_3(capsys, tmp_path, monkeypatch):
+    """A certificate the program checks on its own output, d1∘d0 = 0 or the
+    axiom on a lifted partition, is an internal error when it fails: exit 3
+    with a traceback and nothing on stdout, not a refusal of the input."""
+    from schemoids import extensions
+    from schemoids.fincat import serialize
+    from schemoids.schemoid import AxiomViolation
+    cf = write(tmp_path, "z2.json", serialize(one_object_group(*cyclic_group_table(2)).base))
+    sf = write(tmp_path, "sys.json", {"kind": "trivial", "modulus": 2})
+    # every row of d0 is the first coordinate, so d1∘d0 has a 1 at every pair
+    monkeypatch.setattr(extensions.BWComplex, "_d0_at", lambda self, f: [{0: 1}])
+    code, out, err = outputs(capsys, ["cohomology", cf, sf, "--degree", "1"])
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "AssertionError: d1∘d0 is not zero" in err
+
+    def broken_axiom(cat, partition):
+        raise AxiomViolation("s", "t", "m", "h1", 1, "h2", 2)
+
+    monkeypatch.setattr(extensions, "check_concatenation", broken_axiom)
+    code, out, err = outputs(capsys, ["examples", "e0_schemoid"])
+    assert code == 3 and out == ""
+    assert "AssertionError: the lifted partition fails the axiom" in err
+
+
+@pytest.mark.parametrize("system, field", [
+    ([["trivial"]], "system: a JSON object expected, not list"),
+    ("trivial", "system: a JSON object expected, not str"),
+    ({"kind": "twisted", "modulus": 2}, "system.kind: 'twisted' is not"),
+])
+def test_malformed_system_is_refused_by_name(capsys, tmp_path, system, field):
+    """A system document that is not an object, or names an unknown kind, is
+    refused with the field it gets wrong, not as AttributeError or KeyError."""
+    from schemoids.fincat import serialize
+    cf = write(tmp_path, "z2.json", serialize(one_object_group(*cyclic_group_table(2)).base))
+    code, out = run_json(capsys, "cohomology", cf, write(tmp_path, "sys.json", system))
+    assert code == 1 and out["error"] == "MalformedDocument"
+    assert out["message"].startswith(field)
+
+
+def test_bundle_scans_read_the_rows_not_the_labelled_view():
+    """Decoding, analysing and tabulating a j(H(3,2)) bundle, and comparing
+    two categories, never build the label-keyed `compose` view."""
+    from schemoids.fincat import validate_category
+    from schemoids.schemes import hamming, j_embed
+    bundle = cli.bundle_to_json(j_embed(hamming(3, 2)))
+    qs = cli.bundle_from_json(bundle)
+    report = cli.analysis_report(qs)
+    assert report["unique_factorization"] and report["basic"]
+    assert cli.constants_to_json(qs)["p"]
+    other = validate_category(bundle["category"])
+    assert other == qs.category and other is not qs.category
+    assert "compose" not in qs.category.__dict__ and "compose" not in other.__dict__
+
+
 def test_thicken_cli(capsys, tmp_path):
     code, scheme = run_json(capsys, "gen", "hamming", "2", "2")
     sf = write(tmp_path, "scheme.json", scheme)

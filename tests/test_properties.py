@@ -27,6 +27,8 @@ from schemoids.fincat import (
     CategoryError,
     NonAssociative,
     NotAFunctor,
+    NotInvertible,
+    as_groupoid,
     build_category,
     cyclic_group_table,
     identity_functor,
@@ -42,6 +44,9 @@ from schemoids.fincat import (
 )
 from schemoids.schemes import hamming, j_embed, scheme_from_json, serialize_scheme, validate_scheme
 from schemoids.schemoid import (
+    AxiomViolation,
+    QuasiSchemoid,
+    StructureConstantTable,
     check_concatenation,
     compose_schemoid_morphisms,
     discrete_partition,
@@ -52,7 +57,7 @@ from schemoids.schemoid import (
     serialize_partition,
     verify_quasi_schemoid,
 )
-from schemoids.admissible import is_admissible
+from schemoids.admissible import condition_P, is_admissible
 from schemoids.fincat import Functor
 
 from oracles import (
@@ -61,7 +66,11 @@ from oracles import (
     dense_cohomology_invariants,
     full_complex_cohomology,
     full_complex_is_coboundary,
+    completed_entries,
+    condition_P_bruteforce,
+    inverses_bruteforce,
     natural_law_failures,
+    schemoid_constants_bruteforce,
     span_dimension_fractions,
     validate_category_dense,
     validate_functor_dense,
@@ -536,6 +545,111 @@ def test_light_test_matches_dense_oracle(raw):
         assert table[(table[(e, f)], g)] == lhs != rhs == table[(e, table[(f, g)])]
 
 
+@st.composite
+def shuffled(draw, raw):
+    """The raw description with its composition entries in a drawn order
+    and, in about half the cases, without the entries the unit laws imply,
+    which validation fills in."""
+    identities = set(raw["identities"].values())
+    compose = draw(st.permutations(raw["compose"]))
+    if draw(st.booleans()):
+        compose = [e for e in compose if e[0] not in identities and e[1] not in identities]
+    return {**raw, "compose": compose}
+
+
+@st.composite
+def raw_categories(draw):
+    """A small category as a raw description, `shuffled`: the entry list the
+    oracles read."""
+    return draw(shuffled(serialize(draw(small_categories()))))
+
+
+@st.composite
+def partitioned_categories(draw):
+    """(raw, blocks): a raw category and a partition of its morphisms into
+    at most four blocks, named in a drawn order; discrete in a quarter of
+    the cases, so that the axiom holds, and drawn at random otherwise."""
+    raw = draw(raw_categories())
+    ids = [m["id"] for m in raw["morphisms"]]
+    if draw(st.integers(0, 3)) == 0:
+        return raw, {f"B{m}": [m] for m in ids}
+    k = draw(st.integers(1, 4))
+    label = draw(st.lists(st.integers(0, k - 1), min_size=len(ids), max_size=len(ids)))
+    order = draw(st.permutations(range(k)))
+    blocks = {f"B{b}": [m for m, a in zip(ids, label) if a == b] for b in order}
+    return raw, {name: members for name, members in blocks.items() if members}
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitioned_categories())
+def test_concatenation_count_matches_raw_entry_oracle(case):
+    """The integer tally over the rows gives the constants, or the first
+    failing block triple and its witness, that counting the raw entries gives."""
+    raw, blocks = case
+    cat = validate_category(raw)
+    try:
+        want = schemoid_constants_bruteforce(completed_entries(raw), blocks)
+    except AxiomViolation as err:
+        want = err
+    try:
+        got = check_concatenation(cat, make_partition(cat, blocks)).entries
+    except AxiomViolation as err:
+        got = err
+    event("violation" if isinstance(want, AxiomViolation) else "accepted")
+    if isinstance(want, AxiomViolation):
+        assert isinstance(got, AxiomViolation) and got.witness == want.witness
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitioned_categories())
+def test_condition_P_matches_raw_entry_oracle(case):
+    """condition_P on the rows gives the verdict, and the first witness in
+    the order the entries were given, of the string-keyed scan of the raw
+    entries."""
+    raw, blocks = case
+    cat = validate_category(raw)
+    partition = make_partition(cat, blocks)
+    want = condition_P_bruteforce(completed_entries(raw), partition.block_of)
+    got = condition_P(QuasiSchemoid(cat, partition, StructureConstantTable({})))
+    event("holds" if want[0] else want[1][0])
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_categories())
+def test_as_groupoid_matches_brute_inverse_search(raw):
+    """as_groupoid finds, for every morphism, the inverse a search of the raw
+    entries finds first, or names the first morphism without one."""
+    cat = validate_category(raw)
+    want = inverses_bruteforce(raw)
+    missing = [f for f, g in want.items() if g is None]
+    event("groupoid" if not missing else "not a groupoid")
+    if missing:
+        with pytest.raises(NotInvertible) as err:
+            as_groupoid(cat)
+        assert str(err.value) == f"morphism {missing[0]!r} has no inverse"
+    else:
+        assert as_groupoid(cat).inverse == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_categories())
+def test_compose_view_is_the_raw_entries_and_unit_fills(raw):
+    """The labelled view, built from the rows on first read, lists the raw
+    entries, the first of any repeated pair, and then the unit-law fills, in
+    the order given, as `serialize` writes them."""
+    cat = validate_category(raw)
+    assert "compose" not in cat.__dict__
+    view = cat.compose
+    assert list(view.items()) == [((f, g), fg) for f, g, fg in completed_entries(raw)]
+    assert serialize(cat)["compose"] == [[f, g, fg] for (f, g), fg in view.items()]
+    assert cat.compose is view
+    with pytest.raises(TypeError):
+        view[next(iter(view))] = cat.morphism_ids[0]
+
+
 _SCHEMOIDS = {n: j_embed(hamming(n, 2)) for n in (2, 3)}
 
 
@@ -545,7 +659,8 @@ def functor_cases(draw):
     C^op, the involution T of j(H(n,2)) or a projection of C × Z/k, with C
     drawn from small_categories(), j(H(2,2)) or j(H(3,2)).  About half the cases
     redirect the image of one non-identity morphism to another morphism with
-    the same endpoints, so that only the composition law can fail."""
+    the same endpoints, so that only the composition law can fail.  C and D
+    come as raw descriptions, `shuffled`."""
     n = draw(st.sampled_from([None, 2, 3]))
     cat = draw(small_categories()) if n is None else _SCHEMOIDS[n].category
     kind = draw(st.sampled_from(["identity", "opposite", "projection"]
@@ -573,7 +688,7 @@ def functor_cases(draw):
         m, other = draw(st.sampled_from(swaps))
         mmap[m] = other
         fun = Functor(omap, mmap, fun.contravariant)
-    return fun, c, d
+    return fun, draw(shuffled(serialize(c))), draw(shuffled(serialize(d)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -582,9 +697,10 @@ def test_functor_check_matches_dense_oracle(case):
     """The composition law checked at Light's generators gives the verdict
     and error class of the check at every composable pair, and its witness
     is a pair at which the law fails."""
-    fun, c, d = case
+    fun, c_raw, d_raw = case
+    c, d = validate_category(c_raw), validate_category(d_raw)
     try:
-        want = validate_functor_dense(fun, c, d)
+        want = validate_functor_dense(fun, c_raw, d_raw)
     except CategoryError as err:
         want = err
     try:
@@ -598,10 +714,10 @@ def test_functor_check_matches_dense_oracle(case):
     assert type(got) is type(want) is NotAFunctor
     f, g, fg, expected = got.witness
     mmap = fun.morphism_map
-    assert c.src(f) == c.tgt(g)
-    assert fg == mmap[c.comp(f, g)]
-    assert expected == (d.comp(mmap[g], mmap[f]) if fun.contravariant
-                        else d.comp(mmap[f], mmap[g]))
+    c_table, d_table = validate_category_dense(c_raw), validate_category_dense(d_raw)
+    assert fg == mmap[c_table[(f, g)]]
+    assert expected == (d_table[(mmap[g], mmap[f])] if fun.contravariant
+                        else d_table[(mmap[f], mmap[g])])
     assert fg != expected
 
 

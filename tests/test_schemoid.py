@@ -1,7 +1,7 @@
 import pytest
 
 from schemoids.fincat import Functor, build_category, cyclic_group_table, one_object_group, terminal_category
-from schemoids.schemes import group_scheme, hamming, j_embed
+from schemoids.schemes import group_scheme, hamming, j_embed, pair_morphism
 from schemoids.schemoid import (
     AxiomViolation,
     BlockNotPreserved,
@@ -66,7 +66,11 @@ def test_discrete_partition_always_passes():
 def test_h22_constants_frozen():
     """p-values for j(H(2,2)), frozen from the brute-force oracle."""
     qs = j_embed(hamming(2, 2))
-    oracle = schemoid_constants_bruteforce(qs.category, qs.partition.block_of)
+    pts = qs.category.objects
+    # (z, x)∘(x, y) = (z, y) on the complete graph, written out from the points
+    entries = [(pair_morphism(z, x), pair_morphism(x, y), pair_morphism(z, y))
+               for z in pts for x in pts for y in pts]
+    oracle = schemoid_constants_bruteforce(entries, qs.partition.blocks)
     assert {k: v for k, v in qs.constants.entries.items() if v} == oracle
     assert qs.p("R1", "R1", "R2") == 2
     assert qs.p("R1", "R1", "R1") == 0
