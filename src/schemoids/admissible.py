@@ -157,20 +157,8 @@ def condition_P(qs: QuasiSchemoid):
     number = {name: b for b, name in enumerate(names)}
     block = [number[block_of[m]] for m in ids]
     width, n = len(names), len(ids)
-    # the verdict, in any order: within each row the keys (h, block(g)) are
-    # distinct, and over all rows the keys (g, h, block(f))
-    seen_left: set[int] = set()
-    for i, row in enumerate(cat.rows):
-        if len({k * width + block[j] for j, k in row.items()}) < len(row):
-            break
-        block_f = block[i]
-        seen_left.update([(j * n + k) * width + block_f for j, k in row.items()])
-    else:
-        if len(seen_left) == sum(map(len, cat.rows)):
-            return True, None
-    # the witness: the first repeat in the order the table was given; the
-    # solutions seen so far, keyed by position: g by (f, h, block(g)) and f
-    # by (g, h, block(f))
+    # the solutions seen so far, keyed by position: g by (f, h, block(g))
+    # and f by (g, h, block(f))
     g_solutions: dict[int, int] = {}
     f_solutions: dict[int, int] = {}
     for i, (j, k) in cat.entries():

@@ -81,7 +81,7 @@ def s_tilde(h: Groupoid) -> QuasiSchemoid:
                 for l in group:
                     compose[(name[(k, m)], name[(m, l)])] = name[(k, l)]
     identity = {m: name[(m, m)] for m in mors}
-    cat = build_category(objects, morphisms, identity, compose)
+    cat = build_category(objects, morphisms, identity, compose.items())
 
     blocks: dict[str, list[str]] = {}
     for (k, l), kl in name.items():
@@ -181,7 +181,7 @@ def r_tilde(qs: QuasiSchemoid) -> Groupoid:
     morphisms = [(sigma, analysis.source_block[sigma], analysis.target_block[sigma])
                  for sigma in qs.block_names()]
     identity = {alpha: alpha for alpha in analysis.s0}
-    cat = build_category(objects, morphisms, identity, dict(analysis.composition))
+    cat = build_category(objects, morphisms, identity, analysis.composition.items())
     inverse = {sigma: qs.involution.block_image[sigma] for sigma in qs.block_names()}
     for sigma, star in inverse.items():
         if (cat.comp(sigma, star) != identity[analysis.target_block[sigma]]

@@ -59,7 +59,7 @@ def _arrow_category():
         ["x", "y"],
         [("1_x", "x", "x"), ("1_y", "y", "y"), ("f", "x", "y")],
         {"x": "1_x", "y": "1_y"},
-        {},
+        (),
     )
 
 
@@ -126,7 +126,7 @@ def _zigzag_window(k: int = 1) -> QuasiSchemoid:
     morphisms += [(f"g{i}", f"x{i}", f"y{i + 1}") for i in rng if i + 1 <= k]
     morphisms += [(f"h{i}", f"x{i + 1}", f"y{i}") for i in rng if i + 1 <= k]
     identity = {o: f"1_{o}" for o in objects}
-    cat = build_category(objects, morphisms, identity, {})
+    cat = build_category(objects, morphisms, identity, ())
     sigma = [m for m, _, _ in cat.morphisms if m[0] in "gh"]
     tau = [f"f{i}" for i in rng]
     partition = make_partition(cat, {"J0": [f"1_{o}" for o in objects],
@@ -156,7 +156,7 @@ def _two_fillers(k: int = 1) -> QuasiSchemoid:
         compose[(f"be{l}", f"al{l}")] = "eps"
         compose[(f"de{l}", f"ga{l}")] = "eps"
     identity = {o: f"1_{o}" for o in objects}
-    cat = build_category(objects, morphisms, identity, compose)
+    cat = build_category(objects, morphisms, identity, compose.items())
     rng = range(1, k + 1)
     partition = make_partition(cat, {
         "S0": [f"1_{o}" for o in objects],
@@ -196,7 +196,7 @@ def _pair_groupoid_family(k: int) -> QuasiSchemoid:
                 if s1 == t2:
                     compose[(m1, m2)] = next(m for m, s, t in mors if s == s2 and t == t1)
         cats.append(build_category([f"x{i}", f"y{i}"], mors,
-                                   {f"x{i}": f"xx{i}", f"y{i}": f"yy{i}"}, compose))
+                                   {f"x{i}": f"xx{i}", f"y{i}": f"yy{i}"}, compose.items()))
     objects = [o for c in cats for o in c.objects]
     morphisms = [m for c in cats for m in c.morphisms]
     identity = {}
@@ -204,7 +204,7 @@ def _pair_groupoid_family(k: int) -> QuasiSchemoid:
     for c in cats:
         identity.update(c.identity)
         compose.update(c.compose)
-    cat = build_category(objects, morphisms, identity, compose)
+    cat = build_category(objects, morphisms, identity, compose.items())
     partition = make_partition(cat, {
         "s0x": [f"xx{i}" for i in range(k)],
         "s0y": [f"yy{i}" for i in range(k)],

@@ -717,7 +717,7 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
             for gb, b_pulled in pulled:
                 compose[(gb, fa)] = names_gf[_vec_add(shifted, b_pulled, m)]
     try:
-        total = build_category(cat.objects, morphisms, identity, compose)
+        total = build_category(cat.objects, morphisms, identity, compose.items())
     except CategoryError as err:
         defect = cx.cocycle_defect(delta)
         if defect is not None:

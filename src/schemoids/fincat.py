@@ -18,7 +18,6 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
 from types import MappingProxyType
 
 
@@ -78,7 +77,7 @@ class FinCategory:
     identity: dict[str, str]                     # object -> identity morphism
     rows: tuple[dict[int, int], ...]             # rows[i][j] = k: ids[k] = ids[i]∘ids[j]
     index: dict[str, int]                        # id -> position in morphism_ids
-    _runs: list[int]                             # row, count, row, count, ...: the order given
+    _order: list[int]                            # the row of each entry, in the order given
     _src: dict[str, str]
     _tgt: dict[str, str]
     _hom: dict[tuple[str, str], tuple[str, ...]]
@@ -102,12 +101,9 @@ class FinCategory:
         """(i, (j, k)) with rows[i][j] = k for every composable pair, in the
         order the table was given: the first entry given for each pair,
         then the pairs the unit laws filled in.  Each row keeps its own
-        entries in that order, and `_runs` says how the rows interleave: the
-        next `count` entries of row i, for each (i, count) in turn."""
+        entries in that order, and `_order` holds the row of each entry."""
         items = [iter(row.items()) for row in self.rows]
-        runs = iter(self._runs)
-        return chain.from_iterable(zip(repeat(i), islice(items[i], count))
-                                   for i, count in zip(runs, runs))
+        return ((i, next(items[i])) for i in self._order)
 
     @cached_property
     def compose(self) -> Mapping[tuple[str, str], str]:
@@ -286,10 +282,8 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
 
     # rows[i][j] = k: morphism k is the entry for (i, j), composable or not
     rows: list[dict[int, int]] = [{} for _ in ids]
-    # the order of the new entries, as runs: row, count, row, count, ...
-    # for a stretch of `count` new entries that all went to one row
-    runs: list[int] = []
-    last, start = -1, 0
+    order: list[int] = []       # the row of each new entry, in input order
+    add = order.append
     for f, g, fg in entries:
         try:
             i, j, k = pos[f], pos[g], pos[fg]
@@ -300,14 +294,12 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
             except KeyError:
                 raise UndefinedComposite(
                     f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms") from None
-        if i != last:
-            if last >= 0:
-                runs += (last, len(rows[last]) - start)
-            last, start = i, len(rows[i])
-        if rows[i].setdefault(j, k) != k:
+        row = rows[i]
+        if j not in row:
+            row[j] = k
+            add(i)
+        elif row[j] != k:
             raise UndefinedComposite(f"conflicting entries for ({ids[i]!r}, {ids[j]!r})")
-    if last >= 0:
-        runs += (last, len(rows[last]) - start)
     # fill unit-law entries
     ident = [pos[identity[x]] for x in objects]
     s_of = [opos[s] for _, s, _ in morphisms]
@@ -316,10 +308,10 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
         e, e2 = ident[s_of[i]], ident[t_of[i]]
         if e not in rows[i]:
             rows[i][e] = i
-            runs += (i, 1)
+            add(i)
         if i not in rows[e2]:
             rows[e2][i] = i
-            runs += (e2, 1)
+            add(e2)
 
     out_of: list[list[int]] = [[] for _ in objects]
     in_to: list[list[int]] = [[] for _ in objects]
@@ -343,7 +335,7 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
             raise MissingIdentity(f"unit law fails at {m!r}")
     generators = _light_generators(s_of, t_of, rows, ident)
     _light_test(ids, s_of, t_of, out_of, in_to, rows, generators)
-    return FinCategory(objects, morphisms, identity, tuple(rows), pos, runs, src, tgt,
+    return FinCategory(objects, morphisms, identity, tuple(rows), pos, order, src, tgt,
                        _hom_sets(morphisms), ids, tuple(ids[a] for a in generators))
 
 
@@ -431,12 +423,10 @@ def serialize(cat: FinCategory) -> dict:
 def build_category(objects, morphisms, identity, compose) -> FinCategory:
     """Validate parts assembled in code (same checks as validate_category).
 
-    `compose` holds the ((f, g), f∘g) items in either form `dict` takes, a
-    mapping or an iterable of items, so a large table can be streamed into
-    validation without being built as a dict first.
+    `compose` is an iterable of ((f, g), f∘g) items, such as a dict's
+    `.items()`; it is read once, so a large table can be streamed in.
     """
-    items = compose.items() if isinstance(compose, Mapping) else compose
-    return _validate(objects, morphisms, identity, ((f, g, fg) for (f, g), fg in items))
+    return _validate(objects, morphisms, identity, ((f, g, fg) for (f, g), fg in compose))
 
 
 def full_subcategory(c: FinCategory, objects) -> FinCategory:
@@ -447,11 +437,11 @@ def full_subcategory(c: FinCategory, objects) -> FinCategory:
     morphisms = tuple(m for m in c.morphisms if m[1] in keep and m[2] in keep)
     compose = {(f, g): c.comp(f, g)
                for f, s, _ in morphisms for y in objs for g in c.hom(y, s)}
-    return build_category(objs, morphisms, {x: c.identity[x] for x in objs}, compose)
+    return build_category(objs, morphisms, {x: c.identity[x] for x in objs}, compose.items())
 
 
 def terminal_category() -> FinCategory:
-    return build_category(["*"], [("1_*", "*", "*")], {"*": "1_*"}, {})
+    return build_category(["*"], [("1_*", "*", "*")], {"*": "1_*"}, ())
 
 
 def one_object_group(elements, table) -> Groupoid:
@@ -467,7 +457,7 @@ def one_object_group(elements, table) -> Groupoid:
         raise MissingIdentity("the group table has no two-sided unit")
     morphisms = [(e, "*", "*") for e in elements]
     compose = {(a, b): table[(a, b)] for a in elements for b in elements if (a, b) in table}
-    return as_groupoid(build_category(["*"], morphisms, {"*": unit}, compose))
+    return as_groupoid(build_category(["*"], morphisms, {"*": unit}, compose.items()))
 
 
 def cyclic_group_table(n: int):
@@ -500,7 +490,7 @@ def product_with_projections(c: FinCategory, d: FinCategory):
     for (f1, g1), h1 in c.compose.items():
         for (f2, g2), h2 in d.compose.items():
             compose[(pmor[(f1, f2)], pmor[(g1, g2)])] = pmor[(h1, h2)]
-    cat = build_category(objects, morphisms, identity, compose)
+    cat = build_category(objects, morphisms, identity, compose.items())
     obj1 = {x: a for (a, b), x in pobj.items()}
     obj2 = {x: b for (a, b), x in pobj.items()}
     return cat, Functor(obj1, proj1), Functor(obj2, proj2)
@@ -536,18 +526,19 @@ def join(c: FinCategory, d: FinCategory) -> FinCategory:
             for m, s, t in c.morphisms:
                 if t == a:
                     compose[(w[(a, b)], f"L.{m}")] = w[(s, b)]
-    return build_category(objects, morphisms, identity, compose)
+    return build_category(objects, morphisms, identity, compose.items())
 
 
 def disjoint_union(c: FinCategory, d: FinCategory) -> FinCategory:
     """Coproduct with the same 'L.'/'R.' renaming as join."""
-    return build_category(*_tagged_sum(c, d))
+    objects, morphisms, identity, compose = _tagged_sum(c, d)
+    return build_category(objects, morphisms, identity, compose.items())
 
 
 def opposite(c: FinCategory) -> FinCategory:
     morphisms = [(m, t, s) for m, s, t in c.morphisms]
     compose = {(g, f): fg for (f, g), fg in c.compose.items()}
-    return build_category(c.objects, morphisms, c.identity, compose)
+    return build_category(c.objects, morphisms, c.identity, compose.items())
 
 
 def factorization_category(c: FinCategory) -> FinCategory:
@@ -577,7 +568,7 @@ def factorization_category(c: FinCategory) -> FinCategory:
             if g1 != f2:
                 continue
             compose[(m2, m1)] = mid(c.comp(a2, a1), c.comp(b1, b2), f1)
-    return build_category(objects, morphisms, identity, compose)
+    return build_category(objects, morphisms, identity, compose.items())
 
 
 def as_groupoid(c: FinCategory) -> Groupoid:

@@ -142,7 +142,7 @@ def category_from_matrix(z, labels=None) -> FramedCategory:
             for g in first_batch:
                 for f in second_batch:
                     compose[(f, g)] = target
-    cat = build_category(list(labels), morphisms, identity, compose)
+    cat = build_category(list(labels), morphisms, identity, compose.items())
     return FramedCategory(cat, labels, z, frame,
                           {k: tuple(v) for k, v in extras.items()})
 

@@ -184,7 +184,7 @@ def test_nonconstant_fiber_detected():
         [("1_x", "x", "x"), ("1_y", "y", "y"), ("a", "x", "y"), ("b", "x", "y"),
          ("1_u", "u", "u"), ("1_v", "v", "v"), ("c", "u", "v")],
         {"x": "1_x", "y": "1_y", "u": "1_u", "v": "1_v"},
-        {},
+        (),
     )
     source = verify_quasi_schemoid(src_cat, make_partition(src_cat, {
         "I": ["1_x", "1_y", "1_u", "1_v"], "S": ["a", "b", "c"]}))
@@ -192,7 +192,7 @@ def test_nonconstant_fiber_detected():
         ["p", "q"],
         [("1_p", "p", "p"), ("1_q", "q", "q"), ("f", "p", "q")],
         {"p": "1_p", "q": "1_q"},
-        {},
+        (),
     )
     target = verify_quasi_schemoid(tgt_cat, make_partition(tgt_cat, {
         "I": ["1_p", "1_q"], "F": ["f"]}))

@@ -580,7 +580,8 @@ def test_skeleton_needs_both_composites():
         ["a", "b"],
         [("1a", "a", "a"), ("1b", "b", "b"), ("f", "a", "b"), ("g", "b", "a"), ("e", "b", "b")],
         {"a": "1a", "b": "1b"},
-        {("g", "f"): "1a", ("f", "g"): "e", ("e", "f"): "f", ("g", "e"): "g", ("e", "e"): "e"})
+        [(("g", "f"), "1a"), (("f", "g"), "e"), (("e", "f"), "f"), (("g", "e"), "g"),
+         (("e", "e"), "e")])
     for modulus in (2, None):
         cx = bw_differentials(cat, trivial_system(cat, modulus))
         assert cx.skeleton is cx

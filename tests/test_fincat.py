@@ -33,7 +33,7 @@ def arrow_category():
         ["x", "y"],
         [("1_x", "x", "x"), ("1_y", "y", "y"), ("f", "x", "y")],
         {"x": "1_x", "y": "1_y"},
-        {},
+        (),
     )
 
 
@@ -45,7 +45,7 @@ def chain3_category():
         [("1_x", "x", "x"), ("1_y", "y", "y"), ("1_z", "z", "z"),
          ("f", "x", "y"), ("g", "y", "z"), ("h", "x", "z")],
         {"x": "1_x", "y": "1_y", "z": "1_z"},
-        compose,
+        compose.items(),
     )
 
 
@@ -69,7 +69,7 @@ def test_nonassociative_detected():
             ("gf", "x", "z"), ("hg", "y", "w"), ("hgf", "x", "w"), ("hgf2", "x", "w")]
     idents = {"x": "1_x", "y": "1_y", "z": "1_z", "w": "1_w"}
     good = {("g", "f"): "gf", ("h", "g"): "hg", ("h", "gf"): "hgf", ("hg", "f"): "hgf"}
-    raw = serialize(build_category(objs, mors, idents, good))
+    raw = serialize(build_category(objs, mors, idents, good.items()))
     bad = dict(good)
     bad[("hg", "f")] = "hgf2"
     raw["compose"] = [[f, g, fg] for (f, g), fg in bad.items()]
@@ -122,9 +122,9 @@ def test_join_with_comma_labels():
     """Objects "x,y", "x" joined with "z", "y,z" used to name two connecting
     morphisms "w[x,y,z]"; plain labels keep the "w[a,b]" ids."""
     c = build_category(["x,y", "x"], [("1", "x,y", "x,y"), ("2", "x", "x")],
-                       {"x,y": "1", "x": "2"}, {})
+                       {"x,y": "1", "x": "2"}, ())
     d = build_category(["z", "y,z"], [("1", "z", "z"), ("2", "y,z", "y,z")],
-                       {"z": "1", "y,z": "2"}, {})
+                       {"z": "1", "y,z": "2"}, ())
     j = join(c, d)
     assert len(set(j.morphism_ids)) == len(j.morphisms) == 8
     assert j.hom("L.x,y", "R.z") == (connector_name("x,y", "z"),) == ("w[x\\,y,z]",)
@@ -262,9 +262,9 @@ def test_pair_name_keeps_plain_and_nested_names():
 def test_product_with_comma_labels():
     """Objects "a,b", "a" times "c", "b,c" used to give "(a,b,c)" twice."""
     c = build_category(["a,b", "a"], [("1", "a,b", "a,b"), ("1,", "a", "a")],
-                       {"a,b": "1", "a": "1,"}, {})
+                       {"a,b": "1", "a": "1,"}, ())
     d = build_category(["c", "b,c"], [(",1", "c", "c"), ("1", "b,c", "b,c")],
-                       {"c": ",1", "b,c": "1"}, {})
+                       {"c": ",1", "b,c": "1"}, ())
     p = product(c, d)
     assert len(set(p.objects)) == 4 and len(set(p.morphism_ids)) == 4
     assert validate_category(serialize(p)) == p

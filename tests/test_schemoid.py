@@ -33,7 +33,7 @@ def arrow_category():
         ["x", "y"],
         [("1_x", "x", "x"), ("1_y", "y", "y"), ("f", "x", "y")],
         {"x": "1_x", "y": "1_y"},
-        {},
+        (),
     )
 
 
@@ -194,7 +194,7 @@ def test_schemoid_join_with_comma_labels():
     "x,y" -> "z" and "x" -> "y,z" used to share the name "w[x,y,z]"."""
     def discrete(objects):
         cat = build_category(objects, [(f"1{x}", x, x) for x in objects],
-                             {x: f"1{x}" for x in objects}, {})
+                             {x: f"1{x}" for x in objects}, ())
         return verify_quasi_schemoid(cat, discrete_partition(cat))
 
     joined = schemoid_join(discrete(["x,y", "x"]), discrete(["z", "y,z"]))
