@@ -75,7 +75,6 @@ from .algebra import (
     category_algebra_dim,
     check_algebra_hom,
     ring_from_name,
-    scaled_basis_iso,
     schemoid_algebra,
     terwilliger,
 )

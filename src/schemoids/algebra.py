@@ -47,17 +47,11 @@ from .linalg import (
     _eliminate,
     _rows_over,
     is_prime,
-    solve_multiplicative,
-    solve_multiplicative_mod,
 )
 from .schemoid import QuasiSchemoid, is_unital
 
 
 class AlgebraError(SchemoidsError):
-    pass
-
-
-class DimensionMismatch(AlgebraError):
     pass
 
 
@@ -225,15 +219,18 @@ def _assert_associative(basis, rows, ring):
 
 
 def _unit_analysis(qs, basis, rows, ring):
-    """Two-sided tensor units, and whether the sum of identities is the unit."""
+    """Two-sided tensor units, and whether the sum of identities is the unit.
+
+    The cross-check between the two is a certificate on the program's own
+    output: when it fails, that is an internal error (`AssertionError`)."""
     tensor_unit = _solve_tensor_unit(basis, rows, ring)
     unit = _identity_sum_coords(qs, basis, ring)
     if unit is not None:
         # the ambient unit acts as a unit on the span, so it must be THE
         # two-sided unit of the tensor
         if tensor_unit is None or tensor_unit != unit:
-            raise AlgebraError("unit cross-check failed: identity sum lies in the "
-                               "span but is not the tensor unit")
+            raise AssertionError("unit cross-check failed: identity sum lies in the "
+                                 "span but is not the tensor unit")
         return True, unit, tensor_unit
     return False, None, tensor_unit
 
@@ -259,10 +256,11 @@ def _identity_sum_coords(qs, basis, ring):
 
 
 def algebra_is_unital(alg: SchemoidAlgebra, qs: QuasiSchemoid) -> bool:
-    """Subalgebra unitality, cross-checked against the combinatorial test."""
+    """Subalgebra unitality, cross-checked against the combinatorial test; a
+    disagreement is an internal error (`AssertionError`), not a verdict."""
     combinatorial, _ = is_unital(qs.category, qs.partition)
     if alg.unital != combinatorial:
-        raise AlgebraError("unitality cross-check failed")
+        raise AssertionError("unitality cross-check failed")
     return alg.unital
 
 
@@ -485,100 +483,3 @@ def compose_algebra_maps(second: AlgebraMap, first: AlgebraMap) -> AlgebraMap:
 
 def identity_algebra_map(a: SchemoidAlgebra) -> AlgebraMap:
     return AlgebraMap(a, a, {(b, b): a.ring.one for b in a.basis})
-
-
-def scaled_basis_iso(a: SchemoidAlgebra, b: SchemoidAlgebra):
-    """Basis bijection beta and nonzero scalars with
-    lam_sigma lam_tau c^mu_{sigma tau}(A) = lam_mu c^{beta mu}_{beta sigma, beta tau}(B).
-
-    Returns (bijection, scalars) or None after exhausting all bijections.
-    Over Q the scalar system is solved through the Smith normal form of its
-    exponent matrix; over a prime field through discrete logarithms, as a
-    linear system over Z/(p-1).
-    """
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(f"{a.dimension} != {b.dimension}")
-    if a.ring != b.ring:
-        raise AlgebraError("coefficient rings differ")
-
-    basis_a, basis_b = list(a.basis), list(b.basis)
-    nz_a = {k for k, v in a.tensor.items() if v != a.ring.zero}
-    nz_b = {k for k, v in b.tensor.items() if v != b.ring.zero}
-
-    def profile(basis, nz, x):
-        return (sum(1 for (s, t, m) in nz if s == x),
-                sum(1 for (s, t, m) in nz if t == x),
-                sum(1 for (s, t, m) in nz if m == x))
-
-    prof_a = {x: profile(basis_a, nz_a, x) for x in basis_a}
-    prof_b = {x: profile(basis_b, nz_b, x) for x in basis_b}
-    if sorted(prof_a.values()) != sorted(prof_b.values()):
-        return None
-
-    def zero_pattern_ok(bij):
-        mapped = {(bij[s], bij[t], bij[m]) for (s, t, m) in nz_a}
-        return mapped == nz_b
-
-    def bijections(i, current, used):
-        if i == len(basis_a):
-            yield dict(current)
-            return
-        x = basis_a[i]
-        for y in basis_b:
-            if y in used or prof_a[x] != prof_b[y]:
-                continue
-            current[x] = y
-            yield from bijections(i + 1, current, used | {y})
-            del current[x]
-
-    for bij in bijections(0, {}, set()):
-        if not zero_pattern_ok(bij):
-            continue
-        scalars = _solve_scalars(a, b, bij)
-        if scalars is None:
-            continue
-        if _verify_scaled_iso(a, b, bij, scalars):
-            return bij, scalars
-    return None
-
-
-def _solve_scalars(a, b, bij):
-    index = {x: i for i, x in enumerate(a.basis)}
-    constraints = []
-    targets = []
-    for (s, t, m) in a.tensor:
-        ca = a.tensor[(s, t, m)]
-        cb = b.tensor.get((bij[s], bij[t], bij[m]), b.ring.zero)
-        if ca == a.ring.zero:
-            continue
-        if cb == b.ring.zero:
-            return None
-        row = [0] * len(a.basis)
-        row[index[s]] += 1
-        row[index[t]] += 1
-        row[index[m]] -= 1
-        constraints.append(row)
-        targets.append((ca, cb))
-    if isinstance(a.ring, Rationals):
-        ratio = [Fraction(cb) / Fraction(ca) for ca, cb in targets]
-        sol = solve_multiplicative(constraints, ratio, len(a.basis))
-        if sol is None or any(x == 0 for x in sol):
-            return None
-        return {x: sol[index[x]] for x in a.basis}
-    ratio = [cb * a.ring.inv(ca) for ca, cb in targets]
-    sol = solve_multiplicative_mod(constraints, ratio, len(a.basis), a.ring.p)
-    return None if sol is None else {x: sol[index[x]] for x in a.basis}
-
-
-def _verify_scaled_iso(a, b, bij, lam):
-    """lam_s lam_t row_A(s, t) equals row_B(bij s, bij t) pulled back along
-    bij and scaled by lam, for every pair (s, t) with a row on either side."""
-    ring = a.ring
-    back = {y: x for x, y in bij.items()}
-    for s, t in set(a.rows) | {(back[s], back[t]) for s, t in b.rows}:
-        pulled = {back[m]: c for m, c in b.rows.get((bij[s], bij[t]), {}).items()}
-        lhs = _combination([(lam[s] * lam[t], a.rows.get((s, t)))], ring)
-        rhs = _combination([(lam[m], {m: c}) for m, c in pulled.items()], ring)
-        if lhs != rhs:
-            return False
-    return True

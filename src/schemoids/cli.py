@@ -132,8 +132,17 @@ def bundle_to_json(qs) -> dict:
 
 
 def group_scheme_from_json(raw: dict):
-    elements = [str(e) for e in raw["elements"]]
-    return group_scheme(elements, {(a, b): str(raw["table"][i][j])
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"group table: a JSON object expected, not {type(raw).__name__}")
+    elements, table = raw.get("elements"), raw.get("table")
+    if not isinstance(elements, list):
+        raise MalformedDocument(f"elements: a JSON array expected, not {type(elements).__name__}")
+    n = len(elements)
+    if not (isinstance(table, list) and len(table) == n
+            and all(isinstance(row, list) and len(row) == n for row in table)):
+        raise MalformedDocument(f"table: {n} rows of {n} entries expected, one per element")
+    elements = [str(e) for e in elements]
+    return group_scheme(elements, {(a, b): str(table[i][j])
                                    for i, a in enumerate(elements) for j, b in enumerate(elements)})
 
 

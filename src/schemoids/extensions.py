@@ -436,7 +436,7 @@ class BWComplex:
     def d2_rows(self) -> list[dict[int, int]]:
         d2 = [row for f, g, h in self._triples() for row in self._d2_at(f, g, h)]
         if len(d2) != self.dim[3]:
-            raise ExtensionError(f"the triples span {len(d2)} coordinates, not dim C^3 = {self.dim[3]}")
+            raise AssertionError(f"the triples span {len(d2)} coordinates, not dim C^3 = {self.dim[3]}")
         _check_zero_composite(d2, self.d1_rows, self.system.modulus, "d2∘d1")
         return d2
 

@@ -237,10 +237,23 @@ def validate_category(raw: dict) -> FinCategory:
 
     Raw format: {"objects": [...], "morphisms": [{"id","src","tgt"}...],
     "identities": {obj: mor}, "compose": [[f, g, fg], ...]}.  Composition
-    entries implied by the unit laws may be omitted.
+    entries implied by the unit laws may be omitted.  A top-level field of
+    the wrong JSON type, or a morphism without id, src or tgt, is refused
+    as a CategoryError naming the field.
     """
-    return _validate(raw["objects"], ((m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]),
-                     raw["identities"], raw["compose"])
+    if not isinstance(raw, dict):
+        raise CategoryError(f"category: a JSON object expected, not {type(raw).__name__}")
+    for field, kind in (("objects", list), ("morphisms", list), ("identities", dict),
+                        ("compose", list)):
+        value = raw.get(field)
+        if not isinstance(value, kind):
+            expected = "object" if kind is dict else "array"
+            raise CategoryError(f"{field}: a JSON {expected} expected, not {type(value).__name__}")
+    try:
+        morphisms = [(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]]
+    except (KeyError, TypeError):
+        raise CategoryError("morphisms: each entry must be an object with id, src and tgt") from None
+    return _validate(raw["objects"], morphisms, raw["identities"], raw["compose"])
 
 
 def _validate(objects, morphisms, identities, entries) -> FinCategory:

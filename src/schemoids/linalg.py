@@ -1,21 +1,15 @@
-"""Exact linear algebra over the integers, the rationals, prime fields and
-the rings Z/m.
+"""Exact linear algebra over the rationals, prime fields and the rings Z/m.
 
-No floating point is ever involved.  Two families live here:
-
-- Sparse rows {column: coefficient} and one exact elimination for them,
-  with pivots keyed by column.  Over Q the rows stay integral (divided by
-  their content); over Z/m the ring is split as m = prod p^k by the Chinese
-  remainder theorem, and over each local ring Z/p^k pivots are taken by
-  increasing valuation, so a pivot divides its whole row and column and no
-  remainder loop is needed (Howell 1986; Storjohann 2000).  `rank` works
-  over Q and F_p, `first_singular` decides invertibility over Q and Z/m,
-  `solve` works over Z/m, and `homology` returns ker / im as invariant
-  factors d_1 | d_2 | ... (over Z/m) or a free rank (over Q).
-- Multiplicative systems prod_j x_j^e_tj = r_t: over Q* through the Smith
-  normal form of the exponent matrix (`solve_multiplicative`), over F_p*
-  through discrete logarithms and `solve` over Z/(p-1)
-  (`solve_multiplicative_mod`).
+No floating point is ever involved.  Systems are sparse rows {column:
+coefficient}, and one exact elimination, with pivots keyed by column,
+serves every ring.  Over Q the rows stay integral (divided by their
+content); over Z/m the ring is split as m = prod p^k by the Chinese
+remainder theorem, and over each local ring Z/p^k pivots are taken by
+increasing valuation, so a pivot divides its whole row and column and no
+remainder loop is needed (Howell 1986; Storjohann 2000).  `rank` works
+over Q and F_p, `first_singular` decides invertibility over Q and Z/m,
+`solve` works over Z/m, and `homology` returns ker / im as invariant
+factors d_1 | d_2 | ... (over Z/m) or a free rank (over Q).
 """
 
 from __future__ import annotations
@@ -23,19 +17,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-
-Matrix = list[list[int]]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
 
 
 def mat_mul(a, b):
@@ -64,102 +45,6 @@ def mat_eq_mod(a, b, m: int | None) -> bool:
             elif (x - y) % m:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (d, u, v) with u @ a @ v = d diagonal, d_i | d_{i+1}.
-
-    u and v are unimodular.  Pivots are chosen of minimal absolute value to
-    keep entry growth in check; fine at the matrix sizes used here.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = [row[:] for row in a]
-    u = identity(rows)
-    v = identity(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row_dst += c * row_src
-        drow, srow = d[dst], d[src]
-        for j in range(cols):
-            drow[j] += c * srow[j]
-        urow, usrc = u[dst], u[src]
-        for j in range(rows):
-            urow[j] += c * usrc[j]
-
-    def add_col(src, dst, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # locate minimal nonzero entry in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(d[i][j])
-                if x and (best is None or x < best):
-                    best = x
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        # clear column and row t; restart if a reduction leaves a remainder
-        dirty = False
-        for i in range(t + 1, rows):
-            if d[i][t]:
-                q = d[i][t] // d[t][t]
-                add_row(t, i, -q)
-                if d[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if d[t][j]:
-                q = d[t][j] // d[t][t]
-                add_col(t, j, -q)
-                if d[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # divisibility: pull any nondividing entry into the pivot position
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
-        if d[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return d, u, v
 
 
 def is_prime(n: int) -> bool:
@@ -338,6 +223,19 @@ def _eliminate(rows: list[SparseRow], p: int | None, k: int, rhs: int | None = N
     return ech
 
 
+def _factor(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def _local_rings(modulus: int | None) -> list[tuple[int | None, int]]:
     """(None, 1) for Q, else (p, k) for every p^k exactly dividing modulus."""
     return [(None, 1)] if modulus is None else sorted(_factor(modulus).items())
@@ -488,108 +386,3 @@ def _local_homology(d_prev, d_n, p: int | None, k: int) -> tuple[list[int], int]
         quotient.append(row)
     ech2 = _eliminate(quotient, p, k)
     return [u for u in ech2.valuation.values() if u], len(quotient) - len(ech2.rows)
-
-
-# ---------------------------------------------------------------------------
-# Multiplicative systems over Q* and F_p*
-# ---------------------------------------------------------------------------
-
-def _factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _fraction_root(q: Fraction, k: int) -> Fraction | None:
-    """A k-th root of q in Q*, or None."""
-    if k == 1:
-        return q
-    if q < 0 and k % 2 == 0:
-        return None
-    sign = -1 if q < 0 else 1
-    num = _factor(abs(q.numerator))
-    den = _factor(q.denominator)
-    root = Fraction(sign if sign < 0 else 1)
-    for p, e in num.items():
-        if e % k:
-            return None
-        root *= Fraction(p) ** (e // k)
-    for p, e in den.items():
-        if e % k:
-            return None
-        root /= Fraction(p) ** (e // k)
-    return root
-
-
-def solve_multiplicative(exponents: Matrix, targets: list[Fraction],
-                         ncols: int) -> list[Fraction] | None:
-    """Solve prod_j x_j**e_tj = r_t over the multiplicative group Q*, for
-    ncols unknowns; None when there is no solution.
-
-    Solvability is decided through the Smith normal form of the exponent
-    matrix; roots are extracted by factoring the (small) rationals involved.
-    """
-    rows = len(exponents)
-    if rows == 0:
-        return [Fraction(1)] * ncols
-    d, u, v = smith_normal_form(exponents)
-    # transformed targets r'_i = prod_t r_t ** u[i][t]
-    y = [Fraction(1)] * ncols
-    for i in range(rows):
-        ri = Fraction(1)
-        for t in range(rows):
-            e = u[i][t]
-            if e:
-                ri *= targets[t] ** e
-        di = d[i][i] if i < ncols else 0
-        if di:
-            root = _fraction_root(ri, di)
-            if root is None:
-                return None
-            y[i] = root
-        elif ri != 1:
-            return None
-    x = [Fraction(1)] * ncols
-    for j in range(ncols):
-        for i in range(ncols):
-            e = v[j][i]
-            if e:
-                x[j] *= y[i] ** e
-    return x
-
-
-def solve_multiplicative_mod(exponents: Matrix, targets: list[int], ncols: int,
-                             p: int) -> list[int] | None:
-    """Solve prod_j x_j**e_tj = r_t over the unit group F_p* (p prime, every
-    r_t a unit mod p), for ncols unknowns; None when there is no solution.
-
-    F_p* is cyclic: writing x_j = g^y_j for a generator g turns the system
-    into E y = log_g r over Z/(p-1), which goes to `solve`.  The logarithms
-    are found by baby-step giant-step, about sqrt(p) steps each.  Over F_2
-    every unit is 1.
-    """
-    if p == 2:
-        return [1] * ncols
-    order = p - 1
-    g = next(g for g in range(2, p) if all(pow(g, order // q, p) != 1 for q in _factor(order)))
-    n = math.isqrt(order) + 1
-    baby = {pow(g, j, p): j for j in range(n)}
-    giant = pow(g, -n, p)
-
-    def log(r):
-        i = 0
-        while r not in baby:            # ends within n steps: g generates F_p*
-            r = r * giant % p
-            i += 1
-        return i * n + baby[r]
-
-    rows = [{j: e for j, e in enumerate(row) if e} for row in exponents]
-    y = solve(rows, [log(r % p) for r in targets], ncols, order)
-    return None if y is None else [pow(g, e, p) for e in y]

