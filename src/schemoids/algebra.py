@@ -24,14 +24,18 @@ associativity check, the unit solve and the closure therefore run on
 integers (residues mod p over F_p), through the one exact elimination of
 `linalg`; `Fraction` values appear only in the objects returned.
 
-Generated subalgebras (the Terwilliger algebra) are closed semi-naively.
-The pivot rows of one elimination grow one row at a time: each generator
-and each product is reduced against them, and a nonzero residue becomes a
-pivot row, its pivot its first column in morphism order, and waits.  A
-waiting row is multiplied, on both sides, with itself and with every row
-taken before it.  When none is waiting, every product of two pivot rows has
-been reduced into the span; the rows span it, so by bilinearity the span is
-closed under multiplication.  Back substitution then gives the basis.
+Generated subalgebras (the Terwilliger algebra) are closed under the
+generators only.  The pivot rows of one elimination grow one row at a time:
+each generator and each product is reduced against them, and a nonzero
+residue becomes a pivot row, its pivot its first column in morphism order,
+and waits.  The generators' residues span what the generators span.  A
+waiting row is multiplied on the right by each generator residue, so dim x
+r products are taken, r the number of residues, where products of every
+pair of rows would take about dim^2.  When none is waiting, the span V
+holds the generators and V s lies in V for every generator s; by induction
+V holds every nonempty word in the generators, and every row of V is a
+combination of such words, so V is exactly the generated subalgebra.  Back
+substitution then gives its reduced echelon basis, which is unique.
 """
 
 from __future__ import annotations
@@ -354,13 +358,22 @@ class CategoryAlgebraClosure:
 
 
 def span_closure(cat, ring, generators: list[dict]) -> CategoryAlgebraClosure:
-    """Close the span of generators under category-algebra multiplication."""
+    """The subalgebra of the category algebra generated by the given vectors.
+
+    Each pivot row is multiplied on the right by the generator residues
+    only, the nonzero rows the generators leave after reduction: dim x r
+    products through `CategoryAlgebraClosure.multiply`.  Certificate: the
+    span V of the pivot rows contains the generators and V s lies in V for
+    each residue s, hence for each generator; by induction V contains every
+    nonempty word in the generators, and each pivot row is a combination
+    of words, so V is the generated subalgebra.  The reduced echelon basis
+    of V is unique, so it is the one any closure of the same span gives.
+    """
     order = tuple(cat.morphism_ids)
     column = {m: i for i, m in enumerate(order)}
     closure = CategoryAlgebraClosure(cat, ring, order, [])
     ech = _Echelon(ring.p, 1)
     waiting: deque[dict] = deque()      # pivot rows not yet multiplied
-    done: list[dict] = []               # pivot rows multiplied with each other
 
     def add(row):
         ech.reduce(row)
@@ -368,18 +381,13 @@ def span_closure(cat, ring, generators: list[dict]) -> CategoryAlgebraClosure:
             ech.add(row, min(row), 0)
             waiting.append({order[c]: x for c, x in row.items()})
 
-    def add_product(u, v):
-        add({column[m]: x for m, x in closure.multiply(u, v).items()})
-
     for row in _rows_over([{column[m]: x for m, x in g.items()} for g in generators], ring.p):
         add(row)
+    residues = list(waiting)
     while waiting:
         new = waiting.popleft()
-        done.append(new)
-        for old in done:
-            add_product(new, old)
-            if old is not new:
-                add_product(old, new)
+        for s in residues:
+            add({column[m]: x for m, x in closure.multiply(new, s).items()})
     closure.basis = [{order[c]: x for c, x in row.items()}
                      for row in ech.back_substitute().values()]
     return closure

@@ -238,8 +238,9 @@ def validate_category(raw: dict) -> FinCategory:
     Raw format: {"objects": [...], "morphisms": [{"id","src","tgt"}...],
     "identities": {obj: mor}, "compose": [[f, g, fg], ...]}.  Composition
     entries implied by the unit laws may be omitted.  A top-level field of
-    the wrong JSON type, or a morphism without id, src or tgt, is refused
-    as a CategoryError naming the field.
+    the wrong JSON type, a morphism without id, src or tgt, or a compose
+    entry that is not a triple, is refused as a CategoryError naming the
+    field.
     """
     if not isinstance(raw, dict):
         raise CategoryError(f"category: a JSON object expected, not {type(raw).__name__}")
@@ -253,7 +254,18 @@ def validate_category(raw: dict) -> FinCategory:
         morphisms = [(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]]
     except (KeyError, TypeError):
         raise CategoryError("morphisms: each entry must be an object with id, src and tgt") from None
-    return _validate(raw["objects"], morphisms, raw["identities"], raw["compose"])
+    try:
+        return _validate(raw["objects"], morphisms, raw["identities"], raw["compose"])
+    except (ValueError, TypeError):
+        # a compose entry that is not a triple fails to unpack in the read
+        # loop; the entries are looked at only then, so valid input pays
+        # no per-entry check
+        for i, entry in enumerate(raw["compose"]):
+            if not (isinstance(entry, list) and len(entry) == 3):
+                got = f"{len(entry)} entries" if isinstance(entry, list) else type(entry).__name__
+                raise CategoryError(f"compose[{i}]: a JSON array [f, g, fg] expected, "
+                                    f"not {got}") from None
+        raise
 
 
 def _validate(objects, morphisms, identities, entries) -> FinCategory:

@@ -363,33 +363,38 @@ def span_dimension_fractions(vectors):
 
 
 def matrix_algebra_closure_dim(generators):
-    """Dimension over Q of the algebra of n x n matrices generated by the inputs.
+    """Dimension over Q of the algebra generated by the n x n integer matrices given.
 
     Independent Terwilliger oracle: works directly with matrix products.
-    The flattened basis matrices are kept in reduced echelon form over
-    Fraction (pivot 1, zero in every other pivot column), so a candidate
-    costs one reduction.  Each basis matrix is multiplied on both sides with
-    itself and every earlier one, once, which covers every product of two
-    basis matrices.
+    The flattened basis matrices are kept as integer rows in reduced
+    echelon form up to scaling (each row divided by its content, zero in
+    every other pivot column), which spans over Q what the Fraction rows
+    would span, so a candidate costs one fraction-free reduction.  Each
+    basis matrix is multiplied on both sides with itself and every earlier
+    one, once, which covers every product of two basis matrices.
     """
-    echelon = {}          # pivot column -> reduced flattened row
+    echelon = {}          # pivot column -> reduced flattened integer row
     basis = []
 
+    def scaled(v):
+        g = gcd(*v)
+        return [x // g for x in v] if g > 1 else v
+
     def add(mat):
-        v = [Fraction(x) for row in mat for x in row]
+        v = [x for row in mat for x in row]
         for piv, row in echelon.items():
             c = v[piv]
             if c:
-                v = [a - c * b for a, b in zip(v, row)]
+                a = row[piv]
+                v = [a * x - c * y for x, y in zip(v, row)]
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             return
-        inv = 1 / v[lead]
-        v = [x * inv for x in v]
+        v = scaled(v)
         for piv, row in echelon.items():
             c = row[lead]
             if c:
-                echelon[piv] = [a - c * b for a, b in zip(row, v)]
+                echelon[piv] = scaled([v[lead] * x - c * y for x, y in zip(row, v)])
         echelon[lead] = v
         basis.append(mat)
 
@@ -610,10 +615,13 @@ def span_closure_fractions(cat, ring, generators):
     """Reduced echelon basis, sorted by pivot in morphism order, of the
     subalgebra of the category algebra generated by the given vectors.
 
-    The reference for schemoids.algebra.span_closure: the same semi-naive
-    loop (each inserted residue multiplied on both sides with itself and
-    every earlier residue) on a Fraction echelon, with products taken
-    pair by pair from the composition table.
+    The all-pairs reference for schemoids.algebra.span_closure, which
+    multiplies each pivot row on the right by the generator residues only:
+    here each inserted residue is multiplied on both sides with itself and
+    every earlier residue, on a Fraction echelon, with products taken pair
+    by pair from the composition table.  When no residue is left, every
+    product of two basis rows lies in the span, so the span is closed
+    without appeal to the right-multiplication certificate.
     """
     p = getattr(ring, "p", None)
     echelon = ReducedEchelon(p, {m: i for i, m in enumerate(cat.morphism_ids)})

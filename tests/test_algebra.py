@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from schemoids.algebra import (
     AlgebraError,
     AlgebraMap,
+    CategoryAlgebraClosure,
     NotTerminal,
     PrimeField,
     Rationals,
@@ -24,7 +25,7 @@ from schemoids.algebra import (
     _solve_tensor_unit,
     _sparse_rows,
 )
-from schemoids import corpus
+from schemoids import algebra, corpus
 from schemoids.admissible import induced_algebra_map
 from schemoids.fincat import cyclic_group_table, one_object_group, terminal_category
 from schemoids.schemes import group_scheme, hamming, j_embed, validate_scheme
@@ -37,6 +38,7 @@ from oracles import (
     assert_associative_dense,
     mat_mul_int,
     matrix_algebra_closure_dim,
+    ReducedEchelon,
     solve_tensor_unit_fractions,
     span_closure_fractions,
 )
@@ -322,7 +324,7 @@ def _reduced(x, ring):
 
 
 @pytest.mark.parametrize("n, q, closed_form", [(2, 2, comb(5, 3)), (3, 2, comb(6, 3)),
-                                               (2, 3, comb(6, 4))])
+                                               (2, 3, comb(6, 4)), (3, 3, comb(7, 4))])
 def test_terwilliger_hamming_matches_oracles(n, q, closed_form):
     """dim T(H(n,2)) = C(n+3,3) and dim T(H(n,3)) = C(n+4,4) over Q, F2, F3;
     the basis is fully reduced and closed under products; the matrix oracle
@@ -342,6 +344,35 @@ def test_terwilliger_hamming_matches_oracles(n, q, closed_form):
             assert not any(piv in other for other in clo.basis if other is not b)
         assert all(clo.contains(clo.multiply(u, v)) for u in clo.basis for v in clo.basis)
         assert not all(clo.contains({m: ring.one}) for m in clo.order)
+
+
+@pytest.mark.parametrize("n, q, products", [(3, 2, 20 * 7), (2, 3, 15 * 5)])
+@pytest.mark.parametrize("ring", (Q, PrimeField(3)), ids=repr)
+def test_closure_takes_dimension_times_residues_products(monkeypatch, ring, n, q, products):
+    """The closure multiplies each pivot row on the right by the generator
+    residues only: dimension x r products, r the rank of the generators.
+    On j(H(n,q)) the block sum of the identities is the sum of the dual
+    idempotents, so r is one less than the number of generators."""
+    qs = j_embed(hamming(n, q))
+    calls, seen = [], []
+    multiply = CategoryAlgebraClosure.multiply
+
+    def counted(self, u, v):
+        calls.append(1)
+        return multiply(self, u, v)
+
+    def spy(*args):
+        seen.append(args[2])
+        return span_closure(*args)
+
+    monkeypatch.setattr(CategoryAlgebraClosure, "multiply", counted)
+    monkeypatch.setattr(algebra, "span_closure", spy)
+    clo = terwilliger(qs, qs.category.objects[0], ring)
+    [generators] = seen
+    echelon = ReducedEchelon(ring.p, {m: i for i, m in enumerate(clo.order)})
+    r = sum(1 for g in generators if echelon.insert(g))
+    assert r == len(generators) - 1
+    assert len(calls) == clo.dimension * r == products
 
 
 # ---------------------------------------------------------------------------

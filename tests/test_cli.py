@@ -335,6 +335,17 @@ def test_category_field_of_wrong_type_is_refused_by_name(capsys, tmp_path):
         assert code == 1 and out["error"] == "CategoryError" and out["message"] == message
 
 
+def test_compose_entry_that_is_no_triple_is_refused_by_name(capsys, tmp_path):
+    raw = {"objects": ["x"], "morphisms": [{"id": "1", "src": "x", "tgt": "x"}],
+           "identities": {"x": "1"}}
+    for compose, message in (([["1", "1"]], "compose[0]: a JSON array [f, g, fg] expected, "
+                                             "not 2 entries"),
+                             ([5], "compose[0]: a JSON array [f, g, fg] expected, not int")):
+        doc = {**raw, "compose": compose}
+        code, out = run_json(capsys, "validate", write(tmp_path, "category.json", doc))
+        assert code == 1 and out["error"] == "CategoryError" and out["message"] == message
+
+
 def test_bundle_scans_read_the_rows_not_the_labelled_view():
     """Decoding, analysing and tabulating a j(H(3,2)) bundle, and comparing
     two categories, never build the label-keyed `compose` view."""

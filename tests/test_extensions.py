@@ -32,8 +32,8 @@ from schemoids.extensions import (
     zero_cochain2,
 )
 from schemoids.fincat import NonAssociative, cyclic_group_table, one_object_group, terminal_category
-from schemoids.schemes import hamming, j_embed, validate_scheme
-from schemoids.schemoid import analyze_thinness, check_concatenation, discrete_partition, is_unital, verify_quasi_schemoid
+from schemoids.schemes import hamming, j_embed
+from schemoids.schemoid import discrete_partition, is_unital, verify_quasi_schemoid
 
 from test_schemoid import group_bullet
 from oracles import (

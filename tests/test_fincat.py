@@ -104,6 +104,33 @@ def test_field_of_wrong_type_is_a_category_error(field, value, message):
     assert type(err.value) is CategoryError and str(err.value).startswith(message)
 
 
+ONE_ARROW = {"objects": ["x"], "morphisms": [{"id": "1", "src": "x", "tgt": "x"}],
+             "identities": {"x": "1"}}
+
+
+@pytest.mark.parametrize("compose, message", [
+    ([["1", "1"]], "compose[0]: a JSON array [f, g, fg] expected, not 2 entries"),
+    ([5], "compose[0]: a JSON array [f, g, fg] expected, not int"),
+    ([["1", "1", "1"], ["1", "1", "1", "1"]],
+     "compose[1]: a JSON array [f, g, fg] expected, not 4 entries"),
+], ids=["pair", "int", "second-of-four"])
+def test_compose_entry_that_is_no_triple_is_a_category_error(compose, message):
+    """An entry the read loop cannot unpack is refused naming its index."""
+    with pytest.raises(CategoryError) as err:
+        validate_category({**ONE_ARROW, "compose": compose})
+    assert type(err.value) is CategoryError and str(err.value) == message
+
+
+def test_unpacking_error_with_only_triples_is_raised_as_it_is(monkeypatch):
+    """A ValueError or TypeError while every compose entry is a triple is
+    not the input's fault, so it is not turned into a refusal."""
+    def broken(*args):
+        raise TypeError("a bug")
+    monkeypatch.setattr(fincat, "_validate", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        validate_category({**ONE_ARROW, "compose": [["1", "1", "1"]]})
+
+
 def test_roundtrip_bit_exact():
     for c in (terminal_category(), arrow_category(), chain3_category(),
               one_object_group(*cyclic_group_table(4)).base):

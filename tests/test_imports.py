@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or of its tests imports is used in
+that module."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import schemoids
 
 MODULES = sorted(p for p in Path(schemoids.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +31,7 @@ def test_checker_sees_an_unused_import():
         "line 1: json", "line 2: path"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -42,7 +42,7 @@ from schemoids.fincat import (
     validate_category,
     validate_functor,
 )
-from schemoids.schemes import hamming, j_embed, scheme_from_json, serialize_scheme, validate_scheme
+from schemoids.schemes import hamming, j_embed, scheme_from_json, serialize_scheme
 from schemoids.schemoid import (
     AxiomViolation,
     QuasiSchemoid,

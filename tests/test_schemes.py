@@ -6,7 +6,6 @@ from schemoids.fincat import NonAssociative, as_groupoid, cyclic_group_table
 from schemoids.schemes import (
     AssociationScheme,
     CoherentConfiguration,
-    DiagonalNotUnion,
     InvalidGroupTable,
     NonConstantIntersection,
     NotAGroup,

@@ -1,7 +1,7 @@
 import pytest
 
 from schemoids.fincat import Functor, build_category, cyclic_group_table, one_object_group, terminal_category
-from schemoids.schemes import group_scheme, hamming, j_embed, pair_morphism
+from schemoids.schemes import hamming, j_embed, pair_morphism
 from schemoids.schemoid import (
     AxiomViolation,
     BlockNotPreserved,

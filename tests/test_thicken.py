@@ -11,7 +11,7 @@ from schemoids.algebra import Rationals, schemoid_algebra
 from schemoids.fincat import cyclic_group_table, validate_category, serialize
 from schemoids.linalg import rank, sparse_rows
 from schemoids.schemes import group_scheme, hamming, j_embed, validate_scheme
-from schemoids.schemoid import analyze_thinness, compose_schemoid_morphisms, is_unital, schemoid_isomorphic
+from schemoids.schemoid import compose_schemoid_morphisms, is_unital, schemoid_isomorphic
 from schemoids.thicken import (
     DiagonalTooSmall,
     NotSchemeMorphism,
