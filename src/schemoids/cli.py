@@ -51,6 +51,7 @@ from .extensions import (
 from .fincat import (
     FinCategory,
     Functor,
+    MalformedDocument,
     SchemoidsError,
     serialize,
     serialize_groupoid,
@@ -83,10 +84,6 @@ SCHEMA = "schemoids/1"
 class InputRefused(SchemoidsError):
     """An input that could not be read or decoded, or an unknown example;
     reported under the class of the error behind it (its `__cause__`)."""
-
-
-class MalformedDocument(SchemoidsError):
-    """A JSON document of the wrong shape; the message names the field."""
 
 
 def load(path: str, decode):
@@ -168,9 +165,27 @@ def system_from_json(cat, raw: dict):
         return trivial_system(cat, modulus, int(raw.get("rank", 1)))
     if kind == "induced":
         return induced_system(cat, modulus, raw["object_ranks"], raw["maps"])
-    push = {(str(a), str(f)): mat for a, f, mat in raw["push"]}
-    pull = {(str(f), str(b)): mat for f, b, mat in raw["pull"]}
+    if not isinstance(raw.get("ranks"), dict):
+        raise MalformedDocument(f"system.ranks: a JSON object expected, "
+                                f"not {type(raw.get('ranks')).__name__}")
+    push, pull = _matrix_entries(raw, "push"), _matrix_entries(raw, "pull")
     return validate_natural_system(cat, modulus, raw["ranks"], push, pull)
+
+
+def _matrix_entries(raw: dict, field: str) -> dict:
+    """The matrices of system[field] = [[a, b, matrix], ...] keyed by (a, b),
+    each matrix an array of arrays of integers; another shape is refused as
+    MalformedDocument naming the field."""
+    entries = raw.get(field)
+    if not isinstance(entries, list):
+        raise MalformedDocument(f"system.{field}: a JSON array expected, not {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)
+                and all(isinstance(row, list) and all(isinstance(x, int) for x in row)
+                        for row in entry[2])):
+            raise MalformedDocument(f"system.{field}[{i}]: [a, b, matrix] expected, "
+                                    "the matrix an array of arrays of integers")
+    return {(str(a), str(f)): mat for a, f, mat in entries}
 
 
 def system_to_json(system) -> dict:
@@ -184,6 +199,13 @@ def system_to_json(system) -> dict:
 
 
 def extension_from_json(raw: dict):
+    """An extension document {"base", "system", "cocycle", ...}, rebuilt by
+    `build_extension`; a missing field is refused as MalformedDocument."""
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"extension: a JSON object expected, not {type(raw).__name__}")
+    for field in ("base", "system", "cocycle"):
+        if field not in raw:
+            raise MalformedDocument(f"{field}: missing from the extension document")
     cat = validate_category(raw["base"])
     system = system_from_json(cat, raw["system"])
     delta = cocycle_from_json(system, raw["cocycle"])

@@ -15,13 +15,21 @@ and d2∘d1 = 0 are checked when those differentials are first assembled.
 Cohomology and the coboundary tests run on a skeleton of the base.
 Extensions twist composition by a normalized 2-cocycle:
 (g, b)∘(f, a) = (g∘f, -D(g, f) + g_* a + f^* b).
+
+An extension is built on fiber indices: each element of D_f = (Z/m)^r is
+numbered by its position in `NaturalSystem.fiber_vectors(f)`, so the total
+morphism (f, a) has index offset(f) + position(a).  Addition in (Z/m)^r is
+one table per rank, and each push or pull matrix one table over its fiber,
+built once per distinct matrix; the composites are read from those tables
+(`_FiberTables`), never by arithmetic on tuples.  The construction by the
+formula above, on vectors, is the reference in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product as iproduct
+from itertools import accumulate, chain, product as iproduct, repeat
 from operator import add, mul
 
 from . import linalg
@@ -29,6 +37,7 @@ from .fincat import (
     CategoryError,
     FinCategory,
     Functor,
+    MalformedDocument,
     NotInvertible,
     SchemoidsError,
     as_groupoid,
@@ -80,6 +89,10 @@ class SystemNotInduced(ExtensionError):
 
 class BaseMismatch(ExtensionError):
     pass
+
+
+class ExtensionTooLarge(ExtensionError):
+    """The total category's tables would exceed `EXTENSION_BUDGET` entries."""
 
 
 Vector = tuple[int, ...]
@@ -149,17 +162,18 @@ class NaturalSystem:
 
 
 def _check_shapes(cat, rank, push, pull):
+    compose = cat.compose
     for (a, f), mat in push.items():
-        af = cat.compose.get((a, f))
+        af = compose.get((a, f))
         if af is None:
             raise FunctorialityViolated(f"push key ({a!r}, {f!r}) is not composable")
-        if len(mat) != rank[af] or any(len(row) != rank[f] for row in mat):
+        if len(mat) != rank[af] or any(map(rank[f].__ne__, map(len, mat))):
             raise FunctorialityViolated(f"push matrix for ({a!r}, {f!r}) has wrong shape")
     for (f, b), mat in pull.items():
-        fb = cat.compose.get((f, b))
+        fb = compose.get((f, b))
         if fb is None:
             raise FunctorialityViolated(f"pull key ({f!r}, {b!r}) is not composable")
-        if len(mat) != rank[fb] or any(len(row) != rank[f] for row in mat):
+        if len(mat) != rank[fb] or any(map(rank[f].__ne__, map(len, mat))):
             raise FunctorialityViolated(f"pull matrix for ({f!r}, {b!r}) has wrong shape")
 
 
@@ -323,13 +337,30 @@ def normalize_cocycle(system: NaturalSystem, delta: Cochain2) -> Cochain2:
 
 
 def cocycle_from_json(system: NaturalSystem, raw: dict) -> Cochain2:
+    """A cochain from {"entries": [[f, g, vector], ...]}, each vector an
+    array of integers or one integer; a document of another shape is refused
+    as MalformedDocument naming the field."""
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"cocycle: a JSON object expected, not {type(raw).__name__}")
+    given = raw.get("entries")
+    if not isinstance(given, list):
+        raise MalformedDocument(f"cocycle.entries: a JSON array expected, not {type(given).__name__}")
+    for i, entry in enumerate(given):
+        if not (isinstance(entry, list) and len(entry) == 3 and _is_vector(entry[2])):
+            raise MalformedDocument(f"cocycle.entries[{i}]: [f, g, vector] expected, "
+                                    "the vector an array of integers or one integer")
     entries = {}
-    for f, g, vec in raw["entries"]:
+    for f, g, vec in given:
         vec = tuple(int(x) for x in (vec if isinstance(vec, list) else [vec]))
         if (str(f), str(g)) not in system.category.compose:
             raise ExtensionError(f"cocycle entry ({f!r}, {g!r}) is not a composable pair")
         entries[(str(f), str(g))] = vec
     return Cochain2(entries)
+
+
+def _is_vector(value) -> bool:
+    return isinstance(value, int) or (isinstance(value, list)
+                                      and all(isinstance(x, int) for x in value))
 
 
 def cocycle_to_json(delta: Cochain2) -> dict:
@@ -667,13 +698,99 @@ class ExtensionCategory:
         return fiber_morphism_name(f, _vec_add(vec, alpha, self.system.modulus))
 
 
+# An extension's tables hold its morphisms, its composites and the addition
+# tables of its fibers; over this many entries it is refused before any is
+# built.  j(H(6,2)) over Z/2, about half of it, builds in about 5 s and
+# 80 MB on a 2-vCPU host.
+EXTENSION_BUDGET = 1 << 21
+
+
+def _position(vec, m: int) -> int:
+    """Position of a vector in `NaturalSystem.fiber_vectors` order, its
+    coordinates read mod m: the base-m number with those digits."""
+    pos = 0
+    for x in vec:
+        pos = pos * m + x % m
+    return pos
+
+
+class _FiberTables:
+    """Index tables over the fibers (Z/m)^r of a system, positions as in
+    `_position`.
+
+    `addition[k][p][q]` is the position of the sum of the vectors at p and q
+    in the fiber over morphism k (by index), and `pairs`, one entry for each
+    composable pair (g, f) in `entries()` order, holds g_* on D_f and f^* on
+    D_g as tables: table[p] is the position of the image of the vector at p.
+    Each table is built once per rank or per distinct (matrix, rank), from
+    the addition table alone: a matrix table grows one coordinate at a
+    time, adding the multiples of that coordinate's column.
+    """
+
+    def __init__(self, cat: FinCategory, system: NaturalSystem):
+        self.m, rank, ids = system.modulus, system.rank, cat.morphism_ids
+        self._by_rank: dict[int, list[list[int]]] = {}
+        self._by_matrix: dict[tuple[Matrix, int], list[int]] = {}
+        self.addition = [self._add(rank[f]) for f in ids]
+        self.pairs = []
+        known = self._by_matrix
+        for i, (j, _) in cat.entries():
+            g, f = ids[i], ids[j]
+            push, pull = (system.push[(g, f)], rank[f]), (system.pull[(g, f)], rank[g])
+            self.pairs.append((known.get(push) or self._map(push), known.get(pull) or self._map(pull)))
+
+    def _add(self, r: int) -> list[list[int]]:
+        table = self._by_rank.get(r)
+        if table is None:
+            m = self.m
+            digit = [[(x + y) % m for y in range(m)] for x in range(m)]
+            table = [[0]]
+            for _ in range(r):      # (p, x) + (q, y) = (p + q, x + y), x and y the last digits
+                table = [[hi + lo for hi in shifted for lo in digit[x]]
+                         for shifted in ([h * m for h in row] for row in table) for x in range(m)]
+            self._by_rank[r] = table
+        return table
+
+    def _map(self, key: tuple[Matrix, int]) -> list[int]:
+        """The table of a matrix on (Z/m)^r, key = (matrix, r); kept."""
+        mat, r = key
+        m, add = self.m, self._add(len(mat))
+        table = [0]
+        for j in range(r):
+            column = _position([row[j] for row in mat], m)
+            multiples = list(accumulate(repeat(column, m - 1), lambda s, c: add[s][c], initial=0))
+            table = [add[t][x] for t in table for x in multiples]
+        self._by_matrix[key] = table
+        return table
+
+
+def _check_budget(cat: FinCategory, system: NaturalSystem):
+    """Refuse, as ExtensionTooLarge, a total whose morphisms, Σ_f m^{r_f},
+    composites, Σ_{(g,f)} m^{r_f + r_g}, and addition tables, Σ_r m^{2r}
+    over the distinct ranks, exceed EXTENSION_BUDGET entries together.
+    Counted from the ranks alone, before any element is named."""
+    m, rank = system.modulus, system.rank
+    sizes = [m ** rank[f] for f in cat.morphism_ids]
+    morphisms = sum(sizes)
+    composites = sum(size * sum(map(sizes.__getitem__, row)) for size, row in zip(sizes, cat.rows))
+    addition = sum(m ** (2 * r) for r in set(rank.values()))
+    if morphisms + composites + addition > EXTENSION_BUDGET:
+        raise ExtensionTooLarge(f"the total would have {morphisms} morphisms and {composites} "
+                                f"composites, with {addition} addition-table entries: over the "
+                                f"budget of {EXTENSION_BUDGET} entries")
+
+
 def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) -> ExtensionCategory:
     """Total category with composition twisted by a normalized cocycle.
 
     The fiber over f is D_f acting by translation, and each total morphism
-    (f, a) is named once, by `fiber_morphism_name`.  The total table is
-    validated by `build_category`, whose associativity test is the cocycle
-    test: at the zero elements,
+    (f, a) is named once, by `fiber_morphism_name`.  The composites are
+    read off fiber indices: (g, b)∘(f, a) lies over g∘f at position
+    add[add[-δ(g, f)][g_*[a]]][f^*[b]] of its fiber, where add, g_* and f^*
+    are `_FiberTables` tables built once per rank or matrix, and are
+    streamed into `build_category` in the order (g, f) in `entries()` order,
+    a, then b, with no table of the total built here.  That category's
+    associativity test is the cocycle test: at the zero elements,
     (h,0)∘((g,0)∘(f,0)) - ((h,0)∘(g,0))∘(f,0) lies over hgf with vector
     h_*δ(g,f) - δ(hg,f) + δ(h,gf) - f^*δ(h,g) = (d2 δ)(h,g,f), so a total
     that passes forces d2 δ = 0 for the d2 whose cohomology bw_cohomology
@@ -682,8 +799,11 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
     basis3 order (`NotACocycle`); with no such triple the category error
     stands.  A push or pull matrix of the wrong shape, possible only in a
     system built without `validate_natural_system`, is refused before the
-    table is built.  Fullness, the torsor property and the linear
+    table is built, and so is a total over `EXTENSION_BUDGET`
+    (`ExtensionTooLarge`).  Fullness, the torsor property and the linear
     distributivity law are verified on the result.
+    `tests/oracles.py::extension_table_by_formula` builds the same table by
+    vector arithmetic, the reference the tests compare with.
     """
     if system.modulus is None:
         raise ExtensionError("building a finite extension needs a finite modulus")
@@ -694,30 +814,37 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
     _check_shapes(cat, system.rank, system.push, system.pull)
     cx = bw_differentials(cat, system)
     cx.cochain2_vector(delta)               # refuses an entry of the wrong length
-    m = system.modulus
+    _check_budget(cat, system)
+    m, ids = system.modulus, cat.morphism_ids
 
     morphisms = []
-    names: dict[str, dict[Vector, str]] = {}   # base morphism -> vector -> total id
+    fiber: dict[str, tuple[str, ...]] = {}      # base morphism -> total ids, by position
     decomposition: dict[str, tuple[str, Vector]] = {}
     for f, s, t in cat.morphisms:
-        names[f] = {vec: fiber_morphism_name(f, vec) for vec in system.fiber_vectors(f)}
-        for vec, e in names[f].items():
+        named = []
+        for vec in system.fiber_vectors(f):
+            e = fiber_morphism_name(f, vec)
+            named.append(e)
             morphisms.append((e, s, t))
             decomposition[e] = (f, vec)
-    identity = {x: names[cat.identity[x]][_vec_zero(system.rank[cat.identity[x]])]
-                for x in cat.objects}
-    compose = {}
-    for (g, f), gf in cat.compose.items():
-        push_gf, pull_gf = system.push[(g, f)], system.pull[(g, f)]
-        minus_d = _vec_neg(delta.value(system, g, f), m)
-        names_gf = names[gf]
-        pulled = [(gb, _apply(pull_gf, b, m)) for b, gb in names[g].items()]
-        for a, fa in names[f].items():
-            shifted = _vec_add(minus_d, _apply(push_gf, a, m), m)
-            for gb, b_pulled in pulled:
-                compose[(gb, fa)] = names_gf[_vec_add(shifted, b_pulled, m)]
+        fiber[f] = tuple(named)
+    identity = {x: fiber[cat.identity[x]][0] for x in cat.objects}
+    tables = _FiberTables(cat, system)
+    fibers = [fiber[f] for f in ids]
+
+    def composites():
+        """For each (g, f) and a in D_f, the items ((g, b), (f, a)) -> composite, b in D_g."""
+        for (i, (j, k)), (pushed, pulled) in zip(cat.entries(), tables.pairs):
+            fiber_g, fiber_gf, add = fibers[i], fibers[k], tables.addition[k]
+            d = delta.entries.get((ids[i], ids[j]))
+            minus_d = add[_position([-x for x in d], m) if d else 0]
+            for fa, a_pushed in zip(fibers[j], pushed):
+                row = add[minus_d[a_pushed]]
+                yield zip(zip(fiber_g, repeat(fa)),
+                          map(fiber_gf.__getitem__, map(row.__getitem__, pulled)))
+
     try:
-        total = build_category(cat.objects, morphisms, identity, compose.items())
+        total = build_category(cat.objects, morphisms, identity, chain.from_iterable(composites()))
     except CategoryError as err:
         defect = cx.cocycle_defect(delta)
         if defect is not None:
@@ -727,11 +854,9 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
                          {e: decomposition[e][0] for e in total.morphism_ids})
     validate_functor(projection, total, cat)
 
-    ext = ExtensionCategory(cat, system, delta, total, projection,
-                            {f: tuple(named.values()) for f, named in names.items()},
-                            decomposition)
+    ext = ExtensionCategory(cat, system, delta, total, projection, fiber, decomposition)
     _verify_torsor(ext)
-    _verify_distributivity(ext)
+    _verify_distributivity(ext, tables)
     return ext
 
 
@@ -748,25 +873,23 @@ def _verify_torsor(ext: ExtensionCategory):
             raise ExtensionError(f"fiber action over {f!r} is not transitive")
 
 
-def _verify_distributivity(ext: ExtensionCategory):
-    # (f, a)∘(g, b) = (fg, c + f_* b + g^* a) over every composable base pair,
-    # where (fg, c) = (f, 0)∘(g, 0); each fiber element is pushed or pulled once
-    cat, system, total = ext.base, ext.system, ext.total
-    decomposition, m = ext.decomposition, system.modulus
-    # the total's table by position: rows[i][j] = k, decomposed[k] = (f, vector)
-    rows, index = total.rows, total.index
-    decomposed = [decomposition[e] for e in total.morphism_ids]
-    for (f, g), fg in cat.compose.items():
-        fiber_f, fiber_g = ext.fiber[f], ext.fiber[g]
-        c = decomposed[rows[index[fiber_f[0]]][index[fiber_g[0]]]][1]
-        push_fg, pull_fg = system.push[(f, g)], system.pull[(f, g)]
-        pushed = [(index[gb], _apply(push_fg, decomposition[gb][1], m)) for gb in fiber_g]
-        for fa in fiber_f:
-            shifted = _vec_add(c, _apply(pull_fg, decomposition[fa][1], m), m)
-            row = rows[index[fa]]
-            for j, b_pushed in pushed:
-                if decomposed[row[j]] != (fg, _vec_add(shifted, b_pushed, m)):
-                    raise ExtensionError(f"distributivity fails over ({f!r}, {g!r})")
+def _verify_distributivity(ext: ExtensionCategory, tables: _FiberTables):
+    """(f, a)∘(g, b) = (fg, c + f_* b + g^* a) over every composable base
+    pair, where (fg, c) = (f, 0)∘(g, 0) is read from the total: checked on
+    the total's int rows, the element of D_f at position a being total
+    morphism offset(f) + a, against the tables the build used."""
+    cat, rows, ids = ext.base, ext.total.rows, ext.base.morphism_ids
+    offset = list(accumulate((len(ext.fiber[f]) for f in ids), initial=0))
+    for (i, (j, k)), (pushed, pulled) in zip(cat.entries(), tables.pairs):
+        off_f, off_g, off_fg, add = offset[i], offset[j], offset[k], tables.addition[k]
+        c = rows[off_f][off_g] - off_fg
+        if not 0 <= c < len(add):
+            raise ExtensionError(f"distributivity fails over ({ids[i]!r}, {ids[j]!r})")
+        fiber_g = range(off_g, off_g + len(pushed))
+        got = [row[b] for row in rows[off_f:off_f + len(pulled)] for b in fiber_g]
+        want = [off_fg + add[add[c][a]][b] for a in pulled for b in pushed]
+        if got != want:
+            raise ExtensionError(f"distributivity fails over ({ids[i]!r}, {ids[j]!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -844,8 +967,10 @@ def lift_involution(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSche
     if any(base_qs.involution.functor.morphism_map[f] != gpd.inverse[f]
            for f in cat.morphism_ids):
         raise BaseNotConnectedGroupoid("base involution is not the inverse map")
+    ones = {r: _identity_matrix(r) for r in set(map(len, system.pull.values()))}
     for key, mat in system.pull.items():
-        if not linalg.mat_eq_mod(mat, _identity_matrix(len(mat)), system.modulus):
+        one = ones[len(mat)]
+        if mat != one and not linalg.mat_eq_mod(mat, one, system.modulus):
             raise SystemNotInduced(f"pullback at {key} is not the identity")
     # the inverse formula mixes D_f with D_{1_tgt(f)}; they must agree in rank
     for f in cat.morphism_ids:

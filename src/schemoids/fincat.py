@@ -29,6 +29,10 @@ class SchemoidsError(Exception):
         super().__init__(message)
 
 
+class MalformedDocument(SchemoidsError):
+    """A JSON document of the wrong shape; the message names the field."""
+
+
 class CategoryError(SchemoidsError):
     """Base for category-law violations."""
 

@@ -761,6 +761,35 @@ def coboundary_of_1cochain(system, fvals):
     return cochain2_from_function(system, fn)
 
 
+def extension_table_by_formula(cat, system, delta):
+    """The composition table of the extension of cat by delta, as a list of
+    ((g|b, f|a), g∘f|c) in construction order: (g, f) in `cat.compose`
+    order, a in D_f, then b in D_g, each fiber in lexicographic order, with
+    c = -delta(g, f) + g_* a + f^* b computed on vectors mod m; the
+    reference for the fiber-index tables of schemoids.extensions.build_extension."""
+    m = system.modulus
+
+    def name(f, vec):
+        return f"{f}|{'.'.join(str(x) for x in vec)}"
+
+    def apply(mat, vec):
+        return tuple(sum(x * y for x, y in zip(row, vec)) % m for row in mat)
+
+    def fiber(f):
+        return list(product(range(m), repeat=system.rank[f]))
+
+    table = []
+    for (g, f), gf in cat.compose.items():
+        minus_d = tuple(-x for x in delta.entries.get((g, f), (0,) * system.rank[gf]))
+        for a in fiber(f):
+            pushed = apply(system.push[(g, f)], a)
+            for b in fiber(g):
+                pulled = apply(system.pull[(g, f)], b)
+                c = tuple((x + y + z) % m for x, y, z in zip(minus_d, pushed, pulled))
+                table.append(((name(g, b), name(f, a)), name(gf, c)))
+    return table
+
+
 def cocycle_defect(system, delta):
     """First composable triple where d(delta) is nonzero, or None, by vector
     arithmetic on each triple; the reference for BWComplex.cocycle_defect,

@@ -311,6 +311,41 @@ def test_malformed_system_is_refused_by_name(capsys, tmp_path, system, field):
     assert out["message"].startswith(field)
 
 
+def test_extension_over_the_budget_is_refused(capsys, tmp_path):
+    """`extend` with the trivial rank-12 system over Z/6 on Z/2 exits 1 as
+    ExtensionTooLarge, naming the total's morphisms and composites."""
+    from schemoids.fincat import serialize
+    cf = write(tmp_path, "z2.json", serialize(one_object_group(*cyclic_group_table(2)).base))
+    sf = write(tmp_path, "sys.json", {"kind": "trivial", "modulus": 6, "rank": 12})
+    code, out = run_json(capsys, "extend", cf, sf, write(tmp_path, "zero.json", {"entries": []}))
+    assert code == 1 and out["error"] == "ExtensionTooLarge"
+    assert f"{2 * 6 ** 12} morphisms and {4 * 6 ** 24} composites" in out["message"]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("cocycle", {"entries": 5}, "cocycle.entries: a JSON array expected, not int"),
+    ("cocycle", {"entries": [["a"]]}, "cocycle.entries[0]: [f, g, vector] expected"),
+    ("system", None, "system: missing from the extension document"),
+    ("push", 5, "system.push: a JSON array expected, not int"),
+], ids=["entries-int", "short-entry", "no-system", "push-int"])
+def test_extension_document_of_wrong_shape_is_refused_by_name(capsys, tmp_path, field, value,
+                                                             message):
+    """`split` of the ex5_10_e0 document with one field broken is refused
+    with the field it gets wrong, not as TypeError, ValueError or KeyError;
+    `push` is broken in the document's system written out explicitly."""
+    code, doc = run_json(capsys, "examples", "ex5_10_e0")
+    if field == "push":
+        doc["system"] = cli.system_to_json(cli.extension_from_json(doc).system)
+        doc["system"]["push"] = value
+    elif value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    code, out = run_json(capsys, "split", write(tmp_path, "ext.json", doc))
+    assert code == 1 and out["error"] == "MalformedDocument"
+    assert out["message"].startswith(message)
+
+
 @pytest.mark.parametrize("table, field", [
     ({"elements": ["0", "1"], "table": [["0", "1"]]}, "table: 2 rows of 2 entries"),
     ({"elements": ["0", "1"], "table": [["0", "1"], ["1"]]}, "table: 2 rows of 2 entries"),

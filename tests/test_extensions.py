@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from schemoids import corpus, extensions
@@ -5,7 +7,9 @@ from schemoids.extensions import (
     BaseMismatch,
     BaseNotConnectedGroupoid,
     Cochain2,
+    EXTENSION_BUDGET,
     ExtensionError,
+    ExtensionTooLarge,
     FunctorialityViolated,
     HypothesisFailed,
     InvalidModulus,
@@ -459,6 +463,28 @@ def test_build_extension_refuses_cocycle_entry_of_wrong_length():
                   cocycle_from_json(sys_, {"entries": [["1", "1", [0, 0]]]})):
         with pytest.raises(ExtensionError, match=r"\('1', '1'\) has 2 coordinates"):
             build_extension(cat, sys_, delta)
+
+
+def test_build_extension_refuses_a_total_over_the_budget():
+    """The trivial rank-12 system over Z/6 on Z/2 would give 2 * 6^12
+    morphisms and 4 * 6^24 composites; both counts are named, and the
+    refusal comes before any fiber element is, so it is immediate."""
+    cat = zcat(2)
+    sys_ = trivial_system(cat, 6, rank=12)
+    start = time.perf_counter()
+    with pytest.raises(ExtensionTooLarge) as err:
+        build_extension(cat, sys_, zero_cochain2())
+    assert time.perf_counter() - start < 1
+    assert f"{2 * 6 ** 12} morphisms and {4 * 6 ** 24} composites" in str(err.value)
+    assert str(EXTENSION_BUDGET) in str(err.value)
+
+
+def test_extension_budget_admits_j_h52_over_z3():
+    """The largest extension any test, benchmark or CI step builds, j(H(5,2))
+    over Z/3 (3072 morphisms, 294912 composites), is within the budget;
+    counted here without building it."""
+    cat = j_embed(hamming(5, 2)).category
+    extensions._check_budget(cat, trivial_system(cat, 3))
 
 
 def test_equivalence_coboundary_shift():

@@ -3,7 +3,7 @@
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from schemoids.bridges import s_tilde_on_functor
 from schemoids.extensions import (
@@ -63,6 +63,7 @@ from schemoids.fincat import Functor
 from oracles import (
     coboundary_of_1cochain as reference_coboundary,
     cocycle_defect as reference_cocycle_defect,
+    extension_table_by_formula,
     dense_cohomology_invariants,
     full_complex_cohomology,
     full_complex_is_coboundary,
@@ -419,19 +420,36 @@ def test_cocycle_test_and_coboundary_match_reference(case, data):
         assert cx.cocycle_defect(delta) == (want and want[:3])
 
 
+def _z2_case(rank):
+    """Z/2 (the product of the terminal category with Z/2) with the trivial
+    rank-r system over Z/3, as `cocycle_cases` draws it."""
+    cat = one_object_group(*cyclic_group_table(2)).base
+    return cat, {"0": 0, "1": 1}, 2, trivial_system(cat, 3, rank)
+
+
 @settings(max_examples=40, deadline=None)
 @given(cocycle_cases(), st.data())
+@example(_z2_case(0), None)
+@example(_z2_case(2), None)
 def test_build_extension_matches_reference_cocycle_test(case, data):
     """On the same three cochains, build_extension, whose cocycle test is
     the associativity check of its total category, refuses a cochain that
     is not normalized (NotNormalized), succeeds exactly when the reference
     finds no triple with d2 nonzero, and otherwise raises NotACocycle
-    naming the reference's first triple.  Cases whose total has more than
-    20000 composites are skipped."""
+    naming the reference's first triple.  An accepted cocycle's total has
+    the table that `extension_table_by_formula` computes on vectors, entry
+    for entry and in order.  Cases whose total has more than 20000
+    composites are skipped.  The two explicit examples, trivial systems of
+    rank 0 and 2 over Z/3 on Z/2, take the zero cochain and the cocycle
+    (1, ..., 1) at (1, 1)."""
     cat, phi, n, system = case
     m, rank = system.modulus, system.rank
     assume(sum(m ** (rank[f] + rank[g]) for f, g in cat.compose) <= 20000)
-    for delta in _case_cochains(case, data)[1]:
+    if data is None:
+        cochains = (Cochain2({}), Cochain2({("1", "1"): (1,) * rank["1"]}))
+    else:
+        cochains = _case_cochains(case, data)[1]
+    for delta in cochains:
         want = reference_cocycle_defect(system, delta)
         if not is_normalized(system, delta):
             event("not normalized")
@@ -441,6 +459,7 @@ def test_build_extension_matches_reference_cocycle_test(case, data):
             event("cocycle")
             ext = build_extension(cat, system, delta)
             assert len(ext.total.morphisms) == sum(m ** rank[f] for f in cat.morphism_ids)
+            assert list(ext.total.compose.items()) == extension_table_by_formula(cat, system, delta)
         else:
             event("not a cocycle")
             with pytest.raises(NotACocycle) as err:
