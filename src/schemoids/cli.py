@@ -113,6 +113,12 @@ def serialize_functor(fun: Functor) -> dict:
 
 
 def functor_from_json(raw: dict) -> Functor:
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"functor: a JSON object expected, not {type(raw).__name__}")
+    for field in ("objects", "morphisms"):
+        if not isinstance(raw.get(field), dict):
+            raise MalformedDocument(f"functor.{field}: a JSON object expected, "
+                                    f"not {type(raw.get(field)).__name__}")
     return Functor({str(k): str(v) for k, v in raw["objects"].items()},
                    {str(k): str(v) for k, v in raw["morphisms"].items()},
                    contravariant=bool(raw.get("contravariant", False)))
@@ -162,9 +168,17 @@ def system_from_json(cat, raw: dict):
         raise MalformedDocument(f"system.kind: {kind!r} is not 'trivial', 'induced' or 'explicit'")
     modulus = raw.get("modulus")
     if kind == "trivial":
-        return trivial_system(cat, modulus, int(raw.get("rank", 1)))
+        rank = raw.get("rank", 1)
+        if not (isinstance(rank, int) and rank >= 0):
+            raise MalformedDocument(f"system.rank: a non-negative integer expected, not {rank!r}")
+        return trivial_system(cat, modulus, rank)
     if kind == "induced":
-        return induced_system(cat, modulus, raw["object_ranks"], raw["maps"])
+        ranks, maps = raw.get("object_ranks"), raw.get("maps")
+        if not (isinstance(ranks, dict) and all(isinstance(r, int) and r >= 0 for r in ranks.values())):
+            raise MalformedDocument("system.object_ranks: an object of non-negative integers expected")
+        if not (isinstance(maps, dict) and all(map(_is_matrix, maps.values()))):
+            raise MalformedDocument("system.maps: an object of arrays of arrays of integers expected")
+        return induced_system(cat, modulus, ranks, maps)
     if not isinstance(raw.get("ranks"), dict):
         raise MalformedDocument(f"system.ranks: a JSON object expected, "
                                 f"not {type(raw.get('ranks')).__name__}")
@@ -180,12 +194,15 @@ def _matrix_entries(raw: dict, field: str) -> dict:
     if not isinstance(entries, list):
         raise MalformedDocument(f"system.{field}: a JSON array expected, not {type(entries).__name__}")
     for i, entry in enumerate(entries):
-        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)
-                and all(isinstance(row, list) and all(isinstance(x, int) for x in row)
-                        for row in entry[2])):
+        if not (isinstance(entry, list) and len(entry) == 3 and _is_matrix(entry[2])):
             raise MalformedDocument(f"system.{field}[{i}]: [a, b, matrix] expected, "
                                     "the matrix an array of arrays of integers")
     return {(str(a), str(f)): mat for a, f, mat in entries}
+
+
+def _is_matrix(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in value)
 
 
 def system_to_json(system) -> dict:

@@ -21,8 +21,12 @@ numbered by its position in `NaturalSystem.fiber_vectors(f)`, so the total
 morphism (f, a) has index offset(f) + position(a).  Addition in (Z/m)^r is
 one table per rank, and each push or pull matrix one table over its fiber,
 built once per distinct matrix; the composites are read from those tables
-(`_FiberTables`), never by arithmetic on tuples.  The construction by the
-formula above, on vectors, is the reference in the tests.
+(`_FiberTables`), never by arithmetic on tuples.  Each fiber element is
+named once, when the total is built, and the extension keeps its tables:
+the torsor check, lifting a schemoid structure and its involution, and
+splitting read positions from them and names from `ExtensionCategory.fiber`.
+The construction by the formula above, on vectors, is the reference in the
+tests.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, product as iproduct, repeat
-from operator import add, mul
+from operator import add
 
 from . import linalg
 from .fincat import (
@@ -101,12 +105,6 @@ Matrix = tuple[tuple[int, ...], ...]
 
 def _identity_matrix(r: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-
-
-def _apply(mat: Matrix, vec: Vector, modulus: int | None) -> Vector:
-    if modulus is None:
-        return tuple([sum(map(mul, row, vec)) for row in mat])
-    return tuple([sum(map(mul, row, vec)) % modulus for row in mat])
 
 
 def _vec_add(u: Vector, v: Vector, modulus: int | None) -> Vector:
@@ -690,12 +688,8 @@ class ExtensionCategory:
     cocycle: Cochain2
     total: FinCategory
     projection: Functor
-    fiber: dict[str, tuple[str, ...]]             # base morphism -> fiber ids
-    decomposition: dict[str, tuple[str, Vector]]  # total id -> (base, vector)
-
-    def act(self, e: str, alpha: Vector) -> str:
-        f, vec = self.decomposition[e]
-        return fiber_morphism_name(f, _vec_add(vec, alpha, self.system.modulus))
+    fiber: dict[str, tuple[str, ...]]             # base morphism -> fiber ids, by position
+    tables: _FiberTables                          # the build's addition and transport tables
 
 
 # An extension's tables hold its morphisms, its composites and the addition
@@ -712,6 +706,12 @@ def _position(vec, m: int) -> int:
     for x in vec:
         pos = pos * m + x % m
     return pos
+
+
+def _entry(delta: Cochain2, g: str, f: str, m: int) -> int:
+    """Position of delta(g, f) in its fiber; 0 where delta has no entry."""
+    d = delta.entries.get((g, f))
+    return _position(d, m) if d else 0
 
 
 class _FiberTables:
@@ -733,11 +733,10 @@ class _FiberTables:
         self._by_matrix: dict[tuple[Matrix, int], list[int]] = {}
         self.addition = [self._add(rank[f]) for f in ids]
         self.pairs = []
-        known = self._by_matrix
         for i, (j, _) in cat.entries():
             g, f = ids[i], ids[j]
-            push, pull = (system.push[(g, f)], rank[f]), (system.pull[(g, f)], rank[g])
-            self.pairs.append((known.get(push) or self._map(push), known.get(pull) or self._map(pull)))
+            self.pairs.append((self.table(system.push[(g, f)], rank[f]),
+                               self.table(system.pull[(g, f)], rank[g])))
 
     def _add(self, r: int) -> list[list[int]]:
         table = self._by_rank.get(r)
@@ -751,16 +750,18 @@ class _FiberTables:
             self._by_rank[r] = table
         return table
 
-    def _map(self, key: tuple[Matrix, int]) -> list[int]:
-        """The table of a matrix on (Z/m)^r, key = (matrix, r); kept."""
-        mat, r = key
-        m, add = self.m, self._add(len(mat))
-        table = [0]
-        for j in range(r):
-            column = _position([row[j] for row in mat], m)
-            multiples = list(accumulate(repeat(column, m - 1), lambda s, c: add[s][c], initial=0))
-            table = [add[t][x] for t in table for x in multiples]
-        self._by_matrix[key] = table
+    def table(self, mat: Matrix, r: int) -> list[int]:
+        """The table of a matrix on (Z/m)^r, into the positions of the
+        fiber of rank len(mat); built on first request and kept."""
+        table = self._by_matrix.get((mat, r))
+        if table is None:
+            m, add = self.m, self._add(len(mat))
+            table = [0]
+            for j in range(r):
+                column = _position([row[j] for row in mat], m)
+                multiples = list(accumulate(repeat(column, m - 1), lambda s, c: add[s][c], initial=0))
+                table = [add[t][x] for t in table for x in multiples]
+            self._by_matrix[(mat, r)] = table
         return table
 
 
@@ -799,9 +800,10 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
     basis3 order (`NotACocycle`); with no such triple the category error
     stands.  A push or pull matrix of the wrong shape, possible only in a
     system built without `validate_natural_system`, is refused before the
-    table is built, and so is a total over `EXTENSION_BUDGET`
-    (`ExtensionTooLarge`).  Fullness, the torsor property and the linear
-    distributivity law are verified on the result.
+    table is built, and so are a cocycle entry whose length is not the rank
+    of D at f∘g and a total over `EXTENSION_BUDGET` (`ExtensionTooLarge`).
+    Fullness, the torsor property and the linear distributivity law are
+    verified on the result, which keeps the tables for the readers after it.
     `tests/oracles.py::extension_table_by_formula` builds the same table by
     vector arithmetic, the reference the tests compare with.
     """
@@ -812,22 +814,20 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
     if not is_normalized(system, delta):
         raise NotNormalized("cocycle must vanish on identity pairs")
     _check_shapes(cat, system.rank, system.push, system.pull)
-    cx = bw_differentials(cat, system)
-    cx.cochain2_vector(delta)               # refuses an entry of the wrong length
+    compose, rank = cat.compose, system.rank
+    for key, v in delta.entries.items():
+        fg = compose.get(key)
+        if fg is not None and len(v) != rank[fg]:
+            raise ExtensionError(f"entry {key!r} has {len(v)} coordinates, "
+                                 f"but D there has rank {rank[fg]}")
     _check_budget(cat, system)
     m, ids = system.modulus, cat.morphism_ids
 
     morphisms = []
     fiber: dict[str, tuple[str, ...]] = {}      # base morphism -> total ids, by position
-    decomposition: dict[str, tuple[str, Vector]] = {}
     for f, s, t in cat.morphisms:
-        named = []
-        for vec in system.fiber_vectors(f):
-            e = fiber_morphism_name(f, vec)
-            named.append(e)
-            morphisms.append((e, s, t))
-            decomposition[e] = (f, vec)
-        fiber[f] = tuple(named)
+        fiber[f] = tuple(fiber_morphism_name(f, vec) for vec in system.fiber_vectors(f))
+        morphisms.extend((e, s, t) for e in fiber[f])
     identity = {x: fiber[cat.identity[x]][0] for x in cat.objects}
     tables = _FiberTables(cat, system)
     fibers = [fiber[f] for f in ids]
@@ -846,39 +846,38 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
     try:
         total = build_category(cat.objects, morphisms, identity, chain.from_iterable(composites()))
     except CategoryError as err:
-        defect = cx.cocycle_defect(delta)
+        defect = bw_differentials(cat, system).cocycle_defect(delta)
         if defect is not None:
             raise NotACocycle(f"d(delta) != 0 at {defect}") from err
         raise
     projection = Functor({x: x for x in cat.objects},
-                         {e: decomposition[e][0] for e in total.morphism_ids})
+                         {e: f for f, named in fiber.items() for e in named})
     validate_functor(projection, total, cat)
 
-    ext = ExtensionCategory(cat, system, delta, total, projection, fiber, decomposition)
+    ext = ExtensionCategory(cat, system, delta, total, projection, fiber, tables)
     _verify_torsor(ext)
-    _verify_distributivity(ext, tables)
+    _verify_distributivity(ext)
     return ext
 
 
 def _verify_torsor(ext: ExtensionCategory):
+    """Each fiber has m^r members, and translation acts on it freely and
+    transitively: the orbit of its zero under the addition table is all of it."""
     system = ext.system
-    for f in ext.base.morphism_ids:
+    for f, add in zip(ext.base.morphism_ids, ext.tables.addition):
         fib = ext.fiber[f]
         if len(fib) != system.fiber_size(f):
             raise ExtensionError(f"fiber over {f!r} has the wrong size")
-        # translation acts freely and transitively
-        base_elt = fib[0]
-        orbit = {ext.act(base_elt, alpha) for alpha in system.fiber_vectors(f)}
-        if orbit != set(fib):
+        if set(map(fib.__getitem__, add[0])) != set(fib):
             raise ExtensionError(f"fiber action over {f!r} is not transitive")
 
 
-def _verify_distributivity(ext: ExtensionCategory, tables: _FiberTables):
+def _verify_distributivity(ext: ExtensionCategory):
     """(f, a)∘(g, b) = (fg, c + f_* b + g^* a) over every composable base
     pair, where (fg, c) = (f, 0)∘(g, 0) is read from the total: checked on
     the total's int rows, the element of D_f at position a being total
     morphism offset(f) + a, against the tables the build used."""
-    cat, rows, ids = ext.base, ext.total.rows, ext.base.morphism_ids
+    cat, rows, ids, tables = ext.base, ext.total.rows, ext.base.morphism_ids, ext.tables
     offset = list(accumulate((len(ext.fiber[f]) for f in ids), initial=0))
     for (i, (j, k)), (pushed, pulled) in zip(cat.entries(), tables.pairs):
         off_f, off_g, off_fg, add = offset[i], offset[j], offset[k], tables.addition[k]
@@ -898,23 +897,26 @@ def _verify_distributivity(ext: ExtensionCategory, tables: _FiberTables):
 
 def lift_schemoid(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSchemoid:
     """Preimage partition on the total category, re-verified, with the
-    fiber-size scaling of the structure constants asserted."""
+    fiber-size scaling of the structure constants asserted.  The pushes,
+    then the pulls, must be invertible: a transport whose fiber table is no
+    bijection onto its target fiber is refused."""
     system = ext.system
     if base_qs.category != ext.base:
         raise BaseMismatch("schemoid lives over a different category")
-    transports = list(system.push.items()) + list(system.pull.items())
-    bad = linalg.first_singular([mat for _, mat in transports], system.modulus)
-    if bad is not None:
-        raise HypothesisFailed(f"transport matrix at {transports[bad][0]} is not invertible")
+    m, rank = system.modulus, system.rank
+    for key, mat, r in chain(((key, mat, rank[key[1]]) for key, mat in system.push.items()),
+                             ((key, mat, rank[key[0]]) for key, mat in system.pull.items())):
+        table = ext.tables.table(mat, r)
+        if len(table) != m ** len(mat) or len(set(table)) != len(table):
+            raise HypothesisFailed(f"transport matrix at {key} is not invertible")
     for name, members in base_qs.partition.blocks.items():
-        ranks = {system.rank[ext.base.identity[ext.base.src(f)]] for f in members}
+        ranks = {rank[ext.base.identity[ext.base.src(f)]] for f in members}
         if len(ranks) != 1:
             raise HypothesisFailed(f"source-identity ranks differ inside block {name!r}")
 
     blocks: dict[str, list[str]] = {}
-    for e in ext.total.morphism_ids:
-        f = ext.decomposition[e][0]
-        blocks.setdefault(base_qs.partition.block_of[f], []).append(e)
+    for f, named in ext.fiber.items():
+        blocks.setdefault(base_qs.partition.block_of[f], []).extend(named)
     partition = make_partition(ext.total, blocks)
     # the lifted partition satisfies the axiom with the scaled constants;
     # a violation is this program's fault, not the input's
@@ -937,22 +939,17 @@ def lift_schemoid(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSchemo
     return QuasiSchemoid(ext.total, partition, constants)
 
 
-def _inverse_mod(mat: Matrix, m: int) -> Matrix:
-    """The inverse of a matrix invertible mod m, one column per solve."""
-    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
-    r = len(mat)
-    columns = [linalg.solve(rows, [int(i == j) for i in range(r)], r, m) for j in range(r)]
-    return tuple(zip(*columns))
-
-
 def lift_involution(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSchemoid:
     """Groupoid structure and involution on a lifted schemoid.
 
     Requires a connected groupoid base whose involution is the inverse map
-    and an induced-type system (identity pullbacks); the inverse in the
-    total category is (f, a)^-1 = (f^-1, f_*^-1(-a + delta(f, f^-1))), valid
-    once the normalized-cocycle identity f_* delta(f^-1, f) = delta(f, f^-1)
-    holds, which is checked for every morphism first.
+    and an induced-type system (every pullback table the identity); the
+    inverse in the total category is (f, a)^-1 = (f^-1, f_*^-1(-a +
+    delta(f, f^-1))), valid once the normalized-cocycle identity
+    f_* delta(f^-1, f) = delta(f, f^-1) holds, which is checked for every
+    morphism first.  Both are read on fiber positions (entries mod m),
+    f_*^-1 inverting the push table, and each inverse is checked on the
+    total's int rows.
     """
     system = ext.system
     cat = ext.base
@@ -967,40 +964,44 @@ def lift_involution(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSche
     if any(base_qs.involution.functor.morphism_map[f] != gpd.inverse[f]
            for f in cat.morphism_ids):
         raise BaseNotConnectedGroupoid("base involution is not the inverse map")
-    ones = {r: _identity_matrix(r) for r in set(map(len, system.pull.values()))}
+    m, rank, tables, delta = system.modulus, system.rank, ext.tables, ext.cocycle
+    ones = {r: list(range(m ** r)) for r in set(rank.values())}
     for key, mat in system.pull.items():
-        one = ones[len(mat)]
-        if mat != one and not linalg.mat_eq_mod(mat, one, system.modulus):
+        r = rank[key[0]]
+        if len(mat) != r or tables.table(mat, r) != ones[r]:
             raise SystemNotInduced(f"pullback at {key} is not the identity")
     # the inverse formula mixes D_f with D_{1_tgt(f)}; they must agree in rank
     for f in cat.morphism_ids:
-        if system.rank[f] != system.rank[cat.identity[cat.tgt(f)]]:
+        if rank[f] != rank[cat.identity[cat.tgt(f)]]:
             raise SystemNotInduced(f"rank of D at {f!r} differs from its target identity")
-    m = system.modulus
-    delta = ext.cocycle
 
     # normalized-cocycle identity used by the inverse formula
+    push = {}
     for f in cat.morphism_ids:
         finv = gpd.inverse[f]
-        lhs = _apply(system.push[(f, finv)], delta.value(system, finv, f), m)
-        rhs = delta.value(system, f, finv)
-        if lhs != rhs:
+        push[f] = tables.table(system.push[(f, finv)], rank[finv])
+        if push[f][_entry(delta, finv, f, m)] != _entry(delta, f, finv, m):
             raise ExtensionError(f"inverse identity fails at {f!r}")
 
     lifted = lift_schemoid(base_qs, ext)
-    # lift_schemoid has checked that every f_* is invertible mod m
-    push_inverse = {f: _inverse_mod(system.push[(f, gpd.inverse[f])], m)
-                    for f in cat.morphism_ids}
+    # lift_schemoid has checked that every push table is a bijection
     total = ext.total
+    minus = {r: tables.table(tuple(tuple(-x for x in row) for row in _identity_matrix(r)), r)
+             for r in ones}
     inverse = {}
-    for e in total.morphism_ids:
-        f, a = ext.decomposition[e]
-        finv = gpd.inverse[f]
-        rhs_vec = _vec_add(_vec_neg(a, m), delta.value(system, f, finv), m)
-        inverse[e] = fiber_morphism_name(finv, _apply(push_inverse[f], rhs_vec, m))
+    for f, add in zip(cat.morphism_ids, tables.addition):
+        finv, neg = gpd.inverse[f], minus[rank[f]]
+        back = [0] * len(push[f])
+        for x, q in enumerate(push[f]):
+            back[q] = x
+        d, fiber_inv = _entry(delta, f, finv, m), ext.fiber[finv]
+        for p, e in enumerate(ext.fiber[f]):
+            inverse[e] = fiber_inv[back[add[neg[p]][d]]]
+    rows, index = total.rows, total.index
     for e, einv in inverse.items():
-        if (total.comp(e, einv) != total.identity[total.tgt(e)]
-                or total.comp(einv, e) != total.identity[total.src(e)]):
+        i, j = index[e], index[einv]
+        if (rows[i].get(j) != index[total.identity[total.tgt(e)]]
+                or rows[j].get(i) != index[total.identity[total.src(e)]]):
             raise ExtensionError(f"computed inverse of {e!r} fails")
 
     t = Functor({x: x for x in total.objects}, dict(inverse), contravariant=True)
@@ -1029,7 +1030,8 @@ def is_split(ext: ExtensionCategory):
     """A verified section s with q∘s = id, or None.
 
     Splits exactly when the cocycle is a coboundary: solve d F = delta and
-    set s(f) = (f, F(f)), for then (g, F(g))∘(f, F(f)) = (g∘f, F(g∘f)).
+    set s(f) = (f, F(f)), for then (g, F(g))∘(f, F(f)) = (g∘f, F(g∘f)); the
+    section is read from `ExtensionCategory.fiber` at the position of F(f).
 
     The answer None is decided on the skeleton: i* is injective on H^2
     (Baues & Wirsching, Thm 1.11), so a cocycle whose restriction is no
@@ -1049,7 +1051,7 @@ def is_split(ext: ExtensionCategory):
     smap = {}
     for f in cat.morphism_ids:
         off = cx.offset1[f]
-        smap[f] = fiber_morphism_name(f, tuple(sol[off:off + system.rank[f]]))
+        smap[f] = ext.fiber[f][_position(sol[off:off + system.rank[f]], system.modulus)]
     section = Functor({x: x for x in cat.objects}, smap)
     validate_functor(section, cat, ext.total)
     for f in cat.morphism_ids:

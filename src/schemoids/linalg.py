@@ -7,9 +7,8 @@ content); over Z/m the ring is split as m = prod p^k by the Chinese
 remainder theorem, and over each local ring Z/p^k pivots are taken by
 increasing valuation, so a pivot divides its whole row and column and no
 remainder loop is needed (Howell 1986; Storjohann 2000).  `rank` works
-over Q and F_p, `first_singular` decides invertibility over Q and Z/m,
-`solve` works over Z/m, and `homology` returns ker / im as invariant
-factors d_1 | d_2 | ... (over Z/m) or a free rank (over Q).
+over Q and F_p, `solve` works over Z/m, and `homology` returns ker / im as
+invariant factors d_1 | d_2 | ... (over Z/m) or a free rank (over Q).
 """
 
 from __future__ import annotations
@@ -236,9 +235,9 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
-def _local_rings(modulus: int | None) -> list[tuple[int | None, int]]:
-    """(None, 1) for Q, else (p, k) for every p^k exactly dividing modulus."""
-    return [(None, 1)] if modulus is None else sorted(_factor(modulus).items())
+def _local_rings(modulus: int) -> list[tuple[int, int]]:
+    """(p, k) for every p^k exactly dividing modulus."""
+    return sorted(_factor(modulus).items())
 
 
 def _rows_over(rows, q: int | None) -> list[SparseRow]:
@@ -265,31 +264,6 @@ def rank(rows, modulus: int | None = None) -> int:
     if modulus is not None and not is_prime(modulus):
         raise ValueError(f"rank needs a field, and Z/{modulus} is not one")
     return len(_eliminate(_rows_over(rows, modulus), modulus, 1).rows)
-
-
-def first_singular(matrices, modulus: int | None = None) -> int | None:
-    """Index of the first dense matrix that is not invertible over Q
-    (modulus None) or over Z/m, or None when every one is.
-
-    A square matrix is invertible over Z/m exactly when it is invertible
-    over F_p for every prime p dividing m, and over Q when it has full rank.
-    A matrix equal to one already checked is skipped.
-    """
-    fields = [p for p, _ in _local_rings(modulus)]
-    seen = set()
-    for index, mat in enumerate(matrices):
-        key = tuple(map(tuple, mat))
-        if key in seen:
-            continue
-        seen.add(key)
-        n = len(mat)
-        if any(len(row) != n for row in mat):
-            return index
-        rows = [dict(enumerate(row)) for row in mat]
-        for p in fields:
-            if len(_eliminate(_rows_over(rows, p), p, 1).rows) < n:
-                return index
-    return None
 
 
 def solve(rows, rhs: list[int], ncols: int, modulus: int) -> list[int] | None:

@@ -743,11 +743,17 @@ def validate_natural_system_dense(cat, modulus, rank, push, pull):
     return True
 
 
+def _apply(mat, vec, modulus):
+    """A matrix applied to a vector, reduced mod the modulus (None over Q)."""
+    out = tuple(sum(x * y for x, y in zip(row, vec)) for row in mat)
+    return out if modulus is None else tuple(x % modulus for x in out)
+
+
 def coboundary_of_1cochain(system, fvals):
     """d F as a 2-cochain, for F given per morphism, by vector arithmetic
     on each pair; the reference for schemoids.extensions.coboundary_of_1cochain,
     which reads the rows of BWComplex's d1."""
-    from schemoids.extensions import _apply, _vec_add, _vec_neg, _vec_zero, cochain2_from_function
+    from schemoids.extensions import _vec_add, _vec_neg, _vec_zero, cochain2_from_function
     cat = system.category
     m = system.modulus
 
@@ -772,9 +778,6 @@ def extension_table_by_formula(cat, system, delta):
     def name(f, vec):
         return f"{f}|{'.'.join(str(x) for x in vec)}"
 
-    def apply(mat, vec):
-        return tuple(sum(x * y for x, y in zip(row, vec)) % m for row in mat)
-
     def fiber(f):
         return list(product(range(m), repeat=system.rank[f]))
 
@@ -782,9 +785,9 @@ def extension_table_by_formula(cat, system, delta):
     for (g, f), gf in cat.compose.items():
         minus_d = tuple(-x for x in delta.entries.get((g, f), (0,) * system.rank[gf]))
         for a in fiber(f):
-            pushed = apply(system.push[(g, f)], a)
+            pushed = _apply(system.push[(g, f)], a, m)
             for b in fiber(g):
-                pulled = apply(system.pull[(g, f)], b)
+                pulled = _apply(system.pull[(g, f)], b, m)
                 c = tuple((x + y + z) % m for x, y, z in zip(minus_d, pushed, pulled))
                 table.append(((name(g, b), name(f, a)), name(gf, c)))
     return table
@@ -794,7 +797,7 @@ def cocycle_defect(system, delta):
     """First composable triple where d(delta) is nonzero, or None, by vector
     arithmetic on each triple; the reference for BWComplex.cocycle_defect,
     which reads the rows of its d2."""
-    from schemoids.extensions import _apply, _vec_add, _vec_neg
+    from schemoids.extensions import _vec_add, _vec_neg
     cat = system.category
     m = system.modulus
     for (f, g) in cat.compose:

@@ -300,13 +300,34 @@ def test_failed_internal_certificates_exit_3(capsys, tmp_path, monkeypatch):
     ([["trivial"]], "system: a JSON object expected, not list"),
     ("trivial", "system: a JSON object expected, not str"),
     ({"kind": "twisted", "modulus": 2}, "system.kind: 'twisted' is not"),
+    ({"kind": "induced", "modulus": 2}, "system.object_ranks: an object of non-negative"),
+    ({"kind": "induced", "modulus": 2, "object_ranks": {"*": 1}, "maps": {"0": 5, "1": [[1]]}},
+     "system.maps: an object of arrays of arrays of integers"),
+    ({"kind": "trivial", "modulus": 2, "rank": "x"}, "system.rank: a non-negative integer expected"),
 ])
 def test_malformed_system_is_refused_by_name(capsys, tmp_path, system, field):
-    """A system document that is not an object, or names an unknown kind, is
-    refused with the field it gets wrong, not as AttributeError or KeyError."""
+    """A system document that is not an object, names an unknown kind, or
+    gives an induced or trivial system fields of the wrong type is refused
+    with the field it gets wrong, not as AttributeError, KeyError, TypeError
+    or ValueError."""
     from schemoids.fincat import serialize
     cf = write(tmp_path, "z2.json", serialize(one_object_group(*cyclic_group_table(2)).base))
     code, out = run_json(capsys, "cohomology", cf, write(tmp_path, "sys.json", system))
+    assert code == 1 and out["error"] == "MalformedDocument"
+    assert out["message"].startswith(field)
+
+
+@pytest.mark.parametrize("functor, field", [
+    ({"objects": [], "morphisms": 3}, "functor.objects: a JSON object expected, not list"),
+    ({"objects": {}, "morphisms": 3}, "functor.morphisms: a JSON object expected, not int"),
+    ([], "functor: a JSON object expected, not list"),
+], ids=["list-objects", "int-morphisms", "not-an-object"])
+def test_malformed_functor_is_refused_by_name(capsys, tmp_path, functor, field):
+    """`admissible` with a functor document of the wrong shape is refused
+    with the field it gets wrong, not as AttributeError."""
+    code, bundle = run_json(capsys, "examples", "ex2_8")
+    bf = write(tmp_path, "bundle.json", bundle)
+    code, out = run_json(capsys, "admissible", bf, bf, write(tmp_path, "functor.json", functor))
     assert code == 1 and out["error"] == "MalformedDocument"
     assert out["message"].startswith(field)
 

@@ -325,6 +325,43 @@ def test_lift_involution_rank_two_shear():
         assert total.comp(e, inverse[e]) == total.identity[total.tgt(e)]
 
 
+def test_lift_involution_rank_two_shear_nontrivial_cocycle():
+    """The shear system with the normalized cocycle d F, F(1) = (1, 0) and
+    F(2) = (0, 1): delta(1, 2) = (2, 1) enters the inverse formula, and every
+    lifted inverse is the total category's own."""
+    from schemoids.fincat import as_groupoid
+    base = group_bullet(3)
+    shear = {"0": [[1, 0], [0, 1]], "1": [[1, 1], [0, 1]], "2": [[1, 2], [0, 1]]}
+    system = induced_system(base.category, 3, {"*": 2}, shear)
+    delta = coboundary_of_1cochain(system, {"1": (1, 0), "2": (0, 1)})
+    assert is_normalized(system, delta) and delta.entries[("1", "2")] == (2, 1)
+    ext = build_extension(base.category, system, delta)
+    lifted = lift_involution(base, ext)
+    assert lifted.involution.functor.morphism_map == as_groupoid(ext.total).inverse
+
+
+def test_lift_involution_reads_cocycle_entries_mod_m():
+    """On Z/2 over Z/2, the entries 3 and -1 at (1, 1) are the class of 1:
+    all three build the same total and lift to the same involution."""
+    base = corpus.build("ex2_7_z2")
+    system = trivial_system(base.category, 2)
+    maps = [lift_involution(base, build_extension(base.category, system,
+                                                  Cochain2({("1", "1"): (x,)})))
+            .involution.functor.morphism_map for x in (1, 3, -1)]
+    assert maps[0] == maps[1] == maps[2] == {"0|0": "0|0", "0|1": "0|1", "1|0": "1|1", "1|1": "1|0"}
+
+
+def test_lift_refuses_a_rank_changing_push():
+    """Over the arrow category x -f-> y with ranks x: 1 and y: 2, f_* is a
+    2 x 1 matrix, so no transport at (f, 1_x) is a bijection of fibers."""
+    base = corpus.build("ex2_8")
+    system = induced_system(base.category, 2, {"x": 1, "y": 2},
+                            {"1_x": [[1]], "1_y": [[1, 0], [0, 1]], "f": [[1], [0]]})
+    ext = build_extension(base.category, system, zero_cochain2())
+    with pytest.raises(HypothesisFailed, match=r"transport matrix at \('f', '1_x'\) is not invertible"):
+        lift_schemoid(base, ext)
+
+
 def test_lift_involution_does_not_relabel_internal_errors(monkeypatch):
     """Only NotInvertible reads as "base is not a groupoid"; any other error
     propagates."""

@@ -7,6 +7,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from schemoids import linalg
+from schemoids.extensions import _FiberTables, trivial_system
+from schemoids.fincat import terminal_category
 
 from oracles import (
     dense_cohomology_invariants,
@@ -96,45 +98,29 @@ def test_solve_matches_smith_route(a, b, m):
             assert (sum(r * xi for r, xi in zip(row, x)) - bi) % m == 0
 
 
-def test_first_singular():
-    assert linalg.first_singular([]) is None
-    assert linalg.first_singular([[[1, 2], [3, 4]]]) is None          # det -2
-    assert linalg.first_singular([[[1, 2], [3, 4]]], 4) == 0
-    assert linalg.first_singular([[[1, 2], [3, 4]]], 9) is None
-    assert linalg.first_singular([[[1]], [[2]], [[3]]], 6) == 1
-    assert linalg.first_singular([[[1, 2], [2, 4]]]) == 0            # rank 1 over Q
-    assert linalg.first_singular([[[1, 0]]]) == 0                    # not square
-    assert linalg.first_singular([[]], 4) is None                    # 0 x 0
-
-
-def test_first_singular_with_repeated_matrices():
-    """A repeated matrix is checked once; the index is still the first bad one."""
-    unit, two = [[1]], [[2]]
-    assert linalg.first_singular([unit, unit, two, unit, two], 4) == 2
-    assert linalg.first_singular([unit, [[1]], [[3]], two], 6) == 2
-    assert linalg.first_singular([two, unit, two, two], 4) == 0
-    assert linalg.first_singular([unit] * 512, 2) is None
-    assert linalg.first_singular([[[1, 2], [3, 4]], [[1, 2], [3, 4]], [[1, 2], [2, 4]]]) == 2
-
-
 @st.composite
-def square_matrices(draw):
-    r = draw(st.integers(0, 3))
-    return [draw(st.lists(st.integers(-6, 6), min_size=r, max_size=r)) for _ in range(r)]
+def square_matrices_mod(draw):
+    """A square matrix of integers and a modulus m, with m^r at most 216."""
+    m, r = draw(st.sampled_from([(m, r) for m in (2, 3, 4, 6, 8, 9, 12) for r in range(4)
+                                 if m ** r <= 216]))
+    mat = tuple(tuple(draw(st.lists(st.integers(-6, 6), min_size=r, max_size=r)))
+                for _ in range(r))
+    return mat, m
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(square_matrices(), min_size=1, max_size=3),
-       st.sampled_from([None, 2, 3, 4, 6, 8, 9, 12]))
-def test_first_singular_matches_determinant(mats, m):
-    """Invertible over Q exactly when det != 0, over Z/m exactly when
-    gcd(det, m) = 1; the determinant comes from sympy."""
-    def invertible(mat):
-        det = int(sympy.Matrix(len(mat), len(mat), [x for row in mat for x in row]).det())
-        return det != 0 if m is None else gcd(det, m) == 1
-
-    want = next((i for i, mat in enumerate(mats) if not invertible(mat)), None)
-    assert linalg.first_singular(mats, m) == want
+@settings(max_examples=200, deadline=None)
+@given(square_matrices_mod())
+def test_fiber_table_is_a_bijection_exactly_when_det_is_a_unit(case):
+    """A matrix's table on the positions of (Z/m)^r, as an extension builds
+    it, permutes them exactly when gcd(det, m) = 1; the determinant comes
+    from sympy."""
+    mat, m = case
+    r = len(mat)
+    point = terminal_category()
+    tables = _FiberTables(point, trivial_system(point, m, r))
+    table = tables.table(mat, r)
+    det = int(sympy.Matrix(r, r, [x for row in mat for x in row]).det())
+    assert (sorted(table) == list(range(m ** r))) == (gcd(det, m) == 1)
 
 
 def test_kernel_and_quotient():
