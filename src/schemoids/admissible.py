@@ -151,8 +151,12 @@ def condition_P(qs: QuasiSchemoid):
     """At most one in-block solution of f∘g = h for every choice of two of
     f, g, h.  Returns (True, None) or (False, witness), the witness at the
     first pair (f, g), in the order the table was given (`entries`), whose
-    solution differs from one seen before it."""
+    solution differs from one seen before it.  A thin category needs no
+    scan: any two of f, g, h fix the endpoints of the third, and so the
+    third itself."""
     cat = qs.category
+    if cat.thin:
+        return True, None
     ids, names, block_of = cat.morphism_ids, qs.partition.names(), qs.partition.block_of
     number = {name: b for b, name in enumerate(names)}
     block = [number[block_of[m]] for m in ids]

@@ -150,6 +150,17 @@ def group_scheme_from_json(raw: dict):
 
 
 def bundle_from_json(raw: dict):
+    """A bundle document {"category", "partition", "involution"?,
+    "base_points"?}; a missing field or a field of the wrong shape is
+    refused as MalformedDocument (CategoryError for the category) naming it."""
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"bundle: a JSON object expected, not {type(raw).__name__}")
+    for field in ("category", "partition"):
+        if field not in raw:
+            raise MalformedDocument(f"{field}: missing from the bundle")
+    if raw.get("base_points") and not isinstance(raw["base_points"], list):
+        raise MalformedDocument(f"base_points: a JSON array expected, "
+                                f"not {type(raw['base_points']).__name__}")
     cat = validate_category(raw["category"])
     partition = partition_from_json(cat, raw["partition"])
     involution = None

@@ -22,12 +22,12 @@ from .extensions import (
     zero_cochain2,
 )
 from .fincat import (
+    FinCategory,
     Functor,
     build_category,
     cyclic_group_table,
     join,
     one_object_group,
-    product_with_projections,
     terminal_category,
 )
 from .schemes import group_scheme, hamming, j_embed, orbit_configuration
@@ -40,6 +40,7 @@ from .schemoid import (
     is_unital,
     make_partition,
     schemoid_product,
+    schemoid_product_with_projections,
     verify_quasi_schemoid,
 )
 from .thicken import thicken_involution, thicken_scheme
@@ -236,23 +237,30 @@ def _klein_fusion() -> QuasiSchemoid:
                                  check_association(gpd.base, partition, t))
 
 
-def _product_base_factors() -> tuple[QuasiSchemoid, QuasiSchemoid]:
-    return j_embed(hamming(2, 2)), _group_bullet(2)
+def _product_base() -> tuple[QuasiSchemoid, Functor, FinCategory]:
+    """The product base j(H(2,2)) × Z/2, its projection onto the group
+    factor and that factor's category, built once for every reader."""
+    group = _group_bullet(2)
+    base, _, to_group = schemoid_product_with_projections(j_embed(hamming(2, 2)), group)
+    return base, to_group, group.category
 
 
 def product_base_schemoid() -> QuasiSchemoid:
-    return schemoid_product(*_product_base_factors())
+    return _product_base()[0]
 
 
 def group_cocycle_pullback(cat):
     """Value a*b on the Z/2 components a, b of a composable pair of the
     product base category, read through the product's second projection."""
-    left, right = _product_base_factors()
-    product, _, to_group = product_with_projections(left.category, right.category)
-    if product != cat:
+    base, to_group, group = _product_base()
+    if base.category != cat:
         raise ValueError("group_cocycle_pullback needs the product base category")
+    return _pulled_back_product(to_group, group)
+
+
+def _pulled_back_product(to_group: Functor, group: FinCategory):
     # a*b in Z/2 is 1 exactly when neither factor is the identity
-    part = {m: int(not right.category.is_identity(g)) for m, g in to_group.morphism_map.items()}
+    part = {m: int(not group.is_identity(g)) for m, g in to_group.morphism_map.items()}
 
     def fn(f, g):
         return (part[f] * part[g],)
@@ -263,18 +271,23 @@ def group_cocycle_pullback(cat):
 def extension_e(eta: int) -> ExtensionCategory:
     """The split (eta = 0) and twisted (eta = 1) fiber-Z/2 extensions of the
     complete-graph-times-group base."""
-    base = product_base_schemoid()
+    return _extension(eta, *_product_base())
+
+
+def _extension(eta: int, base: QuasiSchemoid, to_group: Functor,
+               group: FinCategory) -> ExtensionCategory:
     cat = base.category
     system = trivial_system(cat, 2)
     if eta:
-        delta = cochain2_from_function(system, group_cocycle_pullback(cat))
+        delta = cochain2_from_function(system, _pulled_back_product(to_group, group))
     else:
         delta = zero_cochain2()
     return build_extension(cat, system, delta)
 
 
 def extension_schemoid(eta: int) -> QuasiSchemoid:
-    return lift_involution(product_base_schemoid(), extension_e(eta))
+    parts = _product_base()
+    return lift_involution(parts[0], _extension(eta, *parts))
 
 
 def _orbit_z4():

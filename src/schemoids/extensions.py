@@ -159,20 +159,32 @@ class NaturalSystem:
         return True
 
 
+def _composite(cat: FinCategory, f, g) -> int | None:
+    """The position of f∘g, read on the int rows; None if f and g are not
+    composable morphisms of cat."""
+    i, j = cat.index.get(f), cat.index.get(g)
+    return None if i is None or j is None else cat.rows[i].get(j)
+
+
 def _check_shapes(cat, rank, push, pull):
-    compose = cat.compose
-    for (a, f), mat in push.items():
-        af = compose.get((a, f))
-        if af is None:
-            raise FunctorialityViolated(f"push key ({a!r}, {f!r}) is not composable")
-        if len(mat) != rank[af] or any(map(rank[f].__ne__, map(len, mat))):
-            raise FunctorialityViolated(f"push matrix for ({a!r}, {f!r}) has wrong shape")
-    for (f, b), mat in pull.items():
-        fb = compose.get((f, b))
-        if fb is None:
-            raise FunctorialityViolated(f"pull key ({f!r}, {b!r}) is not composable")
-        if len(mat) != rank[fb] or any(map(rank[f].__ne__, map(len, mat))):
-            raise FunctorialityViolated(f"pull matrix for ({f!r}, {b!r}) has wrong shape")
+    """Each push key (a, f) and pull key (f, b) must be a composable pair,
+    read on the int rows, and its matrix must have rank(a∘f) rows of
+    rank(f) entries, or rank(f∘b) rows of rank(f) entries.  The keys are
+    checked in order, pushes first; each distinct matrix is measured once."""
+    ids = cat.morphism_ids
+    measured: dict[int, tuple[int, set[int]]] = {}    # id(matrix) -> (rows, row lengths)
+    for kind, maps, column in (("push", push, 1), ("pull", pull, 0)):
+        for key, mat in maps.items():
+            k = _composite(cat, *key)
+            if k is None:
+                raise FunctorialityViolated(f"{kind} key ({key[0]!r}, {key[1]!r}) is not composable")
+            shape = measured.get(id(mat))
+            if shape is None:
+                shape = measured[id(mat)] = (len(mat), set(map(len, mat)))
+            n, lengths = shape
+            if n != rank[ids[k]] or not lengths <= {rank[key[column]]}:
+                raise FunctorialityViolated(f"{kind} matrix for ({key[0]!r}, {key[1]!r}) "
+                                            "has wrong shape")
 
 
 def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> NaturalSystem:
@@ -814,10 +826,10 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
     if not is_normalized(system, delta):
         raise NotNormalized("cocycle must vanish on identity pairs")
     _check_shapes(cat, system.rank, system.push, system.pull)
-    compose, rank = cat.compose, system.rank
+    rank = system.rank
     for key, v in delta.entries.items():
-        fg = compose.get(key)
-        if fg is not None and len(v) != rank[fg]:
+        k = _composite(cat, *key)
+        if k is not None and len(v) != rank[fg := cat.morphism_ids[k]]:
             raise ExtensionError(f"entry {key!r} has {len(v)} coordinates, "
                                  f"but D there has rank {rank[fg]}")
     _check_budget(cat, system)

@@ -12,10 +12,19 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .fincat import CategoryError, Functor, SchemoidsError, build_category, one_object_group, pair_name
+from .fincat import (
+    CategoryError,
+    Functor,
+    MalformedDocument,
+    SchemoidsError,
+    build_category,
+    one_object_group,
+    pair_name,
+)
 from .schemoid import QuasiSchemoid, check_association, make_partition, verify_quasi_schemoid
 
 DESK_SCALE_LIMIT = 64
+SCHEME_BUDGET = 1 << 21     # point triples the intersection tally may visit: N = 128 at most
 
 
 class SchemeError(SchemoidsError):
@@ -99,11 +108,15 @@ class AssociationScheme(CoherentConfiguration):
 def validate_scheme(size: int, relations, points=None, classes=None):
     """Verify the configuration axioms by exhaustive counting.
 
-    Returns an AssociationScheme when the diagonal is a single class,
-    otherwise a CoherentConfiguration.
+    More than SCHEME_BUDGET point triples (N³) are refused as SizeLimit
+    before the relations are read.  Returns an AssociationScheme when the
+    diagonal is a single class, otherwise a CoherentConfiguration.
     """
     if size < 1:
         raise SchemeError("empty point set")
+    if size ** 3 > SCHEME_BUDGET:
+        raise SizeLimit(f"{size} points: the tally of {size}^3 point triples exceeds "
+                        f"the budget of {SCHEME_BUDGET}")
     rel = tuple(tuple(int(x) for x in row) for row in relations)
     if len(rel) != size or any(len(row) != size for row in rel):
         raise SchemeError("relation matrix must be size x size")
@@ -182,8 +195,21 @@ def serialize_scheme(s: CoherentConfiguration) -> dict:
 
 
 def scheme_from_json(raw: dict):
-    return validate_scheme(raw["size"], raw["relations"],
-                           raw.get("points"), raw.get("classes"))
+    """A scheme document {"size", "relations", "points"?, "classes"?}; a
+    field of the wrong shape is refused as MalformedDocument naming it."""
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"scheme: a JSON object expected, not {type(raw).__name__}")
+    size, relations = raw.get("size"), raw.get("relations")
+    if not isinstance(size, int):
+        raise MalformedDocument(f"size: an integer expected, not {type(size).__name__}")
+    if not (isinstance(relations, list) and all(
+            isinstance(row, list) and all(isinstance(x, int) for x in row) for row in relations)):
+        raise MalformedDocument("relations: an array of arrays of integers expected")
+    for field in ("points", "classes"):
+        if raw.get(field) is not None and not isinstance(raw[field], list):
+            raise MalformedDocument(f"{field}: a JSON array expected, "
+                                    f"not {type(raw[field]).__name__}")
+    return validate_scheme(size, relations, raw.get("points"), raw.get("classes"))
 
 
 def hamming(n: int, q: int, limit: int = DESK_SCALE_LIMIT) -> AssociationScheme:

@@ -23,6 +23,7 @@ from itertools import chain
 from .fincat import (
     FinCategory,
     Functor,
+    MalformedDocument,
     NotInvertible,
     SchemoidsError,
     as_groupoid,
@@ -118,7 +119,14 @@ def serialize_partition(p: MorphismPartition) -> dict:
 
 
 def partition_from_json(cat: FinCategory, raw: dict) -> MorphismPartition:
-    return make_partition(cat, raw["blocks"])
+    """A partition document {"blocks": {name: [morphism, ...]}}; another
+    shape is refused as MalformedDocument naming the field."""
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"partition: a JSON object expected, not {type(raw).__name__}")
+    blocks = raw.get("blocks")
+    if not (isinstance(blocks, dict) and all(isinstance(ms, list) for ms in blocks.values())):
+        raise MalformedDocument("partition.blocks: an object of arrays of morphisms expected")
+    return make_partition(cat, blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +309,7 @@ def analyze_thinness(qs: QuasiSchemoid, base_points=None) -> ThinnessReport:
 
     semi_thin = unital and per_source and groupoid_ok
 
-    hom_ok = all(len(cat.hom(x, y)) <= 1 for x in cat.objects for y in cat.objects)
+    hom_ok = cat.thin
 
     idents = cat.identities()
     s0 = tuple(name for name, members in partition.blocks.items() if members & idents)
@@ -411,6 +419,11 @@ def compose_schemoid_morphisms(second: SchemoidMorphism, first: SchemoidMorphism
 
 def schemoid_product(a: QuasiSchemoid, b: QuasiSchemoid) -> QuasiSchemoid:
     """Blockwise product; involutions combine componentwise when both exist."""
+    return schemoid_product_with_projections(a, b)[0]
+
+
+def schemoid_product_with_projections(a: QuasiSchemoid, b: QuasiSchemoid):
+    """The product schemoid plus the two projection functors of its category."""
     cat, p1, p2 = product_with_projections(a.category, b.category)
     blocks: dict[str, list[str]] = {}
     for m in cat.morphism_ids:
@@ -428,7 +441,7 @@ def schemoid_product(a: QuasiSchemoid, b: QuasiSchemoid) -> QuasiSchemoid:
         mmap = {m: pair_name(ta.morphism_map[p1.morphism_map[m]], tb.morphism_map[p2.morphism_map[m]])
                 for m in cat.morphism_ids}
         involution = check_association(cat, partition, Functor(omap, mmap, contravariant=True))
-    return verify_quasi_schemoid(cat, partition, involution)
+    return verify_quasi_schemoid(cat, partition, involution), p1, p2
 
 
 def schemoid_join(a: QuasiSchemoid, b: QuasiSchemoid) -> QuasiSchemoid:

@@ -508,6 +508,30 @@ def validate_category_dense(raw):
     return compose
 
 
+def light_generators_greedy(raw):
+    """Light's generating set of a valid raw description by the greedy rule
+    read naively: walk the morphisms in the order given and keep each one
+    that the composition closure of the identities and the morphisms kept
+    before it misses, the closure recomputed from all composable pairs
+    after every pick.  The reference for schemoids.fincat's `generators`."""
+    table = validate_category_dense(raw)
+
+    def closure(members):
+        while True:
+            new = {fg for (f, g), fg in table.items() if f in members and g in members} - members
+            if not new:
+                return members
+            members = members | new
+
+    members = closure({str(e) for e in raw["identities"].values()})
+    generators = []
+    for m in (str(m["id"]) for m in raw["morphisms"]):
+        if m not in members:
+            generators.append(m)
+            members = closure(members | {m})
+    return tuple(generators)
+
+
 def validate_functor_dense(fun, c_raw, d_raw):
     """Functor laws by the full scan on raw descriptions: the composition
     law at every composable pair of C, read from the completed entries.

@@ -383,6 +383,58 @@ def test_group_table_of_wrong_shape_is_refused_by_name(capsys, tmp_path, table, 
     assert out["message"].startswith(field)
 
 
+@pytest.mark.parametrize("scheme, field", [
+    ({"relations": []}, "size: an integer expected, not NoneType"),
+    ({"size": 2, "relations": 7}, "relations: an array of arrays of integers expected"),
+    ({"size": 2, "relations": [[0, 1], [1, "0"]]}, "relations: an array of arrays of integers"),
+    ({"size": 2, "relations": [[0, 1], [1, 0]], "points": 5}, "points: a JSON array expected"),
+    ([2], "scheme: a JSON object expected, not list"),
+], ids=["no-size", "int-relations", "string-entry", "int-points", "not-an-object"])
+def test_scheme_document_of_wrong_shape_is_refused_by_name(capsys, tmp_path, scheme, field):
+    """`embed-scheme` on a scheme document with a field missing or of the
+    wrong type is refused with the field it gets wrong, not as KeyError or
+    TypeError."""
+    code, out = run_json(capsys, "embed-scheme", write(tmp_path, "scheme.json", scheme))
+    assert code == 1 and out["error"] == "MalformedDocument"
+    assert out["message"].startswith(field)
+
+
+def test_scheme_over_the_budget_is_refused_before_the_tally(capsys, tmp_path):
+    """A scheme on more than 128 points (N^3 > 2^21) is refused as
+    SizeLimit before its relations are read; H(7,2), N = 128, is admitted."""
+    from schemoids.schemes import SCHEME_BUDGET, SizeLimit, validate_scheme
+    assert 128 ** 3 == SCHEME_BUDGET
+    code, out = run_json(capsys, "embed-scheme",
+                         write(tmp_path, "scheme.json", {"size": 129, "relations": []}))
+    assert code == 1 and out["error"] == "SizeLimit"
+    assert "129^3 point triples" in out["message"]
+    with pytest.raises(SizeLimit):
+        validate_scheme(129, [[0] * 129] * 129)
+    code, out = run_json(capsys, "gen", "hamming", "7", "2", "--limit", "128")
+    assert code == 0 and out["size"] == 128
+
+
+@pytest.mark.parametrize("change, field", [
+    (lambda d: d.pop("partition"), "partition: missing from the bundle"),
+    (lambda d: d.pop("category"), "category: missing from the bundle"),
+    (lambda d: d.update(partition={"blocks": 5}), "partition.blocks: an object of arrays"),
+    (lambda d: d.update(partition=[]), "partition: a JSON object expected, not list"),
+    (lambda d: d["partition"]["blocks"].update(R0="x"), "partition.blocks: an object of arrays"),
+    (lambda d: d.update(base_points=5), "base_points: a JSON array expected, not int"),
+], ids=["no-partition", "no-category", "int-blocks", "list-partition", "string-block",
+        "int-base-points"])
+def test_bundle_of_wrong_shape_is_refused_by_name(capsys, tmp_path, change, field):
+    """`analyze` on the j(H(1,2)) bundle with one field missing or of the
+    wrong type is refused with the field it gets wrong, not as KeyError,
+    AttributeError or TypeError."""
+    from schemoids.schemes import hamming, j_embed
+    bundle = cli.bundle_to_json(j_embed(hamming(1, 2)))
+    change(bundle)
+    code, out = run_json(capsys, "analyze", write(tmp_path, "bundle.json", bundle))
+    assert code == 1 and out["error"] == "MalformedDocument"
+    assert out["message"].startswith(field)
+
+
 def test_category_field_of_wrong_type_is_refused_by_name(capsys, tmp_path):
     raw = {"objects": ["x"], "morphisms": 5, "identities": {"x": "1"}, "compose": []}
     for doc, message in ((raw, "morphisms: a JSON array expected, not int"),
@@ -512,7 +564,7 @@ def test_unreadable_inputs_are_refused_by_their_class(capsys, tmp_path):
     """Whatever `load` raises refuses the input, named by the class raised."""
     cases = [(["analyze", "-"], "{not json", "JSONDecodeError"),
              (["analyze", str(tmp_path / "missing.json")], "", "FileNotFoundError"),
-             (["embed-scheme", "-"], "[]", "TypeError"),
+             (["embed-scheme", "-"], "[]", "MalformedDocument"),
              (["gen", "orbits", "-"], '{"perms": []}', "KeyError"),
              (["gen", "group-scheme", "-"], '{"elements": 3}', "MalformedDocument"),
              (["examples", "no_such_example"], "", "KeyError")]

@@ -70,6 +70,7 @@ from oracles import (
     completed_entries,
     condition_P_bruteforce,
     inverses_bruteforce,
+    light_generators_greedy,
     natural_law_failures,
     schemoid_constants_bruteforce,
     span_dimension_fractions,
@@ -514,10 +515,15 @@ def composition_tables(draw):
 
 @st.composite
 def tampered_tables(draw):
-    """A drawn table or a serialized small category, left alone or with one
-    entry dropped, redirected to any morphism, or added for any pair."""
-    raw = draw(st.one_of(composition_tables(), composition_tables(),
-                         small_categories().map(serialize)))
+    """A drawn table or a serialized small category, `tampered`."""
+    return draw(tampered(draw(st.one_of(composition_tables(), composition_tables(),
+                                        small_categories().map(serialize)))))
+
+
+@st.composite
+def tampered(draw, raw):
+    """The raw description left alone or with one entry dropped, redirected
+    to any morphism, or added for any pair."""
     compose = [list(entry) for entry in raw["compose"]]
     ids = [m["id"] for m in raw["morphisms"]]
     kind = draw(st.sampled_from(["none", "none", "drop", "redirect", "add"]))
@@ -584,11 +590,11 @@ def raw_categories(draw):
 
 
 @st.composite
-def partitioned_categories(draw):
+def partitioned_categories(draw, categories=raw_categories()):
     """(raw, blocks): a raw category and a partition of its morphisms into
     at most four blocks, named in a drawn order; discrete in a quarter of
     the cases, so that the axiom holds, and drawn at random otherwise."""
-    raw = draw(raw_categories())
+    raw = draw(categories)
     ids = [m["id"] for m in raw["morphisms"]]
     if draw(st.integers(0, 3)) == 0:
         return raw, {f"B{m}": [m] for m in ids}
@@ -667,6 +673,127 @@ def test_compose_view_is_the_raw_entries_and_unit_fills(raw):
     assert cat.compose is view
     with pytest.raises(TypeError):
         view[next(iter(view))] = cat.morphism_ids[0]
+
+
+def thin_raw(n, related, order):
+    """Raw description of the thin category on x0..x{n-1} with one morphism
+    a{i}_{j}: x{i} -> x{j} exactly when (i, j) is in related, a reflexive
+    and transitive relation; the morphisms are listed in the order given by
+    the permutation `order` of the sorted pairs."""
+    pairs = sorted(related)
+    name = {(i, j): f"a{i}_{j}" for i, j in pairs}
+    return {"objects": [f"x{i}" for i in range(n)],
+            "morphisms": [{"id": name[pairs[p]], "src": f"x{pairs[p][0]}", "tgt": f"x{pairs[p][1]}"}
+                          for p in order],
+            "identities": {f"x{i}": name[(i, i)] for i in range(n)},
+            "compose": [[name[(j, k)], name[(i, j)], name[(i, k)]]
+                        for i, j in pairs for k in range(n) if (j, k) in name]}
+
+
+@st.composite
+def thin_categories(draw):
+    """A thin category on at most five objects as a raw description,
+    `shuffled`: a preorder, the reflexive and transitive closure of a drawn
+    relation, or pair groupoids, one on each block of a drawn partition of
+    the objects (one morphism between any two objects of a block)."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        drawn = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        related = {(i, i) for i in range(n)}.union(drawn)
+        while (more := {(i, k) for i, j in related for j2, k in related if j == j2} - related):
+            related |= more
+        event("thin: preorder")
+    else:
+        label = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        related = {(i, j) for i in range(n) for j in range(n) if label[i] == label[j]}
+        event("thin: pair groupoids")
+    return draw(shuffled(thin_raw(n, related, draw(st.permutations(range(len(related)))))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(thin_categories().flatmap(tampered))
+def test_thin_validation_matches_dense_oracle(raw):
+    """A thin table skips Light's generators and test, and still gets the
+    verdict, the table and the error of the full triple scan; an accepted
+    one picks its generators only when they are read, and they are those of
+    the naive greedy closure."""
+    try:
+        want = validate_category_dense(raw)
+    except CategoryError as err:
+        want = err
+    try:
+        got = validate_category(raw)
+    except CategoryError as err:
+        got = err
+    event(type(want).__name__ if isinstance(want, CategoryError) else "accepted")
+    if isinstance(want, CategoryError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.thin and "generators" not in got.__dict__
+    assert got.compose == want
+    assert got.generators == light_generators_greedy(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitioned_categories(thin_categories()))
+def test_condition_P_on_thin_categories_matches_raw_entry_oracle(case):
+    """condition_P answers a thin category without a scan, and the answer
+    is that of the string-keyed scan of the raw entries, under any partition."""
+    raw, blocks = case
+    cat = validate_category(raw)
+    partition = make_partition(cat, blocks)
+    want = condition_P_bruteforce(completed_entries(raw), partition.block_of)
+    assert condition_P(QuasiSchemoid(cat, partition, StructureConstantTable({}))) == want
+
+
+@st.composite
+def thin_target_functors(draw):
+    """(F, C, D) with D thin and C a small category or a thin one: F sends
+    each object to an object of D, all to one in about half the cases, and
+    each morphism to the one morphism of D between the images of its
+    endpoints, reversed if F is contravariant.  Where that hom-set is empty,
+    and for one drawn morphism in about half the cases, the image is any
+    morphism of D, so that the endpoint checks fail.  C and D come as raw
+    descriptions, `shuffled`."""
+    d_raw = draw(thin_categories())
+    d = validate_category(d_raw)
+    c = draw(st.one_of(small_categories(), thin_categories().map(validate_category)))
+    contravariant = draw(st.booleans())
+    if draw(st.booleans()):
+        omap = dict.fromkeys(c.objects, draw(st.sampled_from(d.objects)))
+    else:
+        omap = {x: draw(st.sampled_from(d.objects)) for x in c.objects}
+    mmap = {}
+    for m, s, t in c.morphisms:
+        hom = d.hom(omap[t], omap[s]) if contravariant else d.hom(omap[s], omap[t])
+        mmap[m] = hom[0] if hom else draw(st.sampled_from(d.morphism_ids))
+    if draw(st.booleans()):
+        mmap[draw(st.sampled_from(c.morphism_ids))] = draw(st.sampled_from(d.morphism_ids))
+    return Functor(omap, mmap, contravariant), draw(shuffled(serialize(c))), d_raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(thin_target_functors())
+def test_functor_check_on_thin_targets_matches_dense_oracle(case):
+    """Into a thin category the composition law is not checked, and the
+    verdict and error are those of the check at every composable pair; a
+    thin source never has its generators picked."""
+    fun, c_raw, d_raw = case
+    c, d = validate_category(c_raw), validate_category(d_raw)
+    try:
+        want = validate_functor_dense(fun, c_raw, d_raw)
+    except CategoryError as err:
+        want = err
+    try:
+        got = validate_functor(fun, c, d)
+    except CategoryError as err:
+        got = err
+    event(str(want).split(" ", 1)[0] if isinstance(want, CategoryError) else "accepted")
+    if isinstance(want, CategoryError):
+        assert type(got) is type(want) is NotAFunctor and str(got) == str(want)
+    else:
+        assert got is fun
+    assert not c.thin or "generators" not in c.__dict__
 
 
 _SCHEMOIDS = {n: j_embed(hamming(n, 2)) for n in (2, 3)}
