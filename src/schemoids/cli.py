@@ -149,6 +149,19 @@ def group_scheme_from_json(raw: dict):
                                    for i, a in enumerate(elements) for j, b in enumerate(elements)})
 
 
+def _orbits_from_json(raw: dict):
+    """Pair orbits of {"perms": [[...], ...], "size": n}; another shape is
+    refused as MalformedDocument naming the field."""
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"group: a JSON object expected, not {type(raw).__name__}")
+    perms, size = raw.get("perms"), raw.get("size")
+    if not _is_matrix(perms):
+        raise MalformedDocument("perms: an array of arrays of integers expected")
+    if not (type(size) is int and size >= 0):
+        raise MalformedDocument(f"size: a non-negative integer expected, not {size!r}")
+    return orbit_configuration(perms, size)
+
+
 def bundle_from_json(raw: dict):
     """A bundle document {"category", "partition", "involution"?,
     "base_points"?}; a missing field or a field of the wrong shape is
@@ -217,13 +230,12 @@ def _is_matrix(value) -> bool:
 
 
 def system_to_json(system) -> dict:
-    return {
-        "kind": "explicit",
-        "modulus": system.modulus,
-        "ranks": dict(system.rank),
-        "push": [[a, f, [list(r) for r in mat]] for (a, f), mat in sorted(system.push.items())],
-        "pull": [[f, b, [list(r) for r in mat]] for (f, b), mat in sorted(system.pull.items())],
-    }
+    ids = system.category.morphism_ids
+    push, pull = (sorted([ids[i], ids[j], [list(r) for r in mat]]
+                         for i, row in enumerate(maps) for j, mat in row.items())
+                  for maps in (system.push, system.pull))
+    return {"kind": "explicit", "modulus": system.modulus, "ranks": dict(zip(ids, system.rank)),
+            "push": push, "pull": pull}
 
 
 def extension_from_json(raw: dict):
@@ -416,8 +428,8 @@ def run(argv=None) -> int:
 def _dispatch(args, pretty) -> int:
     cmd = args.command
     if cmd == "validate":
-        obj = load(args.input, lambda raw: bundle_from_json(raw) if "category" in raw
-                   else validate_category(raw))
+        obj = load(args.input, lambda raw: bundle_from_json(raw)
+                   if isinstance(raw, dict) and "category" in raw else validate_category(raw))
         cat = obj if isinstance(obj, FinCategory) else obj.category
         out = {"valid": True, "objects": len(cat.objects), "morphisms": len(cat.morphisms)}
         if cat is not obj:
@@ -547,7 +559,7 @@ def _dispatch(args, pretty) -> int:
         elif args.generator == "group-scheme":
             scheme = load(args.table, group_scheme_from_json)
         else:
-            scheme = load(args.perms, lambda raw: orbit_configuration(raw["perms"], int(raw["size"])))
+            scheme = load(args.perms, _orbits_from_json)
         emit({"kind": "scheme", **serialize_scheme(scheme)}, pretty)
         return 0
 

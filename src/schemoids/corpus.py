@@ -204,7 +204,8 @@ def _pair_groupoid_family(k: int) -> QuasiSchemoid:
     compose = {}
     for c in cats:
         identity.update(c.identity)
-        compose.update(c.compose)
+        ids = c.morphism_ids
+        compose.update(((ids[i], ids[j]), ids[k]) for i, (j, k) in c.entries())
     cat = build_category(objects, morphisms, identity, compose.items())
     partition = make_partition(cat, {
         "s0x": [f"xx{i}" for i in range(k)],

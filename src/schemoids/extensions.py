@@ -17,7 +17,7 @@ Extensions twist composition by a normalized 2-cocycle:
 (g, b)∘(f, a) = (g∘f, -D(g, f) + g_* a + f^* b).
 
 An extension is built on fiber indices: each element of D_f = (Z/m)^r is
-numbered by its position in `NaturalSystem.fiber_vectors(f)`, so the total
+numbered by its position in lexicographic order (`_position`), so the total
 morphism (f, a) has index offset(f) + position(a).  Addition in (Z/m)^r is
 one table per rank, and each push or pull matrix one table over its fiber,
 built once per distinct matrix; the composites are read from those tables
@@ -118,79 +118,87 @@ def _vec_neg(u: Vector, modulus: int | None) -> Vector:
     return tuple(x % modulus for x in out) if modulus is not None else out
 
 
-def _vec_zero(r: int) -> Vector:
-    return (0,) * r
-
-
 @dataclass(frozen=True, eq=False)
 class NaturalSystem:
+    """D on morphism positions; push and pull are shaped like the category's
+    rows, one matrix per composable pair, and may share rows, as a trivial
+    system does among the morphisms with one source."""
     category: FinCategory
     modulus: int | None                      # None means rational coefficients
-    rank: dict[str, int]                     # morphism -> rank of D_f
-    push: dict[tuple[str, str], Matrix]      # (a, f) with src a = tgt f: D_f -> D_{af}
-    pull: dict[tuple[str, str], Matrix]      # (f, b) with tgt b = src f: D_f -> D_{fb}
+    rank: tuple[int, ...]                    # morphism -> rank of D_f
+    push: tuple[dict[int, Matrix], ...]      # push[a][f]: D_f -> D_{af}
+    pull: tuple[dict[int, Matrix], ...]      # pull[f][b]: D_f -> D_{fb}
 
     def __post_init__(self):
         m = self.modulus
         if m is not None and (type(m) is not int or m < 2):
             raise InvalidModulus(f"modulus must be an integer >= 2 or None (rational), got {m!r}")
 
-    def fiber_size(self, f: str) -> int:
-        if self.modulus is None:
-            raise ExtensionError("rational fibers are infinite")
-        return self.modulus ** self.rank[f]
-
-    def fiber_vectors(self, f: str):
-        return iproduct(range(self.modulus), repeat=self.rank[f])
-
     def __eq__(self, other):
         if not isinstance(other, NaturalSystem):
             return NotImplemented
-        if self.category != other.category or self.modulus != other.modulus \
-                or self.rank != other.rank:
-            return False
         m = self.modulus
-        for key in self.push:
-            if not linalg.mat_eq_mod(self.push[key], other.push[key], m):
-                return False
-        for key in self.pull:
-            if not linalg.mat_eq_mod(self.pull[key], other.pull[key], m):
-                return False
-        return True
+        return (self.category == other.category and m == other.modulus and self.rank == other.rank
+                and all(linalg.mat_eq_mod(mat, theirs[j], m) for mine, theirs in
+                        chain(zip(self.push, other.push), zip(self.pull, other.pull))
+                        for j, mat in mine.items()))
 
 
-def _composite(cat: FinCategory, f, g) -> int | None:
-    """The position of f∘g, read on the int rows; None if f and g are not
-    composable morphisms of cat."""
+def _positions(cat: FinCategory, f, g):
+    """(i, j, k) for composable morphisms f and g of cat, named by label,
+    with k the position of f∘g; None if they are not."""
     i, j = cat.index.get(f), cat.index.get(g)
-    return None if i is None or j is None else cat.rows[i].get(j)
+    return (i, j, cat.rows[i][j]) if i is not None and j in cat.rows[i] else None
 
 
 def _check_shapes(cat, rank, push, pull):
-    """Each push key (a, f) and pull key (f, b) must be a composable pair,
-    read on the int rows, and its matrix must have rank(a∘f) rows of
-    rank(f) entries, or rank(f∘b) rows of rank(f) entries.  The keys are
-    checked in order, pushes first; each distinct matrix is measured once."""
+    """Each push[a][f] and pull[f][b] must sit at a composable pair and have
+    rank(a∘f) rows of rank(f) entries, or rank(f∘b) rows of rank(f)
+    entries.  The pushes are checked first, row by row; each distinct
+    matrix is measured once."""
     ids = cat.morphism_ids
     measured: dict[int, tuple[int, set[int]]] = {}    # id(matrix) -> (rows, row lengths)
     for kind, maps, column in (("push", push, 1), ("pull", pull, 0)):
-        for key, mat in maps.items():
-            k = _composite(cat, *key)
-            if k is None:
-                raise FunctorialityViolated(f"{kind} key ({key[0]!r}, {key[1]!r}) is not composable")
-            shape = measured.get(id(mat))
-            if shape is None:
-                shape = measured[id(mat)] = (len(mat), set(map(len, mat)))
-            n, lengths = shape
-            if n != rank[ids[k]] or not lengths <= {rank[key[column]]}:
-                raise FunctorialityViolated(f"{kind} matrix for ({key[0]!r}, {key[1]!r}) "
-                                            "has wrong shape")
+        for i, (row, mats) in enumerate(zip(cat.rows, maps)):
+            for j, mat in mats.items():
+                k = row.get(j)
+                if k is None:
+                    raise FunctorialityViolated(f"{kind} key ({ids[i]!r}, {ids[j]!r}) is not composable")
+                shape = measured.get(id(mat))
+                if shape is None:
+                    shape = measured[id(mat)] = (len(mat), set(map(len, mat)))
+                n, lengths = shape
+                if n != rank[k] or not lengths <= {rank[(i, j)[column]]}:
+                    raise FunctorialityViolated(f"{kind} matrix for ({ids[i]!r}, {ids[j]!r}) "
+                                                "has wrong shape")
 
 
 def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> NaturalSystem:
-    """Check a raw system: the rank table covers the morphisms, every
-    composable pair has a push and a pull matrix of the right shape, and the
-    laws hold by matrix equality.
+    """Check a raw system, keyed by labels: the rank table {f: rank} covers
+    the morphisms, every composable pair has a push matrix {(a, f): a_*}
+    and a pull matrix {(f, b): b^*} of the right shape, and the laws hold
+    by matrix equality (`_checked`).  The system is kept on positions."""
+    rank = {str(k): int(v) for k, v in rank.items()}
+    if set(rank) != set(cat.morphism_ids):
+        raise FunctorialityViolated("rank table must cover exactly the morphisms")
+    ids, indexed = cat.morphism_ids, []
+    for kind, maps in (("push", push), ("pull", pull)):
+        rows = [{} for _ in ids]
+        for (f, g), mat in maps.items():
+            at = _positions(cat, f, g)
+            if at is None:
+                raise FunctorialityViolated(f"{kind} key ({f!r}, {g!r}) is not composable")
+            rows[at[0]][at[1]] = tuple(tuple(int(x) for x in row) for row in mat)
+        missing = next(((ids[i], ids[j]) for i, row in enumerate(cat.rows) for j in row
+                        if j not in rows[i]), None)
+        if missing:
+            raise FunctorialityViolated(f"{kind} map for {missing} missing")
+        indexed.append(tuple(rows))
+    return _checked(NaturalSystem(cat, modulus, tuple(map(rank.__getitem__, ids)), *indexed))
+
+
+def _checked(system: NaturalSystem) -> NaturalSystem:
+    """The shapes and the laws of a system.
 
     The unit laws 1_* = 1 and 1^* = 1 are checked at every f.  The push law
     (a2∘a1)_* = a2_* a1_* at f, the pull law (b1∘b2)^* = b2^* b1^* at f and
@@ -204,61 +212,51 @@ def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> Natu
     commutation.  A broken law raises FunctorialityViolated with witness
     (law, a, f, b): ("unit push", 1, f, None), ("unit pull", None, f, 1),
     ("push", a2, a1, f), ("pull", f, b1, b2) or ("commute", a, f, b), the
-    morphisms in the order they compose.
+    morphisms named by label in the order they compose.
     """
-    rank = {str(k): int(v) for k, v in rank.items()}
-    if set(rank) != set(cat.morphism_ids):
-        raise FunctorialityViolated("rank table must cover exactly the morphisms")
-    push = {k: tuple(tuple(int(x) for x in row) for row in v) for k, v in push.items()}
-    pull = {k: tuple(tuple(int(x) for x in row) for row in v) for k, v in pull.items()}
-    for (f, g) in cat.compose:
-        if (f, g) not in push:
-            raise FunctorialityViolated(f"push map for ({f!r}, {g!r}) missing")
-        if (f, g) not in pull:
-            raise FunctorialityViolated(f"pull map for ({f!r}, {g!r}) missing")
+    cat, rank, push, pull = system.category, system.rank, system.push, system.pull
     _check_shapes(cat, rank, push, pull)
-    system = NaturalSystem(cat, modulus, rank, push, pull)
+    ids, rows, mat_mul = cat.morphism_ids, cat.rows, linalg.mat_mul
 
     def check(lhs, rhs, law, a, f, b):
-        if not linalg.mat_eq_mod(lhs, rhs, modulus):
+        if not linalg.mat_eq_mod(lhs, rhs, system.modulus):
+            a, f, b = (None if x is None else ids[x] for x in (a, f, b))
             raise FunctorialityViolated(f"{law} law fails at ({a!r}, {f!r}, {b!r})", (law, a, f, b))
 
-    into: dict[str, list[str]] = {x: [] for x in cat.objects}
-    out_of: dict[str, list[str]] = {x: [] for x in cat.objects}
-    for f, s, t in cat.morphisms:
-        into[t].append(f)
-        out_of[s].append(f)
+    into, out_of, src_of, tgt_of, unit = cat.into, cat.out_of, cat.src_of, cat.tgt_of, cat.identity_of
+    for f, (s, t) in enumerate(zip(src_of, tgt_of)):
         one = _identity_matrix(rank[f])
-        check(push[(cat.identity[t], f)], one, "unit push", cat.identity[t], f, None)
-        check(pull[(f, cat.identity[s])], one, "unit pull", None, f, cat.identity[s])
-    comp, mat_mul = cat.compose, linalg.mat_mul
-    for g in cat.generators:
-        for f in into[cat.src(g)]:
-            g_f, gf = push[(g, f)], comp[(g, f)]
-            for a in out_of[cat.tgt(g)]:            # push law, a1 = g
-                check(push[(comp[(a, g)], f)], mat_mul(push[(a, gf)], g_f), "push", a, g, f)
-            for b in into[cat.src(f)]:              # commutation, a = g
-                check(mat_mul(push[(g, comp[(f, b)])], pull[(f, b)]), mat_mul(pull[(gf, b)], g_f),
+        check(push[unit[t]][f], one, "unit push", unit[t], f, None)
+        check(pull[f][unit[s]], one, "unit pull", None, f, unit[s])
+    for g in map(cat.index.__getitem__, cat.generators):
+        push_g, row_g = push[g], rows[g]
+        for f in into[src_of[g]]:
+            g_f, gf = push_g[f], row_g[f]
+            for a in out_of[tgt_of[g]]:            # push law, a1 = g
+                check(push[rows[a][g]][f], mat_mul(push[a][gf], g_f), "push", a, g, f)
+            for b in into[src_of[f]]:              # commutation, a = g
+                check(mat_mul(push_g[rows[f][b]], pull[f][b]), mat_mul(pull[gf][b], g_f),
                       "commute", g, f, b)
-        for f in out_of[cat.tgt(g)]:
-            f_g, fg = pull[(f, g)], comp[(f, g)]
-            for b in into[cat.src(g)]:              # pull law, b1 = g
-                check(pull[(f, comp[(g, b)])], mat_mul(pull[(fg, b)], f_g), "pull", f, g, b)
+        for f in out_of[tgt_of[g]]:
+            f_g, fg = pull[f][g], rows[f][g]
+            for b in into[src_of[g]]:              # pull law, b1 = g
+                check(pull[f][row_g[b]], mat_mul(pull[fg][b], f_g), "pull", f, g, b)
     return system
 
 
 def trivial_system(cat: FinCategory, modulus: int | None, rank: int = 1) -> NaturalSystem:
-    ranks = {f: rank for f in cat.morphism_ids}
-    ident = _identity_matrix(rank)
-    push = {key: ident for key in cat.compose}
-    pull = {key: ident for key in cat.compose}
-    return NaturalSystem(cat, modulus, ranks, push, pull)
+    """D_f of the given rank at every f, every push and pull the identity;
+    the morphisms with one source share one row of identities."""
+    one = _identity_matrix(rank)
+    shared = [dict.fromkeys(into, one) for into in cat.into]
+    rows = tuple(map(shared.__getitem__, cat.src_of))
+    return NaturalSystem(cat, modulus, (rank,) * len(rows), rows, rows)
 
 
 def induced_system(cat: FinCategory, modulus: int | None, object_rank: dict,
                    maps: dict) -> NaturalSystem:
     """System induced from a functor into modules: D_f = H(tgt f), a_* = H(a),
-    pullbacks are identities; checked by `validate_natural_system`.  An
+    pullbacks are identities; checked as by `validate_natural_system`.  An
     object with no rank or a morphism with no map is refused."""
     object_rank = {str(k): int(v) for k, v in object_rank.items()}
     maps = {str(k): v for k, v in maps.items()}
@@ -268,10 +266,12 @@ def induced_system(cat: FinCategory, modulus: int | None, object_rank: dict,
     for a in cat.morphism_ids:
         if a not in maps:
             raise FunctorialityViolated(f"module map for {a!r} missing")
-    rank = {f: object_rank[cat.tgt(f)] for f in cat.morphism_ids}
-    push = {(a, f): maps[a] for (a, f) in cat.compose}
-    pull = {(f, b): _identity_matrix(rank[f]) for (f, b) in cat.compose}
-    return validate_natural_system(cat, modulus, rank, push, pull)
+    rank = tuple(object_rank[cat.objects[t]] for t in cat.tgt_of)
+    ones = {r: _identity_matrix(r) for r in set(rank)}
+    push = tuple(dict.fromkeys(cat.into[s], tuple(tuple(int(x) for x in row) for row in maps[a]))
+                 for a, s in zip(cat.morphism_ids, cat.src_of))
+    pull = tuple(dict.fromkeys(cat.into[s], ones[r]) for s, r in zip(cat.src_of, rank))
+    return _checked(NaturalSystem(cat, modulus, rank, push, pull))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +287,7 @@ class Cochain2:
         got = self.entries.get((f, g))
         if got is not None:
             return got
-        fg = system.category.comp(f, g)
-        return _vec_zero(system.rank[fg])
+        return (0,) * system.rank[_positions(system.category, f, g)[2]]
 
 
 def zero_cochain2() -> Cochain2:
@@ -296,11 +295,11 @@ def zero_cochain2() -> Cochain2:
 
 
 def cochain2_from_function(system: NaturalSystem, fn) -> Cochain2:
-    entries = {}
-    for (f, g) in system.category.compose:
-        v = tuple(fn(f, g))
+    ids, entries = system.category.morphism_ids, {}
+    for i, (j, _) in system.category.entries():
+        v = tuple(fn(ids[i], ids[j]))
         if any(v):
-            entries[(f, g)] = v
+            entries[(ids[i], ids[j])] = v
     return Cochain2(entries)
 
 
@@ -324,11 +323,15 @@ def is_normalized(system: NaturalSystem, delta: Cochain2) -> bool:
 
 
 def coboundary_of_1cochain(system: NaturalSystem, fvals: dict) -> Cochain2:
-    """d F as a 2-cochain, for F given per morphism, by the rows of d1."""
-    cx = bw_differentials(system.category, system)
-    vec = _place(fvals, cx.offset1, system.rank.__getitem__, cx.dim[1])
+    """d F as a 2-cochain, for F given per morphism by label, by the rows of
+    d1; labels of no morphism are skipped."""
+    cat = system.category
+    cx, index = bw_differentials(cat, system), cat.index
+    vec = [0] * cx.dim[1]
+    for i, f, v in ((index[f], f, v) for f, v in fvals.items() if f in index):
+        vec[cx.offset1[i]:cx.offset1[i] + len(v)] = _check_rank(f, v, system.rank[i])
     return cochain2_from_function(
-        system, lambda f, g: _evaluate(cx._d1_at(f, g), vec, system.modulus))
+        system, lambda f, g: _evaluate(cx._d1_at(index[f], index[g]), vec, system.modulus))
 
 
 def normalize_cocycle(system: NaturalSystem, delta: Cochain2) -> Cochain2:
@@ -362,7 +365,7 @@ def cocycle_from_json(system: NaturalSystem, raw: dict) -> Cochain2:
     entries = {}
     for f, g, vec in given:
         vec = tuple(int(x) for x in (vec if isinstance(vec, list) else [vec]))
-        if (str(f), str(g)) not in system.category.compose:
+        if _positions(system.category, str(f), str(g)) is None:
             raise ExtensionError(f"cocycle entry ({f!r}, {g!r}) is not a composable pair")
         entries[(str(f), str(g))] = vec
     return Cochain2(entries)
@@ -388,6 +391,16 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 # comes back as invariant factors d_1 | d_2 | ... over Z/m and as a free
 # rank over Q.
 #
+# The bases are indexed as the category is: C^0 has a block per object and
+# C^1 one per morphism, by position, C^2 one per composable pair (f, g) in
+# `entries()` order, and C^3 one per triple (f, g, h), h in morphism order
+# (basis3).  offset0[x], offset1[f] and offset2[f][g], shaped like the rows,
+# give each block's first coordinate; they are built on first read, so an
+# answer found on the skeleton builds only the skeleton's.  bw_differentials
+# reads the four dimensions off the ranks and the rows: dim C^2 is the sum
+# over u of W(u) = sum over h into src u of rank(u∘h), and dim C^3 the sum
+# over pairs (f, g) of W(f∘g).
+#
 # Each d_n is written once, as its rows at one basis element of degree n + 1
 # (BWComplex._d0_at, _d1_at, _d2_at).  d0_rows, d1_rows and d2_rows join them
 # in basis order when first read, checking d1∘d0 = 0 and d2∘d1 = 0;
@@ -395,12 +408,8 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 # applies d2's triple by triple as it streams the triples, so it holds
 # neither them nor d2.  build_extension's cocycle test is the associativity
 # check of its total category; it calls cocycle_defect only after that check
-# fails, to name the first failing triple.
-#
-# bw_differentials lists only the bases and offsets of degrees 0..2 and the
-# four dimensions: dim C^3 = sum over pairs (f, g) of W(f∘g), where W(u) is
-# the sum over h into src u of rank(u∘h), so no triple is listed.  Only
-# tests read the dense d0, d1, d2.
+# fails, to name the first failing triple.  Only tests read the dense d0,
+# d1, d2.
 #
 # H^n(C; D) = H^n(S; i*D) for the inclusion i: S -> C of a skeleton
 # (Baues & Wirsching, J. Pure Appl. Algebra 38 (1985), Thm 1.11), so the
@@ -412,64 +421,73 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 class BWComplex:
     category: FinCategory
     system: NaturalSystem
-    basis0: list                 # objects
-    basis1: list                 # morphisms
-    basis2: list                 # composable pairs (f, g)
-    offset0: dict
-    offset1: dict
-    offset2: dict
     dim: tuple[int, int, int, int]
 
+    @cached_property
+    def offset0(self) -> list[int]:
+        ranks = map(self.system.rank.__getitem__, self.category.identity_of)
+        return list(accumulate(ranks, initial=0))[:-1]
+
+    @cached_property
+    def offset1(self) -> list[int]:
+        return list(accumulate(self.system.rank, initial=0))[:-1]
+
+    @cached_property
+    def offset2(self) -> list[dict[int, int]]:
+        rank, start = self.system.rank, 0
+        offset2: list[dict[int, int]] = [{} for _ in self.category.rows]
+        for f, (g, fg) in self.category.entries():
+            offset2[f][g] = start
+            start += rank[fg]
+        return offset2
+
     def _triples(self):
-        """Composable triples (f, g, h): pairs in basis2 order, h in morphism order."""
-        into: dict[str, list[str]] = {x: [] for x in self.category.objects}
-        for h, _, t in self.category.morphisms:
-            into[t].append(h)
-        src = self.category.src
-        return ((f, g, h) for (f, g) in self.basis2 for h in into[src(g)])
+        """Composable triples (f, g, h): pairs in entries() order, h in morphism order."""
+        cat = self.category
+        into, src_of = cat.into, cat.src_of
+        return ((f, g, h) for f, (g, _) in cat.entries() for h in into[src_of[g]])
 
     @cached_property
     def basis3(self) -> list:
         return list(self._triples())
 
-    def _d0_at(self, f: str) -> list[dict[int, int]]:
+    def _d0_at(self, f: int) -> list[dict[int, int]]:
         """Rows of d0 at f: f_* G(src f) - f^* G(tgt f)."""
         cat, system = self.category, self.system
-        sx, tx = cat.src(f), cat.tgt(f)
+        sx, tx = cat.src_of[f], cat.tgt_of[f]
         rows = [{} for _ in range(system.rank[f])]
-        _add_block(rows, self.offset0[sx], system.push[(f, cat.identity[sx])], 1)
-        _add_block(rows, self.offset0[tx], system.pull[(cat.identity[tx], f)], -1)
+        _add_block(rows, self.offset0[sx], system.push[f][cat.identity_of[sx]], 1)
+        _add_block(rows, self.offset0[tx], system.pull[cat.identity_of[tx]][f], -1)
         return rows
 
-    def _d1_at(self, f: str, g: str) -> list[dict[int, int]]:
+    def _d1_at(self, f: int, g: int) -> list[dict[int, int]]:
         """Rows of d1 at (f, g): f_* F(g) - F(fg) + g^* F(f)."""
         system, offset1 = self.system, self.offset1
-        fg = self.category.compose[(f, g)]
+        fg = self.category.rows[f][g]
         rows = [{} for _ in range(system.rank[fg])]
-        _add_block(rows, offset1[g], system.push[(f, g)], 1)
+        _add_block(rows, offset1[g], system.push[f][g], 1)
         _add_identity(rows, offset1[fg], -1)
-        _add_block(rows, offset1[f], system.pull[(f, g)], 1)
+        _add_block(rows, offset1[f], system.pull[f][g], 1)
         return rows
 
-    def _d2_at(self, f: str, g: str, h: str) -> list[dict[int, int]]:
+    def _d2_at(self, f: int, g: int, h: int) -> list[dict[int, int]]:
         """Rows of d2 at (f, g, h): f_* D(g, h) - D(fg, h) + D(f, gh) - h^* D(f, g)."""
-        compose, system, offset2 = self.category.compose, self.system, self.offset2
-        fg = compose[(f, g)]
-        gh = compose[(g, h)]
-        rows = [{} for _ in range(system.rank[compose[(fg, h)]])]
-        _add_block(rows, offset2[(g, h)], system.push[(f, gh)], 1)
-        _add_identity(rows, offset2[(fg, h)], -1)
-        _add_identity(rows, offset2[(f, gh)], 1)
-        _add_block(rows, offset2[(f, g)], system.pull[(fg, h)], -1)
+        cat_rows, system, offset2 = self.category.rows, self.system, self.offset2
+        fg, gh = cat_rows[f][g], cat_rows[g][h]
+        rows = [{} for _ in range(system.rank[cat_rows[fg][h]])]
+        _add_block(rows, offset2[g][h], system.push[f][gh], 1)
+        _add_identity(rows, offset2[fg][h], -1)
+        _add_identity(rows, offset2[f][gh], 1)
+        _add_block(rows, offset2[f][g], system.pull[fg][h], -1)
         return rows
 
     @cached_property
     def d0_rows(self) -> list[dict[int, int]]:
-        return [row for f in self.basis1 for row in self._d0_at(f)]
+        return [row for f in range(len(self.system.rank)) for row in self._d0_at(f)]
 
     @cached_property
     def d1_rows(self) -> list[dict[int, int]]:
-        d1 = [row for f, g in self.basis2 for row in self._d1_at(f, g)]
+        d1 = [row for f, (g, _) in self.category.entries() for row in self._d1_at(f, g)]
         _check_zero_composite(d1, self.d0_rows, self.system.modulus, "d1∘d0")
         return d1
 
@@ -482,13 +500,13 @@ class BWComplex:
         return d2
 
     def cocycle_defect(self, delta: Cochain2):
-        """The first triple (f, g, h), in basis3 order, at which d2 delta is
-        nonzero, or None; neither basis3 nor d2_rows is built."""
+        """The first triple (f, g, h) of labels, in basis3 order, at which
+        d2 delta is nonzero, or None; neither basis3 nor d2_rows is built."""
         vec = self.cochain2_vector(delta)
-        m = self.system.modulus
+        m, ids = self.system.modulus, self.category.morphism_ids
         for f, g, h in self._triples():
             if any(_evaluate(self._d2_at(f, g, h), vec, m)):
-                return (f, g, h)
+                return (ids[f], ids[g], ids[h])
         return None
 
     @cached_property
@@ -512,18 +530,34 @@ class BWComplex:
         if len(objects) == len(cat.objects):
             return self
         sub = full_subcategory(cat, objects)
-        restricted = NaturalSystem(sub, system.modulus,
-                                   {f: system.rank[f] for f in sub.morphism_ids},
-                                   {key: system.push[key] for key in sub.compose},
-                                   {key: system.pull[key] for key in sub.compose})
-        return bw_differentials(sub, restricted)
+        pos = list(map(cat.index.__getitem__, sub.morphism_ids))
+        push, pull = (tuple({j: maps[p][pos[j]] for j in row} for p, row in zip(pos, sub.rows))
+                      for maps in (system.push, system.pull))
+        rank = tuple(map(system.rank.__getitem__, pos))
+        return bw_differentials(sub, NaturalSystem(sub, system.modulus, rank, push, pull))
 
     def cochain2_vector(self, delta: Cochain2) -> list[int]:
         """Coordinates of delta on the pairs of this complex; on a skeleton
         that is the restriction i* delta.  An entry whose length is not the
         rank of D at f∘g is refused."""
-        rank, compose = self.system.rank, self.category.compose
-        return _place(delta.entries, self.offset2, lambda key: rank[compose[key]], self.dim[2])
+        vec = [0] * self.dim[2]
+        for (f, g), v in _placed(self.category, self.system, delta).items():
+            vec[self.offset2[f][g]:self.offset2[f][g] + len(v)] = v
+        return vec
+
+
+def _placed(cat: FinCategory, system: NaturalSystem, delta: Cochain2) -> dict:
+    """delta's entries at composable pairs of cat, keyed by position; an
+    entry whose length is not the rank of D at f∘g is refused."""
+    return {at[:2]: _check_rank(key, v, system.rank[at[2]]) for key, v in delta.entries.items()
+            if (at := _positions(cat, *key)) is not None}
+
+
+def _check_rank(key, v, r):
+    """v, refused unless it has the r coordinates of D at key."""
+    if len(v) != r:
+        raise ExtensionError(f"entry {key!r} has {len(v)} coordinates, but D there has rank {r}")
+    return v
 
 
 def _dense(rows, cols: int) -> list[list[int]]:
@@ -536,27 +570,6 @@ def _dense(rows, cols: int) -> list[list[int]]:
     return out
 
 
-def _offsets(basis, ranks) -> tuple[dict, int]:
-    """Offset of each basis element, given the ranks in basis order, and the
-    total rank."""
-    starts = list(accumulate(ranks, initial=0))
-    return dict(zip(basis, starts)), starts[-1]
-
-
-def _place(entries: dict, offset: dict, rank, dim: int) -> list[int]:
-    """dim coordinates with each entry at its offset; keys with no offset
-    are skipped, and an entry whose length is not rank(key) is refused."""
-    vec = [0] * dim
-    for key, v in entries.items():
-        off = offset.get(key)
-        if off is not None:
-            if len(v) != rank(key):
-                raise ExtensionError(f"entry {key!r} has {len(v)} coordinates, "
-                                     f"but D there has rank {rank(key)}")
-            vec[off:off + len(v)] = v
-    return vec
-
-
 def _skeleton_objects(cat: FinCategory) -> list[str]:
     """One object per isomorphism class, the first of each in object order.
 
@@ -564,43 +577,31 @@ def _skeleton_objects(cat: FinCategory) -> list[str]:
     when some g: y -> x has g∘f = 1_x and f∘g = 1_y.  Every isomorphic pair
     has such an f, so the classes are exactly the isomorphism classes.
     """
-    parent = {x: x for x in cat.objects}
+    objects, rows, unit = cat.objects, cat.rows, cat.identity_of
+    parent = list(range(len(objects)))
 
     def find(x):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
 
-    order = {x: i for i, x in enumerate(cat.objects)}
-    for f, x, y in cat.morphisms:
+    for f, (x, y) in enumerate(zip(cat.src_of, cat.tgt_of)):
         rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        ex, ey = cat.identity[x], cat.identity[y]
-        if any(cat.comp(g, f) == ex and cat.comp(f, g) == ey for g in cat.hom(y, x)):
-            if order[ry] < order[rx]:
-                rx, ry = ry, rx
-            parent[ry] = rx
-    return [x for x in cat.objects if parent[x] == x]
+        if rx != ry and any(rows[g][f] == unit[x] and rows[f][g] == unit[y]
+                            for g in map(cat.index.__getitem__, cat.hom(objects[y], objects[x]))):
+            parent[max(rx, ry)] = min(rx, ry)
+    return [x for i, x in enumerate(objects) if parent[i] == i]
 
 
 def bw_differentials(cat: FinCategory, system: NaturalSystem) -> BWComplex:
-    """The complex of (cat, system): bases and offsets in degrees 0..2 and
-    the dimensions in degrees 0..3.  The triples and the differentials are
-    assembled on first read."""
-    rank = system.rank
-    basis0 = list(cat.objects)
-    basis1 = list(cat.morphism_ids)
-    basis2 = list(cat.compose)
-    offset0, dim0 = _offsets(basis0, [rank[cat.identity[x]] for x in basis0])
-    offset1, dim1 = _offsets(basis1, map(rank.__getitem__, basis1))
-    offset2, dim2 = _offsets(basis2, map(rank.__getitem__, cat.compose.values()))
-    width = dict.fromkeys(basis1, 0)       # W(u) = sum over h into src u of rank(u∘h)
-    for (u, _), uh in cat.compose.items():
-        width[u] += rank[uh]
-    dim3 = sum(width[fg] for fg in cat.compose.values())
-    return BWComplex(cat, system, basis0, basis1, basis2, offset0, offset1, offset2,
-                     (dim0, dim1, dim2, dim3))
+    """The complex of (cat, system) with its dimensions in degrees 0..3,
+    read off the ranks and the rows; the offsets, the triples and the
+    differentials are built on first read."""
+    rank, rows = system.rank, cat.rows
+    width = [sum(map(rank.__getitem__, row.values())) for row in rows]    # W(u)
+    dim3 = sum(sum(map(width.__getitem__, row.values())) for row in rows)
+    return BWComplex(cat, system, (sum(map(rank.__getitem__, cat.identity_of)), sum(rank),
+                                   sum(width), dim3))
 
 
 def _add_entry(row, col, x):
@@ -645,10 +646,6 @@ def _check_zero_composite(second, first, modulus, label):
 class CohomologyGroup:
     invariants: tuple[int, ...]   # cyclic orders > 1
     free_rank: int                # dimension over Q when rational
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariants and self.free_rank == 0
 
     @property
     def order(self) -> int | None:
@@ -712,7 +709,7 @@ EXTENSION_BUDGET = 1 << 21
 
 
 def _position(vec, m: int) -> int:
-    """Position of a vector in `NaturalSystem.fiber_vectors` order, its
+    """Position of a vector of (Z/m)^r in lexicographic order, its
     coordinates read mod m: the base-m number with those digits."""
     pos = 0
     for x in vec:
@@ -740,15 +737,12 @@ class _FiberTables:
     """
 
     def __init__(self, cat: FinCategory, system: NaturalSystem):
-        self.m, rank, ids = system.modulus, system.rank, cat.morphism_ids
+        self.m, rank, push, pull = system.modulus, system.rank, system.push, system.pull
         self._by_rank: dict[int, list[list[int]]] = {}
         self._by_matrix: dict[tuple[Matrix, int], list[int]] = {}
-        self.addition = [self._add(rank[f]) for f in ids]
-        self.pairs = []
-        for i, (j, _) in cat.entries():
-            g, f = ids[i], ids[j]
-            self.pairs.append((self.table(system.push[(g, f)], rank[f]),
-                               self.table(system.pull[(g, f)], rank[g])))
+        self.addition = [self._add(r) for r in rank]
+        self.pairs = [(self.table(push[g][f], rank[f]), self.table(pull[g][f], rank[g]))
+                      for g, (f, _) in cat.entries()]
 
     def _add(self, r: int) -> list[list[int]]:
         table = self._by_rank.get(r)
@@ -783,10 +777,10 @@ def _check_budget(cat: FinCategory, system: NaturalSystem):
     over the distinct ranks, exceed EXTENSION_BUDGET entries together.
     Counted from the ranks alone, before any element is named."""
     m, rank = system.modulus, system.rank
-    sizes = [m ** rank[f] for f in cat.morphism_ids]
+    sizes = [m ** r for r in rank]
     morphisms = sum(sizes)
     composites = sum(size * sum(map(sizes.__getitem__, row)) for size, row in zip(sizes, cat.rows))
-    addition = sum(m ** (2 * r) for r in set(rank.values()))
+    addition = sum(m ** (2 * r) for r in set(rank))
     if morphisms + composites + addition > EXTENSION_BUDGET:
         raise ExtensionTooLarge(f"the total would have {morphisms} morphisms and {composites} "
                                 f"composites, with {addition} addition-table entries: over the "
@@ -825,30 +819,25 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
         raise BaseMismatch("system lives over a different category")
     if not is_normalized(system, delta):
         raise NotNormalized("cocycle must vanish on identity pairs")
-    _check_shapes(cat, system.rank, system.push, system.pull)
-    rank = system.rank
-    for key, v in delta.entries.items():
-        k = _composite(cat, *key)
-        if k is not None and len(v) != rank[fg := cat.morphism_ids[k]]:
-            raise ExtensionError(f"entry {key!r} has {len(v)} coordinates, "
-                                 f"but D there has rank {rank[fg]}")
+    m, rank = system.modulus, system.rank
+    _check_shapes(cat, rank, system.push, system.pull)
+    placed = _placed(cat, system, delta)
     _check_budget(cat, system)
-    m, ids = system.modulus, cat.morphism_ids
 
     morphisms = []
     fiber: dict[str, tuple[str, ...]] = {}      # base morphism -> total ids, by position
-    for f, s, t in cat.morphisms:
-        fiber[f] = tuple(fiber_morphism_name(f, vec) for vec in system.fiber_vectors(f))
+    for i, (f, s, t) in enumerate(cat.morphisms):
+        fiber[f] = tuple(fiber_morphism_name(f, vec) for vec in iproduct(range(m), repeat=rank[i]))
         morphisms.extend((e, s, t) for e in fiber[f])
     identity = {x: fiber[cat.identity[x]][0] for x in cat.objects}
     tables = _FiberTables(cat, system)
-    fibers = [fiber[f] for f in ids]
+    fibers = list(fiber.values())
 
     def composites():
         """For each (g, f) and a in D_f, the items ((g, b), (f, a)) -> composite, b in D_g."""
         for (i, (j, k)), (pushed, pulled) in zip(cat.entries(), tables.pairs):
             fiber_g, fiber_gf, add = fibers[i], fibers[k], tables.addition[k]
-            d = delta.entries.get((ids[i], ids[j]))
+            d = placed.get((i, j))
             minus_d = add[_position([-x for x in d], m) if d else 0]
             for fa, a_pushed in zip(fibers[j], pushed):
                 row = add[minus_d[a_pushed]]
@@ -875,10 +864,10 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
 def _verify_torsor(ext: ExtensionCategory):
     """Each fiber has m^r members, and translation acts on it freely and
     transitively: the orbit of its zero under the addition table is all of it."""
-    system = ext.system
-    for f, add in zip(ext.base.morphism_ids, ext.tables.addition):
+    m = ext.system.modulus
+    for f, add, r in zip(ext.base.morphism_ids, ext.tables.addition, ext.system.rank):
         fib = ext.fiber[f]
-        if len(fib) != system.fiber_size(f):
+        if len(fib) != m ** r:
             raise ExtensionError(f"fiber over {f!r} has the wrong size")
         if set(map(fib.__getitem__, add[0])) != set(fib):
             raise ExtensionError(f"fiber action over {f!r} is not transitive")
@@ -909,20 +898,19 @@ def _verify_distributivity(ext: ExtensionCategory):
 
 def lift_schemoid(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSchemoid:
     """Preimage partition on the total category, re-verified, with the
-    fiber-size scaling of the structure constants asserted.  The pushes,
-    then the pulls, must be invertible: a transport whose fiber table is no
-    bijection onto its target fiber is refused."""
+    fiber-size scaling of the structure constants asserted.  Every push and
+    pull must be invertible: a pair whose transport table, read from the
+    build's tables, is no bijection onto its target fiber is refused."""
     system = ext.system
     if base_qs.category != ext.base:
         raise BaseMismatch("schemoid lives over a different category")
-    m, rank = system.modulus, system.rank
-    for key, mat, r in chain(((key, mat, rank[key[1]]) for key, mat in system.push.items()),
-                             ((key, mat, rank[key[0]]) for key, mat in system.pull.items())):
-        table = ext.tables.table(mat, r)
-        if len(table) != m ** len(mat) or len(set(table)) != len(table):
-            raise HypothesisFailed(f"transport matrix at {key} is not invertible")
+    cat, m, rank = ext.base, system.modulus, system.rank
+    ids, index = cat.morphism_ids, cat.index
+    for (g, (f, gf)), tables in zip(cat.entries(), ext.tables.pairs):
+        if any(len(t) != m ** rank[gf] or len(set(t)) != len(t) for t in tables):
+            raise HypothesisFailed(f"transport matrix at {(ids[g], ids[f])} is not invertible")
     for name, members in base_qs.partition.blocks.items():
-        ranks = {rank[ext.base.identity[ext.base.src(f)]] for f in members}
+        ranks = {rank[cat.identity_of[cat.src_of[index[f]]]] for f in members}
         if len(ranks) != 1:
             raise HypothesisFailed(f"source-identity ranks differ inside block {name!r}")
 
@@ -942,7 +930,7 @@ def lift_schemoid(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSchemo
     for sigma in names:
         for tau in names:
             for mu in names:
-                scales = {system.fiber_size(f) for f in base_qs.partition.blocks[mu]}
+                scales = {m ** rank[index[f]] for f in base_qs.partition.blocks[mu]}
                 if len(scales) != 1:
                     raise HypothesisFailed(f"fiber sizes differ inside block {mu!r}")
                 scale = scales.pop()
@@ -977,21 +965,21 @@ def lift_involution(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSche
            for f in cat.morphism_ids):
         raise BaseNotConnectedGroupoid("base involution is not the inverse map")
     m, rank, tables, delta = system.modulus, system.rank, ext.tables, ext.cocycle
-    ones = {r: list(range(m ** r)) for r in set(rank.values())}
-    for key, mat in system.pull.items():
-        r = rank[key[0]]
-        if len(mat) != r or tables.table(mat, r) != ones[r]:
-            raise SystemNotInduced(f"pullback at {key} is not the identity")
+    ids, index = cat.morphism_ids, cat.index
+    ones = {r: list(range(m ** r)) for r in set(rank)}
+    for (f, (b, fb)), (_, pulled) in zip(cat.entries(), tables.pairs):
+        if rank[fb] != rank[f] or pulled != ones[rank[f]]:
+            raise SystemNotInduced(f"pullback at {(ids[f], ids[b])} is not the identity")
     # the inverse formula mixes D_f with D_{1_tgt(f)}; they must agree in rank
-    for f in cat.morphism_ids:
-        if rank[f] != rank[cat.identity[cat.tgt(f)]]:
-            raise SystemNotInduced(f"rank of D at {f!r} differs from its target identity")
+    for f, t in enumerate(cat.tgt_of):
+        if rank[f] != rank[cat.identity_of[t]]:
+            raise SystemNotInduced(f"rank of D at {ids[f]!r} differs from its target identity")
 
     # normalized-cocycle identity used by the inverse formula
     push = {}
-    for f in cat.morphism_ids:
+    for f in ids:
         finv = gpd.inverse[f]
-        push[f] = tables.table(system.push[(f, finv)], rank[finv])
+        push[f] = tables.table(system.push[index[f]][index[finv]], rank[index[finv]])
         if push[f][_entry(delta, finv, f, m)] != _entry(delta, f, finv, m):
             raise ExtensionError(f"inverse identity fails at {f!r}")
 
@@ -1001,8 +989,8 @@ def lift_involution(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSche
     minus = {r: tables.table(tuple(tuple(-x for x in row) for row in _identity_matrix(r)), r)
              for r in ones}
     inverse = {}
-    for f, add in zip(cat.morphism_ids, tables.addition):
-        finv, neg = gpd.inverse[f], minus[rank[f]]
+    for f, add, r in zip(ids, tables.addition, rank):
+        finv, neg = gpd.inverse[f], minus[r]
         back = [0] * len(push[f])
         for x, q in enumerate(push[f]):
             back[q] = x
@@ -1061,9 +1049,8 @@ def is_split(ext: ExtensionCategory):
         return None
     cat = ext.base
     smap = {}
-    for f in cat.morphism_ids:
-        off = cx.offset1[f]
-        smap[f] = ext.fiber[f][_position(sol[off:off + system.rank[f]], system.modulus)]
+    for f, off, r in zip(cat.morphism_ids, cx.offset1, system.rank):
+        smap[f] = ext.fiber[f][_position(sol[off:off + r], system.modulus)]
     section = Functor({x: x for x in cat.objects}, smap)
     validate_functor(section, cat, ext.total)
     for f in cat.morphism_ids:

@@ -8,8 +8,8 @@ g is applied first.  The table also keeps the order its entries were given
 in, so that it is listed back in that order.  Labels appear only at the
 boundary: `comp` looks up one composite by name, and `compose`, the table
 keyed by label pairs, is a read-only view derived from the rows on first
-read, for the code that works with names.  Validated values are immutable
-by convention; every operation builds fresh structures.
+read, for callers outside the library.  Validated values are immutable by
+convention; every operation builds fresh structures.
 """
 
 from __future__ import annotations
@@ -72,15 +72,23 @@ class FinCategory:
 
     The rows are the composition table: rows[i][j] = k means ids[k] =
     ids[i]∘ids[j], one entry for each composable pair, and `index` maps an
-    id to its position.  The scans over all composable pairs read them;
-    `entries` lists them in the order they were given, and `compose` is a
-    labelled view derived from them.
+    id to its position.  Objects are numbered in order too, and the index
+    fields below give each morphism's endpoints, each object's identity
+    and the morphisms into and out of it, in morphism order.  The library
+    reads only these; `entries` lists the pairs in the order they were
+    given, and `compose` is a labelled view derived from them for callers
+    outside the library.
     """
     objects: tuple[str, ...]
     morphisms: tuple[tuple[str, str, str], ...]  # (id, src, tgt)
     identity: dict[str, str]                     # object -> identity morphism
     rows: tuple[dict[int, int], ...]             # rows[i][j] = k: ids[k] = ids[i]∘ids[j]
     index: dict[str, int]                        # id -> position in morphism_ids
+    src_of: list[int]                            # morphism -> position of its source
+    tgt_of: list[int]                            # morphism -> position of its target
+    identity_of: list[int]                       # object -> position of its identity
+    into: list[list[int]]                        # object -> the morphisms into it
+    out_of: list[list[int]]                      # object -> the morphisms out of it
     _order: list[int]                            # the row of each entry, in the order given
     _src: dict[str, str]
     _tgt: dict[str, str]
@@ -135,11 +143,8 @@ class FinCategory:
         morphism under composition.  Picked greedily in morphism order on
         first read and kept; `_validate` reads it for its associativity
         test unless the category is thin."""
-        opos = {x: i for i, x in enumerate(self.objects)}
-        s_of = [opos[s] for _, s, _ in self.morphisms]
-        t_of = [opos[t] for _, _, t in self.morphisms]
-        ident = [self.index[self.identity[x]] for x in self.objects]
-        return tuple(map(self._ids.__getitem__, _light_generators(s_of, t_of, self.rows, ident)))
+        return tuple(map(self._ids.__getitem__, _light_generators(
+            self.src_of, self.tgt_of, self.rows, self.identity_of)))
 
     def endomorphisms(self) -> tuple[str, ...]:
         return tuple(m for m, s, t in self.morphisms if s == t)
@@ -148,26 +153,21 @@ class FinCategory:
         return frozenset(self.identity.values())
 
     def components(self) -> list[frozenset[str]]:
-        """Connected components of the object set under undirected reachability."""
-        adj: dict[str, set[str]] = {x: set() for x in self.objects}
-        for _, s, t in self.morphisms:
-            adj[s].add(t)
-            adj[t].add(s)
-        seen: set[str] = set()
-        comps = []
-        for x in self.objects:
-            if x in seen:
-                continue
-            stack, comp = [x], set()
-            while stack:
-                y = stack.pop()
-                if y in comp:
-                    continue
-                comp.add(y)
-                stack.extend(adj[y] - comp)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+        """Connected components of the object set under undirected
+        reachability, in the order of their first objects."""
+        parent = list(range(len(self.objects)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for s, t in zip(self.src_of, self.tgt_of):
+            parent[find(s)] = find(t)
+        comps: dict[int, set[str]] = {}
+        for x, name in enumerate(self.objects):
+            comps.setdefault(find(x), set()).add(name)
+        return list(map(frozenset, comps.values()))
 
     def __eq__(self, other):
         if not isinstance(other, FinCategory):
@@ -376,8 +376,8 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
     for i, m in enumerate(ids):
         if rows[i][ident[s_of[i]]] != i or rows[ident[t_of[i]]][i] != i:
             raise MissingIdentity(f"unit law fails at {m!r}")
-    cat = FinCategory(objects, morphisms, identity, tuple(rows), pos, order, src, tgt,
-                      _hom_sets(morphisms), ids)
+    cat = FinCategory(objects, morphisms, identity, tuple(rows), pos, s_of, t_of, ident, in_to,
+                      out_of, order, src, tgt, _hom_sets(morphisms), ids)
     if not cat.thin:
         _light_test(ids, s_of, t_of, out_of, in_to, rows, map(pos.__getitem__, cat.generators))
     return cat
@@ -518,23 +518,22 @@ def product(c: FinCategory, d: FinCategory) -> FinCategory:
 def product_with_projections(c: FinCategory, d: FinCategory):
     """Product category plus the two projections (used by schemoid products)."""
     pobj = {(a, b): pair_name(a, b) for a in c.objects for b in d.objects}
-    pmor = {(f, g): pair_name(f, g) for f in c.morphism_ids for g in d.morphism_ids}
+    name = [[pair_name(f, g) for g in d.morphism_ids] for f in c.morphism_ids]
     objects = list(pobj.values())
     morphisms = []
     proj1: dict[str, str] = {}
     proj2: dict[str, str] = {}
-    for f, fs, ft in c.morphisms:
-        for g, gs, gt in d.morphisms:
-            m = pmor[(f, g)]
+    for (f, fs, ft), names in zip(c.morphisms, name):
+        for (g, gs, gt), m in zip(d.morphisms, names):
             morphisms.append((m, pobj[(fs, gs)], pobj[(ft, gt)]))
             proj1[m] = f
             proj2[m] = g
-    identity = {x: pmor[(c.identity[a], d.identity[b])] for (a, b), x in pobj.items()}
-    compose = {}
-    for (f1, g1), h1 in c.compose.items():
-        for (f2, g2), h2 in d.compose.items():
-            compose[(pmor[(f1, f2)], pmor[(g1, g2)])] = pmor[(h1, h2)]
-    cat = build_category(objects, morphisms, identity, compose.items())
+    identity = {x: name[c.index[c.identity[a]]][d.index[d.identity[b]]]
+                for (a, b), x in pobj.items()}
+    d_entries = list(d.entries())
+    compose = (((name[f1][f2], name[g1][g2]), name[h1][h2])
+               for f1, (g1, h1) in c.entries() for f2, (g2, h2) in d_entries)
+    cat = build_category(objects, morphisms, identity, compose)
     obj1 = {x: a for (a, b), x in pobj.items()}
     obj2 = {x: b for (a, b), x in pobj.items()}
     return cat, Functor(obj1, proj1), Functor(obj2, proj2)
@@ -548,7 +547,8 @@ def _tagged_sum(c: FinCategory, d: FinCategory):
         objects += [tag + x for x in e.objects]
         morphisms += [(tag + m, tag + s, tag + t) for m, s, t in e.morphisms]
         identity.update({tag + x: tag + e.identity[x] for x in e.objects})
-        compose.update({(tag + f, tag + g): tag + fg for (f, g), fg in e.compose.items()})
+        ids = e.morphism_ids
+        compose.update({(tag + ids[i], tag + ids[j]): tag + ids[k] for i, (j, k) in e.entries()})
     return objects, morphisms, identity, compose
 
 
@@ -581,8 +581,9 @@ def disjoint_union(c: FinCategory, d: FinCategory) -> FinCategory:
 
 def opposite(c: FinCategory) -> FinCategory:
     morphisms = [(m, t, s) for m, s, t in c.morphisms]
-    compose = {(g, f): fg for (f, g), fg in c.compose.items()}
-    return build_category(c.objects, morphisms, c.identity, compose.items())
+    ids = c.morphism_ids
+    return build_category(c.objects, morphisms, c.identity,
+                          (((ids[j], ids[i]), ids[k]) for i, (j, k) in c.entries()))
 
 
 def factorization_category(c: FinCategory) -> FinCategory:
@@ -684,8 +685,7 @@ def validate_functor(fun: Functor, c: FinCategory, d: FinCategory) -> Functor:
         if mmap.get(c.identity[x]) != d.identity[omap[x]]:
             raise NotAFunctor(f"identity of {x!r} not preserved")
     img: list[int] = []                      # img[i]: the position of F(ids[i]) in D
-    out_of: dict[str, list[int]] = {}
-    for i, (m, s, t) in enumerate(c.morphisms):
+    for m, s, t in c.morphisms:
         image = mmap.get(m)
         if image not in d_index:
             raise NotAFunctor(f"morphism {m!r} unmapped or mapped outside the target")
@@ -696,14 +696,13 @@ def validate_functor(fun: Functor, c: FinCategory, d: FinCategory) -> Functor:
             if d.src(image) != omap[s] or d.tgt(image) != omap[t]:
                 raise NotAFunctor(f"endpoints of {m!r} not preserved")
         img.append(d_index[image])
-        out_of.setdefault(s, []).append(i)
     if d.thin:
         return fun
     c_rows, d_rows, c_ids = c.rows, d.rows, c.morphism_ids
     for g in c.generators:
         a = c.index[g]
         img_g = img[a]
-        for i in out_of.get(c.tgt(g), ()):
+        for i in c.out_of[c.tgt_of[a]]:
             expected = d_rows[img_g][img[i]] if fun.contravariant else d_rows[img[i]][img_g]
             got = img[c_rows[i][a]]
             if got != expected:

@@ -483,11 +483,7 @@ def _morphisms(a: QuasiSchemoid, b: QuasiSchemoid, injective: bool):
     injective on morphisms: a choice whose image is already taken prunes."""
     ca, cb = a.category, b.category
     block_a, block_b = a.partition.block_of, b.partition.block_of
-    into: dict[str, list[str]] = {x: [] for x in ca.objects}
-    out_of: dict[str, list[str]] = {x: [] for x in ca.objects}
-    for m, s, t in ca.morphisms:
-        into[t].append(m)
-        out_of[s].append(m)
+    ids, index = ca.morphism_ids, ca.index
 
     def put(omap, mmap, bmap, hit, f, h):
         """Map f to h and close under composition; False on a clash."""
@@ -507,8 +503,11 @@ def _morphisms(a: QuasiSchemoid, b: QuasiSchemoid, injective: bool):
                 if omap.setdefault(x, y) != y:
                     return False
                 stack.append((ca.identity[x], cb.identity[y]))
-            stack += [(ca.comp(f, g), cb.comp(h, mmap[g])) for g in into[ca.src(f)] if g in mmap]
-            stack += [(ca.comp(g, f), cb.comp(mmap[g], h)) for g in out_of[ca.tgt(f)] if g in mmap]
+            i = index[f]
+            stack += [(ca.comp(f, g), cb.comp(h, mmap[g]))
+                      for g in map(ids.__getitem__, ca.into[ca.src_of[i]]) if g in mmap]
+            stack += [(ca.comp(g, f), cb.comp(mmap[g], h))
+                      for g in map(ids.__getitem__, ca.out_of[ca.tgt_of[i]]) if g in mmap]
         return True
 
     # an identity is pending only when its object is not mapped, which after

@@ -153,8 +153,8 @@ def frame_irreducibility(framed: FramedCategory):
     Returns (True, None) or (False, witness).
     """
     cat = framed.category
-    frame_set = set(framed.frame.values())
-    for (f, g), h in cat.compose.items():
+    frame_set, ids = set(framed.frame.values()), cat.morphism_ids
+    for f, g, h in ((ids[i], ids[j], ids[k]) for i, (j, k) in cat.entries()):
         if h in frame_set or cat.is_identity(h):
             continue
         if not (cat.is_identity(f) or cat.is_identity(g)):

@@ -767,6 +767,34 @@ def validate_natural_system_dense(cat, modulus, rank, push, pull):
     return True
 
 
+def labelled_system(system):
+    """(rank, push, pull) of a natural system keyed by labels, as
+    validate_natural_system reads them: {f: rank}, {(a, f): a_*} and
+    {(f, b): b^*}."""
+    ids = system.category.morphism_ids
+
+    def keyed(maps):
+        return {(ids[i], ids[j]): mat for i, row in enumerate(maps) for j, mat in row.items()}
+
+    return dict(zip(ids, system.rank)), keyed(system.push), keyed(system.pull)
+
+
+def unchecked_system(cat, modulus, rank, push, pull):
+    """A NaturalSystem from tables keyed by labels, as `labelled_system`
+    gives them, with no law checked: a way to build one that is not natural."""
+    from schemoids.extensions import NaturalSystem
+    index = cat.index
+
+    def indexed(maps):
+        rows = [{} for _ in cat.morphism_ids]
+        for (f, g), mat in maps.items():
+            rows[index[f]][index[g]] = mat
+        return tuple(rows)
+
+    return NaturalSystem(cat, modulus, tuple(map(rank.__getitem__, cat.morphism_ids)),
+                         indexed(push), indexed(pull))
+
+
 def _apply(mat, vec, modulus):
     """A matrix applied to a vector, reduced mod the modulus (None over Q)."""
     out = tuple(sum(x * y for x, y in zip(row, vec)) for row in mat)
@@ -777,15 +805,16 @@ def coboundary_of_1cochain(system, fvals):
     """d F as a 2-cochain, for F given per morphism, by vector arithmetic
     on each pair; the reference for schemoids.extensions.coboundary_of_1cochain,
     which reads the rows of BWComplex's d1."""
-    from schemoids.extensions import _vec_add, _vec_neg, _vec_zero, cochain2_from_function
+    from schemoids.extensions import _vec_add, _vec_neg, cochain2_from_function
     cat = system.category
     m = system.modulus
+    rank, push, pull = labelled_system(system)
 
     def fn(f, g):
         fg = cat.comp(f, g)
-        val = _apply(system.push[(f, g)], fvals.get(g, _vec_zero(system.rank[g])), m)
-        val = _vec_add(val, _vec_neg(fvals.get(fg, _vec_zero(system.rank[fg])), m), m)
-        val = _vec_add(val, _apply(system.pull[(f, g)], fvals.get(f, _vec_zero(system.rank[f])), m), m)
+        val = _apply(push[(f, g)], fvals.get(g, (0,) * rank[g]), m)
+        val = _vec_add(val, _vec_neg(fvals.get(fg, (0,) * rank[fg]), m), m)
+        val = _vec_add(val, _apply(pull[(f, g)], fvals.get(f, (0,) * rank[f]), m), m)
         return val
 
     return cochain2_from_function(system, fn)
@@ -798,20 +827,21 @@ def extension_table_by_formula(cat, system, delta):
     c = -delta(g, f) + g_* a + f^* b computed on vectors mod m; the
     reference for the fiber-index tables of schemoids.extensions.build_extension."""
     m = system.modulus
+    rank, push, pull = labelled_system(system)
 
     def name(f, vec):
         return f"{f}|{'.'.join(str(x) for x in vec)}"
 
     def fiber(f):
-        return list(product(range(m), repeat=system.rank[f]))
+        return list(product(range(m), repeat=rank[f]))
 
     table = []
     for (g, f), gf in cat.compose.items():
-        minus_d = tuple(-x for x in delta.entries.get((g, f), (0,) * system.rank[gf]))
+        minus_d = tuple(-x for x in delta.entries.get((g, f), (0,) * rank[gf]))
         for a in fiber(f):
-            pushed = _apply(system.push[(g, f)], a, m)
+            pushed = _apply(push[(g, f)], a, m)
             for b in fiber(g):
-                pulled = _apply(system.pull[(g, f)], b, m)
+                pulled = _apply(pull[(g, f)], b, m)
                 c = tuple((x + y + z) % m for x, y, z in zip(minus_d, pushed, pulled))
                 table.append(((name(g, b), name(f, a)), name(gf, c)))
     return table
@@ -824,17 +854,18 @@ def cocycle_defect(system, delta):
     from schemoids.extensions import _vec_add, _vec_neg
     cat = system.category
     m = system.modulus
+    _, push, pull = labelled_system(system)
     for (f, g) in cat.compose:
         fg = cat.comp(f, g)
         for h in cat.morphism_ids:
             if (g, h) not in cat.compose:
                 continue
             gh = cat.comp(g, h)
-            val = _apply(system.push[(f, gh)], delta.value(system, g, h), m)
+            val = _apply(push[(f, gh)], delta.value(system, g, h), m)
             val = _vec_add(val, _vec_neg(delta.value(system, fg, h), m), m)
             val = _vec_add(val, delta.value(system, f, gh), m)
             val = _vec_add(val, _vec_neg(
-                _apply(system.pull[(fg, h)], delta.value(system, f, g), m), m), m)
+                _apply(pull[(fg, h)], delta.value(system, f, g), m), m), m)
             if any(val):
                 return (f, g, h, val)
     return None
@@ -848,7 +879,7 @@ def brute_force_sections(ext, cap=1 << 16):
     mors = list(cat.morphism_ids)
     space = 1
     for f in mors:
-        space *= system.fiber_size(f)
+        space *= system.modulus ** system.rank[cat.index[f]]
         if space > cap:
             raise ValueError("search space exceeds the cap")
     found = []

@@ -565,7 +565,7 @@ def test_unreadable_inputs_are_refused_by_their_class(capsys, tmp_path):
     cases = [(["analyze", "-"], "{not json", "JSONDecodeError"),
              (["analyze", str(tmp_path / "missing.json")], "", "FileNotFoundError"),
              (["embed-scheme", "-"], "[]", "MalformedDocument"),
-             (["gen", "orbits", "-"], '{"perms": []}', "KeyError"),
+             (["gen", "orbits", "-"], '{"perms": []}', "MalformedDocument"),
              (["gen", "group-scheme", "-"], '{"elements": 3}', "MalformedDocument"),
              (["examples", "no_such_example"], "", "KeyError")]
     for argv, stdin, name in cases:
@@ -573,6 +573,22 @@ def test_unreadable_inputs_are_refused_by_their_class(capsys, tmp_path):
             patch.setattr(sys, "stdin", io.StringIO(stdin))
             code, out = run_json(capsys, *argv)
         assert code == 1 and out["error"] == name and "witness" not in out, argv
+
+
+@pytest.mark.parametrize("argv, doc, name, message", [
+    (["gen", "orbits"], {"perms": 5, "size": 2}, "MalformedDocument", "perms: "),
+    (["gen", "orbits"], {"perms": [[0, "1"]], "size": 2}, "MalformedDocument", "perms: "),
+    (["gen", "orbits"], {"perms": [[0, 1]], "size": "x"}, "MalformedDocument", "size: "),
+    (["gen", "orbits"], {"perms": []}, "MalformedDocument", "size: "),
+    (["gen", "orbits"], [], "MalformedDocument", "group: "),
+    (["validate"], 5, "CategoryError", "category: a JSON object expected, not int"),
+    (["validate"], [], "CategoryError", "category: a JSON object expected, not list"),
+])
+def test_documents_of_the_wrong_shape_are_refused_by_name(capsys, tmp_path, argv, doc, name, message):
+    """A permutation group whose perms or size has the wrong type, or a
+    document to validate that is no JSON object, is refused by name."""
+    code, out = run_json(capsys, *argv, write(tmp_path, "doc.json", doc))
+    assert code == 1 and out["error"] == name and out["message"].startswith(message)
 
 
 @pytest.mark.parametrize("argv", [

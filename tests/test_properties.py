@@ -70,6 +70,7 @@ from oracles import (
     completed_entries,
     condition_P_bruteforce,
     inverses_bruteforce,
+    labelled_system,
     light_generators_greedy,
     natural_law_failures,
     schemoid_constants_bruteforce,
@@ -190,14 +191,15 @@ def test_differentials_compose_to_zero(cat, modulus, rank):
     rows = (cx.d0_rows, cx.d1_rows, cx.d2_rows)
     triples = [(f, g, h) for (f, g) in cat.compose for h in cat.morphism_ids
                if (g, h) in cat.compose]
-    assert cx.basis3 == triples
-    bases = (cx.basis0, cx.basis1, cx.basis2, cx.basis3)
+    assert cx.basis3 == [tuple(map(cat.index.__getitem__, t)) for t in triples]
+    pairs = [(f, g) for f, (g, _) in cat.entries()]
+    bases = (cat.objects, cat.morphism_ids, pairs, cx.basis3)
     assert tuple(rank * len(b) for b in bases) == cx.dim
     assert tuple(len(r) for r in rows) == cx.dim[1:]
     assert all(0 <= c < cx.dim[n] for n, r in enumerate(rows) for row in r for c in row)
-    offsets = (cx.offset0, cx.offset1, cx.offset2)
+    offsets = (cx.offset0, cx.offset1, [cx.offset2[f][g] for f, g in pairs])
     for basis, offset in zip(bases, offsets):
-        assert [offset[b] for b in basis] == list(range(0, rank * len(basis), rank))
+        assert offset == list(range(0, rank * len(basis), rank))
 
 
 MODULI = [None, 2, 3, 4, 6, 8, 9, 12]
@@ -328,8 +330,8 @@ def _cocycle(system, phi, n, gen, data):
     c = data.draw(st.integers(1, m - 1))
     w = tuple(c * x % m for x in v)
     carry = {(f, g): w for (f, g) in cat.compose if phi[f] + phi[g] >= n and any(w)}
-    fvals = {f: tuple(data.draw(st.integers(0, m - 1)) for _ in range(system.rank[f]))
-             for f in cat.morphism_ids if not cat.is_identity(f)}
+    fvals = {f: tuple(data.draw(st.integers(0, m - 1)) for _ in range(r))
+             for f, r in zip(cat.morphism_ids, system.rank) if not cat.is_identity(f)}
     return cochain2_sub(system, Cochain2(carry), coboundary_of_1cochain(system, fvals))
 
 
@@ -387,7 +389,7 @@ def _case_cochains(case, data):
     carry w * carry(phi f, phi g) for a random w, the coboundary d F and a
     random single-entry cochain."""
     cat, phi, n, system = case
-    m, rank = system.modulus, system.rank
+    m, rank = system.modulus, labelled_system(system)[0]
 
     def vector(r):
         return tuple(data.draw(st.integers(0, m - 1)) for _ in range(r))
@@ -444,7 +446,7 @@ def test_build_extension_matches_reference_cocycle_test(case, data):
     rank 0 and 2 over Z/3 on Z/2, take the zero cochain and the cocycle
     (1, ..., 1) at (1, 1)."""
     cat, phi, n, system = case
-    m, rank = system.modulus, system.rank
+    m, rank = system.modulus, labelled_system(system)[0]
     assume(sum(m ** (rank[f] + rank[g]) for f, g in cat.compose) <= 20000)
     if data is None:
         cochains = (Cochain2({}), Cochain2({("1", "1"): (1,) * rank["1"]}))
@@ -884,14 +886,15 @@ def perturbed_systems(draw):
         cat, _, proj = product_with_projections(cat, one_object_group(*cyclic_group_table(n)).base)
         maps = {f: _power(gen, int(proj(f))) for f in cat.morphism_ids}
         system = induced_system(cat, modulus, {x: len(gen) for x in cat.objects}, maps)
-    tables = {"push": {k: [list(row) for row in v] for k, v in system.push.items()},
-              "pull": {k: [list(row) for row in v] for k, v in system.pull.items()}}
+    rank, push, pull = labelled_system(system)
+    tables = {"push": {k: [list(row) for row in v] for k, v in push.items()},
+              "pull": {k: [list(row) for row in v] for k, v in pull.items()}}
     for _ in range(draw(st.integers(1, 2))):
         table = tables[draw(st.sampled_from(sorted(tables)))]
         mat = table[draw(st.sampled_from(sorted(table)))]
         row = mat[draw(st.integers(0, len(mat) - 1))]
         row[draw(st.integers(0, len(row) - 1))] = draw(st.integers(0, modulus - 1))
-    return cat, modulus, system.rank, tables["push"], tables["pull"]
+    return cat, modulus, rank, tables["push"], tables["pull"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -913,3 +916,53 @@ def test_natural_system_check_matches_dense_oracle(case):
         assert err.witness in natural_law_failures(cat, modulus, rank, push, pull)
     else:
         assert want
+
+
+@st.composite
+def cyclic_functor_systems(draw):
+    """On the one-object Z/n, n in {2, 3, 4, 6}, a rank-2 system over Z/3,
+    Z/4 or Z/2 with push a -> A^phi(a) and pull b -> B^psi(b), A and B
+    rank-2 generators from ACTIONS whose order divides n.  Mostly phi and
+    psi are a -> c*a with c != 0, so push and pull are each functorial,
+    and the system is natural exactly when the powers of A and B commute;
+    sometimes one of them is any map with 0 -> 0, whose own law then fails
+    as well."""
+    n = draw(st.sampled_from([2, 3, 4, 6]))
+    modulus = draw(st.sampled_from([3, 4, 2]))
+    cat = one_object_group(*cyclic_group_table(n)).base
+    actions = [a for a in sorted(ACTIONS) if a != "sign" and n % ACTIONS[a][0] == 0]
+
+    def powers():
+        order, gen = ACTIONS[draw(st.sampled_from(actions))]
+        if draw(st.integers(0, 3)):
+            c = draw(st.integers(1, order - 1))
+            exponent = [c * a % order for a in range(n)]
+        else:
+            exponent = [0] + [draw(st.integers(0, order - 1)) for _ in range(n - 1)]
+        return [_power(gen, e) for e in exponent]
+
+    push_at, pull_at = powers(), powers()
+    ids = cat.morphism_ids
+    push = {(a, f): push_at[int(a)] for a in ids for f in ids}
+    pull = {(f, b): pull_at[int(b)] for f in ids for b in ids}
+    return cat, modulus, dict.fromkeys(ids, 2), push, pull
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclic_functor_systems())
+def test_natural_system_check_matches_dense_oracle_on_functor_pairs(case):
+    """Push and pull drawn as two functors on Z/n, sometimes not
+    commuting and sometimes not functors: the check at Light's generators
+    accepts exactly what the scan of every triple accepts, and its witness
+    is a law the scan finds broken."""
+    cat, modulus, rank, push, pull = case
+    failures = natural_law_failures(cat, modulus, rank, push, pull)
+    event(f"refused, first by the {failures[0][0]} law" if failures else "accepted")
+    try:
+        validate_natural_system(cat, modulus, rank, push, pull)
+    except FunctorialityViolated as err:
+        assert err.witness in failures
+        with pytest.raises(FunctorialityViolated):
+            validate_natural_system_dense(cat, modulus, rank, push, pull)
+    else:
+        assert not failures and validate_natural_system_dense(cat, modulus, rank, push, pull)
