@@ -53,6 +53,7 @@ from .fincat import (
     Functor,
     MalformedDocument,
     SchemoidsError,
+    is_groupoid,
     serialize,
     serialize_groupoid,
     validate_category,
@@ -69,7 +70,6 @@ from .schemes import (
 from .schemoid import (
     analyze_thinness,
     check_association,
-    is_basic,
     is_unital,
     partition_from_json,
     schemoid_morphism,
@@ -280,16 +280,17 @@ def algebra_to_json(alg) -> dict:
 
 
 def analysis_report(qs) -> dict:
-    unital, offender = is_unital(qs.category, qs.partition)
+    cat = qs.category
+    unital, offender = is_unital(cat, qs.partition)
     out = {
         "kind": "analysis",
-        "objects": len(qs.category.objects),
-        "morphisms": len(qs.category.morphisms),
+        "objects": len(cat.objects),
+        "morphisms": len(cat.morphisms),
         "blocks": {b: len(ms) for b, ms in qs.partition.blocks.items()},
         "axiom": True,
         "unital": unital,
         "association": qs.involution is not None,
-        "basic": is_basic(qs),
+        "basic": unital and is_groupoid(cat),    # is_basic, from the unital flag above
     }
     if offender:
         out["offending_block"] = offender

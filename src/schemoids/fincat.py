@@ -146,6 +146,23 @@ class FinCategory:
         return tuple(map(self._ids.__getitem__, _light_generators(
             self.src_of, self.tgt_of, self.rows, self.identity_of)))
 
+    @cached_property
+    def _inverse(self) -> tuple[dict[str, str] | None, str | None]:
+        """(f -> f⁻¹ for every morphism, None), where f⁻¹ is the first g of
+        Hom(tgt f, src f) with f∘g and g∘f identities; or (None, f) for the
+        first morphism f, in morphism order, with no such g.  Built on first
+        read and kept, so `as_groupoid` and `is_groupoid` share one table."""
+        ids, index, rows = self._ids, self.index, self.rows
+        inverse = {}
+        for i, (f, s, t) in enumerate(self.morphisms):
+            row_f, e_s, e_t = rows[i], index[self.identity[s]], index[self.identity[t]]
+            inv = next((j for j in map(index.__getitem__, self.hom(t, s))
+                        if row_f[j] == e_t and rows[j][i] == e_s), None)
+            if inv is None:
+                return None, f
+            inverse[f] = ids[inv]
+        return inverse, None
+
     def endomorphisms(self) -> tuple[str, ...]:
         return tuple(m for m, s, t in self.morphisms if s == t)
 
@@ -287,18 +304,25 @@ def validate_category(raw: dict) -> FinCategory:
 def _validate(objects, morphisms, identities, entries) -> FinCategory:
     """The category laws by exhaustive check on an integer index.
 
-    Morphisms are numbered 0..M-1 in input order.  Totality: the entries
-    with first factor f must be exactly the pairs (f, g) with src(f) =
-    tgt(g), each composite running from src(g) to tgt(f).  Associativity:
-    on a thin table it holds once totality and endpoints do, since
-    (x∘a)∘y and x∘(a∘y) both lie in Hom(src y, tgt x), which has one
-    member.  Otherwise by Light's test: the morphisms a with (x∘a)∘y =
-    x∘(a∘y) for all composable x, y are closed under composition, and the
-    identities are among them; so the test runs only on a generating set,
-    the category's `generators`.  The first error raised is of the class a
-    scan of all pairs and triples would raise first.  The integer rows
-    checked here are the table the category keeps; no table keyed by labels
-    is built.
+    Morphisms are numbered 0..M-1 in input order.  Every key of
+    `identities` must be an object.  Totality: the entries with first
+    factor f must be exactly the pairs (f, g) with src(f) = tgt(g), each
+    composite running from src(g) to tgt(f).  The endpoints are checked as
+    each new entry (f, g) -> k is read: t(g) = s(f), s(k) = s(g) and t(k) =
+    t(f); the unit-law fills pass these by construction.  So once every
+    entry passes, each key of row f lies in into(src f), the morphisms into
+    src(f), and the keys of a row are distinct; a row as long as
+    into(src f) therefore holds all of it, and totality is one length
+    comparison per row.  Associativity: on a thin table it holds once
+    totality and endpoints do, since (x∘a)∘y and x∘(a∘y) both lie in
+    Hom(src y, tgt x), which has one member.  Otherwise by Light's test:
+    the morphisms a with (x∘a)∘y = x∘(a∘y) for all composable x, y are
+    closed under composition, and the identities are among them; so the
+    test runs only on a generating set, the category's `generators`.  The
+    first error raised is of the class, and has the message, that a scan
+    of all pairs and triples would raise first.  The integer rows checked
+    here are the table the category keeps; no table keyed by labels is
+    built.
     """
     objects = tuple(str(x) for x in objects)
     if len(set(objects)) != len(objects):
@@ -322,11 +346,19 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
             raise MissingIdentity(f"object {x!r} has no identity morphism")
         if src[e] != x or tgt[e] != x:
             raise MissingIdentity(f"identity of {x!r} must be an endomorphism of {x!r}")
+    if len(identity) != len(objects):
+        ghost = next(x for x in identity if x not in opos)
+        raise CategoryError(f"identities: {ghost!r} is not an object")
 
     # rows[i][j] = k: morphism k is the entry for (i, j), composable or not
     rows: list[dict[int, int]] = [{} for _ in ids]
     order: list[int] = []       # the row of each new entry, in input order
     add = order.append
+    s_of = [opos[s] for _, s, _ in morphisms]
+    t_of = [opos[t] for _, _, t in morphisms]
+    # a bad endpoint is only noted here: an unknown or conflicting entry
+    # later in the input is raised first, as a full scan would raise it
+    endpoints_ok = True
     for f, g, fg in entries:
         try:
             i, j, k = pos[f], pos[g], pos[fg]
@@ -341,12 +373,12 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
         if j not in row:
             row[j] = k
             add(i)
+            if t_of[j] != s_of[i] or s_of[k] != s_of[j] or t_of[k] != t_of[i]:
+                endpoints_ok = False
         elif row[j] != k:
             raise UndefinedComposite(f"conflicting entries for ({ids[i]!r}, {ids[j]!r})")
     # fill unit-law entries
     ident = [pos[identity[x]] for x in objects]
-    s_of = [opos[s] for _, s, _ in morphisms]
-    t_of = [opos[t] for _, _, t in morphisms]
     for i in range(len(ids)):
         e, e2 = ident[s_of[i]], ident[t_of[i]]
         if e not in rows[i]:
@@ -362,15 +394,10 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
         out_of[s_of[i]].append(i)
         in_to[t_of[i]].append(i)
 
-    # totality and endpoints: row i holds exactly the j composable with i,
-    # and each composite runs from src(j) to tgt(i)
-    in_sets = [set(a) for a in in_to]
-    s_at, t_at = s_of.__getitem__, t_of.__getitem__
-    total = all(row.keys() == in_sets[s_of[i]]
-                and list(map(s_at, row.values())) == list(map(s_at, row))
-                and set(map(t_at, row.values())) <= {t_of[i]}
-                for i, row in enumerate(rows))
-    if not total:
+    # totality: with every key of row i in into(src i), a row as long as
+    # into(src i) holds all of it
+    n_in = list(map(len, in_to))
+    if not (endpoints_ok and list(map(len, rows)) == [n_in[s] for s in s_of]):
         _raise_first_gap(ids, s_of, t_of, in_to, rows)
     # unit laws
     for i, m in enumerate(ids):
@@ -620,24 +647,14 @@ def as_groupoid(c: FinCategory) -> Groupoid:
     """Inverse table if every morphism is invertible, else NotInvertible;
     the inverse of f is the first g of Hom(tgt f, src f) with f∘g and g∘f
     identities."""
-    ids, index, rows = c.morphism_ids, c.index, c.rows
-    inverse = {}
-    for i, (f, s, t) in enumerate(c.morphisms):
-        row_f, e_s, e_t = rows[i], index[c.identity[s]], index[c.identity[t]]
-        inv = next((j for j in map(index.__getitem__, c.hom(t, s))
-                    if row_f[j] == e_t and rows[j][i] == e_s), None)
-        if inv is None:
-            raise NotInvertible(f"morphism {f!r} has no inverse")
-        inverse[f] = ids[inv]
-    return Groupoid(c, inverse)
+    inverse, lone = c._inverse
+    if lone is not None:
+        raise NotInvertible(f"morphism {lone!r} has no inverse")
+    return Groupoid(c, dict(inverse))
 
 
 def is_groupoid(c: FinCategory) -> bool:
-    try:
-        as_groupoid(c)
-        return True
-    except NotInvertible:
-        return False
+    return c._inverse[1] is None
 
 
 def validate_groupoid(raw: dict) -> Groupoid:

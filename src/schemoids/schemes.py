@@ -21,7 +21,7 @@ from .fincat import (
     one_object_group,
     pair_name,
 )
-from .schemoid import QuasiSchemoid, check_association, make_partition, verify_quasi_schemoid
+from .schemoid import QuasiSchemoid, StructureConstantTable, check_association, make_partition
 
 DESK_SCALE_LIMIT = 64
 SCHEME_BUDGET = 1 << 21     # point triples the intersection tally may visit: N = 128 at most
@@ -109,7 +109,10 @@ def validate_scheme(size: int, relations, points=None, classes=None):
     """Verify the configuration axioms by exhaustive counting.
 
     More than SCHEME_BUDGET point triples (N³) are refused as SizeLimit
-    before the relations are read.  Returns an AssociationScheme when the
+    before the relations are read.  Point names and class names must each
+    be distinct; a name given twice is refused as SchemeError before the
+    tally, since `intersection` is keyed by class name and `j_embed` names
+    morphisms by pairs of points.  Returns an AssociationScheme when the
     diagonal is a single class, otherwise a CoherentConfiguration.
     """
     if size < 1:
@@ -135,6 +138,10 @@ def validate_scheme(size: int, relations, points=None, classes=None):
         classes = tuple(str(c) for c in classes)
     if len(classes) != len(indices):
         raise SchemeError("class name count mismatch")
+    for kind, names in (("point", points), ("class", classes)):
+        if len(set(names)) != len(names):
+            twice = next(x for x, count in Counter(names).items() if count > 1)
+            raise SchemeError(f"duplicate {kind} name {twice!r}")
 
     # diagonal must be a union of classes
     diag = {rel[x][x] for x in range(size)}
@@ -304,8 +311,17 @@ def j_embed(scheme: CoherentConfiguration) -> QuasiSchemoid:
     """Complete-graph schemoid of a configuration.
 
     Hom(y, x) = {(x, y)}, composition (z, x)∘(x, y) = (z, y), blocks are the
-    classes and T(x, y) = (y, x).  The structure constants of the result
-    coincide with the intersection numbers.
+    classes and T(x, y) = (y, x).  The structure constants are the
+    scheme's intersection numbers, taken as they are, with no recount: the
+    factorizations of h = (x, z) are the (x, y)∘(y, z), one for each point
+    y, in the blocks (r(x, y), r(y, z)).  So the count for (σ, τ) at h is
+    #{y : r(x, y) = σ, r(y, z) = τ}, which `validate_scheme` tallied for
+    every pair (x, z) and verified constant over each class.  It keeps the
+    nonzero counts only, keyed (e, f, g) and sorted in class order, as
+    `check_concatenation` keys and sorts them.  The blocks are the classes
+    one to one because `validate_scheme` refuses a class name given twice,
+    and the morphism names are distinct because it refuses a point name
+    given twice.  The category and the involution are still checked.
     """
     pts = scheme.points
     n = len(pts)
@@ -325,4 +341,5 @@ def j_embed(scheme: CoherentConfiguration) -> QuasiSchemoid:
                 {name[x][y]: name[y][x] for x in range(n) for y in range(n)},
                 contravariant=True)
     involution = check_association(cat, partition, t)
-    return verify_quasi_schemoid(cat, partition, involution)
+    return QuasiSchemoid(cat, partition, StructureConstantTable(dict(scheme.intersection)),
+                         involution)

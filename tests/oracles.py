@@ -466,6 +466,9 @@ def validate_category_dense(raw):
             raise MissingIdentity(f"object {x!r} has no identity morphism")
         if src[e] != x or tgt[e] != x:
             raise MissingIdentity(f"identity of {x!r} must be an endomorphism of {x!r}")
+    for x in identity:
+        if x not in obj_set:
+            raise CategoryError(f"identities: {x!r} is not an object")
 
     compose = {}
     for f, g, fg in raw["compose"]:

@@ -591,6 +591,33 @@ def test_documents_of_the_wrong_shape_are_refused_by_name(capsys, tmp_path, argv
     assert code == 1 and out["error"] == name and out["message"].startswith(message)
 
 
+def z2_bundle(identities):
+    """Z/2 on one object x (a∘a = 1), one block {1, a}."""
+    return {"category": {"objects": ["x"],
+                         "morphisms": [{"id": m, "src": "x", "tgt": "x"} for m in "1a"],
+                         "identities": identities, "compose": [["a", "a", "1"]]},
+            "partition": {"blocks": {"B": ["1", "a"]}}}
+
+
+def test_identity_key_that_is_no_object_is_refused_by_analyze(capsys, tmp_path):
+    """With the key "ghost" kept, `analyze` counted a among the identities
+    and reported the one-block Z/2 unital and basic."""
+    code, out = run_json(capsys, "analyze", write(tmp_path, "z2.json", z2_bundle({"x": "1"})))
+    assert code == 0 and out["unital"] is False and out["basic"] is False
+    code, out = run_json(capsys, "analyze",
+                         write(tmp_path, "ghost.json", z2_bundle({"x": "1", "ghost": "a"})))
+    assert code == 1 and out["error"] == "CategoryError"
+    assert out["message"] == "identities: 'ghost' is not an object"
+
+
+def test_scheme_with_a_duplicate_class_name_is_refused_by_embed_scheme(capsys, tmp_path):
+    scheme = {"size": 4, "relations": [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]],
+              "classes": ["D", "R", "R"]}
+    code, out = run_json(capsys, "embed-scheme", write(tmp_path, "scheme.json", scheme))
+    assert code == 1 and out["error"] == "SchemeError"
+    assert out["message"] == "duplicate class name 'R'"
+
+
 @pytest.mark.parametrize("argv", [
     ["thicken"],
     ["thicken", "@scheme", "--matrix", "@matrix"],

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,7 @@ from schemoids.fincat import (
     validate_category,
     validate_functor,
 )
+from oracles import validate_category_dense
 
 
 def arrow_category():
@@ -77,6 +80,59 @@ def test_nonassociative_detected():
     with pytest.raises(NonAssociative) as err:
         validate_category(raw)
     assert err.value.witness == ("h", "g", "f", "hgf2", "hgf")
+
+
+def chain3_raw(compose, identities=None):
+    """The chain x -> y -> z as a raw description with the given entries."""
+    return {"objects": ["x", "y", "z"],
+            "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in (
+                ("1_x", "x", "x"), ("1_y", "y", "y"), ("1_z", "z", "z"),
+                ("f", "x", "y"), ("g", "y", "z"), ("h", "x", "z"))],
+            "identities": identities or {"x": "1_x", "y": "1_y", "z": "1_z"},
+            "compose": compose}
+
+
+PARALLEL_RAW = {"objects": ["x", "y"],
+                "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in (
+                    ("1_x", "x", "x"), ("1_y", "y", "y"), ("a", "x", "y"), ("b", "x", "y"))],
+                "identities": {"x": "1_x", "y": "1_y"},
+                "compose": [["a", "1_x", "b"]]}
+
+
+@pytest.mark.parametrize("raw, cls, message", [
+    # (g, 1_x) replaces (g, f), so row g has the length of into(y)
+    (chain3_raw([["g", "1_x", "h"]]), fincat.EndpointMismatch,
+     "('g', '1_x') composed but src('g') != tgt('1_x')"),
+    (chain3_raw([]), UndefinedComposite, "no composite for ('g', 'f')"),
+    (chain3_raw([["g", "f", "g"]]), fincat.EndpointMismatch,
+     "composite 'g' of ('g', 'f') has wrong endpoints"),
+    (chain3_raw([["g", "f", "f"]]), fincat.EndpointMismatch,
+     "composite 'f' of ('g', 'f') has wrong endpoints"),
+    (chain3_raw([["g", "f", "g"], ["g", "f", "g"]]), fincat.EndpointMismatch,
+     "composite 'g' of ('g', 'f') has wrong endpoints"),
+    # entries at identity pairs, which the unit laws would otherwise fill
+    (chain3_raw([["g", "f", "h"], ["f", "1_x", "h"]]), fincat.EndpointMismatch,
+     "composite 'h' of ('f', '1_x') has wrong endpoints"),
+    (PARALLEL_RAW, MissingIdentity, "unit law fails at 'a'"),
+    # a bad endpoint is reported only after every entry is read
+    (chain3_raw([["g", "f", "g"], ["g", "k", "h"]]), UndefinedComposite,
+     "composition entry ('g', 'k', 'h') names unknown morphisms"),
+    (chain3_raw([["g", "f", "g"], ["g", "f", "h"]]), UndefinedComposite,
+     "conflicting entries for ('g', 'f')"),
+    (chain3_raw([["g", "f", "h"]], {"x": "1_x", "y": "1_y", "z": "1_z", "ghost": "f"}),
+     CategoryError, "identities: 'ghost' is not an object"),
+], ids=["foreign-factor", "missing", "wrong-source", "wrong-target", "given-twice",
+        "identity-pair-endpoints", "identity-pair-unit-law", "bad-then-unknown",
+        "bad-then-conflicting", "ghost-identity"])
+def test_bad_table_is_refused_as_the_full_scan_refuses_it(raw, cls, message):
+    """Endpoints checked as each entry is read and totality by row length
+    give the class and the message of the scan of all M² pairs."""
+    with pytest.raises(CategoryError) as want:
+        validate_category_dense(raw)
+    with pytest.raises(CategoryError) as got:
+        validate_category(raw)
+    assert type(want.value) is type(got.value) is cls
+    assert str(want.value) == str(got.value) == message
 
 
 def test_missing_composite_detected():
@@ -224,6 +280,31 @@ def test_as_groupoid():
     assert g.inverse == z3.inverse
     with pytest.raises(NotInvertible):
         as_groupoid(arrow_category())
+
+
+def test_inverse_table_is_built_once_per_category(monkeypatch):
+    """`analysis_report` asks for the inverse table through `is_groupoid` and
+    through `analyze_thinness`; the category builds it once, and each
+    Groupoid gets its own copy."""
+    from schemoids.cli import analysis_report
+    from schemoids.schemes import group_scheme, j_embed
+    built = []
+    table = fincat.FinCategory.__dict__["_inverse"]
+
+    def counted(cat):
+        built.append(cat)
+        return table.func(cat)
+
+    prop = cached_property(counted)
+    prop.__set_name__(fincat.FinCategory, "_inverse")
+    monkeypatch.setattr(fincat.FinCategory, "_inverse", prop)
+    qs = j_embed(group_scheme(*cyclic_group_table(16)))
+    built.clear()    # group_scheme's own check that Z/16 is a group
+    report = analysis_report(qs)
+    assert report["basic"] and report["semi_thin"] and report["thin"]
+    assert built == [qs.category]
+    as_groupoid(qs.category).inverse.clear()
+    assert len(as_groupoid(qs.category).inverse) == 256 and built == [qs.category]
 
 
 def test_disjoint_union_groupoid_fails_nothing():

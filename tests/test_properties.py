@@ -32,6 +32,7 @@ from schemoids.fincat import (
     build_category,
     cyclic_group_table,
     identity_functor,
+    is_groupoid,
     join,
     one_object_group,
     opposite,
@@ -659,6 +660,7 @@ def test_as_groupoid_matches_brute_inverse_search(raw):
         assert str(err.value) == f"morphism {missing[0]!r} has no inverse"
     else:
         assert as_groupoid(cat).inverse == want
+    assert is_groupoid(cat) == (not missing)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from schemoids.fincat import NonAssociative, as_groupoid, cyclic_group_table
+from schemoids.fincat import NonAssociative, as_groupoid, cyclic_group_table, serialize
 from schemoids.schemes import (
     AssociationScheme,
     CoherentConfiguration,
@@ -20,7 +20,14 @@ from schemoids.schemes import (
     serialize_scheme,
     validate_scheme,
 )
-from oracles import intersection_numbers_bruteforce, hamming_distance_matrix, mat_mul_int
+from schemoids.schemoid import check_concatenation
+from oracles import (
+    completed_entries,
+    hamming_distance_matrix,
+    intersection_numbers_bruteforce,
+    mat_mul_int,
+    schemoid_constants_bruteforce,
+)
 from test_fincat import table
 
 
@@ -154,6 +161,7 @@ def test_j_embed_constants_equal_scheme_numbers():
         qs = j_embed(s)
         nonzero = {k: v for k, v in qs.constants.entries.items() if v}
         assert nonzero == s.intersection
+        assert check_concatenation(qs.category, qs.partition).entries == s.intersection
 
 
 def test_adjacency_algebra_identity():
@@ -233,4 +241,65 @@ def test_j_embed_labels_with_commas():
     s = validate_scheme(4, rel, points=["a,b", "c", "a", "b,c"])
     qs = j_embed(s)
     assert len(set(qs.category.morphism_ids)) == 16
-    assert {k: v for k, v in qs.constants.entries.items() if v} == s.intersection
+    assert qs.constants.entries == check_concatenation(qs.category, qs.partition).entries
+
+
+def dihedral_table(n):
+    """D_n of order 2n on elements "r.s": rotation r followed by s reflections."""
+    elements = [f"{r}.{s}" for s in range(2) for r in range(n)]
+    return elements, {(f"{r1}.{s1}", f"{r2}.{s2}"): f"{(r1 + (-1) ** s1 * r2) % n}.{s1 ^ s2}"
+                      for r1 in range(n) for s1 in range(2) for r2 in range(n) for s2 in range(2)}
+
+
+def product_table(m, n):
+    """Z/m × Z/n on elements "a.b"."""
+    elements = [f"{a}.{b}" for a in range(m) for b in range(n)]
+    return elements, {(f"{a1}.{b1}", f"{a2}.{b2}"): f"{(a1 + a2) % m}.{(b1 + b2) % n}"
+                      for a1 in range(m) for b1 in range(n) for a2 in range(m) for b2 in range(n)}
+
+
+# Z/3 turning the points 0, 1, 2 and 3, 4, 5 at once: two point orbits, so
+# the diagonal splits into two classes and the result is no scheme
+TWO_ORBITS = ([[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4]], 6)
+
+J_EMBED_CASES = {
+    **{f"H({n},2)": (lambda n=n: hamming(n, 2)) for n in range(1, 5)},
+    "H(2,3)": lambda: hamming(2, 3),
+    **{f"Z/{n}": (lambda n=n: group_scheme(*cyclic_group_table(n))) for n in range(3, 8)},
+    "D3": lambda: group_scheme(*dihedral_table(3)),
+    "D4": lambda: group_scheme(*dihedral_table(4)),
+    "Z/2xZ/3": lambda: group_scheme(*product_table(2, 3)),
+    "two-orbits": lambda: orbit_configuration(*TWO_ORBITS),
+}
+
+
+@pytest.mark.parametrize("name", list(J_EMBED_CASES))
+def test_j_embed_constants_match_an_independent_recount(name):
+    """j(S) takes its structure constants from S's intersection numbers; a
+    recount over the category's rows and a count of the entries of its
+    serialized table, completed by the dense oracle, give the same table,
+    key for key and in the same order."""
+    s = J_EMBED_CASES[name]()
+    assert isinstance(s, AssociationScheme) == (name != "two-orbits")
+    qs = j_embed(s)
+    cat, partition = qs.category, qs.partition
+    assert partition.names() == s.classes
+    recount = check_concatenation(cat, partition).entries
+    assert list(qs.constants.entries.items()) == list(recount.items())
+    blocks = {b: sorted(members) for b, members in partition.blocks.items()}
+    assert qs.constants.entries == schemoid_constants_bruteforce(
+        completed_entries(serialize(cat)), blocks)
+    assert qs.constants.entries is not s.intersection
+
+
+@pytest.mark.parametrize("points, classes, message", [
+    (None, ["D", "R", "R"], "duplicate class name 'R'"),
+    (["a", "b", "a", "c"], None, "duplicate point name 'a'"),
+])
+def test_duplicate_names_are_refused(points, classes, message):
+    """Two classes named R used to collide in `intersection` (last write
+    wins: p^R_{RR} = 2) while j(S) merged them into one block and recounted
+    3; two points named a collide in j(S)'s morphism names."""
+    rel = [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]
+    with pytest.raises(SchemeError, match=re.escape(message)):
+        validate_scheme(4, rel, points=points, classes=classes)
