@@ -72,7 +72,6 @@ from .algebra import (
     Rationals,
     SchemoidAlgebra,
     algebra_is_unital,
-    category_algebra_dim,
     check_algebra_hom,
     ring_from_name,
     schemoid_algebra,

@@ -22,7 +22,14 @@ Over Q the structure constants are integers, and so are the entries of
 the generators a closure starts from, up to a common denominator.  The
 associativity check, the unit solve and the closure therefore run on
 integers (residues mod p over F_p), through the one exact elimination of
-`linalg`; `Fraction` values appear only in the objects returned.
+`linalg`; `Fraction` values appear only in the objects returned.  The
+algebra keeps the integer rows it checked, and `multiply` walks them, so a
+product of Fraction vectors is still a Fraction vector.  The hom check is
+fraction-free: with D the lcm of a map's denominators, f is multiplicative
+exactly when D (Df)(xy) = (Df)(x) (Df)(y), and both sides are integer.
+Closure vectors are keyed by morphism position, column c naming the
+morphism order[c], so products read the composition rows directly; labels
+are met only when the generators come in.
 
 Generated subalgebras (the Terwilliger algebra) are closed under the
 generators only.  The pivot rows of one elimination grow one row at a time:
@@ -40,6 +47,7 @@ substitution then gives its reduced echelon basis, which is unique.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,15 +131,14 @@ def ring_from_name(name: str):
     raise AlgebraError(f"unknown ring {name!r}; use Q or Fp")
 
 
-def _normalize(ring, x):
-    return x % ring.p if ring.p else x
-
-
 def _sparse_rows(tensor, ring) -> dict:
-    """(sigma, tau) -> {mu: c^mu_{sigma tau}}, nonzero constants only."""
+    """(sigma, tau) -> {mu: c^mu_{sigma tau}}, nonzero constants only,
+    reduced mod p over F_p."""
+    p = ring.p
     rows: dict[tuple, dict] = {}
     for (sigma, tau, mu), c in tensor.items():
-        c = _normalize(ring, c)
+        if p:
+            c %= p
         if c:
             rows.setdefault((sigma, tau), {})[mu] = c
     return rows
@@ -144,13 +151,17 @@ def _combination(terms, ring) -> dict:
         if row:
             for k, x in row.items():
                 acc[k] = acc.get(k, 0) + a * x
-    return {k: y for k, x in acc.items() if (y := _normalize(ring, x))}
+    p = ring.p
+    if p:
+        return {k: y for k, x in acc.items() if (y := x % p)}
+    return {k: x for k, x in acc.items() if x}
 
 
 @dataclass(frozen=True, eq=False)
 class SchemoidAlgebra:
     basis: tuple[str, ...]
     tensor: dict[tuple[str, str, str], object]  # (sigma, tau, mu) -> coefficient
+    rows: dict[tuple[str, str], dict[str, int]]  # (sigma, tau) -> {mu: integer constant}
     ring: object
     unital: bool
     unit: dict[str, object] | None          # coordinates of sum of identities, when unital
@@ -160,37 +171,30 @@ class SchemoidAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def rows(self) -> dict:
-        return _sparse_rows(self.tensor, self.ring)
-
     def c(self, sigma, tau, mu):
         return self.tensor.get((sigma, tau, mu), self.ring.zero)
 
     def multiply(self, u: dict, v: dict) -> dict:
+        """u * v over the integer rows; Fraction coordinates give Fraction ones."""
         rows = self.rows
         return _combination(((a * b, rows.get((sigma, tau)))
                              for sigma, a in u.items() if a
                              for tau, b in v.items() if b), self.ring)
 
 
-def category_algebra_dim(cat) -> int:
-    return len(cat.morphisms)
-
-
 def schemoid_algebra(qs: QuasiSchemoid, ring) -> SchemoidAlgebra:
     """Block-sum subalgebra of the category algebra, with tensor checks.
 
-    The checks run on the integer constants, reduced mod p over F_p; they
-    become ring elements only in the stored tensor.
+    The checks run on the integer constants, reduced mod p over F_p, and
+    the algebra keeps those rows; they become ring elements only in the
+    stored tensor.
     """
     basis = tuple(qs.partition.names())
     rows = _sparse_rows(qs.constants.entries, ring)
     _assert_associative(basis, rows, ring)
     unital_flag, unit, tensor_unit = _unit_analysis(qs, basis, rows, ring)
-    tensor = {key: ring.from_int(c) for key, c in qs.constants.entries.items()
-              if _normalize(ring, c)}
-    return SchemoidAlgebra(basis, tensor, ring, unital_flag, unit, tensor_unit)
+    tensor = {key: x for key, c in qs.constants.entries.items() if (x := ring.from_int(c))}
+    return SchemoidAlgebra(basis, tensor, rows, ring, unital_flag, unit, tensor_unit)
 
 
 def _assert_associative(basis, rows, ring):
@@ -314,11 +318,14 @@ def _solve_tensor_unit(basis, rows, ring):
 
 @dataclass
 class CategoryAlgebraClosure:
-    """Span basis of a generated subalgebra of the category algebra."""
+    """Span basis of a generated subalgebra of the category algebra.
+
+    Vectors are sparse and keyed by morphism position: column c is the
+    morphism order[c], so they index the category's composition rows."""
     category: object
     ring: object
-    order: tuple[str, ...]                   # morphism coordinate order
-    basis: list[dict[str, object]]           # fully reduced rows, sorted by pivot
+    order: tuple[str, ...]                   # order[c] names column c
+    basis: list[dict[int, object]]           # fully reduced rows, sorted by pivot
 
     @property
     def dimension(self) -> int:
@@ -327,51 +334,54 @@ class CategoryAlgebraClosure:
     def multiply(self, u: dict, v: dict) -> dict:
         """u * v, pairing each f in u only with the g in v that end where f starts."""
         cat = self.category
-        index, rows = cat.index, cat.rows
-        ending_at: dict[str, list] = {}
+        rows, src_of, tgt_of = cat.rows, cat.src_of, cat.tgt_of
+        ending_at: dict[int, list] = {}
         for g, b in v.items():
             if b:
-                ending_at.setdefault(cat.tgt(g), []).append((index[g], b))
+                ending_at.setdefault(tgt_of[g], []).append((g, b))
         out: dict[int, object] = {}
         for f, a in u.items():
             if a:
-                row = rows[index[f]]
-                for j, b in ending_at.get(cat.src(f), ()):
-                    h = row[j]
+                row = rows[f]
+                for g, b in ending_at.get(src_of[f], ()):
+                    h = row[g]
                     out[h] = out.get(h, 0) + a * b
-        p, ids = self.ring.p, cat.morphism_ids
-        return {ids[k]: y for k, x in out.items() if (y := x % p if p else x)}
+        p = self.ring.p
+        if p:
+            return {h: y for h, x in out.items() if (y := x % p)}
+        return {h: x for h, x in out.items() if x}
 
     def contains(self, vec: dict) -> bool:
         """vec lies in the span.  One pass over the basis reduces it: each
-        row, taken at its pivot, leaves the coefficients at the other pivots
-        as they are, since the basis is fully reduced."""
-        ring = self.ring
-        pos = {m: i for i, m in enumerate(self.order)}
-        rest = {k: _normalize(ring, x) for k, x in vec.items()}
+        row, taken at its pivot (its first column), leaves the coefficients
+        at the other pivots as they are, since the basis is fully reduced."""
+        p = self.ring.p
+        rest = {c: x % p for c, x in vec.items()} if p else dict(vec)
         for row in self.basis:
-            f = rest.get(min(row, key=pos.__getitem__))
+            f = rest.get(min(row))
             if f:
-                for m, y in row.items():
-                    rest[m] = _normalize(ring, rest.get(m, 0) - f * y)
+                for c, y in row.items():
+                    z = rest.get(c, 0) - f * y
+                    rest[c] = z % p if p else z
         return not any(rest.values())
 
 
 def span_closure(cat, ring, generators: list[dict]) -> CategoryAlgebraClosure:
     """The subalgebra of the category algebra generated by the given vectors.
 
-    Each pivot row is multiplied on the right by the generator residues
-    only, the nonzero rows the generators leave after reduction: dim x r
-    products through `CategoryAlgebraClosure.multiply`.  Certificate: the
-    span V of the pivot rows contains the generators and V s lies in V for
-    each residue s, hence for each generator; by induction V contains every
-    nonempty word in the generators, and each pivot row is a combination
-    of words, so V is the generated subalgebra.  The reduced echelon basis
-    of V is unique, so it is the one any closure of the same span gives.
+    The generators are keyed by morphism id and are converted to position
+    keys once, on entry.  Each pivot row is multiplied on the right by the
+    generator residues only, the nonzero rows the generators leave after
+    reduction: dim x r products through `CategoryAlgebraClosure.multiply`,
+    each on two pivot rows as they stand.  Certificate: the span V of the
+    pivot rows contains the generators and V s lies in V for each residue
+    s, hence for each generator; by induction V contains every nonempty
+    word in the generators, and each pivot row is a combination of words,
+    so V is the generated subalgebra.  The reduced echelon basis of V is
+    unique, so it is the one any closure of the same span gives.
     """
-    order = tuple(cat.morphism_ids)
-    column = {m: i for i, m in enumerate(order)}
-    closure = CategoryAlgebraClosure(cat, ring, order, [])
+    column = cat.index
+    closure = CategoryAlgebraClosure(cat, ring, cat.morphism_ids, [])
     ech = _Echelon(ring.p, 1)
     waiting: deque[dict] = deque()      # pivot rows not yet multiplied
 
@@ -379,7 +389,7 @@ def span_closure(cat, ring, generators: list[dict]) -> CategoryAlgebraClosure:
         ech.reduce(row)
         if row:
             ech.add(row, min(row), 0)
-            waiting.append({order[c]: x for c, x in row.items()})
+            waiting.append(row)
 
     for row in _rows_over([{column[m]: x for m, x in g.items()} for g in generators], ring.p):
         add(row)
@@ -387,9 +397,8 @@ def span_closure(cat, ring, generators: list[dict]) -> CategoryAlgebraClosure:
     while waiting:
         new = waiting.popleft()
         for s in residues:
-            add({column[m]: x for m, x in closure.multiply(new, s).items()})
-    closure.basis = [{order[c]: x for c, x in row.items()}
-                     for row in ech.back_substitute().values()]
+            add(closure.multiply(new, s))
+    closure.basis = list(ech.back_substitute().values())
     return closure
 
 
@@ -419,10 +428,7 @@ def terwilliger(qs: QuasiSchemoid, e: str, ring) -> CategoryAlgebraClosure:
         if vec:
             idempotents.append(vec)
     # sanity: the idempotents resolve the identity
-    total: dict[str, object] = {}
-    for vec in idempotents:
-        for k, v in vec.items():
-            total[k] = _normalize(ring, total.get(k, ring.zero) + v)
+    total = _combination(((ring.one, vec) for vec in idempotents), ring)
     expected = {cat.identity[x]: ring.one for x in cat.objects}
     if total != expected:
         raise AlgebraError("sum of E_sigma is not the sum of identities")
@@ -451,21 +457,34 @@ class AlgebraMap:
         columns = self.columns
         return _combination(((a, columns.get(s)) for s, a in u.items()), self.target.ring)
 
-    def is_zero(self) -> bool:
-        return all(v == self.target.ring.zero for v in self.matrix.values())
-
 
 def check_algebra_hom(amap: AlgebraMap, a: SchemoidAlgebra, b: SchemoidAlgebra):
     """f(xy) = f(x)f(y) on all basis pairs; unit to unit when both unital.
 
-    Returns (True, None) or (False, witness pair).
+    Fraction-free.  Over Q let D be the lcm of the matrix's denominators
+    (1 for an empty matrix) and g = D f, whose columns are integral; f is
+    multiplicative exactly when D g(sigma tau) = g(sigma) g(tau), and both
+    sides are computed on the integer rows of a and b.  Over F_p the
+    columns are residues and D = 1.
+
+    Returns (True, None) or (False, witness pair), the first failing pair
+    in basis order, sigma before tau.
     """
-    one = a.ring.one
-    image = {sigma: amap.apply({sigma: one}) for sigma in a.basis}
+    ring = b.ring
+    p = ring.p
+    d = 1 if p else math.lcm(*(x.denominator for x in amap.matrix.values()))
+    columns = {s: {t: x % p if p else int(x * d) for t, x in col.items()}
+               for s, col in amap.columns.items()}
+    rows_a, rows_b = a.rows, b.rows
     for sigma in a.basis:
+        g_sigma = columns.get(sigma, {})
         for tau in a.basis:
-            lhs = amap.apply(a.multiply({sigma: one}, {tau: one}))
-            if lhs != b.multiply(image[sigma], image[tau]):
+            g_tau = columns.get(tau, {})
+            lhs = _combination(((d * c, columns.get(mu))
+                                for mu, c in rows_a.get((sigma, tau), {}).items()), ring)
+            rhs = _combination(((x * y, rows_b.get((s, t)))
+                                for s, x in g_sigma.items() for t, y in g_tau.items()), ring)
+            if lhs != rhs:
                 return False, (sigma, tau)
     if a.unital and b.unital:
         if amap.apply(a.unit) != b.unit:
@@ -483,7 +502,9 @@ def compose_algebra_maps(second: AlgebraMap, first: AlgebraMap) -> AlgebraMap:
                 x = second.matrix.get((t, mid))
                 y = first.matrix.get((mid, s))
                 if x and y:
-                    acc = _normalize(ring, acc + x * y)
+                    acc += x * y
+            if ring.p:
+                acc %= ring.p
             if acc != ring.zero:
                 matrix[(t, s)] = acc
     return AlgebraMap(first.source, second.target, matrix)

@@ -436,6 +436,27 @@ def assert_associative_dense(basis, tensor, ring):
                             f"tensor not associative at ({sigma}, {tau}, {rho}, {nu})")
 
 
+def check_algebra_hom_fractions(amap, a, b):
+    """f(xy) = f(x)f(y) on all basis pairs; unit to unit when both unital.
+
+    Returns (True, None) or (False, witness pair).  The reference for the
+    fraction-free schemoids.algebra.check_algebra_hom: it applies the map's
+    own coefficients, Fractions over Q, to the products of basis elements
+    and of their images, with no common denominator cleared.
+    """
+    one = a.ring.one
+    image = {sigma: amap.apply({sigma: one}) for sigma in a.basis}
+    for sigma in a.basis:
+        for tau in a.basis:
+            lhs = amap.apply(a.multiply({sigma: one}, {tau: one}))
+            if lhs != b.multiply(image[sigma], image[tau]):
+                return False, (sigma, tau)
+    if a.unital and b.unital:
+        if amap.apply(a.unit) != b.unit:
+            return False, ("unit", "unit")
+    return True, None
+
+
 def validate_category_dense(raw):
     """Category laws by the full scan: totality over all M² pairs of
     morphisms, associativity over every composable triple (g, f, e) in

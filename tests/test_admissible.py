@@ -98,9 +98,9 @@ def test_extension_projection_admissible_with_n2():
     assert ok
     # over Q: scaled-basis iso; over F2: the zero map
     amap = induced_algebra_map(phi, Q)
-    assert not amap.is_zero()
+    assert any(amap.matrix.values())
     amap2 = induced_algebra_map(phi, PrimeField(2))
-    assert amap2.is_zero()
+    assert not any(amap2.matrix.values())
 
 
 def test_nontrivial_extension_projection_admissible():

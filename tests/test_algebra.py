@@ -14,7 +14,6 @@ from schemoids.algebra import (
     PrimeField,
     Rationals,
     algebra_is_unital,
-    category_algebra_dim,
     check_algebra_hom,
     identity_algebra_map,
     ring_from_name,
@@ -36,6 +35,7 @@ from test_properties import small_categories
 from test_schemoid import ex2_8, group_bullet
 from oracles import (
     assert_associative_dense,
+    check_algebra_hom_fractions,
     mat_mul_int,
     matrix_algebra_closure_dim,
     ReducedEchelon,
@@ -55,9 +55,9 @@ def test_ring_parsing():
 
 
 def test_category_algebra_dims():
-    assert category_algebra_dim(terminal_category()) == 1
-    assert category_algebra_dim(j_embed(hamming(2, 2)).category) == 16
-    assert category_algebra_dim(ex2_8().category) == 3
+    assert len(terminal_category().morphisms) == 1
+    assert len(j_embed(hamming(2, 2)).category.morphisms) == 16
+    assert len(ex2_8().category.morphisms) == 3
 
 
 def test_h22_algebra():
@@ -336,14 +336,15 @@ def test_terwilliger_hamming_matches_oracles(n, q, closed_form):
         clo = terwilliger(qs, s.points[0], ring)
         assert clo.dimension == closed_form
         pos = {m: i for i, m in enumerate(clo.order)}
-        pivots = [min(b, key=pos.__getitem__) for b in clo.basis]
+        basis = [{clo.order[c]: x for c, x in row.items()} for row in clo.basis]
+        pivots = [min(b, key=pos.__getitem__) for b in basis]
         assert pivots == sorted(set(pivots), key=pos.__getitem__)
-        for b, piv in zip(clo.basis, pivots):
+        for b, piv in zip(basis, pivots):
             assert b[piv] == ring.one
             assert all(x == _reduced(x, ring) and x for x in b.values())
-            assert not any(piv in other for other in clo.basis if other is not b)
+            assert not any(piv in other for other in basis if other is not b)
         assert all(clo.contains(clo.multiply(u, v)) for u in clo.basis for v in clo.basis)
-        assert not all(clo.contains({m: ring.one}) for m in clo.order)
+        assert not all(clo.contains({pos[m]: ring.one}) for m in clo.order)
 
 
 @pytest.mark.parametrize("n, q, products", [(3, 2, 20 * 7), (2, 3, 15 * 5)])
@@ -408,7 +409,8 @@ def test_closure_matches_fraction_oracle(data):
     ring = data.draw(st.sampled_from(CLOSURE_RINGS))
     cat = data.draw(st.one_of(small_categories(), st.builds(_jh22_category)))
     gens = data.draw(_generator_sets(cat, _coefficients(ring)))
-    got = span_closure(cat, ring, gens).basis
+    clo = span_closure(cat, ring, gens)
+    got = [{clo.order[c]: x for c, x in row.items()} for row in clo.basis]
     assert got == span_closure_fractions(cat, ring, gens)
     if ring == Q:
         assert all(isinstance(x, Fraction) for row in got for x in row.values())
@@ -435,14 +437,108 @@ def test_tensor_unit_matches_fraction_oracle(case):
             == solve_tensor_unit_fractions(basis, tensor, ring))
 
 
+# ---------------------------------------------------------------------------
+# Fraction-free hom check against the Fraction reference
+# ---------------------------------------------------------------------------
+
+@cache
+def _hom_cases(ring_name):
+    """Algebras over the ring (j(H(2,2)), j(H(3,2)) and the group ring of
+    Z/4) and the induced maps of the four thickening projections."""
+    ring = ring_from_name(ring_name)
+    z4 = one_object_group(*cyclic_group_table(4)).base
+    algebras = [schemoid_algebra(qs, ring) for qs in (
+        j_embed(hamming(2, 2)), j_embed(hamming(3, 2)),
+        verify_quasi_schemoid(z4, discrete_partition(z4)))]
+    h22 = hamming(2, 2)
+    j22 = j_embed(h22)
+    projections = [induced_algebra_map(projection_phi(thicken_scheme(h22, z), h22, j22), ring)
+                   for z in range(1, 5)]
+    return algebras, projections
+
+
+def _right_multiplication(alg, e):
+    """The matrix of x -> x e: a homomorphism when e is an idempotent of a
+    commutative algebra, and over Q its entries have denominators."""
+    return {(t, s): x for s in alg.basis
+            for t, x in alg.multiply({s: alg.ring.one}, e).items()}
+
+
+def _idempotent_of_all_ones(alg):
+    """J / c, where J is the sum of the basis and J^2 = c J (c the number of
+    points, or of group elements); J itself when c vanishes in the ring."""
+    ring = alg.ring
+    total = {s: ring.one for s in alg.basis}
+    c = alg.multiply(total, total).get(alg.basis[0])
+    return {s: ring.one * ring.inv(c) for s in alg.basis} if c else total
+
+
+@st.composite
+def algebra_maps(draw):
+    """Maps over Q, F2, F3 and F5: identities, scaled identities, the
+    induced projection maps, zero maps, right multiplications by the
+    idempotent J / c or by a random element, and random matrices; then
+    possibly one entry perturbed.  Over Q the coefficients include 1/2 and
+    -2/3, so the common denominator D is often not 1."""
+    ring = draw(st.sampled_from(CLOSURE_RINGS))
+    algebras, projections = _hom_cases(ring.name())
+    coefficients = _coefficients(ring)
+    kind = draw(st.sampled_from(["identity", "scaled", "projection", "zero",
+                                 "idempotent", "right", "random"]))
+    if kind == "projection":
+        amap = draw(st.sampled_from(projections))
+        a, b, matrix = amap.source, amap.target, dict(amap.matrix)
+    else:
+        a = b = draw(st.sampled_from(algebras))
+        if kind in ("identity", "scaled"):
+            c = ring.one if kind == "identity" else draw(coefficients)
+            matrix = {(s, s): c for s in a.basis}
+        elif kind == "zero":
+            matrix = {}
+        elif kind == "idempotent":
+            matrix = _right_multiplication(a, _idempotent_of_all_ones(a))
+        elif kind == "right":
+            e = draw(st.dictionaries(st.sampled_from(a.basis), coefficients, max_size=3))
+            matrix = _right_multiplication(a, e)
+        else:
+            keys = [(t, s) for t in a.basis for s in a.basis]
+            matrix = {key: draw(coefficients)
+                      for key in draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))}
+    if draw(st.booleans()):
+        key = (draw(st.sampled_from(b.basis)), draw(st.sampled_from(a.basis)))
+        matrix[key] = matrix.get(key, ring.zero) + draw(coefficients)
+    return AlgebraMap(a, b, matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebra_maps())
+def test_hom_check_matches_fraction_reference(amap):
+    """Same verdict and the same first witness as the Fraction check."""
+    a, b = amap.source, amap.target
+    assert check_algebra_hom(amap, a, b) == check_algebra_hom_fractions(amap, a, b)
+
+
+def test_hom_check_clears_the_common_denominator():
+    """x -> x J/4 on j(H(2,2)) over Q has entries 1/4 and 1/2, so D = 4.
+    It is multiplicative on every basis pair (J/4 is a central idempotent)
+    but sends the unit to J/4: the only failure is the unit clause."""
+    alg = schemoid_algebra(j_embed(hamming(2, 2)), Q)
+    e = _idempotent_of_all_ones(alg)
+    assert e == {s: Fraction(1, 4) for s in alg.basis}
+    amap = AlgebraMap(alg, alg, _right_multiplication(alg, e))
+    assert {x.denominator for x in amap.matrix.values()} == {2, 4}
+    assert check_algebra_hom(amap, alg, alg) == (False, ("unit", "unit"))
+    assert check_algebra_hom_fractions(amap, alg, alg) == (False, ("unit", "unit"))
+
+
 def _terminal_objects(cat):
     return [e for e in cat.objects if all(len(cat.hom(x, e)) == 1 for x in cat.objects)]
 
 
 def test_values_over_Q_are_fractions():
     """Over Q every coefficient handed out is a Fraction, never an int: the
-    algebra's tensor, unit and tensor unit, Terwilliger bases and the
-    matrices of induced maps.  An int would print, hash and serialize
+    algebra's tensor, unit, tensor unit and products, Terwilliger bases and
+    their products, and the matrices and images of induced maps.  An int would print, hash and serialize
     differently."""
     h22 = hamming(2, 2)
     thick = [thicken_scheme(h22, z) for z in range(1, 5)]
@@ -455,9 +551,16 @@ def test_values_over_Q_are_fractions():
         values += alg.tensor.values()
         values += (alg.unit or {}).values()
         values += (alg.tensor_unit or {}).values()
+        ones = {s: Q.one for s in alg.basis}
+        values += alg.multiply(ones, ones).values()
         for e in _terminal_objects(qs.category)[:1]:
-            values += [x for row in terwilliger(qs, e, Q).basis for x in row.values()]
+            clo = terwilliger(qs, e, Q)
+            values += [x for row in clo.basis for x in row.values()]
+            values += [x for u in clo.basis[:3] for v in clo.basis[:3]
+                       for x in clo.multiply(u, v).values()]
     j22 = j_embed(h22)
     for sc in thick:
-        values += induced_algebra_map(projection_phi(sc, h22, j22), Q).matrix.values()
+        amap = induced_algebra_map(projection_phi(sc, h22, j22), Q)
+        values += amap.matrix.values()
+        values += amap.apply({s: Q.one for s in amap.source.basis}).values()
     assert values and all(isinstance(x, Fraction) for x in values)
