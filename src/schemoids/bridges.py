@@ -67,7 +67,7 @@ def s_tilde(h: Groupoid) -> QuasiSchemoid:
     mors = list(cat_h.morphism_ids)
     objects = mors
     morphisms = []
-    compose = {}
+    compose = []
     by_target: dict[str, list[str]] = {}
     for m in mors:
         by_target.setdefault(cat_h.tgt(m), []).append(m)
@@ -79,9 +79,9 @@ def s_tilde(h: Groupoid) -> QuasiSchemoid:
         for k in group:
             for m in group:
                 for l in group:
-                    compose[(name[(k, m)], name[(m, l)])] = name[(k, l)]
+                    compose.append((name[(k, m)], name[(m, l)], name[(k, l)]))
     identity = {m: name[(m, m)] for m in mors}
-    cat = build_category(objects, morphisms, identity, compose.items())
+    cat = build_category(objects, morphisms, identity, compose)
 
     blocks: dict[str, list[str]] = {}
     for (k, l), kl in name.items():
@@ -181,7 +181,8 @@ def r_tilde(qs: QuasiSchemoid) -> Groupoid:
     morphisms = [(sigma, analysis.source_block[sigma], analysis.target_block[sigma])
                  for sigma in qs.block_names()]
     identity = {alpha: alpha for alpha in analysis.s0}
-    cat = build_category(objects, morphisms, identity, analysis.composition.items())
+    cat = build_category(objects, morphisms, identity,
+                         ((a, b, ab) for (a, b), ab in analysis.composition.items()))
     inverse = {sigma: qs.involution.block_image[sigma] for sigma in qs.block_names()}
     for sigma, star in inverse.items():
         if (cat.comp(sigma, star) != identity[analysis.target_block[sigma]]

@@ -8,13 +8,14 @@ pipe together, e.g.
 Exit status: 0 on an answer, a negative one included (`admissible`
 reporting a morphism that is not admissible, `split` finding no section);
 1 on a refused input or a closed stdout; 2 on a usage error; 3 on the
-program's own error, an `AssertionError` from a failed internal certificate
-among them, with its traceback on stderr and nothing on stdout.  A refusal
-prints {"error": class, "message": text} on stdout, plus "witness" (JSON
-lists naming where a law fails) when the error carries one.  It is a
-`SchemoidsError`, or anything but an `AssertionError` raised while `load`
-reads and decodes an input (a missing file, bad JSON, a malformed
-document), named by the class raised: `JSONDecodeError`, `KeyError`, ...
+program's own error, with its traceback on stderr and nothing on stdout.
+A refusal prints {"error": class, "message": text} on stdout, plus
+"witness" (JSON lists naming where a law fails) when the error carries
+one.  It is a `SchemoidsError`, a document of the wrong shape among them
+(`shapes.py` declares every format), or a failed read in `load`, named by
+the class behind it: `JSONDecodeError`, `FileNotFoundError`, ...  Anything
+else raised exits 3, while decoding a well-formed document too, an
+`AssertionError` from a failed internal certificate among them.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ from .extensions import (
 from .fincat import (
     FinCategory,
     Functor,
-    MalformedDocument,
     SchemoidsError,
     is_groupoid,
+    read_category,
     serialize,
     serialize_groupoid,
     validate_category,
@@ -71,10 +72,21 @@ from .schemoid import (
     analyze_thinness,
     check_association,
     is_unital,
-    partition_from_json,
+    make_partition,
     schemoid_morphism,
     serialize_partition,
     verify_quasi_schemoid,
+)
+from .shapes import (
+    BUNDLE,
+    EXTENSION,
+    FUNCTOR,
+    GROUP_TABLE,
+    HOM_COUNTS,
+    PERMS,
+    SYSTEM,
+    check,
+    is_bundle,
 )
 from .thicken import category_from_matrix, sigma_prime, thicken_involution, thicken_scheme
 
@@ -82,22 +94,19 @@ SCHEMA = "schemoids/1"
 
 
 class InputRefused(SchemoidsError):
-    """An input that could not be read or decoded, or an unknown example;
+    """An input that could not be read or is no JSON, or an unknown example;
     reported under the class of the error behind it (its `__cause__`)."""
 
 
-def load(path: str, decode):
-    """decode(the JSON at path, "-" for stdin); anything raised here refuses
-    that input, except an `AssertionError`: a failed internal certificate is
-    the program's own error."""
+def load(path: str):
+    """The JSON document at path, "-" for stdin.  Only the read is refused
+    here; decoding the document is left to the caller."""
     try:
         if path == "-":
-            return decode(json.load(sys.stdin))
+            return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
-            return decode(json.load(fh))
-    except (SchemoidsError, AssertionError):
-        raise
-    except Exception as err:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as err:    # JSONDecodeError is a ValueError
         raise InputRefused(str(err)) from err
 
 
@@ -113,15 +122,13 @@ def serialize_functor(fun: Functor) -> dict:
 
 
 def functor_from_json(raw: dict) -> Functor:
-    if not isinstance(raw, dict):
-        raise MalformedDocument(f"functor: a JSON object expected, not {type(raw).__name__}")
-    for field in ("objects", "morphisms"):
-        if not isinstance(raw.get(field), dict):
-            raise MalformedDocument(f"functor.{field}: a JSON object expected, "
-                                    f"not {type(raw.get(field)).__name__}")
-    return Functor({str(k): str(v) for k, v in raw["objects"].items()},
-                   {str(k): str(v) for k, v in raw["morphisms"].items()},
-                   contravariant=bool(raw.get("contravariant", False)))
+    """A functor document, `shapes.FUNCTOR`."""
+    return _functor(check(FUNCTOR, raw, "functor"))
+
+
+def _functor(raw: dict) -> Functor:
+    """The functor of a document that fits `shapes.FUNCTOR`."""
+    return Functor(dict(raw["objects"]), dict(raw["morphisms"]), raw.get("contravariant", False))
 
 
 def bundle_to_json(qs) -> dict:
@@ -135,98 +142,33 @@ def bundle_to_json(qs) -> dict:
 
 
 def group_scheme_from_json(raw: dict):
-    if not isinstance(raw, dict):
-        raise MalformedDocument(f"group table: a JSON object expected, not {type(raw).__name__}")
-    elements, table = raw.get("elements"), raw.get("table")
-    if not isinstance(elements, list):
-        raise MalformedDocument(f"elements: a JSON array expected, not {type(elements).__name__}")
-    n = len(elements)
-    if not (isinstance(table, list) and len(table) == n
-            and all(isinstance(row, list) and len(row) == n for row in table)):
-        raise MalformedDocument(f"table: {n} rows of {n} entries expected, one per element")
-    elements = [str(e) for e in elements]
-    return group_scheme(elements, {(a, b): str(table[i][j])
+    """A group table document, `shapes.GROUP_TABLE`."""
+    elements, table = check(GROUP_TABLE, raw)["elements"], raw["table"]
+    return group_scheme(elements, {(a, b): table[i][j]
                                    for i, a in enumerate(elements) for j, b in enumerate(elements)})
 
 
-def _orbits_from_json(raw: dict):
-    """Pair orbits of {"perms": [[...], ...], "size": n}; another shape is
-    refused as MalformedDocument naming the field."""
-    if not isinstance(raw, dict):
-        raise MalformedDocument(f"group: a JSON object expected, not {type(raw).__name__}")
-    perms, size = raw.get("perms"), raw.get("size")
-    if not _is_matrix(perms):
-        raise MalformedDocument("perms: an array of arrays of integers expected")
-    if not (type(size) is int and size >= 0):
-        raise MalformedDocument(f"size: a non-negative integer expected, not {size!r}")
-    return orbit_configuration(perms, size)
-
-
 def bundle_from_json(raw: dict):
-    """A bundle document {"category", "partition", "involution"?,
-    "base_points"?}; a missing field or a field of the wrong shape is
-    refused as MalformedDocument (CategoryError for the category) naming it."""
-    if not isinstance(raw, dict):
-        raise MalformedDocument(f"bundle: a JSON object expected, not {type(raw).__name__}")
-    for field in ("category", "partition"):
-        if field not in raw:
-            raise MalformedDocument(f"{field}: missing from the bundle")
-    if raw.get("base_points") and not isinstance(raw["base_points"], list):
-        raise MalformedDocument(f"base_points: a JSON array expected, "
-                                f"not {type(raw['base_points']).__name__}")
-    cat = validate_category(raw["category"])
-    partition = partition_from_json(cat, raw["partition"])
+    """A bundle document, `shapes.BUNDLE`: {"category", "partition",
+    "involution"?, "base_points"?}."""
+    cat = read_category(check(BUNDLE, raw)["category"], "category")
+    partition = make_partition(cat, raw["partition"]["blocks"])
     involution = None
-    if raw.get("involution"):
-        t = functor_from_json(raw["involution"])
-        involution = check_association(cat, partition, t)
-    base_points = tuple(raw["base_points"]) if raw.get("base_points") else None
-    return verify_quasi_schemoid(cat, partition, involution, base_points)
+    if "involution" in raw:
+        involution = check_association(cat, partition, _functor(raw["involution"]))
+    return verify_quasi_schemoid(cat, partition, involution, tuple(raw.get("base_points", ())) or None)
 
 
-def system_from_json(cat, raw: dict):
-    if not isinstance(raw, dict):
-        raise MalformedDocument(f"system: a JSON object expected, not {type(raw).__name__}")
-    kind = raw.get("kind", "explicit")
-    if kind not in ("trivial", "induced", "explicit"):
-        raise MalformedDocument(f"system.kind: {kind!r} is not 'trivial', 'induced' or 'explicit'")
-    modulus = raw.get("modulus")
+def system_from_json(cat, raw: dict, at: str = "system"):
+    """A natural system on cat from a system document at JSON path `at`,
+    `shapes.SYSTEM`: trivial, induced or (by default) explicit."""
+    kind, modulus = check(SYSTEM, raw, at).get("kind", "explicit"), raw.get("modulus")
     if kind == "trivial":
-        rank = raw.get("rank", 1)
-        if not (isinstance(rank, int) and rank >= 0):
-            raise MalformedDocument(f"system.rank: a non-negative integer expected, not {rank!r}")
-        return trivial_system(cat, modulus, rank)
+        return trivial_system(cat, modulus, raw.get("rank", 1))
     if kind == "induced":
-        ranks, maps = raw.get("object_ranks"), raw.get("maps")
-        if not (isinstance(ranks, dict) and all(isinstance(r, int) and r >= 0 for r in ranks.values())):
-            raise MalformedDocument("system.object_ranks: an object of non-negative integers expected")
-        if not (isinstance(maps, dict) and all(map(_is_matrix, maps.values()))):
-            raise MalformedDocument("system.maps: an object of arrays of arrays of integers expected")
-        return induced_system(cat, modulus, ranks, maps)
-    if not isinstance(raw.get("ranks"), dict):
-        raise MalformedDocument(f"system.ranks: a JSON object expected, "
-                                f"not {type(raw.get('ranks')).__name__}")
-    push, pull = _matrix_entries(raw, "push"), _matrix_entries(raw, "pull")
+        return induced_system(cat, modulus, raw["object_ranks"], raw["maps"])
+    push, pull = ({(a, f): mat for a, f, mat in raw[field]} for field in ("push", "pull"))
     return validate_natural_system(cat, modulus, raw["ranks"], push, pull)
-
-
-def _matrix_entries(raw: dict, field: str) -> dict:
-    """The matrices of system[field] = [[a, b, matrix], ...] keyed by (a, b),
-    each matrix an array of arrays of integers; another shape is refused as
-    MalformedDocument naming the field."""
-    entries = raw.get(field)
-    if not isinstance(entries, list):
-        raise MalformedDocument(f"system.{field}: a JSON array expected, not {type(entries).__name__}")
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, list) and len(entry) == 3 and _is_matrix(entry[2])):
-            raise MalformedDocument(f"system.{field}[{i}]: [a, b, matrix] expected, "
-                                    "the matrix an array of arrays of integers")
-    return {(str(a), str(f)): mat for a, f, mat in entries}
-
-
-def _is_matrix(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in value)
 
 
 def system_to_json(system) -> dict:
@@ -239,17 +181,11 @@ def system_to_json(system) -> dict:
 
 
 def extension_from_json(raw: dict):
-    """An extension document {"base", "system", "cocycle", ...}, rebuilt by
-    `build_extension`; a missing field is refused as MalformedDocument."""
-    if not isinstance(raw, dict):
-        raise MalformedDocument(f"extension: a JSON object expected, not {type(raw).__name__}")
-    for field in ("base", "system", "cocycle"):
-        if field not in raw:
-            raise MalformedDocument(f"{field}: missing from the extension document")
-    cat = validate_category(raw["base"])
+    """An extension document, `shapes.EXTENSION`: {"base", "system",
+    "cocycle", ...}, rebuilt by `build_extension`."""
+    cat = read_category(check(EXTENSION, raw)["base"], "base")
     system = system_from_json(cat, raw["system"])
-    delta = cocycle_from_json(system, raw["cocycle"])
-    return build_extension(cat, system, delta)
+    return build_extension(cat, system, cocycle_from_json(system, raw["cocycle"]))
 
 
 def extension_to_json(ext) -> dict:
@@ -429,8 +365,8 @@ def run(argv=None) -> int:
 def _dispatch(args, pretty) -> int:
     cmd = args.command
     if cmd == "validate":
-        obj = load(args.input, lambda raw: bundle_from_json(raw)
-                   if isinstance(raw, dict) and "category" in raw else validate_category(raw))
+        raw = load(args.input)
+        obj = bundle_from_json(raw) if is_bundle(raw) else validate_category(raw)
         cat = obj if isinstance(obj, FinCategory) else obj.category
         out = {"valid": True, "objects": len(cat.objects), "morphisms": len(cat.morphisms)}
         if cat is not obj:
@@ -439,46 +375,46 @@ def _dispatch(args, pretty) -> int:
         return 0
 
     if cmd == "analyze":
-        qs = load(args.input, bundle_from_json)
+        qs = bundle_from_json(load(args.input))
         emit(analysis_report(qs), pretty)
         return 0
 
     if cmd == "constants":
-        qs = load(args.input, bundle_from_json)
+        qs = bundle_from_json(load(args.input))
         emit(constants_to_json(qs), pretty)
         return 0
 
     if cmd == "algebra":
-        qs = load(args.input, bundle_from_json)
+        qs = bundle_from_json(load(args.input))
         alg = schemoid_algebra(qs, ring_from_name(args.ring))
         emit(algebra_to_json(alg), pretty)
         return 0
 
     if cmd == "terwilliger":
-        qs = load(args.input, bundle_from_json)
+        qs = bundle_from_json(load(args.input))
         closure = terwilliger(qs, args.object, ring_from_name(args.ring))
         emit({"object": args.object, "dimension": closure.dimension,
               "ambient_dimension": len(qs.category.morphisms)}, pretty)
         return 0
 
     if cmd == "embed-scheme":
-        scheme = load(args.input, scheme_from_json)
+        scheme = scheme_from_json(load(args.input))
         emit(bundle_to_json(j_embed(scheme)), pretty)
         return 0
 
     if cmd == "from-groupoid":
-        gpd = load(args.input, validate_groupoid)
+        gpd = validate_groupoid(load(args.input))
         emit(bundle_to_json(s_tilde(gpd)), pretty)
         return 0
 
     if cmd == "to-groupoid":
-        qs = load(args.input, bundle_from_json)
+        qs = bundle_from_json(load(args.input))
         gpd = r_tilde(qs)
         emit({"kind": "groupoid", **serialize_groupoid(gpd)}, pretty)
         return 0
 
     if cmd == "roundtrip-check":
-        gpd = load(args.input, validate_groupoid)
+        gpd = validate_groupoid(load(args.input))
         witness = canonical_groupoid_witness(gpd)
         qs = s_tilde(gpd)
         phi_psi_check(qs)
@@ -486,9 +422,9 @@ def _dispatch(args, pretty) -> int:
         return 0
 
     if cmd == "admissible":
-        source = load(args.source, bundle_from_json)
-        target = load(args.target, bundle_from_json)
-        fun = load(args.functor, functor_from_json)
+        source = bundle_from_json(load(args.source))
+        target = bundle_from_json(load(args.target))
+        fun = functor_from_json(load(args.functor))
         phi = schemoid_morphism(source, target, fun)
         report = is_admissible(phi)
         out = {"admissible": report.admissible,
@@ -510,23 +446,23 @@ def _dispatch(args, pretty) -> int:
         return 0
 
     if cmd == "cohomology":
-        cat = load(args.category, validate_category)
-        system = load(args.system, functools.partial(system_from_json, cat))
+        cat = validate_category(load(args.category))
+        system = system_from_json(cat, load(args.system))
         h = bw_cohomology(cat, system, args.degree)
         emit({"degree": args.degree, "invariants": list(h.invariants),
               "free_rank": h.free_rank, "group": h.describe()}, pretty)
         return 0
 
     if cmd == "extend":
-        cat = load(args.category, validate_category)
-        system = load(args.system, functools.partial(system_from_json, cat))
-        delta = load(args.cocycle, functools.partial(cocycle_from_json, system))
+        cat = validate_category(load(args.category))
+        system = system_from_json(cat, load(args.system))
+        delta = cocycle_from_json(system, load(args.cocycle))
         ext = build_extension(cat, system, delta)
         emit(extension_to_json(ext), pretty)
         return 0
 
     if cmd == "split":
-        ext = load(args.input, extension_from_json)
+        ext = extension_from_json(load(args.input))
         section = is_split(ext)
         if section is None:
             emit({"split": False, "section": None}, pretty)
@@ -535,18 +471,18 @@ def _dispatch(args, pretty) -> int:
         return 0
 
     if cmd == "equivalent":
-        e1 = load(args.first, extension_from_json)
-        e2 = load(args.second, extension_from_json)
+        e1 = extension_from_json(load(args.first))
+        e2 = extension_from_json(load(args.second))
         emit({"equivalent": extensions_equivalent(e1, e2)}, pretty)
         return 0
 
     if cmd == "thicken":
         if args.matrix is not None:
-            framed = load(args.matrix, category_from_matrix)
+            framed = category_from_matrix(check(HOM_COUNTS, load(args.matrix), "matrix"))
             qs = sigma_prime(framed, args.residual)
             emit(bundle_to_json(qs), pretty)
             return 0
-        scheme = load(args.input, scheme_from_json)
+        scheme = scheme_from_json(load(args.input))
         z = args.z[0] if len(args.z) == 1 else args.z
         qs = thicken_scheme(scheme, z)
         if len(set(args.z)) == 1:
@@ -558,9 +494,10 @@ def _dispatch(args, pretty) -> int:
         if args.generator == "hamming":
             scheme = hamming(args.n, args.q, limit=args.limit)
         elif args.generator == "group-scheme":
-            scheme = load(args.table, group_scheme_from_json)
+            scheme = group_scheme_from_json(load(args.table))
         else:
-            scheme = load(args.perms, _orbits_from_json)
+            raw = check(PERMS, load(args.perms))
+            scheme = orbit_configuration(raw["perms"], raw["size"])
         emit({"kind": "scheme", **serialize_scheme(scheme)}, pretty)
         return 0
 

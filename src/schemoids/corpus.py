@@ -150,14 +150,13 @@ def _two_fillers(k: int = 1) -> QuasiSchemoid:
     glued along x, y and the diagonal."""
     objects = ["x", "y"] + [f"a{l}" for l in range(1, k + 1)] + [f"b{l}" for l in range(1, k + 1)]
     morphisms = [(f"1_{o}", o, o) for o in objects] + [("eps", "x", "y")]
-    compose = {}
+    compose = []
     for l in range(1, k + 1):
         morphisms += [(f"al{l}", "x", f"a{l}"), (f"be{l}", f"a{l}", "y"),
                       (f"ga{l}", "x", f"b{l}"), (f"de{l}", f"b{l}", "y")]
-        compose[(f"be{l}", f"al{l}")] = "eps"
-        compose[(f"de{l}", f"ga{l}")] = "eps"
+        compose += [(f"be{l}", f"al{l}", "eps"), (f"de{l}", f"ga{l}", "eps")]
     identity = {o: f"1_{o}" for o in objects}
-    cat = build_category(objects, morphisms, identity, compose.items())
+    cat = build_category(objects, morphisms, identity, compose)
     rng = range(1, k + 1)
     partition = make_partition(cat, {
         "S0": [f"1_{o}" for o in objects],
@@ -191,22 +190,19 @@ def _pair_groupoid_family(k: int) -> QuasiSchemoid:
     for i in range(k):
         mors = [(f"xx{i}", f"x{i}", f"x{i}"), (f"yy{i}", f"y{i}", f"y{i}"),
                 (f"f{i}", f"x{i}", f"y{i}"), (f"g{i}", f"y{i}", f"x{i}")]
-        compose = {}
-        for m1, s1, t1 in mors:
-            for m2, s2, t2 in mors:
-                if s1 == t2:
-                    compose[(m1, m2)] = next(m for m, s, t in mors if s == s2 and t == t1)
+        compose = [(m1, m2, next(m for m, s, t in mors if s == s2 and t == t1))
+                   for m1, s1, t1 in mors for m2, s2, t2 in mors if s1 == t2]
         cats.append(build_category([f"x{i}", f"y{i}"], mors,
-                                   {f"x{i}": f"xx{i}", f"y{i}": f"yy{i}"}, compose.items()))
+                                   {f"x{i}": f"xx{i}", f"y{i}": f"yy{i}"}, compose))
     objects = [o for c in cats for o in c.objects]
     morphisms = [m for c in cats for m in c.morphisms]
     identity = {}
-    compose = {}
+    compose = []
     for c in cats:
         identity.update(c.identity)
         ids = c.morphism_ids
-        compose.update(((ids[i], ids[j]), ids[k]) for i, (j, k) in c.entries())
-    cat = build_category(objects, morphisms, identity, compose.items())
+        compose += [(ids[i], ids[j], ids[k]) for i, (j, k) in c.entries()]
+    cat = build_category(objects, morphisms, identity, compose)
     partition = make_partition(cat, {
         "s0x": [f"xx{i}" for i in range(k)],
         "s0y": [f"yy{i}" for i in range(k)],

@@ -41,7 +41,6 @@ from .fincat import (
     CategoryError,
     FinCategory,
     Functor,
-    MalformedDocument,
     NotInvertible,
     SchemoidsError,
     as_groupoid,
@@ -56,6 +55,7 @@ from .schemoid import (
     check_concatenation,
     make_partition,
 )
+from .shapes import COCYCLE, check
 
 
 class ExtensionError(SchemoidsError):
@@ -178,7 +178,6 @@ def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> Natu
     the morphisms, every composable pair has a push matrix {(a, f): a_*}
     and a pull matrix {(f, b): b^*} of the right shape, and the laws hold
     by matrix equality (`_checked`).  The system is kept on positions."""
-    rank = {str(k): int(v) for k, v in rank.items()}
     if set(rank) != set(cat.morphism_ids):
         raise FunctorialityViolated("rank table must cover exactly the morphisms")
     ids, indexed = cat.morphism_ids, []
@@ -188,7 +187,7 @@ def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> Natu
             at = _positions(cat, f, g)
             if at is None:
                 raise FunctorialityViolated(f"{kind} key ({f!r}, {g!r}) is not composable")
-            rows[at[0]][at[1]] = tuple(tuple(int(x) for x in row) for row in mat)
+            rows[at[0]][at[1]] = tuple(map(tuple, mat))
         missing = next(((ids[i], ids[j]) for i, row in enumerate(cat.rows) for j in row
                         if j not in rows[i]), None)
         if missing:
@@ -246,7 +245,10 @@ def _checked(system: NaturalSystem) -> NaturalSystem:
 
 def trivial_system(cat: FinCategory, modulus: int | None, rank: int = 1) -> NaturalSystem:
     """D_f of the given rank at every f, every push and pull the identity;
-    the morphisms with one source share one row of identities."""
+    the morphisms with one source share one row of identities.  A rank
+    that is no non-negative integer is refused."""
+    if not (type(rank) is int and rank >= 0):
+        raise ExtensionError(f"rank must be a non-negative integer, got {rank!r}")
     one = _identity_matrix(rank)
     shared = [dict.fromkeys(into, one) for into in cat.into]
     rows = tuple(map(shared.__getitem__, cat.src_of))
@@ -258,8 +260,6 @@ def induced_system(cat: FinCategory, modulus: int | None, object_rank: dict,
     """System induced from a functor into modules: D_f = H(tgt f), a_* = H(a),
     pullbacks are identities; checked as by `validate_natural_system`.  An
     object with no rank or a morphism with no map is refused."""
-    object_rank = {str(k): int(v) for k, v in object_rank.items()}
-    maps = {str(k): v for k, v in maps.items()}
     for x in cat.objects:
         if x not in object_rank:
             raise FunctorialityViolated(f"object rank for {x!r} missing")
@@ -268,7 +268,7 @@ def induced_system(cat: FinCategory, modulus: int | None, object_rank: dict,
             raise FunctorialityViolated(f"module map for {a!r} missing")
     rank = tuple(object_rank[cat.objects[t]] for t in cat.tgt_of)
     ones = {r: _identity_matrix(r) for r in set(rank)}
-    push = tuple(dict.fromkeys(cat.into[s], tuple(tuple(int(x) for x in row) for row in maps[a]))
+    push = tuple(dict.fromkeys(cat.into[s], tuple(map(tuple, maps[a])))
                  for a, s in zip(cat.morphism_ids, cat.src_of))
     pull = tuple(dict.fromkeys(cat.into[s], ones[r]) for s, r in zip(cat.src_of, rank))
     return _checked(NaturalSystem(cat, modulus, rank, push, pull))
@@ -349,31 +349,16 @@ def normalize_cocycle(system: NaturalSystem, delta: Cochain2) -> Cochain2:
     return cochain2_sub(system, delta, coboundary_of_1cochain(system, fvals))
 
 
-def cocycle_from_json(system: NaturalSystem, raw: dict) -> Cochain2:
-    """A cochain from {"entries": [[f, g, vector], ...]}, each vector an
-    array of integers or one integer; a document of another shape is refused
-    as MalformedDocument naming the field."""
-    if not isinstance(raw, dict):
-        raise MalformedDocument(f"cocycle: a JSON object expected, not {type(raw).__name__}")
-    given = raw.get("entries")
-    if not isinstance(given, list):
-        raise MalformedDocument(f"cocycle.entries: a JSON array expected, not {type(given).__name__}")
-    for i, entry in enumerate(given):
-        if not (isinstance(entry, list) and len(entry) == 3 and _is_vector(entry[2])):
-            raise MalformedDocument(f"cocycle.entries[{i}]: [f, g, vector] expected, "
-                                    "the vector an array of integers or one integer")
+def cocycle_from_json(system: NaturalSystem, raw: dict, at: str = "cocycle") -> Cochain2:
+    """A cochain from a cocycle document at JSON path `at`, the format
+    `shapes.COCYCLE` declares: {"entries": [[f, g, vector], ...]}, each
+    vector an array of integers or one integer."""
     entries = {}
-    for f, g, vec in given:
-        vec = tuple(int(x) for x in (vec if isinstance(vec, list) else [vec]))
-        if _positions(system.category, str(f), str(g)) is None:
+    for f, g, vec in check(COCYCLE, raw, at)["entries"]:
+        if _positions(system.category, f, g) is None:
             raise ExtensionError(f"cocycle entry ({f!r}, {g!r}) is not a composable pair")
-        entries[(str(f), str(g))] = vec
+        entries[(f, g)] = (vec,) if type(vec) is int else tuple(vec)
     return Cochain2(entries)
-
-
-def _is_vector(value) -> bool:
-    return isinstance(value, int) or (isinstance(value, list)
-                                      and all(isinstance(x, int) for x in value))
 
 
 def cocycle_to_json(delta: Cochain2) -> dict:
@@ -834,15 +819,14 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
     fibers = list(fiber.values())
 
     def composites():
-        """For each (g, f) and a in D_f, the items ((g, b), (f, a)) -> composite, b in D_g."""
+        """For each (g, f) and a in D_f, the triples ((g, b), (f, a), their composite), b in D_g."""
         for (i, (j, k)), (pushed, pulled) in zip(cat.entries(), tables.pairs):
             fiber_g, fiber_gf, add = fibers[i], fibers[k], tables.addition[k]
             d = placed.get((i, j))
             minus_d = add[_position([-x for x in d], m) if d else 0]
             for fa, a_pushed in zip(fibers[j], pushed):
                 row = add[minus_d[a_pushed]]
-                yield zip(zip(fiber_g, repeat(fa)),
-                          map(fiber_gf.__getitem__, map(row.__getitem__, pulled)))
+                yield zip(fiber_g, repeat(fa), map(fiber_gf.__getitem__, map(row.__getitem__, pulled)))
 
     try:
         total = build_category(cat.objects, morphisms, identity, chain.from_iterable(composites()))

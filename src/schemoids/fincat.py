@@ -266,38 +266,28 @@ def _hom_sets(morphisms) -> dict[tuple[str, str], tuple[str, ...]]:
 
 
 def validate_category(raw: dict) -> FinCategory:
-    """Validate a raw description and return a FinCategory.
+    """Validate a category document and return a FinCategory.
 
-    Raw format: {"objects": [...], "morphisms": [{"id","src","tgt"}...],
-    "identities": {obj: mor}, "compose": [[f, g, fg], ...]}.  Composition
-    entries implied by the unit laws may be omitted.  A top-level field of
-    the wrong JSON type, a morphism without id, src or tgt, or a compose
-    entry that is not a triple, is refused as a CategoryError naming the
-    field.
+    The format is `shapes.CATEGORY`: {"objects": [...], "morphisms":
+    [{"id","src","tgt"}...], "identities": {obj: mor}, "compose": [[f, g,
+    fg], ...]}.  Composition entries implied by the unit laws may be
+    omitted.  A document of another shape is refused as a CategoryError
+    naming the first field that does not fit.
     """
-    if not isinstance(raw, dict):
-        raise CategoryError(f"category: a JSON object expected, not {type(raw).__name__}")
-    for field, kind in (("objects", list), ("morphisms", list), ("identities", dict),
-                        ("compose", list)):
-        value = raw.get(field)
-        if not isinstance(value, kind):
-            expected = "object" if kind is dict else "array"
-            raise CategoryError(f"{field}: a JSON {expected} expected, not {type(value).__name__}")
+    return read_category(shapes.check(shapes.CATEGORY, raw))
+
+
+def read_category(raw: dict, at: str = "") -> FinCategory:
+    """The category of a document already checked against
+    `shapes.CATEGORY`, found at JSON path `at` in a larger one.  The check
+    leaves the composition entries out, since the read loop unpacks and
+    looks up each of them: when the read fails, the first entry that does
+    not fit is refused by name, before any law the read found broken."""
     try:
-        morphisms = [(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]]
-    except (KeyError, TypeError):
-        raise CategoryError("morphisms: each entry must be an object with id, src and tgt") from None
-    try:
-        return _validate(raw["objects"], morphisms, raw["identities"], raw["compose"])
-    except (ValueError, TypeError):
-        # a compose entry that is not a triple fails to unpack in the read
-        # loop; the entries are looked at only then, so valid input pays
-        # no per-entry check
-        for i, entry in enumerate(raw["compose"]):
-            if not (isinstance(entry, list) and len(entry) == 3):
-                got = f"{len(entry)} entries" if isinstance(entry, list) else type(entry).__name__
-                raise CategoryError(f"compose[{i}]: a JSON array [f, g, fg] expected, "
-                                    f"not {got}") from None
+        return _validate(raw["objects"], [(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]],
+                         raw["identities"], raw["compose"])
+    except (CategoryError, ValueError, TypeError):
+        shapes.name_fault(shapes.CATEGORY, raw, at)
         raise
 
 
@@ -324,10 +314,10 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
     here are the table the category keeps; no table keyed by labels is
     built.
     """
-    objects = tuple(str(x) for x in objects)
+    objects = tuple(objects)
     if len(set(objects)) != len(objects):
         raise CategoryError("duplicate object ids")
-    morphisms = tuple((str(m), str(s), str(t)) for m, s, t in morphisms)
+    morphisms = tuple(map(tuple, morphisms))
     ids = tuple(m for m, _, _ in morphisms)
     pos = {m: i for i, m in enumerate(ids)}
     if len(pos) != len(ids):
@@ -339,7 +329,7 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
     src = {m: s for m, s, _ in morphisms}
     tgt = {m: t for m, _, t in morphisms}
 
-    identity = {str(k): str(v) for k, v in identities.items()}
+    identity = dict(identities)
     for x in objects:
         e = identity.get(x)
         if e is None or e not in src:
@@ -363,12 +353,8 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
         try:
             i, j, k = pos[f], pos[g], pos[fg]
         except (KeyError, TypeError):
-            f, g, fg = str(f), str(g), str(fg)
-            try:
-                i, j, k = pos[f], pos[g], pos[fg]
-            except KeyError:
-                raise UndefinedComposite(
-                    f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms") from None
+            raise UndefinedComposite(
+                f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms") from None
         row = rows[i]
         if j not in row:
             row[j] = k
@@ -494,10 +480,10 @@ def serialize(cat: FinCategory) -> dict:
 def build_category(objects, morphisms, identity, compose) -> FinCategory:
     """Validate parts assembled in code (same checks as validate_category).
 
-    `compose` is an iterable of ((f, g), f∘g) items, such as a dict's
-    `.items()`; it is read once, so a large table can be streamed in.
+    `compose` is an iterable of (f, g, f∘g) triples; it is read once, so a
+    large table can be streamed in.
     """
-    return _validate(objects, morphisms, identity, ((f, g, fg) for (f, g), fg in compose))
+    return _validate(objects, morphisms, identity, compose)
 
 
 def full_subcategory(c: FinCategory, objects) -> FinCategory:
@@ -506,9 +492,8 @@ def full_subcategory(c: FinCategory, objects) -> FinCategory:
     keep = set(objects)
     objs = tuple(x for x in c.objects if x in keep)
     morphisms = tuple(m for m in c.morphisms if m[1] in keep and m[2] in keep)
-    compose = {(f, g): c.comp(f, g)
-               for f, s, _ in morphisms for y in objs for g in c.hom(y, s)}
-    return build_category(objs, morphisms, {x: c.identity[x] for x in objs}, compose.items())
+    compose = ((f, g, c.comp(f, g)) for f, s, _ in morphisms for y in objs for g in c.hom(y, s))
+    return build_category(objs, morphisms, {x: c.identity[x] for x in objs}, compose)
 
 
 def terminal_category() -> FinCategory:
@@ -521,14 +506,13 @@ def one_object_group(elements, table) -> Groupoid:
     MissingIdentity without a two-sided unit; otherwise the table is checked
     by `build_category` (totality, Light's associativity test) and
     `as_groupoid` (NotInvertible)."""
-    elements = [str(e) for e in elements]
     unit = next((e for e in elements
                  if all(table.get((e, x)) == x and table.get((x, e)) == x for x in elements)), None)
     if unit is None:
         raise MissingIdentity("the group table has no two-sided unit")
     morphisms = [(e, "*", "*") for e in elements]
-    compose = {(a, b): table[(a, b)] for a in elements for b in elements if (a, b) in table}
-    return as_groupoid(build_category(["*"], morphisms, {"*": unit}, compose.items()))
+    compose = ((a, b, table[(a, b)]) for a in elements for b in elements if (a, b) in table)
+    return as_groupoid(build_category(["*"], morphisms, {"*": unit}, compose))
 
 
 def cyclic_group_table(n: int):
@@ -558,7 +542,7 @@ def product_with_projections(c: FinCategory, d: FinCategory):
     identity = {x: name[c.index[c.identity[a]]][d.index[d.identity[b]]]
                 for (a, b), x in pobj.items()}
     d_entries = list(d.entries())
-    compose = (((name[f1][f2], name[g1][g2]), name[h1][h2])
+    compose = ((name[f1][f2], name[g1][g2], name[h1][h2])
                for f1, (g1, h1) in c.entries() for f2, (g2, h2) in d_entries)
     cat = build_category(objects, morphisms, identity, compose)
     obj1 = {x: a for (a, b), x in pobj.items()}
@@ -569,13 +553,13 @@ def product_with_projections(c: FinCategory, d: FinCategory):
 def _tagged_sum(c: FinCategory, d: FinCategory):
     """Objects, morphisms, identities and composition of the coproduct C ⊔ D,
     with every id of C prefixed 'L.' and every id of D 'R.'."""
-    objects, morphisms, identity, compose = [], [], {}, {}
+    objects, morphisms, identity, compose = [], [], {}, []
     for tag, e in (("L.", c), ("R.", d)):
         objects += [tag + x for x in e.objects]
         morphisms += [(tag + m, tag + s, tag + t) for m, s, t in e.morphisms]
         identity.update({tag + x: tag + e.identity[x] for x in e.objects})
         ids = e.morphism_ids
-        compose.update({(tag + ids[i], tag + ids[j]): tag + ids[k] for i, (j, k) in e.entries()})
+        compose += [(tag + ids[i], tag + ids[j], tag + ids[k]) for i, (j, k) in e.entries()]
     return objects, morphisms, identity, compose
 
 
@@ -592,25 +576,24 @@ def join(c: FinCategory, d: FinCategory) -> FinCategory:
             # alpha ∘ w[a,s] = w[a,t] for alpha: s -> t in D
             for m, s, t in d.morphisms:
                 if s == b:
-                    compose[(f"R.{m}", w[(a, b)])] = w[(a, t)]
+                    compose.append((f"R.{m}", w[(a, b)], w[(a, t)]))
             # w[v,b] ∘ beta = w[u,b] for beta: u -> v in C
             for m, s, t in c.morphisms:
                 if t == a:
-                    compose[(w[(a, b)], f"L.{m}")] = w[(s, b)]
-    return build_category(objects, morphisms, identity, compose.items())
+                    compose.append((w[(a, b)], f"L.{m}", w[(s, b)]))
+    return build_category(objects, morphisms, identity, compose)
 
 
 def disjoint_union(c: FinCategory, d: FinCategory) -> FinCategory:
     """Coproduct with the same 'L.'/'R.' renaming as join."""
-    objects, morphisms, identity, compose = _tagged_sum(c, d)
-    return build_category(objects, morphisms, identity, compose.items())
+    return build_category(*_tagged_sum(c, d))
 
 
 def opposite(c: FinCategory) -> FinCategory:
     morphisms = [(m, t, s) for m, s, t in c.morphisms]
     ids = c.morphism_ids
     return build_category(c.objects, morphisms, c.identity,
-                          (((ids[j], ids[i]), ids[k]) for i, (j, k) in c.entries()))
+                          ((ids[j], ids[i], ids[k]) for i, (j, k) in c.entries()))
 
 
 def factorization_category(c: FinCategory) -> FinCategory:
@@ -619,7 +602,7 @@ def factorization_category(c: FinCategory) -> FinCategory:
     (α', β')∘(α, β) = (α'∘α, β∘β')."""
     objects = list(c.morphism_ids)
     morphisms = []
-    compose = {}
+    compose = []
     mid = lambda a, b, f: f"({a},{b})@{f}"
     arrows = []
     for f in objects:
@@ -639,8 +622,8 @@ def factorization_category(c: FinCategory) -> FinCategory:
         for m1, a1, b1, f1, g1 in arrows:
             if g1 != f2:
                 continue
-            compose[(m2, m1)] = mid(c.comp(a2, a1), c.comp(b1, b2), f1)
-    return build_category(objects, morphisms, identity, compose.items())
+            compose.append((m2, m1, mid(c.comp(a2, a1), c.comp(b1, b2), f1)))
+    return build_category(objects, morphisms, identity, compose)
 
 
 def as_groupoid(c: FinCategory) -> Groupoid:
@@ -658,17 +641,19 @@ def is_groupoid(c: FinCategory) -> bool:
 
 
 def validate_groupoid(raw: dict) -> Groupoid:
-    """Groupoid JSON = category JSON + {"inverse": {f: f^-1}}."""
-    cat = validate_category(raw)
-    inverse = {str(k): str(v) for k, v in raw["inverse"].items()}
+    """A groupoid document, `shapes.GROUPOID`: a category document with
+    one more field, "inverse": {f: f^-1}."""
+    cat = read_category(shapes.check(shapes.GROUPOID, raw))
+    inverse = raw["inverse"]
     for f in cat.morphism_ids:
         g = inverse.get(f)
         if g is None:
             raise NotInvertible(f"no inverse listed for {f!r}")
-        if (cat.comp(f, g) != cat.identity[cat.tgt(f)]
-                or cat.comp(g, f) != cat.identity[cat.src(f)]):
+        s, t = cat.src(f), cat.tgt(f)
+        if (g not in cat.index or (cat.src(g), cat.tgt(g)) != (t, s)
+                or cat.comp(f, g) != cat.identity[t] or cat.comp(g, f) != cat.identity[s]):
             raise NotInvertible(f"listed inverse of {f!r} is wrong")
-        if inverse[g] != f:
+        if inverse.get(g) != f:
             raise NotInvertible(f"inverse is not an involution at {f!r}")
     return Groupoid(cat, inverse)
 
@@ -740,3 +725,8 @@ def compose_functors(f2: Functor, f1: Functor) -> Functor:
         {m: f2.morphism_map[n] for m, n in f1.morphism_map.items()},
         contravariant=f1.contravariant != f2.contravariant,
     )
+
+
+# shapes declares the documents with the error classes above, so it is
+# imported once they exist
+from . import shapes  # noqa: E402

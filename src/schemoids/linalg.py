@@ -64,11 +64,6 @@ def is_prime(n: int) -> bool:
 SparseRow = dict[int, int]   # column -> nonzero coefficient
 
 
-def sparse_rows(a) -> list[SparseRow]:
-    """The rows of a dense matrix as {column: coefficient} dicts."""
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
-
-
 class _Echelon:
     """The pivot rows of one elimination over Z/p^k (k >= 1), or over Q when
     p is None (integer rows, divided by their content).

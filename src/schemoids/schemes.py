@@ -15,12 +15,12 @@ from itertools import product as iproduct
 from .fincat import (
     CategoryError,
     Functor,
-    MalformedDocument,
     SchemoidsError,
     build_category,
     one_object_group,
     pair_name,
 )
+from .shapes import SCHEME, check
 from .schemoid import QuasiSchemoid, StructureConstantTable, check_association, make_partition
 
 DESK_SCALE_LIMIT = 64
@@ -79,20 +79,6 @@ class CoherentConfiguration:
     def p(self, e: str, f: str, g: str) -> int:
         return self.intersection.get((e, f, g), 0)
 
-    def adjacency(self, cls: str) -> list[list[int]]:
-        k = self.classes.index(cls)
-        n = self.size
-        return [[1 if self.relation_of[x][y] == k else 0 for y in range(n)] for x in range(n)]
-
-    def pair_count(self, cls: str) -> int:
-        k = self.classes.index(cls)
-        return sum(row.count(k) for row in self.relation_of)
-
-    @property
-    def diagonal_classes(self) -> tuple[str, ...]:
-        n = self.size
-        return tuple(sorted({self.classes[self.relation_of[x][x]] for x in range(n)}))
-
     def __eq__(self, other):
         if not isinstance(other, CoherentConfiguration):
             return NotImplemented
@@ -120,22 +106,16 @@ def validate_scheme(size: int, relations, points=None, classes=None):
     if size ** 3 > SCHEME_BUDGET:
         raise SizeLimit(f"{size} points: the tally of {size}^3 point triples exceeds "
                         f"the budget of {SCHEME_BUDGET}")
-    rel = tuple(tuple(int(x) for x in row) for row in relations)
+    rel = tuple(map(tuple, relations))
     if len(rel) != size or any(len(row) != size for row in rel):
         raise SchemeError("relation matrix must be size x size")
     indices = sorted({x for row in rel for x in row})
     if indices != list(range(len(indices))):
         raise SchemeError("class indices must be 0..k-1 with every class nonempty")
-    if points is None:
-        points = tuple(str(i) for i in range(size))
-    else:
-        points = tuple(str(p) for p in points)
+    points = tuple(map(str, range(size)) if points is None else points)
     if len(points) != size:
         raise SchemeError("point name count mismatch")
-    if classes is None:
-        classes = tuple(f"R{i}" for i in indices)
-    else:
-        classes = tuple(str(c) for c in classes)
+    classes = tuple(f"R{i}" for i in indices) if classes is None else tuple(classes)
     if len(classes) != len(indices):
         raise SchemeError("class name count mismatch")
     for kind, names in (("point", points), ("class", classes)):
@@ -202,21 +182,10 @@ def serialize_scheme(s: CoherentConfiguration) -> dict:
 
 
 def scheme_from_json(raw: dict):
-    """A scheme document {"size", "relations", "points"?, "classes"?}; a
-    field of the wrong shape is refused as MalformedDocument naming it."""
-    if not isinstance(raw, dict):
-        raise MalformedDocument(f"scheme: a JSON object expected, not {type(raw).__name__}")
-    size, relations = raw.get("size"), raw.get("relations")
-    if not isinstance(size, int):
-        raise MalformedDocument(f"size: an integer expected, not {type(size).__name__}")
-    if not (isinstance(relations, list) and all(
-            isinstance(row, list) and all(isinstance(x, int) for x in row) for row in relations)):
-        raise MalformedDocument("relations: an array of arrays of integers expected")
-    for field in ("points", "classes"):
-        if raw.get(field) is not None and not isinstance(raw[field], list):
-            raise MalformedDocument(f"{field}: a JSON array expected, "
-                                    f"not {type(raw[field]).__name__}")
-    return validate_scheme(size, relations, raw.get("points"), raw.get("classes"))
+    """A scheme document, the format `shapes.SCHEME` declares: {"size",
+    "relations", "points"?, "classes"?}."""
+    check(SCHEME, raw)
+    return validate_scheme(raw["size"], raw["relations"], raw.get("points"), raw.get("classes"))
 
 
 def hamming(n: int, q: int, limit: int = DESK_SCALE_LIMIT) -> AssociationScheme:
@@ -240,14 +209,13 @@ def group_scheme(elements, table) -> AssociationScheme:
     """Scheme on a finite group with classes G_f = {(k, l) : k^-1 l = f}.
     The table is checked by `one_object_group`; its CategoryError is
     re-raised as InvalidGroupTable."""
-    tab = {(str(a), str(b)): str(v) for (a, b), v in table.items()}
     try:
-        group = one_object_group(elements, tab)
+        group = one_object_group(elements, table)
     except CategoryError as err:
         raise InvalidGroupTable(str(err)) from err
     elements, inverse = group.base.morphism_ids, group.inverse
     index = {e: i for i, e in enumerate(elements)}
-    rel = [[index[tab[(inverse[k], l)]] for l in elements] for k in elements]
+    rel = [[index[table[(inverse[k], l)]] for l in elements] for k in elements]
     classes = [f"G[{e}]" for e in elements]
     return validate_scheme(len(elements), rel, points=elements, classes=classes)
 
@@ -290,23 +258,6 @@ def orbit_configuration(perms: list[list[int]], size: int):
     return validate_scheme(size, rel, classes=classes)
 
 
-def is_transitive(perms: list[list[int]], size: int) -> bool:
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for p in perms:
-            if p[x] not in reached:
-                reached.add(p[x])
-                frontier.append(p[x])
-    return len(reached) == size
-
-
-def pair_morphism(x: str, y: str) -> str:
-    """Name of the complete-graph morphism y -> x attached to the pair (x, y)."""
-    return pair_name(x, y)
-
-
 def j_embed(scheme: CoherentConfiguration) -> QuasiSchemoid:
     """Complete-graph schemoid of a configuration.
 
@@ -325,11 +276,11 @@ def j_embed(scheme: CoherentConfiguration) -> QuasiSchemoid:
     """
     pts = scheme.points
     n = len(pts)
-    name = [[pair_morphism(x, y) for y in pts] for x in pts]   # name[x][y] = (x, y)
+    name = [[pair_name(x, y) for y in pts] for x in pts]   # name[x][y]: y -> x
     morphisms = [(name[x][y], pts[y], pts[x]) for x in range(n) for y in range(n)]
     identity = {pts[x]: name[x][x] for x in range(n)}
-    # the n³ composites go to validation as a stream of ((zx, xy), zy) items
-    compose = (((row_z[x], xy), zy) for row_z in name for x in range(n)
+    # the n³ composites go to validation as a stream of (zx, xy, zy) triples
+    compose = ((row_z[x], xy, zy) for row_z in name for x in range(n)
                for xy, zy in zip(name[x], row_z))
     cat = build_category(pts, morphisms, identity, compose)
     blocks: dict[str, list[str]] = {c: [] for c in scheme.classes}

@@ -23,7 +23,6 @@ from itertools import chain
 from .fincat import (
     FinCategory,
     Functor,
-    MalformedDocument,
     NotInvertible,
     SchemoidsError,
     as_groupoid,
@@ -36,6 +35,7 @@ from .fincat import (
     product_with_projections,
     validate_functor,
 )
+from .shapes import PARTITION, check
 
 
 class PartitionError(SchemoidsError):
@@ -93,14 +93,14 @@ def make_partition(cat: FinCategory, blocks: dict) -> MorphismPartition:
     block_of: dict[str, str] = {}
     clean: dict[str, frozenset[str]] = {}
     for name, members in blocks.items():
-        members = frozenset(str(m) for m in members)
+        members = frozenset(members)
         if not members:
             raise PartitionError(f"block {name!r} is empty")
         for m in members:
             if m in block_of:
                 raise PartitionError(f"morphism {m!r} appears in two blocks")
-            block_of[m] = str(name)
-        clean[str(name)] = members
+            block_of[m] = name
+        clean[name] = members
     missing = set(cat.morphism_ids) - set(block_of)
     if missing:
         raise PartitionError(f"morphisms not covered: {sorted(missing)}")
@@ -119,14 +119,9 @@ def serialize_partition(p: MorphismPartition) -> dict:
 
 
 def partition_from_json(cat: FinCategory, raw: dict) -> MorphismPartition:
-    """A partition document {"blocks": {name: [morphism, ...]}}; another
-    shape is refused as MalformedDocument naming the field."""
-    if not isinstance(raw, dict):
-        raise MalformedDocument(f"partition: a JSON object expected, not {type(raw).__name__}")
-    blocks = raw.get("blocks")
-    if not (isinstance(blocks, dict) and all(isinstance(ms, list) for ms in blocks.values())):
-        raise MalformedDocument("partition.blocks: an object of arrays of morphisms expected")
-    return make_partition(cat, blocks)
+    """A partition document, `shapes.PARTITION`: {"blocks": {name:
+    [morphism, ...]}}."""
+    return make_partition(cat, check(PARTITION, raw, "partition")["blocks"])
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import FinCategory, Functor, SchemoidsError, build_category
-from .schemes import CoherentConfiguration, pair_morphism
+from .fincat import FinCategory, Functor, SchemoidsError, build_category, pair_name
+from .schemes import CoherentConfiguration
 from .schemoid import (
     QuasiSchemoid,
     SchemoidMorphism,
@@ -90,7 +90,7 @@ def _cells(cat: FinCategory):
 
 
 def check_transitive(z) -> tuple[tuple[int, ...], ...]:
-    z = tuple(tuple(int(x) for x in row) for row in z)
+    z = tuple(map(tuple, z))
     m = len(z)
     if any(len(row) != m for row in z):
         raise ThickenError("matrix must be square")
@@ -133,7 +133,7 @@ def category_from_matrix(z, labels=None) -> FramedCategory:
             frame[(x, y)] = phis[0]
             extras[(x, y)] = phis[1:]
             by_endpoints[(x, y)] = phis
-    compose = {}
+    compose = []
     for (i, j), first_batch in by_endpoints.items():
         for (j2, k), second_batch in by_endpoints.items():
             if j2 != j:
@@ -141,8 +141,8 @@ def category_from_matrix(z, labels=None) -> FramedCategory:
             target = frame[(i, k)]
             for g in first_batch:
                 for f in second_batch:
-                    compose[(f, g)] = target
-    cat = build_category(list(labels), morphisms, identity, compose.items())
+                    compose.append((f, g, target))
+    cat = build_category(list(labels), morphisms, identity, compose)
     return FramedCategory(cat, labels, z, frame,
                           {k: tuple(v) for k, v in extras.items()})
 
@@ -275,7 +275,7 @@ def projection_phi(sc: QuasiSchemoid, scheme: CoherentConfiguration,
     cat = sc.category
     omap = {x: x for x in cat.objects}
     # phi_i_j_lam and id_i go to the morphism i -> j (i -> i) of the complete graph
-    mmap = {_cell_name(i, j, lam): pair_morphism(j, i) for i, j, lam in _cells(cat)}
+    mmap = {_cell_name(i, j, lam): pair_name(j, i) for i, j, lam in _cells(cat)}
     fun = Functor(omap, mmap)
     return schemoid_morphism(sc, j_image, fun)
 

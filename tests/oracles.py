@@ -977,3 +977,38 @@ def schemoid_morphisms_by_search(a, b, cap=1 << 19):
             continue
         found.append(fun)
     return found
+
+
+def sparse_rows(a):
+    """The rows of a dense matrix as {column: coefficient} dicts."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def adjacency(scheme, cls):
+    """The 0/1 adjacency matrix of one class of a configuration."""
+    k = scheme.classes.index(cls)
+    return [[1 if x == k else 0 for x in row] for row in scheme.relation_of]
+
+
+def pair_count(scheme, cls):
+    """The number of point pairs in one class of a configuration."""
+    k = scheme.classes.index(cls)
+    return sum(row.count(k) for row in scheme.relation_of)
+
+
+def diagonal_classes(scheme):
+    """The classes that meet the diagonal, sorted."""
+    return tuple(sorted({scheme.classes[row[x]] for x, row in enumerate(scheme.relation_of)}))
+
+
+def is_transitive(perms, size):
+    """Whether the permutations reach every point from 0."""
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for p in perms:
+            if p[x] not in reached:
+                reached.add(p[x])
+                frontier.append(p[x])
+    return len(reached) == size

@@ -34,6 +34,7 @@ from schemoids.thicken import projection_phi, thicken_scheme
 from test_properties import small_categories
 from test_schemoid import ex2_8, group_bullet
 from oracles import (
+    adjacency,
     assert_associative_dense,
     check_algebra_hom_fractions,
     mat_mul_int,
@@ -75,7 +76,7 @@ def test_h22_algebra_matches_adjacency_products():
     s = hamming(2, 2)
     qs = j_embed(s)
     alg = schemoid_algebra(qs, Q)
-    adj = {c: s.adjacency(c) for c in s.classes}
+    adj = {c: adjacency(s, c) for c in s.classes}
     n = s.size
     for e in s.classes:
         for f in s.classes:
@@ -147,7 +148,7 @@ def test_terwilliger_z2_matches_matrix_oracle():
         clo = terwilliger(qs, e, Q)
         # oracle: matrix algebra closure of adjacency + dual idempotents in M_2
         n = s.size
-        gens = [s.adjacency(c) for c in s.classes]
+        gens = [adjacency(s, c) for c in s.classes]
         ei = s.points.index(e)
         for c in s.classes:
             diag = [[0] * n for _ in range(n)]
@@ -165,7 +166,7 @@ def test_terwilliger_h22_vertex_independent():
     assert len(dims) == 1
     # frozen from the matrix-closure oracle
     n = s.size
-    gens = [s.adjacency(c) for c in s.classes]
+    gens = [adjacency(s, c) for c in s.classes]
     for c in s.classes:
         diag = [[0] * n for _ in range(n)]
         for xi in range(n):
@@ -312,7 +313,7 @@ def test_associativity_check_rejects_perturbed_tensor(ring):
 def _terwilliger_matrices(s, base):
     """Adjacency matrices and the dual idempotents at point index base."""
     n = s.size
-    gens = [s.adjacency(c) for c in s.classes]
+    gens = [adjacency(s, c) for c in s.classes]
     for ci in range(len(s.classes)):
         gens.append([[int(x == y and s.relation_of[base][x] == ci) for y in range(n)]
                      for x in range(n)])

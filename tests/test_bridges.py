@@ -46,7 +46,8 @@ def two_object_connected_groupoid():
         for m2, s2, t2 in mors:
             if s1 == t2:
                 compose[(m1, m2)] = next(m for m, s, t in mors if s == s2 and t == t1)
-    cat = build_category(["x", "y"], mors, {"x": "xx", "y": "yy"}, compose.items())
+    cat = build_category(["x", "y"], mors, {"x": "xx", "y": "yy"},
+                         ((f, g, fg) for (f, g), fg in compose.items()))
     return Groupoid(cat, {"xx": "xx", "yy": "yy", "xy": "yx", "yx": "xy"})
 
 
@@ -63,7 +64,8 @@ def c_i_family(k):
                 if s1 == t2:
                     compose[(m1, m2)] = next(m for m, s, t in mors if s == s2 and t == t1)
         cats.append(build_category([f"x{i}", f"y{i}"], mors,
-                                   {f"x{i}": f"xx{i}", f"y{i}": f"yy{i}"}, compose.items()))
+                                   {f"x{i}": f"xx{i}", f"y{i}": f"yy{i}"},
+                                   ((f, g, fg) for (f, g), fg in compose.items())))
     objects = [o for c in cats for o in c.objects]
     morphisms = [m for c in cats for m in c.morphisms]
     identity = {}
@@ -71,7 +73,8 @@ def c_i_family(k):
     for c in cats:
         identity.update(c.identity)
         compose.update(c.compose)
-    cat = build_category(objects, morphisms, identity, compose.items())
+    cat = build_category(objects, morphisms, identity,
+                         ((f, g, fg) for (f, g), fg in compose.items()))
     blocks = {
         "s0x": [f"xx{i}" for i in range(k)],
         "s0y": [f"yy{i}" for i in range(k)],

@@ -591,6 +591,65 @@ def test_documents_of_the_wrong_shape_are_refused_by_name(capsys, tmp_path, argv
     assert code == 1 and out["error"] == name and out["message"].startswith(message)
 
 
+def motivation_probe(tmp_path, probe):
+    """argv and stdin of one probe of a document whose shape was read
+    wrongly before shapes.py: crashed as KeyError, AttributeError or
+    TypeError, or was coerced and answered with exit 0."""
+    from schemoids.bridges import s_tilde
+    from schemoids.extensions import trivial_system
+    from schemoids.fincat import serialize
+    z2 = one_object_group(*cyclic_group_table(2))
+    category = serialize(z2.base)
+    bundle = cli.bundle_to_json(s_tilde(z2))
+    if probe in ("no-inverse", "int-inverse"):
+        doc = category if probe == "no-inverse" else {**category, "inverse": 5}
+        return ["from-groupoid", "-"], json.dumps(doc)
+    if probe in ("int-matrix", "float-matrix"):
+        return ["thicken", "--matrix", "-"], "5" if probe == "int-matrix" else "[[2.5]]"
+    if probe == "string-contravariant":
+        bundle["involution"]["contravariant"] = "no"
+        return ["analyze", "-"], json.dumps(bundle)
+    system = cli.system_to_json(trivial_system(z2.base, 2))
+    system["ranks"]["1"] = "1"
+    return ["cohomology", write(tmp_path, "z2.json", category), "-"], json.dumps(system)
+
+
+@pytest.mark.parametrize("probe, message", [
+    ("no-inverse", "inverse: a JSON object expected, not NoneType"),
+    ("int-inverse", "inverse: a JSON object expected, not int"),
+    ("int-matrix", "matrix: an array of arrays of integers expected, not int"),
+    ("float-matrix", "matrix: an array of arrays of integers expected; "
+                     "matrix[0][0]: an integer expected, not float"),
+    ("string-contravariant", "involution.contravariant: a boolean expected, not str"),
+    ("string-rank", "system.ranks.1: a non-negative integer expected, not str"),
+], ids=["no-inverse", "int-inverse", "int-matrix", "float-matrix", "string-contravariant",
+        "string-rank"])
+def test_documents_read_wrongly_before_are_refused_by_name(capsys, tmp_path, probe, message):
+    """A groupoid with no inverse or an integer for it, a hom-count matrix
+    that is an integer or holds 2.5, a bundle whose involution says
+    "contravariant": "no", and an explicit system with the rank "1" are
+    each refused as MalformedDocument naming the field."""
+    argv, stdin = motivation_probe(tmp_path, probe)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out = run_json(capsys, *argv)
+    assert code == 1 and out["error"] == "MalformedDocument" and out["message"] == message
+
+
+def test_a_decoders_own_error_exits_3(capsys, tmp_path, monkeypatch):
+    """A TypeError raised while decoding a well-formed document is the
+    program's own error, not a refused input."""
+    from schemoids.bridges import s_tilde
+
+    def broken(*args):
+        raise TypeError("a bug")
+    bf = write(tmp_path, "bundle.json",
+               cli.bundle_to_json(s_tilde(one_object_group(*cyclic_group_table(2)))))
+    monkeypatch.setattr(cli, "verify_quasi_schemoid", broken)
+    code, out, err = outputs(capsys, ["analyze", bf])
+    assert code == 3 and out == "" and "TypeError: a bug" in err
+
+
 def z2_bundle(identities):
     """Z/2 on one object x (a∘a = 1), one block {1, a}."""
     return {"category": {"objects": ["x"],

@@ -4,7 +4,9 @@ Every subcommand that reads input gets small valid documents with one of
 them spoiled: replaced by a random JSON value, cut short, or with one field
 (at any depth) dropped or given a value of another type.  The CLI must
 answer with exit 0, 1 or 2, never with exit 3 (the program's own error),
-and a refusal must print its error envelope as stdout's last line.
+and a refusal must print its error envelope as stdout's last line, naming
+a `SchemoidsError` class or a failed read (`JSONDecodeError`,
+`FileNotFoundError`), never a built-in error of the decoding.
 """
 
 import contextlib
@@ -17,7 +19,13 @@ from hypothesis import given, settings, strategies as st
 from schemoids import cli
 from schemoids.bridges import s_tilde
 from schemoids.extensions import trivial_system
-from schemoids.fincat import cyclic_group_table, one_object_group, serialize, serialize_groupoid
+from schemoids.fincat import (
+    SchemoidsError,
+    cyclic_group_table,
+    one_object_group,
+    serialize,
+    serialize_groupoid,
+)
 from schemoids.schemes import hamming, j_embed, serialize_scheme
 
 
@@ -94,6 +102,20 @@ json_values = st.recursive(
 OTHER_TYPES = (None, True, 5, -1, "x", [], {}, [[0]])
 
 
+def refusal_names() -> set:
+    """The classes a refusal may name: SchemoidsError and its subclasses,
+    and the read errors `cli.load` refuses by."""
+    names, todo = set(), [SchemoidsError]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo += cls.__subclasses__()
+    return names | {"JSONDecodeError", "FileNotFoundError"}
+
+
+REFUSALS = refusal_names()
+
+
 def paths(doc, prefix=()):
     """Every path to a dict value or list item inside doc."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
@@ -102,9 +124,15 @@ def paths(doc, prefix=()):
         yield from paths(value, prefix + (key,))
 
 
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def spoil(doc, data) -> str:
     """The text of doc spoiled one way, drawn by Hypothesis."""
-    how = data.draw(st.sampled_from(("random", "truncate", "drop", "retype")))
+    how = data.draw(st.sampled_from(("random", "truncate", "drop", "retype", "swap")))
     text = json.dumps(doc)
     if how == "random":
         return json.dumps(data.draw(json_values))
@@ -115,10 +143,16 @@ def spoil(doc, data) -> str:
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
+    old = parent[path[-1]]
     if how == "drop":
         del parent[path[-1]]
+    elif how == "swap":
+        # a value of the same type: another label of the document, or a small integer
+        values = [value_at(doc, p) for p in paths(doc)]
+        labels = sorted({v for v in values if type(v) is str}) + ["?"]
+        parent[path[-1]] = data.draw(st.sampled_from(labels) if type(old) is str
+                                     else st.integers(-1, 3) if type(old) is int else st.just(old))
     else:
-        old = parent[path[-1]]
         parent[path[-1]] = data.draw(st.sampled_from(
             [v for v in OTHER_TYPES if type(v) is not type(old)]))
     return json.dumps(doc)
@@ -161,4 +195,4 @@ def test_malformed_input_is_refused_not_crashed(workdir, data):
     assert code in (0, 1, 2), (argv, code, err)
     if code == 1:
         last = json.loads(out.strip().splitlines()[-1])
-        assert "error" in last, (argv, last)
+        assert last.get("error") in REFUSALS, (argv, last)

@@ -620,6 +620,14 @@ def test_cocycle_json_roundtrip():
     assert cocycle_from_json(sys_, cocycle_to_json(delta)).entries == delta.entries
 
 
+@pytest.mark.parametrize("rank", [-1, "1", True, 1.5, None])
+def test_trivial_system_refuses_a_rank_that_is_no_natural_number(rank):
+    """A rank of -1 reached bw_cohomology and failed its count of d2's rows
+    as an AssertionError; it is the input's fault, so an ExtensionError."""
+    with pytest.raises(ExtensionError, match="rank must be a non-negative integer"):
+        bw_cohomology(zcat(2), trivial_system(zcat(2), 2, rank), 2)
+
+
 @pytest.mark.parametrize("modulus", [0, 1, -4, True, False, 2.0, "4"])
 def test_invalid_modulus_rejected(modulus):
     """Every way of making a system checks the modulus: None or an int >= 2."""
@@ -712,8 +720,7 @@ def test_skeleton_needs_both_composites():
         ["a", "b"],
         [("1a", "a", "a"), ("1b", "b", "b"), ("f", "a", "b"), ("g", "b", "a"), ("e", "b", "b")],
         {"a": "1a", "b": "1b"},
-        [(("g", "f"), "1a"), (("f", "g"), "e"), (("e", "f"), "f"), (("g", "e"), "g"),
-         (("e", "e"), "e")])
+        [("g", "f", "1a"), ("f", "g", "e"), ("e", "f", "f"), ("g", "e", "g"), ("e", "e", "e")])
     for modulus in (2, None):
         cx = bw_differentials(cat, trivial_system(cat, modulus))
         assert cx.skeleton is cx

@@ -24,9 +24,11 @@ from schemoids.fincat import (
     pair_name,
     product,
     serialize,
+    serialize_groupoid,
     terminal_category,
     validate_category,
     validate_functor,
+    validate_groupoid,
 )
 from oracles import validate_category_dense
 
@@ -49,7 +51,7 @@ def chain3_category():
         [("1_x", "x", "x"), ("1_y", "y", "y"), ("1_z", "z", "z"),
          ("f", "x", "y"), ("g", "y", "z"), ("h", "x", "z")],
         {"x": "1_x", "y": "1_y", "z": "1_z"},
-        compose.items(),
+        ((f, g, fg) for (f, g), fg in compose.items()),
     )
 
 
@@ -73,7 +75,7 @@ def test_nonassociative_detected():
             ("gf", "x", "z"), ("hg", "y", "w"), ("hgf", "x", "w"), ("hgf2", "x", "w")]
     idents = {"x": "1_x", "y": "1_y", "z": "1_z", "w": "1_w"}
     good = {("g", "f"): "gf", ("h", "g"): "hg", ("h", "gf"): "hgf", ("hg", "f"): "hgf"}
-    raw = serialize(build_category(objs, mors, idents, good.items()))
+    raw = serialize(build_category(objs, mors, idents, ((f, g, fg) for (f, g), fg in good.items())))
     bad = dict(good)
     bad[("hg", "f")] = "hgf2"
     raw["compose"] = [[f, g, fg] for (f, g), fg in bad.items()]
@@ -395,3 +397,25 @@ def test_product_with_comma_labels():
     p = product(c, d)
     assert len(set(p.objects)) == 4 and len(set(p.morphism_ids)) == 4
     assert validate_category(serialize(p)) == p
+
+
+def pair_groupoid_document():
+    """x and y with one morphism each way: f: x -> y, g: y -> x."""
+    cat = build_category(["x", "y"], [("1x", "x", "x"), ("1y", "y", "y"), ("f", "x", "y"),
+                                      ("g", "y", "x")], {"x": "1x", "y": "1y"},
+                         [("f", "g", "1y"), ("g", "f", "1x")])
+    return serialize_groupoid(as_groupoid(cat))
+
+
+@pytest.mark.parametrize("inverse, message", [
+    ({"1x": "1x", "1y": "1y", "f": "h", "g": "f"}, "listed inverse of 'f' is wrong"),
+    ({"1x": "1x", "1y": "1y", "f": "1y", "g": "f"}, "listed inverse of 'f' is wrong"),
+    ({"1x": "1x", "1y": "1y", "f": "g"}, "inverse is not an involution at 'f'"),
+    ({"1x": "1x", "1y": "1y", "g": "f"}, "no inverse listed for 'f'"),
+], ids=["unknown", "wrong-endpoints", "unlisted", "missing"])
+def test_a_listed_inverse_is_checked_before_it_is_looked_up(inverse, message):
+    """An inverse that names no morphism, runs the wrong way, or is listed
+    for f but not for f^-1 is refused as NotInvertible, not KeyError."""
+    raw = {**pair_groupoid_document(), "inverse": inverse}
+    with pytest.raises(NotInvertible, match=message):
+        validate_groupoid(raw)

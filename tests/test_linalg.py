@@ -16,6 +16,7 @@ from oracles import (
     quotient_invariants,
     smith_normal_form,
     solve_mod,
+    sparse_rows,
 )
 
 
@@ -61,14 +62,14 @@ def test_solve_mod():
 def test_solve_mod_p_matches_general():
     a = [[1, 2, 0], [0, 1, 1]]
     b = [1, 2]
-    rows = linalg.sparse_rows(a)
+    rows = sparse_rows(a)
     for p in (2, 3, 5):
         xp = linalg.solve(rows, b, 3, p)
         assert xp is not None and solve_mod(a, b, p) is not None
         for row, bi in zip(a, b):
             assert (sum(r * x for r, x in zip(row, xp)) - bi) % p == 0
     # inconsistent over F_p: x0 + x1 = 1 and 2 x0 + 2 x1 = 0 when p != 2
-    assert linalg.solve(linalg.sparse_rows([[1, 1], [2, 2]]), [1, 0], 2, 3) is None
+    assert linalg.solve(sparse_rows([[1, 1], [2, 2]]), [1, 0], 2, 3) is None
     assert solve_mod([[1, 1], [2, 2]], [1, 0], 3) is None
 
 
@@ -80,7 +81,7 @@ def test_solve_over_composite_moduli():
         x = linalg.solve([{0: 2}], [2], 1, m)
         assert x is not None and (2 * x[0] - 2) % m == 0
     a = [[1, 1], [0, 2]]
-    x = linalg.solve(linalg.sparse_rows(a), [3, 2], 2, 6)
+    x = linalg.solve(sparse_rows(a), [3, 2], 2, 6)
     assert x is not None
     assert (x[0] + x[1] - 3) % 6 == 0 and (2 * x[1] - 2) % 6 == 0
 
@@ -91,7 +92,7 @@ def test_solve_over_composite_moduli():
        st.sampled_from([2, 3, 4, 6, 8, 9, 12]))
 def test_solve_matches_smith_route(a, b, m):
     b = b[:len(a)]
-    x = linalg.solve(linalg.sparse_rows(a), b, 3, m)
+    x = linalg.solve(sparse_rows(a), b, 3, m)
     assert (x is None) == (solve_mod(a, b, m) is None)
     if x is not None:
         for row, bi in zip(a, b):
@@ -157,14 +158,14 @@ def test_homology_matches_smith_lattice(n, r_prev, r_next, entries, picks, m):
                    if all(sum(h[i] * g[i][j] for i in range(n)) % m == 0 for j in range(r_prev))]
     d_n = [list(annihilator[x % len(annihilator)]) for x in picks[:r_next]] or [[0] * n]
     want = dense_cohomology_invariants(g, d_n, n, m)
-    got, free = linalg.homology(linalg.sparse_rows(g), linalg.sparse_rows(d_n), m)
+    got, free = linalg.homology(sparse_rows(g), sparse_rows(d_n), m)
     assert free == 0 and list(got) == want
 
 
 def test_rank():
-    assert linalg.rank(linalg.sparse_rows([[1, 2], [2, 4]])) == 1
-    assert linalg.rank(linalg.sparse_rows([[1, 1], [1, 1]]), 2) == 1
-    assert linalg.rank(linalg.sparse_rows([[2, 0], [0, 1]]), 2) == 1
+    assert linalg.rank(sparse_rows([[1, 2], [2, 4]])) == 1
+    assert linalg.rank(sparse_rows([[1, 1], [1, 1]]), 2) == 1
+    assert linalg.rank(sparse_rows([[2, 0], [0, 1]]), 2) == 1
     assert linalg.rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}]) == 1
     with pytest.raises(ValueError):
         linalg.rank([{0: 1}], 4)

@@ -52,7 +52,7 @@ def relabelled(qs):
     copy = build_category([ob[x] for x in reversed(cat.objects)],
                           [(mo[m], ob[s], ob[t]) for m, s, t in reversed(cat.morphisms)],
                           {ob[x]: mo[e] for x, e in cat.identity.items()},
-                          (((mo[f], mo[g]), mo[fg]) for (f, g), fg in cat.compose.items()))
+                          ((mo[f], mo[g], mo[fg]) for (f, g), fg in cat.compose.items()))
     blocks = {f"b{i}": [mo[m] for m in members]
               for i, members in enumerate(reversed(qs.partition.blocks.values()))}
     return verify_quasi_schemoid(copy, make_partition(copy, blocks))

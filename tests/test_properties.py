@@ -104,7 +104,8 @@ def poset_category(n, edges):
         for j in sorted(reach[i]):
             for k in sorted(reach[j]):
                 compose[(f"e{j}_{k}", f"e{i}_{j}")] = f"e{i}_{k}"
-    return build_category(objects, morphisms, identity, compose.items())
+    return build_category(objects, morphisms, identity,
+                          ((f, g, fg) for (f, g), fg in compose.items()))
 
 
 @st.composite
@@ -277,7 +278,8 @@ def indiscrete_category(k):
     morphisms = [(f"{a}>{b}", a, b) for a in objects for b in objects]
     compose = {(f"{b}>{c}", f"{a}>{b}"): f"{a}>{c}"
                for a in objects for b in objects for c in objects}
-    return build_category(objects, morphisms, {a: f"{a}>{a}" for a in objects}, compose.items())
+    return build_category(objects, morphisms, {a: f"{a}>{a}" for a in objects},
+                          ((f, g, fg) for (f, g), fg in compose.items()))
 
 
 @st.composite

@@ -1,7 +1,14 @@
 import pytest
 
-from schemoids.fincat import Functor, build_category, cyclic_group_table, one_object_group, terminal_category
-from schemoids.schemes import hamming, j_embed, pair_morphism
+from schemoids.fincat import (
+    Functor,
+    build_category,
+    cyclic_group_table,
+    one_object_group,
+    pair_name,
+    terminal_category,
+)
+from schemoids.schemes import hamming, j_embed
 from schemoids.schemoid import (
     AxiomViolation,
     BlockNotPreserved,
@@ -68,7 +75,7 @@ def test_h22_constants_frozen():
     qs = j_embed(hamming(2, 2))
     pts = qs.category.objects
     # (z, x)∘(x, y) = (z, y) on the complete graph, written out from the points
-    entries = [(pair_morphism(z, x), pair_morphism(x, y), pair_morphism(z, y))
+    entries = [(pair_name(z, x), pair_name(x, y), pair_name(z, y))
                for z in pts for x in pts for y in pts]
     oracle = schemoid_constants_bruteforce(entries, qs.partition.blocks)
     assert {k: v for k, v in qs.constants.entries.items() if v} == oracle

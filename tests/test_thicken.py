@@ -9,7 +9,7 @@ from schemoids.admissible import (
 )
 from schemoids.algebra import Rationals, schemoid_algebra
 from schemoids.fincat import cyclic_group_table, validate_category, serialize
-from schemoids.linalg import rank, sparse_rows
+from schemoids.linalg import rank
 from schemoids.schemes import group_scheme, hamming, j_embed, validate_scheme
 from schemoids.schemoid import compose_schemoid_morphisms, is_unital, schemoid_isomorphic
 from schemoids.thicken import (
@@ -27,6 +27,7 @@ from schemoids.thicken import (
     thicken_involution,
     thicken_scheme,
 )
+from oracles import sparse_rows
 
 Q = Rationals()
 
