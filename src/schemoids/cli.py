@@ -46,6 +46,7 @@ from .extensions import (
     extensions_equivalent,
     induced_system,
     is_split,
+    read_cocycle,
     trivial_system,
     validate_natural_system,
 )
@@ -87,6 +88,7 @@ from .shapes import (
     SYSTEM,
     check,
     is_bundle,
+    square,
 )
 from .thicken import category_from_matrix, sigma_prime, thicken_involution, thicken_scheme
 
@@ -143,7 +145,8 @@ def bundle_to_json(qs) -> dict:
 
 def group_scheme_from_json(raw: dict):
     """A group table document, `shapes.GROUP_TABLE`."""
-    elements, table = check(GROUP_TABLE, raw)["elements"], raw["table"]
+    elements = check(GROUP_TABLE, raw)["elements"]
+    table = check(square(len(elements)), raw.get("table"), "table")
     return group_scheme(elements, {(a, b): table[i][j]
                                    for i, a in enumerate(elements) for j, b in enumerate(elements)})
 
@@ -159,10 +162,15 @@ def bundle_from_json(raw: dict):
     return verify_quasi_schemoid(cat, partition, involution, tuple(raw.get("base_points", ())) or None)
 
 
-def system_from_json(cat, raw: dict, at: str = "system"):
-    """A natural system on cat from a system document at JSON path `at`,
-    `shapes.SYSTEM`: trivial, induced or (by default) explicit."""
-    kind, modulus = check(SYSTEM, raw, at).get("kind", "explicit"), raw.get("modulus")
+def system_from_json(cat, raw: dict):
+    """A natural system on cat from a system document, `shapes.SYSTEM`:
+    trivial, induced or (by default) explicit."""
+    return _system(cat, check(SYSTEM, raw, "system"))
+
+
+def _system(cat, raw: dict):
+    """The natural system on cat of a document that fits `shapes.SYSTEM`."""
+    kind, modulus = raw.get("kind", "explicit"), raw.get("modulus")
     if kind == "trivial":
         return trivial_system(cat, modulus, raw.get("rank", 1))
     if kind == "induced":
@@ -184,8 +192,8 @@ def extension_from_json(raw: dict):
     """An extension document, `shapes.EXTENSION`: {"base", "system",
     "cocycle", ...}, rebuilt by `build_extension`."""
     cat = read_category(check(EXTENSION, raw)["base"], "base")
-    system = system_from_json(cat, raw["system"])
-    return build_extension(cat, system, cocycle_from_json(system, raw["cocycle"]))
+    system = _system(cat, raw["system"])
+    return build_extension(cat, system, read_cocycle(system, raw["cocycle"]))
 
 
 def extension_to_json(ext) -> dict:

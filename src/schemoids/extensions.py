@@ -349,12 +349,17 @@ def normalize_cocycle(system: NaturalSystem, delta: Cochain2) -> Cochain2:
     return cochain2_sub(system, delta, coboundary_of_1cochain(system, fvals))
 
 
-def cocycle_from_json(system: NaturalSystem, raw: dict, at: str = "cocycle") -> Cochain2:
-    """A cochain from a cocycle document at JSON path `at`, the format
-    `shapes.COCYCLE` declares: {"entries": [[f, g, vector], ...]}, each
-    vector an array of integers or one integer."""
+def cocycle_from_json(system: NaturalSystem, raw: dict) -> Cochain2:
+    """A cochain from a cocycle document, the format `shapes.COCYCLE`
+    declares: {"entries": [[f, g, vector], ...]}, each vector an array of
+    integers or one integer."""
+    return read_cocycle(system, check(COCYCLE, raw, "cocycle"))
+
+
+def read_cocycle(system: NaturalSystem, raw: dict) -> Cochain2:
+    """The cochain of a cocycle document that fits `shapes.COCYCLE`."""
     entries = {}
-    for f, g, vec in check(COCYCLE, raw, at)["entries"]:
+    for f, g, vec in raw["entries"]:
         if _positions(system.category, f, g) is None:
             raise ExtensionError(f"cocycle entry ({f!r}, {g!r}) is not a composable pair")
         entries[(f, g)] = (vec,) if type(vec) is int else tuple(vec)

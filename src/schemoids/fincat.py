@@ -280,14 +280,15 @@ def validate_category(raw: dict) -> FinCategory:
 def read_category(raw: dict, at: str = "") -> FinCategory:
     """The category of a document already checked against
     `shapes.CATEGORY`, found at JSON path `at` in a larger one.  The check
-    leaves the composition entries out, since the read loop unpacks and
-    looks up each of them: when the read fails, the first entry that does
-    not fit is refused by name, before any law the read found broken."""
+    only finds each composition entry an array, since the read loop unpacks
+    and looks up each of them: when the read fails, the first entry that is
+    not `shapes.COMPOSE`'s [f, g, fg] is refused by name, before any law
+    the read found broken."""
     try:
         return _validate(raw["objects"], [(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]],
                          raw["identities"], raw["compose"])
     except (CategoryError, ValueError, TypeError):
-        shapes.name_fault(shapes.CATEGORY, raw, at)
+        shapes.check(shapes.COMPOSE, raw["compose"], f"{at}.compose" if at else "compose")
         raise
 
 

@@ -2,33 +2,40 @@
 
 A spec is a tree of nodes: `Obj` (required and optional fields), `Arr` (an
 array of one spec), `Map` (an object whose values share one spec), `Tup`
-(an array of fixed length), `Atom` (a string, a boolean, or an integer
-with an optional lower bound), `OneOf` and `Kind` (an object whose "kind"
-field picks its spec).  Each node compiles one predicate, `ok`, so a
-document that fits costs one pass.  When `ok` fails, `check` walks the
-document to its first misfit and raises the error class of the innermost
-node around it that names one (else `MalformedDocument`), with the message
-"path: what was expected, not what was found"; the misfit's JSON path, such
-as `system.push[3]`, is kept as the error's `path`.  A node given its own
-`what`, or an array given `each`, is described as a whole, at its own path.
-A category's composition entries are left out of `ok`: `read_category`
-looks each one up anyway, and calls `name_fault` only when that read fails.
+(an array of fixed length), `Atom` (a value of one JSON type, an integer
+with an optional lower bound among them), `OneOf` and `Kind` (an object
+whose "kind" field picks its spec).  `check` walks the document once; at
+the first misfit it raises the error class of the innermost node around it
+that names one (else `MalformedDocument`), with the message "path: what
+was expected, not what was found", and keeps the misfit's JSON path, such
+as `system.push[3]`, as the error's `path`.  The path is put together only
+while the misfit unwinds.  A node given its own `what`, or an array given
+`each`, is described as a whole, at its own path, before the misfit in it.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from operator import itemgetter
 
 from .fincat import CategoryError, MalformedDocument, SchemoidsError
 
 
 class Misfit(SchemoidsError):
-    """A misfit the walk met; `name_fault` raises it as the document's class."""
+    """The first misfit of a walk.  `steps` run from it up to the root;
+    `wholes` holds (steps below it, message) for each node around it that
+    is described as a whole, the innermost first."""
 
-    def __init__(self, path, phrase):
+    def __init__(self, phrase, *steps):
         super().__init__(phrase)
-        self.path = self.where = path     # where the misfit is; where the message starts
-        self.phrase, self.error = phrase, None
+        self.phrase, self.steps, self.wholes, self.error = phrase, list(steps), [], None
+
+    def up(self, spec, *step):
+        """The misfit unwinding out of spec, the value at `step` in its parent."""
+        self.error = self.error or spec.error
+        if spec.inside and self.steps:
+            self.wholes.append((len(self.steps), spec.inside))
+        self.steps += step
+        return self
 
 
 class Node:
@@ -37,125 +44,115 @@ class Node:
         self.inside = inside        # the message of a misfit inside, given at this node
         self.name = name            # the document's name, shown for its root
         self.error = error          # the class a misfit in this subtree is refused with
-        self.all_ok = lambda vs: all(map(self.ok, vs))      # every value of vs fits
 
-    def walk(self, v, at):
-        """Raise Misfit at the first misfit in v, the value at JSON path `at`."""
+    def misfit(self, v, got=None):
+        raise Misfit(f"{self.what} expected, not {got or type(v).__name__}")
+
+    def all_fit(self, vs):
+        """Whether one pass over all of vs finds each fit; False leaves
+        them to be walked one by one."""
+        return False
+
+
+def _each(spec, items):
+    """Walk spec over the values of the (step, value) items."""
+    for step, x in items:
         try:
-            self._walk(v, at)
+            spec.walk(x)
         except Misfit as m:
-            if self.inside and m.where != at:
-                m.where, m.phrase = at, f"{self.inside}; {m.where}: {m.phrase}"
-            m.error = m.error or self.error
-            raise
-
-    def _misfit(self, v, at, got=None):
-        """Raise the misfit of v itself: of the wrong type, length or size."""
-        raise Misfit(at, f"{self.what} expected, not {got or type(v).__name__}")
+            raise m.up(spec, step) from None
 
 
 class Atom(Node):
     def __init__(self, kind, what, low=None):
         super().__init__(what)
-        self.kinds, self.plain = {kind}, low is None
-        if self.plain:
-            self.ok = lambda v: type(v) is kind
-            self.all_ok = lambda vs: set(map(type, vs)) <= self.kinds
-        else:
-            self.ok = lambda v: type(v) is kind and v >= low
+        self.kind, self.low = kind, low
 
-    def _walk(self, v, at):
-        if not self.ok(v):
-            self._misfit(v, at, type(v) in self.kinds and repr(v))
+    def walk(self, v):
+        if type(v) is not self.kind or self.low is not None and v < self.low:
+            self.misfit(v, type(v) is self.kind and repr(v))
+
+    def all_fit(self, vs):
+        return self.low is None and list(map(type, vs)).count(self.kind) == len(vs)
 
 
 class Arr(Node):
-    def __init__(self, item, what=None, each=None, lazy=False, **kw):
+    def __init__(self, item, what=None, each=None, **kw):
         super().__init__(what or "a JSON array", each or (what and f"{what} expected"), **kw)
-        self.item, items_ok = item, item.all_ok
-        self.ok = lambda v: type(v) is list and (lazy or items_ok(v))
+        self.item = item
 
-    def _walk(self, v, at):
+    def walk(self, v):
         if type(v) is not list:
-            self._misfit(v, at)
-        for i, x in enumerate(v):
-            self.item.walk(x, f"{at}[{i}]")
+            self.misfit(v)
+        if not self.item.all_fit(v):
+            _each(self.item, enumerate(v))
 
 
 class Map(Node):
     def __init__(self, value, what=None, **kw):
         super().__init__(what or "a JSON object", what and f"{what} expected", **kw)
-        self.value, values_ok = value, value.all_ok
-        self.ok = lambda v: type(v) is dict and values_ok(v.values())
+        self.value = value
 
-    def _walk(self, v, at):
+    def walk(self, v):
         if type(v) is not dict:
-            self._misfit(v, at)
-        for k, x in v.items():
-            self.value.walk(x, _field(at, k))
+            self.misfit(v)
+        if not self.value.all_fit(v.values()):
+            _each(self.value, v.items())
 
 
 class Tup(Node):
     def __init__(self, *items, what=None):
         super().__init__(what or f"a JSON array of {len(items)} entries", what and f"{what} expected")
-        self.items, oks, n = items, [item.ok for item in items], len(items)
-        self.ok = lambda v: type(v) is list and len(v) == n and all(f(x) for f, x in zip(oks, v))
+        self.items = items
 
-    def _walk(self, v, at):
+    def walk(self, v):
         if type(v) is not list or len(v) != len(self.items):
-            self._misfit(v, at, type(v) is list and f"{len(v)} entries")
-        for i, (spec, x) in enumerate(zip(self.items, v)):
-            spec.walk(x, f"{at}[{i}]")
+            self.misfit(v, type(v) is list and f"{len(v)} entries")
+        for i, spec in enumerate(self.items):
+            _each(spec, ((i, v[i]),))
 
 
 class OneOf(Node):
     def __init__(self, *alternatives, what):
         super().__init__(what)
-        self.ok = lambda v: any(a.ok(v) for a in alternatives)
+        self.alternatives = alternatives
 
-    def _walk(self, v, at):
-        if not self.ok(v):
-            self._misfit(v, at)
+    def walk(self, v):
+        for spec in self.alternatives:
+            try:
+                return spec.walk(v)
+            except Misfit:
+                pass
+        self.misfit(v)
 
 
 class Obj(Node):
-    """`fields` and `optional` map a name to a spec, or to a function of the
-    object that gives one.  A required field that is missing is refused as
-    `missing` says ("missing from the bundle"), or else as a null."""
+    """A required field that is missing is refused as `missing` says
+    ("missing from the bundle"), or else as a null."""
 
     def __init__(self, fields, optional=(), missing=None, **kw):
         super().__init__("a JSON object", **kw)
         self.fields, self.optional, self.missing = fields, dict(optional), missing
-        required = [(k, s.ok) for k, s in fields.items() if isinstance(s, Node)]
-        dependent = [(k, s) for k, s in fields.items() if not isinstance(s, Node)]
-        optional = [(k, s.ok) for k, s in self.optional.items()]
+        plain = not optional and all(type(s) is Atom and s.low is None for s in fields.values())
+        self.columns = plain and [(itemgetter(k), s) for k, s in fields.items()]
 
-        def ok(v):
-            if type(v) is not dict:
-                return False
-            for k, fits in required:
-                if not fits(v.get(k)):
-                    return False
-            for k, fits in optional:
-                if k in v and not fits(v[k]):
-                    return False
-            for k, spec in dependent:
-                if not spec(v).ok(v.get(k)):
-                    return False
-            return True
-        self.ok = ok
-        if not optional and all(type(s) is Atom and s.plain for s in fields.values()):
-            columns = [(k, s.kinds) for k, s in fields.items()]       # a morphism, say
-            self.all_ok = lambda vs: _records_ok(vs, columns)
-
-    def _walk(self, v, at):
+    def walk(self, v):
         if type(v) is not dict:
-            self._misfit(v, at)
+            self.misfit(v)
         for k, spec in (*self.fields.items(), *self.optional.items()):
-            if k in v or not (k in self.optional or self.missing):
-                _spec(spec, v).walk(v.get(k), _field(at, k))
+            if k in v or k not in self.optional and not self.missing:
+                _each(spec, ((k, v.get(k)),))
             elif k not in self.optional:
-                raise Misfit(_field(at, k), f"missing from {self.missing}")
+                raise Misfit(f"missing from {self.missing}", k)
+
+    def all_fit(self, vs):
+        """Records of plain fields, such as a category's morphisms, are
+        checked a field at a time over all of them."""
+        try:
+            return self.columns and all(list(map(type, map(get, vs))).count(s.kind) == len(vs)
+                                        for get, s in self.columns)
+        except (KeyError, TypeError):       # a value that is no object, or lacks a field
+            return False
 
 
 class Kind(Node):
@@ -163,45 +160,39 @@ class Kind(Node):
 
     def __init__(self, default, variants):
         super().__init__("a JSON object")
-        *names, last = map(repr, variants)
-        self.kinds = f"{', '.join(names)} or {last}"
-        self.variant = lambda v: variants.get(k) if type(k := v.get("kind", default)) is str else None
-        self.ok = lambda v: type(v) is dict and (s := self.variant(v)) is not None and s.ok(v)
+        self.default, self.variants = default, variants
 
-    def _walk(self, v, at):
+    def walk(self, v):
         if type(v) is not dict:
-            self._misfit(v, at)
-        if self.variant(v) is None:
-            raise Misfit(_field(at, "kind"), f"{v['kind']!r} is not {self.kinds}")
-        self.variant(v).walk(v, at)
+            self.misfit(v)
+        kind = v.get("kind", self.default)
+        if type(kind) is not str or kind not in self.variants:
+            *names, last = map(repr, self.variants)
+            raise Misfit(f"{kind!r} is not {', '.join(names)} or {last}", "kind")
+        self.variants[kind].walk(v)
 
 
-def _records_ok(vs, columns):
-    """Every value of vs is an object whose fields have their types, checked
-    a field at a time over all of them, as for a category's morphisms."""
+def _path(at, steps):
+    for step in steps:
+        at = f"{at}[{step}]" if type(step) is int else f"{at}.{step}" if at else step
+    return at
+
+
+def check(spec, raw, at=""):
+    """raw, the document at JSON path `at`, once it fits spec; else it is
+    refused at its first misfit."""
     try:
-        return all(set(map(type, map(dict.get, vs, repeat(k)))) <= kinds for k, kinds in columns)
-    except TypeError:       # a value that is no object
-        return False
-
-
-def _spec(spec, v):
-    return spec if isinstance(spec, Node) else spec(v)
-
-
-def _field(at, key):
-    return f"{at}.{key}" if at else key
-
-
-def name_fault(spec, raw, at=""):
-    """Refuse raw, the document at JSON path `at`, at its first misfit
-    against spec, lazy parts included; return None when it fits."""
-    try:
-        spec.walk(raw, at)
+        spec.walk(raw)
     except Misfit as m:
-        err = (m.error or MalformedDocument)(f"{m.where or spec.name}: {m.phrase}")
-        err.path = m.path
+        m.up(spec)
+        steps, phrase = m.steps[::-1], m.phrase
+        where = path = _path(at, steps)
+        for below, whole in m.wholes:
+            phrase, where = f"{whole}; {where}: {phrase}", _path(at, steps[:len(steps) - below])
+        err = (m.error or MalformedDocument)(f"{where or spec.name}: {phrase}")
+        err.path = path
         raise err from None
+    return raw
 
 
 def is_bundle(raw):
@@ -210,31 +201,24 @@ def is_bundle(raw):
     return type(raw) is dict and "category" in raw
 
 
-def check(spec, raw, at=""):
-    """raw, the document at JSON path `at`, once it fits spec; else it is
-    refused at its first misfit (`name_fault`)."""
-    if not spec.ok(raw):
-        name_fault(spec, raw, at)
-        raise AssertionError(f"{spec.name or at}: the predicate refused what the walk admits")
-    return raw
-
-
 STR = Atom(str, "a string")
 BOOL = Atom(bool, "a boolean")
 INT = Atom(int, "an integer")
 NAT = Atom(int, "a non-negative integer", low=0)
 MATRIX = Arr(Arr(INT), what="an array of arrays of integers")
 
-# The documents.  A system's "modulus" is not declared: the system itself
-# refuses any value but null or an integer >= 2, as InvalidModulus.
-
+# The documents.  A category's composition entries are checked here only
+# for being arrays: `fincat.read_category` unpacks and looks up each one
+# anyway, and checks them against COMPOSE only when that read fails.
 CATEGORY = Obj({
     "objects": Arr(STR),
     "morphisms": Arr(Obj({"id": STR, "src": STR, "tgt": STR}),
                      each="each entry must be an object with id, src and tgt"),
     "identities": Map(STR),                                 # object -> its identity
-    "compose": Arr(Tup(STR, STR, STR, what="a JSON array [f, g, fg]"), lazy=True),
+    "compose": Arr(Atom(list, "a JSON array [f, g, fg]")),
 }, name="category", error=CategoryError)
+
+COMPOSE = Arr(Tup(STR, STR, STR, what="a JSON array [f, g, fg]"), error=CategoryError)
 
 GROUPOID = Obj({**CATEGORY.fields, "inverse": Map(STR, error=MalformedDocument)},
                name="groupoid", error=CategoryError)
@@ -249,12 +233,12 @@ BUNDLE = Obj({"category": CATEGORY, "partition": PARTITION},
 SCHEME = Obj({"size": INT, "relations": MATRIX}, {"points": Arr(STR), "classes": Arr(STR)},
              name="scheme")
 
-# table[i][j] = elements[i] * elements[j]
-GROUP_TABLE = Obj({"elements": Arr(STR), "table": lambda doc: _square(len(doc["elements"]))},
-                  name="group table")
+GROUP_TABLE = Obj({"elements": Arr(STR)}, name="group table")
 
 
-def _square(n):
+def square(n):
+    """The "table" of a group table of n elements, table[i][j] =
+    elements[i] * elements[j], checked once the elements are."""
     return Tup(*[Tup(*[STR] * n)] * n, what=f"{n} rows of {n} entries")
 
 
@@ -264,6 +248,8 @@ HOM_COUNTS = MATRIX             # |Hom(i, j)| = z[i][j], for `thicken --matrix`
 
 _MATRICES = Arr(Tup(STR, STR, MATRIX, what="[a, b, matrix]"))      # [[a, f, a_*], ...]
 
+# A system's "modulus" is not declared: the system itself refuses any
+# value but null or an integer >= 2, as InvalidModulus.
 SYSTEM = Kind("explicit", {
     "trivial": Obj({}, {"rank": NAT}),
     "induced": Obj({"object_ranks": Map(NAT, what="an object of non-negative integers"),

@@ -179,6 +179,21 @@ def test_compose_entry_that_is_no_triple_is_a_category_error(compose, message):
     assert type(err.value) is CategoryError and str(err.value) == message
 
 
+@pytest.mark.parametrize("entry, name", [("112", "str"), ({"1": 0, "2": 0, "0": 0}, "dict")],
+                         ids=["string", "object"])
+def test_compose_entry_that_unpacks_as_three_labels_is_refused(entry, name):
+    """A string of three characters, or an object of three keys, unpacks
+    as three morphism labels in the read loop; it is still no [f, g, fg]
+    array.  In Z/3, "112" would read as 1∘1 = 2 and {"1", "2", "0"} as
+    1∘2 = 0, both true."""
+    raw = serialize(one_object_group(*cyclic_group_table(3)).base)
+    at = raw["compose"].index(["1", "1", "2"] if name == "str" else ["1", "2", "0"])
+    raw["compose"][at] = entry
+    with pytest.raises(CategoryError) as err:
+        validate_category(raw)
+    assert str(err.value) == f"compose[{at}]: a JSON array [f, g, fg] expected, not {name}"
+
+
 def test_unpacking_error_with_only_triples_is_raised_as_it_is(monkeypatch):
     """A ValueError or TypeError while every compose entry is a triple is
     not the input's fault, so it is not turned into a refusal."""

@@ -1,13 +1,11 @@
-"""The declared document shapes: what the library writes fits them, the
-compiled predicate and the walk that names a misfit agree, and a refusal
-names the first misfit's JSON path."""
+"""The declared document shapes: what the library writes fits them, and a
+refusal names the first misfit's JSON path."""
 
 import contextlib
 import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from schemoids import cli, corpus, shapes
 from schemoids.extensions import trivial_system
@@ -48,46 +46,7 @@ DOCUMENTS = written_documents()
 def test_check_admits_what_the_library_writes():
     assert {spec.name for spec, _ in DOCUMENTS} >= {"bundle", "extension", "groupoid", "scheme"}
     for spec, doc in DOCUMENTS:
-        assert spec.ok(doc) and shapes.name_fault(spec, doc) is None, doc
-        assert shapes.check(spec, doc) is doc
-
-
-def spoiled(doc, data):
-    """doc with one value at any depth replaced by a small JSON value."""
-    doc = json.loads(json.dumps(doc))
-    paths, todo = [], [(doc, ())]
-    while todo:
-        node, at = todo.pop()
-        items = node.items() if isinstance(node, dict) else enumerate(node) \
-            if isinstance(node, list) else ()
-        for key, value in items:
-            paths.append(at + (key,))
-            todo.append((value, at + (key,)))
-    if not paths:
-        return doc
-    path = data.draw(st.sampled_from(sorted(paths, key=repr)))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = data.draw(st.sampled_from([None, True, 0, -1, 2.5, "x", [], {}, [["x"]]]))
-    return doc
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_the_predicate_and_the_walk_agree(data):
-    """A document the predicate refuses has a misfit the walk names, and
-    one the walk passes the predicate admits; without lazy parts (the
-    composition entries) the two agree exactly."""
-    spec, doc = data.draw(st.sampled_from(DOCUMENTS))
-    doc = spoiled(doc, data)
-    try:
-        shapes.name_fault(spec, doc)
-        fits = True
-    except (CategoryError, MalformedDocument):
-        fits = False
-    assert spec.ok(doc) or not fits
-    assert fits or not spec.ok(doc) or spec in (shapes.BUNDLE, shapes.EXTENSION, shapes.GROUPOID)
+        assert shapes.check(spec, doc) is doc, doc
 
 
 @pytest.mark.parametrize("spec, doc, at, cls, path, message", [
@@ -108,8 +67,7 @@ def test_the_predicate_and_the_walk_agree(data):
      "system.rank: a non-negative integer expected, not -1"),
     (shapes.SYSTEM, {"kind": ["trivial"]}, "system", MalformedDocument, "system.kind",
      "system.kind: ['trivial'] is not 'trivial', 'induced' or 'explicit'"),
-    (shapes.GROUP_TABLE, {"elements": ["0", "1"], "table": [["0", "1"], ["1", 0]]}, "",
-     MalformedDocument, "table[1][1]",
+    (shapes.square(2), [["0", "1"], ["1", 0]], "table", MalformedDocument, "table[1][1]",
      "table: 2 rows of 2 entries expected; table[1][1]: a string expected, not int"),
     (shapes.COCYCLE, {"entries": [["a", "b", [1, "0"]]]}, "cocycle", MalformedDocument,
      "cocycle.entries[0][2]", "cocycle.entries[0]: [f, g, vector] expected; "
@@ -123,12 +81,30 @@ def test_a_refusal_names_the_first_misfit(spec, doc, at, cls, path, message):
 
 
 def test_composition_entries_are_named_only_when_the_read_fails():
-    """The predicate leaves the entries out; `name_fault` walks them."""
+    """CATEGORY finds each entry an array; COMPOSE, checked only when the
+    read fails, names the entry that is no [f, g, fg]."""
     raw = {"objects": ["x"], "morphisms": [{"id": "1", "src": "x", "tgt": "x"}],
            "identities": {"x": "1"}, "compose": [["1", "1", "1"], [1, "1", "1"]]}
     assert shapes.check(shapes.CATEGORY, raw) is raw
     with pytest.raises(CategoryError) as err:
-        shapes.name_fault(shapes.CATEGORY, raw)
+        shapes.check(shapes.COMPOSE, raw["compose"], "compose")
     assert err.value.path == "compose[1][0]"
     assert str(err.value) == ("compose[1]: a JSON array [f, g, fg] expected; "
                               "compose[1][0]: a string expected, not int")
+
+
+def test_records_checked_a_field_at_a_time_are_walked_on_a_misfit():
+    """A category's morphisms are checked a field at a time over all of
+    them; a record without a field or with one of the wrong type is then
+    walked to and named."""
+    morphisms = [{"id": "1", "src": "x", "tgt": "x"}, {"id": "2", "src": "x"}]
+    for bad, message in ((None, "category.morphisms[1].tgt: a string expected, not NoneType"),
+                         ({"id": 2, "src": "x", "tgt": "x"},
+                          "category.morphisms[1].id: a string expected, not int"),
+                         ("2", "category.morphisms[1]: a JSON object expected, not str")):
+        doc = {"objects": ["x"], "identities": {}, "compose": [],
+               "morphisms": morphisms[:1] + ([bad] if bad else morphisms[1:])}
+        with pytest.raises(CategoryError) as err:
+            shapes.check(shapes.CATEGORY, doc, "category")
+        assert str(err.value) == ("category.morphisms: each entry must be an object with id, "
+                                  "src and tgt; " + message)
