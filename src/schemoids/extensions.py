@@ -12,7 +12,8 @@ alternating-sum pattern
 
 whose degree-2 instance at (f, f^-1, f) pins the sign convention; d1∘d0 = 0
 and d2∘d1 = 0 are checked when those differentials are first assembled.
-Cohomology and the coboundary tests run on a skeleton of the base.
+Cohomology, the coboundary tests and the solve for a section run on a
+skeleton of the base.
 Extensions twist composition by a normalized 2-cocycle:
 (g, b)∘(f, a) = (g∘f, -D(g, f) + g_* a + f^* b).
 
@@ -404,7 +405,10 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 # H^n(C; D) = H^n(S; i*D) for the inclusion i: S -> C of a skeleton
 # (Baues & Wirsching, J. Pure Appl. Algebra 38 (1985), Thm 1.11), so the
 # cohomology and the coboundary tests run on BWComplex.skeleton, the complex
-# of the full subcategory on one object per isomorphism class.
+# of the full subcategory on one object per isomorphism class.  A split
+# answer needs a section on all of C: is_split solves for it on S too and
+# moves it onto C by conjugation with the isomorphisms x -> r(x) that
+# _skeleton_objects certifies, so nothing solves the whole base's d1.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -512,11 +516,15 @@ class BWComplex:
         return _dense(self.d2_rows, self.dim[2])
 
     @cached_property
+    def _classes(self) -> tuple[list[str], list[tuple[int, int]]]:
+        return _skeleton_objects(self.category)
+
+    @cached_property
     def skeleton(self) -> BWComplex:
         """The complex of (S, i*D), S the full subcategory on one object per
         isomorphism class; self when the category is already skeletal."""
         cat, system = self.category, self.system
-        objects = _skeleton_objects(cat)
+        objects = self._classes[0]
         if len(objects) == len(cat.objects):
             return self
         sub = full_subcategory(cat, objects)
@@ -560,15 +568,21 @@ def _dense(rows, cols: int) -> list[list[int]]:
     return out
 
 
-def _skeleton_objects(cat: FinCategory) -> list[str]:
-    """One object per isomorphism class, the first of each in object order.
+def _skeleton_objects(cat: FinCategory) -> tuple[list[str], list[tuple[int, int]]]:
+    """One object per isomorphism class, the first of each in object order,
+    and for each object x, by position, a pair (u, v) of morphism positions:
+    u: x -> r(x) an isomorphism to the representative of x's class and v its
+    inverse, both 1_x on a representative.
 
     One pass over the morphisms: an f: x -> y joins the classes of x and y
     when some g: y -> x has g∘f = 1_x and f∘g = 1_y.  Every isomorphic pair
-    has such an f, so the classes are exactly the isomorphism classes.
+    has such an f, so the classes are exactly the isomorphism classes.  The
+    isomorphisms that joined two classes span each class as a tree, and u_x
+    is composed along the path from r(x) to x.
     """
     objects, rows, unit = cat.objects, cat.rows, cat.identity_of
     parent = list(range(len(objects)))
+    joins: list[list[tuple[int, int, int]]] = [[] for _ in objects]    # y -> (x, a: x -> y, a^-1)
 
     def find(x):
         while parent[x] != x:
@@ -577,10 +591,25 @@ def _skeleton_objects(cat: FinCategory) -> list[str]:
 
     for f, (x, y) in enumerate(zip(cat.src_of, cat.tgt_of)):
         rx, ry = find(x), find(y)
-        if rx != ry and any(rows[g][f] == unit[x] and rows[f][g] == unit[y]
-                            for g in map(cat.index.__getitem__, cat.hom(objects[y], objects[x]))):
+        if rx == ry:
+            continue
+        g = next((g for g in map(cat.index.__getitem__, cat.hom(objects[y], objects[x]))
+                  if rows[g][f] == unit[x] and rows[f][g] == unit[y]), None)
+        if g is not None:
             parent[max(rx, ry)] = min(rx, ry)
-    return [x for i, x in enumerate(objects) if parent[i] == i]
+            joins[y].append((x, f, g))
+            joins[x].append((y, g, f))
+    isos: list[tuple[int, int] | None] = [None] * len(objects)
+    for r in (i for i, p in enumerate(parent) if p == i):
+        isos[r], stack = (unit[r], unit[r]), [r]
+        while stack:
+            y = stack.pop()
+            u, v = isos[y]
+            for x, a, b in joins[y]:
+                if isos[x] is None:
+                    isos[x] = (rows[u][a], rows[b][v])       # u∘a: x -> r, a^-1∘u^-1
+                    stack.append(x)
+    return [x for i, x in enumerate(objects) if parent[i] == i], isos
 
 
 def bw_differentials(cat: FinCategory, system: NaturalSystem) -> BWComplex:
@@ -1018,31 +1047,50 @@ def _coboundary_solution(cx: BWComplex, delta: Cochain2):
 def is_split(ext: ExtensionCategory):
     """A verified section s with q∘s = id, or None.
 
-    Splits exactly when the cocycle is a coboundary: solve d F = delta and
-    set s(f) = (f, F(f)), for then (g, F(g))∘(f, F(f)) = (g∘f, F(g∘f)); the
-    section is read from `ExtensionCategory.fiber` at the position of F(f).
+    Splits exactly when the cocycle is a coboundary, and that is decided on
+    the skeleton S: i* is injective on H^2 (Baues & Wirsching, Thm 1.11), so
+    a cocycle whose restriction is no coboundary there is none on the whole
+    base.  When d F = delta on S, s_S(f) = (f, F(f)) is a section over S,
+    for (g, F(g))∘(f, F(f)) = (g∘f, F(g∘f)); it is read from
+    `ExtensionCategory.fiber` at the position of F(f).
 
-    The answer None is decided on the skeleton: i* is injective on H^2
-    (Baues & Wirsching, Thm 1.11), so a cocycle whose restriction is no
-    coboundary there is none on the whole base.  A section, though, is a
-    functor on the whole base, and until a formula transports F from the
-    skeleton back to it, the split answer solves d F = delta with the full
-    d1 (which lists no triples).
+    The section is moved onto the whole base by conjugation in the total.
+    For each object x, u_x: x -> r(x) is the isomorphism to its class's
+    representative that the skeleton certifies, ũ_x = (u_x, 0) its lift,
+    and ũ_x⁻¹ the member of the fiber over u_x⁻¹ that composes with ũ_x to
+    the identity.  Then
+
+        s(f: x -> y) = ũ_y⁻¹ ∘ s_S(u_y ∘ f ∘ u_x⁻¹) ∘ ũ_x,
+
+    which lies over u_y⁻¹ ∘ u_y ∘ f ∘ u_x⁻¹ ∘ u_x = f.  It is a functor: the
+    bars compose, u_z g u_y⁻¹ ∘ u_y f u_x⁻¹ = u_z (g∘f) u_x⁻¹, so in
+    s(g)∘s(f) the inner ũ_y ∘ ũ_y⁻¹ cancels and s_S carries the rest; and
+    s(1_x) = ũ_x⁻¹ ∘ ũ_x = 1_x.  On a representative u_x = 1, so s agrees
+    with s_S on S, and on a skeletal base s is s_S.  No solve runs on the
+    whole base; the section is still validated as a functor into the total
+    that splits the projection.
     """
-    system = ext.system
-    cx = bw_differentials(ext.base, system)
-    if cx.skeleton is not cx and _coboundary_solution(cx.skeleton, ext.cocycle) is None:
-        return None
-    sol = _coboundary_solution(cx, ext.cocycle)
+    system, cat, total = ext.system, ext.base, ext.total
+    cx = bw_differentials(cat, system)
+    sk = cx.skeleton
+    sol = _coboundary_solution(sk, ext.cocycle)
     if sol is None:
         return None
-    cat = ext.base
+    m, fiber, ids, index, trows = system.modulus, ext.fiber, cat.morphism_ids, total.index, total.rows
+    on_s = {cat.index[f]: index[fiber[f][_position(sol[off:off + r], m)]]
+            for f, off, r in zip(sk.category.morphism_ids, sk.offset1, sk.system.rank)}
+    isos = cx._classes[1]
+    lift = [index[fiber[ids[u]][0]] for u, _ in isos]                  # ũ_x, by object
+    back = [next(w for w in map(index.__getitem__, fiber[ids[v]]) if trows[w][lu] == one)
+            for (_, v), lu, one in zip(isos, lift, total.identity_of)]  # ũ_x⁻¹
+    rows, tids = cat.rows, total.morphism_ids
     smap = {}
-    for f, off, r in zip(cat.morphism_ids, cx.offset1, system.rank):
-        smap[f] = ext.fiber[f][_position(sol[off:off + r], system.modulus)]
+    for f, (x, y) in enumerate(zip(cat.src_of, cat.tgt_of)):
+        bar = rows[rows[isos[y][0]][f]][isos[x][1]]
+        smap[ids[f]] = tids[trows[back[y]][trows[on_s[bar]][lift[x]]]]
     section = Functor({x: x for x in cat.objects}, smap)
-    validate_functor(section, cat, ext.total)
-    for f in cat.morphism_ids:
+    validate_functor(section, cat, total)
+    for f in ids:
         if ext.projection.morphism_map[smap[f]] != f:
             raise ExtensionError("section does not split the projection")
     return section

@@ -226,9 +226,11 @@ def orbit_configuration(perms: list[list[int]], size: int):
     perms must already form a group (closure, identity, inverses are
     verified); the result is a scheme exactly when the action is transitive.
     """
+    if not perms:
+        raise NotAGroup("identity permutation missing")
     perms = [tuple(p) for p in perms]
-    for p in perms:
-        if sorted(p) != list(range(size)):
+    for p in perms:     # the length first, so that no size-long list is built for a short p
+        if len(p) != size or sorted(p) != list(range(size)):
             raise NotAGroup(f"{p} is not a permutation of 0..{size - 1}")
     pset = set(perms)
     if tuple(range(size)) not in pset:

@@ -747,6 +747,21 @@ def full_complex_is_coboundary(cat, system, delta):
     return solve(cx.d1_rows, cx.cochain2_vector(delta), cx.dim[1], system.modulus) is not None
 
 
+def full_complex_section(ext):
+    """The section f -> (f, F(f)) for a solution F of d F = delta on the
+    whole base, as a morphism map by label, or None: the reference for the
+    section schemoids.extensions.is_split moves from the skeleton."""
+    from schemoids.extensions import _position, bw_differentials
+    from schemoids.linalg import solve
+    cat, system = ext.base, ext.system
+    cx = bw_differentials(cat, system)
+    sol = solve(cx.d1_rows, cx.cochain2_vector(ext.cocycle), cx.dim[1], system.modulus)
+    if sol is None:
+        return None
+    return {f: ext.fiber[f][_position(sol[off:off + r], system.modulus)]
+            for f, off, r in zip(cat.morphism_ids, cx.offset1, system.rank)}
+
+
 def natural_law_failures(cat, modulus, rank, push, pull):
     """Every broken law of a natural system whose matrices are all present
     and of the right shape, by the full scan: the unit laws at every f, and

@@ -44,6 +44,22 @@ def test_gen_orbits(capsys, tmp_path):
     assert code == 0 and len(out["classes"]) == 4
 
 
+@pytest.mark.parametrize("perms", [[], [[0]]])
+def test_gen_orbits_refuses_a_large_size_before_allocating(capsys, tmp_path, perms):
+    """No perms, or a perm shorter than size, is refused as NotAGroup before
+    any size-long list is built: a size of 3 million costs no 24 MB."""
+    import tracemalloc
+    doc = write(tmp_path, "perms.json", {"perms": perms, "size": 3_000_000})
+    tracemalloc.start()
+    try:
+        code, out = run_json(capsys, "gen", "orbits", doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out["error"] == "NotAGroup"
+    assert peak < 1 << 20, f"peak {peak} bytes"
+
+
 def test_pipe_embed_analyze(capsys, tmp_path):
     code, scheme = run_json(capsys, "gen", "hamming", "2", "2")
     sf = write(tmp_path, "scheme.json", scheme)

@@ -44,6 +44,7 @@ from oracles import (
     brute_force_sections,
     cocycle_defect,
     dense_cohomology_invariants,
+    full_complex_section,
     labelled_system,
     unchecked_system,
 )
@@ -684,6 +685,61 @@ def test_split_section_over_an_odd_modulus():
     assert section is not None
     assert section.morphism_map["1"] in ext.fiber["1"]
     assert len(brute_force_sections(ext)) == 3      # one per 1-cocycle Hom(Z/3, Z/3)
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_split_solves_d1_only_on_the_skeleton(monkeypatch, modulus):
+    """The section of the zero extension of j(H(4,2)) is solved on the
+    one-object skeleton and moved onto the 16 objects by conjugation: d1 is
+    evaluated at the skeleton's one pair, never at the 4096 of the base."""
+    cat = j_embed(hamming(4, 2)).category
+    ext = build_extension(cat, trivial_system(cat, modulus), zero_cochain2())
+    sk = bw_differentials(cat, ext.system).skeleton.category
+    calls = []
+    d1_at = extensions.BWComplex._d1_at
+
+    def spy(self, f, g):
+        calls.append((self.category.objects, f, g))
+        return d1_at(self, f, g)
+
+    monkeypatch.setattr(extensions.BWComplex, "_d1_at", spy)
+    section = is_split(ext)
+    assert section is not None
+    assert set(calls) == {(sk.objects, f, g) for f, (g, _) in sk.entries()}
+    assert all(section.morphism_map[f] == ext.fiber[f][0] for f in cat.morphism_ids)
+
+
+def test_split_moves_a_twisted_section_through_inverse_lifts():
+    """On I_2 x Z/3, the cross morphisms acting by -1 on Z/3, and delta = d F
+    with F = 1 on the morphisms p1 -> p0: the lift (u, 0) of an isomorphism
+    u: p1 -> p0 has its inverse off position 0 of the fiber over u^-1, so
+    the conjugation must find it.  The section is one of those the
+    exhaustive search finds."""
+    from schemoids.fincat import product_with_projections
+    from test_properties import indiscrete_category
+    cat, p, _ = product_with_projections(indiscrete_category(2), zcat(3))
+    maps = {f: [[-1 if p(f) in ("p0>p1", "p1>p0") else 1]] for f in cat.morphism_ids}
+    system = induced_system(cat, 3, dict.fromkeys(cat.objects, 1), maps)
+    back = [f for f in cat.morphism_ids if p(f) == "p1>p0"]
+    ext = build_extension(cat, system, coboundary_of_1cochain(system, dict.fromkeys(back, (1,))))
+    for u in back:
+        (v,) = [v for v in cat.hom(cat.tgt(u), cat.src(u)) if cat.is_identity(cat.comp(v, u))]
+        assert not ext.total.is_identity(ext.total.comp(ext.fiber[v][0], ext.fiber[u][0]))
+    section = is_split(ext)
+    assert section is not None
+    assert section.morphism_map in brute_force_sections(ext, cap=3 ** 12)
+
+
+def test_split_on_a_skeletal_base_is_the_full_solve():
+    """Z/4 is its own skeleton, so every conjugating isomorphism is an
+    identity and the section is the one the whole complex's solve gives."""
+    cat = zcat(4)
+    system = trivial_system(cat, 2)
+    ext = build_extension(cat, system, coboundary_of_1cochain(system, {"1": (1,), "2": (1,)}))
+    assert bw_differentials(cat, system).skeleton.category is cat
+    section = is_split(ext)
+    assert section is not None and any(v != ext.fiber[f][0] for f, v in section.morphism_map.items())
+    assert section.morphism_map == full_complex_section(ext)
 
 
 def test_cohomology_of_j_h52_on_its_skeleton():
