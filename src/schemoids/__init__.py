@@ -15,7 +15,6 @@ from .fincat import (
     SchemoidsError,
     as_groupoid,
     build_category,
-    factorization_category,
     join,
     opposite,
     product,
@@ -71,7 +70,6 @@ from .algebra import (
     PrimeField,
     Rationals,
     SchemoidAlgebra,
-    algebra_is_unital,
     check_algebra_hom,
     ring_from_name,
     schemoid_algebra,
@@ -92,6 +90,7 @@ from .extensions import (
     build_extension,
     bw_cohomology,
     bw_differentials,
+    equivalence,
     extensions_equivalent,
     induced_system,
     is_split,

@@ -60,7 +60,7 @@ from .linalg import (
     _rows_over,
     is_prime,
 )
-from .schemoid import QuasiSchemoid, is_unital
+from .schemoid import QuasiSchemoid
 
 
 class AlgebraError(SchemoidsError):
@@ -261,15 +261,6 @@ def _identity_sum_coords(qs, basis, ring):
         if v != ring.zero:
             coords[b] = v
     return coords
-
-
-def algebra_is_unital(alg: SchemoidAlgebra, qs: QuasiSchemoid) -> bool:
-    """Subalgebra unitality, cross-checked against the combinatorial test; a
-    disagreement is an internal error (`AssertionError`), not a verdict."""
-    combinatorial, _ = is_unital(qs.category, qs.partition)
-    if alg.unital != combinatorial:
-        raise AssertionError("unitality cross-check failed")
-    return alg.unital
 
 
 # ---------------------------------------------------------------------------

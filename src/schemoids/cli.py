@@ -43,7 +43,7 @@ from .extensions import (
     bw_cohomology,
     cocycle_from_json,
     cocycle_to_json,
-    extensions_equivalent,
+    equivalence,
     induced_system,
     is_split,
     read_cocycle,
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="section of an extension, when one exists")
     p.add_argument("input")
 
-    p = sub.add_parser("equivalent", help="equivalence of two extensions")
+    p = sub.add_parser("equivalent", help="equivalence of two extensions, with its functor")
     p.add_argument("first")
     p.add_argument("second")
 
@@ -481,7 +481,9 @@ def _dispatch(args, pretty) -> int:
     if cmd == "equivalent":
         e1 = extension_from_json(load(args.first))
         e2 = extension_from_json(load(args.second))
-        emit({"equivalent": extensions_equivalent(e1, e2)}, pretty)
+        phi = equivalence(e1, e2)
+        emit({"equivalent": False} if phi is None else
+             {"equivalent": True, "functor": serialize_functor(phi)}, pretty)
         return 0
 
     if cmd == "thicken":

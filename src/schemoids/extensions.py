@@ -12,7 +12,7 @@ alternating-sum pattern
 
 whose degree-2 instance at (f, f^-1, f) pins the sign convention; d1∘d0 = 0
 and d2∘d1 = 0 are checked when those differentials are first assembled.
-Cohomology, the coboundary tests and the solve for a section run on a
+Cohomology and the one solve behind splitting and equivalence run on a
 skeleton of the base.
 Extensions twist composition by a normalized 2-cocycle:
 (g, b)∘(f, a) = (g∘f, -D(g, f) + g_* a + f^* b).
@@ -24,8 +24,8 @@ one table per rank, and each push or pull matrix one table over its fiber,
 built once per distinct matrix; the composites are read from those tables
 (`_FiberTables`), never by arithmetic on tuples.  Each fiber element is
 named once, when the total is built, and the extension keeps its tables:
-the torsor check, lifting a schemoid structure and its involution, and
-splitting read positions from them and names from `ExtensionCategory.fiber`.
+the torsor check, lifting a schemoid structure and its involution, and the
+witnesses read positions from them and names from `ExtensionCategory.fiber`.
 The construction by the formula above, on vectors, is the reference in the
 tests.
 """
@@ -42,6 +42,7 @@ from .fincat import (
     CategoryError,
     FinCategory,
     Functor,
+    NotAFunctor,
     NotInvertible,
     SchemoidsError,
     as_groupoid,
@@ -136,13 +137,16 @@ class NaturalSystem:
             raise InvalidModulus(f"modulus must be an integer >= 2 or None (rational), got {m!r}")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, NaturalSystem):
             return NotImplemented
         m = self.modulus
+        rows = {(id(mine), id(theirs)): (mine, theirs)        # each distinct pair of rows once
+                for mine, theirs in chain(zip(self.push, other.push), zip(self.pull, other.pull))}
         return (self.category == other.category and m == other.modulus and self.rank == other.rank
-                and all(linalg.mat_eq_mod(mat, theirs[j], m) for mine, theirs in
-                        chain(zip(self.push, other.push), zip(self.pull, other.pull))
-                        for j, mat in mine.items()))
+                and all(linalg.mat_eq_mod(mat, theirs[j], m)
+                        for mine, theirs in rows.values() for j, mat in mine.items()))
 
 
 def _positions(cat: FinCategory, f, g):
@@ -404,11 +408,12 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 #
 # H^n(C; D) = H^n(S; i*D) for the inclusion i: S -> C of a skeleton
 # (Baues & Wirsching, J. Pure Appl. Algebra 38 (1985), Thm 1.11), so the
-# cohomology and the coboundary tests run on BWComplex.skeleton, the complex
-# of the full subcategory on one object per isomorphism class.  A split
-# answer needs a section on all of C: is_split solves for it on S too and
-# moves it onto C by conjugation with the isomorphisms x -> r(x) that
-# _skeleton_objects certifies, so nothing solves the whole base's d1.
+# cohomology runs on BWComplex.skeleton, the complex of the full subcategory
+# on one object per isomorphism class.  Splitting and equivalence ask one
+# question, whether d F = δ2 - δ1 has a solution: `_transported` solves it
+# on S, built from the base and the system alone, and moves the answer onto
+# C by conjugation with the isomorphisms x -> r(x) that _skeleton_objects
+# certifies, so nothing builds or solves the whole base's complex.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -516,23 +521,11 @@ class BWComplex:
         return _dense(self.d2_rows, self.dim[2])
 
     @cached_property
-    def _classes(self) -> tuple[list[str], list[tuple[int, int]]]:
-        return _skeleton_objects(self.category)
-
-    @cached_property
     def skeleton(self) -> BWComplex:
         """The complex of (S, i*D), S the full subcategory on one object per
         isomorphism class; self when the category is already skeletal."""
-        cat, system = self.category, self.system
-        objects = self._classes[0]
-        if len(objects) == len(cat.objects):
-            return self
-        sub = full_subcategory(cat, objects)
-        pos = list(map(cat.index.__getitem__, sub.morphism_ids))
-        push, pull = (tuple({j: maps[p][pos[j]] for j in row} for p, row in zip(pos, sub.rows))
-                      for maps in (system.push, system.pull))
-        rank = tuple(map(system.rank.__getitem__, pos))
-        return bw_differentials(sub, NaturalSystem(sub, system.modulus, rank, push, pull))
+        sub, system, _ = _skeleton(self.category, self.system)
+        return self if sub is self.category else bw_differentials(sub, system)
 
     def cochain2_vector(self, delta: Cochain2) -> list[int]:
         """Coordinates of delta on the pairs of this complex; on a skeleton
@@ -610,6 +603,21 @@ def _skeleton_objects(cat: FinCategory) -> tuple[list[str], list[tuple[int, int]
                     isos[x] = (rows[u][a], rows[b][v])       # u∘a: x -> r, a^-1∘u^-1
                     stack.append(x)
     return [x for i, x in enumerate(objects) if parent[i] == i], isos
+
+
+def _skeleton(cat: FinCategory, system: NaturalSystem):
+    """(S, i*D, isos): the full subcategory S on the representatives of
+    `_skeleton_objects` with the system restricted to it, and its isomorphisms
+    (u_x, u_x⁻¹); cat and system themselves when cat is skeletal."""
+    objects, isos = _skeleton_objects(cat)
+    if len(objects) == len(cat.objects):
+        return cat, system, isos
+    sub = full_subcategory(cat, objects)
+    pos = list(map(cat.index.__getitem__, sub.morphism_ids))
+    push, pull = (tuple({j: maps[p][pos[j]] for j in row} for p, row in zip(pos, sub.rows))
+                  for maps in (system.push, system.pull))
+    rank = tuple(map(system.rank.__getitem__, pos))
+    return sub, NaturalSystem(sub, system.modulus, rank, push, pull), isos
 
 
 def bw_differentials(cat: FinCategory, system: NaturalSystem) -> BWComplex:
@@ -924,9 +932,12 @@ def lift_schemoid(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSchemo
         raise BaseMismatch("schemoid lives over a different category")
     cat, m, rank = ext.base, system.modulus, system.rank
     ids, index = cat.morphism_ids, cat.index
+    checked: set[int] = set()       # tables are kept per (matrix, rank): one shared has one target
     for (g, (f, gf)), tables in zip(cat.entries(), ext.tables.pairs):
-        if any(len(t) != m ** rank[gf] or len(set(t)) != len(t) for t in tables):
-            raise HypothesisFailed(f"transport matrix at {(ids[g], ids[f])} is not invertible")
+        for t in (t for t in tables if id(t) not in checked):
+            if len(t) != m ** rank[gf] or len(set(t)) != len(t):
+                raise HypothesisFailed(f"transport matrix at {(ids[g], ids[f])} is not invertible")
+            checked.add(id(t))
     for name, members in base_qs.partition.blocks.items():
         ranks = {rank[cat.identity_of[cat.src_of[index[f]]]] for f in members}
         if len(ranks) != 1:
@@ -1039,71 +1050,101 @@ def lift_involution(base_qs: QuasiSchemoid, ext: ExtensionCategory) -> QuasiSche
 # Splitting and equivalence
 # ---------------------------------------------------------------------------
 
-def _coboundary_solution(cx: BWComplex, delta: Cochain2):
-    """A vector F with d F = delta on the pairs of cx, or None."""
-    return linalg.solve(cx.d1_rows, cx.cochain2_vector(delta), cx.dim[1], cx.system.modulus)
+def _transported(e2: ExtensionCategory, e1: ExtensionCategory | None) -> list[int] | None:
+    """The fiber position p of φ(f, 0) = (f, p), for each base morphism f,
+    of a functor φ: E1 -> E2 over the base, or None when there is none; E1
+    is None for the split extension, which is not built.
 
+    φ(f, a) = (f, a + F(f)) is a functor exactly when d F = δ2 - δ1, solved
+    on the skeleton S alone, as i* is injective on H^2 (Baues & Wirsching,
+    Thm 1.11).  The solution's φ_S over S is moved onto the whole base as
 
-def is_split(ext: ExtensionCategory):
-    """A verified section s with q∘s = id, or None.
+        φ(e: x -> y) = ũ2_y⁻¹ ∘ φ_S(ũ1_y ∘ e ∘ ũ1_x⁻¹) ∘ ũ2_x,
 
-    Splits exactly when the cocycle is a coboundary, and that is decided on
-    the skeleton S: i* is injective on H^2 (Baues & Wirsching, Thm 1.11), so
-    a cocycle whose restriction is no coboundary there is none on the whole
-    base.  When d F = delta on S, s_S(f) = (f, F(f)) is a section over S,
-    for (g, F(g))∘(f, F(f)) = (g∘f, F(g∘f)); it is read from
-    `ExtensionCategory.fiber` at the position of F(f).
-
-    The section is moved onto the whole base by conjugation in the total.
-    For each object x, u_x: x -> r(x) is the isomorphism to its class's
-    representative that the skeleton certifies, ũ_x = (u_x, 0) its lift,
-    and ũ_x⁻¹ the member of the fiber over u_x⁻¹ that composes with ũ_x to
-    the identity.  Then
-
-        s(f: x -> y) = ũ_y⁻¹ ∘ s_S(u_y ∘ f ∘ u_x⁻¹) ∘ ũ_x,
-
-    which lies over u_y⁻¹ ∘ u_y ∘ f ∘ u_x⁻¹ ∘ u_x = f.  It is a functor: the
-    bars compose, u_z g u_y⁻¹ ∘ u_y f u_x⁻¹ = u_z (g∘f) u_x⁻¹, so in
-    s(g)∘s(f) the inner ũ_y ∘ ũ_y⁻¹ cancels and s_S carries the rest; and
-    s(1_x) = ũ_x⁻¹ ∘ ũ_x = 1_x.  On a representative u_x = 1, so s agrees
-    with s_S on S, and on a skeletal base s is s_S.  No solve runs on the
-    whole base; the section is still validated as a functor into the total
-    that splits the projection.
+    ũ_x = (u_x, 0) in E1 or E2 lifting the isomorphism u_x: x -> r(x) that
+    `_skeleton_objects` certifies, and ũ_x⁻¹ its inverse in the fiber over
+    u_x⁻¹.  The inner ũ_y⁻¹ ∘ ũ_y cancel in φ(e')∘φ(e), and a translation
+    rides along u_y⁻¹∘u_y = 1_y, so φ is a functor with φ(f, a) = φ(f, 0) + a.
+    From the split source the inner conjugate of (f, 0) is (u_y∘f∘u_x⁻¹, 0).
+    A total holds (f, a) at position offset(f) + a, so all is read on int rows.
     """
-    system, cat, total = ext.system, ext.base, ext.total
-    cx = bw_differentials(cat, system)
-    sk = cx.skeleton
-    sol = _coboundary_solution(sk, ext.cocycle)
+    cat, system = e2.base, e2.system
+    m, rows = system.modulus, cat.rows
+    sub, restricted, isos = _skeleton(cat, system)
+    sk = bw_differentials(sub, restricted)
+    rhs = sk.cochain2_vector(e2.cocycle)
+    if e1 is not None:
+        rhs = [a - b for a, b in zip(rhs, sk.cochain2_vector(e1.cocycle))]
+    sol = linalg.solve(sk.d1_rows, rhs, sk.dim[1], m)
     if sol is None:
         return None
-    m, fiber, ids, index, trows = system.modulus, ext.fiber, cat.morphism_ids, total.index, total.rows
-    on_s = {cat.index[f]: index[fiber[f][_position(sol[off:off + r], m)]]
-            for f, off, r in zip(sk.category.morphism_ids, sk.offset1, sk.system.rank)}
-    isos = cx._classes[1]
-    lift = [index[fiber[ids[u]][0]] for u, _ in isos]                  # ũ_x, by object
-    back = [next(w for w in map(index.__getitem__, fiber[ids[v]]) if trows[w][lu] == one)
-            for (_, v), lu, one in zip(isos, lift, total.identity_of)]  # ũ_x⁻¹
-    rows, tids = cat.rows, total.morphism_ids
-    smap = {}
+    shift = {cat.index[f]: _position(sol[off:off + r], m)                # F_S, by base position
+             for f, off, r in zip(sub.morphism_ids, sk.offset1, restricted.rank)}
+    offset = list(accumulate((m ** r for r in system.rank), initial=0))
+    lift = [offset[u] for u, _ in isos]                                   # ũ_x, by object
+
+    def inverses(total: FinCategory) -> list[int]:                     # ũ_x⁻¹, by object
+        return [next(w for w in range(offset[v], offset[v + 1]) if total.rows[w][lu] == one)
+                for (_, v), lu, one in zip(isos, lift, total.identity_of)]
+
+    rows2, add, back2 = e2.total.rows, e2.tables.addition, inverses(e2.total)
+    if e1 is not None:
+        rows1, back1 = e1.total.rows, inverses(e1.total)
+    image = []
     for f, (x, y) in enumerate(zip(cat.src_of, cat.tgt_of)):
-        bar = rows[rows[isos[y][0]][f]][isos[x][1]]
-        smap[ids[f]] = tids[trows[back[y]][trows[on_s[bar]][lift[x]]]]
-    section = Functor({x: x for x in cat.objects}, smap)
-    validate_functor(section, cat, total)
-    for f in ids:
-        if ext.projection.morphism_map[smap[f]] != f:
-            raise ExtensionError("section does not split the projection")
-    return section
+        bar = rows[rows[isos[y][0]][f]][isos[x][1]]                      # u_y∘f∘u_x⁻¹
+        a = 0 if e1 is None else rows1[rows1[lift[y]][offset[f]]][back1[x]] - offset[bar]
+        inner = offset[bar] + add[bar][a][shift[bar]]                     # φ_S of the conjugate
+        image.append(rows2[back2[y]][rows2[inner][lift[x]]] - offset[f])
+    return image
 
 
-def extensions_equivalent(e1: ExtensionCategory, e2: ExtensionCategory) -> bool:
-    """Equivalence over the same base and system: the difference class
-    vanishes.  Decided on the skeleton, where the difference cocycle is
-    restricted: i* is injective on H^2 (Baues & Wirsching, Thm 1.11)."""
+def _certified(fun: Functor, source: FinCategory, target: ExtensionCategory, over: dict) -> Functor:
+    """fun, checked as a functor source -> target.total whose projection
+    takes fun(e) to over[e].  A witness from `_transported` that fails is
+    this program's fault: AssertionError."""
+    try:
+        validate_functor(fun, source, target.total)
+    except NotAFunctor as err:
+        raise AssertionError(f"the witness is no functor: {err}") from err
+    q, image = target.projection.morphism_map, fun.morphism_map
+    if any(q[image[e]] != f for e, f in over.items()):
+        raise AssertionError("the witness does not lie over the base")
+    return fun
+
+
+def is_split(ext: ExtensionCategory) -> Functor | None:
+    """A verified section s with q∘s = id, or None: s(f) = φ(f, 0) for the
+    φ that `_transported` finds from the split extension, (f, F(f)) with
+    d F = δ, checked as a functor into the total over the base."""
+    image = _transported(ext, None)
+    if image is None:
+        return None
+    cat = ext.base
+    section = Functor({x: x for x in cat.objects},
+                      {f: ext.fiber[f][p] for f, p in zip(cat.morphism_ids, image)})
+    return _certified(section, cat, ext, {f: f for f in cat.morphism_ids})
+
+
+def equivalence(e1: ExtensionCategory, e2: ExtensionCategory) -> Functor | None:
+    """A functor φ: E1.total -> E2.total over the base, φ(f, a) = (f, a + F(f))
+    with d F = δ2 - δ1 and φ(f, 0) from `_transported`, checked before it is
+    returned; None when the extensions are not equivalent.  Both must have
+    the same base and system (BaseMismatch)."""
     if e1.base != e2.base:
         raise BaseMismatch("different base categories")
     if e1.system != e2.system:
         raise BaseMismatch("different natural systems")
-    system = e1.system
-    diff = cochain2_sub(system, e1.cocycle, e2.cocycle)
-    return _coboundary_solution(bw_differentials(e1.base, system).skeleton, diff) is not None
+    image = _transported(e2, e1)
+    if image is None:
+        return None
+    phi = Functor({x: x for x in e1.base.objects},
+                  {e: e2.fiber[f][add[a][p]]
+                   for f, p, add in zip(e1.base.morphism_ids, image, e2.tables.addition)
+                   for a, e in enumerate(e1.fiber[f])})
+    return _certified(phi, e1.total, e2, e1.projection.morphism_map)
+
+
+def extensions_equivalent(e1: ExtensionCategory, e2: ExtensionCategory) -> bool:
+    """Whether `equivalence` finds a functor E1 -> E2 over the base."""
+    return equivalence(e1, e2) is not None

@@ -597,36 +597,6 @@ def opposite(c: FinCategory) -> FinCategory:
                           ((ids[j], ids[i], ids[k]) for i, (j, k) in c.entries()))
 
 
-def factorization_category(c: FinCategory) -> FinCategory:
-    """Category of factorizations: objects are the morphisms of C, and a
-    morphism f -> g is a pair (α, β) with α∘f∘β = g, composed by
-    (α', β')∘(α, β) = (α'∘α, β∘β')."""
-    objects = list(c.morphism_ids)
-    morphisms = []
-    compose = []
-    mid = lambda a, b, f: f"({a},{b})@{f}"
-    arrows = []
-    for f in objects:
-        for a in c.morphism_ids:
-            if c.src(a) != c.tgt(f):
-                continue
-            af = c.comp(a, f)
-            for b in c.morphism_ids:
-                if c.tgt(b) != c.src(f):
-                    continue
-                g = c.comp(af, b)
-                m = mid(a, b, f)
-                morphisms.append((m, f, g))
-                arrows.append((m, a, b, f, g))
-    identity = {f: mid(c.identity[c.tgt(f)], c.identity[c.src(f)], f) for f in objects}
-    for m2, a2, b2, f2, g2 in arrows:
-        for m1, a1, b1, f1, g1 in arrows:
-            if g1 != f2:
-                continue
-            compose.append((m2, m1, mid(c.comp(a2, a1), c.comp(b1, b2), f1)))
-    return build_category(objects, morphisms, identity, compose)
-
-
 def as_groupoid(c: FinCategory) -> Groupoid:
     """Inverse table if every morphism is invertible, else NotInvertible;
     the inverse of f is the first g of Hom(tgt f, src f) with f∘g and g∘f

@@ -659,6 +659,16 @@ class ReducedEchelon:
         return [self.pivots[k] for k in sorted(self.pivots, key=self.pos.__getitem__)]
 
 
+def algebra_is_unital(alg, qs):
+    """Subalgebra unitality, cross-checked against the combinatorial test
+    schemoids.schemoid.is_unital; a disagreement raises AssertionError."""
+    from schemoids.schemoid import is_unital
+    combinatorial, _ = is_unital(qs.category, qs.partition)
+    if alg.unital != combinatorial:
+        raise AssertionError("unitality cross-check failed")
+    return alg.unital
+
+
 def span_closure_fractions(cat, ring, generators):
     """Reduced echelon basis, sorted by pivot in morphism order, of the
     subalgebra of the category algebra generated by the given vectors.
@@ -721,6 +731,38 @@ def solve_tensor_unit_fractions(basis, tensor, ring):
             if None in echelon.pivots:
                 return None
     return {b: row[None] for b, row in echelon.pivots.items() if row.get(None)}
+
+
+def factorization_category(c):
+    """Category of factorizations: objects are the morphisms of C, and a
+    morphism f -> g is a pair (α, β) with α∘f∘β = g, composed by
+    (α', β')∘(α, β) = (α'∘α, β∘β').  Nothing in the package builds it: a
+    natural system is kept as its push and pull matrices per pair."""
+    from schemoids.fincat import build_category
+    objects = list(c.morphism_ids)
+    morphisms = []
+    compose = []
+    mid = lambda a, b, f: f"({a},{b})@{f}"
+    arrows = []
+    for f in objects:
+        for a in c.morphism_ids:
+            if c.src(a) != c.tgt(f):
+                continue
+            af = c.comp(a, f)
+            for b in c.morphism_ids:
+                if c.tgt(b) != c.src(f):
+                    continue
+                g = c.comp(af, b)
+                m = mid(a, b, f)
+                morphisms.append((m, f, g))
+                arrows.append((m, a, b, f, g))
+    identity = {f: mid(c.identity[c.tgt(f)], c.identity[c.src(f)], f) for f in objects}
+    for m2, a2, b2, f2, g2 in arrows:
+        for m1, a1, b1, f1, g1 in arrows:
+            if g1 != f2:
+                continue
+            compose.append((m2, m1, mid(c.comp(a2, a1), c.comp(b1, b2), f1)))
+    return build_category(objects, morphisms, identity, compose)
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +974,52 @@ def brute_force_sections(ext, cap=1 << 16):
                     break
         if ok:
             found.append(smap)
+    return found
+
+
+def equivalences_by_search(e1, e2, cap=1 << 16):
+    """Every functor φ: E1 -> E2 over the base of the form (f, a) -> (f, a + F(f)),
+    as a morphism map by label, for two extensions with one base and system;
+    the reference for schemoids.extensions.equivalence, using no cohomology.
+
+    F runs over the maps from the base morphisms to their fibers, assigned
+    depth first in morphism order.  Each composite e∘e' = e'' of E1's total
+    is checked, φ(e)∘φ(e') = φ(e'') in E2's, as soon as F is fixed at the
+    three base morphisms under it, so every φ kept has passed the whole
+    composition scan, and the identities are checked at the end.  Fiber
+    elements are read as vectors in lexicographic order and added mod m.
+    ValueError when there are more than cap maps F."""
+    cat, m = e1.base, e1.system.modulus
+    ids, rank = list(cat.morphism_ids), dict(zip(cat.morphism_ids, e1.system.rank))
+    if prod(m ** r for r in rank.values()) > cap:
+        raise ValueError("search space exceeds the cap")
+    vectors = {r: list(product(range(m), repeat=r)) for r in set(rank.values())}
+    position = {r: {v: i for i, v in enumerate(vs)} for r, vs in vectors.items()}
+    where = {e: (f, a) for f in ids for a, e in enumerate(e1.fiber[f])}
+    level = {f: i for i, f in enumerate(ids)}
+    checks = [[] for _ in ids]
+    for (e, e_), c in e1.total.compose.items():
+        under = (where[e][0], where[e_][0], where[c][0])
+        checks[max(map(level.__getitem__, under))].append((e, e_, c))
+    F, found = {}, []
+
+    def image(e):
+        f, a = where[e]
+        vs = vectors[rank[f]]
+        return e2.fiber[f][position[rank[f]][tuple((x + y) % m for x, y in zip(vs[a], vs[F[f]]))]]
+
+    def extend(i):
+        if i == len(ids):
+            if all(image(e1.total.identity[x]) == e2.total.identity[x] for x in cat.objects):
+                found.append({e: image(e) for e in where})
+            return
+        f = ids[i]
+        for F[f] in range(m ** rank[f]):
+            if all(e2.total.comp(image(e), image(e_)) == image(c) for e, e_, c in checks[i]):
+                extend(i + 1)
+        del F[f]
+
+    extend(0)
     return found
 
 

@@ -13,7 +13,6 @@ from schemoids.algebra import (
     NotTerminal,
     PrimeField,
     Rationals,
-    algebra_is_unital,
     check_algebra_hom,
     identity_algebra_map,
     ring_from_name,
@@ -35,6 +34,7 @@ from test_properties import small_categories
 from test_schemoid import ex2_8, group_bullet
 from oracles import (
     adjacency,
+    algebra_is_unital,
     assert_associative_dense,
     check_algebra_hom_fractions,
     mat_mul_int,

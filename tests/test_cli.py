@@ -130,6 +130,23 @@ def test_cohomology_and_extension_flow(capsys, tmp_path):
     assert code == 0 and eq["equivalent"] is False
 
 
+def test_equivalent_prints_its_functor_on_a_yes(capsys, tmp_path):
+    """ex5_10_e1 against itself is equivalent by a functor on all 64
+    morphisms of its total, over the base; e0 against e1 prints the bare
+    "no" and nothing more."""
+    files = {}
+    for eta in (0, 1):
+        code, doc = run_json(capsys, "examples", f"ex5_10_e{eta}")
+        files[eta] = write(tmp_path, f"e{eta}.json", doc)
+    code, yes = run_json(capsys, "equivalent", files[1], files[1])
+    assert code == 0 and yes["equivalent"] is True
+    morphisms = yes["functor"]["morphisms"]
+    assert len(morphisms) == 64
+    assert all(e.rsplit("|", 1)[0] == image.rsplit("|", 1)[0] for e, image in morphisms.items())
+    code, no = run_json(capsys, "equivalent", files[0], files[1])
+    assert code == 0 and no == {"equivalent": False, "schema": "schemoids/1"}
+
+
 def test_split_refuses_cocycle_entry_of_wrong_length(capsys, tmp_path):
     """Over Z/2 with the trivial rank-1 system, D of 1∘1 has rank 1, so a
     two-coordinate entry is refused as input before any extension is built."""
@@ -275,15 +292,33 @@ def test_admissible_cli_answers_not_admissible_with_exit_0(capsys, tmp_path):
 
 def test_failed_internal_certificates_exit_3(capsys, tmp_path, monkeypatch):
     """A certificate the program checks on its own output (d1∘d0 = 0, the
-    axiom on a lifted partition, the count of d2's rows, the sum of
-    identities as the tensor unit) is an internal error when it fails: exit 3
-    with a traceback and nothing on stdout, not a refusal of the input."""
+    axiom on a lifted partition, the count of d2's rows, the functor a split
+    or equivalence answer carries, the sum of identities as the tensor unit)
+    is an internal error when it fails: exit 3 with a traceback and nothing
+    on stdout, not a refusal of the input."""
     from schemoids import algebra, extensions
     from schemoids.fincat import serialize
     from schemoids.schemes import hamming, j_embed
     from schemoids.schemoid import AxiomViolation
     cf = write(tmp_path, "z2.json", serialize(one_object_group(*cyclic_group_table(2)).base))
     sf = write(tmp_path, "sys.json", {"kind": "trivial", "modulus": 2})
+    # a section or equivalence with one fiber position flipped is no functor
+    transported = extensions._transported
+
+    def flipped(e2, e1):
+        image = transported(e2, e1)
+        image[-1] = 1 - image[-1]
+        return image
+
+    monkeypatch.setattr(extensions, "_transported", flipped)
+    code, doc = run_json(capsys, "examples", "ex5_10_e0")
+    ef = write(tmp_path, "e0.json", doc)
+    for argv in (["split", ef], ["equivalent", ef, ef]):
+        code, out, err = outputs(capsys, argv)
+        assert code == 3 and out == ""
+        assert "AssertionError: the witness is no functor" in err
+    monkeypatch.setattr(extensions, "_transported", transported)
+
     # every row of d0 is the first coordinate, so d1∘d0 has a 1 at every pair
     monkeypatch.setattr(extensions.BWComplex, "_d0_at", lambda self, f: [{0: 1}])
     code, out, err = outputs(capsys, ["cohomology", cf, sf, "--degree", "1"])

@@ -1,4 +1,5 @@
 import time
+from itertools import product as iproduct
 
 import pytest
 
@@ -23,6 +24,7 @@ from schemoids.extensions import (
     cochain2_sub,
     cocycle_from_json,
     cocycle_to_json,
+    equivalence,
     extensions_equivalent,
     induced_system,
     is_normalized,
@@ -43,7 +45,9 @@ from oracles import (
     bar_complex_group_cohomology,
     brute_force_sections,
     cocycle_defect,
+    coboundary_of_1cochain as coboundary_by_formula,
     dense_cohomology_invariants,
+    equivalences_by_search,
     full_complex_section,
     labelled_system,
     unchecked_system,
@@ -689,24 +693,54 @@ def test_split_section_over_an_odd_modulus():
 
 @pytest.mark.parametrize("modulus", [2, 3])
 def test_split_solves_d1_only_on_the_skeleton(monkeypatch, modulus):
-    """The section of the zero extension of j(H(4,2)) is solved on the
-    one-object skeleton and moved onto the 16 objects by conjugation: d1 is
-    evaluated at the skeleton's one pair, never at the 4096 of the base."""
+    """The section of the zero extension of j(H(4,2)), and the equivalence
+    of two separately built ones, are solved on the one-object skeleton and
+    moved onto the 16 objects by conjugation: d1 is evaluated at the
+    skeleton's one pair, never at the 4096 of the base, and no complex of
+    the whole base is built."""
     cat = j_embed(hamming(4, 2)).category
     ext = build_extension(cat, trivial_system(cat, modulus), zero_cochain2())
+    ext2 = build_extension(cat, trivial_system(cat, modulus), zero_cochain2())
     sk = bw_differentials(cat, ext.system).skeleton.category
-    calls = []
-    d1_at = extensions.BWComplex._d1_at
+    calls, complexes = [], []
+    d1_at, complex_of = extensions.BWComplex._d1_at, extensions.bw_differentials
 
     def spy(self, f, g):
         calls.append((self.category.objects, f, g))
         return d1_at(self, f, g)
 
+    def spy_complex(c, system):
+        complexes.append(c.objects)
+        return complex_of(c, system)
+
     monkeypatch.setattr(extensions.BWComplex, "_d1_at", spy)
+    monkeypatch.setattr(extensions, "bw_differentials", spy_complex)
     section = is_split(ext)
     assert section is not None
-    assert set(calls) == {(sk.objects, f, g) for f, (g, _) in sk.entries()}
     assert all(section.morphism_map[f] == ext.fiber[f][0] for f in cat.morphism_ids)
+    phi = equivalence(ext, ext2)
+    assert phi is not None
+    assert all(phi.morphism_map[e] == e for e in ext.total.morphism_ids)
+    assert set(calls) == {(sk.objects, f, g) for f, (g, _) in sk.entries()}
+    assert complexes == [sk.objects, sk.objects]
+
+
+def twisted_i2_z3():
+    """I_2 x Z/3 with its two projections, and the Z/3 system induced by
+    letting the cross morphisms act by -1."""
+    from schemoids.fincat import product_with_projections
+    from test_properties import indiscrete_category
+    cat, p, q = product_with_projections(indiscrete_category(2), zcat(3))
+    maps = {f: [[-1 if p(f) in ("p0>p1", "p1>p0") else 1]] for f in cat.morphism_ids}
+    return cat, p, q, induced_system(cat, 3, dict.fromkeys(cat.objects, 1), maps)
+
+
+def twisted_coboundary_extension():
+    """On `twisted_i2_z3`, the extension by delta = d F with F = 1 on the
+    morphisms p1 -> p0, and those morphisms."""
+    cat, p, _, system = twisted_i2_z3()
+    back = [f for f in cat.morphism_ids if p(f) == "p1>p0"]
+    return build_extension(cat, system, coboundary_of_1cochain(system, dict.fromkeys(back, (1,)))), back
 
 
 def test_split_moves_a_twisted_section_through_inverse_lifts():
@@ -715,19 +749,26 @@ def test_split_moves_a_twisted_section_through_inverse_lifts():
     u: p1 -> p0 has its inverse off position 0 of the fiber over u^-1, so
     the conjugation must find it.  The section is one of those the
     exhaustive search finds."""
-    from schemoids.fincat import product_with_projections
-    from test_properties import indiscrete_category
-    cat, p, _ = product_with_projections(indiscrete_category(2), zcat(3))
-    maps = {f: [[-1 if p(f) in ("p0>p1", "p1>p0") else 1]] for f in cat.morphism_ids}
-    system = induced_system(cat, 3, dict.fromkeys(cat.objects, 1), maps)
-    back = [f for f in cat.morphism_ids if p(f) == "p1>p0"]
-    ext = build_extension(cat, system, coboundary_of_1cochain(system, dict.fromkeys(back, (1,))))
+    ext, back = twisted_coboundary_extension()
+    cat = ext.base
     for u in back:
         (v,) = [v for v in cat.hom(cat.tgt(u), cat.src(u)) if cat.is_identity(cat.comp(v, u))]
         assert not ext.total.is_identity(ext.total.comp(ext.fiber[v][0], ext.fiber[u][0]))
     section = is_split(ext)
     assert section is not None
     assert section.morphism_map in brute_force_sections(ext, cap=3 ** 12)
+
+
+def test_equivalence_conjugates_the_source_through_its_inverse_lifts():
+    """With the twisted coboundary extension as the source, the conjugate
+    ũ1_y ∘ (f, 0) ∘ ũ1_x⁻¹ lies off position 0 of its fiber, so φ must read
+    it from the source's total.  Each functor is one the search finds."""
+    e1, _ = twisted_coboundary_extension()
+    e0 = build_extension(e1.base, e1.system, zero_cochain2())
+    for a, b in ((e1, e0), (e1, e1), (e0, e1)):
+        phi = equivalence(a, b)
+        assert phi is not None
+        assert phi.morphism_map in equivalences_by_search(a, b, cap=3 ** 12)
 
 
 def test_split_on_a_skeletal_base_is_the_full_solve():
@@ -780,3 +821,164 @@ def test_skeleton_needs_both_composites():
     for modulus in (2, None):
         cx = bw_differentials(cat, trivial_system(cat, modulus))
         assert cx.skeleton is cx
+
+
+def every_cocycle_extension(cat, system):
+    """The extension of every normalized 2-cochain that build_extension
+    accepts, the cochains enumerated over the pairs without an identity."""
+    pairs = [(f, g) for (f, g) in cat.compose if not (cat.is_identity(f) or cat.is_identity(g))]
+    values = [list(iproduct(range(system.modulus), repeat=system.rank[cat.index[cat.comp(f, g)]]))
+              for f, g in pairs]
+    exts = []
+    for choice in iproduct(*values):
+        try:
+            exts.append(build_extension(cat, system, Cochain2(dict(zip(pairs, choice)))))
+        except NotACocycle:
+            pass
+    return exts
+
+
+def twisted_cocycle_extensions():
+    """On `twisted_i2_z3`, whose 50 pairs without an identity allow 3^50
+    cochains, a sample: k times the carry cocycle of Z/3 moved onto the base,
+    delta(f, g) = H(u)^-1 (k carry(q f, q g)) with u the cross morphism into
+    the object of p0 (-1 when tgt f lies over p1), plus d F for three
+    normalized F, d F computed by vector arithmetic."""
+    cat, p, q, system = twisted_i2_z3()
+    back = [f for f in cat.morphism_ids if p(f) == "p1>p0"]
+    loops = [f for f in cat.morphism_ids if p(f) == "p0>p0" and not cat.is_identity(f)]
+    shifts = [coboundary_by_formula(system, fvals)
+              for fvals in ({}, dict.fromkeys(back, (1,)), {loops[0]: (2,), back[1]: (1,)})]
+
+    def carried(k, shift):
+        def fn(f, g):
+            sign = -1 if p.object_map[cat.tgt(f)] == "p1" else 1
+            carry = int(q(f)) + int(q(g)) >= 3
+            return ((sign * k * carry + shift.value(system, f, g)[0]) % 3,)
+        return cochain2_from_function(system, fn)
+
+    return cat, system, [build_extension(cat, system, carried(k, shift))
+                         for k in range(3) for shift in shifts]
+
+
+def sweep(cat, system):
+    return cat, system, every_cocycle_extension(cat, system)
+
+
+def product_base_of(c, n):
+    from schemoids.fincat import product_with_projections
+    return product_with_projections(c, zcat(n))[0]
+
+
+EQUIVALENCE_SWEEPS = {
+    "Z/2 over Z/2": (2, lambda: sweep(zcat(2), trivial_system(zcat(2), 2))),
+    "Z/3 over Z/3": (3, lambda: sweep(zcat(3), trivial_system(zcat(3), 3))),
+    "Z/4 over Z/2": (2, lambda: sweep(zcat(4), trivial_system(zcat(4), 2))),
+    "Z/2xZ/2 over Z/2": (8, lambda: sweep(product_base_of(zcat(2), 2),
+                                          trivial_system(product_base_of(zcat(2), 2), 2))),
+    "arrow x Z/2 over Z/2": (2, lambda: sweep(product_base_of(corpus.build("ex2_8").category, 2),
+                                              trivial_system(product_base_of(
+                                                  corpus.build("ex2_8").category, 2), 2))),
+    "twisted I_2 x Z/3": (3, twisted_cocycle_extensions),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_SWEEPS))
+def test_equivalence_classes_by_search(case):
+    """The search, which uses no cohomology, splits the extensions into
+    H^2.order classes; `equivalence` finds a functor exactly for the pairs
+    in one class, and it is one the search finds.  The search finds the same
+    number of functors for every equivalent pair."""
+    classes_expected, build = EQUIVALENCE_SWEEPS[case]
+    cat, system, exts = build()
+    classes, counts = set(), set()
+    for a in exts:
+        row = []
+        for b in exts:
+            found = equivalences_by_search(a, b, cap=3 ** 12)
+            phi = equivalence(a, b)
+            assert (phi is not None) == bool(found)
+            if found:
+                assert phi.morphism_map in found
+                counts.add(len(found))
+            row.append(bool(found))
+        classes.add(tuple(row))
+    assert len(classes) == bw_cohomology(cat, system, 2).order == classes_expected
+    assert len(counts) == 1
+
+
+def test_a_witness_that_fails_its_check_is_an_internal_error(monkeypatch):
+    """`_transported` with one fiber position flipped gives a map that is no
+    functor; the check on the witness is the program's own certificate, so
+    split and equivalence raise AssertionError, not a refusal."""
+    e0 = corpus.extension_e(0)
+    f = next(i for i, f in enumerate(e0.base.morphism_ids) if not e0.base.is_identity(f))
+    transported = extensions._transported
+
+    def flipped(e2, e1):
+        image = transported(e2, e1)
+        image[f] = 1 - image[f]
+        return image
+
+    monkeypatch.setattr(extensions, "_transported", flipped)
+    for witness in (lambda: is_split(e0), lambda: equivalence(e0, e0)):
+        with pytest.raises(AssertionError, match="the witness is no functor"):
+            witness()
+
+
+def test_natural_system_equality_compares_each_row_pair_once(monkeypatch):
+    """Two trivial systems on j(H(3,2)) share one row per source object, so
+    equality compares 8 pairs of rows of 8 matrices each, not the 512 push
+    and 512 pull matrices one by one; a system is equal to itself with no
+    comparison at all."""
+    from schemoids import linalg
+    cat = j_embed(hamming(3, 2)).category
+    one, other = trivial_system(cat, 2), trivial_system(cat, 2)
+    calls = []
+    mat_eq_mod = linalg.mat_eq_mod
+
+    def counted(a, b, m):
+        calls.append(m)
+        return mat_eq_mod(a, b, m)
+
+    monkeypatch.setattr(linalg, "mat_eq_mod", counted)
+    assert one == one and not calls
+    assert one == other and len(calls) == len(cat.morphisms) == 64
+
+
+def test_natural_system_equality_sees_one_changed_matrix():
+    """A copy of the trivial system with one push or one pull matrix changed
+    at one pair compares unequal, although the other rows stay shared; a
+    matrix equal mod m compares equal."""
+    from dataclasses import replace
+    cat = zcat(3)
+    system = trivial_system(cat, 2)
+    i, j = cat.index["1"], cat.index["2"]
+    for field in ("push", "pull"):
+        for mat, equal in ((((0,),), False), (((3,),), True)):
+            rows = list(getattr(system, field))
+            rows[i] = {**rows[i], j: mat}
+            changed = replace(system, **{field: tuple(rows)})
+            assert (changed == system) is equal and (system == changed) is equal
+
+
+def test_lift_schemoid_checks_each_shared_transport_table_once(monkeypatch):
+    """The trivial system on j(H(3,2)) gives one identity table, shared by
+    the push and pull of all 512 pairs; lift_schemoid reads it for its
+    bijection check once."""
+    base = j_embed(hamming(3, 2))
+    ext = build_extension(base.category, trivial_system(base.category, 2), zero_cochain2())
+    reads = []
+
+    class Counted(list):
+        def __iter__(self):
+            reads.append(id(self))
+            return super().__iter__()
+
+    counted = {}
+    pairs = [tuple(counted.setdefault(id(t), Counted(t)) for t in tables)
+             for tables in ext.tables.pairs]
+    monkeypatch.setattr(ext.tables, "pairs", pairs)
+    assert len(counted) == 1
+    lifted = lift_schemoid(base, ext)
+    assert len(reads) == 1 and len(lifted.category.morphisms) == 128

@@ -16,7 +16,6 @@ from schemoids.fincat import (
     connector_name,
     cyclic_group_table,
     disjoint_union,
-    factorization_category,
     full_subcategory,
     join,
     one_object_group,
@@ -30,7 +29,7 @@ from schemoids.fincat import (
     validate_functor,
     validate_groupoid,
 )
-from oracles import validate_category_dense
+from oracles import factorization_category, validate_category_dense
 
 
 def arrow_category():
