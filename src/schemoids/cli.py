@@ -331,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("hamming")
     g.add_argument("n", type=int)
     g.add_argument("q", type=int)
-    g.add_argument("--limit", type=int, default=64)
     g = gsub.add_parser("group-scheme")
     g.add_argument("table")
-    g = gsub.add_parser("orbits")
+    g = gsub.add_parser("orbits", help="pair orbits of the group that a perms document "
+                                        "generates: any generating set, at most 128 points")
     g.add_argument("perms")
 
     p = sub.add_parser("examples", help="emit a built-in example")
@@ -502,7 +502,7 @@ def _dispatch(args, pretty) -> int:
 
     if cmd == "gen":
         if args.generator == "hamming":
-            scheme = hamming(args.n, args.q, limit=args.limit)
+            scheme = hamming(args.n, args.q)
         elif args.generator == "group-scheme":
             scheme = group_scheme_from_json(load(args.table))
         else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 
 from .fincat import (
@@ -23,7 +24,6 @@ from .fincat import (
 from .shapes import SCHEME, check
 from .schemoid import QuasiSchemoid, StructureConstantTable, check_association, make_partition
 
-DESK_SCALE_LIMIT = 64
 SCHEME_BUDGET = 1 << 21     # point triples the intersection tally may visit: N = 128 at most
 
 
@@ -61,6 +61,19 @@ class NotAGroup(SchemeError):
     pass
 
 
+class NotSchemeMorphism(SchemeError):
+    pass
+
+
+def _check_size(base: int, power: int = 1) -> None:
+    """Refuse N = base^power > 128 points, whose tally's N³ point triples
+    exceed SCHEME_BUDGET, as SizeLimit; a power past 8 forms no huge N."""
+    if (base ** min(power, 8)) ** 3 > SCHEME_BUDGET:
+        n = f"({base}^{power})" if power > 1 else base
+        raise SizeLimit(f"{n} points: the tally of {n}^3 point triples exceeds "
+                        f"the budget of {SCHEME_BUDGET}")
+
+
 @dataclass(frozen=True, eq=False)
 class CoherentConfiguration:
     points: tuple[str, ...]
@@ -73,8 +86,12 @@ class CoherentConfiguration:
     def size(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.points)}
+
     def class_of_pair(self, x: str, y: str) -> str:
-        return self.classes[self.relation_of[self.points.index(x)][self.points.index(y)]]
+        return self.classes[self.relation_of[self.position[x]][self.position[y]]]
 
     def p(self, e: str, f: str, g: str) -> int:
         return self.intersection.get((e, f, g), 0)
@@ -101,11 +118,9 @@ def validate_scheme(size: int, relations, points=None, classes=None):
     morphisms by pairs of points.  Returns an AssociationScheme when the
     diagonal is a single class, otherwise a CoherentConfiguration.
     """
+    _check_size(size)
     if size < 1:
         raise SchemeError("empty point set")
-    if size ** 3 > SCHEME_BUDGET:
-        raise SizeLimit(f"{size} points: the tally of {size}^3 point triples exceeds "
-                        f"the budget of {SCHEME_BUDGET}")
     rel = tuple(map(tuple, relations))
     if len(rel) != size or any(len(row) != size for row in rel):
         raise SchemeError("relation matrix must be size x size")
@@ -188,27 +203,23 @@ def scheme_from_json(raw: dict):
     return validate_scheme(raw["size"], raw["relations"], raw.get("points"), raw.get("classes"))
 
 
-def hamming(n: int, q: int, limit: int = DESK_SCALE_LIMIT) -> AssociationScheme:
-    """Hamming scheme H(n, q): words of length n over q symbols, classes by distance."""
+def hamming(n: int, q: int) -> AssociationScheme:
+    """Hamming scheme H(n, q): words of length n over q symbols, classes by
+    distance.  More than 128 words are refused as SizeLimit before any word
+    is built, so H(7, 2) and H(4, 3) are the largest for q = 2 and 3."""
     if n < 1 or q < 2:
         raise SchemeError("need n >= 1 and q >= 2")
-    if q ** n > limit:
-        raise SizeLimit(f"{q}^{n} points exceeds the configured limit {limit}")
+    _check_size(q, n)
     words = ["".join(str(c) for c in w) for w in iproduct(range(q), repeat=n)]
-    dist = lambda u, v: sum(1 for a, b in zip(u, v) if a != b)
-    rel = [[dist(u, v) for v in words] for u in words]
-    # distances present can be a strict subset only when q**n is tiny; reindex
-    present = sorted({x for row in rel for x in row})
-    remap = {d: i for i, d in enumerate(present)}
-    rel = [[remap[x] for x in row] for row in rel]
-    classes = [f"R{d}" for d in present]
-    return validate_scheme(len(words), rel, points=words, classes=classes)
+    rel = [[sum(a != b for a, b in zip(u, v)) for v in words] for u in words]   # all of 0..n occur
+    return validate_scheme(len(words), rel, points=words, classes=[f"R{d}" for d in range(n + 1)])
 
 
 def group_scheme(elements, table) -> AssociationScheme:
     """Scheme on a finite group with classes G_f = {(k, l) : k^-1 l = f}.
-    The table is checked by `one_object_group`; its CategoryError is
-    re-raised as InvalidGroupTable."""
+    More than 128 elements are SizeLimit; a table that `one_object_group`
+    refuses is InvalidGroupTable."""
+    _check_size(len(elements))
     try:
         group = one_object_group(elements, table)
     except CategoryError as err:
@@ -216,30 +227,21 @@ def group_scheme(elements, table) -> AssociationScheme:
     elements, inverse = group.base.morphism_ids, group.inverse
     index = {e: i for i, e in enumerate(elements)}
     rel = [[index[table[(inverse[k], l)]] for l in elements] for k in elements]
-    classes = [f"G[{e}]" for e in elements]
-    return validate_scheme(len(elements), rel, points=elements, classes=classes)
+    return validate_scheme(len(elements), rel, points=elements, classes=[f"G[{e}]" for e in elements])
 
 
 def orbit_configuration(perms: list[list[int]], size: int):
-    """Coherent configuration of the pair orbits of a permutation group.
+    """Coherent configuration of the pair orbits of the group perms generate.
 
-    perms must already form a group (closure, identity, inverses are
-    verified); the result is a scheme exactly when the action is transitive.
-    """
-    if not perms:
-        raise NotAGroup("identity permutation missing")
-    perms = [tuple(p) for p in perms]
-    for p in perms:     # the length first, so that no size-long list is built for a short p
+    Each orbit is followed forward under perms, which in a finite group
+    reaches the whole orbit, so every generating set of a group (no perms,
+    the full element list) gives the same classes O0, O1, ....  More than
+    128 points are SizeLimit, then an entry that is no permutation of
+    0..size-1 is NotAGroup.  A transitive group gives a scheme."""
+    _check_size(size)
+    for p in perms:
         if len(p) != size or sorted(p) != list(range(size)):
             raise NotAGroup(f"{p} is not a permutation of 0..{size - 1}")
-    pset = set(perms)
-    if tuple(range(size)) not in pset:
-        raise NotAGroup("identity permutation missing")
-    for p in perms:
-        for q in perms:
-            if tuple(p[q[i]] for i in range(size)) not in pset:
-                raise NotAGroup("set of permutations is not closed under composition")
-    # inverses follow from closure and finiteness
 
     orbit_of: dict[tuple[int, int], int] = {}
     orbits = 0
@@ -256,8 +258,28 @@ def orbit_configuration(perms: list[list[int]], size: int):
                 stack.extend((p[u], p[v]) for p in perms)
             orbits += 1
     rel = [[orbit_of[(x, y)] for y in range(size)] for x in range(size)]
-    classes = [f"O{k}" for k in range(orbits)]
-    return validate_scheme(size, rel, classes=classes)
+    return validate_scheme(size, rel, classes=[f"O{k}" for k in range(orbits)])
+
+
+def scheme_morphism(f_points: dict, source: CoherentConfiguration,
+                    target: CoherentConfiguration) -> dict[str, str]:
+    """The class map of a point map that sends each class of source into one
+    class of target, read by position in one pass over the N² pairs; else
+    NotSchemeMorphism, with the witness (class, pair, image, other image)."""
+    image = [target.position.get(f_points.get(x)) for x in source.points]
+    if None in image:
+        raise NotSchemeMorphism(f"point {source.points[image.index(None)]!r} unmapped or "
+                                "mapped outside the target")
+    to: dict[int, int] = {}
+    for x, row in enumerate(source.relation_of):
+        for y, k in enumerate(row):
+            t = target.relation_of[image[x]][image[y]]
+            if to.setdefault(k, t) != t:
+                c, pair = source.classes[k], (source.points[x], source.points[y])
+                raise NotSchemeMorphism(f"class {c!r} maps into {target.classes[to[k]]!r}, and at "
+                                        f"{pair} into {target.classes[t]!r}",
+                                        (c, pair, target.classes[to[k]], target.classes[t]))
+    return {source.classes[k]: target.classes[t] for k, t in sorted(to.items())}
 
 
 def j_embed(scheme: CoherentConfiguration) -> QuasiSchemoid:

@@ -19,9 +19,10 @@ cells never share an id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .fincat import FinCategory, Functor, SchemoidsError, build_category, pair_name
-from .schemes import CoherentConfiguration
+from .schemes import CoherentConfiguration, scheme_morphism
 from .schemoid import (
     QuasiSchemoid,
     SchemoidMorphism,
@@ -49,10 +50,6 @@ class NotAPartition(ThickenError):
 
 
 class UnequalThickness(ThickenError):
-    pass
-
-
-class NotSchemeMorphism(ThickenError):
     pass
 
 
@@ -206,19 +203,14 @@ def _class_thickness(scheme: CoherentConfiguration, thickness) -> dict[str, int]
 def thicken_scheme(scheme: CoherentConfiguration, thickness) -> QuasiSchemoid:
     """The thickened schemoid of a scheme: frame blocks by class, residual
     copies collected per class as sigma~."""
-    classes = list(scheme.classes)
     z_of_class = _class_thickness(scheme, thickness)
-    n = scheme.size
-    z = [[0] * n for _ in range(n)]
-    for xi in range(n):
-        for yi in range(n):
-            cls = scheme.classes[scheme.relation_of[xi][yi]]
-            z[xi][yi] = z_of_class[cls] + (1 if xi == yi else 0)
+    z = [[z_of_class[scheme.classes[k]] + (x == y) for y, k in enumerate(row)]
+         for x, row in enumerate(scheme.relation_of)]
     framed = category_from_matrix(z, labels=scheme.points)
     cat = framed.category
 
     blocks: dict[str, list[str]] = {"1": sorted(cat.identity.values())}
-    for c in classes:
+    for c in scheme.classes:
         blocks[c] = []
         blocks[f"{c}~"] = []
     for (i, j), mor in framed.frame.items():
@@ -241,18 +233,14 @@ def residual_scaling_laws(sc: QuasiSchemoid, scheme: CoherentConfiguration, thic
     over all frame blocks; returns (ok, first bad tuple or None).
     """
     z = _class_thickness(scheme, thickness)
-    names = set(sc.block_names())
-    for s in scheme.classes:
-        for t in scheme.classes:
-            for u in scheme.classes:
-                base = sc.p(t, u, s)
-                if f"{u}~" in names and sc.p(t, f"{u}~", s) != base * (z[u] - 1):
-                    return False, ("right", s, t, u)
-                if f"{u}~" in names and sc.p(f"{u}~", t, s) != (z[u] - 1) * sc.p(u, t, s):
-                    return False, ("left", s, t, u)
-                if f"{u}~" in names and f"{t}~" in names \
-                        and sc.p(f"{u}~", f"{t}~", s) != (z[u] - 1) * sc.p(u, t, s) * (z[t] - 1):
-                    return False, ("both", s, t, u)
+    # a block u~ is missing exactly when z_u = 1, and then both sides are 0
+    for s, t, u in product(scheme.classes, repeat=3):
+        if sc.p(t, f"{u}~", s) != sc.p(t, u, s) * (z[u] - 1):
+            return False, ("right", s, t, u)
+        if sc.p(f"{u}~", t, s) != (z[u] - 1) * sc.p(u, t, s):
+            return False, ("left", s, t, u)
+        if sc.p(f"{u}~", f"{t}~", s) != (z[u] - 1) * sc.p(u, t, s) * (z[t] - 1):
+            return False, ("both", s, t, u)
     return True, None
 
 
@@ -276,33 +264,19 @@ def projection_phi(sc: QuasiSchemoid, scheme: CoherentConfiguration,
     omap = {x: x for x in cat.objects}
     # phi_i_j_lam and id_i go to the morphism i -> j (i -> i) of the complete graph
     mmap = {_cell_name(i, j, lam): pair_name(j, i) for i, j, lam in _cells(cat)}
-    fun = Functor(omap, mmap)
-    return schemoid_morphism(sc, j_image, fun)
+    return schemoid_morphism(sc, j_image, Functor(omap, mmap))
 
 
-def sc_functor(f_points: dict, source, target, z: int):
+def sc_functor(f_points: dict, source, target):
     """Thickened image of a scheme morphism: phi_i_j_lam -> psi_fi_fj_lam.
 
     f_points maps source points to target points and must send every class
-    into a single class.
+    into a single class (`schemes.scheme_morphism`, else NotSchemeMorphism).
     """
     f_points = {str(k): str(v) for k, v in f_points.items()}
-    src_scheme, src_sc = source
-    tgt_scheme, tgt_sc = target
-    for x in src_scheme.points:
-        if f_points.get(x) not in tgt_scheme.points:
-            raise NotSchemeMorphism(f"point {x!r} unmapped or mapped outside the target")
-    for cls in src_scheme.classes:
-        images = set()
-        for xi, x in enumerate(src_scheme.points):
-            for yi, y in enumerate(src_scheme.points):
-                if src_scheme.classes[src_scheme.relation_of[xi][yi]] == cls:
-                    images.add(tgt_scheme.class_of_pair(f_points[x], f_points[y]))
-        if len(images) > 1:
-            raise NotSchemeMorphism(f"class {cls!r} maps into {len(images)} classes")
+    (src_scheme, src_sc), (tgt_scheme, tgt_sc) = source, target
+    scheme_morphism(f_points, src_scheme, tgt_scheme)
     cat = src_sc.category
-    omap = {x: f_points[x] for x in cat.objects}
     mmap = {_cell_name(i, j, lam): _cell_name(f_points[i], f_points[j], lam)
             for i, j, lam in _cells(cat)}
-    fun = Functor(omap, mmap)
-    return schemoid_morphism(src_sc, tgt_sc, fun)
+    return schemoid_morphism(src_sc, tgt_sc, Functor({x: f_points[x] for x in cat.objects}, mmap))

@@ -6,7 +6,7 @@ paths it is meant to check.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, prod
 
 
@@ -1115,3 +1115,87 @@ def is_transitive(perms, size):
                 reached.add(p[x])
                 frontier.append(p[x])
     return len(reached) == size
+
+
+def group_closure(perms, size):
+    """Every element of the group the permutations generate, the identity
+    first: a breadth-first search over compositions with the generators."""
+    gens = [tuple(p) for p in perms]
+    identity = tuple(range(size))
+    seen, frontier = {identity}, [identity]
+    elements = [identity]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for p in gens:
+                h = tuple(p[g[i]] for i in range(size))
+                if h not in seen:
+                    seen.add(h)
+                    fresh.append(h)
+        elements += fresh
+        frontier = fresh
+    return [list(g) for g in elements]
+
+
+def hamming_generators(n, q):
+    """Four generators of S_q wr S_n on the words of H(n, q), numbered in
+    base q with coordinate 0 most significant: shift the symbol at
+    coordinate 0, swap symbols 0 and 1 there, swap coordinates 0 and 1,
+    rotate the coordinates."""
+    words = list(product(range(q), repeat=n))
+    index = {w: i for i, w in enumerate(words)}
+    moves = [lambda w: ((w[0] + 1) % q,) + w[1:],
+             lambda w: ({0: 1, 1: 0}.get(w[0], w[0]),) + w[1:],
+             lambda w: (w[1], w[0]) + w[2:] if n > 1 else w,
+             lambda w: w[1:] + w[:1]]
+    return [[index[move(w)] for w in words] for move in moves]
+
+
+def johnson_generators(n, k):
+    """The transposition (0 1) and the n-cycle i -> i + 1 acting on the
+    k-subsets of 0..n-1, numbered in `combinations` order; with the subsets."""
+    subsets = [frozenset(c) for c in combinations(range(n), k)]
+    index = {s: i for i, s in enumerate(subsets)}
+    maps = [{0: 1, 1: 0}, {i: (i + 1) % n for i in range(n)}]
+    return [[index[frozenset(m.get(a, a) for a in s)] for s in subsets] for m in maps], subsets
+
+
+def cyclotomic_generators(p, e):
+    """x -> x + 1 and x -> h x on Z/p, h a generator of the index-e subgroup
+    of the units; with the class of each pair, 0 on the diagonal and
+    1 + the coset of y - x otherwise, by arithmetic alone."""
+    g = next(g for g in range(2, p) if len({pow(g, i, p) for i in range(p - 1)}) == p - 1)
+    coset = {pow(g, i, p): i % e for i in range(p - 1)}
+    perms = [[(x + 1) % p for x in range(p)], [x * pow(g, e, p) % p for x in range(p)]]
+    return perms, [[0 if x == y else 1 + coset[(y - x) % p] for y in range(p)] for x in range(p)]
+
+
+def matched_classes(cfg, labels):
+    """The class name -> label map read off row 0 of a scheme, asserted one
+    to one and to agree with labels[x][y] on every pair (x, y)."""
+    match = {}
+    for k, label in zip(cfg.relation_of[0], labels[0]):
+        assert match.setdefault(k, label) == label
+    assert len(match) == len(cfg.classes) == len(set(match.values()))
+    for x, row in enumerate(cfg.relation_of):
+        assert [match[k] for k in row] == list(labels[x]), x
+    return {cfg.classes[k]: label for k, label in match.items()}
+
+
+def scheme_morphism_bruteforce(f_points, source, target):
+    """The class map of a point map, or None when some class meets two
+    target classes or a point goes outside the target: per class, every
+    pair's image class by `points.index`."""
+    if any(f_points.get(x) not in target.points for x in source.points):
+        return None
+    out = {}
+    for c in source.classes:
+        images = {target.classes[target.relation_of[target.points.index(f_points[x])]
+                                                   [target.points.index(f_points[y])]]
+                  for x in source.points for y in source.points
+                  if source.classes[source.relation_of[source.points.index(x)]
+                                    [source.points.index(y)]] == c}
+        if len(images) != 1:
+            return None
+        out[c] = images.pop()
+    return out

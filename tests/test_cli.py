@@ -46,8 +46,9 @@ def test_gen_orbits(capsys, tmp_path):
 
 @pytest.mark.parametrize("perms", [[], [[0]]])
 def test_gen_orbits_refuses_a_large_size_before_allocating(capsys, tmp_path, perms):
-    """No perms, or a perm shorter than size, is refused as NotAGroup before
-    any size-long list is built: a size of 3 million costs no 24 MB."""
+    """A size past the scheme budget is refused as SizeLimit before any
+    size-long list is built, whatever the perms: a size of 3 million costs
+    no 24 MB."""
     import tracemalloc
     doc = write(tmp_path, "perms.json", {"perms": perms, "size": 3_000_000})
     tracemalloc.start()
@@ -56,8 +57,14 @@ def test_gen_orbits_refuses_a_large_size_before_allocating(capsys, tmp_path, per
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 1 and out["error"] == "NotAGroup"
+    assert code == 1 and out["error"] == "SizeLimit"
     assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def test_gen_orbits_refuses_a_perm_of_the_wrong_length(capsys, tmp_path):
+    doc = write(tmp_path, "perms.json", {"perms": [[1, 0, 2], [0, 1]], "size": 3})
+    code, out = run_json(capsys, "gen", "orbits", doc)
+    assert code == 1 and out["error"] == "NotAGroup"
 
 
 def test_pipe_embed_analyze(capsys, tmp_path):
@@ -452,7 +459,8 @@ def test_scheme_document_of_wrong_shape_is_refused_by_name(capsys, tmp_path, sch
 
 def test_scheme_over_the_budget_is_refused_before_the_tally(capsys, tmp_path):
     """A scheme on more than 128 points (N^3 > 2^21) is refused as
-    SizeLimit before its relations are read; H(7,2), N = 128, is admitted."""
+    SizeLimit before its relations are read; H(7,2), N = 128, is admitted,
+    by `embed-scheme` and by `gen hamming` alike, and H(8,2) by neither."""
     from schemoids.schemes import SCHEME_BUDGET, SizeLimit, validate_scheme
     assert 128 ** 3 == SCHEME_BUDGET
     code, out = run_json(capsys, "embed-scheme",
@@ -461,8 +469,10 @@ def test_scheme_over_the_budget_is_refused_before_the_tally(capsys, tmp_path):
     assert "129^3 point triples" in out["message"]
     with pytest.raises(SizeLimit):
         validate_scheme(129, [[0] * 129] * 129)
-    code, out = run_json(capsys, "gen", "hamming", "7", "2", "--limit", "128")
+    code, out = run_json(capsys, "gen", "hamming", "7", "2")
     assert code == 0 and out["size"] == 128
+    code, out = run_json(capsys, "gen", "hamming", "8", "2")
+    assert code == 1 and out["error"] == "SizeLimit"
 
 
 @pytest.mark.parametrize("change, field", [

@@ -1,6 +1,10 @@
 import re
+import tracemalloc
+from itertools import permutations, product
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from schemoids.fincat import NonAssociative, as_groupoid, cyclic_group_table, serialize
 from schemoids.schemes import (
@@ -9,6 +13,7 @@ from schemoids.schemes import (
     InvalidGroupTable,
     NonConstantIntersection,
     NotAGroup,
+    NotSchemeMorphism,
     SchemeError,
     SizeLimit,
     group_scheme,
@@ -16,6 +21,7 @@ from schemoids.schemes import (
     j_embed,
     orbit_configuration,
     scheme_from_json,
+    scheme_morphism,
     serialize_scheme,
     validate_scheme,
 )
@@ -23,12 +29,18 @@ from schemoids.schemoid import check_concatenation
 from oracles import (
     adjacency,
     completed_entries,
+    cyclotomic_generators,
     diagonal_classes,
+    group_closure,
     hamming_distance_matrix,
+    hamming_generators,
     intersection_numbers_bruteforce,
     is_transitive,
+    johnson_generators,
     mat_mul_int,
+    matched_classes,
     pair_count,
+    scheme_morphism_bruteforce,
     schemoid_constants_bruteforce,
 )
 from test_fincat import table
@@ -48,9 +60,35 @@ def test_hamming_1_q():
     assert len(s.classes) == 2 and s.size == 3
 
 
+def peak_bytes(call):
+    """The peak of memory traced while `call` runs."""
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
 def test_hamming_limit():
+    """More than 128 words are refused by the one scheme budget before any
+    word is built; H(7, 2), 128 words, is admitted."""
+    def refused():
+        with pytest.raises(SizeLimit, match=r"\(2\^8\) points"):
+            hamming(8, 2)
+    assert peak_bytes(refused) < 1 << 20
     with pytest.raises(SizeLimit):
-        hamming(7, 2)
+        hamming(10 ** 9, 3)     # no power of 3 that large is formed
+    assert hamming(7, 2).size == 128
+
+
+def test_a_group_table_over_the_budget_is_refused_before_it_is_read(monkeypatch):
+    import schemoids.schemes as schemes
+    monkeypatch.setattr(schemes, "one_object_group", None)     # a call would raise TypeError
+    els, tab = cyclic_group_table(129)
+    with pytest.raises(SizeLimit, match="129 points"):
+        group_scheme(els, tab)
 
 
 def test_intersection_matches_oracle():
@@ -135,10 +173,102 @@ def test_orbit_configuration_s3():
 
 
 def test_not_a_group():
-    with pytest.raises(NotAGroup):
-        orbit_configuration([[1, 0, 2]], 3)  # no closure check failure but identity missing
-    with pytest.raises(NotAGroup):
-        orbit_configuration([[0, 1, 2], [1, 2, 0]], 3)  # not closed
+    """A set of permutations that holds no identity or is not closed is a
+    generating set like any other; only an entry that is no permutation of
+    0..size-1 is refused."""
+    for perms in ([[1, 0, 2]], [[0, 1, 2], [1, 2, 0]]):
+        cfg = orbit_configuration(perms, 3)
+        assert cfg == orbit_configuration(group_closure(perms, 3), 3)
+    for bad in ([0, 1], [0, 1, 1], [0, 1, 3]):
+        with pytest.raises(NotAGroup):
+            orbit_configuration([[1, 2, 0], bad], 3)
+
+
+def generating_sets():
+    """Lists of permutations of 0..size-1 on at most 6 points."""
+    return st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.permutations(range(n)), max_size=3), st.just(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generating_sets())
+@example(([], 4))
+@example(([[1, 0, 2, 3]], 4))
+@example(([[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 3, 5]], 6))
+@example(([list(p) for p in permutations(range(4))], 4))
+@example(([[(i + k) % 6 for i in range(6)] for k in range(6)], 6))
+@example(([[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]], 6))
+def test_a_generating_set_and_its_group_give_one_configuration(case):
+    """Following each pair forward under the generators reaches the orbit
+    of the whole group: the closure found by a breadth-first search over
+    compositions gives the same classes, numbered alike."""
+    perms, size = case
+    cfg = orbit_configuration(perms, size)
+    full = orbit_configuration(group_closure(perms, size), size)
+    assert (cfg.relation_of, cfg.classes) == (full.relation_of, full.classes)
+
+
+@pytest.mark.parametrize("n, q", [(3, 3), (4, 3), (6, 2)])
+def test_hamming_from_four_generators(n, q):
+    """S_q wr S_n from four generators has Hamming's distance classes."""
+    cfg = orbit_configuration(hamming_generators(n, q), q ** n)
+    h = hamming(n, q)
+    match = matched_classes(cfg, [[h.classes[k] for k in row] for row in h.relation_of])
+    assert {(match[e], match[f], match[g]): v for (e, f, g), v in cfg.intersection.items()} \
+        == h.intersection
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (6, 3), (8, 4)])
+def test_johnson_from_two_generators(n, k):
+    """J(n, k) from a transposition and an n-cycle: class i holds the
+    subsets meeting in k - i points, of valency C(k, i) C(n-k, i), and
+    p^i_{1,i+1} = (k-i)(n-k-i), p^i_{1,i-1} = i^2."""
+    perms, subsets = johnson_generators(n, k)
+    cfg = orbit_configuration(perms, len(subsets))
+    match = matched_classes(cfg, [[k - len(s & t) for t in subsets] for s in subsets])
+    name = {i: c for c, i in match.items()}
+    assert [cfg.relation_of[0].count(cfg.classes.index(name[i])) for i in range(k + 1)] \
+        == [comb(k, i) * comb(n - k, i) for i in range(k + 1)]
+    for i in range(k + 1):
+        if i < k:
+            assert cfg.p(name[1], name[i + 1], name[i]) == (k - i) * (n - k - i)
+        if i > 0:
+            assert cfg.p(name[1], name[i - 1], name[i]) == i * i
+
+
+@pytest.mark.parametrize("p, e", [(5, 2), (7, 3), (7, 2), (13, 4)])
+def test_cyclotomic_from_two_generators(p, e):
+    """The cyclotomic scheme on Z/p: the class of (x, y) is the coset of
+    y - x in the units modulo the index-e subgroup.  It is symmetric exactly
+    when -1 lies in that subgroup, that is when (p - 1)/e is even, and
+    otherwise j's involution swaps blocks."""
+    perms, labels = cyclotomic_generators(p, e)
+    cfg = orbit_configuration(perms, p)
+    matched_classes(cfg, labels)
+    swapped = {c: t for c, t in j_embed(cfg).involution.block_image.items() if c != t}
+    assert (swapped == {}) == ((p - 1) // e % 2 == 0)
+    assert (p, e) != (7, 2) or swapped == {"O1": "O2", "O2": "O1"}
+
+
+def test_scheme_morphism_matches_the_per_class_scan():
+    """Every point map between small schemes: the class map, or a refusal
+    exactly when the per-class scan finds a class meeting two classes."""
+    schemes = [hamming(2, 2), hamming(1, 2), hamming(1, 3), validate_scheme(1, [[0]]),
+               group_scheme(*cyclic_group_table(3))]
+    for source, target in product(schemes, repeat=2):
+        for image in product(target.points, repeat=source.size):
+            f = dict(zip(source.points, image))
+            expected = scheme_morphism_bruteforce(f, source, target)
+            if expected is None:
+                with pytest.raises(NotSchemeMorphism):
+                    scheme_morphism(f, source, target)
+            else:
+                assert scheme_morphism(f, source, target) == expected
+    with pytest.raises(NotSchemeMorphism) as err:
+        scheme_morphism({"00": "0", "01": "0", "10": "1", "11": "1"}, hamming(2, 2), hamming(1, 2))
+    assert err.value.witness == ("R1", ("00", "10"), "R0", "R1")
+    with pytest.raises(NotSchemeMorphism, match="'1' unmapped"):
+        scheme_morphism({"0": "0"}, hamming(1, 2), hamming(1, 2))
 
 
 def test_j_embed_counts():

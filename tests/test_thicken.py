@@ -10,11 +10,16 @@ from schemoids.admissible import (
 from schemoids.algebra import Rationals, schemoid_algebra
 from schemoids.fincat import cyclic_group_table, validate_category, serialize
 from schemoids.linalg import rank
-from schemoids.schemes import group_scheme, hamming, j_embed, validate_scheme
+from schemoids.schemes import (
+    NotSchemeMorphism,
+    group_scheme,
+    hamming,
+    j_embed,
+    validate_scheme,
+)
 from schemoids.schemoid import compose_schemoid_morphisms, is_unital, schemoid_isomorphic
 from schemoids.thicken import (
     DiagonalTooSmall,
-    NotSchemeMorphism,
     NotTransitive,
     ThickenError,
     UnequalThickness,
@@ -194,19 +199,19 @@ def test_sc_z1_trivial_scheme_is_matrix_2():
 def test_sc_functor_identity_and_quotient():
     s = hamming(2, 2)
     sc = thicken_scheme(s, 2)
-    ident = sc_functor({x: x for x in s.points}, (s, sc), (s, sc), 2)
+    ident = sc_functor({x: x for x in s.points}, (s, sc), (s, sc))
     assert is_admissible(ident).admissible or True  # identity is a schemoid morphism
     assert ident.block_image == {b: b for b in sc.block_names()}
     point = validate_scheme(1, [[0]])
     scp = thicken_scheme(point, 2)
-    quot = sc_functor({x: "0" for x in s.points}, (s, sc), (point, scp), 2)
+    quot = sc_functor({x: "0" for x in s.points}, (s, sc), (point, scp))
     assert quot.block_image["R1"] == "R0"
     with pytest.raises(NotSchemeMorphism):
         # hamming(2,2) -> hamming(1,2) by first coordinate: distance-2 pairs
         # land on distance-0, distance-1 pairs across classes
         h12 = hamming(1, 2)
         sch12 = thicken_scheme(h12, 2)
-        sc_functor({"00": "0", "01": "0", "10": "1", "11": "1"}, (s, sc), (h12, sch12), 2)
+        sc_functor({"00": "0", "01": "0", "10": "1", "11": "1"}, (s, sc), (h12, sch12))
 
 
 def test_sc_functor_functoriality():
@@ -214,8 +219,8 @@ def test_sc_functor_functoriality():
     sc = thicken_scheme(s, 2)
     point = validate_scheme(1, [[0]])
     scp = thicken_scheme(point, 2)
-    quot = sc_functor({x: "0" for x in s.points}, (s, sc), (point, scp), 2)
-    ident_p = sc_functor({"0": "0"}, (point, scp), (point, scp), 2)
+    quot = sc_functor({x: "0" for x in s.points}, (s, sc), (point, scp))
+    ident_p = sc_functor({"0": "0"}, (point, scp), (point, scp))
     comp = compose_schemoid_morphisms(ident_p, quot)
     assert comp.functor.morphism_map == quot.functor.morphism_map
 
@@ -255,7 +260,7 @@ def test_thicken_labels_with_underscores():
     phi = projection_phi(sc, s, j_embed(s))
     assert phi.functor.morphism_map["id_a\\_b"] == phi.functor.morphism_map["phi_a\\_b_a\\_b_0"]
     swap = {"a_b": "b_c", "b_c": "a_b", "a": "c", "c": "a"}
-    image = sc_functor(swap, (s, sc), (s, sc), 1)
+    image = sc_functor(swap, (s, sc), (s, sc))
     assert image.functor.morphism_map["phi_a\\_b_c_0"] == "phi_b\\_c_a_0"
 
 
