@@ -211,8 +211,10 @@ def hamming(n: int, q: int) -> AssociationScheme:
         raise SchemeError("need n >= 1 and q >= 2")
     _check_size(q, n)
     words = ["".join(str(c) for c in w) for w in iproduct(range(q), repeat=n)]
-    rel = [[sum(a != b for a, b in zip(u, v)) for v in words] for u in words]   # all of 0..n occur
-    return validate_scheme(len(words), rel, points=words, classes=[f"R{d}" for d in range(n + 1)])
+    dist = lambda u, v: sum(1 for a, b in zip(u, v) if a != b)
+    rel = [[dist(u, v) for v in words] for u in words]
+    classes = [f"R{d}" for d in range(n + 1)]     # every distance 0..n occurs, since q >= 2
+    return validate_scheme(len(words), rel, points=words, classes=classes)
 
 
 def group_scheme(elements, table) -> AssociationScheme:
@@ -227,7 +229,8 @@ def group_scheme(elements, table) -> AssociationScheme:
     elements, inverse = group.base.morphism_ids, group.inverse
     index = {e: i for i, e in enumerate(elements)}
     rel = [[index[table[(inverse[k], l)]] for l in elements] for k in elements]
-    return validate_scheme(len(elements), rel, points=elements, classes=[f"G[{e}]" for e in elements])
+    classes = [f"G[{e}]" for e in elements]
+    return validate_scheme(len(elements), rel, points=elements, classes=classes)
 
 
 def orbit_configuration(perms: list[list[int]], size: int):
@@ -249,16 +252,18 @@ def orbit_configuration(perms: list[list[int]], size: int):
         for y in range(size):
             if (x, y) in orbit_of:
                 continue
+            orbit_of[(x, y)] = orbits
             stack = [(x, y)]
-            while stack:
+            while stack:     # a pair is marked when pushed, so the stack holds at most N² pairs
                 (u, v) = stack.pop()
-                if (u, v) in orbit_of:
-                    continue
-                orbit_of[(u, v)] = orbits
-                stack.extend((p[u], p[v]) for p in perms)
+                for p in perms:
+                    if (p[u], p[v]) not in orbit_of:
+                        orbit_of[(p[u], p[v])] = orbits
+                        stack.append((p[u], p[v]))
             orbits += 1
     rel = [[orbit_of[(x, y)] for y in range(size)] for x in range(size)]
-    return validate_scheme(size, rel, classes=[f"O{k}" for k in range(orbits)])
+    classes = [f"O{k}" for k in range(orbits)]
+    return validate_scheme(size, rel, classes=classes)
 
 
 def scheme_morphism(f_points: dict, source: CoherentConfiguration,

@@ -19,7 +19,6 @@ cells never share an id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .fincat import FinCategory, Functor, SchemoidsError, build_category, pair_name
 from .schemes import CoherentConfiguration, scheme_morphism
@@ -203,14 +202,19 @@ def _class_thickness(scheme: CoherentConfiguration, thickness) -> dict[str, int]
 def thicken_scheme(scheme: CoherentConfiguration, thickness) -> QuasiSchemoid:
     """The thickened schemoid of a scheme: frame blocks by class, residual
     copies collected per class as sigma~."""
+    classes = list(scheme.classes)
     z_of_class = _class_thickness(scheme, thickness)
-    z = [[z_of_class[scheme.classes[k]] + (x == y) for y, k in enumerate(row)]
-         for x, row in enumerate(scheme.relation_of)]
+    n = scheme.size
+    z = [[0] * n for _ in range(n)]
+    for xi in range(n):
+        for yi in range(n):
+            cls = scheme.classes[scheme.relation_of[xi][yi]]
+            z[xi][yi] = z_of_class[cls] + (1 if xi == yi else 0)
     framed = category_from_matrix(z, labels=scheme.points)
     cat = framed.category
 
     blocks: dict[str, list[str]] = {"1": sorted(cat.identity.values())}
-    for c in scheme.classes:
+    for c in classes:
         blocks[c] = []
         blocks[f"{c}~"] = []
     for (i, j), mor in framed.frame.items():
@@ -233,14 +237,18 @@ def residual_scaling_laws(sc: QuasiSchemoid, scheme: CoherentConfiguration, thic
     over all frame blocks; returns (ok, first bad tuple or None).
     """
     z = _class_thickness(scheme, thickness)
-    # a block u~ is missing exactly when z_u = 1, and then both sides are 0
-    for s, t, u in product(scheme.classes, repeat=3):
-        if sc.p(t, f"{u}~", s) != sc.p(t, u, s) * (z[u] - 1):
-            return False, ("right", s, t, u)
-        if sc.p(f"{u}~", t, s) != (z[u] - 1) * sc.p(u, t, s):
-            return False, ("left", s, t, u)
-        if sc.p(f"{u}~", f"{t}~", s) != (z[u] - 1) * sc.p(u, t, s) * (z[t] - 1):
-            return False, ("both", s, t, u)
+    names = set(sc.block_names())
+    for s in scheme.classes:
+        for t in scheme.classes:
+            for u in scheme.classes:
+                base = sc.p(t, u, s)
+                if f"{u}~" in names and sc.p(t, f"{u}~", s) != base * (z[u] - 1):
+                    return False, ("right", s, t, u)
+                if f"{u}~" in names and sc.p(f"{u}~", t, s) != (z[u] - 1) * sc.p(u, t, s):
+                    return False, ("left", s, t, u)
+                if f"{u}~" in names and f"{t}~" in names \
+                        and sc.p(f"{u}~", f"{t}~", s) != (z[u] - 1) * sc.p(u, t, s) * (z[t] - 1):
+                    return False, ("both", s, t, u)
     return True, None
 
 
@@ -264,7 +272,8 @@ def projection_phi(sc: QuasiSchemoid, scheme: CoherentConfiguration,
     omap = {x: x for x in cat.objects}
     # phi_i_j_lam and id_i go to the morphism i -> j (i -> i) of the complete graph
     mmap = {_cell_name(i, j, lam): pair_name(j, i) for i, j, lam in _cells(cat)}
-    return schemoid_morphism(sc, j_image, Functor(omap, mmap))
+    fun = Functor(omap, mmap)
+    return schemoid_morphism(sc, j_image, fun)
 
 
 def sc_functor(f_points: dict, source, target):
@@ -274,9 +283,12 @@ def sc_functor(f_points: dict, source, target):
     into a single class (`schemes.scheme_morphism`, else NotSchemeMorphism).
     """
     f_points = {str(k): str(v) for k, v in f_points.items()}
-    (src_scheme, src_sc), (tgt_scheme, tgt_sc) = source, target
+    src_scheme, src_sc = source
+    tgt_scheme, tgt_sc = target
     scheme_morphism(f_points, src_scheme, tgt_scheme)
     cat = src_sc.category
+    omap = {x: f_points[x] for x in cat.objects}
     mmap = {_cell_name(i, j, lam): _cell_name(f_points[i], f_points[j], lam)
             for i, j, lam in _cells(cat)}
-    return schemoid_morphism(src_sc, tgt_sc, Functor({x: f_points[x] for x in cat.objects}, mmap))
+    fun = Functor(omap, mmap)
+    return schemoid_morphism(src_sc, tgt_sc, fun)

@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 from itertools import permutations, product
@@ -182,6 +183,17 @@ def test_not_a_group():
     for bad in ([0, 1], [0, 1, 1], [0, 1, 3]):
         with pytest.raises(NotAGroup):
             orbit_configuration([[1, 2, 0], bad], 3)
+
+
+def test_many_generators_keep_the_orbit_stack_within_n_squared_pairs():
+    """A pair is marked when it is first reached, so 16 random permutations
+    of 128 points, whose every image on a stack would be 16·128² pairs
+    (16 MiB), stay under 4 MiB; they generate a 2-transitive group."""
+    rng = random.Random(0)
+    perms = [rng.sample(range(128), 128) for _ in range(16)]
+    cfgs = []
+    assert peak_bytes(lambda: cfgs.append(orbit_configuration(perms, 128))) < 4 << 20
+    assert cfgs[0].classes == ("O0", "O1")
 
 
 def generating_sets():
