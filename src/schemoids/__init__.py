@@ -63,7 +63,6 @@ from .bridges import (
     r_tilde,
     s_tilde,
     s_tilde_on_functor,
-    thin_analysis,
 )
 from .algebra import (
     AlgebraMap,

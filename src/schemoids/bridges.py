@@ -117,30 +117,13 @@ def k_discrete(cat: FinCategory) -> QuasiSchemoid:
 # Semi-thin analysis and the groupoid reconstruction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ThinAnalysis:
-    s0: tuple[str, ...]
-    source_block: dict[str, str]       # sigma -> alpha with p^sigma_{sigma alpha} = 1
-    target_block: dict[str, str]       # sigma -> beta with p^sigma_{beta sigma} = 1
-    hom_blocks: dict[tuple[str, str], tuple[str, ...]]
-    composition: dict[tuple[str, str], str]   # (tau, sigma) -> mu(tau, sigma)
-    base_points: tuple[str, ...] | None
-    phi: dict[str, str] | None
-
-
-def thin_analysis(qs: QuasiSchemoid, require_thin: bool = False) -> ThinAnalysis:
-    """Identity blocks, per-block endpoints and the unique block composition.
+def _block_groupoid(qs: QuasiSchemoid, s0: tuple[str, ...]) -> Groupoid:
+    """r_tilde of a semi-thin schemoid whose identity blocks are s0.
 
     The uniqueness facts behind the construction are recomputed here rather
     than assumed; a violation raises instead of producing a bad groupoid.
     """
-    report = analyze_thinness(qs, qs.base_points)
-    if not report.semi_thin:
-        raise NotSemiThin(report.witness or "schemoid is not semi-thin")
-    if require_thin and not report.thin:
-        raise NotThin("no base-point set makes v -> block(1_v) bijective")
     names = qs.block_names()
-    s0 = report.s0
     source_block = {}
     target_block = {}
     for sigma in names:
@@ -152,10 +135,7 @@ def thin_analysis(qs: QuasiSchemoid, require_thin: bool = False) -> ThinAnalysis
             raise UniquenessViolation(f"no unique identity block composing into {sigma!r} on the left")
         source_block[sigma] = alphas[0]
         target_block[sigma] = betas[0]
-    hom_blocks: dict[tuple[str, str], list[str]] = {}
-    for sigma in names:
-        hom_blocks.setdefault((source_block[sigma], target_block[sigma]), []).append(sigma)
-    composition = {}
+    composition = []
     for sigma in names:
         for tau in names:
             # tau after sigma: target of sigma must be source of tau
@@ -168,27 +148,24 @@ def thin_analysis(qs: QuasiSchemoid, require_thin: bool = False) -> ThinAnalysis
             mu = mus[0]
             if source_block[mu] != source_block[sigma] or target_block[mu] != target_block[tau]:
                 raise UniquenessViolation(f"composite block of ({tau!r}, {sigma!r}) has wrong endpoints")
-            composition[(tau, sigma)] = mu
-    return ThinAnalysis(s0, source_block, target_block,
-                        {k: tuple(v) for k, v in hom_blocks.items()},
-                        composition, report.base_points, report.phi)
+            composition.append((tau, sigma, mu))
+    morphisms = [(sigma, source_block[sigma], target_block[sigma]) for sigma in names]
+    identity = {alpha: alpha for alpha in s0}
+    cat = build_category(list(s0), morphisms, identity, composition)
+    inverse = {sigma: qs.involution.block_image[sigma] for sigma in names}
+    for sigma, star in inverse.items():
+        if (cat.comp(sigma, star) != identity[target_block[sigma]]
+                or cat.comp(star, sigma) != identity[source_block[sigma]]):
+            raise UniquenessViolation(f"block involution fails to invert {sigma!r}")
+    return Groupoid(cat, inverse)
 
 
 def r_tilde(qs: QuasiSchemoid) -> Groupoid:
     """Groupoid with objects the identity blocks and morphisms the blocks."""
-    analysis = thin_analysis(qs)
-    objects = list(analysis.s0)
-    morphisms = [(sigma, analysis.source_block[sigma], analysis.target_block[sigma])
-                 for sigma in qs.block_names()]
-    identity = {alpha: alpha for alpha in analysis.s0}
-    cat = build_category(objects, morphisms, identity,
-                         ((a, b, ab) for (a, b), ab in analysis.composition.items()))
-    inverse = {sigma: qs.involution.block_image[sigma] for sigma in qs.block_names()}
-    for sigma, star in inverse.items():
-        if (cat.comp(sigma, star) != identity[analysis.target_block[sigma]]
-                or cat.comp(star, sigma) != identity[analysis.source_block[sigma]]):
-            raise UniquenessViolation(f"block involution fails to invert {sigma!r}")
-    return Groupoid(cat, inverse)
+    report = analyze_thinness(qs, qs.base_points)
+    if not report.semi_thin:
+        raise NotSemiThin(report.witness or "schemoid is not semi-thin")
+    return _block_groupoid(qs, report.s0)
 
 
 def canonical_groupoid_witness(g: Groupoid) -> Functor:
@@ -224,10 +201,14 @@ def phi_psi_check(qs: QuasiSchemoid) -> ThinRoundTrip:
     and morphisms, blockwise behaviour of both functors, and that phi sends
     the base points onto the identity blocks.
     """
-    analysis = thin_analysis(qs, require_thin=True)
-    v = analysis.base_points
-    phi_map = analysis.phi
-    gpd = r_tilde(qs)
+    report = analyze_thinness(qs, qs.base_points)
+    if not report.semi_thin:
+        raise NotSemiThin(report.witness or "schemoid is not semi-thin")
+    if not report.thin:
+        raise NotThin("no base-point set makes v -> block(1_v) bijective")
+    v = report.base_points
+    phi_map = report.phi
+    gpd = _block_groupoid(qs, report.s0)
     double = s_tilde(gpd)
     cat = qs.category
 
@@ -256,7 +237,7 @@ def phi_psi_check(qs: QuasiSchemoid) -> ThinRoundTrip:
     # psi: block sigma -> source of its unique member targeting the base point
     f_of = {}
     for sigma in qs.block_names():
-        beta = analysis.target_block[sigma]
+        beta = gpd.base.tgt(sigma)
         vb = next(w for w in v if phi_map[w] == beta)
         members = [m for m in qs.partition.blocks[sigma] if cat.tgt(m) == vb]
         if len(members) != 1:
@@ -288,7 +269,7 @@ def phi_psi_check(qs: QuasiSchemoid) -> ThinRoundTrip:
     schemoid_morphism(qs, double, phi)
     schemoid_morphism(double, qs, psi)
 
-    if sorted(sigma_of[w] for w in v) != sorted(analysis.s0):
+    if sorted(sigma_of[w] for w in v) != sorted(report.s0):
         raise BridgeError("phi does not carry base points onto the identity blocks")
     return ThinRoundTrip(double, phi, psi)
 

@@ -257,6 +257,14 @@ def thickness(text: str) -> list[int]:
     return [int(z) for z in text.split(",")]
 
 
+def window(text: str) -> int:
+    """A zig-zag window radius, 1..1000; the window's size grows with it."""
+    radius = int(text)
+    if not 1 <= radius <= 1000:
+        raise argparse.ArgumentTypeError(f"window radius {radius} is not in 1..1000")
+    return radius
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser; one per process, shared by every caller,
@@ -341,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("name", nargs="?")
     g.add_argument("--list", action="store_true")
-    p.add_argument("--window", type=int, help="window radius for the zig-zag family")
+    p.add_argument("--window", type=window, help="window radius for the zig-zag family, 1..1000")
 
     sub.add_parser("selftest", help="re-verify every built-in example")
     return parser

@@ -24,7 +24,9 @@ from .fincat import (
 from .shapes import SCHEME, check
 from .schemoid import QuasiSchemoid, StructureConstantTable, check_association, make_partition
 
-SCHEME_BUDGET = 1 << 21     # point triples the intersection tally may visit: N = 128 at most
+# point triples the intersection tally may visit (N = 128 at most); it also
+# bounds a thickening's composable triples and an orbit walk's pair images
+SCHEME_BUDGET = 1 << 21
 
 
 class SchemeError(SchemoidsError):
@@ -240,11 +242,17 @@ def orbit_configuration(perms: list[list[int]], size: int):
     reaches the whole orbit, so every generating set of a group (no perms,
     the full element list) gives the same classes O0, O1, ....  More than
     128 points are SizeLimit, then an entry that is no permutation of
-    0..size-1 is NotAGroup.  A transitive group gives a scheme."""
+    0..size-1 is NotAGroup.  The walk takes the N² pairs' images under each
+    distinct perm: past SCHEME_BUDGET it is SizeLimit before it starts.  A
+    transitive group gives a scheme."""
     _check_size(size)
     for p in perms:
         if len(p) != size or sorted(p) != list(range(size)):
             raise NotAGroup(f"{p} is not a permutation of 0..{size - 1}")
+    perms = list(dict.fromkeys(map(tuple, perms)))
+    if size * size * len(perms) > SCHEME_BUDGET:
+        raise SizeLimit(f"{size}^2 pairs under {len(perms)} distinct perms exceed the budget "
+                        f"of {SCHEME_BUDGET}")
 
     orbit_of: dict[tuple[int, int], int] = {}
     orbits = 0

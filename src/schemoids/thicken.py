@@ -19,9 +19,10 @@ cells never share an id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .fincat import FinCategory, Functor, SchemoidsError, build_category, pair_name
-from .schemes import CoherentConfiguration, scheme_morphism
+from .schemes import SCHEME_BUDGET, CoherentConfiguration, SizeLimit, scheme_morphism
 from .schemoid import (
     QuasiSchemoid,
     SchemoidMorphism,
@@ -104,12 +105,21 @@ def check_transitive(z) -> tuple[tuple[int, ...], ...]:
 
 def category_from_matrix(z, labels=None) -> FramedCategory:
     """Category with |Hom(i, j)| = z_ij whose non-identity composites collapse
-    onto the frame."""
+    onto the frame.  Its checks visit each composable triple of morphisms,
+    and there are 1ᵀZ³1 of them: past SCHEME_BUDGET the matrix is refused
+    as SizeLimit before any morphism is built (about 256 z³ for the
+    thickness z of H(2,2), which is admitted up to z = 19)."""
     z = check_transitive(z)
     m = len(z)
     for i in range(m):
         if z[i][i] < 2:
             raise DiagonalTooSmall(f"diagonal entry {i} is {z[i][i]}, need at least 2")
+    paths = [1] * m         # after k rounds, paths[i] counts the paths of k morphisms out of i
+    for _ in range(3):
+        paths = [sum(map(mul, row, paths)) for row in z]
+    triples = sum(paths)
+    if triples > SCHEME_BUDGET:
+        raise SizeLimit(f"{triples} composable triples of morphisms exceed the budget of {SCHEME_BUDGET}")
     if labels is None:
         labels = tuple(str(i) for i in range(m))
     else:

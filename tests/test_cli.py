@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -59,6 +61,18 @@ def test_gen_orbits_refuses_a_large_size_before_allocating(capsys, tmp_path, per
         tracemalloc.stop()
     assert code == 1 and out["error"] == "SizeLimit"
     assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def test_gen_orbits_refuses_many_generators_before_the_walk(capsys, tmp_path):
+    """1000 distinct perms of 128 points are refused as SizeLimit, where the
+    walk took 4.6 s."""
+    rng = random.Random(0)
+    doc = write(tmp_path, "perms.json", {"perms": [rng.sample(range(128), 128) for _ in range(1000)],
+                                         "size": 128})
+    start = time.perf_counter()
+    code, out = run_json(capsys, "gen", "orbits", doc)
+    assert code == 1 and out["error"] == "SizeLimit"
+    assert time.perf_counter() - start < 1
 
 
 def test_gen_orbits_refuses_a_perm_of_the_wrong_length(capsys, tmp_path):
@@ -551,6 +565,8 @@ def test_examples_listing_and_window(capsys):
     code, bundle = run_json(capsys, "examples", "ex2_11", "--window", "2")
     assert code == 0
     assert len(bundle["category"]["objects"]) == 10
+    code, bundle = run_json(capsys, "examples", "ex2_11", "--window", "1000")
+    assert code == 0 and len(bundle["category"]["objects"]) == 4002
 
 
 def test_selftest(capsys):
@@ -744,6 +760,10 @@ def test_scheme_with_a_duplicate_class_name_is_refused_by_embed_scheme(capsys, t
     ["thicken", "@scheme", "--z", "abc"],
     ["examples", "ex2_8", "--window", "2"],
     ["examples", "--window", "2"],
+    ["examples", "ex2_11", "--window", "0"],
+    ["examples", "ex2_11", "--window", "-1"],
+    ["examples", "ex2_11", "--window", "1001"],
+    ["examples", "ex2_11", "--window", "100000"],
     ["examples", "ex2_8", "--list"],
 ])
 def test_argument_misuse_is_a_usage_error(capsys, tmp_path, argv):

@@ -36,9 +36,16 @@ from schemoids.extensions import (
     validate_natural_system,
     zero_cochain2,
 )
-from schemoids.fincat import NonAssociative, cyclic_group_table, one_object_group, terminal_category
+from schemoids.fincat import (
+    NonAssociative,
+    as_groupoid,
+    build_category,
+    cyclic_group_table,
+    one_object_group,
+    terminal_category,
+)
 from schemoids.schemes import hamming, j_embed
-from schemoids.schemoid import discrete_partition, is_unital, verify_quasi_schemoid
+from schemoids.schemoid import discrete_partition, is_unital, make_partition, verify_quasi_schemoid
 
 from test_schemoid import group_bullet
 from oracles import (
@@ -411,6 +418,42 @@ def test_lift_refuses_a_rank_changing_push():
                             {"1_x": [[1]], "1_y": [[1, 0], [0, 1]], "f": [[1], [0]]})
     ext = build_extension(base.category, system, zero_cochain2())
     with pytest.raises(HypothesisFailed, match=r"transport matrix at \('f', '1_x'\) is not invertible"):
+        lift_schemoid(base, ext)
+
+
+@pytest.mark.parametrize("d, split", [(0, True), (2, False)])
+def test_lift_involution_over_a_sign_pullback(d, split):
+    """Z/2 over Z/4 with every push the identity and the generator pulling
+    back by -1, a system that is not induced, where H^2 = Z/2: the split
+    extension (delta(1, 1) = 0) and the non-split one (delta(1, 1) = 2) both
+    lift, each involution is the total's own inverse map and every constant
+    is 4 times the base one."""
+    base = corpus.build("ex2_7_z2")
+    cat = base.category
+    pairs = list(iproduct(cat.morphism_ids, repeat=2))
+    system = validate_natural_system(cat, 4, dict.fromkeys(cat.morphism_ids, 1),
+                                     dict.fromkeys(pairs, [[1]]),
+                                     {(f, b): [[3 if b == "1" else 1]] for f, b in pairs})
+    assert bw_cohomology(cat, system, 2).invariants == (2,)
+    ext = build_extension(cat, system, Cochain2({("1", "1"): (d,)}))
+    assert (is_split(ext) is not None) is split
+    lifted = lift_involution(base, ext)
+    assert lifted.involution.functor.morphism_map == as_groupoid(ext.total).inverse
+    names = base.block_names()
+    for sigma, tau, mu in iproduct(names, repeat=3):
+        assert lifted.p(sigma, tau, mu) == 4 * base.p(sigma, tau, mu)
+
+
+def test_lift_refuses_a_block_over_identities_of_two_ranks():
+    """Two objects with only their identities, both in one block: over ranks
+    1 at x and 2 at y the fibers of the block's members differ in size, and
+    the lift is refused."""
+    cat = build_category(["x", "y"], [("1_x", "x", "x"), ("1_y", "y", "y")],
+                         {"x": "1_x", "y": "1_y"}, [("1_x", "1_x", "1_x"), ("1_y", "1_y", "1_y")])
+    base = verify_quasi_schemoid(cat, make_partition(cat, {"B": ["1_x", "1_y"]}))
+    system = induced_system(cat, 2, {"x": 1, "y": 2}, {"1_x": [[1]], "1_y": [[1, 0], [0, 1]]})
+    ext = build_extension(cat, system, zero_cochain2())
+    with pytest.raises(HypothesisFailed, match="source-identity ranks differ inside block 'B'"):
         lift_schemoid(base, ext)
 
 

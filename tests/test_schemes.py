@@ -1,5 +1,6 @@
 import random
 import re
+import time
 import tracemalloc
 from itertools import permutations, product
 from math import comb
@@ -194,6 +195,22 @@ def test_many_generators_keep_the_orbit_stack_within_n_squared_pairs():
     cfgs = []
     assert peak_bytes(lambda: cfgs.append(orbit_configuration(perms, 128))) < 4 << 20
     assert cfgs[0].classes == ("O0", "O1")
+
+
+def test_orbit_walk_budget_counts_distinct_perms():
+    """The walk's work is N² pair images per distinct perm: S_6's 720
+    elements on 6 points and 129 copies of one perm of 128 points are
+    admitted, while 1000 distinct perms of 128 points (16.4M images) are
+    refused as SizeLimit in well under a second."""
+    assert len(orbit_configuration([list(p) for p in permutations(range(6))], 6).classes) == 2
+    rng = random.Random(1)
+    shift = [(i + 1) % 128 for i in range(128)]
+    assert len(orbit_configuration([shift] * 129, 128).classes) == 128
+    perms = [rng.sample(range(128), 128) for _ in range(1000)]
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match="1000 distinct perms exceed the budget"):
+        orbit_configuration(perms, 128)
+    assert time.perf_counter() - start < 0.5
 
 
 def generating_sets():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from schemoids.admissible import (
@@ -11,7 +13,9 @@ from schemoids.algebra import Rationals, schemoid_algebra
 from schemoids.fincat import cyclic_group_table, validate_category, serialize
 from schemoids.linalg import rank
 from schemoids.schemes import (
+    SCHEME_BUDGET,
     NotSchemeMorphism,
+    SizeLimit,
     group_scheme,
     hamming,
     j_embed,
@@ -272,3 +276,23 @@ def test_thicken_ids_of_plain_and_backslash_labels():
     assert set(framed.category.morphism_ids) == {
         "id_x\\\\", "id_x\\\\\\_", "phi_x\\\\_x\\\\_0", "phi_x\\\\\\__x\\\\\\__0",
         "phi_x\\\\_x\\\\\\__0"}
+
+
+def test_the_thickening_budget_counts_composable_triples():
+    """1ᵀZ³1, the budget's count, is the number of composable triples of
+    the category built.  For H(2,2) it is 4·77³ at z = 19, within
+    SCHEME_BUDGET, and 4·81³ at z = 20, past it: z = 20 is refused, and so
+    is z = 100, in well under a second, before any morphism is built."""
+    z = [[2, 1, 3], [0, 3, 0], [1, 2, 2]]
+    cat = category_from_matrix(z).category
+    assert sum(len(cat.rows[j]) for row in cat.rows for j in row) == 254 == sum(
+        z[a][b] * z[b][c] * z[c][d] for a in range(3) for b in range(3) for c in range(3)
+        for d in range(3))
+    assert 4 * 77 ** 3 <= SCHEME_BUDGET < 4 * 81 ** 3
+    h22 = hamming(2, 2)
+    with pytest.raises(SizeLimit, match=f"{4 * 81 ** 3} composable triples"):
+        thicken_scheme(h22, 20)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match="exceed the budget"):
+        thicken_scheme(h22, 100)
+    assert time.perf_counter() - start < 0.1
