@@ -8,14 +8,20 @@ governed by the structure constants.
 The structure constants are stored once as sparse rows: rows[(sigma, tau)]
 maps mu to c^mu_{sigma tau} for the nonzero constants only, and a pair
 with no nonzero constant has no row.  Multiplication, the associativity
-check and the unit solve all walk these rows, so their cost follows the
-number of nonzero constants, not the cube of the dimension.
+check and the unit certificate all walk these rows, so their cost follows
+the number of nonzero constants, not the fifth power of the dimension.
+The associativity check makes one accumulation per basis pair
+(sigma, tau): both sides of the associative law, for every (rho, nu) at
+once, keyed by rho k + nu on basis indices, and one comparison of the two.
 
 Unitality of the schemoid algebra is decided in the subalgebra sense: the
 algebra is unital exactly when the unit of the ambient category algebra,
-the sum of all identities, lies in the block-sum span.  An abstract unit
-of the structure-constant tensor alone can exist over Q even for a
-non-unital schemoid (a single-block group already shows this), so tensor
+the sum of all identities, lies in the block-sum span.  Then it is
+certified by substitution, as a two-sided unit of every basis element,
+and, being unique, it is the tensor unit.  An abstract unit of the
+structure-constant tensor alone can exist over Q even for a non-unital
+schemoid (a single-block group already shows this), so when the sum of
+identities is not in the span the tensor unit is solved for, and tensor
 unit existence and subalgebra unitality are reported separately.
 
 Over Q the structure constants are integers, and so are the entries of
@@ -144,6 +150,13 @@ def _sparse_rows(tensor, ring) -> dict:
     return rows
 
 
+def _nonzero(acc: dict, p) -> dict:
+    """The entries of acc, reduced mod p when p is set, that are not zero."""
+    if p:
+        return {k: y for k, x in acc.items() if (y := x % p)}
+    return {k: x for k, x in acc.items() if x}
+
+
 def _combination(terms, ring) -> dict:
     """Sum of a * row over the (a, row) terms, as a sparse vector; rows may be None."""
     acc: dict = {}
@@ -151,10 +164,7 @@ def _combination(terms, ring) -> dict:
         if row:
             for k, x in row.items():
                 acc[k] = acc.get(k, 0) + a * x
-    p = ring.p
-    if p:
-        return {k: y for k, x in acc.items() if (y := x % p)}
-    return {k: x for k, x in acc.items() if x}
+    return _nonzero(acc, ring.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,46 +211,66 @@ def _assert_associative(basis, rows, ring):
     """sum_mu c^mu_{sigma tau} c^nu_{mu rho} = sum_mu c^mu_{tau rho} c^nu_{sigma mu}
     for every sigma, tau, rho, nu in the basis.
 
-    Both sides are compared as sparse vectors in nu.  A rho is skipped only
-    when no row on either side can reach it, so both sides are zero there;
-    the first failure reported is the one a dense scan in basis order meets.
+    One accumulation per pair (sigma, tau) builds both sides for every
+    (rho, nu) at once, keyed by rho k + nu on basis indices (k the
+    dimension): the left side walks the rows (mu, rho) of each mu in row
+    (sigma, tau), the right side the rows (sigma, mu) of each mu in a row
+    (tau, rho).  Each side is reduced mod p and stripped of zeros once, and
+    one comparison decides the pair.  On a mismatch the smallest differing
+    key is the (rho, nu) a dense scan in basis order meets first, so the
+    failure reported is the dense scan's.
     """
+    k = len(basis)
     index = {b: i for i, b in enumerate(basis)}
-    after: dict[str, set] = {}      # sigma -> the tau with a row (sigma, tau)
-    for sigma, tau in rows:
-        after.setdefault(sigma, set()).add(tau)
+    out_of: dict[str, list] = {}    # mu -> (rho k + nu, c^nu_{mu rho}) over the rows (mu, rho)
+    after: dict[str, list] = {}     # tau -> (rho k, mu, c^mu_{tau rho}) over the rows (tau, rho)
+    indexed: dict[tuple, list] = {}     # (sigma, mu) -> (nu, c^nu_{sigma mu})
+    for (x, rho), row in rows.items():
+        r = index[rho] * k
+        out_of.setdefault(x, []).extend((r + index[y], c) for y, c in row.items())
+        after.setdefault(x, []).extend((r, y, c) for y, c in row.items())
+        indexed[(x, rho)] = [(index[y], c) for y, c in row.items()]
+    p = ring.p
     for sigma in basis:
         for tau in basis:
-            st = rows.get((sigma, tau), {})
-            reach = set(after.get(tau, ()))
-            for mu in st:
-                reach.update(after.get(mu, ()))
-            for rho in sorted(reach, key=index.__getitem__):
-                lhs = _combination(((c, rows.get((mu, rho))) for mu, c in st.items()), ring)
-                rhs = _combination(((c, rows.get((sigma, mu)))
-                                    for mu, c in rows.get((tau, rho), {}).items()), ring)
-                if lhs != rhs:
-                    nu = min((n for n in lhs.keys() | rhs.keys() if lhs.get(n) != rhs.get(n)),
-                             key=index.__getitem__)
-                    raise AlgebraError(
-                        f"tensor not associative at ({sigma}, {tau}, {rho}, {nu})")
+            lhs: dict[int, int] = {}
+            for mu, a in rows.get((sigma, tau), {}).items():
+                for key, c in out_of.get(mu, ()):
+                    lhs[key] = lhs.get(key, 0) + a * c
+            rhs: dict[int, int] = {}
+            for r, mu, a in after.get(tau, ()):
+                for nu, c in indexed.get((sigma, mu), ()):
+                    rhs[r + nu] = rhs.get(r + nu, 0) + a * c
+            lhs, rhs = _nonzero(lhs, p), _nonzero(rhs, p)
+            if lhs != rhs:
+                key = min(key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
+                raise AlgebraError(f"tensor not associative at "
+                                   f"({sigma}, {tau}, {basis[key // k]}, {basis[key % k]})")
 
 
 def _unit_analysis(qs, basis, rows, ring):
-    """Two-sided tensor units, and whether the sum of identities is the unit.
+    """Whether the sum of identities is the unit, and the two-sided tensor unit.
 
-    The cross-check between the two is a certificate on the program's own
-    output: when it fails, that is an internal error (`AssertionError`)."""
-    tensor_unit = _solve_tensor_unit(basis, rows, ring)
+    When the sum of identities lies in the block-sum span, with coordinates
+    1 on the blocks U of identities, it is checked by substitution on the
+    integer rows: sum_{sigma in U} s_sigma s_x = s_x = sum_{sigma in U} s_x s_sigma
+    for every basis element x.  A two-sided unit is unique, so it is then
+    the tensor unit, and no elimination runs.  The ambient unit acts as a
+    unit on the span, so a failed substitution is the program's own fault:
+    an internal error (`AssertionError`), not a verdict.  Only when the sum
+    of identities is not in the span is the tensor unit solved for, by
+    `_solve_tensor_unit`.
+    """
     unit = _identity_sum_coords(qs, basis, ring)
-    if unit is not None:
-        # the ambient unit acts as a unit on the span, so it must be THE
-        # two-sided unit of the tensor
-        if tensor_unit is None or tensor_unit != unit:
+    if unit is None:
+        return False, None, _solve_tensor_unit(basis, rows, ring)
+    for x in basis:
+        left = _combination(((1, rows.get((sigma, x))) for sigma in unit), ring)
+        right = _combination(((1, rows.get((x, sigma))) for sigma in unit), ring)
+        if left != {x: 1} or right != {x: 1}:
             raise AssertionError("unit cross-check failed: identity sum lies in the "
                                  "span but is not the tensor unit")
-        return True, unit, tensor_unit
-    return False, None, tensor_unit
+    return True, unit, dict(unit)
 
 
 def _identity_sum_coords(qs, basis, ring):

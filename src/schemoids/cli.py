@@ -258,10 +258,12 @@ def thickness(text: str) -> list[int]:
 
 
 def window(text: str) -> int:
-    """A zig-zag window radius, 1..1000; the window's size grows with it."""
+    """A zig-zag window radius, in `corpus.WINDOW_RADII`."""
     radius = int(text)
-    if not 1 <= radius <= 1000:
-        raise argparse.ArgumentTypeError(f"window radius {radius} is not in 1..1000")
+    try:
+        corpus.check_window(radius)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     return radius
 
 
@@ -349,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("name", nargs="?")
     g.add_argument("--list", action="store_true")
-    p.add_argument("--window", type=window, help="window radius for the zig-zag family, 1..1000")
+    p.add_argument("--window", type=window, help="window radius for the zig-zag family, "
+                   f"{corpus.WINDOW_RADII[0]}..{corpus.WINDOW_RADII[-1]}")
 
     sub.add_parser("selftest", help="re-verify every built-in example")
     return parser

@@ -117,9 +117,20 @@ def _paired_join_z2() -> QuasiSchemoid:
     return verify_quasi_schemoid(cat, partition, check_association(cat, partition, t))
 
 
+WINDOW_RADII = range(1, 1001)       # zig-zag window radii; the window's size grows with it
+
+
+def check_window(k: int) -> None:
+    """ValueError unless k is a zig-zag window radius in WINDOW_RADII."""
+    if k not in WINDOW_RADII:
+        raise ValueError(f"window radius {k} is not in {WINDOW_RADII[0]}..{WINDOW_RADII[-1]}")
+
+
 def _zigzag_window(k: int = 1) -> QuasiSchemoid:
     """Finite window of the infinite zig-zag: objects x_i, y_i for |i| <= k,
-    arrows f_i: x_i -> y_i, g_i: x_i -> y_{i+1}, h_i: x_{i+1} -> y_i."""
+    arrows f_i: x_i -> y_i, g_i: x_i -> y_{i+1}, h_i: x_{i+1} -> y_i.  A
+    radius outside WINDOW_RADII is refused before anything is built."""
+    check_window(k)
     rng = range(-k, k + 1)
     objects = [f"x{i}" for i in rng] + [f"y{i}" for i in rng]
     morphisms = [(f"1_{o}", o, o) for o in objects]

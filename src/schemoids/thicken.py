@@ -86,13 +86,10 @@ def _cells(cat: FinCategory):
                 yield i, j, lam
 
 
-def check_transitive(z) -> tuple[tuple[int, ...], ...]:
-    z = tuple(map(tuple, z))
+def check_transitive(z) -> None:
+    """Positive z_ij and z_jk force z_ik positive: m³ index triples of the
+    square matrix z."""
     m = len(z)
-    if any(len(row) != m for row in z):
-        raise ThickenError("matrix must be square")
-    if any(x < 0 for row in z for x in row):
-        raise ThickenError("entries must be nonnegative")
     for i in range(m):
         for j in range(m):
             if not z[i][j]:
@@ -100,26 +97,31 @@ def check_transitive(z) -> tuple[tuple[int, ...], ...]:
             for k in range(m):
                 if z[j][k] and not z[i][k]:
                     raise NotTransitive(f"z[{i}][{j}] and z[{j}][{k}] positive but z[{i}][{k}] = 0")
-    return z
 
 
 def category_from_matrix(z, labels=None) -> FramedCategory:
     """Category with |Hom(i, j)| = z_ij whose non-identity composites collapse
     onto the frame.  Its checks visit each composable triple of morphisms,
     and there are 1ᵀZ³1 of them: past SCHEME_BUDGET the matrix is refused
-    as SizeLimit before any morphism is built (about 256 z³ for the
-    thickness z of H(2,2), which is admitted up to z = 19)."""
-    z = check_transitive(z)
+    as SizeLimit before any morphism is built, and before the m³ scan of
+    `check_transitive` (about 256 z³ for the thickness z of H(2,2), which
+    is admitted up to z = 19)."""
+    z = tuple(map(tuple, z))
     m = len(z)
-    for i in range(m):
-        if z[i][i] < 2:
-            raise DiagonalTooSmall(f"diagonal entry {i} is {z[i][i]}, need at least 2")
+    if any(len(row) != m for row in z):
+        raise ThickenError("matrix must be square")
+    if any(x < 0 for row in z for x in row):
+        raise ThickenError("entries must be nonnegative")
     paths = [1] * m         # after k rounds, paths[i] counts the paths of k morphisms out of i
     for _ in range(3):
         paths = [sum(map(mul, row, paths)) for row in z]
     triples = sum(paths)
     if triples > SCHEME_BUDGET:
         raise SizeLimit(f"{triples} composable triples of morphisms exceed the budget of {SCHEME_BUDGET}")
+    check_transitive(z)
+    for i in range(m):
+        if z[i][i] < 2:
+            raise DiagonalTooSmall(f"diagonal entry {i} is {z[i][i]}, need at least 2")
     if labels is None:
         labels = tuple(str(i) for i in range(m))
     else:

@@ -423,17 +423,26 @@ def assert_associative_dense(basis, tensor, ring):
     from schemoids.algebra import AlgebraError
 
     p = getattr(ring, "p", None)
-    get = lambda s, t, m: tensor.get((s, t, m), 0)
-    for sigma in basis:
-        for tau in basis:
-            for rho in basis:
-                for nu in basis:
-                    lhs = sum(get(sigma, tau, mu) * get(mu, rho, nu) for mu in basis)
-                    rhs = sum(get(tau, rho, mu) * get(sigma, mu, nu) for mu in basis)
+    # c[s][t] maps mu to c^mu_{st}, all by basis position; a term with a
+    # zero factor adds nothing, so each sum runs over its first factor's mu
+    pos = {b: i for i, b in enumerate(basis)}
+    c = [[{} for _ in basis] for _ in basis]
+    for (s, t, m), x in tensor.items():
+        if x:
+            c[pos[s]][pos[t]][pos[m]] = x
+    n = range(len(basis))
+    for sigma in n:
+        for tau in n:
+            st = c[sigma][tau].items()
+            for rho in n:
+                tr = c[tau][rho].items()
+                for nu in n:
+                    lhs = sum(x * c[mu][rho].get(nu, 0) for mu, x in st)
+                    rhs = sum(x * c[sigma][mu].get(nu, 0) for mu, x in tr)
                     diff = lhs - rhs
                     if (diff % p if p else diff) != 0:
-                        raise AlgebraError(
-                            f"tensor not associative at ({sigma}, {tau}, {rho}, {nu})")
+                        raise AlgebraError(f"tensor not associative at ({basis[sigma]}, "
+                                           f"{basis[tau]}, {basis[rho]}, {basis[nu]})")
 
 
 def check_algebra_hom_fractions(amap, a, b):

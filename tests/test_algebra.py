@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -304,6 +305,107 @@ def test_associativity_check_rejects_perturbed_tensor(ring):
     got = _associativity_verdict(_sparse_check, alg.basis, bumped, ring)
     assert got is not None
     assert got == _associativity_verdict(assert_associative_dense, alg.basis, bumped, ring)
+
+
+@cache
+def _large_bases():
+    """Schemoids with k = 9 and 16 basis elements, where the check's keys
+    rho k + nu run past 9: the discrete partitions of j(Z/3) and j(Z/4), and
+    the class partition of j(Z/16)."""
+    j = {n: j_embed(group_scheme(*cyclic_group_table(n))) for n in (3, 4, 16)}
+    return tuple(verify_quasi_schemoid(j[n].category, discrete_partition(j[n].category))
+                 for n in (3, 4)) + (j[16],)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_large_basis_associativity_matches_dense_oracle(ring):
+    """The valid tensor is accepted by both checks; with one constant bumped
+    or added, the verdict and the quadruple are the dense scan's.  Adding
+    s_mu to the square of s_e, e = basis[0] an identity block, breaks the
+    first pair (e, e) at many (rho, nu) at once, so the one reported must be
+    the least in basis order."""
+    rng = random.Random(29)
+    for qs in _large_bases():
+        alg = schemoid_algebra(qs, ring)
+        basis, tensor = alg.basis, alg.tensor
+        assert _associativity_verdict(_sparse_check, basis, tensor, ring) is None
+        assert _associativity_verdict(assert_associative_dense, basis, tensor, ring) is None
+        keys = [(s, t, m) for s in basis for t in basis for m in basis]
+        e = basis[0]
+        for key in (rng.choice(sorted(tensor)), rng.choice(keys), (basis[-1],) * 3,
+                    *((e, e, mu) for mu in basis)):
+            perturbed = dict(tensor)
+            perturbed[key] = perturbed.get(key, ring.zero) + ring.one
+            got = _associativity_verdict(_sparse_check, basis, perturbed, ring)
+            assert got is not None
+            assert got == _associativity_verdict(assert_associative_dense, basis, perturbed, ring)
+
+
+def _schemoid_sweep():
+    """j(H(n,2)) for n <= 4, the thickenings of H(2,2) with z <= 4 and the
+    corpus schemoids."""
+    h22 = hamming(2, 2)
+    return ([j_embed(hamming(n, 2)) for n in range(1, 5)]
+            + [thicken_scheme(h22, z) for z in range(1, 5)]
+            + [corpus.build(name) for name, entry in corpus.ENTRIES.items()
+               if entry.kind == "schemoid"])
+
+
+def _spy_on_the_unit_solve(mp):
+    """Record the calls of `_solve_tensor_unit` in the list returned."""
+    calls, solve = [], algebra._solve_tensor_unit
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    mp.setattr(algebra, "_solve_tensor_unit", spy)
+    return calls
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_tensor_unit_by_substitution_matches_fraction_oracle(ring, monkeypatch):
+    """The tensor unit equals the Fraction reference's, and the unit is
+    solved for only when the sum of identities is not in the span."""
+    calls = _spy_on_the_unit_solve(monkeypatch)
+    unital = 0
+    for qs in _schemoid_sweep():
+        calls.clear()
+        alg = schemoid_algebra(qs, ring)
+        assert alg.tensor_unit == solve_tensor_unit_fractions(alg.basis, alg.tensor, ring)
+        assert bool(calls) != alg.unital
+        if alg.unital:
+            unital += 1
+            assert alg.tensor_unit == alg.unit
+    assert unital >= 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories(), st.sampled_from(RINGS))
+def test_discrete_partition_unit_by_substitution_matches_fraction_oracle(cat, ring):
+    """A discrete partition is unital, with no unit solve, and its unit is
+    the Fraction reference's tensor unit."""
+    qs = verify_quasi_schemoid(cat, discrete_partition(cat))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_on_the_unit_solve(mp)
+        alg = schemoid_algebra(qs, ring)
+    assert alg.unital and not calls
+    assert alg.tensor_unit == alg.unit == solve_tensor_unit_fractions(alg.basis, alg.tensor, ring)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+@pytest.mark.parametrize("row", [("R1", "R0"), ("R0", "R1")], ids=["left-only", "right-only"])
+def test_identity_sum_unit_on_one_side_only_is_an_internal_error(ring, row):
+    """Rows in which s_R0, the sum of identities of j(H(2,2)), is a unit on
+    one side only fail the substitution as AssertionError: s_R1 s_R0 or
+    s_R0 s_R1 becomes s_R2, and the product on the other side stays s_R1."""
+    qs = j_embed(hamming(2, 2))
+    basis = tuple(qs.partition.names())
+    rows = _sparse_rows(qs.constants.entries, ring)
+    assert algebra._unit_analysis(qs, basis, rows, ring)[0]
+    rows[row] = {"R2": 1}
+    with pytest.raises(AssertionError, match="unit cross-check failed"):
+        algebra._unit_analysis(qs, basis, rows, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -360,9 +360,10 @@ def test_failed_internal_certificates_exit_3(capsys, tmp_path, monkeypatch):
     assert code == 3 and out == ""
     assert "AssertionError: the triples span 0 coordinates, not dim C^3 = 8" in err
 
-    # the sum of identities of j(H(2,2)) lies in the block-sum span
+    # the sum of identities of j(H(2,2)) lies in the block-sum span; a
+    # non-unit in its place fails the substitution
     bf = write(tmp_path, "h22.json", cli.bundle_to_json(j_embed(hamming(2, 2))))
-    monkeypatch.setattr(algebra, "_solve_tensor_unit", lambda basis, rows, ring: None)
+    monkeypatch.setattr(algebra, "_identity_sum_coords", lambda qs, basis, ring: {"R1": ring.one})
     code, out, err = outputs(capsys, ["algebra", bf, "--ring", "Q"])
     assert code == 3 and out == ""
     assert "AssertionError: unit cross-check failed" in err
@@ -567,6 +568,17 @@ def test_examples_listing_and_window(capsys):
     assert len(bundle["category"]["objects"]) == 10
     code, bundle = run_json(capsys, "examples", "ex2_11", "--window", "1000")
     assert code == 0 and len(bundle["category"]["objects"]) == 4002
+
+
+def test_window_out_of_range_is_refused_by_the_library():
+    """The library refuses a radius outside 1..1000 before building, as a
+    bad argument, not as a verdict on a built schemoid; the CLI's type
+    reads the same bound."""
+    from schemoids import corpus
+    for k in (0, 1001):
+        with pytest.raises(ValueError, match=f"window radius {k} is not in 1..1000"):
+            corpus.build("ex2_11", window=k)
+    assert cli.window("1000") == 1000
 
 
 def test_selftest(capsys):

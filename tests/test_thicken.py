@@ -21,6 +21,7 @@ from schemoids.schemes import (
     j_embed,
     validate_scheme,
 )
+from schemoids import thicken
 from schemoids.schemoid import compose_schemoid_morphisms, is_unital, schemoid_isomorphic
 from schemoids.thicken import (
     DiagonalTooSmall,
@@ -296,3 +297,19 @@ def test_the_thickening_budget_counts_composable_triples():
     with pytest.raises(SizeLimit, match="exceed the budget"):
         thicken_scheme(h22, 100)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("z", [[[2] * 300 for _ in range(300)],
+                               [[200, 200, 0], [0, 200, 200], [0, 0, 200]]])
+def test_an_oversized_matrix_is_refused_before_the_transitivity_scan(monkeypatch, z):
+    """The count of composable triples comes before check_transitive's m³
+    scan: an all-2 matrix at m = 300 and a non-transitive one past the
+    budget are SizeLimit without the scan."""
+    def scanned(z):
+        raise AssertionError("check_transitive ran")
+
+    monkeypatch.setattr(thicken, "check_transitive", scanned)
+    with pytest.raises(SizeLimit, match="exceed the budget"):
+        category_from_matrix(z)
+    with pytest.raises(AssertionError, match="check_transitive ran"):
+        category_from_matrix([[2, 1], [0, 2]])
