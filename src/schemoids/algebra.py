@@ -42,13 +42,23 @@ generators only.  The pivot rows of one elimination grow one row at a time:
 each generator and each product is reduced against them, and a nonzero
 residue becomes a pivot row, its pivot its first column in morphism order,
 and waits.  The generators' residues span what the generators span.  A
-waiting row is multiplied on the right by each generator residue, so dim x
-r products are taken, r the number of residues, where products of every
-pair of rows would take about dim^2.  When none is waiting, the span V
-holds the generators and V s lies in V for every generator s; by induction
-V holds every nonempty word in the generators, and every row of V is a
-combination of such words, so V is exactly the generated subalgebra.  Back
-substitution then gives its reduced echelon basis, which is unique.
+waiting row is multiplied on the right by each generator residue, so at
+most dim x r products are taken, r the number of residues, where products
+of every pair of rows would take about dim^2.  A product f g is nonzero
+only when g ends where f starts, so each residue is indexed by target
+object once, and a pair in which no source of the row is a target of the
+residue is skipped: its product is exactly zero.  When none is waiting,
+the span V holds the generators and V s lies in V for every generator s;
+by induction V holds every nonempty word in the generators, and every row
+of V is a combination of such words, so V is exactly the generated
+subalgebra.  Back substitution then gives its reduced echelon basis, which
+is unique.
+
+The Terwilliger algebra is generated by homogeneous pieces E*_i A_sigma
+E*_j rather than by the whole block sums (Terwilliger, "The subconstituent
+algebra of an association scheme I", J. Algebraic Combin. 1 (1992)).  A
+homogeneous row times a homogeneous residue is zero unless the levels
+meet, so the grading is what makes most pairs skippable.
 """
 
 from __future__ import annotations
@@ -354,23 +364,7 @@ class CategoryAlgebraClosure:
 
     def multiply(self, u: dict, v: dict) -> dict:
         """u * v, pairing each f in u only with the g in v that end where f starts."""
-        cat = self.category
-        rows, src_of, tgt_of = cat.rows, cat.src_of, cat.tgt_of
-        ending_at: dict[int, list] = {}
-        for g, b in v.items():
-            if b:
-                ending_at.setdefault(tgt_of[g], []).append((g, b))
-        out: dict[int, object] = {}
-        for f, a in u.items():
-            if a:
-                row = rows[f]
-                for g, b in ending_at.get(src_of[f], ()):
-                    h = row[g]
-                    out[h] = out.get(h, 0) + a * b
-        p = self.ring.p
-        if p:
-            return {h: y for h, x in out.items() if (y := x % p)}
-        return {h: x for h, x in out.items() if x}
+        return _product(self.category, u, _by_target(self.category, v), self.ring.p)
 
     def contains(self, vec: dict) -> bool:
         """vec lies in the span.  One pass over the basis reduces it: each
@@ -387,23 +381,48 @@ class CategoryAlgebraClosure:
         return not any(rest.values())
 
 
+def _by_target(cat, v: dict) -> dict[int, list]:
+    """The nonzero entries (g, b) of v, grouped by the position of g's target."""
+    tgt_of = cat.tgt_of
+    ending_at: dict[int, list] = {}
+    for g, b in v.items():
+        if b:
+            ending_at.setdefault(tgt_of[g], []).append((g, b))
+    return ending_at
+
+
+def _product(cat, u: dict, ending_at: dict, p) -> dict:
+    """u * v for v indexed by `_by_target`: each f in u meets only the g
+    that end where f starts.  Reduced mod p when p is set."""
+    rows, src_of = cat.rows, cat.src_of
+    out: dict[int, object] = {}
+    for f, a in u.items():
+        if a:
+            row = rows[f]
+            for g, b in ending_at.get(src_of[f], ()):
+                h = row[g]
+                out[h] = out.get(h, 0) + a * b
+    return _nonzero(out, p)
+
+
 def span_closure(cat, ring, generators: list[dict]) -> CategoryAlgebraClosure:
     """The subalgebra of the category algebra generated by the given vectors.
 
     The generators are keyed by morphism id and are converted to position
     keys once, on entry.  Each pivot row is multiplied on the right by the
     generator residues only, the nonzero rows the generators leave after
-    reduction: dim x r products through `CategoryAlgebraClosure.multiply`,
-    each on two pivot rows as they stand.  Certificate: the span V of the
-    pivot rows contains the generators and V s lies in V for each residue
-    s, hence for each generator; by induction V contains every nonempty
-    word in the generators, and each pivot row is a combination of words,
-    so V is the generated subalgebra.  The reduced echelon basis of V is
-    unique, so it is the one any closure of the same span gives.
+    reduction, each indexed by target object once (`_by_target`).  A pair
+    in which no source of the row is a target of the residue is skipped,
+    since its product is exactly zero; the others are taken by `_product`,
+    at most dim x r of them.  Certificate: the span V of the pivot rows
+    contains the generators and V s lies in V for each residue s, hence for
+    each generator; by induction V contains every nonempty word in the
+    generators, and each pivot row is a combination of words, so V is the
+    generated subalgebra.  The reduced echelon basis of V is unique, so it
+    is the one any closure of the same span gives.
     """
-    column = cat.index
-    closure = CategoryAlgebraClosure(cat, ring, cat.morphism_ids, [])
-    ech = _Echelon(ring.p, 1)
+    column, p, src_of = cat.index, ring.p, cat.src_of
+    ech = _Echelon(p, 1)
     waiting: deque[dict] = deque()      # pivot rows not yet multiplied
 
     def add(row):
@@ -412,48 +431,58 @@ def span_closure(cat, ring, generators: list[dict]) -> CategoryAlgebraClosure:
             ech.add(row, min(row), 0)
             waiting.append(row)
 
-    for row in _rows_over([{column[m]: x for m, x in g.items()} for g in generators], ring.p):
+    for row in _rows_over([{column[m]: x for m, x in g.items()} for g in generators], p):
         add(row)
-    residues = list(waiting)
+    residues = [_by_target(cat, s) for s in waiting]
     while waiting:
         new = waiting.popleft()
-        for s in residues:
-            add(closure.multiply(new, s))
-    closure.basis = list(ech.back_substitute().values())
-    return closure
-
-
-def block_sum_vector(qs: QuasiSchemoid, block: str, ring) -> dict:
-    return {m: ring.one for m in qs.partition.blocks[block]}
+        sources = {src_of[f] for f in new}
+        for ending_at in residues:
+            if not sources.isdisjoint(ending_at):
+                add(_product(cat, new, ending_at, p))
+    return CategoryAlgebraClosure(cat, ring, cat.morphism_ids,
+                                  list(ech.back_substitute().values()))
 
 
 def terwilliger(qs: QuasiSchemoid, e: str, ring) -> CategoryAlgebraClosure:
-    """Subalgebra generated by the block sums and the idempotents E_sigma.
+    """Subalgebra generated by the block sums and the idempotents E*_sigma.
 
-    e must be a terminal object: exactly one morphism x -> e per object x.
-    E_sigma sums the identities 1_x over the x whose unique morphism to e
-    lies in sigma.
+    e must be a terminal object: exactly one morphism x -> e per object x,
+    whose block is the level of x.  E*_sigma sums the identities 1_x over
+    the x of level sigma.  A name that is no object is refused as unknown,
+    and a nonterminal object with the witness (x, e, |Hom(x, e)|), both as
+    `NotTerminal`.
+
+    The closure is generated by the E*_i and the pieces E*_i A_sigma E*_j
+    of the block sums, each the sum of the morphisms of sigma whose target
+    has level i and whose source has level j.  Each piece is a product of
+    generators, and A_sigma is the sum of its pieces because the E*_i sum
+    to the identity, so both generating sets give the same algebra.
     """
     cat = qs.category
-    to_e = {}
+    if e not in cat.identity:
+        raise NotTerminal(f"unknown object {e!r}")
+    block_of = qs.partition.block_of
+    level = []      # object position -> level, the block of its morphism to e
     for x in cat.objects:
         arrows = cat.hom(x, e)
         if len(arrows) != 1:
-            raise NotTerminal(f"{e!r} is not terminal: Hom({x!r}, {e!r}) has {len(arrows)} morphisms")
-        to_e[x] = arrows[0]
-    generators = [block_sum_vector(qs, b, ring) for b in qs.partition.names()]
-    idempotents = []
-    for sigma in qs.partition.names():
-        vec = {cat.identity[x]: ring.one for x in cat.objects
-               if to_e[x] in qs.partition.blocks[sigma]}
-        if vec:
-            idempotents.append(vec)
+            raise NotTerminal(f"{e!r} is not terminal: Hom({x!r}, {e!r}) has "
+                              f"{len(arrows)} morphisms", (x, e, len(arrows)))
+        level.append(block_of[arrows[0]])
+    src_of, tgt_of = cat.src_of, cat.tgt_of
+    pieces: dict[tuple, dict] = {}     # (sigma, level of target, level of source) -> piece
+    for c, m in enumerate(cat.morphism_ids):
+        pieces.setdefault((block_of[m], level[tgt_of[c]], level[src_of[c]]), {})[m] = ring.one
+    idempotents: dict[str, dict] = {}
+    for x, i in zip(cat.objects, level):
+        idempotents.setdefault(i, {})[cat.identity[x]] = ring.one
     # sanity: the idempotents resolve the identity
-    total = _combination(((ring.one, vec) for vec in idempotents), ring)
+    total = _combination(((ring.one, vec) for vec in idempotents.values()), ring)
     expected = {cat.identity[x]: ring.one for x in cat.objects}
     if total != expected:
         raise AlgebraError("sum of E_sigma is not the sum of identities")
-    return span_closure(cat, ring, generators + idempotents)
+    return span_closure(cat, ring, [*pieces.values(), *idempotents.values()])
 
 
 # ---------------------------------------------------------------------------

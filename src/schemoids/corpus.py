@@ -247,7 +247,7 @@ def _klein_fusion() -> QuasiSchemoid:
 
 def _product_base() -> tuple[QuasiSchemoid, Functor, FinCategory]:
     """The product base j(H(2,2)) × Z/2, its projection onto the group
-    factor and that factor's category, built once for every reader."""
+    factor and that factor's category, built afresh on every call."""
     group = _group_bullet(2)
     base, _, to_group = schemoid_product_with_projections(j_embed(hamming(2, 2)), group)
     return base, to_group, group.category

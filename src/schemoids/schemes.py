@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
+from operator import add
 
 from .fincat import (
     CategoryError,
@@ -167,30 +168,33 @@ def _intersection_numbers(rel, points, classes) -> dict[tuple[str, str, str], in
     """The nonzero p^g_{ef}, verified constant over each class g.
 
     One pass over (x, y, z) tallies (class(x, y), class(y, z)) for every
-    pair (x, z); each tally must equal the tally of the first pair of its
-    class (row-major order).  On failure, NonConstantIntersection names the
+    pair (x, z), each (e, f) as the int e k + f (k the number of classes);
+    each tally must equal the tally of the first pair of its class
+    (row-major order).  On failure, NonConstantIntersection names the
     lexicographically first (e, f, g) that is not constant.
     """
-    size = len(rel)
+    size, k = len(rel), len(classes)
     cols = [tuple(row[z] for row in rel) for z in range(size)]
     first: dict[int, tuple[tuple[int, int], Counter]] = {}
     worst = None      # (e, f, g), first pair, its count, differing pair, its count
     for x, row in enumerate(rel):
+        scaled = [e * k for e in row]
         for z, g in enumerate(row):
-            tally = Counter(zip(row, cols[z]))
+            tally = Counter(map(add, scaled, cols[z]))
             (x1, z1), ref = first.setdefault(g, ((x, z), tally))
             if dict.__eq__(ref, tally):   # both hold positive counts only
                 continue
-            e, f = min(key for key in ref.keys() | tally.keys() if ref[key] != tally[key])
+            key = min(key for key in ref.keys() | tally.keys() if ref[key] != tally[key])
+            e, f = divmod(key, k)
             if worst is None or (e, f, g) < worst[0]:
-                worst = ((e, f, g), (x1, z1), ref[e, f], (x, z), tally[e, f])
+                worst = ((e, f, g), (x1, z1), ref[key], (x, z), tally[key])
     if worst is not None:
         (e, f, g), (x1, z1), c1, (x2, z2), c2 = worst
         raise NonConstantIntersection(
             classes[e], classes[f], classes[g],
             (points[x1], points[z1]), c1, (points[x2], points[z2]), c2)
-    return {(classes[e], classes[f], classes[g]): first[g][1][e, f]
-            for e, f, g in sorted((e, f, g) for g, (_, tally) in first.items() for e, f in tally)}
+    return {(classes[key // k], classes[key % k], classes[g]): first[g][1][key]
+            for key, g in sorted((key, g) for g, (_, tally) in first.items() for key in tally)}
 
 
 def serialize_scheme(s: CoherentConfiguration) -> dict:

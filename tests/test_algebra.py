@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from schemoids.algebra import (
     AlgebraError,
     AlgebraMap,
-    CategoryAlgebraClosure,
     NotTerminal,
     PrimeField,
     Rationals,
@@ -27,7 +26,7 @@ from schemoids.algebra import (
 from schemoids import algebra, corpus
 from schemoids.admissible import induced_algebra_map
 from schemoids.fincat import cyclic_group_table, one_object_group, terminal_category
-from schemoids.schemes import group_scheme, hamming, j_embed, validate_scheme
+from schemoids.schemes import group_scheme, hamming, j_embed, orbit_configuration, validate_scheme
 from schemoids.schemoid import discrete_partition, verify_quasi_schemoid
 from schemoids.thicken import projection_phi, thicken_scheme
 
@@ -38,9 +37,9 @@ from oracles import (
     algebra_is_unital,
     assert_associative_dense,
     check_algebra_hom_fractions,
+    johnson_generators,
     mat_mul_int,
     matrix_algebra_closure_dim,
-    ReducedEchelon,
     solve_tensor_unit_fractions,
     span_closure_fractions,
 )
@@ -178,9 +177,15 @@ def test_terwilliger_h22_vertex_independent():
 
 
 def test_terwilliger_not_terminal():
+    """A nonterminal object is refused with the witness (x, e, |Hom(x, e)|),
+    a name that is no object as unknown, with no witness."""
     qs = ex2_8()
-    with pytest.raises(NotTerminal):
+    with pytest.raises(NotTerminal, match="'x' is not terminal") as err:
         terwilliger(qs, "x", Q)
+    assert err.value.witness == ("y", "x", 0)
+    with pytest.raises(NotTerminal, match="unknown object 'nope'") as err:
+        terwilliger(qs, "nope", Q)
+    assert err.value.witness is None
 
 
 def test_check_algebra_hom_identity_and_zero():
@@ -450,33 +455,127 @@ def test_terwilliger_hamming_matches_oracles(n, q, closed_form):
         assert not all(clo.contains({pos[m]: ring.one}) for m in clo.order)
 
 
-@pytest.mark.parametrize("n, q, products", [(3, 2, 20 * 7), (2, 3, 15 * 5)])
+@pytest.mark.parametrize("n, q, products", [(3, 2, 104), (2, 3, 81)])
 @pytest.mark.parametrize("ring", (Q, PrimeField(3)), ids=repr)
-def test_closure_takes_dimension_times_residues_products(monkeypatch, ring, n, q, products):
-    """The closure multiplies each pivot row on the right by the generator
-    residues only: dimension x r products, r the rank of the generators.
-    On j(H(n,q)) the block sum of the identities is the sum of the dual
-    idempotents, so r is one less than the number of generators."""
+def test_closure_product_count_and_skipped_pairs(monkeypatch, ring, n, q, products):
+    """With the graded generators the residues already span T(j(H(n,q))),
+    so r equals the dimension and dim x r (400 and 225) is every pair of
+    basis rows.  The closure takes 104 and 81 products instead: the count
+    is pinned, every (pivot row, residue) pair is taken at most once, and
+    each pair it skips has a zero product, computed here from the
+    composition rows without the closure's target index."""
     qs = j_embed(hamming(n, q))
-    calls, seen = [], []
-    multiply = CategoryAlgebraClosure.multiply
+    cat = qs.category
+    pivots, residues, taken = [], [], []
+    by_target, product = algebra._by_target, algebra._product
 
-    def counted(self, u, v):
-        calls.append(1)
-        return multiply(self, u, v)
+    class Recording(algebra._Echelon):
+        def add(self, row, col, u):
+            super().add(row, col, u)
+            pivots.append(row)
 
-    def spy(*args):
-        seen.append(args[2])
-        return span_closure(*args)
+    def indexing(cat, v):
+        ending_at = by_target(cat, v)
+        residues.append((v, ending_at))
+        return ending_at
 
-    monkeypatch.setattr(CategoryAlgebraClosure, "multiply", counted)
-    monkeypatch.setattr(algebra, "span_closure", spy)
-    clo = terwilliger(qs, qs.category.objects[0], ring)
-    [generators] = seen
-    echelon = ReducedEchelon(ring.p, {m: i for i, m in enumerate(clo.order)})
-    r = sum(1 for g in generators if echelon.insert(g))
-    assert r == len(generators) - 1
-    assert len(calls) == clo.dimension * r == products
+    def counted(cat, u, ending_at, p):
+        taken.append((id(u), id(ending_at)))
+        return product(cat, u, ending_at, p)
+
+    monkeypatch.setattr(algebra, "_Echelon", Recording)
+    monkeypatch.setattr(algebra, "_by_target", indexing)
+    monkeypatch.setattr(algebra, "_product", counted)
+    clo = terwilliger(qs, cat.objects[0], ring)
+    assert len(pivots) == len(residues) == clo.dimension
+    assert len(taken) == len(set(taken)) == products
+    rows = {id(row): row for row in pivots}
+    assert all(u in rows for u, _ in taken)
+    taken = set(taken)
+    for row in pivots:
+        for v, ending_at in residues:
+            if (id(row), id(ending_at)) in taken:
+                continue
+            out = {}
+            for f, a in row.items():
+                for g, b in v.items():
+                    h = cat.rows[f].get(g)
+                    if h is not None:
+                        out[h] = out.get(h, 0) + a * b
+            assert not any(_reduced(x, ring) for x in out.values())
+
+
+def _ungraded_generators(qs, e, ring):
+    """The generators the closure took before the grading: each block sum
+    A_sigma and each nonzero E*_sigma."""
+    cat, blocks = qs.category, qs.partition.blocks
+    to_e = {x: cat.hom(x, e)[0] for x in cat.objects}
+    sums = [{m: ring.one for m in blocks[b]} for b in qs.partition.names()]
+    duals = [{cat.identity[x]: ring.one for x in cat.objects if to_e[x] in blocks[b]}
+             for b in qs.partition.names()]
+    return sums + [d for d in duals if d]
+
+
+def _affine(a, n):
+    """The pair orbits of x -> a x and x -> x + 1 on Z/n."""
+    return orbit_configuration([[a * x % n for x in range(n)], [(x + 1) % n for x in range(n)]], n)
+
+
+# J(5,2) and the two affine schemes are cases where the graded pieces do not
+# span T (14 of 15, 15 of 17 and 15 of 21 dimensions), so their closure has
+# to take products that leave the span
+GRADED_CASES = {
+    "H(2,2)": (lambda: hamming(2, 2), 10, True),
+    "H(2,3)": (lambda: hamming(2, 3), 15, True),
+    "J(5,2)": (lambda: orbit_configuration(johnson_generators(5, 2)[0], 10), 15, True),
+    "Z7": (lambda: _affine(2, 7), 17, True),
+    "Z13": (lambda: _affine(4, 13), 21, False),
+}
+
+
+@pytest.mark.parametrize("case", GRADED_CASES)
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_graded_closure_matches_ungraded_generators(case, ring):
+    """T from the graded pieces is, entry for entry, the closure of the
+    block sums and the E*_sigma; on the smaller cases it is also the
+    Fraction all-pairs closure of those generators.  Over Q the dimension
+    is the one pinned, and the pieces alone span less than T where the
+    scheme is not a Hamming scheme."""
+    build, dim, small = GRADED_CASES[case]
+    qs = j_embed(build())
+    cat = qs.category
+    e = cat.objects[0]
+    clo = terwilliger(qs, e, ring)
+    gens = _ungraded_generators(qs, e, ring)
+    assert clo.basis == span_closure(cat, ring, gens).basis
+    if small:
+        got = [{clo.order[c]: x for c, x in row.items()} for row in clo.basis]
+        assert got == span_closure_fractions(cat, ring, gens)
+    if ring == Q:
+        assert clo.dimension == dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_graded_closure_matches_fraction_oracle_on_orbit_schemes(data):
+    """On the pair orbits of up to three random permutations of at most six
+    points, or of x -> a x and x -> x + 1 on Z/5 or Z/7 (where the pieces
+    can fall short of T), from a random terminal object, the graded
+    closure is the Fraction all-pairs closure of the ungraded generators,
+    over Q, F2 and F3."""
+    if data.draw(st.booleans()):
+        n = data.draw(st.sampled_from((5, 7)))
+        cfg = _affine(data.draw(st.integers(1, n - 1)), n)
+    else:
+        size = data.draw(st.integers(1, 6))
+        perms = data.draw(st.lists(st.permutations(range(size)), max_size=3))
+        cfg = orbit_configuration([list(p) for p in perms], size)
+    qs = j_embed(cfg)
+    ring = data.draw(st.sampled_from(RINGS))
+    e = data.draw(st.sampled_from(qs.category.objects))
+    clo = terwilliger(qs, e, ring)
+    got = [{clo.order[c]: x for c, x in row.items()} for row in clo.basis]
+    assert got == span_closure_fractions(qs.category, ring, _ungraded_generators(qs, e, ring))
 
 
 # ---------------------------------------------------------------------------

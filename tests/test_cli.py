@@ -101,6 +101,23 @@ def test_pipe_embed_analyze(capsys, tmp_path):
     assert code == 0 and ter["dimension"] >= 3
 
 
+def test_terwilliger_refuses_unknown_and_nonterminal_objects(capsys, tmp_path):
+    """A name that is no object is refused as unknown; a nonterminal object
+    with the witness (x, e, |Hom(x, e)|).  Both are NotTerminal, exit 1."""
+    code, bundle = run_json(capsys, "examples", "ex2_8")
+    assert code == 0
+    bf = write(tmp_path, "ex2_8.json", bundle)
+    code, out = run_json(capsys, "terwilliger", bf, "--object", "nope")
+    assert code == 1
+    assert out["error"] == "NotTerminal" and out["message"] == "unknown object 'nope'"
+    assert "witness" not in out
+    code, out = run_json(capsys, "terwilliger", bf, "--object", "x")
+    assert code == 1 and out["error"] == "NotTerminal"
+    assert out["witness"] == ["y", "x", 0]
+    code, out = run_json(capsys, "terwilliger", bf, "--object", "y")
+    assert code == 0 and out["dimension"] == 3
+
+
 def test_validate_category(capsys, tmp_path):
     raw = write(tmp_path, "cat.json", {
         "objects": ["x"], "morphisms": [{"id": "1_x", "src": "x", "tgt": "x"}],
