@@ -7,6 +7,10 @@ constant per block; these multiplicities define the algebra map
 s_pi -> n_pi s_phi(pi), whose homomorphism property is re-certified rather
 than assumed.
 
+One fiber count (`_fiber_counts`) serves both, and fixes the order of the
+failures (x, sigma, g) under any hash seed: sigma in block order, then x
+in object order, then g in the target's morphism order.
+
 Gates for the multiplicities: the target must be basic, and the source
 must either be a groupoid underneath or satisfy the unique-solution
 condition: within fixed blocks, f∘g = h has at most one solution once two
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraMap, HomCheckFailed, check_algebra_hom, schemoid_algebra
 from .fincat import SchemoidsError, is_groupoid
-from .schemoid import QuasiSchemoid, SchemoidMorphism, is_basic
+from .schemoid import QuasiSchemoid, SchemoidMorphism, identity_blocks, is_basic
 
 
 class AdmissibilityError(SchemoidsError):
@@ -42,30 +46,41 @@ class AdmissibilityReport:
     kernel: tuple[str, ...]    # blocks mapped into identity blocks of the target
 
 
+def _fiber_counts(phi: SchemoidMorphism) -> dict[str, dict[tuple[str, str], int]]:
+    """sigma -> {(x, g): #(phi^-1(g) ∩ x sigma)} over the eligible pairs,
+    x a source object and g in the image block of sigma ending at phi(x),
+    in the order of the module docstring."""
+    src, tgt = phi.source, phi.target
+    tgt_cat, tgt_block = tgt.category, tgt.partition.block_of
+    ending: dict[tuple[str, str], list[str]] = {}    # (object, block) -> g ending there
+    for g in tgt_cat.morphism_ids:
+        ending.setdefault((tgt_cat.tgt(g), tgt_block[g]), []).append(g)
+    src_cat, omap = src.category, phi.functor.object_map
+    counts = {sigma: {(x, g): 0 for x in src_cat.objects
+                      for g in ending.get((omap[x], phi.block_image[sigma]), ())}
+              for sigma in src.block_names()}
+    block_of = src.partition.block_of
+    for f in src_cat.morphism_ids:
+        counts[block_of[f]][(src_cat.tgt(f), phi(f))] += 1
+    return counts
+
+
+def _unhit(counts) -> list[tuple[str, str, str]]:
+    """The (x, sigma, g) whose fiber is empty, in the order of `_fiber_counts`."""
+    return [(x, sigma, g) for sigma, fibers in counts.items()
+            for (x, g), n in fibers.items() if not n]
+
+
 def is_admissible(phi: SchemoidMorphism) -> AdmissibilityReport:
-    """Surjectivity of the target-anchored fibers, with all failures collected."""
-    src_cat = phi.source.category
+    """Surjectivity of the target-anchored fibers, with all failures collected
+    in the order the module docstring states."""
+    failures = _unhit(_fiber_counts(phi))
     tgt = phi.target
-    failures = []
-    for sigma, members in phi.source.partition.blocks.items():
-        image_block = tgt.partition.blocks[phi.block_image[sigma]]
-        by_target: dict[str, set[str]] = {}
-        for f in members:
-            by_target.setdefault(src_cat.tgt(f), set()).add(phi(f))
-        for x in src_cat.objects:
-            fx = phi.functor.object_map[x]
-            hit = by_target.get(x, set())
-            for g in image_block:
-                if tgt.category.tgt(g) == fx and g not in hit:
-                    failures.append((x, sigma, g))
+    meeting, mixed = identity_blocks(tgt.category, tgt.partition)
+    only_identities = set(meeting).difference(mixed)
     kernel = tuple(sigma for sigma in phi.source.block_names()
-                   if phi.block_image[sigma] in _identity_blocks(tgt))
+                   if phi.block_image[sigma] in only_identities)
     return AdmissibilityReport(not failures, tuple(failures), kernel)
-
-
-def _identity_blocks(qs: QuasiSchemoid):
-    idents = qs.category.identities()
-    return {name for name, members in qs.partition.blocks.items() if members <= idents}
 
 
 def gate_report(phi: SchemoidMorphism) -> dict[str, bool]:
@@ -82,26 +97,21 @@ def gate_report(phi: SchemoidMorphism) -> dict[str, bool]:
 
 
 def multiplicities(phi: SchemoidMorphism) -> dict[str, int]:
-    """Fiber counts n_sigma, verified constant over all eligible anchors."""
-    report = is_admissible(phi)
-    if not report.admissible:
-        raise HypothesisNotMet(f"morphism is not admissible: {report.failures[0]}")
-    src_cat = phi.source.category
+    """Fiber counts n_sigma, verified constant over all eligible anchors.
+
+    An empty fiber anywhere is HypothesisNotMet at the first failure of
+    `is_admissible`; then the first block with two counts is
+    NonConstantFiber, whose extremes are the first pair with the least
+    count and the last with the greatest."""
+    counts = _fiber_counts(phi)
+    failures = _unhit(counts)
+    if failures:
+        raise HypothesisNotMet(f"morphism is not admissible: {failures[0]}")
     out: dict[str, int] = {}
-    for sigma, members in phi.source.partition.blocks.items():
-        image_block = phi.target.partition.blocks[phi.block_image[sigma]]
-        counts: dict[tuple[str, str], int] = {}
-        for x in src_cat.objects:
-            fx = phi.functor.object_map[x]
-            for g in image_block:
-                if phi.target.category.tgt(g) == fx:
-                    counts[(x, g)] = 0
-        for f in members:
-            key = (src_cat.tgt(f), phi(f))
-            counts[key] += 1
-        values = set(counts.values())
+    for sigma, fibers in counts.items():
+        values = set(fibers.values())
         if len(values) != 1:
-            witnesses = sorted(counts.items(), key=lambda kv: kv[1])
+            witnesses = sorted(fibers.items(), key=lambda kv: kv[1])
             raise NonConstantFiber(f"block {sigma!r}: counts range over {sorted(values)}; "
                                    f"extremes {witnesses[0]}, {witnesses[-1]}")
         out[sigma] = values.pop()
@@ -178,12 +188,14 @@ def condition_P(qs: QuasiSchemoid):
 def image_block_closure(phi: SchemoidMorphism):
     """Blocks with a positive constant over image blocks are image blocks.
 
-    Returns (True, None) or (False, witness (pi, rho, tau)).
+    Returns (True, None) or (False, witness (pi, rho, tau)), the first in
+    the target's block order.
     """
-    image = set(phi.block_image.values())
     tgt = phi.target
-    for pi in image:
-        for rho in image:
+    image = set(phi.block_image.values())
+    ordered = [b for b in tgt.block_names() if b in image]
+    for pi in ordered:
+        for rho in ordered:
             for tau in tgt.block_names():
                 if tgt.p(pi, rho, tau) > 0 and tau not in image:
                     return False, (pi, rho, tau)

@@ -65,9 +65,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .fincat import SchemoidsError
 from .linalg import (
@@ -76,7 +78,7 @@ from .linalg import (
     _rows_over,
     is_prime,
 )
-from .schemoid import QuasiSchemoid
+from .schemoid import QuasiSchemoid, identity_blocks
 
 
 class AlgebraError(SchemoidsError):
@@ -92,7 +94,6 @@ class HomCheckFailed(AlgebraError):
 
 
 class Rationals:
-    characteristic = 0
     p = None            # eliminations over Q run on integer rows, with no modulus
     zero = Fraction(0)
     one = Fraction(1)
@@ -121,7 +122,6 @@ class PrimeField:
         if not is_prime(p):
             raise AlgebraError(f"{p} is not prime")
         self.p = p
-        self.characteristic = p
 
     def from_int(self, n):
         return n % self.p
@@ -180,7 +180,6 @@ def _combination(terms, ring) -> dict:
 @dataclass(frozen=True, eq=False)
 class SchemoidAlgebra:
     basis: tuple[str, ...]
-    tensor: dict[tuple[str, str, str], object]  # (sigma, tau, mu) -> coefficient
     rows: dict[tuple[str, str], dict[str, int]]  # (sigma, tau) -> {mu: integer constant}
     ring: object
     unital: bool
@@ -191,8 +190,18 @@ class SchemoidAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def tensor(self) -> Mapping[tuple[str, str, str], object]:
+        """(sigma, tau, mu) -> c^mu_{sigma tau} as a ring element, nonzero
+        ones only, in the order of the rows: a read-only view of them,
+        built on first read and kept."""
+        from_int = self.ring.from_int
+        return MappingProxyType({(sigma, tau, mu): from_int(c)
+                                 for (sigma, tau), row in self.rows.items()
+                                 for mu, c in row.items()})
+
     def c(self, sigma, tau, mu):
-        return self.tensor.get((sigma, tau, mu), self.ring.zero)
+        return self.ring.from_int(self.rows.get((sigma, tau), {}).get(mu, 0))
 
     def multiply(self, u: dict, v: dict) -> dict:
         """u * v over the integer rows; Fraction coordinates give Fraction ones."""
@@ -206,15 +215,14 @@ def schemoid_algebra(qs: QuasiSchemoid, ring) -> SchemoidAlgebra:
     """Block-sum subalgebra of the category algebra, with tensor checks.
 
     The checks run on the integer constants, reduced mod p over F_p, and
-    the algebra keeps those rows; they become ring elements only in the
-    stored tensor.
+    the algebra keeps those rows, its one copy of the constants; they
+    become ring elements only when read, through `c` or `tensor`.
     """
     basis = tuple(qs.partition.names())
     rows = _sparse_rows(qs.constants.entries, ring)
     _assert_associative(basis, rows, ring)
     unital_flag, unit, tensor_unit = _unit_analysis(qs, basis, rows, ring)
-    tensor = {key: x for key, c in qs.constants.entries.items() if (x := ring.from_int(c))}
-    return SchemoidAlgebra(basis, tensor, rows, ring, unital_flag, unit, tensor_unit)
+    return SchemoidAlgebra(basis, rows, ring, unital_flag, unit, tensor_unit)
 
 
 def _assert_associative(basis, rows, ring):
@@ -287,20 +295,11 @@ def _identity_sum_coords(qs, basis, ring):
     """Expansion of sum-of-identities in the block-sum basis, or None.
 
     The s_sigma have disjoint supports, so the expansion exists exactly when
-    every block carries a constant required coefficient (1 on identities,
-    0 elsewhere).
+    no block mixes identities with other morphisms; it is then 1 on each
+    block of identities, in block order, which is the order of the basis.
     """
-    idents = qs.category.identities()
-    coords = {}
-    for b in basis:
-        members = qs.partition.blocks[b]
-        vals = {ring.one if m in idents else ring.zero for m in members}
-        if len(vals) > 1:
-            return None
-        v = vals.pop()
-        if v != ring.zero:
-            coords[b] = v
-    return coords
+    meeting, mixed = identity_blocks(qs.category, qs.partition)
+    return None if mixed else dict.fromkeys(meeting, ring.one)
 
 
 # ---------------------------------------------------------------------------

@@ -213,9 +213,10 @@ def constants_to_json(qs) -> dict:
 
 
 def algebra_to_json(alg) -> dict:
-    product = {}
-    for (s, t, m), v in sorted(alg.tensor.items()):
-        product.setdefault(f"{s},{t}", {})[m] = str(v)
+    # the integer rows print as their ring elements: reduced mod p over
+    # F_p, and an integer Fraction prints as the integer over Q
+    product = {f"{s},{t}": {m: str(v) for m, v in sorted(row.items())}
+               for (s, t), row in sorted(alg.rows.items())}
     unit = None
     if alg.unital:
         unit = [[b, str(c)] for b, c in sorted(alg.unit.items())]

@@ -1,8 +1,9 @@
 """Built-in example instances with recorded expectations.
 
-Every entry regenerates from scratch and re-verifies its recorded flags and
-dimensions; the selftest walks the whole table.  Entry names double as CLI
-handles (`schemoids examples <name>`).
+Every entry regenerates and re-verifies its recorded flags and dimensions;
+the selftest walks the whole table.  The one shared part, the product base
+of the extension entries, is built once per process.  Entry names double
+as CLI handles (`schemoids examples <name>`).
 """
 
 from __future__ import annotations
@@ -245,9 +246,11 @@ def _klein_fusion() -> QuasiSchemoid:
                                  check_association(gpd.base, partition, t))
 
 
+@cache
 def _product_base() -> tuple[QuasiSchemoid, Functor, FinCategory]:
     """The product base j(H(2,2)) × Z/2, its projection onto the group
-    factor and that factor's category, built afresh on every call."""
+    factor and that factor's category, built on the first call and shared
+    by every later one: values are never mutated."""
     group = _group_bullet(2)
     base, _, to_group = schemoid_product_with_projections(j_embed(hamming(2, 2)), group)
     return base, to_group, group.category

@@ -207,16 +207,26 @@ def verify_quasi_schemoid(cat: FinCategory, partition: MorphismPartition,
                          tuple(base_points) if base_points is not None else None)
 
 
+def identity_blocks(cat: FinCategory, partition: MorphismPartition):
+    """The blocks that meet the identities, and those of them that also
+    hold a non-identity: two lists, both in block order."""
+    idents = cat.identities()
+    meeting, mixed = [], []
+    for name, members in partition.blocks.items():
+        if not members.isdisjoint(idents):
+            meeting.append(name)
+            if not members <= idents:
+                mixed.append(name)
+    return meeting, mixed
+
+
 def is_unital(cat: FinCategory, partition: MorphismPartition):
     """True iff every block meeting the identities is made of identities.
 
-    Returns (flag, offending block name or None).
+    Returns (flag, first offending block name or None).
     """
-    idents = cat.identities()
-    for name, members in partition.blocks.items():
-        if members & idents and not members <= idents:
-            return False, name
-    return True, None
+    mixed = identity_blocks(cat, partition)[1]
+    return (False, mixed[0]) if mixed else (True, None)
 
 
 def check_association(cat: FinCategory, partition: MorphismPartition, t: Functor) -> Involution:
@@ -255,10 +265,8 @@ def check_association(cat: FinCategory, partition: MorphismPartition, t: Functor
 @dataclass(frozen=True)
 class ThinnessReport:
     unital: bool
-    per_source_bound: bool          # at most one morphism per block and source
     groupoid_with_t_inverse: bool
     semi_thin: bool
-    hom_sets_bounded: bool          # |Hom(x, y)| <= 1
     thin: bool
     base_points: tuple[str, ...] | None
     phi: dict[str, str] | None      # base point -> identity block
@@ -269,26 +277,29 @@ class ThinnessReport:
 def analyze_thinness(qs: QuasiSchemoid, base_points=None) -> ThinnessReport:
     """Semi-thin and thin analysis of a verified association schemoid.
 
-    If base_points is supplied it is validated; otherwise one object per
-    connected component is searched for so that v -> (block of 1_v) is a
-    bijection onto the identity blocks.
+    Thin means one base point per connected component with v -> (block of
+    1_v) a bijection onto the identity blocks s0.  `_search_base_points`
+    finds them, or checks given ones with each component's candidates cut
+    down to the given points; given ones are reported in the given order.
+
+    The witness is the first failure in this order: the first block, in
+    block order, that mixes identities with other morphisms; the first
+    block with two morphisms out of one object, at the first repeated
+    source in morphism order; T not the inverse map, or no groupoid.
     """
     cat, partition = qs.category, qs.partition
-    unital, offender = is_unital(cat, partition)
-    witness = None if unital else f"block {offender!r} mixes identities with other morphisms"
+    meeting, mixed = identity_blocks(cat, partition)
+    unital = not mixed
+    witness = None if unital else f"block {mixed[0]!r} mixes identities with other morphisms"
 
     per_source = True
-    order = {m: i for i, m in enumerate(cat.morphism_ids)}
     for name, members in partition.blocks.items():
         seen: set[str] = set()
-        for m in sorted(members, key=order.__getitem__):
-            x = cat.src(m)
-            if x in seen:
-                per_source = False
-                witness = witness or f"block {name!r} has two morphisms out of {x!r}"
-                break
-            seen.add(x)
-        if not per_source:
+        sources = map(cat.src, sorted(members, key=cat.index.__getitem__))
+        x = next((x for x in sources if x in seen or seen.add(x)), None)   # first repeat
+        if x is not None:
+            per_source = False
+            witness = witness or f"block {name!r} has two morphisms out of {x!r}"
             break
 
     groupoid_ok = False
@@ -303,50 +314,32 @@ def analyze_thinness(qs: QuasiSchemoid, base_points=None) -> ThinnessReport:
             witness = witness or "underlying category is not a groupoid"
 
     semi_thin = unital and per_source and groupoid_ok
-
-    hom_ok = cat.thin
-
-    idents = cat.identities()
-    s0 = tuple(name for name, members in partition.blocks.items() if members & idents)
-
-    thin = False
-    v_found = None
-    phi = None
-    if semi_thin and hom_ok:
-        comps = cat.components()
+    s0 = tuple(meeting)
+    found = phi = None
+    if semi_thin and cat.thin and len(comps := cat.components()) == len(s0):
         ident_block = {x: partition.block_of[cat.identity[x]] for x in cat.objects}
-        if base_points is not None:
-            v = tuple(base_points)
-            ok = len(v) == len(comps)
-            if ok:
-                for comp in comps:
-                    if len([x for x in v if x in comp]) != 1:
-                        ok = False
-                        break
-            if ok:
-                images = [ident_block[x] for x in v]
-                ok = len(set(images)) == len(images) and set(images) == set(s0)
-            if ok:
-                thin, v_found = True, v
-                phi = {x: ident_block[x] for x in v}
-        else:
-            if len(comps) == len(s0):
-                choice = _search_base_points(comps, ident_block, set(s0))
-                if choice is not None:
-                    thin, v_found = True, tuple(choice)
-                    phi = {x: ident_block[x] for x in v_found}
+        if base_points is None:
+            found = _search_base_points(comps, ident_block, set(s0))
+        elif len(base_points) == len(comps) and _search_base_points(
+                [c.intersection(base_points) for c in comps], ident_block, set(s0)) is not None:
+            # as many given points as components and some in each: one in each
+            found = tuple(base_points)
+        if found is not None:
+            phi = {x: ident_block[x] for x in found}
 
-    return ThinnessReport(unital, per_source, groupoid_ok, semi_thin,
-                          hom_ok, thin, v_found, phi, s0, witness)
+    return ThinnessReport(unital, groupoid_ok, semi_thin, found is not None,
+                          found, phi, s0, witness)
 
 
 def _search_base_points(comps, ident_block, s0):
-    """One object per component whose identity blocks exhaust s0, by backtracking."""
+    """One object per component whose identity blocks exhaust s0, by
+    backtracking over each component's objects in sorted order; None when
+    there is none, or when a component has no candidate."""
     comps = [sorted(c) for c in comps]
 
     def extend(i, used, acc):
         if i == len(comps):
-            return acc if used == s0 else None
+            return tuple(acc) if used == s0 else None
         for x in comps[i]:
             b = ident_block[x]
             if b in used:

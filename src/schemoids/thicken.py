@@ -19,6 +19,7 @@ cells never share an id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from operator import mul
 
 from .fincat import FinCategory, Functor, SchemoidsError, build_category, pair_name
@@ -42,10 +43,6 @@ class NotTransitive(ThickenError):
 
 
 class DiagonalTooSmall(ThickenError):
-    pass
-
-
-class NotAPartition(ThickenError):
     pass
 
 
@@ -170,11 +167,9 @@ def frame_irreducibility(framed: FramedCategory):
     return True, None
 
 
-def sigma_prime(framed: FramedCategory, residual: str | dict = "lump") -> QuasiSchemoid:
-    """Singleton frame blocks, one identity block, residual per request.
-
-    residual: 'lump' (one block), 'singletons', or an explicit block dict.
-    """
+def sigma_prime(framed: FramedCategory, residual: str = "lump") -> QuasiSchemoid:
+    """Singleton frame blocks, one identity block, and the residual as one
+    block ('lump') or as singletons ('singletons')."""
     cat = framed.category
     idents = set(cat.identity.values())
     frame_set = set(framed.frame.values())
@@ -188,13 +183,6 @@ def sigma_prime(framed: FramedCategory, residual: str | dict = "lump") -> QuasiS
     elif residual == "singletons":
         for m in rest:
             blocks[f"[{m}]"] = [m]
-    else:
-        given = {str(k): [str(x) for x in v] for k, v in residual.items()}
-        listed = [m for v in given.values() for m in v]
-        if sorted(listed) != sorted(rest):
-            raise NotAPartition("residual blocks must partition the non-frame, "
-                                "non-identity morphisms")
-        blocks.update(given)
     partition = make_partition(cat, blocks)
     return verify_quasi_schemoid(cat, partition)
 
@@ -211,10 +199,21 @@ def _class_thickness(scheme: CoherentConfiguration, thickness) -> dict[str, int]
     return z
 
 
+def _block_name(cls: str | None, residual: bool = False) -> str:
+    """The identity block is "1" (cls None), a frame block the class name
+    and a residual block the class name with "~" after it.  Each backslash
+    and "~" of a class name gets a backslash in front and the class "1"
+    reads "\\1", so distinct blocks get distinct names and other class
+    names stay as they are."""
+    if cls is None:
+        return "1"
+    name = "\\1" if cls == "1" else cls.replace("\\", "\\\\").replace("~", "\\~")
+    return name + "~" if residual else name
+
+
 def thicken_scheme(scheme: CoherentConfiguration, thickness) -> QuasiSchemoid:
     """The thickened schemoid of a scheme: frame blocks by class, residual
-    copies collected per class as sigma~."""
-    classes = list(scheme.classes)
+    copies collected per class, named by `_block_name`."""
     z_of_class = _class_thickness(scheme, thickness)
     n = scheme.size
     z = [[0] * n for _ in range(n)]
@@ -225,18 +224,14 @@ def thicken_scheme(scheme: CoherentConfiguration, thickness) -> QuasiSchemoid:
     framed = category_from_matrix(z, labels=scheme.points)
     cat = framed.category
 
-    blocks: dict[str, list[str]] = {"1": sorted(cat.identity.values())}
-    for c in classes:
-        blocks[c] = []
-        blocks[f"{c}~"] = []
+    blocks: dict[str, list[str]] = {_block_name(None): sorted(cat.identity.values())}
+    blocks.update({_block_name(c, r): [] for c in scheme.classes for r in (False, True)})
     for (i, j), mor in framed.frame.items():
         cls = scheme.class_of_pair(j, i)   # frame morphism i -> j sits over the pair (j, i)
-        blocks[cls].append(mor)
-        blocks[f"{cls}~"].extend(framed.extras[(i, j)])
+        blocks[_block_name(cls)].append(mor)
+        blocks[_block_name(cls, residual=True)].extend(framed.extras[(i, j)])
     blocks = {k: v for k, v in blocks.items() if v}
-    partition = make_partition(cat, blocks)
-    qs = verify_quasi_schemoid(cat, partition)
-    return QuasiSchemoid(cat, partition, qs.constants, None, None)
+    return verify_quasi_schemoid(cat, make_partition(cat, blocks))
 
 
 def residual_scaling_laws(sc: QuasiSchemoid, scheme: CoherentConfiguration, thickness):
@@ -250,17 +245,18 @@ def residual_scaling_laws(sc: QuasiSchemoid, scheme: CoherentConfiguration, thic
     """
     z = _class_thickness(scheme, thickness)
     names = set(sc.block_names())
-    for s in scheme.classes:
-        for t in scheme.classes:
-            for u in scheme.classes:
-                base = sc.p(t, u, s)
-                if f"{u}~" in names and sc.p(t, f"{u}~", s) != base * (z[u] - 1):
-                    return False, ("right", s, t, u)
-                if f"{u}~" in names and sc.p(f"{u}~", t, s) != (z[u] - 1) * sc.p(u, t, s):
-                    return False, ("left", s, t, u)
-                if f"{u}~" in names and f"{t}~" in names \
-                        and sc.p(f"{u}~", f"{t}~", s) != (z[u] - 1) * sc.p(u, t, s) * (z[t] - 1):
-                    return False, ("both", s, t, u)
+    b = {c: _block_name(c) for c in scheme.classes}
+    r = {c: _block_name(c, residual=True) for c in scheme.classes}
+    for s, t, u in product(scheme.classes, repeat=3):
+        if r[u] not in names:
+            continue
+        if sc.p(b[t], r[u], b[s]) != sc.p(b[t], b[u], b[s]) * (z[u] - 1):
+            return False, ("right", s, t, u)
+        left = (z[u] - 1) * sc.p(b[u], b[t], b[s])
+        if sc.p(r[u], b[t], b[s]) != left:
+            return False, ("left", s, t, u)
+        if r[t] in names and sc.p(r[u], r[t], b[s]) != left * (z[t] - 1):
+            return False, ("both", s, t, u)
     return True, None
 
 

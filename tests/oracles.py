@@ -1208,3 +1208,46 @@ def scheme_morphism_bruteforce(f_points, source, target):
             return None
         out[c] = images.pop()
     return out
+
+
+def thin_base_points(qs, base_points=None):
+    """(thin, base points) of a semi-thin schemoid, by enumeration.
+
+    Thin needs at most one morphism in each hom-set and one object per
+    connected component whose identity blocks are exactly the blocks that
+    hold an identity, each once.  Given base points must be such a choice,
+    counted with repeats, and are returned as given; otherwise the first
+    choice in the product of the components (in the order of their first
+    objects), each listed in sorted order, is returned."""
+    objects = list(qs.category.objects)
+    arrows = [(s, t) for _, s, t in qs.category.morphisms]
+    if len(set(arrows)) != len(arrows):
+        return False, None
+    identity = dict(qs.category.identity)
+    s0 = sorted(b for b, members in qs.partition.blocks.items()
+                if any(e in members for e in identity.values()))
+    ident_block = {x: qs.partition.block_of[identity[x]] for x in objects}
+    comps = []
+    for x in objects:
+        if any(x in c for c in comps):
+            continue
+        comp, grew = {x}, True
+        while grew:
+            grew = False
+            for s, t in arrows:
+                if (s in comp) != (t in comp):
+                    comp |= {s, t}
+                    grew = True
+        comps.append(comp)
+
+    def fits(v):
+        return (len(v) == len(comps) and all(sum(x in c for x in v) == 1 for c in comps)
+                and sorted(ident_block[x] for x in v) == s0)
+
+    if base_points is not None:
+        v = tuple(base_points)
+        return (True, v) if fits(v) else (False, None)
+    for v in product(*(sorted(c) for c in comps)):
+        if fits(v):
+            return True, v
+    return False, None

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import schemoids
 from schemoids.admissible import (
     HypothesisNotMet,
     condition_P,
@@ -12,11 +17,12 @@ from schemoids.admissible import (
 from schemoids.algebra import PrimeField, Rationals, identity_algebra_map, schemoid_algebra
 from schemoids.bridges import s_tilde_on_functor
 from schemoids.extensions import build_extension, trivial_system, zero_cochain2, cochain2_from_function
-from schemoids.fincat import Functor, cyclic_group_table, one_object_group
+from schemoids.fincat import Functor, build_category, cyclic_group_table, one_object_group, pair_name
 from schemoids.schemes import hamming, j_embed
 from schemoids.schemoid import (
     compose_schemoid_morphisms,
     identity_morphism,
+    make_partition,
     schemoid_morphism,
     verify_quasi_schemoid,
 )
@@ -220,3 +226,66 @@ def test_functoriality_of_induced_maps():
     k2 = induced_algebra_map(m2, Q)
     kc = induced_algebra_map(comp, Q)
     assert compose_algebra_maps(k2, k1).matrix == kc.matrix
+
+
+def hamming_point_map():
+    """j(H(1,2)) -> j(H(3,2)) on the points 0 -> 000, 1 -> 001: each point
+    misses two of the three R1 morphisms into its image."""
+    points = {"0": "000", "1": "001"}
+    fun = Functor(dict(points), {pair_name(x, y): pair_name(points[x], points[y])
+                                 for x in points for y in points})
+    return schemoid_morphism(j_embed(hamming(1, 2)), j_embed(hamming(3, 2)), fun)
+
+
+def uneven_fibers():
+    """Admissible, with three parallel arrows f, g, h: p -> q in one block:
+    y meets each once, v meets f and g twice and h once."""
+    def category(objects, arrows):
+        identity = {x: f"1_{x}" for x in objects}
+        return build_category(objects, [(e, x, x) for x, e in identity.items()] + arrows,
+                              identity, ())
+
+    images = {"a": "f", "b": "g", "c": "h", "d": "f", "e": "f", "k": "g", "l": "g", "m": "h"}
+    src = category(["x", "y", "u", "v"], [(m, "x", "y") for m in "abc"]
+                   + [(m, "u", "v") for m in "deklm"])
+    tgt = category(["p", "q"], [(g, "p", "q") for g in "fgh"])
+    source = verify_quasi_schemoid(src, make_partition(src, {
+        "I": ["1_x", "1_y", "1_u", "1_v"], "S": list(images)}))
+    target = verify_quasi_schemoid(tgt, make_partition(tgt, {"I": ["1_p", "1_q"], "F": list("fgh")}))
+    fun = Functor({"x": "p", "y": "q", "u": "p", "v": "q"},
+                  {"1_x": "1_p", "1_y": "1_q", "1_u": "1_p", "1_v": "1_q", **images})
+    return schemoid_morphism(source, target, fun)
+
+
+def _witnesses():
+    """The failures of `hamming_point_map` and the refusal of each fixture
+    by `multiplicities`, one line each."""
+    lines = [repr(is_admissible(hamming_point_map()).failures)]
+    for phi in (hamming_point_map(), uneven_fibers()):
+        try:
+            multiplicities(phi)
+        except Exception as err:
+            lines.append(f"{type(err).__name__}: {err}")
+    return lines
+
+
+def test_witness_order_is_independent_of_the_hash_seed():
+    """Failures come with g in the target's morphism order, so two hash
+    seeds print the same witnesses, and these are the ones in-process."""
+    want = [
+        "(('0', 'R1', '(000,010)'), ('0', 'R1', '(000,100)'), "
+        "('1', 'R1', '(001,011)'), ('1', 'R1', '(001,101)'))",
+        "HypothesisNotMet: morphism is not admissible: ('0', 'R1', '(000,010)')",
+        "NonConstantFiber: block 'S': counts range over [1, 2]; "
+        "extremes (('y', 'f'), 1), (('v', 'g'), 2)",
+    ]
+    assert is_admissible(uneven_fibers()).admissible
+    assert _witnesses() == want
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(schemoids.__file__)), here])
+    script = "from test_admissible import _witnesses; print(*_witnesses(), sep='\\n')"
+    outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, timeout=60,
+                           env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}).stdout
+            for seed in ("1", "2")]
+    assert outs[0] == outs[1] == "\n".join(want) + "\n"

@@ -766,3 +766,24 @@ def test_values_over_Q_are_fractions():
         values += amap.matrix.values()
         values += amap.apply({s: Q.one for s in amap.source.basis}).values()
     assert values and all(isinstance(x, Fraction) for x in values)
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeField(2), PrimeField(3)])
+def test_tensor_is_a_read_only_view_of_the_rows(ring):
+    """The algebra keeps its constants once, as integer rows; `tensor` and
+    `c` read them as ring elements: the nonzero constants of the table in
+    its order, Fractions over Q and residues over F_p."""
+    h22 = hamming(2, 2)
+    for qs in [thicken_scheme(h22, 3), j_embed(hamming(3, 2)), group_bullet(3), ex2_8()]:
+        alg = schemoid_algebra(qs, ring)
+        want = [(key, ring.from_int(c)) for key, c in qs.constants.entries.items()
+                if ring.from_int(c)]
+        assert list(alg.tensor.items()) == want
+        assert all(type(x) is (Fraction if ring == Q else int) for _, x in want)
+        assert alg.tensor is alg.tensor
+        with pytest.raises(TypeError):
+            alg.tensor[(alg.basis[0],) * 3] = ring.one
+        for sigma in alg.basis:
+            for tau in alg.basis:
+                for mu in alg.basis:
+                    assert alg.c(sigma, tau, mu) == ring.from_int(qs.p(sigma, tau, mu))

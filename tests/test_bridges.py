@@ -1,5 +1,9 @@
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from schemoids import bridges
 from schemoids.bridges import (
     NotBasedMorphism,
     NotSemiThin,
@@ -31,6 +35,7 @@ from schemoids.schemoid import (
 )
 from schemoids.algebra import Rationals, schemoid_algebra
 
+from oracles import thin_base_points
 from test_schemoid import group_bullet
 
 
@@ -252,3 +257,77 @@ def test_s_tilde_injective_on_homs():
         validate_functor(f, z4.base, z2.base)
         homs.append(s_tilde_on_functor(f, z4, z2))
     assert homs[0].functor.morphism_map != homs[1].functor.morphism_map
+
+
+def _thin_candidates():
+    """Semi-thin schemoids: the C_I family, thin only for |I| = 2, and
+    s_tilde images, connected or with two components."""
+    t = terminal_category()
+    two = disjoint_union(t, t)
+    groupoids = [zmod(n) for n in (1, 2, 3, 4)] + [
+        two_object_connected_groupoid(), Groupoid(two, {m: m for m in two.morphism_ids})]
+    return [c_i_family(k) for k in (1, 2, 3)] + [s_tilde(g) for g in groupoids]
+
+
+THIN_CANDIDATES = _thin_candidates()
+
+
+def _check_base_points(qs, given):
+    report = analyze_thinness(qs, given)
+    assert report.semi_thin
+    thin, base_points = thin_base_points(qs, given)
+    assert (report.thin, report.base_points) == (thin, base_points)
+    block_of, identity = qs.partition.block_of, qs.category.identity
+    assert report.phi == (None if base_points is None
+                          else {x: block_of[identity[x]] for x in base_points})
+
+
+@pytest.mark.parametrize("k, given, thin", [
+    (2, None, True),
+    (2, ["x0", "y1"], True),
+    (2, ["y1", "x0"], True),         # reported in the given order
+    (2, ["x0", "y0"], False),        # two in one component, none in the other
+    (2, ["x0", "x1"], False),        # one identity block twice
+    (2, ["x0", "x0"], False),
+    (2, ["x0"], False),
+    (2, ["x0", "y1", "x1"], False),
+    (2, ["x0", "ghost"], False),
+    (1, ["x0", "y0"], False),        # two in the one component
+    (1, None, False),
+    (3, ["x0", "y1", "x2"], False),
+])
+def test_given_base_points_on_the_c_i_family(k, given, thin):
+    qs = c_i_family(k)
+    _check_base_points(qs, given)
+    report = analyze_thinness(qs, given)
+    assert report.thin == thin
+    if thin and given is not None:
+        assert report.base_points == tuple(given)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_given_and_searched_base_points_match_enumeration(data):
+    """Given base points, searched ones, and given points drawn with
+    repeats and with two in one component, against `thin_base_points`."""
+    qs = data.draw(st.sampled_from(THIN_CANDIDATES))
+    objects = qs.category.objects
+    given = data.draw(st.none() | st.lists(st.sampled_from(objects), max_size=len(objects) + 1))
+    _check_base_points(qs, given)
+    found = analyze_thinness(qs).base_points
+    if found is not None:
+        _check_base_points(qs, list(found))
+
+
+def test_phi_psi_check_reads_a_broken_report_as_a_program_error(monkeypatch):
+    """Two base points in one component cannot come from a thin report;
+    given one, the round trip fails as a program error, not as NotThin."""
+    qs = c_i_family(2)
+    real = analyze_thinness
+
+    def broken(qs, base_points=None):
+        return dataclasses.replace(real(qs, base_points), base_points=("x0", "y0"))
+
+    monkeypatch.setattr(bridges, "analyze_thinness", broken)
+    with pytest.raises(ValueError):
+        phi_psi_check(qs)

@@ -124,6 +124,28 @@ def test_sc3_group_scheme_z2_laws():
     assert residual_scaling_laws(sc, s, 3) == (True, None)
 
 
+@pytest.mark.parametrize("classes", [["1", "2"], ["X", "X~"], ["R1", "R0"], ["\\", "\\\\"],
+                                     ["1~", "\\1"]])
+@pytest.mark.parametrize("z", [2, 3, [1, 2], [3, 1]])
+def test_thickening_does_not_depend_on_class_names(classes, z):
+    """Class names that are also the identity block's name, or a class name
+    with "~" after it, or hold backslashes, name distinct blocks: the
+    thickening is the one of classes R0, R1 up to renaming the blocks."""
+    relations = [[0, 1], [1, 0]]
+    s = validate_scheme(2, relations, classes=classes)
+    ref = thicken_scheme(validate_scheme(2, relations, classes=["R0", "R1"]), z)
+    sc = thicken_scheme(s, z)
+    assert sc.category == ref.category
+    rename = {name: ref.partition.block_of[min(members)]
+              for name, members in sc.partition.blocks.items()}
+    assert len(set(rename.values())) == len(rename)
+    assert {rename[name]: members for name, members in sc.partition.blocks.items()} \
+        == ref.partition.blocks
+    assert {tuple(map(rename.get, key)): c for key, c in sc.constants.entries.items()} \
+        == ref.constants.entries
+    assert residual_scaling_laws(sc, s, z) == (True, None)
+
+
 def test_unequal_thickness():
     s = hamming(1, 2)
     sc = thicken_scheme(s, [1, 2])
