@@ -7,9 +7,10 @@ constant per block; these multiplicities define the algebra map
 s_pi -> n_pi s_phi(pi), whose homomorphism property is re-certified rather
 than assumed.
 
-One fiber count (`_fiber_counts`) serves both, and fixes the order of the
-failures (x, sigma, g) under any hash seed: sigma in block order, then x
-in object order, then g in the target's morphism order.
+One fiber count (`SchemoidMorphism.fibers`, counted on first read and
+kept) serves both, and fixes the order of the failures (x, sigma, g)
+under any hash seed: sigma in block order, then x in object order, then g
+in the target's morphism order.
 
 Gates for the multiplicities: the target must be basic, and the source
 must either be a groupoid underneath or satisfy the unique-solution
@@ -46,27 +47,9 @@ class AdmissibilityReport:
     kernel: tuple[str, ...]    # blocks mapped into identity blocks of the target
 
 
-def _fiber_counts(phi: SchemoidMorphism) -> dict[str, dict[tuple[str, str], int]]:
-    """sigma -> {(x, g): #(phi^-1(g) ∩ x sigma)} over the eligible pairs,
-    x a source object and g in the image block of sigma ending at phi(x),
-    in the order of the module docstring."""
-    src, tgt = phi.source, phi.target
-    tgt_cat, tgt_block = tgt.category, tgt.partition.block_of
-    ending: dict[tuple[str, str], list[str]] = {}    # (object, block) -> g ending there
-    for g in tgt_cat.morphism_ids:
-        ending.setdefault((tgt_cat.tgt(g), tgt_block[g]), []).append(g)
-    src_cat, omap = src.category, phi.functor.object_map
-    counts = {sigma: {(x, g): 0 for x in src_cat.objects
-                      for g in ending.get((omap[x], phi.block_image[sigma]), ())}
-              for sigma in src.block_names()}
-    block_of = src.partition.block_of
-    for f in src_cat.morphism_ids:
-        counts[block_of[f]][(src_cat.tgt(f), phi(f))] += 1
-    return counts
-
-
 def _unhit(counts) -> list[tuple[str, str, str]]:
-    """The (x, sigma, g) whose fiber is empty, in the order of `_fiber_counts`."""
+    """The (x, sigma, g) whose fiber is empty, in the order of
+    `SchemoidMorphism.fibers`."""
     return [(x, sigma, g) for sigma, fibers in counts.items()
             for (x, g), n in fibers.items() if not n]
 
@@ -74,7 +57,7 @@ def _unhit(counts) -> list[tuple[str, str, str]]:
 def is_admissible(phi: SchemoidMorphism) -> AdmissibilityReport:
     """Surjectivity of the target-anchored fibers, with all failures collected
     in the order the module docstring states."""
-    failures = _unhit(_fiber_counts(phi))
+    failures = _unhit(phi.fibers)
     tgt = phi.target
     meeting, mixed = identity_blocks(tgt.category, tgt.partition)
     only_identities = set(meeting).difference(mixed)
@@ -103,7 +86,7 @@ def multiplicities(phi: SchemoidMorphism) -> dict[str, int]:
     `is_admissible`; then the first block with two counts is
     NonConstantFiber, whose extremes are the first pair with the least
     count and the last with the greatest."""
-    counts = _fiber_counts(phi)
+    counts = phi.fibers
     failures = _unhit(counts)
     if failures:
         raise HypothesisNotMet(f"morphism is not admissible: {failures[0]}")

@@ -23,6 +23,7 @@ from .fincat import (
     pair_name,
     validate_functor,
 )
+from .schemes import SCHEME_BUDGET, SizeLimit
 from .schemoid import (
     QuasiSchemoid,
     SchemoidMorphism,
@@ -61,7 +62,9 @@ def s_tilde(h: Groupoid) -> QuasiSchemoid:
     Objects are the morphisms of H; Hom(g, h) = {(h, g)} when g and h share
     a target; the block of (k, l) is determined by k^-1 l; T flips pairs.
     Blocks from distinct components stay distinct: pairs from different
-    components never share the k^-1 l value.
+    components never share the k^-1 l value.  The category has Σ_t |H_t|³
+    composable triples, H_t the morphisms with target t: past SCHEME_BUDGET
+    it is refused as SizeLimit before any name is built.
     """
     cat_h = h.base
     mors = list(cat_h.morphism_ids)
@@ -71,6 +74,9 @@ def s_tilde(h: Groupoid) -> QuasiSchemoid:
     by_target: dict[str, list[str]] = {}
     for m in mors:
         by_target.setdefault(cat_h.tgt(m), []).append(m)
+    triples = sum(len(group) ** 3 for group in by_target.values())
+    if triples > SCHEME_BUDGET:
+        raise SizeLimit(f"{triples} composable triples of morphisms exceed the budget of {SCHEME_BUDGET}")
     name = {(k, l): pair_name(k, l) for group in by_target.values() for k in group for l in group}
     for group in by_target.values():
         for k in group:

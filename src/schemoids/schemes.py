@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
-from operator import add
 
 from .fincat import (
     CategoryError,
@@ -23,7 +22,13 @@ from .fincat import (
     pair_name,
 )
 from .shapes import SCHEME, check
-from .schemoid import QuasiSchemoid, StructureConstantTable, check_association, make_partition
+from .schemoid import (
+    QuasiSchemoid,
+    StructureConstantTable,
+    _intersection_tally,
+    check_association,
+    make_partition,
+)
 
 # point triples the intersection tally may visit (N = 128 at most); it also
 # bounds a thickening's composable triples and an orbit walk's pair images
@@ -114,6 +119,11 @@ class AssociationScheme(CoherentConfiguration):
 def validate_scheme(size: int, relations, points=None, classes=None):
     """Verify the configuration axioms by exhaustive counting.
 
+    The intersection numbers come from `schemoid._intersection_tally`,
+    the one tally of point triples, which `check_concatenation` also runs
+    on pair groupoids; a class g whose p^g_{ef} is not constant is
+    NonConstantIntersection at the first such (e, f, g).
+
     More than SCHEME_BUDGET point triples (N³) are refused as SizeLimit
     before the relations are read.  Point names and class names must each
     be distinct; a name given twice is refused as SchemeError before the
@@ -159,42 +169,15 @@ def validate_scheme(size: int, relations, points=None, classes=None):
             raise NotTransposeClosed(classes[k])
         transpose[classes[k]] = classes[images[k].pop()]
 
-    intersection = _intersection_numbers(rel, points, classes)
-    cls = AssociationScheme if len(diag) == 1 else CoherentConfiguration
-    return cls(points, classes, rel, intersection, transpose)
-
-
-def _intersection_numbers(rel, points, classes) -> dict[tuple[str, str, str], int]:
-    """The nonzero p^g_{ef}, verified constant over each class g.
-
-    One pass over (x, y, z) tallies (class(x, y), class(y, z)) for every
-    pair (x, z), each (e, f) as the int e k + f (k the number of classes);
-    each tally must equal the tally of the first pair of its class
-    (row-major order).  On failure, NonConstantIntersection names the
-    lexicographically first (e, f, g) that is not constant.
-    """
-    size, k = len(rel), len(classes)
-    cols = [tuple(row[z] for row in rel) for z in range(size)]
-    first: dict[int, tuple[tuple[int, int], Counter]] = {}
-    worst = None      # (e, f, g), first pair, its count, differing pair, its count
-    for x, row in enumerate(rel):
-        scaled = [e * k for e in row]
-        for z, g in enumerate(row):
-            tally = Counter(map(add, scaled, cols[z]))
-            (x1, z1), ref = first.setdefault(g, ((x, z), tally))
-            if dict.__eq__(ref, tally):   # both hold positive counts only
-                continue
-            key = min(key for key in ref.keys() | tally.keys() if ref[key] != tally[key])
-            e, f = divmod(key, k)
-            if worst is None or (e, f, g) < worst[0]:
-                worst = ((e, f, g), (x1, z1), ref[key], (x, z), tally[key])
-    if worst is not None:
-        (e, f, g), (x1, z1), c1, (x2, z2), c2 = worst
+    constants, failure = _intersection_tally(rel, len(classes))
+    if failure is not None:
+        (e, f, g), (x1, z1), c1, (x2, z2), c2 = failure
         raise NonConstantIntersection(
             classes[e], classes[f], classes[g],
             (points[x1], points[z1]), c1, (points[x2], points[z2]), c2)
-    return {(classes[key // k], classes[key % k], classes[g]): first[g][1][key]
-            for key, g in sorted((key, g) for g, (_, tally) in first.items() for key in tally)}
+    intersection = {(classes[e], classes[f], classes[g]): p for (e, f, g), p in constants.items()}
+    cls = AssociationScheme if len(diag) == 1 else CoherentConfiguration
+    return cls(points, classes, rel, intersection, transpose)
 
 
 def serialize_scheme(s: CoherentConfiguration) -> dict:
@@ -309,8 +292,9 @@ def j_embed(scheme: CoherentConfiguration) -> QuasiSchemoid:
     y, in the blocks (r(x, y), r(y, z)).  So the count for (σ, τ) at h is
     #{y : r(x, y) = σ, r(y, z) = τ}, which `validate_scheme` tallied for
     every pair (x, z) and verified constant over each class.  It keeps the
-    nonzero counts only, keyed (e, f, g) and sorted in class order, as
-    `check_concatenation` keys and sorts them.  The blocks are the classes
+    nonzero counts only, keyed (e, f, g) and sorted in class order, as the
+    same tally returns them when `check_concatenation` runs it on the
+    pair groupoid with blocks in class order.  The blocks are the classes
     one to one because `validate_scheme` refuses a class name given twice,
     and the morphism names are distinct because it refuses a point name
     given twice.  The category and the involution are still checked.

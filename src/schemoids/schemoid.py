@@ -4,7 +4,11 @@ the schemoid morphisms between them.
 The central check counts, for each block triple (σ, τ, μ), the number of
 factorizations h = f∘g with f in σ, g in τ of every h in μ; the partition
 is admitted exactly when that count is constant along μ (morphisms with
-zero factorizations participate in the constancy requirement).
+zero factorizations participate in the constancy requirement).  On a pair
+groupoid, one morphism in every hom-set as in j(S), the count is the
+intersection tally of the block matrix, the same routine that gives a
+scheme's intersection numbers to `schemes.validate_scheme`; on any other
+category it runs over the composable pairs.
 
 A schemoid morphism is a functor between the underlying categories that
 sends each block of the source into one block of the target; it is the
@@ -18,7 +22,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from operator import add
 
 from .fincat import (
     FinCategory,
@@ -168,13 +174,24 @@ def check_concatenation(cat: FinCategory, partition: MorphismPartition) -> Struc
     """Count factorizations per block triple; AxiomViolation on non-constancy.
 
     A pair (σ, τ) with no factorization, or a block μ that none lands in,
-    has the constant 0 and is skipped.
+    has the constant 0 and is skipped.  The constants are keyed in block
+    order, and the witness is the first non-constant (σ, τ, μ) in block
+    order, at the first member h1 of μ by label and the first member whose
+    count differs from h1's.
+
+    A pair groupoid, every hom-set holding exactly one morphism (j(S) and
+    the s̃ of a one-object group), is counted by the intersection tally of
+    its block matrix rel[t][s], the block of s -> t: the factorizations of
+    h: r -> t are the (s -> t)∘(r -> s), one for each object s.  Any other
+    category is counted over its composable pairs.
     """
     names = partition.names()
     number = {name: b for b, name in enumerate(names)}
     ids, bo = cat.morphism_ids, partition.block_of
     block = [number[bo[m]] for m in ids]
     width, n = len(names), len(ids)
+    if cat.thin and n == len(cat.objects) ** 2:
+        return _pair_groupoid_constants(cat, partition, names, block)
     # one tally over all composable pairs (f, g) -> h, keyed by the block
     # triple and h: ((block(f) * width + block(g)) * width + block(h)) * n + h
     f_part = [b * width * width * n for b in block]
@@ -197,6 +214,76 @@ def check_concatenation(cat: FinCategory, partition: MorphismPartition) -> Struc
                 raise AxiomViolation(names[sigma], names[tau], names[mu], ids[h1], c1, ids[h], c)
         entries[(names[sigma], names[tau], names[mu])] = c1
     return StructureConstantTable(entries)
+
+
+def _pair_groupoid_constants(cat, partition, names, block) -> StructureConstantTable:
+    """`check_concatenation` on a pair groupoid, by the intersection tally
+    of rel[t][s] = block(s -> t).  On failure the tally's first
+    non-constant (e, f, g) is the first (σ, τ, μ) in block order; the
+    members of μ are then counted by label, each in one pass over the
+    objects, up to the first whose count differs from the first's."""
+    size = len(cat.objects)
+    rel = [[0] * size for _ in range(size)]
+    for b, s, t in zip(block, cat.src_of, cat.tgt_of):
+        rel[t][s] = b
+    constants, failure = _intersection_tally(rel, len(names))
+    if failure is None:
+        return StructureConstantTable({(names[e], names[f], names[g]): p
+                                       for (e, f, g), p in constants.items()})
+    sigma, tau, mu = failure[0]
+
+    def count(h):     # h: r -> t factors once through each object s
+        i = cat.index[h]
+        r = cat.src_of[i]
+        return sum(a == sigma and row[r] == tau for a, row in zip(rel[cat.tgt_of[i]], rel))
+
+    h1, *rest = sorted(partition.blocks[names[mu]])
+    c1 = count(h1)
+    h, c = next((h, c) for h, c in zip(rest, map(count, rest)) if c != c1)
+    raise AxiomViolation(names[sigma], names[tau], names[mu], h1, c1, h, c)
+
+
+def _intersection_tally(rel, k):
+    """The intersection numbers of a k-class matrix rel, N x N with class
+    indices 0..k-1, by one pass over the point triples (x, y, z).
+
+    p^g_{ef} = #{y : rel[x][y] = e, rel[y][z] = f} for any (x, z) of class
+    g.  Each pair (x, z) gets the signature sorted(e k + f over y), which
+    must equal the signature of the first pair of its class in row-major
+    order; a Counter is built only for each class's first pair and for
+    the pairs that differ from it.  Returns (constants, failure): the
+    nonzero {(e, f, g): p} sorted by (e, f, g) and None, or None and the
+    lexicographically first (e, f, g) that is not constant with its
+    witness ((e, f, g), first pair, its count, first pair in row-major
+    order whose count differs, that count).
+    """
+    cols = list(zip(*rel))
+    first: list[list[int] | None] = [None] * k    # g -> signature of its first pair
+    at: dict[int, tuple[int, int]] = {}
+    counts: dict[int, Counter] = {}   # g -> Counter of its first signature, on demand
+    worst = None
+    for x, row in enumerate(rel):
+        scaled = [e * k for e in row]
+        signatures = [sorted(map(add, scaled, col)) for col in cols]
+        for z, (g, signature) in enumerate(zip(row, signatures)):
+            ref = first[g]
+            if signature == ref:
+                continue
+            if ref is None:
+                first[g], at[g] = signature, (x, z)
+                continue
+            if g not in counts:
+                counts[g] = Counter(ref)
+            ref, tally = counts[g], Counter(signature)
+            key = min(key for key in ref.keys() | tally.keys() if ref[key] != tally[key])
+            e, f = divmod(key, k)
+            if worst is None or (e, f, g) < worst[0]:
+                worst = ((e, f, g), at[g], ref[key], (x, z), tally[key])
+    if worst is not None:
+        return None, worst
+    tallies = list(map(Counter, first))
+    return {(key // k, key % k, g): tallies[g][key]
+            for key, g in sorted((key, g) for g, tally in enumerate(tallies) for key in tally)}, None
 
 
 def verify_quasi_schemoid(cat: FinCategory, partition: MorphismPartition,
@@ -370,6 +457,28 @@ class SchemoidMorphism:
 
     def __call__(self, m: str) -> str:
         return self.functor.morphism_map[m]
+
+    @cached_property
+    def fibers(self) -> dict[str, dict[tuple[str, str], int]]:
+        """sigma -> {(x, g): #(phi^-1(g) ∩ x sigma)} over the eligible pairs,
+        x a source object and g in the image block of sigma ending at
+        phi(x): sigma in block order, then x in object order, then g in the
+        target's morphism order.  Built on first read and kept, so the
+        admissibility report, the multiplicities and the induced algebra
+        map share one count; read it, never change it."""
+        src, tgt = self.source, self.target
+        tgt_cat, tgt_block = tgt.category, tgt.partition.block_of
+        ending: dict[tuple[str, str], list[str]] = {}    # (object, block) -> g ending there
+        for g in tgt_cat.morphism_ids:
+            ending.setdefault((tgt_cat.tgt(g), tgt_block[g]), []).append(g)
+        src_cat, omap = src.category, self.functor.object_map
+        counts = {sigma: {(x, g): 0 for x in src_cat.objects
+                          for g in ending.get((omap[x], self.block_image[sigma]), ())}
+                  for sigma in src.block_names()}
+        block_of, mmap = src.partition.block_of, self.functor.morphism_map
+        for f in src_cat.morphism_ids:
+            counts[block_of[f]][(src_cat.tgt(f), mmap[f])] += 1
+        return counts
 
 
 def schemoid_morphism(source: QuasiSchemoid, target: QuasiSchemoid,

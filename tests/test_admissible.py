@@ -65,6 +65,18 @@ def test_identity_multiplicities_and_map():
     assert ok
 
 
+def test_report_multiplicities_and_map_share_one_fiber_count():
+    """The fibers are counted on first read and kept on the morphism, so
+    the report, the multiplicities and the algebra map read one count."""
+    phi = extension_projection()[0]
+    assert "fibers" not in vars(phi)
+    assert is_admissible(phi).admissible
+    counts = vars(phi)["fibers"]
+    assert set(multiplicities(phi).values()) == {2}
+    induced_algebra_map(phi, Q)
+    assert phi.fibers is counts
+
+
 def test_point_inclusion_is_admissible_by_the_definition():
     """Including one vertex into j of a 2-point scheme: the class-1 block is
     not the image of any source block, so the anchored condition quantifies

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from schemoids.fincat import (
     terminal_category,
     validate_functor,
 )
+from schemoids.schemes import SizeLimit
 from schemoids.schemoid import (
     analyze_thinness,
     check_association,
@@ -331,3 +333,23 @@ def test_phi_psi_check_reads_a_broken_report_as_a_program_error(monkeypatch):
     monkeypatch.setattr(bridges, "analyze_thinness", broken)
     with pytest.raises(ValueError):
         phi_psi_check(qs)
+
+
+def test_s_tilde_refuses_oversized_triple_counts_before_building():
+    """s̃ of Z/n has n³ composable triples: Z/129 (2146689) is past the
+    budget of 2²¹ and refused as SizeLimit before any name is built; with
+    the budget lowered to 8, Z/2 (exactly 8) is still built."""
+    group = one_object_group(*cyclic_group_table(129))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match=f"{129 ** 3} composable triples of morphisms exceed"):
+        s_tilde(group)
+    assert time.perf_counter() - start < 1
+
+
+def test_s_tilde_budget_admits_exactly_the_budget(monkeypatch):
+    """With the budget lowered to 8, Z/2 (exactly 8 triples) is built and
+    Z/3 (27) is refused."""
+    monkeypatch.setattr(bridges, "SCHEME_BUDGET", 8)
+    assert len(s_tilde(one_object_group(*cyclic_group_table(2))).category.morphisms) == 4
+    with pytest.raises(SizeLimit, match="27 composable triples"):
+        s_tilde(one_object_group(*cyclic_group_table(3)))

@@ -5,7 +5,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from schemoids.bridges import s_tilde_on_functor
+from schemoids.bridges import s_tilde, s_tilde_on_functor
 from schemoids.extensions import (
     Cochain2,
     FunctorialityViolated,
@@ -36,6 +36,7 @@ from schemoids.fincat import (
     join,
     one_object_group,
     opposite,
+    pair_name,
     product,
     product_with_projections,
     serialize,
@@ -623,6 +624,65 @@ def test_concatenation_count_matches_raw_entry_oracle(case):
         want = err
     try:
         got = check_concatenation(cat, make_partition(cat, blocks)).entries
+    except AxiomViolation as err:
+        got = err
+    event("violation" if isinstance(want, AxiomViolation) else "accepted")
+    if isinstance(want, AxiomViolation):
+        assert isinstance(got, AxiomViolation) and got.witness == want.witness
+    else:
+        assert got == want
+
+
+@st.composite
+def partitioned_pair_groupoids(draw):
+    """(raw, blocks): the pair groupoid on n = 1..6 objects or the s̃ of
+    Z/n, both with one morphism in every hom-set, so that
+    `check_concatenation` runs the intersection tally.  The morphism
+    s -> t, i and j the positions of s and t, is labelled j - i mod n
+    (the classes of Z/n) or its distance min(d, n - d), which hold the
+    axiom, the same with one morphism moved to a drawn label, or by labels
+    drawn at random, which mostly break it; blocks named in a drawn order."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        cat = s_tilde(one_object_group(*cyclic_group_table(n))).category
+    else:
+        points = [f"p{i}" for i in range(n)]
+        cat = build_category(
+            points, [(pair_name(t, s), s, t) for t in points for s in points],
+            {x: pair_name(x, x) for x in points},
+            [(pair_name(t, s), pair_name(s, r), pair_name(t, r))
+             for t in points for s in points for r in points])
+    position = {x: i for i, x in enumerate(cat.objects)}
+    ids = sorted(cat.morphism_ids)
+    kind = draw(st.sampled_from(["difference", "distance", "random"]))
+    if kind == "random":
+        label = dict(zip(ids, draw(st.lists(st.integers(0, 3), min_size=len(ids),
+                                            max_size=len(ids)))))
+    else:
+        d = {m: (position[t] - position[s]) % n for m, s, t in cat.morphisms}
+        label = {m: d[m] if kind == "difference" else min(d[m], n - d[m]) for m in ids}
+        if draw(st.booleans()):
+            label[draw(st.sampled_from(ids))] = draw(st.integers(0, n - 1))
+    order = draw(st.permutations(sorted(set(label.values()))))
+    blocks = {f"B{b}": [m for m in ids if label[m] == b] for b in order}
+    return draw(shuffled(serialize(cat))), blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitioned_pair_groupoids())
+def test_pair_groupoid_tally_matches_raw_entry_oracle(case):
+    """On pair groupoids the intersection tally gives the constants, key
+    for key and in the same order, or the AxiomViolation witness, that
+    counting the raw entries gives."""
+    raw, blocks = case
+    cat = validate_category(raw)
+    assert cat.thin and len(cat.morphisms) == len(cat.objects) ** 2
+    try:
+        want = list(schemoid_constants_bruteforce(completed_entries(raw), blocks).items())
+    except AxiomViolation as err:
+        want = err
+    try:
+        got = list(check_concatenation(cat, make_partition(cat, blocks)).entries.items())
     except AxiomViolation as err:
         got = err
     event("violation" if isinstance(want, AxiomViolation) else "accepted")

@@ -6,7 +6,7 @@ from itertools import permutations, product
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from schemoids.fincat import NonAssociative, as_groupoid, cyclic_group_table, serialize
 from schemoids.schemes import (
@@ -392,6 +392,61 @@ def test_nonconstant_intersection_names_oracle_triple():
         assert c1 != c2
 
 
+@st.composite
+def tallied_matrices(draw):
+    """An N x N class matrix, N = 1..6, that passes the diagonal and
+    transpose checks, so that `validate_scheme` reaches the tally: the
+    cyclic distance classes, the same with one symmetric pair moved into a
+    drawn class, or each unordered off-diagonal pair drawn from the class
+    pairs (2, 2), (3, 3), (4, 5) and (5, 4), 5 the transpose of 4, over a
+    diagonal of class 0 or of classes 0 and 1 (a configuration).  Class
+    indices are renumbered 0..k-1 in order of first appearance."""
+    n = draw(st.integers(1, 6))
+    rel = [[0] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for x in range(n):
+            for y in range(n):
+                rel[x][y] = min((y - x) % n, (x - y) % n)
+        if n > 1 and draw(st.booleans()):
+            x, y = draw(st.sampled_from([(x, y) for x in range(n) for y in range(x + 1, n)]))
+            rel[x][y] = rel[y][x] = draw(st.integers(1, n // 2))
+    else:
+        diagonal = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        for x in range(n):
+            rel[x][x] = diagonal[x]
+            for y in range(x + 1, n):
+                rel[x][y], rel[y][x] = draw(st.sampled_from([(2, 2), (3, 3), (4, 5), (5, 4)]))
+    number: dict[int, int] = {}
+    return [[number.setdefault(c, len(number)) for c in row] for row in rel]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tallied_matrices())
+def test_tally_matches_bruteforce_on_random_matrices(rel):
+    """`validate_scheme` gives the intersection numbers of the brute-force
+    count, key for key and in the same order, or NonConstantIntersection
+    at its first non-constant (e, f, g), witnessed by the first pair of
+    class g in row-major order and the first pair whose count differs."""
+    n = len(rel)
+    try:
+        want = intersection_numbers_bruteforce(rel)
+    except AssertionError as oracle:
+        e, f, g = map(int, re.search(r"p\^(\d+)_\{(\d+),(\d+)\}", str(oracle)).group(2, 3, 1))
+        count = lambda x, z: sum(rel[x][y] == e and rel[y][z] == f for y in range(n))
+        pairs = [(x, z) for x in range(n) for z in range(n) if rel[x][z] == g]
+        c1 = count(*pairs[0])
+        second = next(p for p in pairs if count(*p) != c1)
+        event("violation")
+        with pytest.raises(NonConstantIntersection) as err:
+            validate_scheme(n, rel)
+        assert err.value.witness == (f"R{e}", f"R{f}", f"R{g}", tuple(map(str, pairs[0])), c1,
+                                     tuple(map(str, second)), count(*second))
+        return
+    event("accepted")
+    got = validate_scheme(n, rel).intersection
+    assert list(got.items()) == [((f"R{e}", f"R{f}", f"R{g}"), p) for (e, f, g), p in want.items()]
+
+
 def test_point_name_count_checked():
     with pytest.raises(SchemeError):
         validate_scheme(2, [[0, 1], [1, 0]], points=["a"])
@@ -438,7 +493,8 @@ J_EMBED_CASES = {
 @pytest.mark.parametrize("name", list(J_EMBED_CASES))
 def test_j_embed_constants_match_an_independent_recount(name):
     """j(S) takes its structure constants from S's intersection numbers; a
-    recount over the category's rows and a count of the entries of its
+    recount by `check_concatenation`, which tallies the block matrix read
+    off the category's endpoints, and a count of the entries of its
     serialized table, completed by the dense oracle, give the same table,
     key for key and in the same order."""
     s = J_EMBED_CASES[name]()
