@@ -5,6 +5,14 @@ pipe together, e.g.
 
     schemoids gen hamming 2 2 | schemoids embed-scheme - | schemoids constants -
 
+A category is written with its composition as a table of integers, one
+per composable pair: for f in morphism order and g over the morphisms into
+src(f) in morphism order, the position of f∘g in "morphisms" (see
+`fincat.serialize`).  Every command that reads a category also takes a
+hand-written list of [f, g, fg] label triples in its place, where the
+pairs the unit laws fill in may be left out; the JSON type of the first
+entry tells the two forms apart.
+
 Exit status: 0 on an answer, a negative one included (`admissible`
 reporting a morphism that is not admissible, `split` finding no section);
 1 on a refused input or a closed stdout; 2 on a usage error; 3 on the
@@ -225,8 +233,15 @@ def algebra_to_json(alg) -> dict:
 
 
 def analysis_report(qs) -> dict:
+    """The `analyze` report.  With an involution, unitality is read from
+    the thinness report, which scans the identity blocks once for both."""
     cat = qs.category
-    unital, offender = is_unital(cat, qs.partition)
+    report = None
+    if qs.involution is None:
+        unital, offender = is_unital(cat, qs.partition)
+    else:
+        report = analyze_thinness(qs, qs.base_points)
+        unital, offender = report.unital, next(iter(report.mixed), None)
     out = {
         "kind": "analysis",
         "objects": len(cat.objects),
@@ -239,9 +254,8 @@ def analysis_report(qs) -> dict:
     }
     if offender:
         out["offending_block"] = offender
-    if qs.involution is not None:
+    if report is not None:
         out["block_involution"] = dict(qs.involution.block_image)
-        report = analyze_thinness(qs, qs.base_points)
         out["semi_thin"] = report.semi_thin
         out["thin"] = report.thin
         if report.base_points:
@@ -435,8 +449,8 @@ def _dispatch(args, pretty) -> int:
 
     if cmd == "roundtrip-check":
         gpd = validate_groupoid(load(args.input))
-        witness = canonical_groupoid_witness(gpd)
         qs = s_tilde(gpd)
+        witness = canonical_groupoid_witness(gpd, qs)
         phi_psi_check(qs)
         emit({"roundtrip": "ok", "witness": serialize_functor(witness)}, pretty)
         return 0

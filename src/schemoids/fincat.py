@@ -10,6 +10,15 @@ boundary: `comp` looks up one composite by name, and `compose`, the table
 keyed by label pairs, is a read-only view derived from the rows on first
 read, for callers outside the library.  Validated values are immutable by
 convention; every operation builds fresh structures.
+
+A category document writes its composition in one of two forms.
+`serialize` writes a table: one integer per composable pair, f in
+morphism order and, for each f, g over the morphisms into src(f) in
+morphism order, the entry being the position of f∘g in "morphisms".  A
+hand-written document may instead list [f, g, fg] label triples, in any
+order and without the pairs the unit laws fill in.  `read_category` tells
+the two apart by the JSON type of the first entry and reads both into the
+same rows, which one check then certifies.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from types import MappingProxyType
 
 
@@ -269,43 +279,57 @@ def validate_category(raw: dict) -> FinCategory:
     """Validate a category document and return a FinCategory.
 
     The format is `shapes.CATEGORY`: {"objects": [...], "morphisms":
-    [{"id","src","tgt"}...], "identities": {obj: mor}, "compose": [[f, g,
-    fg], ...]}.  Composition entries implied by the unit laws may be
-    omitted.  A document of another shape is refused as a CategoryError
-    naming the first field that does not fit.
+    [{"id","src","tgt"}...], "identities": {obj: mor}, "compose": ...}.
+    "compose" is either the table `serialize` writes, one morphism
+    position per composable pair, or a list of [f, g, fg] label triples,
+    where the entries implied by the unit laws may be omitted.  A
+    document of another shape is refused as a CategoryError naming the
+    first field that does not fit.
     """
     return read_category(shapes.check(shapes.CATEGORY, raw))
 
 
 def read_category(raw: dict, at: str = "") -> FinCategory:
     """The category of a document already checked against
-    `shapes.CATEGORY`, found at JSON path `at` in a larger one.  The check
-    only finds each composition entry an array, since the read loop unpacks
-    and looks up each of them: when the read fails, the first entry that is
-    not `shapes.COMPOSE`'s [f, g, fg] is refused by name, before any law
-    the read found broken."""
+    `shapes.CATEGORY`, found at JSON path `at` in a larger one.
+
+    A "compose" whose first entry is no array (`shapes.is_table`) is a
+    table: the check has found every entry an integer, and `_read_table`
+    refuses one of the wrong length or with a position out of range, at
+    the first entry that misfits, before it slices the table into rows.
+    Otherwise it lists label triples, which the check only finds arrays,
+    since the read loop unpacks and looks up each of them: when the read
+    fails, the first entry that is not `shapes.COMPOSE`'s [f, g, fg] is
+    refused by name, before any law the read found broken."""
+    compose = raw["compose"]
+    path = f"{at}.compose" if at else "compose"
+    parts = (raw["objects"], [(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]],
+             raw["identities"])
+    if shapes.is_table(compose):
+        return _validate(*parts, table=(compose, path))
     try:
-        return _validate(raw["objects"], [(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]],
-                         raw["identities"], raw["compose"])
+        return _validate(*parts, compose)
     except (CategoryError, ValueError, TypeError):
-        shapes.check(shapes.COMPOSE, raw["compose"], f"{at}.compose" if at else "compose")
+        shapes.check(shapes.COMPOSE, compose, path)
         raise
 
 
-def _validate(objects, morphisms, identities, entries) -> FinCategory:
+def _validate(objects, morphisms, identities, entries=(), table=None) -> FinCategory:
     """The category laws by exhaustive check on an integer index.
 
     Morphisms are numbered 0..M-1 in input order.  Every key of
-    `identities` must be an object.  Totality: the entries with first
-    factor f must be exactly the pairs (f, g) with src(f) = tgt(g), each
-    composite running from src(g) to tgt(f).  The endpoints are checked as
-    each new entry (f, g) -> k is read: t(g) = s(f), s(k) = s(g) and t(k) =
-    t(f); the unit-law fills pass these by construction.  So once every
-    entry passes, each key of row f lies in into(src f), the morphisms into
-    src(f), and the keys of a row are distinct; a row as long as
-    into(src f) therefore holds all of it, and totality is one length
-    comparison per row.  Associativity: on a thin table it holds once
-    totality and endpoints do, since (x∘a)∘y and x∘(a∘y) both lie in
+    `identities` must be an object.  The composites come either as a
+    stream of (f, g, f∘g) label `entries` (`_read_labels`) or as a `table`,
+    (positions, JSON path), as `serialize` writes it (`_read_table`); both
+    fill the same rows and check each entry's endpoints as they read it:
+    t(g) = s(f), s(k) = s(g) and t(k) = t(f) for (f, g) -> k.  The
+    unit-law fills pass these by construction.  Totality: the entries with
+    first factor f must be exactly the pairs (f, g) with src(f) = tgt(g).
+    Once every entry passes, each key of row f lies in into(src f), the
+    morphisms into src(f), and the keys of a row are distinct; a row as
+    long as into(src f) therefore holds all of it, and totality is one
+    length comparison per row.  Associativity: on a thin table it holds
+    once totality and endpoints do, since (x∘a)∘y and x∘(a∘y) both lie in
     Hom(src y, tgt x), which has one member.  Otherwise by Light's test:
     the morphisms a with (x∘a)∘y = x∘(a∘y) for all composable x, y are
     closed under composition, and the identities are among them; so the
@@ -341,31 +365,22 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
         ghost = next(x for x in identity if x not in opos)
         raise CategoryError(f"identities: {ghost!r} is not an object")
 
-    # rows[i][j] = k: morphism k is the entry for (i, j), composable or not
-    rows: list[dict[int, int]] = [{} for _ in ids]
-    order: list[int] = []       # the row of each new entry, in input order
-    add = order.append
     s_of = [opos[s] for _, s, _ in morphisms]
     t_of = [opos[t] for _, _, t in morphisms]
-    # a bad endpoint is only noted here: an unknown or conflicting entry
-    # later in the input is raised first, as a full scan would raise it
-    endpoints_ok = True
-    for f, g, fg in entries:
-        try:
-            i, j, k = pos[f], pos[g], pos[fg]
-        except (KeyError, TypeError):
-            raise UndefinedComposite(
-                f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms") from None
-        row = rows[i]
-        if j not in row:
-            row[j] = k
-            add(i)
-            if t_of[j] != s_of[i] or s_of[k] != s_of[j] or t_of[k] != t_of[i]:
-                endpoints_ok = False
-        elif row[j] != k:
-            raise UndefinedComposite(f"conflicting entries for ({ids[i]!r}, {ids[j]!r})")
+    out_of: list[list[int]] = [[] for _ in objects]
+    in_to: list[list[int]] = [[] for _ in objects]
+    for i in range(len(ids)):
+        out_of[s_of[i]].append(i)
+        in_to[t_of[i]].append(i)
+    # rows[i][j] = k: morphism k is the entry for (i, j); order holds the
+    # row of each entry, in the order read
+    if table is None:
+        rows, order, endpoints_ok = _read_labels(entries, ids, pos, s_of, t_of)
+    else:
+        rows, order, endpoints_ok = _read_table(*table, s_of, t_of, in_to)
     # fill unit-law entries
     ident = [pos[identity[x]] for x in objects]
+    add = order.append
     for i in range(len(ids)):
         e, e2 = ident[s_of[i]], ident[t_of[i]]
         if e not in rows[i]:
@@ -374,12 +389,6 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
         if i not in rows[e2]:
             rows[e2][i] = i
             add(e2)
-
-    out_of: list[list[int]] = [[] for _ in objects]
-    in_to: list[list[int]] = [[] for _ in objects]
-    for i in range(len(ids)):
-        out_of[s_of[i]].append(i)
-        in_to[t_of[i]].append(i)
 
     # totality: with every key of row i in into(src i), a row as long as
     # into(src i) holds all of it
@@ -395,6 +404,59 @@ def _validate(objects, morphisms, identities, entries) -> FinCategory:
     if not cat.thin:
         _light_test(ids, s_of, t_of, out_of, in_to, rows, map(pos.__getitem__, cat.generators))
     return cat
+
+
+def _read_labels(entries, ids, pos, s_of, t_of):
+    """(rows, order, endpoints ok) from a stream of (f, g, f∘g) label
+    triples: the first entry given for a pair is kept, and a repeat must
+    agree with it.  A bad endpoint is only noted: an unknown or
+    conflicting entry later in the stream is raised first, as a full scan
+    would raise it."""
+    rows: list[dict[int, int]] = [{} for _ in ids]
+    order: list[int] = []
+    add = order.append
+    endpoints_ok = True
+    for f, g, fg in entries:
+        try:
+            i, j, k = pos[f], pos[g], pos[fg]
+        except (KeyError, TypeError):
+            raise UndefinedComposite(
+                f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms") from None
+        row = rows[i]
+        if j not in row:
+            row[j] = k
+            add(i)
+            if t_of[j] != s_of[i] or s_of[k] != s_of[j] or t_of[k] != t_of[i]:
+                endpoints_ok = False
+        elif row[j] != k:
+            raise UndefinedComposite(f"conflicting entries for ({ids[i]!r}, {ids[j]!r})")
+    return rows, order, endpoints_ok
+
+
+def _read_table(table, at, s_of, t_of, in_to):
+    """(rows, order, endpoints ok) from a table of integers at JSON path
+    `at`, as `serialize` writes it: row f is the next len(into(src f))
+    entries, keyed by into(src f) in order.  A table of the wrong length,
+    or with a position out of range, is refused at its first misfit by
+    `shapes.positions`.  Each row's composites are checked one row at a
+    time to run from the sources of its keys to t(f); the keys compose
+    with f by construction."""
+    widths = [len(in_to[s]) for s in s_of]
+    m = len(s_of)
+    if len(table) != sum(widths) or table and not (0 <= min(table) and max(table) < m):
+        shapes.check(shapes.positions(m, sum(widths)), table, at)
+    # the source of each morphism into x, in into(x) order
+    sources = [list(map(s_of.__getitem__, ys)) for ys in in_to]
+    src, tgt = s_of.__getitem__, t_of.__getitem__
+    rows, start, endpoints_ok = [], 0, True
+    for s, t, width in zip(s_of, t_of, widths):
+        composites = table[start:start + width]
+        start += width
+        rows.append(dict(zip(in_to[s], composites)))
+        if endpoints_ok and (list(map(src, composites)) != sources[s]
+                             or list(map(tgt, composites)).count(t) != width):
+            endpoints_ok = False
+    return rows, list(chain.from_iterable(map(repeat, range(m), widths))), endpoints_ok
 
 
 def _raise_first_gap(ids, s_of, t_of, in_to, rows):
@@ -467,14 +529,17 @@ def _light_test(ids, s_of, t_of, out_of, in_to, rows, generators):
 
 
 def serialize(cat: FinCategory) -> dict:
-    """JSON-ready description; identity-implied composition entries are
-    kept, in `entries` order."""
-    ids = cat.morphism_ids
+    """JSON-ready description, with "compose" written as a table: for f
+    in morphism order and g over into(src f) in morphism order, the
+    position of f∘g, unit-law pairs included."""
+    table: list[int] = []
+    for row, s in zip(cat.rows, cat.src_of):
+        table += map(row.__getitem__, cat.into[s])
     return {
         "objects": list(cat.objects),
         "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in cat.morphisms],
         "identities": dict(cat.identity),
-        "compose": [[ids[i], ids[j], ids[k]] for i, (j, k) in cat.entries()],
+        "compose": table,
     }
 
 

@@ -359,6 +359,7 @@ class ThinnessReport:
     phi: dict[str, str] | None      # base point -> identity block
     s0: tuple[str, ...]
     witness: str | None
+    mixed: tuple[str, ...]          # blocks of s0 that also hold a non-identity
 
 
 def analyze_thinness(qs: QuasiSchemoid, base_points=None) -> ThinnessReport:
@@ -415,7 +416,7 @@ def analyze_thinness(qs: QuasiSchemoid, base_points=None) -> ThinnessReport:
             phi = {x: ident_block[x] for x in found}
 
     return ThinnessReport(unital, groupoid_ok, semi_thin, found is not None,
-                          found, phi, s0, witness)
+                          found, phi, s0, witness, tuple(mixed))
 
 
 def _search_base_points(comps, ident_block, s0):

@@ -1,14 +1,16 @@
 """Every JSON document the package reads, declared once, and `check`.
 
 A spec is a tree of nodes: `Obj` (required and optional fields), `Arr` (an
-array of one spec), `Map` (an object whose values share one spec), `Tup`
-(an array of fixed length), `Atom` (a value of one JSON type, an integer
-with an optional lower bound among them), `OneOf` and `Kind` (an object
-whose "kind" field picks its spec).  `check` walks the document once; at
-the first misfit it raises the error class of the innermost node around it
-that names one (else `MalformedDocument`), with the message "path: what
-was expected, not what was found", and keeps the misfit's JSON path, such
-as `system.push[3]`, as the error's `path`.  The path is put together only
+array of one spec, of a given length if it says so), `Map` (an object
+whose values share one spec), `Tup` (an array of fixed length), `Atom` (a
+value of one JSON type, an integer with optional bounds among them),
+`OneOf`, `Kind` (an object whose "kind" field picks its spec) and
+`Composition` (a category's "compose", whose first entry picks the spec
+of all its entries).  `check` walks the document once; at the first
+misfit it raises the error class of the innermost node around it that
+names one (else `MalformedDocument`), with the message "path: what was
+expected, not what was found", and keeps the misfit's JSON path, such as
+`system.push[3]`, as the error's `path`.  The path is put together only
 while the misfit unwinds.  A node given its own `what`, or an array given
 `each`, is described as a whole, at its own path, before the misfit in it.
 """
@@ -64,28 +66,47 @@ def _each(spec, items):
 
 
 class Atom(Node):
-    def __init__(self, kind, what, low=None):
+    def __init__(self, kind, what, low=None, high=None):
         super().__init__(what)
-        self.kind, self.low = kind, low
+        self.kind, self.low, self.high = kind, low, high
 
     def walk(self, v):
-        if type(v) is not self.kind or self.low is not None and v < self.low:
+        if (type(v) is not self.kind or self.low is not None and v < self.low
+                or self.high is not None and v > self.high):
             self.misfit(v, type(v) is self.kind and repr(v))
 
     def all_fit(self, vs):
-        return self.low is None and list(map(type, vs)).count(self.kind) == len(vs)
+        return (self.low is None and self.high is None
+                and list(map(type, vs)).count(self.kind) == len(vs))
 
 
 class Arr(Node):
-    def __init__(self, item, what=None, each=None, **kw):
-        super().__init__(what or "a JSON array", each or (what and f"{what} expected"), **kw)
-        self.item = item
+    def __init__(self, item, what=None, each=None, length=None, **kw):
+        shape = "a JSON array" + ("" if length is None else f" of {length} entries")
+        super().__init__(what or shape, each or (what and f"{what} expected"), **kw)
+        self.item, self.length = item, length
+
+    def walk(self, v):
+        if type(v) is not list or self.length not in (None, len(v)):
+            self.misfit(v, type(v) is list and f"{len(v)} entries")
+        if not self.item.all_fit(v):
+            _each(self.item, enumerate(v))
+
+
+class Composition(Node):
+    """A category's "compose": a table of `table` entries if `is_table`
+    says so, else an array of `labels` entries."""
+
+    def __init__(self, labels, table):
+        super().__init__("a JSON array")
+        self.labels, self.table = labels, table
 
     def walk(self, v):
         if type(v) is not list:
             self.misfit(v)
-        if not self.item.all_fit(v):
-            _each(self.item, enumerate(v))
+        item = self.table if is_table(v) else self.labels
+        if not item.all_fit(v):
+            _each(item, enumerate(v))
 
 
 class Map(Node):
@@ -195,6 +216,13 @@ def check(spec, raw, at=""):
     return raw
 
 
+def is_table(compose):
+    """Whether a category's "compose" array is written as a table of
+    morphism positions rather than as [f, g, fg] label triples: its first
+    entry is no array.  An empty one lists no triple."""
+    return bool(compose) and type(compose[0]) is not list
+
+
 def is_bundle(raw):
     """Whether raw, given to `validate`, is a bundle rather than a category:
     an object with a "category" field."""
@@ -207,18 +235,35 @@ INT = Atom(int, "an integer")
 NAT = Atom(int, "a non-negative integer", low=0)
 MATRIX = Arr(Arr(INT), what="an array of arrays of integers")
 
-# The documents.  A category's composition entries are checked here only
-# for being arrays: `fincat.read_category` unpacks and looks up each one
-# anyway, and checks them against COMPOSE only when that read fails.
+# The documents.  A category's "compose" is written in one of two forms,
+# which the JSON type of its first entry tells apart (`is_table`): the
+# table `fincat.serialize` writes, one integer per composable pair (f in
+# morphism order, g over the morphisms into src f in morphism order, the
+# entry the position of f∘g in "morphisms"), or hand-written [f, g, fg]
+# label triples, where the pairs the unit laws fill in may be left out.
+# Every table entry is checked here to be an integer, in one pass over
+# them; its length and range are checked by `positions` once the
+# morphisms are known, and only when a read finds them wrong.  Label
+# triples are checked here only for being arrays: `fincat.read_category`
+# unpacks and looks up each one anyway, and checks them against COMPOSE
+# only when that read fails.
 CATEGORY = Obj({
     "objects": Arr(STR),
     "morphisms": Arr(Obj({"id": STR, "src": STR, "tgt": STR}),
                      each="each entry must be an object with id, src and tgt"),
     "identities": Map(STR),                                 # object -> its identity
-    "compose": Arr(Atom(list, "a JSON array [f, g, fg]")),
+    "compose": Composition(Atom(list, "a JSON array [f, g, fg]"),
+                           Atom(int, "a morphism position")),
 }, name="category", error=CategoryError)
 
 COMPOSE = Arr(Tup(STR, STR, STR, what="a JSON array [f, g, fg]"), error=CategoryError)
+
+
+def positions(m, pairs):
+    """A category's "compose" table for m morphisms and `pairs` composable
+    pairs: that many entries, each a position below m."""
+    return Arr(Atom(int, f"a morphism position below {m}", low=0, high=m - 1), length=pairs,
+               error=CategoryError)
 
 GROUPOID = Obj({**CATEGORY.fields, "inverse": Map(STR, error=MalformedDocument)},
                name="groupoid", error=CategoryError)

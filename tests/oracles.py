@@ -466,12 +466,39 @@ def check_algebra_hom_fractions(amap, a, b):
     return True, None
 
 
+def labelled(raw):
+    """raw with its "compose" as a list of [f, g, fg] label triples.  A
+    table of positions, as schemoids.fincat.serialize writes it (a
+    "compose" whose first entry is no array), is decoded here on its own:
+    the composable pairs are (f, g) for f over the morphisms in the order
+    given and, for each f, g over the morphisms with tgt(g) = src(f) in
+    the same order; the table holds one entry per pair, the position of
+    f∘g among the morphisms.  A table that is not one integer in range
+    per pair (a boolean is no integer) is refused as a CategoryError; a
+    list of triples is returned as it is."""
+    from schemoids.fincat import CategoryError
+
+    table = raw["compose"]
+    if not table or isinstance(table[0], list):
+        return raw
+    ids = [m["id"] for m in raw["morphisms"]]
+    pairs = [(f["id"], g["id"]) for f in raw["morphisms"] for g in raw["morphisms"]
+             if g["tgt"] == f["src"]]
+    if len(table) != len(pairs):
+        raise CategoryError(f"compose: {len(pairs)} positions expected, not {len(table)}")
+    for n, k in enumerate(table):
+        if type(k) is not int or not 0 <= k < len(ids):
+            raise CategoryError(f"compose[{n}]: no position of a morphism: {k!r}")
+    return {**raw, "compose": [[f, g, ids[k]] for (f, g), k in zip(pairs, table)]}
+
+
 def validate_category_dense(raw):
     """Category laws by the full scan: totality over all M² pairs of
     morphisms, associativity over every composable triple (g, f, e) in
     morphism order.  The reference for Light's test in
     schemoids.fincat.validate_category; same raw format, same error classes,
-    returns the completed composition table."""
+    returns the completed composition table.  A table of positions is
+    read through `labelled`."""
     from schemoids.fincat import (CategoryError, EndpointMismatch, MissingIdentity,
                                   NonAssociative, UndefinedComposite)
 
@@ -501,7 +528,7 @@ def validate_category_dense(raw):
             raise CategoryError(f"identities: {x!r} is not an object")
 
     compose = {}
-    for f, g, fg in raw["compose"]:
+    for f, g, fg in labelled(raw)["compose"]:
         f, g, fg = str(f), str(g), str(fg)
         if f not in src or g not in src or fg not in src:
             raise UndefinedComposite(f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms")

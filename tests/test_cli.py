@@ -541,7 +541,8 @@ def test_compose_entry_that_is_no_triple_is_refused_by_name(capsys, tmp_path):
            "identities": {"x": "1"}}
     for compose, message in (([["1", "1"]], "compose[0]: a JSON array [f, g, fg] expected, "
                                              "not 2 entries"),
-                             ([5], "compose[0]: a JSON array [f, g, fg] expected, not int")):
+                             ([["1", "1", "1"], 5],
+                              "compose[1]: a JSON array [f, g, fg] expected, not int")):
         doc = {**raw, "compose": compose}
         code, out = run_json(capsys, "validate", write(tmp_path, "category.json", doc))
         assert code == 1 and out["error"] == "CategoryError" and out["message"] == message

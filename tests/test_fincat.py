@@ -29,7 +29,7 @@ from schemoids.fincat import (
     validate_functor,
     validate_groupoid,
 )
-from oracles import factorization_category, validate_category_dense
+from oracles import factorization_category, labelled, validate_category_dense
 
 
 def arrow_category():
@@ -167,12 +167,13 @@ ONE_ARROW = {"objects": ["x"], "morphisms": [{"id": "1", "src": "x", "tgt": "x"}
 
 @pytest.mark.parametrize("compose, message", [
     ([["1", "1"]], "compose[0]: a JSON array [f, g, fg] expected, not 2 entries"),
-    ([5], "compose[0]: a JSON array [f, g, fg] expected, not int"),
+    ([["1", "1", "1"], 5], "compose[1]: a JSON array [f, g, fg] expected, not int"),
     ([["1", "1", "1"], ["1", "1", "1", "1"]],
      "compose[1]: a JSON array [f, g, fg] expected, not 4 entries"),
 ], ids=["pair", "int", "second-of-four"])
 def test_compose_entry_that_is_no_triple_is_a_category_error(compose, message):
-    """An entry the read loop cannot unpack is refused naming its index."""
+    """In a list of label triples, an entry the read loop cannot unpack is
+    refused naming its index."""
     with pytest.raises(CategoryError) as err:
         validate_category({**ONE_ARROW, "compose": compose})
     assert type(err.value) is CategoryError and str(err.value) == message
@@ -185,12 +186,47 @@ def test_compose_entry_that_unpacks_as_three_labels_is_refused(entry, name):
     as three morphism labels in the read loop; it is still no [f, g, fg]
     array.  In Z/3, "112" would read as 1∘1 = 2 and {"1", "2", "0"} as
     1∘2 = 0, both true."""
-    raw = serialize(one_object_group(*cyclic_group_table(3)).base)
+    raw = labelled(serialize(one_object_group(*cyclic_group_table(3)).base))
     at = raw["compose"].index(["1", "1", "2"] if name == "str" else ["1", "2", "0"])
     raw["compose"][at] = entry
     with pytest.raises(CategoryError) as err:
         validate_category(raw)
     assert str(err.value) == f"compose[{at}]: a JSON array [f, g, fg] expected, not {name}"
+
+
+@pytest.mark.parametrize("entry, found", [(True, "bool"), (1.0, "float"), ("1", "str")],
+                         ids=["true", "float", "string"])
+def test_table_entry_that_is_no_integer_is_refused_by_path(entry, found):
+    """In a table of positions, true is not position 1, and neither is
+    1.0 or "1": each is refused at its JSON path, where Z/3's table holds 1."""
+    raw = serialize(one_object_group(*cyclic_group_table(3)).base)
+    at = raw["compose"].index(1)
+    raw["compose"][at] = entry
+    with pytest.raises(CategoryError) as err:
+        validate_category(raw)
+    assert type(err.value) is CategoryError and err.value.path == f"compose[{at}]"
+    assert str(err.value) == f"compose[{at}]: a morphism position expected, not {found}"
+
+
+def test_table_of_wrong_length_or_range_is_refused_by_path():
+    """Z/3's table has 9 entries, each below 3; a table one entry short or
+    long is refused as a whole, and one with positions out of range at the
+    first of them, also inside a larger document."""
+    table = serialize(one_object_group(*cyclic_group_table(3)).base)["compose"]
+    cases = [(table[:-1], "", "compose", "compose: a JSON array of 9 entries expected, "
+                                          "not 8 entries"),
+             (table + [0], "", "compose", "compose: a JSON array of 9 entries expected, "
+                                          "not 10 entries"),
+             (table[:4] + [3] + table[5:7] + [7] + table[8:], "", "compose[4]",
+              "compose[4]: a morphism position below 3 expected, not 3"),
+             (table[:2] + [-1] + table[3:], "base", "base.compose[2]",
+              "base.compose[2]: a morphism position below 3 expected, not -1")]
+    for compose, at, path, message in cases:
+        raw = {**serialize(one_object_group(*cyclic_group_table(3)).base), "compose": compose}
+        with pytest.raises(CategoryError) as err:
+            fincat.read_category(raw, at)
+        assert type(err.value) is CategoryError and err.value.path == path
+        assert str(err.value) == message
 
 
 def test_unpacking_error_with_only_triples_is_raised_as_it_is(monkeypatch):

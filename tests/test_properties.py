@@ -25,6 +25,8 @@ from schemoids.extensions import (
 )
 from schemoids.fincat import (
     CategoryError,
+    EndpointMismatch,
+    MissingIdentity,
     NonAssociative,
     NotAFunctor,
     NotInvertible,
@@ -44,7 +46,7 @@ from schemoids.fincat import (
     validate_category,
     validate_functor,
 )
-from schemoids.schemes import hamming, j_embed, scheme_from_json, serialize_scheme
+from schemoids.schemes import group_scheme, hamming, j_embed, scheme_from_json, serialize_scheme
 from schemoids.schemoid import (
     AxiomViolation,
     QuasiSchemoid,
@@ -72,6 +74,7 @@ from oracles import (
     completed_entries,
     condition_P_bruteforce,
     inverses_bruteforce,
+    labelled,
     labelled_system,
     light_generators_greedy,
     natural_law_failures,
@@ -480,6 +483,136 @@ def test_category_serialization_roundtrip(cat):
     assert validate_category(serialize(cat)) == cat
 
 
+@st.composite
+def written_categories(draw):
+    """A category of each kind the library writes: a small one, j(S) of a
+    Hamming or cyclic scheme, a product of two small ones, or the total of
+    a split extension of a small one."""
+    kind = draw(st.sampled_from(["small", "j", "product", "extension"]))
+    event(f"written: {kind}")
+    if kind == "small":
+        return draw(small_categories())
+    if kind == "j":
+        if draw(st.booleans()):
+            return j_embed(hamming(draw(st.integers(1, 3)), 2)).category
+        return j_embed(group_scheme(*cyclic_group_table(draw(st.integers(2, 5))))).category
+    if kind == "product":
+        a, b = draw(small_categories()), draw(small_categories())
+        assume(len(a.morphisms) * len(b.morphisms) <= 200)
+        return product(a, b)
+    base = draw(small_categories())
+    assume(len(base.morphisms) <= 12)
+    system = trivial_system(base, draw(st.sampled_from([2, 3])), draw(st.integers(0, 1)))
+    return build_extension(base, system, Cochain2({})).total
+
+
+@settings(max_examples=60, deadline=None)
+@given(written_categories())
+def test_written_table_reads_back_the_category(cat):
+    """The table `serialize` writes reads back into an equal category with
+    the same entries, listed in the order of the table as the test's own
+    decoder reads it, and writing that category again gives the same
+    document."""
+    raw = serialize(cat)
+    back = validate_category(raw)
+    assert back == cat
+    assert sorted(back.entries()) == sorted(cat.entries())
+    ids = back.morphism_ids
+    assert [[ids[i], ids[j], ids[k]] for i, (j, k) in back.entries()] == labelled(raw)["compose"]
+    assert serialize(back) == raw
+
+
+SHAPE_TAMPERING = ("short", "long", "out of range", "true", "float", "string")
+
+
+@st.composite
+def tampered_writes(draw):
+    """(kind, n, raw): the table `serialize` writes for a small category,
+    tampered at entry n in one way: one entry short or long, a position
+    out of range, a true, float or string entry (true and 1.0 put where
+    the table holds 1 when it does), one composite redirected to a
+    morphism with other endpoints, one of a pair of non-identities
+    redirected to another parallel morphism, or the composite of f and
+    the identity of src(f) redirected to another morphism parallel to f."""
+    raw = serialize(draw(small_categories()))
+    table, ids = raw["compose"], [m["id"] for m in raw["morphisms"]]
+    ends = {m["id"]: (m["src"], m["tgt"]) for m in raw["morphisms"]}
+    identities = set(raw["identities"].values())
+    entries = labelled(raw)["compose"]
+    kind = draw(st.sampled_from(SHAPE_TAMPERING + ("endpoints", "associativity", "unit law")))
+    if kind in ("true", "float") and 1 in table:
+        n = draw(st.sampled_from([n for n, k in enumerate(table) if k == 1]))
+    elif kind == "associativity":
+        n = draw(st.sampled_from([n for n, (f, g, _) in enumerate(entries)
+                                  if f not in identities and g not in identities] or [None]))
+    elif kind == "unit law":
+        n = draw(st.sampled_from([n for n, (f, g, _) in enumerate(entries)
+                                  if g in identities and f not in identities] or [None]))
+    else:
+        n = draw(st.integers(0, len(table) - 1))
+    assume(n is not None)
+    fg = entries[n][2]
+    parallel = [k for k, m in enumerate(ids) if ends[m] == ends[fg] and m != fg]
+    if kind == "short":
+        assume(len(table) > 1)      # an empty array is a list of no label triples
+        del table[n]
+    elif kind == "long":
+        table.insert(n, draw(st.integers(0, len(ids) - 1)))
+    elif kind == "out of range":
+        table[n] = draw(st.sampled_from([len(ids), len(ids) + 1, -1, -len(ids)]))
+    elif kind == "true":
+        table[n] = True
+    elif kind == "float":
+        table[n] = float(table[n])
+    elif kind == "string":
+        table[n] = fg
+    elif kind == "endpoints":
+        others = [k for k, m in enumerate(ids) if ends[m] != ends[fg]]
+        assume(others)
+        table[n] = draw(st.sampled_from(others))
+    else:
+        assume(parallel)
+        table[n] = draw(st.sampled_from(parallel))
+    return kind, n, raw
+
+
+@settings(max_examples=400, deadline=None)
+@given(tampered_writes())
+def test_tampered_tables_are_refused_as_the_dense_oracle_reads_them(case):
+    """A tampered table is refused with the error class of the dense
+    oracle, which decodes the table on its own: a table that is not one
+    integer in range per pair as a CategoryError naming the table, or the
+    first bad entry, by its JSON path; a broken endpoint or unit law with
+    the error and message of the full scan; broken associativity with a
+    failing triple as its witness.  A redirect that keeps the laws gives
+    the oracle's table."""
+    kind, n, raw = case
+    try:
+        want = validate_category_dense(raw)
+    except CategoryError as err:
+        want = err
+    try:
+        got = validate_category(raw)
+    except CategoryError as err:
+        got = err
+    event(f"{kind}: {type(want).__name__ if isinstance(want, CategoryError) else 'accepted'}")
+    if kind in SHAPE_TAMPERING:
+        assert type(got) is type(want) is CategoryError
+        assert got.path == ("compose" if kind in ("short", "long") else f"compose[{n}]")
+        return
+    assert isinstance(want, {"endpoints": EndpointMismatch, "unit law": MissingIdentity,
+                             "associativity": (NonAssociative, dict)}[kind])
+    if isinstance(want, NonAssociative):
+        assert type(got) is NonAssociative
+        e, f, g, lhs, rhs = got.witness
+        table = _completed_table(labelled(raw))
+        assert table[(table[(e, f)], g)] == lhs != rhs == table[(e, table[(f, g)])]
+    elif isinstance(want, CategoryError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got.compose == want
+
+
 @settings(max_examples=20, deadline=None)
 @given(small_categories())
 def test_partition_serialization_roundtrip(cat):
@@ -528,9 +661,10 @@ def tampered_tables(draw):
 
 @st.composite
 def tampered(draw, raw):
-    """The raw description left alone or with one entry dropped, redirected
-    to any morphism, or added for any pair."""
-    compose = [list(entry) for entry in raw["compose"]]
+    """The raw description, its table decoded into label triples, left
+    alone or with one entry dropped, redirected to any morphism, or added
+    for any pair."""
+    compose = [list(entry) for entry in labelled(raw)["compose"]]
     ids = [m["id"] for m in raw["morphisms"]]
     kind = draw(st.sampled_from(["none", "none", "drop", "redirect", "add"]))
     if kind == "drop" and compose:
@@ -580,9 +714,10 @@ def test_light_test_matches_dense_oracle(raw):
 def shuffled(draw, raw):
     """The raw description with its composition entries in a drawn order
     and, in about half the cases, without the entries the unit laws imply,
-    which validation fills in."""
+    which validation fills in.  A table is decoded into label triples
+    first."""
     identities = set(raw["identities"].values())
-    compose = draw(st.permutations(raw["compose"]))
+    compose = draw(st.permutations(labelled(raw)["compose"]))
     if draw(st.booleans()):
         compose = [e for e in compose if e[0] not in identities and e[1] not in identities]
     return {**raw, "compose": compose}
@@ -730,12 +865,12 @@ def test_as_groupoid_matches_brute_inverse_search(raw):
 def test_compose_view_is_the_raw_entries_and_unit_fills(raw):
     """The labelled view, built from the rows on first read, lists the raw
     entries, the first of any repeated pair, and then the unit-law fills, in
-    the order given, as `serialize` writes them."""
+    the order given; the table `serialize` writes holds the same pairs."""
     cat = validate_category(raw)
     assert "compose" not in cat.__dict__
     view = cat.compose
     assert list(view.items()) == [((f, g), fg) for f, g, fg in completed_entries(raw)]
-    assert serialize(cat)["compose"] == [[f, g, fg] for (f, g), fg in view.items()]
+    assert {(f, g): fg for f, g, fg in labelled(serialize(cat))["compose"]} == view
     assert cat.compose is view
     with pytest.raises(TypeError):
         view[next(iter(view))] = cat.morphism_ids[0]

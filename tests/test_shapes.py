@@ -63,6 +63,9 @@ def test_check_admits_what_the_library_writes():
     (shapes.GROUPOID, {"objects": [], "morphisms": [], "identities": {}, "compose": [],
                        "inverse": {"f": 1}}, "", MalformedDocument, "inverse.f",
      "inverse.f: a string expected, not int"),
+    (shapes.BUNDLE, {"category": {"objects": [], "morphisms": [], "identities": {},
+                                  "compose": [0, 1, True]}}, "", CategoryError,
+     "category.compose[2]", "category.compose[2]: a morphism position expected, not bool"),
     (shapes.SYSTEM, {"kind": "trivial", "rank": -1}, "system", MalformedDocument, "system.rank",
      "system.rank: a non-negative integer expected, not -1"),
     (shapes.SYSTEM, {"kind": ["trivial"]}, "system", MalformedDocument, "system.kind",
@@ -73,7 +76,7 @@ def test_check_admits_what_the_library_writes():
      "cocycle.entries[0][2]", "cocycle.entries[0]: [f, g, vector] expected; "
      "cocycle.entries[0][2]: an array of integers or one integer expected, not list"),
 ], ids=["push-entry", "bool-relation", "category-field", "missing", "inverse-entry",
-        "negative-rank", "list-kind", "table-entry", "cocycle-vector"])
+        "table-entry-bool", "negative-rank", "list-kind", "table-entry", "cocycle-vector"])
 def test_a_refusal_names_the_first_misfit(spec, doc, at, cls, path, message):
     with pytest.raises(cls) as err:
         shapes.check(spec, doc, at)
