@@ -174,12 +174,11 @@ def r_tilde(qs: QuasiSchemoid) -> Groupoid:
     return _block_groupoid(qs, report.s0)
 
 
-def canonical_groupoid_witness(g: Groupoid,
-                               pair_schemoid: QuasiSchemoid | None = None) -> Functor:
-    """The functor x -> G[1_x], f -> G[f] onto r_tilde(s_tilde(G)), verified
-    to be an isomorphism of categories; `pair_schemoid` is s_tilde(G) when
-    the caller has built it already."""
-    rt = r_tilde(s_tilde(g) if pair_schemoid is None else pair_schemoid)
+def canonical_groupoid_witness(g: Groupoid, pair_schemoid: QuasiSchemoid) -> Functor:
+    """The functor x -> G[1_x], f -> G[f] onto r_tilde(pair_schemoid),
+    verified to be an isomorphism of categories; `pair_schemoid` is
+    s_tilde(G)."""
+    rt = r_tilde(pair_schemoid)
     omap = {x: f"G[{g.base.identity[x]}]" for x in g.base.objects}
     mmap = {f: f"G[{f}]" for f in g.base.morphism_ids}
     fun = Functor(omap, mmap)

@@ -149,10 +149,11 @@ def test_k_discrete():
 
 def test_r_tilde_of_s_tilde_z3():
     g = zmod(3)
-    rt = r_tilde(s_tilde(g))
+    qs = s_tilde(g)
+    rt = r_tilde(qs)
     assert len(rt.base.objects) == 1
     assert len(rt.base.morphisms) == 3
-    witness = canonical_groupoid_witness(g)
+    witness = canonical_groupoid_witness(g, qs)
     assert witness is not None
 
 
