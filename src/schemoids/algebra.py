@@ -381,12 +381,14 @@ class CategoryAlgebraClosure:
 
 
 def _by_target(cat, v: dict) -> dict[int, list]:
-    """The nonzero entries (g, b) of v, grouped by the position of g's target."""
-    tgt_of = cat.tgt_of
+    """The nonzero entries of v, grouped by the position of their
+    morphism's target: (inpos[g], b) for the entry b at g, its place in
+    the rows of the morphisms out of that target."""
+    tgt_of, inpos = cat.tgt_of, cat.inpos
     ending_at: dict[int, list] = {}
     for g, b in v.items():
         if b:
-            ending_at.setdefault(tgt_of[g], []).append((g, b))
+            ending_at.setdefault(tgt_of[g], []).append((inpos[g], b))
     return ending_at
 
 
@@ -398,8 +400,8 @@ def _product(cat, u: dict, ending_at: dict, p) -> dict:
     for f, a in u.items():
         if a:
             row = rows[f]
-            for g, b in ending_at.get(src_of[f], ()):
-                h = row[g]
+            for at, b in ending_at.get(src_of[f], ()):
+                h = row[at]
                 out[h] = out.get(h, 0) + a * b
     return _nonzero(out, p)
 

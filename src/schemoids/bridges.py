@@ -11,6 +11,7 @@ morphism by the explicit functor pair built here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .fincat import (
     FinCategory,
@@ -27,6 +28,7 @@ from .schemes import SCHEME_BUDGET, SizeLimit
 from .schemoid import (
     QuasiSchemoid,
     SchemoidMorphism,
+    ThinnessReport,
     analyze_thinness,
     check_association,
     discrete_partition,
@@ -70,7 +72,7 @@ def s_tilde(h: Groupoid) -> QuasiSchemoid:
     mors = list(cat_h.morphism_ids)
     objects = mors
     morphisms = []
-    compose = []
+    rows = []
     by_target: dict[str, list[str]] = {}
     for m in mors:
         by_target.setdefault(cat_h.tgt(m), []).append(m)
@@ -80,14 +82,14 @@ def s_tilde(h: Groupoid) -> QuasiSchemoid:
     name = {(k, l): pair_name(k, l) for group in by_target.values() for k in group for l in group}
     for group in by_target.values():
         for k in group:
-            for l in group:
-                morphisms.append((name[(k, l)], l, k))
-        for k in group:
-            for m in group:
-                for l in group:
-                    compose.append((name[(k, m)], name[(m, l)], name[(k, l)]))
+            # (k, l) is morphism `start` + l's place in the group, and into(l)
+            # is the (l, x), x in group order: the row of (k, l) holds
+            # (k, l)∘(l, x) = (k, x), one list shared by every l
+            start = len(morphisms)
+            morphisms += [(name[(k, l)], l, k) for l in group]
+            rows += repeat(list(range(start, len(morphisms))), len(group))
     identity = {m: name[(m, m)] for m in mors}
-    cat = build_category(objects, morphisms, identity, compose)
+    cat = build_category(objects, morphisms, identity, rows=rows)
 
     blocks: dict[str, list[str]] = {}
     for (k, l), kl in name.items():
@@ -166,19 +168,24 @@ def _block_groupoid(qs: QuasiSchemoid, s0: tuple[str, ...]) -> Groupoid:
     return Groupoid(cat, inverse)
 
 
-def r_tilde(qs: QuasiSchemoid) -> Groupoid:
-    """Groupoid with objects the identity blocks and morphisms the blocks."""
-    report = analyze_thinness(qs, qs.base_points)
+def r_tilde(qs: QuasiSchemoid, report: ThinnessReport | None = None) -> Groupoid:
+    """Groupoid with objects the identity blocks and morphisms the blocks.
+    `report` is `analyze_thinness(qs, qs.base_points)`, made here when not
+    given."""
+    if report is None:
+        report = analyze_thinness(qs, qs.base_points)
     if not report.semi_thin:
         raise NotSemiThin(report.witness or "schemoid is not semi-thin")
     return _block_groupoid(qs, report.s0)
 
 
-def canonical_groupoid_witness(g: Groupoid, pair_schemoid: QuasiSchemoid) -> Functor:
+def canonical_groupoid_witness(g: Groupoid, pair_schemoid: QuasiSchemoid,
+                               report: ThinnessReport | None = None) -> Functor:
     """The functor x -> G[1_x], f -> G[f] onto r_tilde(pair_schemoid),
     verified to be an isomorphism of categories; `pair_schemoid` is
-    s_tilde(G)."""
-    rt = r_tilde(pair_schemoid)
+    s_tilde(G), and `report`, when given, its thinness report, as
+    `r_tilde` reads it."""
+    rt = r_tilde(pair_schemoid, report)
     omap = {x: f"G[{g.base.identity[x]}]" for x in g.base.objects}
     mmap = {f: f"G[{f}]" for f in g.base.morphism_ids}
     fun = Functor(omap, mmap)
@@ -201,8 +208,10 @@ class ThinRoundTrip:
     psi: Functor                 # double -> qs
 
 
-def phi_psi_check(qs: QuasiSchemoid) -> ThinRoundTrip:
+def phi_psi_check(qs: QuasiSchemoid, report: ThinnessReport | None = None) -> ThinRoundTrip:
     """Explicit inverse pair between a based thin schemoid and its double.
+    `report` is `analyze_thinness(qs, qs.base_points)`, made here when not
+    given.
 
     Verifies functoriality, that both composites are identities on objects
     and morphisms, blockwise behaviour of both functors, and that phi sends
@@ -215,7 +224,8 @@ def phi_psi_check(qs: QuasiSchemoid) -> ThinRoundTrip:
     thin, so one morphism from each object to a base point: a report that
     breaks this is a program error (ValueError), not a verdict.
     """
-    report = analyze_thinness(qs, qs.base_points)
+    if report is None:
+        report = analyze_thinness(qs, qs.base_points)
     if not report.semi_thin:
         raise NotSemiThin(report.witness or "schemoid is not semi-thin")
     if not report.thin:

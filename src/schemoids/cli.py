@@ -450,8 +450,9 @@ def _dispatch(args, pretty) -> int:
     if cmd == "roundtrip-check":
         gpd = validate_groupoid(load(args.input))
         qs = s_tilde(gpd)
-        witness = canonical_groupoid_witness(gpd, qs)
-        phi_psi_check(qs)
+        report = analyze_thinness(qs, qs.base_points)      # one analysis for both trips
+        witness = canonical_groupoid_witness(gpd, qs, report)
+        phi_psi_check(qs, report)
         emit({"roundtrip": "ok", "witness": serialize_functor(witness)}, pretty)
         return 0
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, product as iproduct, repeat
-from operator import add
+from operator import add, itemgetter
 
 from . import linalg
 from .fincat import (
@@ -98,6 +98,10 @@ class ExtensionTooLarge(ExtensionError):
     """The total category's tables would exceed `EXTENSION_BUDGET` entries."""
 
 
+class ComplexTooLarge(ExtensionError):
+    """d2 would have more than `COMPLEX_BUDGET` rows."""
+
+
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -119,9 +123,10 @@ def _vec_neg(u: Vector, modulus: int | None) -> Vector:
 
 @dataclass(frozen=True, eq=False)
 class NaturalSystem:
-    """D on morphism positions; push and pull are shaped like the category's
-    rows, one matrix per composable pair, and may share rows, as a trivial
-    system does among the morphisms with one source."""
+    """D on morphism positions; push[a] and pull[a] are dicts {f: matrix}
+    with a key for each f into src(a), one matrix per composable pair, and
+    may be shared, as a trivial system shares them among the morphisms with
+    one source."""
     category: FinCategory
     modulus: int | None                      # None means rational coefficients
     rank: tuple[int, ...]                    # morphism -> rank of D_f
@@ -150,7 +155,9 @@ def _positions(cat: FinCategory, f, g):
     """(i, j, k) for composable morphisms f and g of cat, named by label,
     with k the position of f∘g; None if they are not."""
     i, j = cat.index.get(f), cat.index.get(g)
-    return (i, j, cat.rows[i][j]) if i is not None and j in cat.rows[i] else None
+    if i is None or j is None or cat.tgt_of[j] != cat.src_of[i]:
+        return None
+    return i, j, cat.rows[i][cat.inpos[j]]
 
 
 def _check_shapes(cat, rank, push, pull):
@@ -158,14 +165,14 @@ def _check_shapes(cat, rank, push, pull):
     rank(a∘f) rows of rank(f) entries, or rank(f∘b) rows of rank(f)
     entries.  The pushes are checked first, row by row; each distinct
     matrix is measured once."""
-    ids = cat.morphism_ids
+    ids, src_of, tgt_of, inpos = cat.morphism_ids, cat.src_of, cat.tgt_of, cat.inpos
     measured: dict[int, tuple[int, set[int]]] = {}    # id(matrix) -> (rows, row lengths)
     for kind, maps, column in (("push", push, 1), ("pull", pull, 0)):
         for i, (row, mats) in enumerate(zip(cat.rows, maps)):
             for j, mat in mats.items():
-                k = row.get(j)
-                if k is None:
+                if tgt_of[j] != src_of[i]:
                     raise FunctorialityViolated(f"{kind} key ({ids[i]!r}, {ids[j]!r}) is not composable")
+                k = row[inpos[j]]
                 shape = measured.get(id(mat))
                 if shape is None:
                     shape = measured[id(mat)] = (len(mat), set(map(len, mat)))
@@ -190,7 +197,7 @@ def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> Natu
             if at is None:
                 raise FunctorialityViolated(f"{kind} key ({f!r}, {g!r}) is not composable")
             rows[at[0]][at[1]] = tuple(map(tuple, mat))
-        missing = next(((ids[i], ids[j]) for i, row in enumerate(cat.rows) for j in row
+        missing = next(((ids[i], ids[j]) for i, (j, _) in sorted(cat.entries(), key=itemgetter(0))
                         if j not in rows[i]), None)
         if missing:
             raise FunctorialityViolated(f"{kind} map for {missing} missing")
@@ -217,7 +224,7 @@ def _checked(system: NaturalSystem) -> NaturalSystem:
     """
     cat, rank, push, pull = system.category, system.rank, system.push, system.pull
     _check_shapes(cat, rank, push, pull)
-    ids, rows, mat_mul = cat.morphism_ids, cat.rows, linalg.mat_mul
+    ids, rows, inpos, mat_mul = cat.morphism_ids, cat.rows, cat.inpos, linalg.mat_mul
 
     def check(lhs, rhs, law, a, f, b):
         if not linalg.mat_eq_mod(lhs, rhs, system.modulus):
@@ -230,18 +237,18 @@ def _checked(system: NaturalSystem) -> NaturalSystem:
         check(push[unit[t]][f], one, "unit push", unit[t], f, None)
         check(pull[f][unit[s]], one, "unit pull", None, f, unit[s])
     for g in map(cat.index.__getitem__, cat.generators):
-        push_g, row_g = push[g], rows[g]
-        for f in into[src_of[g]]:
-            g_f, gf = push_g[f], row_g[f]
+        push_g, row_g, at_g = push[g], rows[g], inpos[g]
+        for f, gf in zip(into[src_of[g]], row_g):
+            g_f = push_g[f]
             for a in out_of[tgt_of[g]]:            # push law, a1 = g
-                check(push[rows[a][g]][f], mat_mul(push[a][gf], g_f), "push", a, g, f)
-            for b in into[src_of[f]]:              # commutation, a = g
-                check(mat_mul(push_g[rows[f][b]], pull[f][b]), mat_mul(pull[gf][b], g_f),
+                check(push[rows[a][at_g]][f], mat_mul(push[a][gf], g_f), "push", a, g, f)
+            for b, fb in zip(into[src_of[f]], rows[f]):      # commutation, a = g
+                check(mat_mul(push_g[fb], pull[f][b]), mat_mul(pull[gf][b], g_f),
                       "commute", g, f, b)
         for f in out_of[tgt_of[g]]:
-            f_g, fg = pull[f][g], rows[f][g]
-            for b in into[src_of[g]]:              # pull law, b1 = g
-                check(pull[f][row_g[b]], mat_mul(pull[fg][b], f_g), "pull", f, g, b)
+            f_g, fg = pull[f][g], rows[f][at_g]
+            for b, gb in zip(into[src_of[g]], row_g):        # pull law, b1 = g
+                check(pull[f][gb], mat_mul(pull[fg][b], f_g), "pull", f, g, b)
     return system
 
 
@@ -386,7 +393,7 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 # The bases are indexed as the category is: C^0 has a block per object and
 # C^1 one per morphism, by position, C^2 one per composable pair (f, g) in
 # `entries()` order, and C^3 one per triple (f, g, h), h in morphism order
-# (basis3).  offset0[x], offset1[f] and offset2[f][g], shaped like the rows,
+# (basis3).  offset0[x], offset1[f] and offset2[f][g], keyed like the system,
 # give each block's first coordinate; they are built on first read, so an
 # answer found on the skeleton builds only the skeleton's.  bw_differentials
 # reads the four dimensions off the ranks and the rows: dim C^2 is the sum
@@ -412,6 +419,12 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 # C by conjugation with the isomorphisms x -> r(x) that _skeleton_objects
 # certifies, so nothing builds or solves the whole base's complex.
 # ---------------------------------------------------------------------------
+
+# rows d2_rows may build, one per coordinate of C^3; past it d2 is refused
+# before any row is built.  j(H(4,2)) over Z/2 has 65536 and builds them in
+# about 0.5 s and 22 MB on a 2-vCPU host.
+COMPLEX_BUDGET = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class BWComplex:
@@ -458,8 +471,8 @@ class BWComplex:
 
     def _d1_at(self, f: int, g: int) -> list[dict[int, int]]:
         """Rows of d1 at (f, g): f_* F(g) - F(fg) + g^* F(f)."""
-        system, offset1 = self.system, self.offset1
-        fg = self.category.rows[f][g]
+        system, offset1, cat = self.system, self.offset1, self.category
+        fg = cat.rows[f][cat.inpos[g]]
         rows = [{} for _ in range(system.rank[fg])]
         _add_block(rows, offset1[g], system.push[f][g], 1)
         _add_identity(rows, offset1[fg], -1)
@@ -468,9 +481,10 @@ class BWComplex:
 
     def _d2_at(self, f: int, g: int, h: int) -> list[dict[int, int]]:
         """Rows of d2 at (f, g, h): f_* D(g, h) - D(fg, h) + D(f, gh) - h^* D(f, g)."""
-        cat_rows, system, offset2 = self.category.rows, self.system, self.offset2
-        fg, gh = cat_rows[f][g], cat_rows[g][h]
-        rows = [{} for _ in range(system.rank[cat_rows[fg][h]])]
+        cat, system, offset2 = self.category, self.system, self.offset2
+        cat_rows, at_h = cat.rows, cat.inpos[h]
+        fg, gh = cat_rows[f][cat.inpos[g]], cat_rows[g][at_h]
+        rows = [{} for _ in range(system.rank[cat_rows[fg][at_h]])]
         _add_block(rows, offset2[g][h], system.push[f][gh], 1)
         _add_identity(rows, offset2[fg][h], -1)
         _add_identity(rows, offset2[f][gh], 1)
@@ -489,6 +503,11 @@ class BWComplex:
 
     @cached_property
     def d2_rows(self) -> list[dict[int, int]]:
+        """Refused as ComplexTooLarge, before any row is built, past
+        COMPLEX_BUDGET rows (dim C^3)."""
+        if self.dim[3] > COMPLEX_BUDGET:
+            raise ComplexTooLarge(f"d2 would have {self.dim[3]} rows: over the budget of "
+                                  f"{COMPLEX_BUDGET}")
         d2 = [row for f, g, h in self._triples() for row in self._d2_at(f, g, h)]
         if len(d2) != self.dim[3]:
             raise AssertionError(f"the triples span {len(d2)} coordinates, not dim C^3 = {self.dim[3]}")
@@ -570,7 +589,7 @@ def _skeleton_objects(cat: FinCategory) -> tuple[list[str], list[tuple[int, int]
     isomorphisms that joined two classes span each class as a tree, and u_x
     is composed along the path from r(x) to x.
     """
-    objects, rows, unit = cat.objects, cat.rows, cat.identity_of
+    objects, rows, unit, inpos = cat.objects, cat.rows, cat.identity_of, cat.inpos
     parent = list(range(len(objects)))
     joins: list[list[tuple[int, int, int]]] = [[] for _ in objects]    # y -> (x, a: x -> y, a^-1)
 
@@ -584,7 +603,7 @@ def _skeleton_objects(cat: FinCategory) -> tuple[list[str], list[tuple[int, int]
         if rx == ry:
             continue
         g = next((g for g in map(cat.index.__getitem__, cat.hom(objects[y], objects[x]))
-                  if rows[g][f] == unit[x] and rows[f][g] == unit[y]), None)
+                  if rows[g][inpos[f]] == unit[x] and rows[f][inpos[g]] == unit[y]), None)
         if g is not None:
             parent[max(rx, ry)] = min(rx, ry)
             joins[y].append((x, f, g))
@@ -597,7 +616,7 @@ def _skeleton_objects(cat: FinCategory) -> tuple[list[str], list[tuple[int, int]
             u, v = isos[y]
             for x, a, b in joins[y]:
                 if isos[x] is None:
-                    isos[x] = (rows[u][a], rows[b][v])       # u∘a: x -> r, a^-1∘u^-1
+                    isos[x] = (rows[u][inpos[a]], rows[b][inpos[v]])    # u∘a: x -> r, a^-1∘u^-1
                     stack.append(x)
     return [x for i, x in enumerate(objects) if parent[i] == i], isos
 
@@ -611,7 +630,7 @@ def _skeleton(cat: FinCategory, system: NaturalSystem):
         return cat, system, isos
     sub = full_subcategory(cat, objects)
     pos = list(map(cat.index.__getitem__, sub.morphism_ids))
-    push, pull = (tuple({j: maps[p][pos[j]] for j in row} for p, row in zip(pos, sub.rows))
+    push, pull = (tuple({j: maps[p][pos[j]] for j in sub.into[s]} for p, s in zip(pos, sub.src_of))
                   for maps in (system.push, system.pull))
     rank = tuple(map(system.rank.__getitem__, pos))
     return sub, NaturalSystem(sub, system.modulus, rank, push, pull), isos
@@ -622,8 +641,8 @@ def bw_differentials(cat: FinCategory, system: NaturalSystem) -> BWComplex:
     read off the ranks and the rows; the offsets, the triples and the
     differentials are built on first read."""
     rank, rows = system.rank, cat.rows
-    width = [sum(map(rank.__getitem__, row.values())) for row in rows]    # W(u)
-    dim3 = sum(sum(map(width.__getitem__, row.values())) for row in rows)
+    width = [sum(map(rank.__getitem__, row)) for row in rows]    # W(u)
+    dim3 = sum(sum(map(width.__getitem__, row)) for row in rows)
     return BWComplex(cat, system, (sum(map(rank.__getitem__, cat.identity_of)), sum(rank),
                                    sum(width), dim3))
 
@@ -797,7 +816,8 @@ def _check_budget(cat: FinCategory, system: NaturalSystem):
     m, rank = system.modulus, system.rank
     sizes = [m ** r for r in rank]
     morphisms = sum(sizes)
-    composites = sum(size * sum(map(sizes.__getitem__, row)) for size, row in zip(sizes, cat.rows))
+    into_size = [sum(map(sizes.__getitem__, ys)) for ys in cat.into]
+    composites = sum(size * into_size[s] for size, s in zip(sizes, cat.src_of))
     addition = sum(m ** (2 * r) for r in set(rank))
     if morphisms + composites + addition > EXTENSION_BUDGET:
         raise ExtensionTooLarge(f"the total would have {morphisms} morphisms and {composites} "
@@ -895,15 +915,16 @@ def _verify_distributivity(ext: ExtensionCategory):
     pair, where (fg, c) = (f, 0)∘(g, 0) is read from the total: checked on
     the total's int rows, the element of D_f at position a being total
     morphism offset(f) + a, against the tables the build used."""
-    cat, rows, ids, tables = ext.base, ext.total.rows, ext.base.morphism_ids, ext.tables
+    cat, ids, tables = ext.base, ext.base.morphism_ids, ext.tables
+    rows, inpos = ext.total.rows, ext.total.inpos
     offset = list(accumulate((len(ext.fiber[f]) for f in ids), initial=0))
     for (i, (j, k)), (pushed, pulled) in zip(cat.entries(), tables.pairs):
-        off_f, off_g, off_fg, add = offset[i], offset[j], offset[k], tables.addition[k]
-        c = rows[off_f][off_g] - off_fg
+        off_f, at_g, off_fg, add = offset[i], inpos[offset[j]], offset[k], tables.addition[k]
+        c = rows[off_f][at_g] - off_fg
         if not 0 <= c < len(add):
             raise ExtensionError(f"distributivity fails over ({ids[i]!r}, {ids[j]!r})")
-        fiber_g = range(off_g, off_g + len(pushed))
-        got = [row[b] for row in rows[off_f:off_f + len(pulled)] for b in fiber_g]
+        # the fiber over g is consecutive in the morphisms, so in into(src f)
+        got = [x for row in rows[off_f:off_f + len(pulled)] for x in row[at_g:at_g + len(pushed)]]
         want = [off_fg + add[add[c][a]][b] for a in pulled for b in pushed]
         if got != want:
             raise ExtensionError(f"distributivity fails over ({ids[i]!r}, {ids[j]!r})")
@@ -1023,7 +1044,7 @@ def _transported(e2: ExtensionCategory, e1: ExtensionCategory | None) -> list[in
     A total holds (f, a) at position offset(f) + a, so all is read on int rows.
     """
     cat, system = e2.base, e2.system
-    m, rows = system.modulus, cat.rows
+    m = system.modulus
     sub, restricted, isos = _skeleton(cat, system)
     sk = bw_differentials(sub, restricted)
     rhs = sk.cochain2_vector(e2.cocycle)
@@ -1037,19 +1058,22 @@ def _transported(e2: ExtensionCategory, e1: ExtensionCategory | None) -> list[in
     offset = list(accumulate((m ** r for r in system.rank), initial=0))
     lift = [offset[u] for u, _ in isos]                                   # ũ_x, by object
 
+    def comp(c: FinCategory, f: int, g: int) -> int:                  # f∘g, by position
+        return c.rows[f][c.inpos[g]]
+
     def inverses(total: FinCategory) -> list[int]:                     # ũ_x⁻¹, by object
-        return [next(w for w in range(offset[v], offset[v + 1]) if total.rows[w][lu] == one)
+        return [next(w for w in range(offset[v], offset[v + 1]) if comp(total, w, lu) == one)
                 for (_, v), lu, one in zip(isos, lift, total.identity_of)]
 
-    rows2, add, back2 = e2.total.rows, e2.tables.addition, inverses(e2.total)
+    t2, add, back2 = e2.total, e2.tables.addition, inverses(e2.total)
     if e1 is not None:
-        rows1, back1 = e1.total.rows, inverses(e1.total)
+        t1, back1 = e1.total, inverses(e1.total)
     image = []
     for f, (x, y) in enumerate(zip(cat.src_of, cat.tgt_of)):
-        bar = rows[rows[isos[y][0]][f]][isos[x][1]]                      # u_y∘f∘u_x⁻¹
-        a = 0 if e1 is None else rows1[rows1[lift[y]][offset[f]]][back1[x]] - offset[bar]
+        bar = comp(cat, comp(cat, isos[y][0], f), isos[x][1])           # u_y∘f∘u_x⁻¹
+        a = 0 if e1 is None else comp(t1, comp(t1, lift[y], offset[f]), back1[x]) - offset[bar]
         inner = offset[bar] + add[bar][a][shift[bar]]                     # φ_S of the conjugate
-        image.append(rows2[back2[y]][rows2[inner][lift[x]]] - offset[f])
+        image.append(comp(t2, back2[y], comp(t2, inner, lift[x])) - offset[f])
     return image
 
 

@@ -1,10 +1,13 @@
 """Finite small categories, groupoids and functors.
 
 A category has opaque string ids for objects and morphisms and an identity
-assignment.  Its composition table is one list of integer rows: morphisms
-are numbered in input order, and rows[i][j] = k says that morphism k is
-the composite i∘j.  The composition convention is f∘g with src(f) = tgt(g):
-g is applied first.  The table also keeps the order its entries were given
+assignment.  Morphisms and objects are numbered in input order, and into(x)
+lists the morphisms into object x in morphism order.  The composition
+convention is f∘g with src(f) = tgt(g): g is applied first.  The table is
+one list of integers per morphism, aligned with into(src f): rows[i][p] =
+k says that morphism k is the composite i∘into(src i)[p], and inpos[j] is
+the position of j in into(tgt j), so the composite i∘j is
+rows[i][inpos[j]].  The table also keeps the order its entries were given
 in, so that it is listed back in that order.  Labels appear only at the
 boundary: `comp` looks up one composite by name, and `compose`, the table
 keyed by label pairs, is a read-only view derived from the rows on first
@@ -18,7 +21,8 @@ morphism order, the entry being the position of f∘g in "morphisms".  A
 hand-written document may instead list [f, g, fg] label triples, in any
 order and without the pairs the unit laws fill in.  `read_category` tells
 the two apart by the JSON type of the first entry and reads both into the
-same rows, which one check then certifies.
+same rows, which one check then certifies.  A table is exactly the rows
+concatenated.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, islice, repeat
+from operator import lt
 from types import MappingProxyType
 
 
@@ -71,35 +76,48 @@ class NotInvertible(CategoryError):
     pass
 
 
+class CategoryTooLarge(SchemoidsError):
+    """A category to be built would exceed its size budget."""
+
+
 class NotAFunctor(CategoryError):
     """A functor law fails; a broken composition law carries a witness
     (f, g, F(f∘g), expected)."""
+
+
+# morphisms a product may have: j(H(7,2)), the largest category the scheme
+# layer builds, has as many
+PRODUCT_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
 class FinCategory:
     """Built only by `_validate`, which also fills the index fields.
 
-    The rows are the composition table: rows[i][j] = k means ids[k] =
-    ids[i]∘ids[j], one entry for each composable pair, and `index` maps an
-    id to its position.  Objects are numbered in order too, and the index
-    fields below give each morphism's endpoints, each object's identity
-    and the morphisms into and out of it, in morphism order.  The library
-    reads only these; `entries` lists the pairs in the order they were
-    given, and `compose` is a labelled view derived from them for callers
-    outside the library.
+    The rows are the composition table, one entry for each composable
+    pair: row i is aligned with into(src i), and rows[i][p] = k means
+    ids[k] = ids[i]∘ids[into[src i][p]].  `inpos[j]` is the position of j
+    in into(tgt j), so ids[i]∘ids[j] is ids[rows[i][inpos[j]]] whenever
+    tgt j = src i, and `index` maps an id to its position.  Objects are
+    numbered in order too, and the index fields below give each
+    morphism's endpoints, each object's identity and the morphisms into
+    and out of it, in morphism order.  The library reads only these;
+    `entries` lists the pairs in the order they were given, and `compose`
+    is a labelled view derived from them for callers outside the library.
     """
     objects: tuple[str, ...]
     morphisms: tuple[tuple[str, str, str], ...]  # (id, src, tgt)
     identity: dict[str, str]                     # object -> identity morphism
-    rows: tuple[dict[int, int], ...]             # rows[i][j] = k: ids[k] = ids[i]∘ids[j]
+    rows: tuple[list[int], ...]                  # rows[i][p] = k: ids[k] = ids[i]∘ids[into[src i][p]]
     index: dict[str, int]                        # id -> position in morphism_ids
     src_of: list[int]                            # morphism -> position of its source
     tgt_of: list[int]                            # morphism -> position of its target
     identity_of: list[int]                       # object -> position of its identity
     into: list[list[int]]                        # object -> the morphisms into it
     out_of: list[list[int]]                      # object -> the morphisms out of it
-    _order: list[int]                            # the row of each entry, in the order given
+    inpos: list[int]                             # morphism j -> its position in into[tgt j]
+    _order: list[int] | None                     # i·M + j for each pair (i, j), in the order
+                                                 # given; None when that is table order
     _src: dict[str, str]
     _tgt: dict[str, str]
     _hom: dict[tuple[str, str], tuple[str, ...]]
@@ -115,16 +133,22 @@ class FinCategory:
         return self._hom.get((x, y), ())
 
     def comp(self, f: str, g: str) -> str:
-        index = self.index
-        return self._ids[self.rows[index[f]][index[g]]]
+        """f∘g; KeyError when f or g is no morphism or src(f) != tgt(g)."""
+        i, j = self.index[f], self.index[g]
+        if self.tgt_of[j] != self.src_of[i]:
+            raise KeyError((f, g))
+        return self._ids[self.rows[i][self.inpos[j]]]
 
     def entries(self):
-        """(i, (j, k)) with rows[i][j] = k for every composable pair, in the
-        order the table was given: the first entry given for each pair,
-        then the pairs the unit laws filled in.  Each row keeps its own
-        entries in that order, and `_order` holds the row of each entry."""
-        items = [iter(row.items()) for row in self.rows]
-        return ((i, next(items[i])) for i in self._order)
+        """(i, (j, k)) with ids[k] = ids[i]∘ids[j] for every composable
+        pair, in the order the table was given: the first entry given for
+        each pair, then the pairs the unit laws filled in.  A table read as
+        positions was given in table order: i in morphism order, j over
+        into(src i)."""
+        rows, into, s_of, inpos = self.rows, self.into, self.src_of, self.inpos
+        if self._order is None:
+            return ((i, jk) for i, row in enumerate(rows) for jk in zip(into[s_of[i]], row))
+        return ((i, (j, rows[i][inpos[j]])) for i, j in map(divmod, self._order, repeat(len(rows))))
 
     @cached_property
     def compose(self) -> Mapping[tuple[str, str], str]:
@@ -154,7 +178,7 @@ class FinCategory:
         first read and kept; `_validate` reads it for its associativity
         test unless the category is thin."""
         return tuple(map(self._ids.__getitem__, _light_generators(
-            self.src_of, self.tgt_of, self.rows, self.identity_of)))
+            self.src_of, self.tgt_of, self.inpos, self.rows, self.identity_of)))
 
     @cached_property
     def _inverse(self) -> tuple[dict[str, str] | None, str | None]:
@@ -162,12 +186,13 @@ class FinCategory:
         Hom(tgt f, src f) with f∘g and g∘f identities; or (None, f) for the
         first morphism f, in morphism order, with no such g.  Built on first
         read and kept, so `as_groupoid` and `is_groupoid` share one table."""
-        ids, index, rows = self._ids, self.index, self.rows
+        ids, index, rows, inpos = self._ids, self.index, self.rows, self.inpos
         inverse = {}
         for i, (f, s, t) in enumerate(self.morphisms):
-            row_f, e_s, e_t = rows[i], index[self.identity[s]], index[self.identity[t]]
+            row_f, at_f = rows[i], inpos[i]
+            e_s, e_t = index[self.identity[s]], index[self.identity[t]]
             inv = next((j for j in map(index.__getitem__, self.hom(t, s))
-                        if row_f[j] == e_t and rows[j][i] == e_s), None)
+                        if row_f[inpos[j]] == e_t and rows[j][at_f] == e_s), None)
             if inv is None:
                 return None, f
             inverse[f] = ids[inv]
@@ -314,30 +339,30 @@ def read_category(raw: dict, at: str = "") -> FinCategory:
         raise
 
 
-def _validate(objects, morphisms, identities, entries=(), table=None) -> FinCategory:
+def _validate(objects, morphisms, identities, entries=(), table=None, rows=None) -> FinCategory:
     """The category laws by exhaustive check on an integer index.
 
     Morphisms are numbered 0..M-1 in input order.  Every key of
-    `identities` must be an object.  The composites come either as a
-    stream of (f, g, f∘g) label `entries` (`_read_labels`) or as a `table`,
-    (positions, JSON path), as `serialize` writes it (`_read_table`); both
-    fill the same rows and check each entry's endpoints as they read it:
-    t(g) = s(f), s(k) = s(g) and t(k) = t(f) for (f, g) -> k.  The
-    unit-law fills pass these by construction.  Totality: the entries with
-    first factor f must be exactly the pairs (f, g) with src(f) = tgt(g).
-    Once every entry passes, each key of row f lies in into(src f), the
-    morphisms into src(f), and the keys of a row are distinct; a row as
-    long as into(src f) therefore holds all of it, and totality is one
-    length comparison per row.  Associativity: on a thin table it holds
-    once totality and endpoints do, since (x∘a)∘y and x∘(a∘y) both lie in
-    Hom(src y, tgt x), which has one member.  Otherwise by Light's test:
-    the morphisms a with (x∘a)∘y = x∘(a∘y) for all composable x, y are
-    closed under composition, and the identities are among them; so the
-    test runs only on a generating set, the category's `generators`.  The
-    first error raised is of the class, and has the message, that a scan
-    of all pairs and triples would raise first.  The integer rows checked
-    here are the table the category keeps; no table keyed by labels is
-    built.
+    `identities` must be an object.  The composites come as a stream of
+    (f, g, f∘g) label `entries` (`_read_labels`), as a `table`, (positions,
+    JSON path), as `serialize` writes it (`_read_table`), or as `rows`
+    already aligned with into(src f) (`_given_rows`).  All three give the
+    rows the category keeps, each a list aligned with into(src f), and
+    check each entry's endpoints: t(g) = s(f), s(k) = s(g) and t(k) = t(f)
+    for (f, g) -> k.  A pair with t(g) != s(f) has no place in a row; the
+    label reader keeps such pairs aside, to be reported as a full scan
+    would.  The unit-law fills pass the endpoint checks by construction.
+    Totality: every place of every row is filled, which a table and given
+    rows are by their length, and label rows are when as many distinct
+    pairs were placed as the rows have places.  Associativity: on a thin
+    table it holds once totality and endpoints do, since (x∘a)∘y and
+    x∘(a∘y) both lie in Hom(src y, tgt x), which has one member.
+    Otherwise by Light's test: the morphisms a with (x∘a)∘y = x∘(a∘y) for
+    all composable x, y are closed under composition, and the identities
+    are among them; so the test runs only on a generating set, the
+    category's `generators`.  The first error raised is of the class, and
+    has the message, that a scan of all pairs and triples would raise
+    first.  No table keyed by labels is built.
     """
     objects = tuple(objects)
     if len(set(objects)) != len(objects):
@@ -369,106 +394,137 @@ def _validate(objects, morphisms, identities, entries=(), table=None) -> FinCate
     t_of = [opos[t] for _, _, t in morphisms]
     out_of: list[list[int]] = [[] for _ in objects]
     in_to: list[list[int]] = [[] for _ in objects]
+    inpos: list[int] = []
     for i in range(len(ids)):
         out_of[s_of[i]].append(i)
-        in_to[t_of[i]].append(i)
-    # rows[i][j] = k: morphism k is the entry for (i, j); order holds the
-    # row of each entry, in the order read
-    if table is None:
-        rows, order, endpoints_ok = _read_labels(entries, ids, pos, s_of, t_of)
-    else:
-        rows, order, endpoints_ok = _read_table(*table, s_of, t_of, in_to)
-    # fill unit-law entries
+        ys = in_to[t_of[i]]
+        inpos.append(len(ys))
+        ys.append(i)
     ident = [pos[identity[x]] for x in objects]
-    add = order.append
-    for i in range(len(ids)):
-        e, e2 = ident[s_of[i]], ident[t_of[i]]
-        if e not in rows[i]:
-            rows[i][e] = i
-            add(i)
-        if i not in rows[e2]:
-            rows[e2][i] = i
-            add(e2)
+    widths = [len(in_to[s]) for s in s_of]
+    order, foreign = None, {}
+    if rows is not None:
+        rows = _given_rows(rows, ids, widths)
+    elif table is not None:
+        rows = _read_table(*table, widths)
+    else:
+        rows, order, foreign = _read_labels(entries, ids, pos, s_of, t_of, inpos, widths)
+        # fill unit-law entries
+        add, m = order.append, len(ids)
+        for i in range(m):
+            e, e2 = ident[s_of[i]], ident[t_of[i]]
+            row, p = rows[i], inpos[e]
+            if row[p] is None:
+                row[p] = i
+                add(i * m + e)
+            row, p = rows[e2], inpos[i]
+            if row[p] is None:
+                row[p] = i
+                add(e2 * m + i)
 
-    # totality: with every key of row i in into(src i), a row as long as
-    # into(src i) holds all of it
-    n_in = list(map(len, in_to))
-    if not (endpoints_ok and list(map(len, rows)) == [n_in[s] for s in s_of]):
-        _raise_first_gap(ids, s_of, t_of, in_to, rows)
+    # totality: a table and given rows fill every place by their lengths;
+    # label rows do when every place was filled, one entry of `order` each
+    if foreign or (order is not None and len(order) != sum(widths)) \
+            or not _endpoints_fit(rows, s_of, t_of, in_to):
+        _raise_first_gap(ids, s_of, t_of, in_to, inpos, rows, foreign)
+    if order is not None and all(map(lt, order, islice(order, 1, None))):
+        order = None                                   # the labels came in table order
     # unit laws
     for i, m in enumerate(ids):
-        if rows[i][ident[s_of[i]]] != i or rows[ident[t_of[i]]][i] != i:
+        if rows[i][inpos[ident[s_of[i]]]] != i or rows[ident[t_of[i]]][inpos[i]] != i:
             raise MissingIdentity(f"unit law fails at {m!r}")
     cat = FinCategory(objects, morphisms, identity, tuple(rows), pos, s_of, t_of, ident, in_to,
-                      out_of, order, src, tgt, _hom_sets(morphisms), ids)
+                      out_of, inpos, order, src, tgt, _hom_sets(morphisms), ids)
     if not cat.thin:
-        _light_test(ids, s_of, t_of, out_of, in_to, rows, map(pos.__getitem__, cat.generators))
+        _light_test(ids, s_of, t_of, out_of, in_to, inpos, rows,
+                    map(pos.__getitem__, cat.generators))
     return cat
 
 
-def _read_labels(entries, ids, pos, s_of, t_of):
-    """(rows, order, endpoints ok) from a stream of (f, g, f∘g) label
-    triples: the first entry given for a pair is kept, and a repeat must
-    agree with it.  A bad endpoint is only noted: an unknown or
-    conflicting entry later in the stream is raised first, as a full scan
-    would raise it."""
-    rows: list[dict[int, int]] = [{} for _ in ids]
+def _read_labels(entries, ids, pos, s_of, t_of, inpos, widths):
+    """(rows, order, foreign) from a stream of (f, g, f∘g) label triples:
+    rows with None at each place no entry filled, the key i·M + j of each
+    pair placed, in the order placed, and {(i, j): k} for the pairs with
+    t(g) != s(f), which have no place.  The first entry given for a pair
+    is kept, and a repeat must agree with it.  A bad endpoint is left for
+    the caller's check: an unknown or conflicting entry later in the
+    stream is raised first, as a full scan would raise it."""
+    m = len(ids)
+    rows = [[None] * w for w in widths]
     order: list[int] = []
     add = order.append
-    endpoints_ok = True
+    foreign: dict[tuple[int, int], int] = {}
     for f, g, fg in entries:
         try:
             i, j, k = pos[f], pos[g], pos[fg]
         except (KeyError, TypeError):
             raise UndefinedComposite(
                 f"composition entry ({f!r}, {g!r}, {fg!r}) names unknown morphisms") from None
-        row = rows[i]
-        if j not in row:
-            row[j] = k
-            add(i)
-            if t_of[j] != s_of[i] or s_of[k] != s_of[j] or t_of[k] != t_of[i]:
-                endpoints_ok = False
-        elif row[j] != k:
+        if t_of[j] == s_of[i]:
+            row, p = rows[i], inpos[j]
+            old = row[p]
+            if old is None:
+                row[p] = k
+                add(i * m + j)
+                continue
+        else:
+            old = foreign.setdefault((i, j), k)
+        if old != k:
             raise UndefinedComposite(f"conflicting entries for ({ids[i]!r}, {ids[j]!r})")
-    return rows, order, endpoints_ok
+    return rows, order, foreign
 
 
-def _read_table(table, at, s_of, t_of, in_to):
-    """(rows, order, endpoints ok) from a table of integers at JSON path
-    `at`, as `serialize` writes it: row f is the next len(into(src f))
-    entries, keyed by into(src f) in order.  A table of the wrong length,
-    or with a position out of range, is refused at its first misfit by
-    `shapes.positions`.  Each row's composites are checked one row at a
-    time to run from the sources of its keys to t(f); the keys compose
-    with f by construction."""
-    widths = [len(in_to[s]) for s in s_of]
-    m = len(s_of)
-    if len(table) != sum(widths) or table and not (0 <= min(table) and max(table) < m):
-        shapes.check(shapes.positions(m, sum(widths)), table, at)
+def _read_table(table, at, widths):
+    """The rows of a table of integers at JSON path `at`, as `serialize`
+    writes it: row f is the next len(into(src f)) entries.  A table of the
+    wrong length, or with a position out of range, is refused at its
+    first misfit by `shapes.positions`."""
+    m, size = len(widths), sum(widths)
+    if len(table) != size or table and not (0 <= min(table) and max(table) < m):
+        shapes.check(shapes.positions(m, size), table, at)
+    starts = accumulate(widths, initial=0)
+    return [table[start:start + width] for start, width in zip(starts, widths)]
+
+
+def _given_rows(rows, ids, widths):
+    """Rows built in code, each a list of positions as long as into(src f);
+    a row of another length or with a position out of range is refused."""
+    rows, m = list(rows), len(ids)
+    if len(rows) != m:
+        raise CategoryError(f"{len(rows)} rows given for {m} morphisms")
+    for f, row, width in zip(ids, rows, widths):
+        if len(row) != width or row and not (0 <= min(row) and max(row) < m):
+            raise CategoryError(f"row of {f!r}: {width} positions of morphisms expected")
+    return rows
+
+
+def _endpoints_fit(rows, s_of, t_of, in_to) -> bool:
+    """Whether every composite of a full table runs from the source of its
+    second factor to the target of its first, checked row by row: the
+    factors compose by construction of the rows."""
     # the source of each morphism into x, in into(x) order
     sources = [list(map(s_of.__getitem__, ys)) for ys in in_to]
     src, tgt = s_of.__getitem__, t_of.__getitem__
-    rows, start, endpoints_ok = [], 0, True
-    for s, t, width in zip(s_of, t_of, widths):
-        composites = table[start:start + width]
-        start += width
-        rows.append(dict(zip(in_to[s], composites)))
-        if endpoints_ok and (list(map(src, composites)) != sources[s]
-                             or list(map(tgt, composites)).count(t) != width):
-            endpoints_ok = False
-    return rows, list(chain.from_iterable(map(repeat, range(m), widths))), endpoints_ok
+    for row, s, t in zip(rows, s_of, t_of):
+        if list(map(src, row)) != sources[s] or list(map(tgt, row)).count(t) != len(row):
+            return False
+    return True
 
 
-def _raise_first_gap(ids, s_of, t_of, in_to, rows):
+def _raise_first_gap(ids, s_of, t_of, in_to, inpos, rows, foreign):
     """Raise the totality or endpoint error of the first bad (f, g), in
-    morphism order, that a scan of all M² pairs would meet."""
+    morphism order, that a scan of all M² pairs would meet; `foreign`
+    holds the entries given for pairs that do not compose."""
+    strays: dict[int, set[int]] = {}
+    for i, j in foreign:
+        strays.setdefault(i, set()).add(j)
     for i, row in enumerate(rows):
         f = ids[i]
-        for j in sorted(set(row).union(in_to[s_of[i]])):
+        for j in sorted(strays.get(i, set()).union(in_to[s_of[i]])):
             g = ids[j]
             if t_of[j] != s_of[i]:
                 raise EndpointMismatch(f"({f!r}, {g!r}) composed but src({f!r}) != tgt({g!r})")
-            k = row.get(j)
+            k = row[inpos[j]]
             if k is None:
                 raise UndefinedComposite(f"no composite for ({f!r}, {g!r})")
             if s_of[k] != s_of[j] or t_of[k] != t_of[i]:
@@ -476,7 +532,7 @@ def _raise_first_gap(ids, s_of, t_of, in_to, rows):
     raise AssertionError("totality check failed without a bad pair")
 
 
-def _light_generators(s_of, t_of, rows, ident) -> list[int]:
+def _light_generators(s_of, t_of, inpos, rows, ident) -> list[int]:
     """Light's generators of a total table: a morphism joins them only if
     the composition closure of the identities and the generators before it
     misses it.  The closure grows semi-naively, each new member composed
@@ -484,7 +540,7 @@ def _light_generators(s_of, t_of, rows, ident) -> list[int]:
     n_obj = len(ident)
     member = bytearray(len(rows))
     closure_out: list[list[int]] = [[] for _ in range(n_obj)]
-    closure_in: list[list[int]] = [[] for _ in range(n_obj)]
+    closure_in: list[list[int]] = [[] for _ in range(n_obj)]     # members into x, by inpos
 
     def close(start):
         for u in start:
@@ -492,12 +548,12 @@ def _light_generators(s_of, t_of, rows, ident) -> list[int]:
         stack = list(start)
         while stack:
             u = stack.pop()
-            s, t = s_of[u], t_of[u]
+            s, t, p = s_of[u], t_of[u], inpos[u]
             closure_out[s].append(u)
-            closure_in[t].append(u)
+            closure_in[t].append(p)
             row = rows[u]
             new = [w for w in map(row.__getitem__, closure_in[s]) if not member[w]]
-            new += [w for v in closure_out[t] if not member[w := rows[v][u]]]
+            new += [w for v in closure_out[t] if not member[w := rows[v][p]]]
             for w in new:
                 if not member[w]:
                     member[w] = 1
@@ -512,44 +568,46 @@ def _light_generators(s_of, t_of, rows, ident) -> list[int]:
     return generators
 
 
-def _light_test(ids, s_of, t_of, out_of, in_to, rows, generators):
+def _light_test(ids, s_of, t_of, out_of, in_to, inpos, rows, generators):
     """Associativity on a total table that satisfies the unit laws, checked
-    at each of Light's generators a: (x∘a)∘y = x∘(a∘y) for all composable x, y."""
+    at each of Light's generators a: (x∘a)∘y = x∘(a∘y) for all composable
+    x, y.  The left side, over y in into(src a), is the whole row of x∘a."""
     for a in generators:
-        row_a = rows[a]
-        ys = in_to[s_of[a]]
-        a_ys = list(map(row_a.__getitem__, ys))
+        p = inpos[a]
+        a_ys = list(map(inpos.__getitem__, rows[a]))       # a∘y, placed in into(tgt a)
         for x in out_of[t_of[a]]:
             row_x = rows[x]
-            lhs = list(map(rows[row_x[a]].__getitem__, ys))    # (x∘a)∘y
-            rhs = list(map(row_x.__getitem__, a_ys))            # x∘(a∘y)
+            lhs = rows[row_x[p]]                              # (x∘a)∘y
+            rhs = list(map(row_x.__getitem__, a_ys))          # x∘(a∘y)
             if lhs != rhs:
                 n = next(n for n, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
-                raise NonAssociative(ids[x], ids[a], ids[ys[n]], ids[lhs[n]], ids[rhs[n]])
+                raise NonAssociative(ids[x], ids[a], ids[in_to[s_of[a]][n]],
+                                     ids[lhs[n]], ids[rhs[n]])
 
 
 def serialize(cat: FinCategory) -> dict:
-    """JSON-ready description, with "compose" written as a table: for f
-    in morphism order and g over into(src f) in morphism order, the
-    position of f∘g, unit-law pairs included."""
-    table: list[int] = []
-    for row, s in zip(cat.rows, cat.src_of):
-        table += map(row.__getitem__, cat.into[s])
+    """JSON-ready description, with "compose" written as a table: the rows
+    concatenated, so for f in morphism order and g over into(src f) in
+    morphism order, the position of f∘g, unit-law pairs included."""
     return {
         "objects": list(cat.objects),
         "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in cat.morphisms],
         "identities": dict(cat.identity),
-        "compose": table,
+        "compose": list(chain.from_iterable(cat.rows)),
     }
 
 
-def build_category(objects, morphisms, identity, compose) -> FinCategory:
+def build_category(objects, morphisms, identity, compose=(), rows=None) -> FinCategory:
     """Validate parts assembled in code (same checks as validate_category).
 
     `compose` is an iterable of (f, g, f∘g) triples; it is read once, so a
-    large table can be streamed in.
+    large table can be streamed in.  Or `rows` gives the composites as
+    positions: for each morphism f in order, a list of the positions of
+    f∘g for g over the morphisms into src(f) in morphism order, unit-law
+    pairs included.  Rows may be shared between morphisms; the category
+    keeps them as given.
     """
-    return _validate(objects, morphisms, identity, compose)
+    return _validate(objects, morphisms, identity, compose, rows=rows)
 
 
 def full_subcategory(c: FinCategory, objects) -> FinCategory:
@@ -593,7 +651,13 @@ def product(c: FinCategory, d: FinCategory) -> FinCategory:
 
 
 def product_with_projections(c: FinCategory, d: FinCategory):
-    """Product category plus the two projections (used by schemoid products)."""
+    """Product category plus the two projections (used by schemoid products).
+    More than PRODUCT_BUDGET morphisms, M₁·M₂, are refused as
+    CategoryTooLarge before any is named."""
+    size = len(c.morphisms) * len(d.morphisms)
+    if size > PRODUCT_BUDGET:
+        raise CategoryTooLarge(f"the product would have {size} morphisms: over the budget of "
+                               f"{PRODUCT_BUDGET}")
     pobj = {(a, b): pair_name(a, b) for a in c.objects for b in d.objects}
     name = [[pair_name(f, g) for g in d.morphism_ids] for f in c.morphism_ids]
     objects = list(pobj.values())
@@ -736,13 +800,16 @@ def validate_functor(fun: Functor, c: FinCategory, d: FinCategory) -> Functor:
         img.append(d_index[image])
     if d.thin:
         return fun
-    c_rows, d_rows, c_ids = c.rows, d.rows, c.morphism_ids
+    c_rows, d_rows, c_ids, d_at = c.rows, d.rows, c.morphism_ids, d.inpos
     for g in c.generators:
         a = c.index[g]
-        img_g = img[a]
+        img_g, p = img[a], c.inpos[a]
         for i in c.out_of[c.tgt_of[a]]:
-            expected = d_rows[img_g][img[i]] if fun.contravariant else d_rows[img[i]][img_g]
-            got = img[c_rows[i][a]]
+            if fun.contravariant:
+                expected = d_rows[img_g][d_at[img[i]]]
+            else:
+                expected = d_rows[img[i]][d_at[img_g]]
+            got = img[c_rows[i][p]]
             if got != expected:
                 d_ids = d.morphism_ids
                 raise NotAFunctor(f"composition not preserved at ({c_ids[i]!r}, {g!r})",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
+from itertools import product as iproduct, repeat
 
 from .fincat import (
     CategoryError,
@@ -304,10 +304,11 @@ def j_embed(scheme: CoherentConfiguration) -> QuasiSchemoid:
     name = [[pair_name(x, y) for y in pts] for x in pts]   # name[x][y]: y -> x
     morphisms = [(name[x][y], pts[y], pts[x]) for x in range(n) for y in range(n)]
     identity = {pts[x]: name[x][x] for x in range(n)}
-    # the n³ composites go to validation as a stream of (zx, xy, zy) triples
-    compose = ((row_z[x], xy, zy) for row_z in name for x in range(n)
-               for xy, zy in zip(name[x], row_z))
-    cat = build_category(pts, morphisms, identity, compose)
+    # name[x][y] is morphism x·n + y, and into(y) is the (y, w), w in point
+    # order: the row of (x, y) holds (x, y)∘(y, w) = (x, w), at x·n + w,
+    # one list shared by every y
+    rows = [row for x in range(n) for row in repeat(list(range(x * n, x * n + n)), n)]
+    cat = build_category(pts, morphisms, identity, rows=rows)
     blocks: dict[str, list[str]] = {c: [] for c in scheme.classes}
     for x in range(n):
         for y, k in enumerate(scheme.relation_of[x]):

@@ -197,8 +197,9 @@ def check_concatenation(cat: FinCategory, partition: MorphismPartition) -> Struc
     f_part = [b * width * width * n for b in block]
     g_part = [b * width * n for b in block]
     h_part = [b * n + h for h, b in enumerate(block)]
-    tally = Counter(chain.from_iterable([f + g_part[j] + h_part[k] for j, k in row.items()]
-                                        for f, row in zip(f_part, cat.rows)))
+    into = cat.into
+    tally = Counter(chain.from_iterable([f + g_part[j] + h_part[k] for j, k in zip(into[s], row)]
+                                        for f, s, row in zip(f_part, cat.src_of, cat.rows)))
     members = [[cat.index[m] for m in sorted(partition.blocks[mu])] for mu in names]
     get = tally.get
     entries: dict[tuple[str, str, str], int] = {}

@@ -101,6 +101,109 @@ def completed_entries(raw):
     return [(f, g, fg) for (f, g), fg in validate_category_dense(raw).items()]
 
 
+def table_rows(raw):
+    """For each morphism f in the order given, the positions of f∘g for g
+    over the morphisms with tgt(g) = src(f) in the order given, read by
+    label from the completed table: the reference for
+    schemoids.fincat.FinCategory.rows."""
+    table = validate_category_dense(raw)
+    morphisms = raw["morphisms"]
+    pos = {m["id"]: i for i, m in enumerate(morphisms)}
+    return [[pos[table[(f["id"], g["id"])]] for g in morphisms if g["tgt"] == f["src"]]
+            for f in morphisms]
+
+
+def _description(objects, morphisms, identities, compose):
+    return {"objects": list(objects),
+            "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in morphisms],
+            "identities": dict(identities), "compose": [list(e) for e in compose]}
+
+
+def product_description(a, b):
+    """The raw description of the product of two raw descriptions, as
+    schemoids.fincat.product builds it: objects (x, y) and morphisms (f, g),
+    a's outer, named by `pair_name`, and the entries ((f1, f2), (g1, g2),
+    (h1, h2)) for (f1, g1, h1) over a's completed entries, then (f2, g2,
+    h2) over b's, in those orders."""
+    from schemoids.fincat import pair_name
+    ea, eb = completed_entries(a), completed_entries(b)
+    return _description(
+        [pair_name(x, y) for x in a["objects"] for y in b["objects"]],
+        [(pair_name(f["id"], g["id"]), pair_name(f["src"], g["src"]), pair_name(f["tgt"], g["tgt"]))
+         for f in a["morphisms"] for g in b["morphisms"]],
+        {pair_name(x, y): pair_name(a["identities"][x], b["identities"][y])
+         for x in a["objects"] for y in b["objects"]},
+        [(pair_name(f1, f2), pair_name(g1, g2), pair_name(h1, h2))
+         for f1, g1, h1 in ea for f2, g2, h2 in eb])
+
+
+def join_description(a, b):
+    """The raw description of the join a∗b, as schemoids.fincat.join builds
+    it: a's and b's parts prefixed "L." and "R.", a's completed entries,
+    then b's, then for each x of a and y of b the connector w[x,y]: x -> y,
+    named by `connector_name`, with β∘w[x,y] = w[x,t] for each β: y -> t
+    of b, then w[x,y]∘α = w[s,y] for each α: s -> x of a."""
+    from schemoids.fincat import connector_name
+    objects, morphisms, identities, compose = [], [], {}, []
+    for tag, r in (("L.", a), ("R.", b)):
+        objects += [tag + x for x in r["objects"]]
+        morphisms += [(tag + m["id"], tag + m["src"], tag + m["tgt"]) for m in r["morphisms"]]
+        identities.update({tag + x: tag + e for x, e in r["identities"].items()})
+        compose += [(tag + f, tag + g, tag + h) for f, g, h in completed_entries(r)]
+    w = {(x, y): connector_name(x, y) for x in a["objects"] for y in b["objects"]}
+    morphisms += [(name, "L." + x, "R." + y) for (x, y), name in w.items()]
+    for x, y in w:
+        compose += [("R." + m["id"], w[(x, y)], w[(x, m["tgt"])])
+                    for m in b["morphisms"] if m["src"] == y]
+        compose += [(w[(x, y)], "L." + m["id"], w[(m["src"], y)])
+                    for m in a["morphisms"] if m["tgt"] == x]
+    return _description(objects, morphisms, identities, compose)
+
+
+def opposite_description(a):
+    """The raw description of the opposite of a, as
+    schemoids.fincat.opposite builds it: each morphism reversed, and (g, f,
+    f∘g) for each (f, g, f∘g) of a's completed entries, in that order."""
+    return _description(a["objects"], [(m["id"], m["tgt"], m["src"]) for m in a["morphisms"]],
+                      a["identities"], [(g, f, h) for f, g, h in completed_entries(a)])
+
+
+def s_tilde_description(a):
+    """The raw description of the category of s̃ of a groupoid with raw
+    description a, as the label stream schemoids.bridges.s_tilde once
+    built: objects a's morphisms; for the morphisms grouped by target, the
+    groups in order of first target, a morphism (k, l): l -> k named
+    `pair_name`(k, l) for k, then l, in the group; the entries
+    (k, m)∘(m, l) = (k, l) for k, m, l in the group, in that order."""
+    from schemoids.fincat import pair_name
+    groups = {}
+    for m in a["morphisms"]:
+        groups.setdefault(m["tgt"], []).append(m["id"])
+    return _description(
+        [m["id"] for m in a["morphisms"]],
+        [(pair_name(k, l), l, k) for g in groups.values() for k in g for l in g],
+        {m["id"]: pair_name(m["id"], m["id"]) for m in a["morphisms"]},
+        [(pair_name(k, m), pair_name(m, l), pair_name(k, l))
+         for g in groups.values() for k in g for m in g for l in g])
+
+
+def extension_description(cat, system, delta):
+    """The raw description of the total of the extension of cat by delta:
+    objects those of cat, the fiber over each morphism f, in morphism
+    order, named f|a for a in D_f in lexicographic order, 1_x|0 the
+    identities, and the entries of `extension_table_by_formula`."""
+    m, rank = system.modulus, labelled_system(system)[0]
+
+    def name(f, vec):
+        return f"{f}|{'.'.join(str(x) for x in vec)}"
+
+    return _description(
+        cat.objects,
+        [(name(f, v), s, t) for f, s, t in cat.morphisms for v in product(range(m), repeat=rank[f])],
+        {x: name(e, (0,) * rank[e]) for x, e in cat.identity.items()},
+        [(g, f, h) for (g, f), h in extension_table_by_formula(cat, system, delta)])
+
+
 def mat_mul_int(a, b):
     n, k, m = len(a), len(b), len(b[0])
     out = [[0] * m for _ in range(n)]

@@ -499,8 +499,8 @@ def test_closure_product_count_and_skipped_pairs(monkeypatch, ring, n, q, produc
             out = {}
             for f, a in row.items():
                 for g, b in v.items():
-                    h = cat.rows[f].get(g)
-                    if h is not None:
+                    if cat.tgt_of[g] == cat.src_of[f]:
+                        h = cat.rows[f][cat.inpos[g]]
                         out[h] = out.get(h, 0) + a * b
             assert not any(_reduced(x, ring) for x in out.values())
 

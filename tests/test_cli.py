@@ -146,6 +146,30 @@ def test_groupoid_roundtrip(capsys, tmp_path):
     assert code == 0 and rep["roundtrip"] == "ok"
 
 
+def test_roundtrip_check_analyzes_thinness_once(capsys, tmp_path, monkeypatch):
+    """Both round trips of `roundtrip-check` read one thinness report of
+    s̃(G): the identity blocks, which every analysis scans first, are
+    scanned once, and the answer is the one each trip gives alone."""
+    from schemoids import bridges, schemoid
+    gf = write(tmp_path, "z4.json", serialize_groupoid(one_object_group(*cyclic_group_table(4))))
+    scans = []
+    real = schemoid.identity_blocks
+
+    def counted(cat, partition):
+        scans.append(cat)
+        return real(cat, partition)
+
+    monkeypatch.setattr(schemoid, "identity_blocks", counted)
+    code, rep = run_json(capsys, "roundtrip-check", gf)
+    assert code == 0 and rep["roundtrip"] == "ok" and len(scans) == 1
+    gpd = one_object_group(*cyclic_group_table(4))
+    qs = bridges.s_tilde(gpd)
+    alone = bridges.canonical_groupoid_witness(gpd, qs)
+    assert rep["witness"]["morphisms"] == alone.morphism_map
+    bridges.phi_psi_check(qs)
+    assert len(scans) == 3
+
+
 def test_cohomology_and_extension_flow(capsys, tmp_path):
     gpd = one_object_group(*cyclic_group_table(2))
     from schemoids.fincat import serialize
@@ -200,9 +224,10 @@ def test_split_refuses_cocycle_entry_of_wrong_length(capsys, tmp_path):
 
 def test_closed_stdout_ends_quietly(capsys, tmp_path):
     """A reader that stops early, as `| head -c 16` does: the bundle of
-    j(H(4,2)) is about 200 kB, more than a pipe holds, so the CLI is still
-    writing when the pipe closes, and it ends with nothing on stderr."""
-    code, scheme = run_json(capsys, "gen", "hamming", "4", "2")
+    j(H(5,2)) is about 270 kB, more than a pipe holds (64 kB on Linux), so
+    the CLI is still writing when the pipe closes, and it ends with nothing
+    on stderr."""
+    code, scheme = run_json(capsys, "gen", "hamming", "5", "2")
     sf = write(tmp_path, "scheme.json", scheme)
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     with subprocess.Popen([sys.executable, "-m", "schemoids", "embed-scheme", sf], env=env,

@@ -7,6 +7,7 @@ from schemoids import corpus, extensions
 from schemoids.extensions import (
     BaseMismatch,
     BaseNotConnectedGroupoid,
+    ComplexTooLarge,
     Cochain2,
     EXTENSION_BUDGET,
     ExtensionError,
@@ -161,8 +162,8 @@ def test_distributivity_is_checked():
     ext = build_extension(cat, trivial_system(cat, 2), zero_cochain2())
     total = ext.total
     i, k = total.index["1|1"], total.index["0|1"]
-    assert total.rows[i][i] == total.index["0|0"]
-    total.rows[i][i] = k
+    assert total.rows[i][total.inpos[i]] == total.index["0|0"]
+    total.rows[i][total.inpos[i]] = k
     with pytest.raises(ExtensionError, match=r"^distributivity fails over \('1', '1'\)$"):
         extensions._verify_distributivity(ext)
 
@@ -639,6 +640,29 @@ def test_extension_budget_admits_j_h52_over_z3():
     counted here without building it."""
     cat = j_embed(hamming(5, 2)).category
     extensions._check_budget(cat, trivial_system(cat, 3))
+
+
+def test_d2_budget_admits_exactly_the_budget(monkeypatch):
+    """With the budget lowered to 8, d2 of Z/2 over Z/2 (dim C^3 = 8) is
+    built and d2 of Z/3 (27) is refused, before any row is built."""
+    monkeypatch.setattr(extensions, "COMPLEX_BUDGET", 8)
+    cx = bw_differentials(zcat(2), trivial_system(zcat(2), 2))
+    assert cx.dim[3] == len(cx.d2_rows) == 8
+    cx = bw_differentials(zcat(3), trivial_system(zcat(3), 2))
+
+    def built(*args):
+        raise AssertionError("a row of d2 was built")
+
+    monkeypatch.setattr(extensions.BWComplex, "_d2_at", built)
+    with pytest.raises(ComplexTooLarge, match="d2 would have 27 rows: over the budget of 8"):
+        cx.d2_rows
+
+
+def test_d2_budget_admits_j_h42_over_z2():
+    """d2 of j(H(4,2)) over Z/2, the complex the budget's comment measures,
+    has 65536 rows, within COMPLEX_BUDGET; counted without building it."""
+    cat = j_embed(hamming(4, 2)).category
+    assert bw_differentials(cat, trivial_system(cat, 2)).dim[3] == 65536 <= extensions.COMPLEX_BUDGET
 
 
 def test_equivalence_coboundary_shift():

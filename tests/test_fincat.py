@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from schemoids import fincat
 from schemoids.fincat import (
     CategoryError,
+    CategoryTooLarge,
     Functor,
     MissingIdentity,
     NonAssociative,
@@ -134,6 +135,32 @@ def test_bad_table_is_refused_as_the_full_scan_refuses_it(raw, cls, message):
         validate_category(raw)
     assert type(want.value) is type(got.value) is cls
     assert str(want.value) == str(got.value) == message
+
+
+def test_rows_given_in_code_build_the_category():
+    """Rows of positions aligned with into(src f) build the category the
+    label triples build, listed in table order."""
+    arrow = arrow_category()
+    built = build_category(arrow.objects, arrow.morphisms, arrow.identity, rows=[[0], [1, 2], [2]])
+    assert built == arrow
+    assert list(built.entries()) == [(0, (0, 0)), (1, (1, 1)), (1, (2, 2)), (2, (0, 2))]
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ([[0], [1, 2]], CategoryError, "2 rows given for 3 morphisms"),
+    ([[0], [1], [2]], CategoryError, "row of '1_y': 2 positions of morphisms expected"),
+    ([[0], [1, 3], [2]], CategoryError, "row of '1_y': 2 positions of morphisms expected"),
+    ([[0], [1, -1], [2]], CategoryError, "row of '1_y': 2 positions of morphisms expected"),
+    ([[0], [1, 0], [2]], fincat.EndpointMismatch, "composite '1_x' of ('1_y', 'f') has wrong endpoints"),
+])
+def test_rows_given_in_code_are_checked(rows, error, message):
+    """Rows of the wrong number or length, or with a position out of range,
+    are refused before they are read; a composite with the wrong endpoints
+    is refused as the full scan refuses it."""
+    arrow = arrow_category()
+    with pytest.raises(error) as err:
+        build_category(arrow.objects, arrow.morphisms, arrow.identity, rows=rows)
+    assert str(err.value) == message
 
 
 def test_missing_composite_detected():
@@ -469,3 +496,18 @@ def test_a_listed_inverse_is_checked_before_it_is_looked_up(inverse, message):
     raw = {**pair_groupoid_document(), "inverse": inverse}
     with pytest.raises(NotInvertible, match=message):
         validate_groupoid(raw)
+
+
+def test_product_budget_admits_exactly_the_budget(monkeypatch):
+    """With the budget lowered to 8, Z/2 x Z/4 (exactly 8 morphisms) is
+    built and Z/3 x Z/3 (9) is refused before any morphism is named."""
+    z = {n: one_object_group(*cyclic_group_table(n)).base for n in (2, 3, 4)}
+    monkeypatch.setattr(fincat, "PRODUCT_BUDGET", 8)
+    assert len(product(z[2], z[4]).morphisms) == 8
+
+    def named(a, b):
+        raise AssertionError("a product morphism was named")
+
+    monkeypatch.setattr(fincat, "pair_name", named)
+    with pytest.raises(CategoryTooLarge, match="the product would have 9 morphisms: over the budget of 8"):
+        product(z[3], z[3])

@@ -73,6 +73,12 @@ from oracles import (
     full_complex_is_coboundary,
     completed_entries,
     condition_P_bruteforce,
+    extension_description,
+    join_description,
+    opposite_description,
+    product_description,
+    s_tilde_description,
+    table_rows,
     inverses_bruteforce,
     labelled,
     labelled_system,
@@ -878,6 +884,79 @@ def test_compose_view_is_the_raw_entries_and_unit_fills(raw):
     assert cat.compose is view
     with pytest.raises(TypeError):
         view[next(iter(view))] = cat.morphism_ids[0]
+
+
+@st.composite
+def built_categories(draw):
+    """(kind, category, raw): a category the library builds and the raw
+    description whose completed entries it must list, in order.  The
+    factors are small categories read back from `shuffled` label lists, so
+    that their entry order is the oracle's too; s̃ takes a groupoid among
+    them or Z/n; the extension totals are split (the zero cocycle of a
+    trivial system) or not (the carry of Z/n over Z/m, gcd(n, m) > 1)."""
+    kind = draw(st.sampled_from(["small", "product", "join", "opposite", "s_tilde", "split",
+                                 "non-split"]))
+    event(f"built: {kind}")
+
+    def small():
+        raw = draw(shuffled(serialize(draw(small_categories()))))
+        return validate_category(raw), raw
+
+    if kind == "small":
+        return (kind, *small())
+    if kind in ("product", "join"):
+        (a, ra), (b, rb) = small(), small()
+        assume(len(a.morphisms) * len(b.morphisms) <= 48)
+        if kind == "product":
+            return kind, product(a, b), product_description(ra, rb)
+        return kind, join(a, b), join_description(ra, rb)
+    if kind == "opposite":
+        a, ra = small()
+        return kind, opposite(a), opposite_description(ra)
+    if kind == "s_tilde":
+        a, ra = small()
+        if not is_groupoid(a):
+            ra = serialize(one_object_group(*cyclic_group_table(draw(st.integers(1, 4)))).base)
+            a = validate_category(ra)
+        return kind, s_tilde(as_groupoid(a)).category, s_tilde_description(ra)
+    if kind == "split":
+        base, _ = small()
+        assume(len(base.morphisms) <= 12)
+        system = trivial_system(base, draw(st.sampled_from([2, 3])), draw(st.integers(0, 1)))
+        ext = build_extension(base, system, Cochain2({}))
+        assert is_split(ext) is not None
+        return kind, ext.total, extension_description(base, system, Cochain2({}))
+    n, m = draw(st.sampled_from([(2, 2), (2, 4), (3, 3), (4, 2), (4, 4)]))
+    base = one_object_group(*cyclic_group_table(n)).base
+    system = trivial_system(base, m, 1)
+    carry = Cochain2({(str(a), str(b)): (1,) for a in range(n) for b in range(n) if a + b >= n})
+    ext = build_extension(base, system, carry)
+    assert is_split(ext) is None
+    return kind, ext.total, extension_description(base, system, carry)
+
+
+@settings(max_examples=150, deadline=None)
+@given(built_categories(), st.data())
+def test_rows_entries_and_compose_match_the_construction_oracles(case, data):
+    """Each row lists f∘g for g over into(src f), as the oracle reads the
+    completed table by label; `entries()` and the `compose` view list the
+    builder's entries in the order given, then the unit-law fills; `comp`
+    refuses a pair that does not compose with KeyError; and the written
+    table reads back into an equal category that writes the same table."""
+    kind, cat, raw = case
+    want = completed_entries(raw)
+    ids = cat.morphism_ids
+    assert [list(row) for row in cat.rows] == table_rows(raw)
+    assert [(ids[i], ids[j], ids[k]) for i, (j, k) in cat.entries()] == want
+    assert list(cat.compose.items()) == [((f, g), fg) for f, g, fg in want]
+    apart = [(f, g) for f, s, _ in cat.morphisms for g, _, t in cat.morphisms if t != s]
+    if apart:
+        f, g = data.draw(st.sampled_from(apart))
+        with pytest.raises(KeyError):
+            cat.comp(f, g)
+    written = serialize(cat)
+    back = validate_category(written)
+    assert back == cat and serialize(back) == written
 
 
 def thin_raw(n, related, order):

@@ -308,7 +308,7 @@ def test_the_thickening_budget_counts_composable_triples():
     is z = 100, in well under a second, before any morphism is built."""
     z = [[2, 1, 3], [0, 3, 0], [1, 2, 2]]
     cat = category_from_matrix(z).category
-    assert sum(len(cat.rows[j]) for row in cat.rows for j in row) == 254 == sum(
+    assert sum(len(cat.rows[j]) for _, (j, _) in cat.entries()) == 254 == sum(
         z[a][b] * z[b][c] * z[c][d] for a in range(3) for b in range(3) for c in range(3)
         for d in range(3))
     assert 4 * 77 ** 3 <= SCHEME_BUDGET < 4 * 81 ** 3
