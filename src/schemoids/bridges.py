@@ -180,11 +180,10 @@ def r_tilde(qs: QuasiSchemoid, report: ThinnessReport | None = None) -> Groupoid
 
 
 def canonical_groupoid_witness(g: Groupoid, pair_schemoid: QuasiSchemoid,
-                               report: ThinnessReport | None = None) -> Functor:
+                               report: ThinnessReport) -> Functor:
     """The functor x -> G[1_x], f -> G[f] onto r_tilde(pair_schemoid),
     verified to be an isomorphism of categories; `pair_schemoid` is
-    s_tilde(G), and `report`, when given, its thinness report, as
-    `r_tilde` reads it."""
+    s_tilde(G), and `report` its thinness report, as `r_tilde` reads it."""
     rt = r_tilde(pair_schemoid, report)
     omap = {x: f"G[{g.base.identity[x]}]" for x in g.base.objects}
     mmap = {f: f"G[{f}]" for f in g.base.morphism_ids}
@@ -208,10 +207,9 @@ class ThinRoundTrip:
     psi: Functor                 # double -> qs
 
 
-def phi_psi_check(qs: QuasiSchemoid, report: ThinnessReport | None = None) -> ThinRoundTrip:
+def phi_psi_check(qs: QuasiSchemoid, report: ThinnessReport) -> ThinRoundTrip:
     """Explicit inverse pair between a based thin schemoid and its double.
-    `report` is `analyze_thinness(qs, qs.base_points)`, made here when not
-    given.
+    `report` is `analyze_thinness(qs, qs.base_points)`.
 
     Verifies functoriality, that both composites are identities on objects
     and morphisms, blockwise behaviour of both functors, and that phi sends
@@ -224,8 +222,6 @@ def phi_psi_check(qs: QuasiSchemoid, report: ThinnessReport | None = None) -> Th
     thin, so one morphism from each object to a base point: a report that
     breaks this is a program error (ValueError), not a verdict.
     """
-    if report is None:
-        report = analyze_thinness(qs, qs.base_points)
     if not report.semi_thin:
         raise NotSemiThin(report.witness or "schemoid is not semi-thin")
     if not report.thin:

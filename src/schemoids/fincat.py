@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, islice, repeat
 from operator import lt
 from types import MappingProxyType
@@ -331,7 +331,7 @@ def read_category(raw: dict, at: str = "") -> FinCategory:
     parts = (raw["objects"], [(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]],
              raw["identities"])
     if shapes.is_table(compose):
-        return _validate(*parts, table=(compose, path))
+        return _validate(*parts, read_rows=partial(_read_table, compose, path))
     try:
         return _validate(*parts, compose)
     except (CategoryError, ValueError, TypeError):
@@ -339,16 +339,16 @@ def read_category(raw: dict, at: str = "") -> FinCategory:
         raise
 
 
-def _validate(objects, morphisms, identities, entries=(), table=None, rows=None) -> FinCategory:
+def _validate(objects, morphisms, identities, entries=(), read_rows=None) -> FinCategory:
     """The category laws by exhaustive check on an integer index.
 
     Morphisms are numbered 0..M-1 in input order.  Every key of
     `identities` must be an object.  The composites come as a stream of
-    (f, g, f∘g) label `entries` (`_read_labels`), as a `table`, (positions,
-    JSON path), as `serialize` writes it (`_read_table`), or as `rows`
-    already aligned with into(src f) (`_given_rows`).  All three give the
-    rows the category keeps, each a list aligned with into(src f), and
-    check each entry's endpoints: t(g) = s(f), s(k) = s(g) and t(k) = t(f)
+    (f, g, f∘g) label `entries` (`_read_labels`), or from `read_rows`,
+    which maps the row widths, len(into(src f)) for each f, to the rows:
+    of a table as `serialize` writes it (`_read_table`) or built in code
+    (`_given_rows`).  Either way the category keeps rows each aligned
+    with into(src f), and each entry's endpoints are checked: t(g) = s(f), s(k) = s(g) and t(k) = t(f)
     for (f, g) -> k.  A pair with t(g) != s(f) has no place in a row; the
     label reader keeps such pairs aside, to be reported as a full scan
     would.  The unit-law fills pass the endpoint checks by construction.
@@ -403,10 +403,8 @@ def _validate(objects, morphisms, identities, entries=(), table=None, rows=None)
     ident = [pos[identity[x]] for x in objects]
     widths = [len(in_to[s]) for s in s_of]
     order, foreign = None, {}
-    if rows is not None:
-        rows = _given_rows(rows, ids, widths)
-    elif table is not None:
-        rows = _read_table(*table, widths)
+    if read_rows is not None:
+        rows = read_rows(widths)
     else:
         rows, order, foreign = _read_labels(entries, ids, pos, s_of, t_of, inpos, widths)
         # fill unit-law entries
@@ -597,7 +595,7 @@ def serialize(cat: FinCategory) -> dict:
     }
 
 
-def build_category(objects, morphisms, identity, compose=(), rows=None) -> FinCategory:
+def build_category(objects, morphisms, identity, compose=None, rows=None) -> FinCategory:
     """Validate parts assembled in code (same checks as validate_category).
 
     `compose` is an iterable of (f, g, f∘g) triples; it is read once, so a
@@ -605,9 +603,15 @@ def build_category(objects, morphisms, identity, compose=(), rows=None) -> FinCa
     positions: for each morphism f in order, a list of the positions of
     f∘g for g over the morphisms into src(f) in morphism order, unit-law
     pairs included.  Rows may be shared between morphisms; the category
-    keeps them as given.
+    keeps them as given.  A call that gives both is refused (TypeError).
     """
-    return _validate(objects, morphisms, identity, compose, rows=rows)
+    if rows is None:
+        return _validate(objects, morphisms, identity, () if compose is None else compose)
+    if compose is not None:
+        raise TypeError("build_category takes composition triples or rows, not both")
+    morphisms = tuple(map(tuple, morphisms))
+    ids = [m for m, _, _ in morphisms]
+    return _validate(objects, morphisms, identity, read_rows=partial(_given_rows, rows, ids))
 
 
 def full_subcategory(c: FinCategory, objects) -> FinCategory:

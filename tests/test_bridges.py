@@ -153,7 +153,7 @@ def test_r_tilde_of_s_tilde_z3():
     rt = r_tilde(qs)
     assert len(rt.base.objects) == 1
     assert len(rt.base.morphisms) == 3
-    witness = canonical_groupoid_witness(g, qs)
+    witness = canonical_groupoid_witness(g, qs, analyze_thinness(qs, qs.base_points))
     assert witness is not None
 
 
@@ -191,18 +191,19 @@ def test_c2_isomorphic_to_double():
 def test_phi_psi_roundtrip():
     for g in (zmod(1), zmod(2), zmod(3), two_object_connected_groupoid()):
         qs = s_tilde(g)
-        trip = phi_psi_check(qs)
+        trip = phi_psi_check(qs, analyze_thinness(qs, qs.base_points))
         assert trip is not None
     # thin schemoid not in the s_tilde image a priori: C_2 with base points
     qs = c_i_family(2)
     report = analyze_thinness(qs)
     qs = verify_quasi_schemoid(qs.category, qs.partition, qs.involution, report.base_points)
-    phi_psi_check(qs)
+    phi_psi_check(qs, analyze_thinness(qs, qs.base_points))
 
 
 def test_phi_psi_terminal():
     g = Groupoid(terminal_category(), {"1_*": "1_*"})
-    trip = phi_psi_check(s_tilde(g))
+    qs = s_tilde(g)
+    trip = phi_psi_check(qs, analyze_thinness(qs, qs.base_points))
     assert trip.phi.object_map == {"1_*": "G[1_*]"}
 
 
@@ -322,18 +323,13 @@ def test_given_and_searched_base_points_match_enumeration(data):
         _check_base_points(qs, list(found))
 
 
-def test_phi_psi_check_reads_a_broken_report_as_a_program_error(monkeypatch):
+def test_phi_psi_check_reads_a_broken_report_as_a_program_error():
     """Two base points in one component cannot come from a thin report;
     given one, the round trip fails as a program error, not as NotThin."""
     qs = c_i_family(2)
-    real = analyze_thinness
-
-    def broken(qs, base_points=None):
-        return dataclasses.replace(real(qs, base_points), base_points=("x0", "y0"))
-
-    monkeypatch.setattr(bridges, "analyze_thinness", broken)
+    broken = dataclasses.replace(analyze_thinness(qs, qs.base_points), base_points=("x0", "y0"))
     with pytest.raises(ValueError):
-        phi_psi_check(qs)
+        phi_psi_check(qs, broken)
 
 
 def test_s_tilde_refuses_oversized_triple_counts_before_building():

@@ -164,9 +164,9 @@ def test_roundtrip_check_analyzes_thinness_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and rep["roundtrip"] == "ok" and len(scans) == 1
     gpd = one_object_group(*cyclic_group_table(4))
     qs = bridges.s_tilde(gpd)
-    alone = bridges.canonical_groupoid_witness(gpd, qs)
+    alone = bridges.canonical_groupoid_witness(gpd, qs, schemoid.analyze_thinness(qs, qs.base_points))
     assert rep["witness"]["morphisms"] == alone.morphism_map
-    bridges.phi_psi_check(qs)
+    bridges.phi_psi_check(qs, schemoid.analyze_thinness(qs, qs.base_points))
     assert len(scans) == 3
 
 

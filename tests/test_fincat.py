@@ -163,6 +163,15 @@ def test_rows_given_in_code_are_checked(rows, error, message):
     assert str(err.value) == message
 
 
+def test_rows_and_triples_given_together_are_refused():
+    """A call that gives both composition triples and rows is refused, so
+    neither is silently dropped, even when the triples are empty."""
+    arrow = arrow_category()
+    for compose in ((), [("f", "1_x", "f")]):
+        with pytest.raises(TypeError):
+            build_category(arrow.objects, arrow.morphisms, arrow.identity, compose, rows=[[0], [1, 2], [2]])
+
+
 def test_missing_composite_detected():
     raw = serialize(chain3_category())
     raw["compose"] = []
