@@ -143,10 +143,10 @@ def induced_algebra_map(phi: SchemoidMorphism, ring) -> AlgebraMap:
 def condition_P(qs: QuasiSchemoid):
     """At most one in-block solution of f∘g = h for every choice of two of
     f, g, h.  Returns (True, None) or (False, witness), the witness at the
-    first pair (f, g), in the order the table was given (`entries`), whose
-    solution differs from one seen before it.  A thin category needs no
-    scan: any two of f, g, h fix the endpoints of the third, and so the
-    third itself."""
+    first pair (f, g) in table order (`entries`), however the category was
+    built, whose solution differs from one seen before it.  A thin category
+    needs no scan: any two of f, g, h fix the endpoints of the third, and so
+    the third itself."""
     cat = qs.category
     if cat.thin:
         return True, None

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, product as iproduct, repeat
-from operator import add, itemgetter
+from operator import add
 
 from . import linalg
 from .fincat import (
@@ -197,8 +197,7 @@ def validate_natural_system(cat: FinCategory, modulus, rank, push, pull) -> Natu
             if at is None:
                 raise FunctorialityViolated(f"{kind} key ({f!r}, {g!r}) is not composable")
             rows[at[0]][at[1]] = tuple(map(tuple, mat))
-        missing = next(((ids[i], ids[j]) for i, (j, _) in sorted(cat.entries(), key=itemgetter(0))
-                        if j not in rows[i]), None)
+        missing = next(((ids[i], ids[j]) for i, (j, _) in cat.entries() if j not in rows[i]), None)
         if missing:
             raise FunctorialityViolated(f"{kind} map for {missing} missing")
         indexed.append(tuple(rows))
@@ -392,10 +391,12 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 #
 # The bases are indexed as the category is: C^0 has a block per object and
 # C^1 one per morphism, by position, C^2 one per composable pair (f, g) in
-# `entries()` order, and C^3 one per triple (f, g, h), h in morphism order
-# (basis3).  offset0[x], offset1[f] and offset2[f][g], keyed like the system,
-# give each block's first coordinate; they are built on first read, so an
-# answer found on the skeleton builds only the skeleton's.  bw_differentials
+# `entries()` order, the table order however C was built, and C^3 one per
+# triple (f, g, h), h in morphism order (basis3); so no answer solved on the
+# basis depends on whether C came from labels, rows or a bundle.
+# offset0[x], offset1[f] and offset2[f][g], keyed like the system, give each
+# block's first coordinate; they are built on first read, so an answer found
+# on the skeleton builds only the skeleton's.  bw_differentials
 # reads the four dimensions off the ranks and the rows: dim C^2 is the sum
 # over u of W(u) = sum over h into src u of rank(u∘h), and dim C^3 the sum
 # over pairs (f, g) of W(f∘g).
@@ -451,7 +452,8 @@ class BWComplex:
         return offset2
 
     def _triples(self):
-        """Composable triples (f, g, h): pairs in entries() order, h in morphism order."""
+        """Composable triples (f, g, h): pairs (f, g) in table order, the
+        `entries()` order, and h over into(src g) in morphism order."""
         cat = self.category
         into, src_of = cat.into, cat.src_of
         return ((f, g, h) for f, (g, _) in cat.entries() for h in into[src_of[g]])
@@ -766,7 +768,7 @@ class _FiberTables:
 
     `addition[k][p][q]` is the position of the sum of the vectors at p and q
     in the fiber over morphism k (by index), and `pairs`, one entry for each
-    composable pair (g, f) in `entries()` order, holds g_* on D_f and f^* on
+    composable pair (g, f) in table order, holds g_* on D_f and f^* on
     D_g as tables: table[p] is the position of the image of the vector at p.
     Each table is built once per rank or per distinct (matrix, rank), from
     the addition table alone: a matrix table grows one coordinate at a
@@ -833,8 +835,9 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
     read off fiber indices: (g, b)∘(f, a) lies over g∘f at position
     add[add[-δ(g, f)][g_*[a]]][f^*[b]] of its fiber, where add, g_* and f^*
     are `_FiberTables` tables built once per rank or matrix, and are
-    streamed into `build_category` in the order (g, f) in `entries()` order,
-    a, then b, with no table of the total built here.  That category's
+    streamed into `build_category` for (g, f) in the base's table order,
+    a, then b, with no table of the total built here; the total, like any
+    category, lists its own pairs in its table order.  That category's
     associativity test is the cocycle test: at the zero elements,
     (h,0)∘((g,0)∘(f,0)) - ((h,0)∘(g,0))∘(f,0) lies over hgf with vector
     h_*δ(g,f) - δ(hg,f) + δ(h,gf) - f^*δ(h,g) = (d2 δ)(h,g,f), so a total

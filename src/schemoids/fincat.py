@@ -7,12 +7,13 @@ convention is f∘g with src(f) = tgt(g): g is applied first.  The table is
 one list of integers per morphism, aligned with into(src f): rows[i][p] =
 k says that morphism k is the composite i∘into(src i)[p], and inpos[j] is
 the position of j in into(tgt j), so the composite i∘j is
-rows[i][inpos[j]].  The table also keeps the order its entries were given
-in, so that it is listed back in that order.  Labels appear only at the
-boundary: `comp` looks up one composite by name, and `compose`, the table
-keyed by label pairs, is a read-only view derived from the rows on first
-read, for callers outside the library.  Validated values are immutable by
-convention; every operation builds fresh structures.
+rows[i][inpos[j]].  The pairs are listed in this table order however the
+category was built: f in morphism order, g over into(src f).  Labels
+appear only at the boundary: `comp` looks up one composite by name, and
+`compose`, the table keyed by label pairs, is a read-only view derived
+from the rows on first read, for callers outside the library.  Validated
+values are immutable by convention; every operation builds fresh
+structures.
 
 A category document writes its composition in one of two forms.
 `serialize` writes a table: one integer per composable pair, f in
@@ -31,8 +32,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, islice, repeat
-from operator import lt
+from itertools import accumulate, chain
 from types import MappingProxyType
 
 
@@ -102,8 +102,9 @@ class FinCategory:
     numbered in order too, and the index fields below give each
     morphism's endpoints, each object's identity and the morphisms into
     and out of it, in morphism order.  The library reads only these;
-    `entries` lists the pairs in the order they were given, and `compose`
-    is a labelled view derived from them for callers outside the library.
+    `entries` lists the pairs in table order, whether the category was
+    built from labels, rows or a table, and `compose` is a labelled view
+    derived from them for callers outside the library.
     """
     objects: tuple[str, ...]
     morphisms: tuple[tuple[str, str, str], ...]  # (id, src, tgt)
@@ -116,8 +117,6 @@ class FinCategory:
     into: list[list[int]]                        # object -> the morphisms into it
     out_of: list[list[int]]                      # object -> the morphisms out of it
     inpos: list[int]                             # morphism j -> its position in into[tgt j]
-    _order: list[int] | None                     # i·M + j for each pair (i, j), in the order
-                                                 # given; None when that is table order
     _src: dict[str, str]
     _tgt: dict[str, str]
     _hom: dict[tuple[str, str], tuple[str, ...]]
@@ -141,14 +140,10 @@ class FinCategory:
 
     def entries(self):
         """(i, (j, k)) with ids[k] = ids[i]∘ids[j] for every composable
-        pair, in the order the table was given: the first entry given for
-        each pair, then the pairs the unit laws filled in.  A table read as
-        positions was given in table order: i in morphism order, j over
-        into(src i)."""
-        rows, into, s_of, inpos = self.rows, self.into, self.src_of, self.inpos
-        if self._order is None:
-            return ((i, jk) for i, row in enumerate(rows) for jk in zip(into[s_of[i]], row))
-        return ((i, (j, rows[i][inpos[j]])) for i, j in map(divmod, self._order, repeat(len(rows))))
+        pair, in table order: i in morphism order, j over into(src i).  The
+        order is the same however the category was built."""
+        into, s_of = self.into, self.src_of
+        return ((i, jk) for i, row in enumerate(self.rows) for jk in zip(into[s_of[i]], row))
 
     @cached_property
     def compose(self) -> Mapping[tuple[str, str], str]:
@@ -348,13 +343,15 @@ def _validate(objects, morphisms, identities, entries=(), read_rows=None) -> Fin
     which maps the row widths, len(into(src f)) for each f, to the rows:
     of a table as `serialize` writes it (`_read_table`) or built in code
     (`_given_rows`).  Either way the category keeps rows each aligned
-    with into(src f), and each entry's endpoints are checked: t(g) = s(f), s(k) = s(g) and t(k) = t(f)
-    for (f, g) -> k.  A pair with t(g) != s(f) has no place in a row; the
-    label reader keeps such pairs aside, to be reported as a full scan
-    would.  The unit-law fills pass the endpoint checks by construction.
-    Totality: every place of every row is filled, which a table and given
-    rows are by their length, and label rows are when as many distinct
-    pairs were placed as the rows have places.  Associativity: on a thin
+    with into(src f), so it lists its pairs in that table order and not in
+    the order labels were given.  Each entry's endpoints are checked:
+    t(g) = s(f), s(k) = s(g) and t(k) = t(f) for (f, g) -> k.  A pair with
+    t(g) != s(f) has no place in a row; the label reader keeps such pairs
+    aside, to be reported as a full scan would.  The unit-law fills pass
+    the endpoint checks by construction.  Totality: every place of every
+    row is filled, which a table and given rows are by their length, and
+    label rows are when as many distinct pairs were placed as the rows
+    have places.  Associativity: on a thin
     table it holds once totality and endpoints do, since (x∘a)∘y and
     x∘(a∘y) both lie in Hom(src y, tgt x), which has one member.
     Otherwise by Light's test: the morphisms a with (x∘a)∘y = x∘(a∘y) for
@@ -402,37 +399,34 @@ def _validate(objects, morphisms, identities, entries=(), read_rows=None) -> Fin
         ys.append(i)
     ident = [pos[identity[x]] for x in objects]
     widths = [len(in_to[s]) for s in s_of]
-    order, foreign = None, {}
+    size = sum(widths)
+    placed, foreign = size, {}             # a table and given rows fill every place
     if read_rows is not None:
         rows = read_rows(widths)
     else:
-        rows, order, foreign = _read_labels(entries, ids, pos, s_of, t_of, inpos, widths)
+        rows, placed, foreign = _read_labels(entries, ids, pos, s_of, t_of, inpos, widths)
         # fill unit-law entries
-        add, m = order.append, len(ids)
-        for i in range(m):
+        for i in range(len(ids)):
             e, e2 = ident[s_of[i]], ident[t_of[i]]
             row, p = rows[i], inpos[e]
             if row[p] is None:
                 row[p] = i
-                add(i * m + e)
+                placed += 1
             row, p = rows[e2], inpos[i]
             if row[p] is None:
                 row[p] = i
-                add(e2 * m + i)
+                placed += 1
 
-    # totality: a table and given rows fill every place by their lengths;
-    # label rows do when every place was filled, one entry of `order` each
-    if foreign or (order is not None and len(order) != sum(widths)) \
-            or not _endpoints_fit(rows, s_of, t_of, in_to):
+    # totality: label rows are total when as many places were filled as the
+    # rows have
+    if foreign or placed != size or not _endpoints_fit(rows, s_of, t_of, in_to):
         _raise_first_gap(ids, s_of, t_of, in_to, inpos, rows, foreign)
-    if order is not None and all(map(lt, order, islice(order, 1, None))):
-        order = None                                   # the labels came in table order
     # unit laws
     for i, m in enumerate(ids):
         if rows[i][inpos[ident[s_of[i]]]] != i or rows[ident[t_of[i]]][inpos[i]] != i:
             raise MissingIdentity(f"unit law fails at {m!r}")
     cat = FinCategory(objects, morphisms, identity, tuple(rows), pos, s_of, t_of, ident, in_to,
-                      out_of, inpos, order, src, tgt, _hom_sets(morphisms), ids)
+                      out_of, inpos, src, tgt, _hom_sets(morphisms), ids)
     if not cat.thin:
         _light_test(ids, s_of, t_of, out_of, in_to, inpos, rows,
                     map(pos.__getitem__, cat.generators))
@@ -440,17 +434,15 @@ def _validate(objects, morphisms, identities, entries=(), read_rows=None) -> Fin
 
 
 def _read_labels(entries, ids, pos, s_of, t_of, inpos, widths):
-    """(rows, order, foreign) from a stream of (f, g, f∘g) label triples:
-    rows with None at each place no entry filled, the key i·M + j of each
-    pair placed, in the order placed, and {(i, j): k} for the pairs with
-    t(g) != s(f), which have no place.  The first entry given for a pair
-    is kept, and a repeat must agree with it.  A bad endpoint is left for
-    the caller's check: an unknown or conflicting entry later in the
-    stream is raised first, as a full scan would raise it."""
-    m = len(ids)
+    """(rows, placed, foreign) from a stream of (f, g, f∘g) label triples,
+    in any order: rows aligned with into(src f), with None at each place no
+    entry filled, the number of places filled, and {(i, j): k} for the
+    pairs with t(g) != s(f), which have no place.  The first entry given
+    for a pair is kept, and a repeat must agree with it.  A bad endpoint is
+    left for the caller's check: an unknown or conflicting entry later in
+    the stream is raised first, as a full scan would raise it."""
     rows = [[None] * w for w in widths]
-    order: list[int] = []
-    add = order.append
+    placed = 0
     foreign: dict[tuple[int, int], int] = {}
     for f, g, fg in entries:
         try:
@@ -463,13 +455,13 @@ def _read_labels(entries, ids, pos, s_of, t_of, inpos, widths):
             old = row[p]
             if old is None:
                 row[p] = k
-                add(i * m + j)
+                placed += 1
                 continue
         else:
             old = foreign.setdefault((i, j), k)
         if old != k:
             raise UndefinedComposite(f"conflicting entries for ({ids[i]!r}, {ids[j]!r})")
-    return rows, order, foreign
+    return rows, placed, foreign
 
 
 def _read_table(table, at, widths):

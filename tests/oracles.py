@@ -101,6 +101,19 @@ def completed_entries(raw):
     return [(f, g, fg) for (f, g), fg in validate_category_dense(raw).items()]
 
 
+def table_entries(raw):
+    """The entries (f, g, f∘g) of a raw description in table order: f over
+    the morphisms in the order given and, for each f, g over the morphisms
+    with tgt(g) = src(f) in the same order, f∘g read by label from the
+    table `validate_category_dense` completes.  The reference for the order
+    of schemoids.fincat.FinCategory.entries, however the category was built."""
+    table = validate_category_dense(raw)
+    morphisms = [m["id"] for m in raw["morphisms"]]
+    tgt = {m["id"]: m["tgt"] for m in raw["morphisms"]}
+    return [(f["id"], g, table[(f["id"], g)]) for f in raw["morphisms"]
+            for g in morphisms if tgt[g] == f["src"]]
+
+
 def table_rows(raw):
     """For each morphism f in the order given, the positions of f∘g for g
     over the morphisms with tgt(g) = src(f) in the order given, read by

@@ -61,13 +61,13 @@ from schemoids.schemoid import (
     serialize_partition,
     verify_quasi_schemoid,
 )
+from schemoids import corpus
 from schemoids.admissible import condition_P, is_admissible
 from schemoids.fincat import Functor
 
 from oracles import (
     coboundary_of_1cochain as reference_coboundary,
     cocycle_defect as reference_cocycle_defect,
-    extension_table_by_formula,
     dense_cohomology_invariants,
     full_complex_cohomology,
     full_complex_is_coboundary,
@@ -78,6 +78,7 @@ from oracles import (
     opposite_description,
     product_description,
     s_tilde_description,
+    table_entries,
     table_rows,
     inverses_bruteforce,
     labelled,
@@ -454,10 +455,11 @@ def test_build_extension_matches_reference_cocycle_test(case, data):
     finds no triple with d2 nonzero, and otherwise raises NotACocycle
     naming the reference's first triple.  An accepted cocycle's total has
     the table that `extension_table_by_formula` computes on vectors, entry
-    for entry and in order.  Cases whose total has more than 20000
-    composites are skipped.  The two explicit examples, trivial systems of
-    rank 0 and 2 over Z/3 on Z/2, take the zero cochain and the cocycle
-    (1, ..., 1) at (1, 1)."""
+    for entry and in table order: the formula's entries sorted by the
+    positions of their two factors in `extension_description`'s morphism
+    list.  Cases whose total has more than 20000 composites are skipped.
+    The two explicit examples, trivial systems of rank 0 and 2 over Z/3 on
+    Z/2, take the zero cochain and the cocycle (1, ..., 1) at (1, 1)."""
     cat, phi, n, system = case
     m, rank = system.modulus, labelled_system(system)[0]
     assume(sum(m ** (rank[f] + rank[g]) for f, g in cat.compose) <= 20000)
@@ -475,7 +477,11 @@ def test_build_extension_matches_reference_cocycle_test(case, data):
             event("cocycle")
             ext = build_extension(cat, system, delta)
             assert len(ext.total.morphisms) == sum(m ** rank[f] for f in cat.morphism_ids)
-            assert list(ext.total.compose.items()) == extension_table_by_formula(cat, system, delta)
+            described = extension_description(cat, system, delta)
+            pos = {f["id"]: n for n, f in enumerate(described["morphisms"])}
+            want = sorted((((g, f), h) for g, f, h in described["compose"]),
+                          key=lambda entry: (pos[entry[0][0]], pos[entry[0][1]]))
+            assert list(ext.total.compose.items()) == want
         else:
             event("not a cocycle")
             with pytest.raises(NotACocycle) as err:
@@ -837,12 +843,12 @@ def test_pair_groupoid_tally_matches_raw_entry_oracle(case):
 @given(partitioned_categories())
 def test_condition_P_matches_raw_entry_oracle(case):
     """condition_P on the rows gives the verdict, and the first witness in
-    the order the entries were given, of the string-keyed scan of the raw
-    entries."""
+    table order, of the string-keyed scan of the raw entries put in table
+    order (`table_entries`), however they were shuffled."""
     raw, blocks = case
     cat = validate_category(raw)
     partition = make_partition(cat, blocks)
-    want = condition_P_bruteforce(completed_entries(raw), partition.block_of)
+    want = condition_P_bruteforce(table_entries(raw), partition.block_of)
     got = condition_P(QuasiSchemoid(cat, partition, StructureConstantTable({})))
     event("holds" if want[0] else want[1][0])
     assert got == want
@@ -870,16 +876,16 @@ def test_as_groupoid_matches_brute_inverse_search(raw):
 @given(raw_categories())
 def test_compose_view_is_the_raw_entries_and_unit_fills(raw):
     """The labelled view, built from the rows on first read, lists the raw
-    entries, the first of any repeated pair, and then the unit-law fills, in
-    the order given.  The table `serialize` writes holds the same pairs, in
-    its own row order, and a category read back from it lists its entries
-    in that order."""
+    entries, the first of any repeated pair, and the unit-law fills, in
+    table order (`table_entries`), whatever order they were given in.  The
+    table `serialize` writes holds the same pairs in the same order, and a
+    category read back from it lists its entries in that order too."""
     cat = validate_category(raw)
     assert "compose" not in cat.__dict__
     view = cat.compose
-    assert list(view.items()) == [((f, g), fg) for f, g, fg in completed_entries(raw)]
+    assert list(view.items()) == [((f, g), fg) for f, g, fg in table_entries(raw)]
     written = [((f, g), fg) for f, g, fg in labelled(serialize(cat))["compose"]]
-    assert dict(written) == view
+    assert written == list(view.items())
     assert list(validate_category(serialize(cat)).compose.items()) == written
     assert cat.compose is view
     with pytest.raises(TypeError):
@@ -889,10 +895,9 @@ def test_compose_view_is_the_raw_entries_and_unit_fills(raw):
 @st.composite
 def built_categories(draw):
     """(kind, category, raw): a category the library builds and the raw
-    description whose completed entries it must list, in order.  The
-    factors are small categories read back from `shuffled` label lists, so
-    that their entry order is the oracle's too; s̃ takes a groupoid among
-    them or Z/n; the extension totals are split (the zero cocycle of a
+    description whose completed entries it must list, in table order.  The
+    factors are small categories read back from `shuffled` label lists; s̃
+    takes a groupoid among them or Z/n; the extension totals are split (the zero cocycle of a
     trivial system) or not (the carry of Z/n over Z/m, gcd(n, m) > 1)."""
     kind = draw(st.sampled_from(["small", "product", "join", "opposite", "s_tilde", "split",
                                  "non-split"]))
@@ -940,11 +945,12 @@ def built_categories(draw):
 def test_rows_entries_and_compose_match_the_construction_oracles(case, data):
     """Each row lists f∘g for g over into(src f), as the oracle reads the
     completed table by label; `entries()` and the `compose` view list the
-    builder's entries in the order given, then the unit-law fills; `comp`
-    refuses a pair that does not compose with KeyError; and the written
-    table reads back into an equal category that writes the same table."""
+    builder's entries and the unit-law fills in table order, not in the
+    order the builder streamed them (`table_entries`); `comp` refuses a
+    pair that does not compose with KeyError; and the written table reads
+    back into an equal category that writes the same table."""
     kind, cat, raw = case
-    want = completed_entries(raw)
+    want = table_entries(raw)
     ids = cat.morphism_ids
     assert [list(row) for row in cat.rows] == table_rows(raw)
     assert [(ids[i], ids[j], ids[k]) for i, (j, k) in cat.entries()] == want
@@ -957,6 +963,76 @@ def test_rows_entries_and_compose_match_the_construction_oracles(case, data):
     written = serialize(cat)
     back = validate_category(written)
     assert back == cat and serialize(back) == written
+
+
+def _coboundary_section(cat, m):
+    """The section `is_split` finds for the extension of cat's trivial
+    rank-1 system over Z/m by the coboundary d f, where f(x) is the
+    position of x mod m and 0 at the identities, so that d f is normalized."""
+    system = trivial_system(cat, m, 1)
+    units = cat.identities()
+    fvals = {f: (0 if f in units else n % m,) for n, f in enumerate(cat.morphism_ids)}
+    ext = build_extension(cat, system, coboundary_of_1cochain(system, fvals))
+    return is_split(ext).morphism_map
+
+
+def assert_read_back_answers_alike(cat, partition):
+    """cat and the category read back from its written table list the same
+    entries and compose view in the same order, give the same condition_P
+    result under `partition`, and, on at most 40 morphisms, the same
+    coboundary sections over Z/2 and Z/3."""
+    back = validate_category(serialize(cat))
+    assert list(back.entries()) == list(cat.entries())
+    assert list(back.compose.items()) == list(cat.compose.items())
+    table = StructureConstantTable({})
+    assert (condition_P(QuasiSchemoid(back, partition, table))
+            == condition_P(QuasiSchemoid(cat, partition, table)))
+    if len(cat.morphisms) <= 40:
+        for m in (2, 3):
+            assert _coboundary_section(back, m) == _coboundary_section(cat, m)
+
+
+@pytest.mark.parametrize("name", [name for name, entry in corpus.ENTRIES.items()
+                                  if entry.kind == "schemoid"])
+def test_corpus_schemoids_and_their_read_backs_answer_alike(name):
+    """Every corpus schemoid's category, built in code, answers as the same
+    category read back from its bundle table does: one pair order."""
+    qs = corpus.build(name)
+    assert_read_back_answers_alike(qs.category, qs.partition)
+
+
+@pytest.mark.parametrize("name, m", [("ex2_13_product", 3), ("ex7_11", 2), ("ex7_11", 3)])
+def test_coboundary_sections_do_not_depend_on_how_the_base_was_built(name, m):
+    """The cases where the built base and its read-back once gave different
+    sections of the same coboundary extension."""
+    cat = corpus.build(name).category
+    assert _coboundary_section(validate_category(serialize(cat)), m) == _coboundary_section(cat, m)
+
+
+def test_condition_P_witness_on_sc3_gs_z2_is_the_table_order_one():
+    """sc3_gs_z2's condition_P witness, built in code or read back, is the
+    first failure in table order, which is a pair of right factors; the
+    built category once reported its given order's left factors."""
+    qs = corpus.build("sc3_gs_z2")
+    back = validate_category(serialize(qs.category))
+    want = (False, ("two right factors", "phi_0_0_0", "phi_0_0_0", "phi_0_0_1", "phi_0_0_2"))
+    assert condition_P(qs) == want
+    assert condition_P(QuasiSchemoid(back, qs.partition, qs.constants)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(built_categories(), st.data())
+def test_built_categories_and_their_read_backs_answer_alike(case, data):
+    """Each category the library builds, from shuffled labels, products,
+    joins, opposites, s̃ or extension totals, answers as its read-back
+    does, under a drawn partition into at most three blocks."""
+    cat = case[1]
+    label = data.draw(st.lists(st.integers(0, 2), min_size=len(cat.morphisms),
+                               max_size=len(cat.morphisms)))
+    blocks = {}
+    for f, b in zip(cat.morphism_ids, label):
+        blocks.setdefault(f"B{b}", []).append(f)
+    assert_read_back_answers_alike(cat, make_partition(cat, blocks))
 
 
 def thin_raw(n, related, order):
