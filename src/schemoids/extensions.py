@@ -21,9 +21,12 @@ An extension is built on fiber indices: each element of D_f = (Z/m)^r is
 numbered by its position in lexicographic order (`_position`), so the total
 morphism (f, a) has index offset(f) + position(a).  Addition in (Z/m)^r is
 one table per rank, and each push or pull matrix one table over its fiber,
-built once per distinct matrix; the composites are read from those tables
-(`_FiberTables`), never by arithmetic on tuples.  Each fiber element is
-named once, when the total is built, and the extension keeps its tables:
+built once per distinct matrix; the total's composition rows are read
+from those tables (`_FiberTables`), never by arithmetic on tuples, and
+handed to `build_category` as positions, with no label of a composite.
+Each fiber element is named once, when the total is built, "f|a" with a's
+coordinates joined by "." (a vector's name holds no "|", so the name split
+at its last "|" gives back f and a), and the extension keeps its tables:
 the torsor check, the transport check of a lifted schemoid and the
 witnesses read positions from them and names from `ExtensionCategory.fiber`.
 A lifted involution reads no table: it is the total's own inverse map.
@@ -405,11 +408,12 @@ def cocycle_to_json(delta: Cochain2) -> dict:
 # (BWComplex._d0_at, _d1_at, _d2_at).  d0_rows, d1_rows and d2_rows join them
 # in basis order when first read, checking d1∘d0 = 0 and d2∘d1 = 0;
 # coboundary_of_1cochain applies d1's rows pair by pair, and cocycle_defect
-# applies d2's triple by triple as it streams the triples, so it holds
-# neither them nor d2.  build_extension's cocycle test is the associativity
-# check of its total category; it calls cocycle_defect only after that check
-# fails, to name the first failing triple.  Only tests read the dense d0,
-# d1, d2.
+# applies d2's triple by triple, only at the triples next to the cochain's
+# support, in basis3 order, so it holds neither them nor d2.
+# build_extension's cocycle test is the associativity check of its total
+# category, built from rows of fiber positions; it calls cocycle_defect only
+# after that check fails, to name the first failing triple.  Only tests read
+# the dense d0, d1, d2.
 #
 # H^n(C; D) = H^n(S; i*D) for the inclusion i: S -> C of a skeleton
 # (Baues & Wirsching, J. Pure Appl. Algebra 38 (1985), Thm 1.11), so the
@@ -518,12 +522,34 @@ class BWComplex:
 
     def cocycle_defect(self, delta: Cochain2):
         """The first triple (f, g, h) of labels, in basis3 order, at which
-        d2 delta is nonzero, or None; neither basis3 nor d2_rows is built."""
-        vec = self.cochain2_vector(delta)
-        m, ids = self.system.modulus, self.category.morphism_ids
-        for f, g, h in self._triples():
-            if any(_evaluate(self._d2_at(f, g, h), vec, m)):
-                return (ids[f], ids[g], ids[h])
+        d2 delta is nonzero, or None; neither basis3 nor d2_rows is built.
+        (d2 delta)(f, g, h) reads delta only at (f, g), (g, h), (fg, h) and
+        (f, gh), so it is 0 unless one of them is in delta's support.  The
+        scan runs over f in morphism order and, for each f, evaluates d2
+        only at those (g, h), in order: g and h run over into(src f) and
+        into(src g) in morphism order, so basis3 order is (f, g, h) order."""
+        cat = self.category
+        placed = _placed(cat, self.system, delta)
+        rows, into, src_of, tgt_of = cat.rows, cat.into, cat.src_of, cat.tgt_of
+        after: dict[int, list[int]] = {}                # u -> the h with (u, h) in the support
+        ending: dict[int, list[tuple[int, int]]] = {}   # x -> the support's (g, h) with tgt g = x
+        for (u, h), v in placed.items():
+            if any(v):
+                after.setdefault(u, []).append(h)
+                ending.setdefault(tgt_of[u], []).append((u, h))
+        vec, m, ids = self._vector(placed), self.system.modulus, cat.morphism_ids
+        for f, (s, row) in enumerate(zip(src_of, rows)):
+            near = set(ending.get(s, ()))                                   # (g, h)
+            for g, fg in zip(into[s], row):
+                if fg in after:
+                    near.update((g, h) for h in after[fg])                  # (fg, h)
+            for u in after.get(f, ()):
+                near.update((u, h) for h in into[src_of[u]])                # (f, g)
+                near.update((g, h) for g in into[tgt_of[u]]                 # (f, gh)
+                            for h, gh in zip(into[src_of[g]], rows[g]) if gh == u)
+            for g, h in sorted(near):
+                if any(_evaluate(self._d2_at(f, g, h), vec, m)):
+                    return (ids[f], ids[g], ids[h])
         return None
 
     @cached_property
@@ -549,8 +575,11 @@ class BWComplex:
         """Coordinates of delta on the pairs of this complex; on a skeleton
         that is the restriction i* delta.  An entry whose length is not the
         rank of D at f∘g is refused."""
+        return self._vector(_placed(self.category, self.system, delta))
+
+    def _vector(self, placed: dict) -> list[int]:
         vec = [0] * self.dim[2]
-        for (f, g), v in _placed(self.category, self.system, delta).items():
+        for (f, g), v in placed.items():
             vec[self.offset2[f][g]:self.offset2[f][g] + len(v)] = v
         return vec
 
@@ -731,10 +760,6 @@ def bw_cohomology(cat: FinCategory, system: NaturalSystem, degree: int,
 # Building extensions
 # ---------------------------------------------------------------------------
 
-def fiber_morphism_name(f: str, vec: Vector) -> str:
-    return f"{f}|{'.'.join(str(x) for x in vec)}"
-
-
 @dataclass(frozen=True, eq=False)
 class ExtensionCategory:
     base: FinCategory
@@ -772,16 +797,28 @@ class _FiberTables:
     D_g as tables: table[p] is the position of the image of the vector at p.
     Each table is built once per rank or per distinct (matrix, rank), from
     the addition table alone: a matrix table grows one coordinate at a
-    time, adding the multiples of that coordinate's column.
+    time, adding the multiples of that coordinate's column.  A matrix
+    shared between pairs, as a trivial system shares its identities, is
+    found by identity before it is hashed, and a row of push and pull maps
+    shared by morphisms with one source and rank is read once.
     """
 
     def __init__(self, cat: FinCategory, system: NaturalSystem):
         self.m, rank, push, pull = system.modulus, system.rank, system.push, system.pull
         self._by_rank: dict[int, list[list[int]]] = {}
         self._by_matrix: dict[tuple[Matrix, int], list[int]] = {}
+        # id(matrix) -> (matrix, rank, table); holding the matrix keeps its id
+        self._by_id: dict[int, tuple[Matrix, int, list[int]]] = {}
         self.addition = [self._add(r) for r in rank]
-        self.pairs = [(self.table(push[g][f], rank[f]), self.table(pull[g][f], rank[g]))
-                      for g, (f, _) in cat.entries()]
+        self.pairs = []
+        by_row: dict[tuple[int, int, int, int], list] = {}    # rows of push and pull, by identity
+        for g, s in enumerate(cat.src_of):
+            key = (id(push[g]), id(pull[g]), s, rank[g])
+            row = by_row.get(key)
+            if row is None:
+                row = by_row[key] = [(self.table(push[g][f], rank[f]), self.table(pull[g][f], rank[g]))
+                                     for f in cat.into[s]]
+            self.pairs += row
 
     def _add(self, r: int) -> list[list[int]]:
         table = self._by_rank.get(r)
@@ -798,6 +835,9 @@ class _FiberTables:
     def table(self, mat: Matrix, r: int) -> list[int]:
         """The table of a matrix on (Z/m)^r, into the positions of the
         fiber of rank len(mat); built on first request and kept."""
+        seen = self._by_id.get(id(mat))
+        if seen is not None and seen[0] is mat and seen[1] == r:
+            return seen[2]
         table = self._by_matrix.get((mat, r))
         if table is None:
             m, add = self.m, self._add(len(mat))
@@ -807,6 +847,7 @@ class _FiberTables:
                 multiples = list(accumulate(repeat(column, m - 1), lambda s, c: add[s][c], initial=0))
                 table = [add[t][x] for t in table for x in multiples]
             self._by_matrix[(mat, r)] = table
+        self._by_id[id(mat)] = (mat, r, table)
         return table
 
 
@@ -831,13 +872,15 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
     """Total category with composition twisted by a normalized cocycle.
 
     The fiber over f is D_f acting by translation, and each total morphism
-    (f, a) is named once, by `fiber_morphism_name`.  The composites are
-    read off fiber indices: (g, b)∘(f, a) lies over g∘f at position
-    add[add[-δ(g, f)][g_*[a]]][f^*[b]] of its fiber, where add, g_* and f^*
-    are `_FiberTables` tables built once per rank or matrix, and are
-    streamed into `build_category` for (g, f) in the base's table order,
-    a, then b, with no table of the total built here; the total, like any
-    category, lists its own pairs in its table order.  That category's
+    (f, a) is named once, "f|a", from one list of vector names per rank.
+    The total holds (f, a) at position offset(f) + a, so its composition
+    rows are read off fiber indices: (g, b)∘(f, a) is total morphism
+    offset(g∘f) + add[add[-δ(g, f)][g_*[a]]][f^*[b]], where add, g_* and
+    f^* are `_FiberTables` tables built once per rank or matrix.  Row
+    (g, b) is aligned with into(src g), which lists the fiber over each f
+    into src(g) in turn, and the rows go to `build_category` as positions,
+    checked as any rows are (lengths and ranges, endpoints, unit laws and
+    associativity); no composite is named.  That category's
     associativity test is the cocycle test: at the zero elements,
     (h,0)∘((g,0)∘(f,0)) - ((h,0)∘(g,0))∘(f,0) lies over hgf with vector
     h_*δ(g,f) - δ(hg,f) + δ(h,gf) - f^*δ(h,g) = (d2 δ)(h,g,f), so a total
@@ -867,25 +910,31 @@ def build_extension(cat: FinCategory, system: NaturalSystem, delta: Cochain2) ->
 
     morphisms = []
     fiber: dict[str, tuple[str, ...]] = {}      # base morphism -> total ids, by position
+    labels = {r: ['.'.join(map(str, vec)) for vec in iproduct(range(m), repeat=r)] for r in set(rank)}
     for i, (f, s, t) in enumerate(cat.morphisms):
-        fiber[f] = tuple(fiber_morphism_name(f, vec) for vec in iproduct(range(m), repeat=rank[i]))
+        fiber[f] = tuple(f"{f}|{v}" for v in labels[rank[i]])
         morphisms.extend((e, s, t) for e in fiber[f])
     identity = {x: fiber[cat.identity[x]][0] for x in cat.objects}
     tables = _FiberTables(cat, system)
-    fibers = list(fiber.values())
+    offset = list(accumulate(map(len, fiber.values()), initial=0))
 
-    def composites():
-        """For each (g, f) and a in D_f, the triples ((g, b), (f, a), their composite), b in D_g."""
-        for (i, (j, k)), (pushed, pulled) in zip(cat.entries(), tables.pairs):
-            fiber_g, fiber_gf, add = fibers[i], fibers[k], tables.addition[k]
-            d = placed.get((i, j))
+    # row (g, b) is aligned with into(src g), which lists the fiber over
+    # each f into src(g) in turn, consecutive in the total's morphisms
+    rows: list[list[int]] = []
+    pairs = iter(tables.pairs)
+    for g, (s, row_g) in enumerate(zip(cat.src_of, cat.rows)):
+        parts = []      # per f: offset(g∘f), add on D_gf, -δ(g, f) + g_*a for a in D_f, f^*
+        for f, gf in zip(cat.into[s], row_g):
+            pushed, pulled = next(pairs)
+            add = tables.addition[gf]
+            d = placed.get((g, f))
             minus_d = add[_position([-x for x in d], m) if d else 0]
-            for fa, a_pushed in zip(fibers[j], pushed):
-                row = add[minus_d[a_pushed]]
-                yield zip(fiber_g, repeat(fa), map(fiber_gf.__getitem__, map(row.__getitem__, pulled)))
+            parts.append((offset[gf], add, [minus_d[x] for x in pushed], pulled))
+        rows.extend([off + add[x][pulled[b]] for off, add, shifted, pulled in parts for x in shifted]
+                    for b in range(offset[g + 1] - offset[g]))
 
     try:
-        total = build_category(cat.objects, morphisms, identity, chain.from_iterable(composites()))
+        total = build_category(cat.objects, morphisms, identity, rows=rows)
     except CategoryError as err:
         defect = bw_differentials(cat, system).cocycle_defect(delta)
         if defect is not None:

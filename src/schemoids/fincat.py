@@ -608,12 +608,17 @@ def build_category(objects, morphisms, identity, compose=None, rows=None) -> Fin
 
 def full_subcategory(c: FinCategory, objects) -> FinCategory:
     """The full subcategory on some objects of c, in the order of c: every
-    morphism between those objects and their composites."""
+    morphism between those objects and their composites.  Its rows are c's
+    rows cut to the morphisms from kept objects and renumbered."""
     keep = set(objects)
-    objs = tuple(x for x in c.objects if x in keep)
-    morphisms = tuple(m for m in c.morphisms if m[1] in keep and m[2] in keep)
-    compose = ((f, g, c.comp(f, g)) for f, s, _ in morphisms for y in objs for g in c.hom(y, s))
-    return build_category(objs, morphisms, {x: c.identity[x] for x in objs}, compose)
+    xs = [i for i, x in enumerate(c.objects) if x in keep]
+    inside, src_of, inpos, rows = set(xs), c.src_of, c.inpos, c.rows
+    into = {x: [j for j in c.into[x] if src_of[j] in inside] for x in xs}
+    kept = sorted(chain.from_iterable(into.values()))
+    new = {f: n for n, f in enumerate(kept)}
+    objs = tuple(map(c.objects.__getitem__, xs))
+    return build_category(objs, map(c.morphisms.__getitem__, kept), {x: c.identity[x] for x in objs},
+                          rows=[[new[rows[f][inpos[g]]] for g in into[src_of[f]]] for f in kept])
 
 
 def terminal_category() -> FinCategory:

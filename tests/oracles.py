@@ -181,6 +181,19 @@ def opposite_description(a):
                       a["identities"], [(g, f, h) for f, g, h in completed_entries(a)])
 
 
+def full_subcategory_description(a, objects):
+    """The raw description of the full subcategory of a on some objects:
+    those objects and the morphisms between them, in a's order, and the
+    entries of a's completed table whose two factors are both among them."""
+    keep = set(objects)
+    morphisms = [(m["id"], m["src"], m["tgt"]) for m in a["morphisms"]
+                 if m["src"] in keep and m["tgt"] in keep]
+    ids = {m for m, _, _ in morphisms}
+    return _description([x for x in a["objects"] if x in keep], morphisms,
+                        {x: e for x, e in a["identities"].items() if x in keep},
+                        [(f, g, h) for f, g, h in completed_entries(a) if f in ids and g in ids])
+
+
 def s_tilde_description(a):
     """The raw description of the category of s̃ of a groupoid with raw
     description a, as the label stream schemoids.bridges.s_tilde once

@@ -43,7 +43,9 @@ from schemoids.fincat import (
     build_category,
     cyclic_group_table,
     one_object_group,
+    serialize,
     terminal_category,
+    validate_category,
 )
 from schemoids.schemes import hamming, j_embed
 from schemoids.schemoid import discrete_partition, is_unital, make_partition, verify_quasi_schemoid
@@ -547,6 +549,57 @@ def test_not_a_cocycle_names_the_reference_triple():
         with pytest.raises(NotACocycle) as err:
             build_extension(cat, sys_, tampered)
         assert str(err.value) == f"d(delta) != 0 at {want[:3]}"
+
+
+def test_cocycle_defect_builds_d2_only_next_to_the_support(monkeypatch):
+    """d2 delta at (f, g, h) reads delta at (f, g), (g, h), (fg, h) and
+    (f, gh) only.  On the product base, for each of the 196 one-entry
+    cochains and each e1 cocycle flipped at one pair, every row of d2 that
+    cocycle_defect builds is at a triple with one of the four in the
+    support, and the triple it names is the reference's."""
+    cat = product_base().category
+    sys_ = trivial_system(cat, 2)
+    cx = bw_differentials(cat, sys_)
+    delta1 = cochain2_from_function(sys_, z2_cocycle_on_product(cat))
+    pairs = [(f, g) for (f, g) in cat.compose if not (cat.is_identity(f) or cat.is_identity(g))]
+    cochains = [Cochain2({pair: (1,)}) for pair in pairs]
+    cochains += [cochain2_sub(sys_, delta1, Cochain2({pair: (1,)})) for pair in pairs]
+    ids, built, d2_at = cat.morphism_ids, [], extensions.BWComplex._d2_at
+
+    def counted(self, f, g, h):
+        built.append((ids[f], ids[g], ids[h]))
+        return d2_at(self, f, g, h)
+
+    monkeypatch.setattr(extensions.BWComplex, "_d2_at", counted)
+    for delta in cochains:
+        built.clear()
+        support = {key for key, v in delta.entries.items() if any(v)}
+        want = cocycle_defect(sys_, delta)
+        assert cx.cocycle_defect(delta) == (want and want[:3])
+        assert built and (want is None or built[-1] == want[:3])
+        for f, g, h in built:
+            near = {(f, g), (g, h), (cat.comp(f, g), h), (f, cat.comp(g, h))}
+            assert near & support, (f, g, h)
+
+
+@pytest.mark.parametrize("m, r", [(2, 1), (3, 2)])
+def test_fiber_names_stay_distinct_when_base_labels_hold_separators(m, r):
+    """Z/3 with elements named a, a|0 and a|0.1: the total's names are
+    distinct, and each, split at its last "|", gives back its base
+    morphism and the coordinates of its vector joined by ".", since a
+    vector's name holds no "|".  The total reads back from its table."""
+    elements, table = cyclic_group_table(3)
+    label = dict(zip(elements, ["a", "a|0", "a|0.1"]))
+    base = one_object_group(list(label.values()),
+                            {(label[x], label[y]): label[xy] for (x, y), xy in table.items()}).base
+    ext = build_extension(base, trivial_system(base, m, r), zero_cochain2())
+    names = ext.total.morphism_ids
+    assert len(set(names)) == len(names) == 3 * m ** r
+    vectors = ['.'.join(map(str, v)) for v in iproduct(range(m), repeat=r)]
+    for f, fiber in ext.fiber.items():
+        assert [name.rsplit("|", 1) for name in fiber] == [[f, v] for v in vectors]
+        assert all(ext.projection(name) == f for name in fiber)
+    assert validate_category(serialize(ext.total)) == ext.total
 
 
 def test_cocycle_test_streams_the_triples():

@@ -1,6 +1,6 @@
 """Randomized structural properties over generated small instances."""
 
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -33,6 +33,7 @@ from schemoids.fincat import (
     as_groupoid,
     build_category,
     cyclic_group_table,
+    full_subcategory,
     identity_functor,
     is_groupoid,
     join,
@@ -74,6 +75,7 @@ from oracles import (
     completed_entries,
     condition_P_bruteforce,
     extension_description,
+    full_subcategory_description,
     join_description,
     opposite_description,
     product_description,
@@ -437,6 +439,63 @@ def test_cocycle_test_and_coboundary_match_reference(case, data):
         assert cx.cocycle_defect(delta) == (want and want[:3])
 
 
+@st.composite
+def defect_cases(draw):
+    """(system, delta): on a category C from small_categories(), with m in
+    {2, 3, 4, 6}, a trivial system of rank 0 to 2, or, on C x Z/n, the
+    system induced by a generator of order n acting through the
+    projection; and a normalized cochain, 1 to 3 nonzero entries at pairs
+    with no identity, or the coboundary of a 1-cochain that vanishes on
+    the identities plus one such entry.  Complexes with more than 3000
+    coordinates in degree 3 are skipped to keep the reference fast."""
+    cat = draw(small_categories())
+    m = draw(st.sampled_from([2, 3, 4, 6]))
+    twist = draw(st.sampled_from([None, None] + sorted(ACTIONS)))
+    if twist is None:
+        system = trivial_system(cat, m, draw(st.integers(0, 2)))
+    else:
+        n, gen = ACTIONS[twist]
+        cat, _, proj = product_with_projections(cat, one_object_group(*cyclic_group_table(n)).base)
+        maps = {f: _power(gen, int(proj(f))) for f in cat.morphism_ids}
+        system = induced_system(cat, m, {x: len(gen) for x in cat.objects}, maps)
+    assume(bw_differentials(cat, system).dim[3] <= 3000)
+    rank = labelled_system(system)[0]
+    pairs = [(f, g) for (f, g), fg in cat.compose.items()
+             if rank[fg] and not (cat.is_identity(f) or cat.is_identity(g))]
+
+    def nonzero(pair):
+        r = rank[cat.compose[pair]]
+        v = [draw(st.integers(0, m - 1)) for _ in range(r)]
+        v[draw(st.integers(0, r - 1))] = draw(st.integers(1, m - 1))
+        return tuple(v)
+
+    if not pairs:
+        event("no pair to put an entry at")
+        return system, Cochain2({})
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+        return system, Cochain2({pair: nonzero(pair) for pair in chosen})
+    fvals = {f: tuple(draw(st.integers(0, m - 1)) for _ in range(rank[f]))
+             for f in cat.morphism_ids if not cat.is_identity(f)}
+    pair = draw(st.sampled_from(pairs))
+    return system, cochain2_sub(system, coboundary_of_1cochain(system, fvals),
+                                Cochain2({pair: nonzero(pair)}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(defect_cases())
+def test_cocycle_defect_matches_the_reference_scan(case):
+    """BWComplex.cocycle_defect, which builds d2 only at the triples next
+    to the cochain's support, names the first triple at which the
+    reference's scan of every triple finds d2 delta nonzero, or None."""
+    system, delta = case
+    assert is_normalized(system, delta)
+    want = reference_cocycle_defect(system, delta)
+    event("cocycle" if want is None else "not a cocycle")
+    cx = bw_differentials(system.category, system)
+    assert cx.cocycle_defect(delta) == (want and want[:3])
+
+
 def _z2_case(rank):
     """Z/2 (the product of the terminal category with Z/2) with the trivial
     rank-r system over Z/3, as `cocycle_cases` draws it."""
@@ -493,6 +552,32 @@ def test_build_extension_matches_reference_cocycle_test(case, data):
 @given(small_categories())
 def test_category_serialization_roundtrip(cat):
     assert validate_category(serialize(cat)) == cat
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_categories(), st.data())
+def test_full_subcategory_matches_the_label_description(cat, data):
+    """full_subcategory, which cuts and renumbers c's rows, equals the
+    category read from the label description of the same full
+    subcategory, on any nonempty set of objects."""
+    keep = data.draw(st.sets(st.sampled_from(cat.objects), min_size=1))
+    want = validate_category(full_subcategory_description(serialize(cat), keep))
+    assert full_subcategory(cat, keep) == want
+
+
+@pytest.mark.parametrize("name, part", [
+    (name, part) for name, entry in corpus.ENTRIES.items()
+    for part in (("category",) if entry.kind == "schemoid" else ("base", "total"))])
+def test_full_subcategories_of_corpus_categories_match_the_label_description(name, part):
+    """Every corpus category, the extensions' bases and totals among them,
+    and every nonempty set of its objects: the full subcategory equals the
+    one read from its label description."""
+    cat = getattr(corpus.build(name), part)
+    raw = serialize(cat)
+    for n in range(1, len(cat.objects) + 1):
+        for keep in combinations(cat.objects, n):
+            assert full_subcategory(cat, keep) == validate_category(
+                full_subcategory_description(raw, keep)), keep
 
 
 @st.composite
